@@ -14,7 +14,7 @@
 import numpy as np
 
 from repro.core import SNAP, SNAPParams
-from repro.md import Simulation, build_pairs
+from repro.md import MDLoop, build_engine, build_pairs
 from repro.parsplice import arrhenius_msm, nanoparticle_landscape, run_parsplice
 from repro.potentials import LennardJones
 from repro.structures import lattice_system, random_packed
@@ -63,14 +63,15 @@ def test_verlet_skin_sweep(benchmark, report, rng):
     report(f"{'skin':>6s} {'rebuilds':>9s} {'pairs/step':>11s}")
     rebuilds = {}
     for skin in (0.0, 0.3, 1.0):
-        sim = Simulation(s.copy(), pot, dt=2e-3, skin=skin)
-        out = sim.run(100)
-        nbr = sim.neighbors.get(sim.system.positions)
-        rebuilds[skin] = out["neighbor_builds"]
-        report(f"{skin:6.1f} {out['neighbor_builds']:9d} {nbr.npairs:11d}")
-    benchmark.pedantic(lambda: Simulation(s.copy(), pot, dt=2e-3,
-                                          skin=0.3).run(10),
-                       rounds=1, iterations=1)
+        engine = build_engine(s.copy(), pot, skin=skin)
+        out = MDLoop(engine, dt=2e-3).run(100)
+        nbr = engine.neighbors.get(engine.system.positions)
+        rebuilds[skin] = out.neighbor_builds
+        report(f"{skin:6.1f} {out.neighbor_builds:9d} {nbr.npairs:11d}")
+    benchmark.pedantic(
+        lambda: MDLoop(build_engine(s.copy(), pot, skin=0.3),
+                       dt=2e-3).run(10),
+        rounds=1, iterations=1)
     assert rebuilds[0.0] > rebuilds[0.3] >= rebuilds[1.0]
 
 

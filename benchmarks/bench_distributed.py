@@ -1,11 +1,10 @@
-"""Distributed-driver benchmark: halo modes, rank concurrency, traffic.
+"""Distributed-engine benchmark: the in-process MPI model vs serial.
 
-Measures the domain-decomposed hot path at fixed natoms/nranks - the 2x
-discard-ghosts halo vs the 1x reverse-force-communication halo, and
-sequential vs concurrent rank execution - and writes the measurement to
-``BENCH_distributed.json`` at the repo root via
-:mod:`repro.core.benchrecord` (atom-steps/s plus ghost/reverse bytes per
-step per variant).
+Runs one SNAP system through the serial engine and the domain-decomposed
+:class:`repro.parallel.DistributedEngine` at fixed natoms/nranks and
+writes the measurement to ``BENCH_distributed.json`` at the repo root
+via :mod:`repro.core.benchrecord` (atom-steps/s plus ghost/reverse bytes
+per step and the comm share the Fig. 4 split is built from).
 """
 
 import time
@@ -15,7 +14,7 @@ import numpy as np
 
 from repro.core import SNAPParams
 from repro.core.benchrecord import make_record, write_record
-from repro.parallel import DistributedSimulation
+from repro.md import MDLoop, build_engine
 from repro.potentials import SNAPPotential
 from repro.structures import lattice_system
 
@@ -33,12 +32,11 @@ def _system(rng, reps=(3, 3, 3)):
 
 
 def test_distributed_record(benchmark, report, rng):
-    """2x vs 1x vs 1x+concurrent ranks; record to BENCH_distributed.json."""
+    """Serial vs 2-rank distributed; record to BENCH_distributed.json."""
     s0, pot = _system(rng)
     variants = {
-        "halo_2x": dict(halo_mode="2x", skin=0.1, nworkers=1),
-        "halo_1x": dict(halo_mode="1x", skin=0.1, nworkers=1),
-        "halo_1x_workers2": dict(halo_mode="1x", skin=0.1, nworkers=2),
+        "serial": dict(skin=0.1),
+        "distributed_2r": dict(nranks=NRANKS, skin=0.1),
     }
     seconds = {}
     extras = {}
@@ -46,35 +44,34 @@ def test_distributed_record(benchmark, report, rng):
     for name, kw in variants.items():
         sm = s0.copy()
         sm.seed_velocities(50.0, rng=np.random.default_rng(13))
-        with DistributedSimulation(sm, pot, nranks=NRANKS, dt=5e-4,
-                                   **kw) as dsim:
+        with build_engine(sm, pot, **kw) as engine:
             t0 = time.perf_counter()
-            out = dsim.run(STEPS)
+            out = MDLoop(engine, dt=5e-4).run(STEPS)
             seconds[name] = time.perf_counter() - t0
-            _, f = dsim.compute_forces()
-        forces[name] = f
+            forces[name] = engine.evaluate().forces
         extras[name] = {
-            "atom_steps_per_s": out["atom_steps_per_s"],
-            "ghost_bytes_per_step": out["ghost_bytes_per_step"],
-            "reverse_bytes_per_step": out["reverse_bytes_per_step"],
-            "rebuilds": out["rebuilds"],
-            "phase_fractions": out["phase_fractions"],
+            "atom_steps_per_s": out.atom_steps_per_s,
+            "neighbor_builds": out.neighbor_builds,
+            "phase_fractions": out.phase_fractions,
         }
-    # all variants must agree on the physics
-    assert np.allclose(forces["halo_2x"], forces["halo_1x"], atol=1e-10)
-    assert np.array_equal(forces["halo_1x"], forces["halo_1x_workers2"])
+        if out.ghost_bytes_per_step is not None:
+            extras[name].update(
+                ghost_bytes_per_step=out.ghost_bytes_per_step,
+                reverse_bytes_per_step=out.reverse_bytes_per_step)
+    assert np.allclose(forces["serial"], forces["distributed_2r"],
+                       atol=1e-10)
 
     record = make_record(
         "distributed_md",
         problem={"natoms": s0.natoms, "nranks": NRANKS, "steps": STEPS,
                  "twojmax": 4, "potential": "SNAP"},
-        seconds=seconds, natoms=s0.natoms * STEPS, reference="halo_2x",
+        seconds=seconds, natoms=s0.natoms * STEPS, reference="serial",
         extras=extras)
     out_path = write_record(Path(__file__).resolve().parent.parent
                             / "BENCH_distributed.json", record)
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    report(f"distributed driver ({s0.natoms} atoms, {NRANKS} ranks, "
+    report(f"distributed engine ({s0.natoms} atoms, {NRANKS} ranks, "
            f"{STEPS} steps):")
     report(f"{'variant':>18s} {'s':>8s} {'atom-steps/s':>14s} "
            f"{'ghost B/step':>14s} {'reverse B/step':>15s}")
@@ -82,29 +79,6 @@ def test_distributed_record(benchmark, report, rng):
         e = extras[name]
         report(f"{name:>18s} {seconds[name]:8.2f} "
                f"{e['atom_steps_per_s']:14.0f} "
-               f"{e['ghost_bytes_per_step']:14.0f} "
-               f"{e['reverse_bytes_per_step']:15.0f}")
-    ratio = (extras["halo_1x"]["ghost_bytes_per_step"]
-             / extras["halo_2x"]["ghost_bytes_per_step"])
-    report(f"1x/2x ghost traffic ratio: {ratio:.2f} (<= 0.6 required)")
+               f"{e.get('ghost_bytes_per_step', 0):14.0f} "
+               f"{e.get('reverse_bytes_per_step', 0):15.0f}")
     report(f"record written to {out_path}")
-    assert ratio <= 0.6
-
-
-def test_rank_concurrency_scaling(benchmark, report, rng):
-    """Concurrent rank execution on a rank-rich grid (8 virtual ranks)."""
-    s0, pot = _system(rng, reps=(4, 4, 4))
-    seconds = {}
-    for nw in (1, 2, 4):
-        sm = s0.copy()
-        sm.seed_velocities(50.0, rng=np.random.default_rng(13))
-        with DistributedSimulation(sm, pot, nranks=8, dt=5e-4,
-                                   nworkers=nw) as dsim:
-            t0 = time.perf_counter()
-            dsim.run(2)
-            seconds[nw] = time.perf_counter() - t0
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    report("")
-    report(f"rank concurrency ({s0.natoms} atoms, 8 ranks, 2 steps):")
-    for nw, t in seconds.items():
-        report(f"  nworkers={nw}: {t:6.2f} s  ({seconds[1] / t:4.2f}x)")

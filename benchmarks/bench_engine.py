@@ -1,9 +1,9 @@
 """Engine-layer benchmark: one MD loop, every execution backend.
 
 Runs the identical LJ system through :func:`repro.md.build_engine` on
-the serial, sharded-serial, domain-decomposed and shared-memory
-multiprocess backends — the same :class:`repro.md.MDLoop` drives all
-four — and records the per-backend throughput to ``BENCH_engine.json``
+the serial, domain-decomposed and shared-memory multiprocess
+backends — the same :class:`repro.md.MDLoop` drives all three — and
+records the per-backend throughput to ``BENCH_engine.json``
 at the repo root via :mod:`repro.core.benchrecord`.  Doubles as an
 end-to-end check that the backends agree on the physics at the engine
 boundary: the process backend must be *bitwise* identical to serial.
@@ -66,11 +66,10 @@ def _system(rng):
 
 
 def test_engine_backends_record(benchmark, report, rng):
-    """Serial vs sharded vs distributed through one MDLoop."""
+    """Serial vs distributed vs multiprocess through one MDLoop."""
     s0, pot = _system(rng)
     variants = {
         "serial": dict(),
-        "serial_workers2": dict(nworkers=2),
         "distributed_8r": dict(nranks=8),
         "process_2p": dict(backend="process", nprocs=2),
         "process_4p": dict(backend="process", nprocs=4),
@@ -99,7 +98,6 @@ def test_engine_backends_record(benchmark, report, rng):
             extras[name]["ghost_bytes_per_step"] = out.ghost_bytes_per_step
     # every backend must agree on the physics; the multiprocess backend
     # carries the strongest contract (bitwise equality with serial)
-    assert np.array_equal(forces["serial"], forces["serial_workers2"])
     assert np.allclose(forces["serial"], forces["distributed_8r"], atol=1e-10)
     assert np.array_equal(forces["serial"], forces["process_2p"])
     assert np.array_equal(forces["serial"], forces["process_4p"])

@@ -12,7 +12,7 @@ trend drives the model.
 import numpy as np
 import pytest
 
-from repro.parallel import DistributedSimulation
+from repro.parallel import BYTES_PER_GHOST, DistributedEngine
 from repro.perfmodel import PAPER, parallel_efficiency, strong_scaling
 from repro.potentials import LennardJones
 from repro.structures import lattice_system
@@ -65,19 +65,19 @@ def test_measured_halo_surface_to_volume(benchmark, report, rng):
     s = lattice_system("fcc", a=2.5, reps=(8, 8, 8))
     s.positions = s.positions + rng.normal(scale=0.05, size=s.positions.shape)
     pot = LennardJones(epsilon=0.2, sigma=2.2, cutoff=2.5)
-    benchmark.pedantic(lambda: DistributedSimulation(s.copy(), pot, nranks=8).compute_forces(),
+    benchmark.pedantic(lambda: DistributedEngine(s.copy(), pot, 8).evaluate(),
                        rounds=1, iterations=1)
     report("")
     report("measured halo traffic (2048-atom LJ sample, simulated ranks):")
     report(f"{'ranks':>6s} {'grid':>10s} {'ghosts/step':>12s} {'bytes/step':>12s}")
     ghost_series = []
     for nranks in (1, 2, 4, 8):
-        dsim = DistributedSimulation(s.copy(), pot, nranks=nranks)
-        dsim.compute_forces()
-        ghosts = dsim.ledger.ghost_atoms
+        engine = DistributedEngine(s.copy(), pot, nranks)
+        engine.evaluate()
+        ghosts = engine.ledger.ghost_atoms
         ghost_series.append(ghosts)
-        report(f"{nranks:6d} {str(dsim.grid.dims):>10s} {ghosts:12d} "
-               f"{dsim.ledger.bytes_1x:12d}")
+        report(f"{nranks:6d} {str(engine.grid.dims):>10s} {ghosts:12d} "
+               f"{ghosts * BYTES_PER_GHOST:12d}")
     assert ghost_series == sorted(ghost_series)
 
 

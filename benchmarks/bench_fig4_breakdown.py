@@ -9,7 +9,7 @@ instrumented drivers accompanies it.
 
 import pytest
 
-from repro.parallel import DistributedSimulation
+from repro.md import MDLoop, build_engine
 from repro.perfmodel import PAPER, breakdown
 from repro.potentials import SNAPPotential
 from repro.core import SNAPParams
@@ -40,42 +40,31 @@ def test_breakdown_model(benchmark, report):
 
 
 def test_breakdown_measured_inprocess(benchmark, report, rng):
-    """Measured comm/neigh/force split per halo mode from the
-    instrumented distributed driver (SNAP force time dominates at
-    MD-realistic atom counts even in the interpreted kernel)."""
+    """Measured comm/neigh/force split from the instrumented
+    distributed engine (SNAP force time dominates at MD-realistic atom
+    counts even in the interpreted kernel)."""
     import numpy as np
 
     params = SNAPParams(twojmax=4, rcut=2.4, chunk=8192)
     pot = SNAPPotential(params, beta=rng.normal(
         size=SNAPPotential(params).snap.index.ncoeff))
-    outs = {}
-    for mode in ("2x", "1x"):
-        s = lattice_system("diamond", a=3.57, reps=(3, 3, 3))
-        s.seed_velocities(300.0, rng=np.random.default_rng(7))
-        dsim = DistributedSimulation(s, pot, nranks=2, dt=5e-4,
-                                     halo_mode=mode, skin=0.1)
-        if mode == "1x":
-            outs[mode] = benchmark.pedantic(dsim.run, args=(2,),
-                                            rounds=1, iterations=1)
-        else:
-            outs[mode] = dsim.run(2)
+    s = lattice_system("diamond", a=3.57, reps=(3, 3, 3))
+    s.seed_velocities(300.0, rng=np.random.default_rng(7))
+    loop = MDLoop(build_engine(s, pot, nranks=2, skin=0.1), dt=5e-4)
+    out = benchmark.pedantic(loop.run, args=(2,), rounds=1, iterations=1)
     report("")
     report("measured in-process breakdown (216-atom SNAP 2J=4, 2 ranks):")
-    for mode, out in outs.items():
-        report(f"  halo_{mode}:")
-        bd = out["phase_breakdown"]
-        for k in sorted(bd):
-            subs = " ".join(f"{n}={t*1e3:.1f}ms"
-                            for n, t in sorted(bd[k].get("sub", {}).items()))
-            report(f"    {k:8s} {bd[k].get('fraction', 0.0)*100:6.1f}%"
-                   + (f"  [{subs}]" if subs else ""))
-        # force-dominated, like the paper's big runs
-        assert out["phase_fractions"]["force"] > 0.5
-    # sub-phases the overhaul is meant to expose
-    bd1 = outs["1x"]["phase_breakdown"]
-    assert "halo_build" in bd1["comm"]["sub"]
-    assert "reverse" in bd1["comm"]["sub"]
-    assert "reverse" not in outs["2x"]["phase_breakdown"]["comm"]["sub"]
+    bd = out.phase_breakdown
+    for k in sorted(bd):
+        subs = " ".join(f"{n}={t*1e3:.1f}ms"
+                        for n, t in sorted(bd[k].get("sub", {}).items()))
+        report(f"    {k:8s} {bd[k].get('fraction', 0.0)*100:6.1f}%"
+               + (f"  [{subs}]" if subs else ""))
+    # force-dominated, like the paper's big runs
+    assert out.phase_fractions["force"] > 0.5
+    assert "halo_build" in bd["comm"]["sub"]
+    assert "reverse" in bd["comm"]["sub"]
+    assert "compute_yi" in bd["force"]["sub"]
 
 
 def test_sanitizer_overhead_measured(report, rng):
@@ -95,17 +84,14 @@ def test_sanitizer_overhead_measured(report, rng):
         pot = SNAPPotential(params, beta=beta)
         s = lattice_system("diamond", a=3.57, reps=(3, 3, 3))
         s.seed_velocities(300.0, rng=np.random.default_rng(7))
-        dsim = DistributedSimulation(s, pot, nranks=2, dt=5e-4,
-                                     halo_mode="1x", skin=0.1,
-                                     check_finite=sane, race_check=sane)
-        out = dsim.run(3)
-        dsim.close()
-        walls[label] = out["wall_s"]
+        engine = build_engine(s, pot, nranks=2, skin=0.1,
+                              check_finite=sane, race_check=sane)
+        walls[label] = MDLoop(engine, dt=5e-4).run(3).wall_s
         if sane:
-            assert dsim.race_detector.reports == []
+            assert engine.race_detector.reports == []
     ratio = walls["on"] / walls["off"]
     report("")
-    report("sanitizer overhead (216-atom SNAP 2J=4, 2 ranks, 1x halo):")
+    report("sanitizer overhead (216-atom SNAP 2J=4, 2 ranks):")
     report(f"  sanitizers off: {walls['off']*1e3:8.1f} ms")
     report(f"  sanitizers on:  {walls['on']*1e3:8.1f} ms  ({ratio:.2f}x)")
     # debug instruments, but they must stay usable on real runs

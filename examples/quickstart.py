@@ -15,7 +15,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.constants import FS
-from repro.md import LangevinThermostat, Simulation
+from repro.md import LangevinThermostat, MDLoop, build_engine
 from repro.potentials import SNAPPotential, StillingerWeber
 from repro.structures import lattice_system
 from repro.train import make_carbon_snap
@@ -33,18 +33,19 @@ def main() -> None:
     system = lattice_system("diamond", a=3.57, reps=(2, 2, 2))
     system.seed_velocities(300.0, rng=np.random.default_rng(0))
     potential = SNAPPotential(params, beta=fit.beta)
-    sim = Simulation(system, potential, dt=0.5 * FS,
-                     thermostat=LangevinThermostat(temp=300.0, damp=0.1))
-    summary = sim.run(50, thermo_every=10)
-    for entry in sim.thermo_log:
+    with build_engine(system, potential) as engine:
+        loop = MDLoop(engine, dt=0.5 * FS,
+                      thermostat=LangevinThermostat(temp=300.0, damp=0.1))
+        summary = loop.run(50, thermo_every=10)
+    for entry in loop.thermo_log:
         print(f"  step {entry.step:4d}  T = {entry.temperature:7.1f} K  "
               f"E_pot = {entry.potential_energy:10.3f} eV")
 
     print("\n=== 3. Performance, in the paper's units ===")
-    rate = summary["atom_steps_per_s"]
+    rate = summary.atom_steps_per_s
     print(f"  {rate / 1e3:.2f} Katom-steps/s on one CPU core "
           "(paper Table I: 17.7 on a 2012 CPU node; 6.21 M/node-s on Summit)")
-    fr = summary["phase_fractions"]
+    fr = summary.phase_fractions
     print("  phase split: " +
           ", ".join(f"{k} {v * 100:.0f}%" for k, v in sorted(fr.items())))
 

@@ -15,9 +15,9 @@ Commands
 ``bench-kernel``
     Measure the local SNAP kernel (Table-I-style row for this host).
 ``run-md``
-    Run real MD on any execution backend (serial / sharded /
-    distributed / multiprocess) through the shared engine layer and
-    print the :class:`repro.md.RunSummary`.
+    Run real MD on any execution backend (serial / multiprocess /
+    distributed comm model) through the shared engine layer and print
+    the :class:`repro.md.RunSummary`.
 ``tune``
     Measure candidate SNAP kernel configs for a problem shape and
     persist the winner to the on-disk tuning DB; subsequent runs with
@@ -152,7 +152,6 @@ def _cmd_tune(args) -> int:
     e = res.entry
     print(f"{verb} for {res.key}: chunk={e['chunk']} "
           f"store_u={e['store_u']} y_mode={e['y_mode']} "
-          f"shard_workers={e['shard_workers']} "
           f"({e.get('seconds', 0.0) * 1e3:.1f} ms probe)")
     print(f"tuning DB: {res.db_path}")
     return 0
@@ -208,27 +207,32 @@ def _cmd_run_md(args) -> int:
         else:
             print(f"unknown observer: {name} (choose rdf, phase, thermo)")
             return 2
-    writer = None
-    if args.traj:
-        from .md import AsyncTrajectoryWriter
-        writer = AsyncTrajectoryWriter(args.traj, natoms=s.natoms)
     try:
-        with build_engine(s, pot, backend=args.backend, nranks=args.nranks,
-                          nworkers=args.nworkers, nprocs=args.nprocs,
-                          tuning_db=tuning_db.path
-                          if tuning_db is not None else None) as engine:
+        engine = build_engine(s, pot, backend=args.backend,
+                              nranks=args.nranks, nprocs=args.nprocs,
+                              tuning_db=tuning_db.path
+                              if tuning_db is not None else None)
+    except ValueError as exc:
+        print(f"run-md: {exc}")
+        return 2
+    writer = None
+    with engine:
+        if args.traj:
+            from .md import AsyncTrajectoryWriter
+            writer = AsyncTrajectoryWriter(args.traj, natoms=s.natoms)
+        try:
             summary = MDLoop(engine, dt=args.dt, trajectory=writer,
                              trajectory_every=args.traj_every,
                              observers=observers).run(args.steps)
-    finally:
-        if writer is not None:
-            writer.close()
+        finally:
+            if writer is not None:
+                writer.close()
     backend = type(engine).__name__
     layout = ""
     if summary.nprocs is not None:
         layout = f" [{summary.nprocs} procs]"
     elif summary.nranks is not None:
-        layout = f" [{summary.nranks} ranks x {summary.nworkers} workers]"
+        layout = f" [{summary.nranks} ranks]"
     print(f"{backend}{layout}: {summary.natoms} atoms x {summary.steps} steps "
           f"in {summary.wall_s:.3f} s "
           f"-> {summary.atom_steps_per_s / 1e3:.2f} Katom-steps/s")
@@ -323,7 +327,6 @@ def main(argv: list[str] | None = None) -> int:
                    default=None,
                    help="force backend; default infers from --nranks/--nprocs")
     p.add_argument("--nranks", type=int, default=1)
-    p.add_argument("--nworkers", type=int, default=1)
     p.add_argument("--nprocs", type=int, default=None,
                    help="worker processes for the process backend")
     p.add_argument("--traj", default=None,

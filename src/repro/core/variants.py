@@ -42,11 +42,6 @@ benchmark reports grind time relative to the baseline:
     The production hot path with ``store_u="always"``: per-pair ``U``
     layers and switching factors cached from stage 1 and reused by the
     force pass - the store side of the arithmetic-intensity trade.
-``sharded``
-    The ``stored_u`` rung with the force pass sharded across a worker
-    pool (:class:`repro.parallel.shards.ShardedSNAP`), bitwise identical
-    to the serial result.
-
 All rungs produce identical energies and forces; the agreement test is
 part of the suite.
 """
@@ -238,16 +233,6 @@ def _stored_u(snap: SNAP, natoms: int, nbr: NeighborBatch) -> EnergyForces:
     return with_params(snap, store_u="always").compute(natoms, nbr)
 
 
-def _sharded(snap: SNAP, natoms: int, nbr: NeighborBatch) -> EnergyForces:
-    from ..parallel.shards import ShardedSNAP
-
-    ev = ShardedSNAP(with_params(snap, store_u="always"), nworkers=2)
-    try:
-        return ev.compute(natoms, nbr)
-    finally:
-        ev.close()
-
-
 #: ordered ladder, baseline first (the paper's Figs. 2-3 x-axis).
 VARIANTS = {
     "listing1_baseline": _listing1,
@@ -258,7 +243,6 @@ VARIANTS = {
     "fused": _fused,
     "sparse_y": _sparse_y,
     "stored_u": _stored_u,
-    "sharded": _sharded,
 }
 
 

@@ -84,17 +84,16 @@ def calibrated_config(system, potential=None, t_segment: float = 1.0,
     EXAALT tasks are MD segments; instead of guessing
     ``task_duration_mean``, run one ``t_segment``-ps segment through the
     shared :class:`repro.md.MDLoop` on this host and use the measured
-    wall time.  By default a fresh engine is built and torn down (engine
-    selection kwargs - ``nranks``, ``nworkers``, ... - are split off;
-    the rest forward to :class:`ExaaltConfig`); passing a live
+    wall time.  By default a fresh engine is built and torn down (the
+    engine kwargs ``nranks`` and ``skin`` are split off; the rest
+    forward to :class:`ExaaltConfig`); passing a live
     :class:`repro.md.EngineSession` (or bare engine) via ``engine``
     calibrates over it instead and leaves it open, so the task duration
     reflects the session fleet's true marginal segment cost.
     """
     from ..md.engine import MDLoop, build_engine
 
-    engine_keys = ("nranks", "nworkers", "halo_mode", "skin",
-                   "shard_workers", "shard_backend")
+    engine_keys = ("nranks", "skin")
     engine_kwargs = {k: kwargs.pop(k) for k in engine_keys if k in kwargs}
     nsteps = max(1, int(round(t_segment / dt)))
     if engine is not None:

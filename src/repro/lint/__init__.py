@@ -14,9 +14,9 @@ determinism taint (R10).  Findings are suppressed inline with
 per file hash (:func:`run_lint`).
 
 Runtime half (:mod:`repro.lint.sanitizers`): opt-in NaN/Inf guards with
-phase attribution and a scatter-add race detector for concurrent rank
-execution, wired through ``SNAPParams.check_finite`` and the
-``check_finite``/``race_check`` flags of ``DistributedSimulation``.
+phase attribution and a scatter-add race detector for the rank
+decomposition, wired through ``SNAPParams.check_finite`` and the
+``check_finite``/``race_check`` arguments of ``build_engine``.
 """
 
 from .engine import (LintResult, LintStats, findings_to_json,

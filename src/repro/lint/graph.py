@@ -25,9 +25,9 @@ interprocedural analyses in :mod:`repro.lint.flow` run on:
     ``target=`` and pool ``initializer=`` keywords) - the roots the
     lockset analysis propagates held-lock sets from.
 
-Qualified names are plain dotted strings: ``repro.parallel.shards``
-(module), ``repro.parallel.shards.ShardedSNAP`` (class),
-``repro.parallel.shards.ShardedSNAP.compute`` (method),
+Qualified names are plain dotted strings: ``repro.md.trajectory``
+(module), ``repro.md.trajectory.AsyncTrajectoryWriter`` (class),
+``repro.md.trajectory.AsyncTrajectoryWriter.flush`` (method),
 ``...compute.<locals>.work`` (nested function),
 ``...<lambda:123>`` (lambda by line).
 """

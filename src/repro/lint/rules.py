@@ -1,9 +1,8 @@
 """Repo-aware static-analysis rules for the SNAP/MD codebase.
 
 Seven rule families, mirroring the conventions the concurrent hot path
-relies on (see the module docstrings of :mod:`repro.parallel.shards`,
-:mod:`repro.parallel.distributed` and
-:mod:`repro.parallel.process_engine`):
+relies on (see the module docstrings of :mod:`repro.parallel.distributed`
+and :mod:`repro.parallel.process_engine`):
 
 R1 *determinism*
     Bitwise reproducibility rests on fixed iteration and accumulation
@@ -122,15 +121,14 @@ class Rule:
 HOT_PATH_SCOPE = ("repro/parallel/", "repro/core/snap.py",
                   "repro/md/engine.py")
 #: where the guarded-by convention is enforced
-THREAD_SCOPE = ("repro/parallel/distributed.py", "repro/parallel/shards.py",
+THREAD_SCOPE = ("repro/parallel/distributed.py",
                 "repro/parallel/process_engine.py", "repro/md/engine.py",
                 "repro/md/trajectory.py", "repro/tuning/",
                 "repro/parsplice/service.py")
 #: where raw perf_counter() loop accounting is banned outside the
 #: sanctioned owners (PhaseTimers and the shared MDLoop): the drivers
 #: and the engine layer, which must route timing through PhaseTimers
-TIMER_SCOPE = ("repro/md/simulation.py", "repro/md/engine.py",
-               "repro/parallel/distributed.py",
+TIMER_SCOPE = ("repro/md/engine.py", "repro/parallel/distributed.py",
                "repro/parallel/process_engine.py", "repro/tuning/")
 #: where the shared-memory helper/lifecycle rules bite
 SHM_SCOPE = ("repro/parallel/",)

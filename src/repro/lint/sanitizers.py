@@ -2,7 +2,7 @@
 
 Two debug instruments, both off by default and wired through
 ``SNAPParams.check_finite`` and the ``check_finite`` / ``race_check``
-flags of :class:`repro.parallel.DistributedSimulation`:
+arguments of :func:`repro.md.build_engine`:
 
 NaN/Inf guard
     :func:`check_finite` validates kernel outputs at every force/energy
@@ -12,14 +12,15 @@ NaN/Inf guard
     thousands of steps later in a drifting thermostat.
 
 Scatter-add race detector
-    The distributed driver's correctness rests on a convention: during
-    concurrent rank execution every rank scatter-adds only into its own
-    *disjoint* owned-row region, while legitimately overlapping ghost
-    contributions go through the fixed-order serialized reverse pass.
-    :class:`RaceDetector` records the write index-sets each rank thread
-    declares per phase and reports any overlap between two concurrent
-    (non-serialized) writers - the silent-race failure mode that
-    dominated the TestSNAP optimization rounds at scale.
+    The distributed engine's correctness rests on a convention: every
+    rank scatter-adds only into its own *disjoint* owned-row region,
+    while legitimately overlapping ghost contributions go through the
+    fixed-order serialized reverse pass.  :class:`RaceDetector` records
+    the write index-sets each rank declares per phase and reports any
+    overlap between two non-serialized writers - with ranks run in
+    order it is the owned-row disjointness check of the decomposition,
+    the silent-race failure mode that dominated the TestSNAP
+    optimization rounds at scale.
 """
 
 from __future__ import annotations

@@ -3,14 +3,12 @@
 from .box import Box
 from .dump import (Checkpoint, load_checkpoint, read_checkpoint,
                    write_checkpoint)
-from .engine import (DistributedEngine, EngineSession, ForceEngine,
-                     LoopSnapshot, MDLoop, RunSummary, SerialEngine,
-                     ThermoEntry, build_engine)
+from .engine import (EngineSession, ForceEngine, LoopSnapshot, MDLoop,
+                     RunSummary, SerialEngine, ThermoEntry, build_engine)
 from .integrators import (BerendsenBarostat, BerendsenThermostat,
                           LangevinThermostat, VelocityVerlet)
 from .minimize import FireResult, fire_minimize, relax_volume
 from .neighbor import NeighborList, build_pairs, filter_pairs
-from .simulation import Simulation
 from .system import ParticleSystem
 from .timers import PhaseTimers
 from .trajectory import (AsyncTrajectoryWriter, Frame, TrajectoryFile,
@@ -29,11 +27,9 @@ __all__ = [
     "LangevinThermostat",
     "BerendsenThermostat",
     "BerendsenBarostat",
-    "Simulation",
     "ThermoEntry",
     "ForceEngine",
     "SerialEngine",
-    "DistributedEngine",
     "MDLoop",
     "LoopSnapshot",
     "EngineSession",

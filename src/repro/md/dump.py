@@ -1,4 +1,4 @@
-"""Checkpoint and trajectory I/O.
+"""Checkpoint I/O.
 
 The paper's production runs wrote binary checkpoint files whose cost is
 visible as the large dips of Fig. 7; our driver reproduces the behavior
@@ -34,7 +34,7 @@ from .box import Box
 from .system import ParticleSystem
 
 __all__ = ["write_checkpoint", "read_checkpoint", "load_checkpoint",
-           "Checkpoint", "checkpoint_path", "TrajectoryWriter"]
+           "Checkpoint", "checkpoint_path"]
 
 #: keys every checkpoint carries; anything else is loop/engine extras
 _CORE_KEYS = frozenset({"positions", "velocities", "masses", "types",
@@ -114,44 +114,3 @@ def read_checkpoint(path: str | Path) -> tuple[ParticleSystem, int]:
     """Read a checkpoint written by :func:`write_checkpoint`."""
     ck = load_checkpoint(path)
     return ck.system, ck.step
-
-
-class TrajectoryWriter:
-    """Accumulate snapshots in memory, flush to one ``.npz`` on close.
-
-    Suitable for the example scripts' short trajectories; production
-    runs stream :class:`repro.md.trajectory.AsyncTrajectoryWriter`
-    frames instead, and checkpoints use :func:`write_checkpoint`.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        # normalized up front so self.path names the file savez creates
-        self.path = checkpoint_path(path)
-        self._frames: list[np.ndarray] = []
-        self._steps: list[int] = []
-        self._closed = False
-
-    def append(self, system: ParticleSystem, step: int) -> None:
-        if self._closed:
-            raise RuntimeError(
-                f"{self.path}: TrajectoryWriter is closed; frames appended "
-                "now would be silently lost")
-        self._frames.append(system.positions.copy())
-        self._steps.append(step)
-
-    def close(self) -> None:
-        """Flush buffered frames (idempotent; a reused writer must not
-        rewrite stale frames, so the buffer is cleared either way)."""
-        if self._frames:
-            np.savez_compressed(self.path,
-                                positions=np.stack(self._frames),
-                                steps=np.array(self._steps))
-        self._frames = []
-        self._steps = []
-        self._closed = True
-
-    def __enter__(self) -> "TrajectoryWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -1,62 +1,54 @@
 """One timestep engine: pluggable force backends behind a shared MD loop.
 
 The paper's production capability rests on a single MD loop driving the
-SNAP kernel through interchangeable execution backends (single node,
-shared-memory shards, full-machine domain decomposition).  This module
-is that seam for the reproduction:
+SNAP kernel through interchangeable execution backends.  This module is
+that seam for the reproduction, and ``build_engine`` ->
+:class:`MDLoop` / :class:`EngineSession` is the only way to run MD:
 
 :class:`ForceEngine`
     The backend contract - ``evaluate() -> EnergyForces`` plus shared
     :class:`~repro.md.timers.PhaseTimers`, a neighbor-build counter and
-    (for distributed backends) a :class:`CommLedger`.
+    (for decomposed backends) a :class:`CommLedger`.
 :class:`SerialEngine`
-    Wraps one :class:`~repro.md.neighbor.NeighborList` and a potential;
-    absorbs the sharded-potential wiring (``nworkers``) and the
-    ``check_finite`` numerics sanitizer.
-:class:`DistributedEngine`
-    The virtual-MPI rank grid with persistent skinned halos and
-    reverse-force communication, previously inlined in
-    :class:`repro.parallel.DistributedSimulation`.
+    One :class:`~repro.md.neighbor.NeighborList` and a potential.
 :class:`MDLoop`
     The single integrate/thermo/checkpoint loop shared by every
     backend: Verlet integration, Langevin thermostat, Berendsen
     barostat, thermo logging, checkpoint IO and the sanitizer hooks.
 :class:`RunSummary`
-    The one typed run summary every backend emits (``as_dict()``
-    preserves the legacy per-driver key sets).
+    The one typed run summary every backend emits.
 :func:`build_engine`
-    Factory selecting the backend from ``nranks``/``nworkers``.
-
-``repro.md.Simulation`` and ``repro.parallel.DistributedSimulation``
-remain as thin facades with their historical constructor signatures.
+    Factory selecting the backend: serial,
+    :class:`repro.parallel.ProcessEngine` (the one parallel mechanism)
+    or :class:`repro.parallel.DistributedEngine` (the MPI comm model).
+:class:`EngineSession`
+    One engine construction serving many short runs.
 
 Import discipline: this module must not import ``repro.parallel`` at
-module level (that package imports ``repro.md`` first); the distributed
-backend pulls the decomposition/halo/comm machinery in lazily.
+module level (that package imports ``repro.md`` first); the factory
+pulls the two ``repro.parallel`` backends in lazily.
 """
 
 from __future__ import annotations
 
 import abc
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..core.snap import EnergyForces, NeighborBatch
+from ..core.snap import EnergyForces
 from ..potentials.base import Potential
-from .box import Box
 from .dump import load_checkpoint, write_checkpoint
 from .integrators import VelocityVerlet
-from .neighbor import NeighborList, build_pairs, filter_pairs
+from .neighbor import NeighborList
 from .system import ParticleSystem
 from .timers import PhaseTimers
 from .trajectory import Frame
 
-__all__ = ["ForceEngine", "SerialEngine", "DistributedEngine", "MDLoop",
-           "LoopSnapshot", "EngineSession", "RunSummary", "ThermoEntry",
+__all__ = ["ForceEngine", "SerialEngine", "MDLoop", "LoopSnapshot",
+           "EngineSession", "RunSummary", "ThermoEntry",
            "CommLedger", "build_engine"]
 
 
@@ -95,10 +87,8 @@ class RunSummary:
     neighbor_builds: int
     energy: float
     nranks: int | None = None
-    nworkers: int | None = None
     nprocs: int | None = None
     grid: tuple | None = None
-    halo_mode: str | None = None
     skin: float | None = None
     rebuilds: int | None = None
     ghost_bytes_per_step: float | None = None
@@ -132,10 +122,9 @@ class RunSummary:
         """Summary dict in the legacy key order, ``None`` fields omitted."""
         ordered = [
             ("steps", self.steps), ("natoms", self.natoms),
-            ("nranks", self.nranks), ("nworkers", self.nworkers),
-            ("nprocs", self.nprocs),
-            ("grid", self.grid), ("halo_mode", self.halo_mode),
-            ("skin", self.skin), ("wall_s", self.wall_s),
+            ("nranks", self.nranks), ("nprocs", self.nprocs),
+            ("grid", self.grid), ("skin", self.skin),
+            ("wall_s", self.wall_s),
             ("atom_steps_per_s", self.atom_steps_per_s),
             ("phase_fractions", self.phase_fractions),
             ("phase_breakdown", self.phase_breakdown),
@@ -163,22 +152,13 @@ class CommLedger:
     #: halo + neighbor-list rebuilds (1 on a quiescent run)
     rebuilds: int = 0
     ghost_atoms: int = 0
-    #: per-step byte accounting at the 2x-cutoff halo width (0 in 1x mode)
-    bytes_2x: int = 0
-    #: per-step byte accounting at the 1x-cutoff halo width (always kept;
-    #: measured in 1x mode, derived by a width mask in 2x mode)
-    bytes_1x: int = 0
     #: forward traffic actually exchanged: full ghost records on rebuild
     #: steps, position refreshes in between
     ghost_bytes: int = 0
-    #: reverse (ghost-force) traffic actually exchanged (1x mode only)
+    #: reverse (ghost-force) traffic actually exchanged
     reverse_bytes: int = 0
     max_rank_atoms: int = 0
     min_rank_atoms: int = 0
-
-    @property
-    def bytes_per_step(self) -> float:
-        return self.bytes_1x / max(self.steps, 1)
 
     @property
     def ghost_bytes_per_step(self) -> float:
@@ -210,9 +190,7 @@ class ForceEngine(abc.ABC):
     def evaluate(self, positions: np.ndarray | None = None) -> EnergyForces:
         """One force evaluation at ``positions`` (default: the system's).
 
-        Returns global energy/per-atom energies/forces; ``virial`` may be
-        ``None`` when the backend cannot produce an exact global virial
-        (the 2x halo mode evaluates cross-boundary pairs twice).
+        Returns global energy, per-atom energies, forces and virial.
         """
 
     @property
@@ -245,9 +223,9 @@ class ForceEngine(abc.ABC):
         coordinates - never reusing stale pair order, even when the new
         positions sit within the old Verlet skin - so a rebound engine
         is bitwise identical to a freshly constructed one.  What it does
-        *not* do is tear anything down: thread pools, worker processes,
-        shared-memory blocks, shard pools and resolved kernel tuning all
-        survive, which is what makes thousands of short segments cheap
+        *not* do is tear anything down: worker processes, shared-memory
+        blocks and resolved kernel tuning all survive, which is what
+        makes thousands of short segments cheap
         (see :class:`EngineSession`).
 
         Backends override this to invalidate their persistent topology;
@@ -261,10 +239,7 @@ class ForceEngine(abc.ABC):
             set_types(system.types)
 
     def close(self) -> None:
-        """Release pools and sharded potentials (idempotent)."""
-        close = getattr(self.potential, "close", None)
-        if callable(close):
-            close()
+        """Release backend resources (idempotent); none by default."""
 
     def __enter__(self) -> "ForceEngine":
         return self
@@ -281,22 +256,13 @@ class SerialEngine(ForceEngine):
 
     Parameters
     ----------
-    nworkers:
-        Shard the SNAP force pass over this many threads (see
-        :func:`repro.parallel.sharded_potential`); ``1`` keeps the serial
-        evaluator and any value yields bitwise-identical forces.
     check_finite:
         Debug sanitizer (default off): validate every kernel output for
         NaN/Inf, raising :class:`repro.lint.sanitizers.NumericsError`.
     """
 
     def __init__(self, system: ParticleSystem, potential: Potential,
-                 skin: float = 0.3, nworkers: int = 1,
-                 check_finite: bool = False) -> None:
-        if nworkers > 1:
-            from ..parallel.shards import sharded_potential
-
-            potential = sharded_potential(potential, nworkers)
+                 skin: float = 0.3, check_finite: bool = False) -> None:
         self.system = system
         self.potential = potential
         self.skin = float(skin)
@@ -349,410 +315,6 @@ class SerialEngine(ForceEngine):
             check_finite("force", where="serial",
                          peratom=result.peratom, forces=result.forces)
         return result
-
-
-# ======================================================================
-# distributed backend
-# ======================================================================
-@dataclass
-class _RankState:
-    """Persistent per-rank halo + neighbor state between rebuilds."""
-
-    #: global indices of owned atoms
-    owned: np.ndarray
-    #: global indices of ghost atoms (one entry per periodic image)
-    ghost_idx: np.ndarray
-    #: owned followed by ghost global indices (displacement gather)
-    local_idx: np.ndarray
-    #: skin-extended pair topology on the local cluster (may be empty)
-    pairs: NeighborBatch
-    #: pairs whose central atom is owned (1x mode), else None
-    central_mask: np.ndarray | None
-    #: cached free-space search box of the cluster (satellite of the
-    #: rebuild: derived once per build, not per evaluation)
-    search_origin: np.ndarray | None = None
-    search_box: Box | None = None
-
-    @property
-    def nowned(self) -> int:
-        return self.owned.shape[0]
-
-    @property
-    def nlocal(self) -> int:
-        return self.local_idx.shape[0]
-
-
-def _cluster_pairs(local_pos: np.ndarray, cutoff: float
-                   ) -> tuple[NeighborBatch, np.ndarray | None, Box | None]:
-    """Free-space pair search on a local atom cluster (ghosts included).
-
-    Returns ``(pairs, origin, box)`` with the open search box cached for
-    the rank state.  Degenerate clusters (zero or one atom) yield an
-    empty batch without constructing a box - a single-atom rank must not
-    trip on a zero-extent bounding box.
-    """
-    if local_pos.shape[0] < 2:
-        z = np.zeros(0, dtype=np.intp)
-        return (NeighborBatch(i_idx=z, rij=np.zeros((0, 3)), r=np.zeros(0),
-                              j_idx=z), None, None)
-    lo = local_pos.min(axis=0) - 1.5 * cutoff
-    hi = local_pos.max(axis=0) + 1.5 * cutoff
-    open_box = Box(lengths=hi - lo, periodic=(False, False, False))
-    return build_pairs(local_pos - lo, open_box, cutoff), lo, open_box
-
-
-class DistributedEngine(ForceEngine):
-    """Domain-decomposed backend over a grid of virtual MPI ranks.
-
-    Implements the paper's parallelization scheme in-process: atoms are
-    partitioned over a 3D rank grid, each rank computes forces on the
-    atoms it owns using owned + ghost atoms, and halo traffic is
-    accounted per evaluation in the :class:`CommLedger`.  Per-rank
-    results are accumulated in fixed rank order, so forces are bitwise
-    identical whether ranks execute sequentially or concurrently on the
-    worker pool.  See :class:`repro.parallel.DistributedSimulation` for
-    the halo-mode semantics ("1x" reverse-force communication vs "2x"
-    wide halo) and the sanitizer knobs.
-
-    The global virial is exact in 1x mode (every ordered pair is
-    evaluated exactly once across ranks) and unavailable (``None``) in
-    2x mode, where cross-boundary pairs are evaluated on both sides.
-    """
-
-    def __init__(self, system: ParticleSystem, potential: Potential,
-                 nranks: int, nworkers: int = 1, halo_mode: str = "1x",
-                 skin: float = 0.3, shard_workers: int = 1,
-                 shard_backend: str = "thread",
-                 check_finite: bool = False,
-                 race_check: bool = False) -> None:
-        from ..parallel.comm import CommStats
-        from ..parallel.decomposition import DomainGrid
-
-        if halo_mode not in ("1x", "2x"):
-            raise ValueError("halo_mode must be '1x' or '2x'")
-        if skin < 0:
-            raise ValueError("skin must be non-negative")
-        if nworkers < 1:
-            raise ValueError("nworkers must be positive")
-        if shard_workers > 1:
-            from ..parallel.shards import sharded_potential
-
-            potential = sharded_potential(potential, shard_workers,
-                                          shard_backend)
-        self.system = system
-        self.potential = potential
-        self.grid = DomainGrid.for_ranks(system.box, nranks)
-        self.timers = PhaseTimers()
-        self.ledger = CommLedger()
-        self.comm_stats = CommStats()
-        self.halo_mode = halo_mode
-        self.skin = float(skin)
-        self.nworkers = nworkers
-        self._skinned_cutoff = potential.cutoff + self.skin
-        # 1x: neighbors of owned atoms; 2x: neighbors of those neighbors
-        self._halo_width = self._skinned_cutoff * (1 if halo_mode == "1x"
-                                                   else 2)
-        self._pool: ThreadPoolExecutor | None = None
-        self._ranks: list[_RankState] | None = None
-        self._ref_pos: np.ndarray | None = None
-        #: raw (pre-wrap) positions of the last rebuild; wrap() is
-        #: deterministic, so re-evaluating at these replays the build
-        self._ref_raw: np.ndarray | None = None
-        self._ghost_count = 0
-        self._ghost_count_1x = 0
-        self._ghost_count_2x = 0
-        self.check_finite = bool(check_finite)
-        #: live :class:`~repro.lint.sanitizers.RaceDetector` when
-        #: ``race_check`` is on, else None; its ``reports`` list holds
-        #: every overlap seen so far
-        self.race_detector = None
-        if race_check:
-            from ..lint.sanitizers import RaceDetector
-
-            self.race_detector = RaceDetector()
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=min(self.nworkers, self.grid.nranks))
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the rank pool and any sharded potential (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-        super().close()
-
-    @property
-    def neighbor_builds(self) -> int:
-        return self.ledger.rebuilds
-
-    @property
-    def topology_reference(self) -> np.ndarray | None:
-        return None if self._ref_raw is None else self._ref_raw.copy()
-
-    def bind(self, system: ParticleSystem) -> None:
-        """Rebind to ``system``, keeping the rank pool alive.
-
-        Dropping the rank states forces the next :meth:`evaluate` to
-        reassign owners and rebuild halos/pair lists at the bound
-        coordinates; the grid is recomputed for the (possibly different)
-        box at the same rank count.
-        """
-        from ..parallel.decomposition import DomainGrid
-
-        super().bind(system)
-        self.grid = DomainGrid.for_ranks(system.box, self.grid.nranks)
-        self._ranks = None
-        self._ref_pos = None
-        self._ref_raw = None
-
-    def summary_extras(self) -> dict:
-        return {
-            "nranks": self.grid.nranks,
-            "nworkers": self.nworkers,
-            "grid": self.grid.dims,
-            "halo_mode": self.halo_mode,
-            "skin": self.skin,
-            "rebuilds": self.ledger.rebuilds,
-            "ghost_bytes_per_step": self.ledger.ghost_bytes_per_step,
-            "reverse_bytes_per_step": self.ledger.reverse_bytes_per_step,
-        }
-
-    # ------------------------------------------------------------------
-    # persistent halo / neighbor maintenance
-    # ------------------------------------------------------------------
-    def _rebuild(self, pos: np.ndarray) -> None:
-        """Reassign owners, rebuild skinned halos and per-rank pair lists."""
-        from ..parallel.halo import build_halos, halo_width_mask
-
-        grid = self.grid
-        owner = grid.assign_atoms(pos)
-        halos = build_halos(grid, pos, owner, self._halo_width)
-        states: list[_RankState] = []
-        count_1x = 0
-        for rank in range(grid.nranks):
-            owned = np.nonzero(owner == rank)[0]
-            halo = halos[rank]
-            if self.halo_mode == "2x":
-                count_1x += int(halo_width_mask(
-                    grid, rank, halo.positions, self._skinned_cutoff).sum())
-            if owned.size == 0:
-                z = np.zeros(0, dtype=np.intp)
-                states.append(_RankState(
-                    owned=owned, ghost_idx=z, local_idx=z,
-                    pairs=NeighborBatch(i_idx=z, rij=np.zeros((0, 3)),
-                                        r=np.zeros(0), j_idx=z),
-                    central_mask=None))
-                continue
-            local_pos = np.concatenate([pos[owned], halo.positions])
-            pairs, origin, sbox = _cluster_pairs(local_pos,
-                                                 self._skinned_cutoff)
-            central = pairs.i_idx < owned.size if self.halo_mode == "1x" \
-                else None
-            states.append(_RankState(
-                owned=owned, ghost_idx=halo.indices,
-                local_idx=np.concatenate([owned, halo.indices]),
-                pairs=pairs, central_mask=central,
-                search_origin=origin, search_box=sbox))
-        self._ranks = states
-        self._ref_pos = pos.copy()
-        self._ghost_count = sum(h.count for h in halos)
-        if self.halo_mode == "1x":
-            self._ghost_count_1x = self._ghost_count
-            self._ghost_count_2x = 0
-        else:
-            self._ghost_count_1x = count_1x
-            self._ghost_count_2x = self._ghost_count
-        counts = np.bincount(owner, minlength=grid.nranks)
-        self.ledger.rebuilds += 1
-        self.ledger.max_rank_atoms = max(self.ledger.max_rank_atoms,
-                                         int(counts.max()))
-        self.ledger.min_rank_atoms = int(counts.min()) \
-            if self.ledger.min_rank_atoms == 0 \
-            else min(self.ledger.min_rank_atoms, int(counts.min()))
-
-    # ------------------------------------------------------------------
-    # per-rank evaluation
-    # ------------------------------------------------------------------
-    def _eval_rank(self, rank: int, state: _RankState,
-                   disp: np.ndarray | None, capture_stages: bool):
-        """One rank's force evaluation against the persistent lists.
-
-        Returns ``(energy, owned_peratom, owned_forces, ghost_forces,
-        virial, timings, stages)``; pure w.r.t. shared state, so rank
-        evaluations may run on any thread - only the fixed-order
-        accumulation on the caller ties results together.  With
-        ``race_check`` on, the rank declares the owned-row region it
-        will scatter into from this (possibly pool) thread; with
-        ``check_finite`` on, kernel outputs are validated here so a NaN
-        is attributed to the rank that produced it.
-        """
-        if state.nowned == 0:
-            return 0.0, np.zeros(0), np.zeros((0, 3)), None, \
-                np.zeros((3, 3)), {"neigh": 0.0, "force": 0.0}, None
-        # per-rank stopwatches run on pool threads where the shared
-        # PhaseTimers cannot accumulate safely; the caller folds these
-        # into the timers in fixed rank order
-        t0 = time.perf_counter()  # repro-lint: disable=R4-raw-timer -- per-rank stopwatch on a pool thread, folded into PhaseTimers by the caller
-        ref = state.pairs
-        if disp is None:
-            rij, r = ref.rij, ref.r
-        else:
-            dl = disp[state.local_idx]
-            rij = ref.rij + dl[ref.j_idx] - dl[ref.i_idx]
-            r = np.linalg.norm(rij, axis=1)
-        keep = r < self.potential.cutoff
-        if state.central_mask is not None:
-            keep &= state.central_mask
-        nbr = filter_pairs(ref, rij, r, keep)
-        t1 = time.perf_counter()  # repro-lint: disable=R4-raw-timer -- per-rank stopwatch on a pool thread, folded into PhaseTimers by the caller
-        result: EnergyForces = self.potential.compute(state.nlocal, nbr)
-        t2 = time.perf_counter()  # repro-lint: disable=R4-raw-timer -- per-rank stopwatch on a pool thread, folded into PhaseTimers by the caller
-        nown = state.nowned
-        # 1x mode: only owned-central pairs were evaluated, so owned rows
-        # hold this rank's full central contributions and ghost rows the
-        # partial forces owed to other ranks.  2x mode: owned rows are
-        # exact (complete environments inside the wide halo), ghost rows
-        # are duplicates of work other ranks also did - discard them.
-        if self.check_finite:
-            from ..lint.sanitizers import check_finite
-
-            check_finite("rank_force", where=f"rank{rank}",
-                         peratom=result.peratom[:nown],
-                         forces=result.forces)
-        if self.race_detector is not None:
-            # declare this rank's owned-row scatter region from the
-            # executing thread; disjointness across ranks is the
-            # invariant concurrent accumulation relies on
-            self.race_detector.record("forces.scatter", f"rank{rank}",
-                                      state.owned)
-        peratom = result.peratom[:nown]
-        energy = float(peratom.sum())
-        ghost = result.forces[nown:] if self.halo_mode == "1x" else None
-        stages = None
-        if capture_stages:
-            stages = dict(getattr(self.potential, "last_timings", None) or {})
-        return energy, peratom, result.forces[:nown], ghost, result.virial, \
-            {"neigh": t1 - t0, "force": t2 - t1}, stages
-
-    # ------------------------------------------------------------------
-    def evaluate(self, positions: np.ndarray | None = None) -> EnergyForces:
-        """One parallel force evaluation; returns global EnergyForces."""
-        from ..parallel.comm import reverse_scatter_add
-        from ..parallel.decomposition import DomainGrid
-        from ..parallel.halo import BYTES_PER_GHOST, BYTES_PER_POSITION
-
-        system = self.system
-        if self.grid.box is not system.box:
-            # the barostat rescaled the cell: rebuild the rank grid
-            # around the new box and force a halo rebuild
-            self.grid = DomainGrid.for_ranks(system.box, self.grid.nranks)
-            self._ranks = None
-        if positions is None:
-            positions = system.positions
-        pos = system.box.wrap(positions)
-        n = system.natoms
-        ledger = self.ledger
-
-        disp: np.ndarray | None = None
-        if self._ranks is None:
-            rebuild = True
-        else:
-            disp = system.box.minimum_image(pos - self._ref_pos)
-            rebuild = bool(np.max(np.sum(disp * disp, axis=1))
-                           > (0.5 * self.skin) ** 2)
-        if rebuild:
-            with self.timers.phase("comm"), \
-                    self.timers.phase("comm.halo_build"):
-                self._rebuild(pos)
-            self._ref_raw = np.array(positions)
-            disp = None
-            ledger.ghost_bytes += self._ghost_count * BYTES_PER_GHOST
-        else:
-            # forward communication: refresh ghost positions in place
-            with self.timers.phase("comm"), self.timers.phase("comm.forward"):
-                ledger.ghost_bytes += self._ghost_count * BYTES_PER_POSITION
-        ledger.steps += 1
-        ledger.ghost_atoms += self._ghost_count
-        ledger.bytes_1x += self._ghost_count_1x * BYTES_PER_GHOST
-        ledger.bytes_2x += self._ghost_count_2x * BYTES_PER_GHOST
-
-        if self.race_detector is not None:
-            self.race_detector.begin_epoch()
-        states = self._ranks
-        concurrent = self.nworkers > 1 and self.grid.nranks > 1
-        if concurrent:
-            pool = self._ensure_pool()
-            results = list(pool.map(
-                lambda rk_st: self._eval_rank(rk_st[0], rk_st[1], disp,
-                                              capture_stages=False),
-                enumerate(states)))
-        else:
-            results = [self._eval_rank(rank, st, disp, capture_stages=True)
-                       for rank, st in enumerate(states)]
-
-        energy = 0.0
-        peratom = np.zeros(n)
-        forces = np.zeros((n, 3))
-        virial = np.zeros((3, 3))
-        t_neigh = t_force = 0.0
-        stage_sums: dict[str, float] = {}
-        ghost_blocks: list[np.ndarray] = []
-        ghost_values: list[np.ndarray] = []
-        ghost_ranks: list[int] = []
-        for rank, (state, (e, pa, owned_f, ghost_f, vir, tim, stages)) \
-                in enumerate(zip(states, results)):
-            energy += e
-            peratom[state.owned] = pa
-            forces[state.owned] += owned_f
-            virial += vir
-            if ghost_f is not None:
-                ghost_blocks.append(state.ghost_idx)
-                ghost_values.append(ghost_f)
-                ghost_ranks.append(rank)
-            t_neigh += tim["neigh"]
-            t_force += tim["force"]
-            if stages:
-                for k, v in stages.items():
-                    stage_sums[k] = stage_sums.get(k, 0.0) + v
-        self.timers.add("neigh", t_neigh)
-        self.timers.add("neigh.rebuild" if rebuild else "neigh.refresh",
-                        t_neigh)
-        self.timers.add("force", t_force)
-        for k, v in stage_sums.items():
-            self.timers.add(f"force.{k}", v)
-
-        if ghost_blocks:
-            if self.race_detector is not None:
-                # ghost contributions from different ranks legitimately
-                # target the same owner rows; the reverse pass applies
-                # them in fixed rank order on this thread, so they are
-                # declared serialized (exempt from pairwise overlap)
-                for rank, blk in zip(ghost_ranks, ghost_blocks):
-                    self.race_detector.record("comm.reverse", f"rank{rank}",
-                                              blk, serialized=True)
-            with self.timers.phase("comm"), self.timers.phase("comm.reverse"):
-                before = self.comm_stats.bytes
-                reverse_scatter_add(forces, ghost_blocks, ghost_values,
-                                    stats=self.comm_stats)
-                ledger.reverse_bytes += self.comm_stats.bytes - before
-        if self.race_detector is not None:
-            self.race_detector.check()
-        if self.check_finite:
-            from ..lint.sanitizers import check_finite
-
-            check_finite("accumulate", where="distributed",
-                         energy=np.array(energy), forces=forces)
-        # exact in 1x mode (every ordered pair evaluated exactly once
-        # across ranks); the wide 2x halo double-counts cross-boundary
-        # pairs, so no global virial is reported there
-        return EnergyForces(energy=energy, peratom=peratom, forces=forces,
-                            virial=virial if self.halo_mode == "1x" else None)
 
 
 # ======================================================================
@@ -847,11 +409,6 @@ class MDLoop:
 
         if self._last is None:
             self._evaluate()
-        if self._last.virial is None:
-            raise RuntimeError(
-                "no global virial available from this engine (the 2x halo "
-                "mode evaluates cross-boundary pairs twice); use "
-                "halo_mode='1x' for pressure/barostat runs")
         v = self.system.box.volume
         kin = self.system.natoms * KB * self.system.temperature()
         return float((kin + np.trace(self._last.virial) / 3.0) / v)
@@ -1112,24 +669,22 @@ def _bind_tuning(system: ParticleSystem, potential: Potential,
 
 
 def build_engine(system: ParticleSystem, potential: Potential, *,
-                 backend: str | None = None, nranks: int = 1, nworkers: int = 1,
-                 nprocs: int | None = None, halo_mode: str = "1x",
-                 skin: float = 0.3, shard_workers: int = 1,
-                 shard_backend: str = "thread", check_finite: bool = False,
-                 race_check: bool = False,
+                 backend: str | None = None, nranks: int = 1,
+                 nprocs: int | None = None, skin: float = 0.3,
+                 check_finite: bool = False, race_check: bool = False,
                  tuning_db: str | Path | None = None) -> ForceEngine:
     """Select a force backend from the requested execution layout.
 
-    ``backend`` picks the engine family explicitly: ``"serial"``,
-    ``"distributed"`` (thread ranks + halo exchange) or ``"process"``
-    (persistent shared-memory worker processes, sized by ``nprocs``).
-    ``backend=None`` keeps the historical inference: ``nranks <= 1``
-    yields a :class:`SerialEngine` (where ``nworkers`` shards the SNAP
-    force pass), ``nranks > 1`` a :class:`DistributedEngine` (where
-    ``nworkers`` evaluates ranks concurrently and ``shard_workers``
-    shards within a rank), and ``nprocs`` set yields a
-    :class:`~repro.parallel.process_engine.ProcessEngine`.  Every
-    returned engine drives the same :class:`MDLoop`.
+    ``backend`` picks the engine: ``"serial"``, ``"process"``
+    (persistent shared-memory worker processes, sized by ``nprocs`` -
+    the one parallel mechanism) or ``"distributed"`` (``nranks`` virtual
+    MPI ranks with halo exchange, run in rank order - the comm model).
+    ``backend=None`` infers it: ``nprocs`` set yields the process
+    engine, ``nranks > 1`` the distributed one, neither the serial one.
+    A size argument the chosen backend does not read raises
+    ``ValueError`` instead of being dropped.  ``race_check`` applies to
+    the distributed backend only.  Every returned engine drives the
+    same :class:`MDLoop`.
 
     ``tuning_db`` names a :class:`repro.tuning.TuningDB` file consulted
     for any ``SNAPParams`` fields left at ``"auto"``; they are pinned
@@ -1137,38 +692,37 @@ def build_engine(system: ParticleSystem, potential: Potential, *,
     on first evaluation against the default DB location.
     """
     if backend is None:
-        if nprocs is not None and nprocs > 1:
-            backend = "process"
-        elif nranks > 1:
-            backend = "distributed"
-        else:
-            backend = "serial"
+        backend = ("process" if nprocs is not None
+                   else "distributed" if nranks > 1 else "serial")
+    if backend not in ("serial", "distributed", "process"):
+        raise ValueError(f"unknown backend {backend!r}; expected 'serial', "
+                         "'distributed' or 'process'")
+    if nranks != 1 and backend != "distributed":
+        raise ValueError(f"nranks={nranks} does not apply to "
+                         f"backend={backend!r}")
+    if nprocs is not None and backend != "process":
+        raise ValueError(f"nprocs={nprocs} does not apply to "
+                         f"backend={backend!r}")
     if tuning_db is not None:
         _bind_tuning(system, potential,
                      nprocs=(nprocs or 2) if backend == "process" else 1,
                      db=tuning_db)
     if backend == "serial":
         return SerialEngine(system, potential, skin=skin,
-                            nworkers=max(nworkers, shard_workers),
                             check_finite=check_finite)
+    # imported lazily: repro.md must stay importable without pulling the
+    # multiprocessing machinery (and repro.parallel imports us)
     if backend == "distributed":
-        return DistributedEngine(system, potential, nranks,
-                                 nworkers=nworkers,
-                                 halo_mode=halo_mode, skin=skin,
-                                 shard_workers=shard_workers,
-                                 shard_backend=shard_backend,
+        from ..parallel.distributed import DistributedEngine
+
+        return DistributedEngine(system, potential, nranks, skin=skin,
                                  check_finite=check_finite,
                                  race_check=race_check)
-    if backend == "process":
-        # imported lazily: repro.md must stay importable without pulling
-        # the multiprocessing machinery (and repro.parallel imports us)
-        from ..parallel.process_engine import ProcessEngine
+    from ..parallel.process_engine import ProcessEngine
 
-        return ProcessEngine(system, potential,
-                             nprocs=nprocs if nprocs is not None else 2,
-                             skin=skin, check_finite=check_finite)
-    raise ValueError(f"unknown backend {backend!r}; expected 'serial', "
-                     "'distributed' or 'process'")
+    return ProcessEngine(system, potential,
+                         nprocs=nprocs if nprocs is not None else 2,
+                         skin=skin, check_finite=check_finite)
 
 
 # ======================================================================
@@ -1178,8 +732,8 @@ class EngineSession:
     """One engine construction serving many short runs.
 
     The one-shot lifecycle (construct, run, tear down) prices every
-    ParSplice segment at a full engine setup - thread pools, worker
-    process forks, shared-memory blocks, kernel-tuning resolution - when
+    ParSplice segment at a full engine setup - worker process forks,
+    shared-memory blocks, kernel-tuning resolution - when
     the segment itself may be a few hundred force calls.  A session pays
     that cost once: :meth:`run` rebinds the live engine to each new
     system state (:meth:`ForceEngine.bind`), drives a fresh

@@ -2,11 +2,9 @@
 
 from .comm import CommStats, VirtualComm, reverse_scatter_add
 from .decomposition import DomainGrid, best_grid, row_partition
-from .distributed import CommLedger, DistributedSimulation
-from .halo import (BYTES_PER_GHOST, BYTES_PER_POSITION, Halo, build_halos,
-                   halo_width_mask)
+from .distributed import DistributedEngine
+from .halo import BYTES_PER_GHOST, BYTES_PER_POSITION, Halo, build_halos
 from .process_engine import ProcessEngine
-from .shards import ShardedSNAP, shard_bounds, sharded_potential
 from .shm import SharedBlock, attach_shm, close_shm, create_shm
 
 __all__ = [
@@ -18,15 +16,10 @@ __all__ = [
     "row_partition",
     "Halo",
     "build_halos",
-    "halo_width_mask",
     "BYTES_PER_GHOST",
     "BYTES_PER_POSITION",
-    "DistributedSimulation",
-    "CommLedger",
+    "DistributedEngine",
     "ProcessEngine",
-    "ShardedSNAP",
-    "shard_bounds",
-    "sharded_potential",
     "SharedBlock",
     "attach_shm",
     "close_shm",

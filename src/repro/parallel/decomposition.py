@@ -110,17 +110,6 @@ class DomainGrid:
         dx, dy, dz = self.dims
         return (rank // (dy * dz), (rank // dz) % dy, rank % dz)
 
-    def subdomain_bounds(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
-        """Axis-aligned ``(lo, hi)`` corners of a rank's subdomain.
-
-        The halo builders and the per-rank neighbor caches both need the
-        subdomain box; computing it here (once, from the rank's grid
-        coordinates) keeps the three call sites consistent.
-        """
-        sub = self.subdomain_lengths
-        lo = np.array(self.coords_of_rank(rank), dtype=float) * sub
-        return lo, lo + sub
-
     def assign_atoms(self, positions: np.ndarray) -> np.ndarray:
         """Owning rank per atom."""
         pos = self.box.wrap(positions)

@@ -16,8 +16,7 @@ import numpy as np
 
 from .decomposition import DomainGrid
 
-__all__ = ["Halo", "build_halos", "halo_width_mask", "BYTES_PER_GHOST",
-           "BYTES_PER_POSITION"]
+__all__ = ["Halo", "build_halos", "BYTES_PER_GHOST", "BYTES_PER_POSITION"]
 
 #: position (3 doubles) + global id; what a halo exchange ships per atom.
 BYTES_PER_GHOST = 3 * 8 + 8
@@ -43,23 +42,6 @@ class Halo:
     @property
     def bytes(self) -> int:
         return self.count * BYTES_PER_GHOST
-
-
-def halo_width_mask(grid: DomainGrid, rank: int, positions: np.ndarray,
-                    width: float) -> np.ndarray:
-    """Which halo-frame positions lie within ``width`` of a rank's domain.
-
-    :func:`build_halos` admits an atom into a rank's halo exactly when
-    its shifted position falls inside the subdomain expanded by the halo
-    width along every axis (the per-axis slab criterion of the 26-image
-    sweep).  Applying this mask to a wide halo therefore reproduces the
-    ghost set a narrower halo build would have produced - the ledger
-    uses it to derive the 1x-cutoff byte count from the 2x halo without
-    running a second full ``build_halos`` pass.
-    """
-    lo, hi = grid.subdomain_bounds(rank)
-    pos = np.asarray(positions, dtype=float).reshape(-1, 3)
-    return np.all((pos >= lo - width) & (pos < hi + width), axis=1)
 
 
 def build_halos(grid: DomainGrid, positions: np.ndarray, owner: np.ndarray,

@@ -659,7 +659,6 @@ class ProcessEngine(ForceEngine):
         ledger = self.ledger
         ledger.steps += 1
         ledger.ghost_atoms += ghosts
-        ledger.bytes_1x += ghosts * BYTES_PER_GHOST
         ledger.ghost_bytes += ghosts * (BYTES_PER_GHOST if rebuilt
                                         else BYTES_PER_POSITION)
         ledger.reverse_bytes += reverse_entries * _BYTES_PER_REVERSE

@@ -70,16 +70,15 @@ def melt_quench(potential: Potential, natoms: int,
                 melt_temp: float = 8000.0, quench_temp: float = 300.0,
                 melt_steps: int = 200, quench_steps: int = 200,
                 dt: float = 5.0e-4, seed: int = 0,
-                nranks: int = 1, nworkers: int = 1) -> ParticleSystem:
+                nranks: int = 1) -> ParticleSystem:
     """Generate a-C by melting a random sample and quenching it.
 
-    Runs on any execution backend: ``nranks``/``nworkers`` select the
-    engine via :func:`repro.md.build_engine` (serial by default).
+    ``nranks > 1`` runs the MD on the domain-decomposed engine (see
+    :func:`repro.md.build_engine`); serial by default.
     """
     system = random_packed(natoms, density=density, seed=seed)
     system.seed_velocities(melt_temp, rng=np.random.default_rng(seed + 1))
-    with build_engine(system, potential, nranks=nranks,
-                      nworkers=nworkers) as engine:
+    with build_engine(system, potential, nranks=nranks) as engine:
         loop = MDLoop(engine, dt=dt,
                       thermostat=LangevinThermostat(temp=melt_temp,
                                                     seed=seed + 2))

@@ -60,14 +60,14 @@ def _probe_problem(twojmax: int, natoms: int, neighbors: float, seed: int):
 def tune(db: TuningDB | None = None, *, twojmax: int = 8, natoms: int = 256,
          neighbors: float = 26.0, nprocs: int = 1,
          chunks=CHUNK_CANDIDATES, store_u_modes=STORE_U_CANDIDATES,
-         y_modes=Y_MODE_CANDIDATES, shard_workers=(1,),
+         y_modes=Y_MODE_CANDIDATES,
          repeats: int = 2, seed: int = 7, force: bool = False,
          log=None) -> TuneResult:
     """Measure the candidate grid for one problem shape; persist the winner.
 
     Parameters mirror the shape key: ``twojmax``/``natoms``/``neighbors``
     pick the probe problem, ``nprocs`` tags the key for multiprocess
-    engines (the probe itself runs the serial/sharded evaluator).
+    engines (the probe itself runs the serial evaluator).
     ``log`` is an optional ``print``-like callable for progress lines.
     """
     import numpy as np
@@ -97,31 +97,19 @@ def tune(db: TuningDB | None = None, *, twojmax: int = 8, natoms: int = 256,
     for chunk in chunks:
         for su in store_u_modes:
             for ym in y_modes:
-                for sw in shard_workers:
-                    name = f"chunk{chunk}:store_u={su}:y={ym}:sw{sw}"
-                    snap = with_params(base, chunk=chunk, store_u=su,
-                                       y_mode=ym)
-                    ev, closer = snap, None
-                    if sw > 1:
-                        from ..parallel.shards import ShardedSNAP
-                        ev = ShardedSNAP(snap, nworkers=sw)
-                        closer = ev.close
-                    try:
-                        best = float("inf")
-                        for _ in range(max(1, repeats)):
-                            t = PhaseTimers()
-                            with t.phase("probe"):
-                                ev.compute(natoms, nbr)
-                            best = min(best, t.total)
-                    finally:
-                        if closer is not None:
-                            closer()
-                    measurements[name] = best
-                    say(f"  {name:44s} {best * 1e3:9.2f} ms")
-                    if best_name is None or best < measurements[best_name]:
-                        best_name = name
-                        best_cfg = {"chunk": chunk, "store_u": su,
-                                    "y_mode": ym, "shard_workers": sw}
+                name = f"chunk{chunk}:store_u={su}:y={ym}"
+                snap = with_params(base, chunk=chunk, store_u=su, y_mode=ym)
+                best = float("inf")
+                for _ in range(max(1, repeats)):
+                    t = PhaseTimers()
+                    with t.phase("probe"):
+                        snap.compute(natoms, nbr)
+                    best = min(best, t.total)
+                measurements[name] = best
+                say(f"  {name:44s} {best * 1e3:9.2f} ms")
+                if best_name is None or best < measurements[best_name]:
+                    best_name = name
+                    best_cfg = {"chunk": chunk, "store_u": su, "y_mode": ym}
     if best_cfg is None:
         raise ValueError("empty candidate grid - nothing to tune")
 

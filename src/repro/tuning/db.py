@@ -9,7 +9,7 @@ One small JSON document holds the winning kernel configuration per
       "entries": {
         "v1:2j8:nbr32:na2048:np1": {
           "chunk": 4096, "store_u": "never", "y_mode": "sparse",
-          "shard_workers": 1, "seconds": 0.45, ...
+          "seconds": 0.45, ...
         }
       }
     }

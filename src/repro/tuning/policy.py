@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 __all__ = ["TunedConfig", "shape_key", "resolve_params",
-           "DEFAULT_CHUNK", "DEFAULT_Y_MODE", "DEFAULT_SHARD_WORKERS"]
+           "DEFAULT_CHUNK", "DEFAULT_Y_MODE"]
 
 #: shape-key namespace; bump together with the bucketing scheme.
 KEY_TAG = "v1"
@@ -25,7 +25,6 @@ KEY_TAG = "v1"
 #: conservative fallbacks when no tuning-DB entry matches the shape.
 DEFAULT_CHUNK = 4096
 DEFAULT_Y_MODE = "dense"
-DEFAULT_SHARD_WORKERS = 1
 
 _STORE_U_MODES = ("auto", "always", "never")
 _Y_MODES = ("dense", "sparse")
@@ -68,7 +67,6 @@ class TunedConfig:
     chunk: int
     store_u: str
     y_mode: str
-    shard_workers: int
     seconds: float | None = None
 
     def describe(self) -> str:
@@ -77,8 +75,7 @@ class TunedConfig:
         if self.seconds is not None:
             tail += f", probe {self.seconds * 1e3:.1f} ms"
         return (f"chunk={self.chunk} store_u={self.store_u} "
-                f"y_mode={self.y_mode} shard_workers={self.shard_workers} "
-                + tail + "]")
+                f"y_mode={self.y_mode} " + tail + "]")
 
 
 def _entry_is_sane(entry) -> bool:
@@ -94,12 +91,7 @@ def _entry_is_sane(entry) -> bool:
         return False
     if entry.get("y_mode") not in _Y_MODES:
         return False
-    if entry.get("store_u") not in _STORE_U_MODES:
-        return False
-    sw = entry.get("shard_workers", 1)
-    if not isinstance(sw, int) or isinstance(sw, bool) or sw < 1:
-        return False
-    return True
+    return entry.get("store_u") in _STORE_U_MODES
 
 
 def resolve_params(params, *, natoms: int = 0, npairs: int = 0,
@@ -134,8 +126,6 @@ def resolve_params(params, *, natoms: int = 0, npairs: int = 0,
     store_u = params.store_u
     if store_u == "auto" and entry:
         store_u = entry["store_u"]
-    shard_workers = entry.get("shard_workers", DEFAULT_SHARD_WORKERS) \
-        if entry else DEFAULT_SHARD_WORKERS
 
     if (chunk, y_mode, store_u) != (params.chunk, params.y_mode,
                                     params.store_u):
@@ -143,6 +133,6 @@ def resolve_params(params, *, natoms: int = 0, npairs: int = 0,
                          store_u=store_u)
     decision = TunedConfig(
         key=key, source="db" if entry else "default", chunk=chunk,
-        store_u=store_u, y_mode=y_mode, shard_workers=shard_workers,
+        store_u=store_u, y_mode=y_mode,
         seconds=entry.get("seconds") if entry else None)
     return params, decision

@@ -96,7 +96,16 @@ class TestRunMD:
         assert main(["run-md", "--natoms", "128", "--steps", "2",
                      "--backend", "distributed", "--nranks", "2"]) == 0
         out = capsys.readouterr().out
-        assert "DistributedEngine [2 ranks x 1 workers]" in out
+        assert "DistributedEngine [2 ranks]" in out
+
+    @pytest.mark.parametrize("argv,name", [
+        (["--backend", "serial", "--nranks", "8"], "nranks"),
+        (["--backend", "distributed", "--nranks", "2", "--nprocs", "4"],
+         "nprocs"),
+    ])
+    def test_foreign_size_argument_rejected(self, capsys, argv, name):
+        assert main(["run-md", "--natoms", "32", "--steps", "1"] + argv) == 2
+        assert f"run-md: {name}=" in capsys.readouterr().out
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):

@@ -1,26 +1,23 @@
-"""Distributed hot path: halo modes, persistence, rank concurrency.
+"""Distributed hot path: serial agreement, persistence, traffic.
 
-Covers the overhauled :class:`repro.parallel.DistributedSimulation`:
+Covers :class:`repro.parallel.DistributedEngine` driven by
+:func:`repro.md.build_engine` + :class:`repro.md.MDLoop`:
 
-* serial agreement at <= 1e-10 for **both** halo modes (2x
-  discard-ghosts and 1x reverse-force communication) on a periodic SNAP
-  carbon cell and for the classical potentials,
-* bitwise determinism of concurrent rank execution vs the sequential
-  rank loop,
+* serial agreement at <= 1e-10 on a periodic SNAP carbon cell and for
+  the classical potentials, with a global virial on every evaluation,
 * persistent skinned halos / neighbor lists (rebuild cadence on a
   quiescent run),
-* the 1x-vs-2x ghost traffic ratio,
-* degenerate rank handling (zero-atom and single-atom clusters), and
-* the width-mask derivation of the 1x byte count from a 2x halo.
+* the ghost/reverse traffic ledger and the phase breakdown, and
+* degenerate rank handling (zero-atom and single-atom clusters).
 """
 
 import numpy as np
 import pytest
 
 from repro.core import SNAPParams
-from repro.md import Box, Simulation, build_pairs
-from repro.parallel import (BYTES_PER_GHOST, DistributedSimulation,
-                            DomainGrid, build_halos, halo_width_mask)
+from repro.md import Box, MDLoop, build_engine, build_pairs
+from repro.parallel import (BYTES_PER_GHOST, DistributedEngine, DomainGrid,
+                            build_halos)
 from repro.md.system import ParticleSystem
 from repro.potentials import (FinnisSinclair, LennardJones, SNAPPotential,
                               StillingerWeber)
@@ -38,179 +35,101 @@ def snap_carbon(rng, reps=(3, 3, 3), jitter=0.03):
 
 
 class TestHaloModeAgreement:
-    @pytest.mark.parametrize("mode,skin", [("2x", 0.1), ("1x", 0.3)])
-    @pytest.mark.parametrize("nranks", [2, 4])
-    def test_snap_matches_serial(self, rng, mode, skin, nranks):
+    # ids carry the "1x" label of the engine's one halo scheme
+    @pytest.mark.parametrize("nranks", [2, 4], ids=["2-1x-0.3", "4-1x-0.3"])
+    def test_snap_matches_serial(self, rng, nranks):
         s, pot = snap_carbon(rng)
         nbr = build_pairs(s.positions, s.box, pot.cutoff)
         ref = pot.compute(s.natoms, nbr)
-        dsim = DistributedSimulation(s.copy(), pot, nranks=nranks,
-                                     halo_mode=mode, skin=skin)
-        e, f = dsim.compute_forces()
-        assert e == pytest.approx(ref.energy, abs=1e-10)
-        assert np.abs(f - ref.forces).max() <= 1e-10
+        res = DistributedEngine(s.copy(), pot, nranks).evaluate()
+        assert res.energy == pytest.approx(ref.energy, abs=1e-10)
+        assert np.abs(res.forces - ref.forces).max() <= 1e-10
+        assert np.abs(res.virial - ref.virial).max() <= 1e-9
 
-    @pytest.mark.parametrize("mode", ["2x", "1x"])
     @pytest.mark.parametrize("make_pot", [
         lambda: LennardJones(epsilon=0.2, sigma=2.2, cutoff=3.0),
         lambda: StillingerWeber(),
         lambda: FinnisSinclair(),
-    ])
-    def test_classical_matches_serial(self, rng, mode, make_pot):
+    ], ids=["<lambda>0-1x", "<lambda>1-1x", "<lambda>2-1x"])
+    def test_classical_matches_serial(self, rng, make_pot):
         pot = make_pot()
         s = lattice_system("fcc", a=2.5, reps=(6, 6, 6))
         s.positions = s.positions + rng.normal(scale=0.04,
                                                size=s.positions.shape)
         nbr = build_pairs(s.positions, s.box, pot.cutoff)
         ref = pot.compute(s.natoms, nbr)
-        dsim = DistributedSimulation(s.copy(), pot, nranks=4, halo_mode=mode,
-                                     skin=0.1 if mode == "2x" else 0.3)
-        e, f = dsim.compute_forces()
-        assert e == pytest.approx(ref.energy, abs=1e-9)
-        assert np.abs(f - ref.forces).max() <= 1e-10
+        res = DistributedEngine(s.copy(), pot, 4).evaluate()
+        assert res.energy == pytest.approx(ref.energy, abs=1e-9)
+        assert np.abs(res.forces - ref.forces).max() <= 1e-10
 
-    def test_invalid_mode_rejected(self, rng):
+    def test_negative_skin_rejected(self, rng):
         s, pot = snap_carbon(rng)
         with pytest.raises(ValueError):
-            DistributedSimulation(s, pot, nranks=2, halo_mode="3x")
-        with pytest.raises(ValueError):
-            DistributedSimulation(s, pot, nranks=2, skin=-0.1)
-
-
-class TestConcurrentRanks:
-    def test_concurrent_bitwise_equals_sequential(self, rng):
-        s, pot = snap_carbon(rng)
-        seq = DistributedSimulation(s.copy(), pot, nranks=4, nworkers=1)
-        con = DistributedSimulation(s.copy(), pot, nranks=4, nworkers=4)
-        e1, f1 = seq.compute_forces()
-        e2, f2 = con.compute_forces()
-        con.close()
-        assert e1 == e2
-        assert np.array_equal(f1, f2)
-
-    def test_concurrent_md_trajectory_bitwise(self, rng):
-        s1, pot = snap_carbon(rng, reps=(2, 2, 2), jitter=0.02)
-        s1.seed_velocities(100.0, rng=np.random.default_rng(3))
-        s2 = s1.copy()
-        DistributedSimulation(s1, pot, nranks=2, nworkers=1, dt=5e-4).run(3)
-        with DistributedSimulation(s2, pot, nranks=2, nworkers=3,
-                                   dt=5e-4) as dsim:
-            dsim.run(3)
-        assert np.array_equal(s1.positions, s2.positions)
-        assert np.array_equal(s1.velocities, s2.velocities)
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("mode", ["2x", "1x"])
-    @pytest.mark.parametrize("nranks,nworkers", [(2, 2), (4, 3), (8, 4)])
-    def test_matrix_bitwise(self, rng, mode, nranks, nworkers):
-        s, pot = snap_carbon(rng, reps=(4, 4, 4))
-        skin = 0.1 if mode == "2x" else 0.3
-        seq = DistributedSimulation(s.copy(), pot, nranks=nranks,
-                                    halo_mode=mode, skin=skin, nworkers=1)
-        con = DistributedSimulation(s.copy(), pot, nranks=nranks,
-                                    halo_mode=mode, skin=skin,
-                                    nworkers=nworkers)
-        e1, f1 = seq.compute_forces()
-        e2, f2 = con.compute_forces()
-        con.close()
-        assert e1 == e2
-        assert np.array_equal(f1, f2)
-
-    @pytest.mark.slow
-    def test_rank_concurrency_with_sharded_potential(self, rng):
-        """Rank threads sharing one shard pool serialize, stay bitwise."""
-        s, pot = snap_carbon(rng)
-        ref = DistributedSimulation(s.copy(), pot, nranks=4).compute_forces()
-        with DistributedSimulation(s.copy(), pot, nranks=4, nworkers=2,
-                                   shard_workers=2) as dsim:
-            got = dsim.compute_forces()
-        assert ref[0] == got[0]
-        assert np.array_equal(ref[1], got[1])
+            DistributedEngine(s, pot, 2, skin=-0.1)
 
 
 class TestPersistence:
     def test_quiescent_rebuild_cadence(self, rng):
         """Low-T run: halos/neighbor lists rebuild on a small fraction of
-        steps, and the trajectory still matches the serial driver."""
+        steps, and the trajectory still matches the serial engine."""
         s1, pot = snap_carbon(rng, reps=(2, 2, 2), jitter=0.005)
         s1.seed_velocities(30.0, rng=np.random.default_rng(9))
         s2 = s1.copy()
-        dsim = DistributedSimulation(s1, pot, nranks=2, dt=5e-4, skin=0.3)
-        out = dsim.run(12)
+        engine = build_engine(s1, pot, nranks=2, skin=0.3)
+        out = MDLoop(engine, dt=5e-4).run(12)
         # 13 evaluations; the quiescent cell must reuse the persistent
         # lists almost every step
-        assert out["rebuilds"] == dsim.ledger.rebuilds
-        assert out["rebuilds"] <= 3
-        Simulation(s2, pot, dt=5e-4, skin=0.3).run(12)
+        assert out.rebuilds == engine.ledger.rebuilds
+        assert out.rebuilds <= 3
+        MDLoop(build_engine(s2, pot, skin=0.3), dt=5e-4).run(12)
         assert np.allclose(s1.box.wrap(s1.positions),
                            s2.box.wrap(s2.positions), atol=1e-8)
 
     def test_zero_skin_rebuilds_every_moving_step(self, rng):
         s, pot = snap_carbon(rng, reps=(2, 2, 2))
         s.seed_velocities(300.0, rng=np.random.default_rng(4))
-        dsim = DistributedSimulation(s, pot, nranks=2, dt=1e-3, skin=0.0)
-        out = dsim.run(4)
-        assert out["rebuilds"] == 5  # initial + every post-motion step
+        out = MDLoop(build_engine(s, pot, nranks=2, skin=0.0),
+                     dt=1e-3).run(4)
+        assert out.rebuilds == 5  # initial + every post-motion step
 
     def test_refresh_is_exact_not_stale(self, rng):
         """Forces on a refresh step equal a from-scratch evaluation."""
         s, pot = snap_carbon(rng, reps=(2, 2, 2), jitter=0.02)
         s.seed_velocities(80.0, rng=np.random.default_rng(11))
-        dsim = DistributedSimulation(s, pot, nranks=2, dt=5e-4, skin=0.4)
-        dsim.run(3)
-        assert dsim.ledger.rebuilds < dsim.ledger.steps  # refreshes happened
+        engine = build_engine(s, pot, nranks=2, skin=0.4)
+        MDLoop(engine, dt=5e-4).run(3)
+        assert engine.ledger.rebuilds < engine.ledger.steps  # refreshes happened
         nbr = build_pairs(s.positions, s.box, pot.cutoff)
         ref = pot.compute(s.natoms, nbr)
-        e, f = dsim.compute_forces()
-        assert np.abs(f - ref.forces).max() <= 1e-10
+        assert np.abs(engine.evaluate().forces - ref.forces).max() <= 1e-10
 
 
 class TestTraffic:
-    def test_1x_ghost_bytes_under_60_percent_of_2x(self, rng):
-        s, pot = snap_carbon(rng)
-        runs = {}
-        for mode in ("2x", "1x"):
-            sm = s.copy()
-            sm.seed_velocities(50.0, rng=np.random.default_rng(8))
-            runs[mode] = DistributedSimulation(
-                sm, pot, nranks=2, halo_mode=mode, skin=0.1, dt=5e-4).run(4)
-        ratio = (runs["1x"]["ghost_bytes_per_step"]
-                 / runs["2x"]["ghost_bytes_per_step"])
-        assert ratio <= 0.6, f"1x/2x ghost traffic ratio {ratio:.2f}"
-        assert runs["1x"]["reverse_bytes_per_step"] > 0
-        assert runs["2x"]["reverse_bytes_per_step"] == 0
-
     def test_single_halo_build_keeps_1x_accounting(self, rng):
-        """2x mode derives the 1x byte count via the width mask (no
-        second build_halos pass) and it matches a direct 1x build."""
+        """The ledger's ghost bytes after one evaluation are those of a
+        direct halo build at the 1x (cutoff + skin) width."""
         s, pot = snap_carbon(rng)
         pos = s.box.wrap(s.positions)
         grid = DomainGrid.for_ranks(s.box, 2)
-        owner = grid.assign_atoms(pos)
         skin = 0.1
-        wide = build_halos(grid, pos, owner, 2 * (pot.cutoff + skin))
-        narrow = build_halos(grid, pos, owner, pot.cutoff + skin)
-        derived = sum(int(halo_width_mask(grid, rk, wide[rk].positions,
-                                          pot.cutoff + skin).sum())
-                      for rk in range(grid.nranks))
-        assert derived == sum(h.count for h in narrow)
-        dsim = DistributedSimulation(s.copy(), pot, nranks=2,
-                                     halo_mode="2x", skin=skin)
-        dsim.compute_forces()
-        assert dsim.ledger.bytes_1x == derived * BYTES_PER_GHOST
-        assert dsim.ledger.bytes_2x == sum(h.count for h in wide) \
-            * BYTES_PER_GHOST
+        halos = build_halos(grid, pos, grid.assign_atoms(pos),
+                            pot.cutoff + skin)
+        engine = DistributedEngine(s.copy(), pot, 2, skin=skin)
+        engine.evaluate()
+        nghost = sum(h.count for h in halos)
+        assert engine.ledger.ghost_atoms == nghost
+        assert engine.ledger.ghost_bytes == nghost * BYTES_PER_GHOST
 
     def test_run_summary_has_breakdown(self, rng):
         s, pot = snap_carbon(rng, reps=(2, 2, 2))
         s.seed_velocities(50.0, rng=np.random.default_rng(2))
-        out = DistributedSimulation(s, pot, nranks=2, dt=5e-4).run(2)
-        assert out["halo_mode"] == "1x"
-        bd = out["phase_breakdown"]
+        out = MDLoop(build_engine(s, pot, nranks=2), dt=5e-4).run(2)
+        assert out.ghost_bytes_per_step > 0
+        assert out.reverse_bytes_per_step > 0
+        bd = out.phase_breakdown
         assert {"comm", "neigh", "force"} <= set(bd)
-        assert "halo_build" in bd["comm"]["sub"]
-        assert "reverse" in bd["comm"]["sub"]
-        assert "rebuild" in bd["neigh"]["sub"]
+        assert {"halo_build", "forward", "reverse"} <= set(bd["comm"]["sub"])
+        assert {"rebuild", "refresh"} <= set(bd["neigh"]["sub"])
         # SNAP kernel stages surface as force sub-phases
         assert "compute_yi" in bd["force"]["sub"]
 
@@ -228,14 +147,12 @@ class TestDegenerateRanks:
         pot = LennardJones(epsilon=0.2, sigma=2.2, cutoff=3.0)
         nbr = build_pairs(pos, box, pot.cutoff)
         ref = pot.compute(system.natoms, nbr)
-        for mode in ("2x", "1x"):
-            dsim = DistributedSimulation(system.copy(), pot, nranks=8,
-                                         halo_mode=mode)
-            owner = dsim.grid.assign_atoms(pos)
-            counts = np.bincount(owner, minlength=8)
-            assert (counts == 0).any()  # empty ranks exist
-            assert (counts == 1).any()  # the lone atom's rank
-            e, f = dsim.compute_forces()
-            assert e == pytest.approx(ref.energy, rel=1e-12)
-            fscale = max(1.0, np.abs(ref.forces).max())
-            assert np.abs(f - ref.forces).max() <= 1e-12 * fscale
+        engine = DistributedEngine(system.copy(), pot, 8)
+        owner = engine.grid.assign_atoms(pos)
+        counts = np.bincount(owner, minlength=8)
+        assert (counts == 0).any()  # empty ranks exist
+        assert (counts == 1).any()  # the lone atom's rank
+        res = engine.evaluate()
+        assert res.energy == pytest.approx(ref.energy, rel=1e-12)
+        fscale = max(1.0, np.abs(ref.forces).max())
+        assert np.abs(res.forces - ref.forces).max() <= 1e-12 * fscale

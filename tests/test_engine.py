@@ -1,18 +1,18 @@
-"""Serial <-> distributed feature parity through the shared engine layer.
+"""Backend feature parity through the shared engine layer.
 
-The one-timestep-engine refactor promises that both drivers are thin
-facades over the same :class:`repro.md.MDLoop`: thermo logging,
-checkpoint IO and the barostat behave identically on every backend, and
+Every backend drives the same :class:`repro.md.MDLoop`: thermo logging,
+checkpoint IO and the barostat behave identically on each, and
 ``run()`` emits the same :class:`repro.md.RunSummary` shape.
 """
 
 import numpy as np
 import pytest
 
-from repro.md import (BerendsenBarostat, DistributedEngine, LangevinThermostat,
-                      MDLoop, RunSummary, SerialEngine, Simulation,
-                      build_engine)
-from repro.parallel import DistributedSimulation
+import inspect
+
+from repro.md import (BerendsenBarostat, LangevinThermostat, MDLoop,
+                      RunSummary, SerialEngine, build_engine)
+from repro.parallel import DistributedEngine
 from repro.potentials import LennardJones
 from repro.structures import lattice_system
 
@@ -50,6 +50,29 @@ class TestBuildEngine:
             summary = MDLoop(engine, dt=1e-3).run(2)
         assert isinstance(summary, RunSummary)
 
+    def test_knob_census(self):
+        """The factory's options are reviewed, not accreted: exactly
+        these seven keywords, nothing positional beyond the problem."""
+        params = inspect.signature(build_engine).parameters
+        assert list(params) == ["system", "potential", "backend", "nranks",
+                                "nprocs", "skin", "check_finite",
+                                "race_check", "tuning_db"]
+        assert all(p.kind is p.KEYWORD_ONLY
+                   for name, p in params.items()
+                   if name not in ("system", "potential"))
+
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(backend="serial", nranks=8), "nranks"),
+        (dict(backend="serial", nprocs=4), "nprocs"),
+        (dict(backend="distributed", nranks=2, nprocs=4), "nprocs"),
+        (dict(backend="process", nprocs=2, nranks=8), "nranks"),
+        (dict(nranks=8, nprocs=2), "nranks"),
+    ])
+    def test_foreign_size_argument_rejected(self, kwargs, name):
+        s, pot = lj_setup()
+        with pytest.raises(ValueError, match=name):
+            build_engine(s, pot, **kwargs)
+
 
 # ======================================================================
 # feature parity: thermo, checkpoints, summary shape
@@ -57,18 +80,13 @@ class TestBuildEngine:
 class TestFeatureParity:
     def test_thermo_log_rows_match(self):
         rows = {}
-        for backend in ("serial", "distributed"):
+        for backend, nranks in (("serial", 1), ("distributed", 8)):
             s, pot = lj_setup()
             thermostat = LangevinThermostat(temp=40.0, damp=0.5, seed=11)
-            if backend == "serial":
-                sim = Simulation(s, pot, dt=1e-3, thermostat=thermostat)
-                sim.run(5, thermo_every=1)
-                rows[backend] = sim.thermo_log
-            else:
-                with DistributedSimulation(s, pot, nranks=8, dt=1e-3,
-                                           thermostat=thermostat) as dsim:
-                    dsim.run(5, thermo_every=1)
-                    rows[backend] = dsim.thermo_log
+            with build_engine(s, pot, nranks=nranks) as engine:
+                loop = MDLoop(engine, dt=1e-3, thermostat=thermostat)
+                loop.run(5, thermo_every=1)
+            rows[backend] = loop.thermo_log
         assert len(rows["serial"]) == len(rows["distributed"]) == 6
         for a, b in zip(rows["serial"], rows["distributed"]):
             assert a.step == b.step
@@ -79,18 +97,12 @@ class TestFeatureParity:
 
     def test_checkpoint_files_identical(self, tmp_path):
         paths = {}
-        for backend in ("serial", "distributed"):
+        for backend, nranks in (("serial", 1), ("distributed", 8)):
             s, pot = lj_setup()
             path = tmp_path / f"{backend}.npz"
-            if backend == "serial":
-                sim = Simulation(s, pot, dt=1e-3, checkpoint_every=2,
-                                 checkpoint_path=path)
-                sim.run(4)
-            else:
-                with DistributedSimulation(s, pot, nranks=8, dt=1e-3,
-                                           checkpoint_every=2,
-                                           checkpoint_path=path) as dsim:
-                    dsim.run(4)
+            with build_engine(s, pot, nranks=nranks) as engine:
+                MDLoop(engine, dt=1e-3, checkpoint_every=2,
+                       checkpoint_path=path).run(4)
             paths[backend] = path
         with np.load(paths["serial"]) as ser, \
                 np.load(paths["distributed"]) as dist:
@@ -101,18 +113,17 @@ class TestFeatureParity:
 
     def test_distributed_checkpoint_counted_as_io(self, tmp_path):
         s, pot = lj_setup()
-        with DistributedSimulation(s, pot, nranks=4, dt=1e-3,
-                                   checkpoint_every=1,
-                                   checkpoint_path=tmp_path / "c.npz") as d:
-            d.run(2)
-            assert "io" in d.timers.totals
+        with build_engine(s, pot, nranks=4) as engine:
+            MDLoop(engine, dt=1e-3, checkpoint_every=1,
+                   checkpoint_path=tmp_path / "c.npz").run(2)
+            assert "io" in engine.timers.totals
 
     def test_summary_fields_equal_shaped(self):
         s1, pot = lj_setup()
-        serial = Simulation(s1, pot, dt=1e-3).run(2)
+        serial = MDLoop(build_engine(s1, pot), dt=1e-3).run(2).as_dict()
         s2, _ = lj_setup()
-        with DistributedSimulation(s2, pot, nranks=8, dt=1e-3) as dsim:
-            dist = dsim.run(2)
+        with build_engine(s2, pot, nranks=8) as engine:
+            dist = MDLoop(engine, dt=1e-3).run(2).as_dict()
         shared = {"steps", "natoms", "wall_s", "atom_steps_per_s",
                   "phase_fractions", "phase_breakdown", "neighbor_builds",
                   "energy"}
@@ -120,9 +131,9 @@ class TestFeatureParity:
         for key in ("steps", "natoms"):
             assert serial[key] == dist[key]
         assert np.isclose(serial["energy"], dist["energy"], **TOL)
-        # the comm block stays distributed-only: the serial legacy key
-        # set must not grow backend fields it never had
-        comm_only = {"nranks", "nworkers", "grid", "halo_mode", "skin",
+        # the comm block stays distributed-only: the serial key set
+        # must not grow backend fields it never had
+        comm_only = {"nranks", "grid", "skin",
                      "rebuilds", "ghost_bytes_per_step",
                      "reverse_bytes_per_step"}
         assert comm_only <= set(dist)
@@ -130,11 +141,13 @@ class TestFeatureParity:
 
     def test_pressure_parity(self):
         s1, pot = lj_setup()
-        sim = Simulation(s1, pot, dt=1e-3)
+        serial = MDLoop(build_engine(s1, pot), dt=1e-3)
         s2, _ = lj_setup()
-        with DistributedSimulation(s2, pot, nranks=8, dt=1e-3) as dsim:
-            assert np.isclose(sim.instantaneous_pressure(),
-                              dsim.instantaneous_pressure(), **TOL)
+        with build_engine(s2, pot, nranks=8) as engine:
+            dist = MDLoop(engine, dt=1e-3)
+            assert dist.last_result.virial is not None
+            assert np.isclose(serial.instantaneous_pressure(),
+                              dist.instantaneous_pressure(), **TOL)
 
 
 # ======================================================================
@@ -143,36 +156,15 @@ class TestFeatureParity:
 class TestDistributedBarostat:
     def test_barostat_tracks_serial(self):
         volumes = {}
-        for backend in ("serial", "distributed"):
+        for backend, nranks in (("serial", 1), ("distributed", 8)):
             s, pot = lj_setup()
             barostat = BerendsenBarostat(pressure=0.5, tau=0.05, kappa=0.3)
-            if backend == "serial":
-                sim = Simulation(s, pot, dt=1e-3, barostat=barostat)
-                sim.run(5)
-            else:
-                with DistributedSimulation(s, pot, nranks=8, dt=1e-3,
-                                           barostat=barostat) as dsim:
-                    dsim.run(5)
+            with build_engine(s, pot, nranks=nranks) as engine:
+                MDLoop(engine, dt=1e-3, barostat=barostat).run(5)
             volumes[backend] = s.box.volume
         ref = lj_setup()[0].box.volume
         assert volumes["serial"] != ref  # the barostat actually acted
         assert np.isclose(volumes["serial"], volumes["distributed"], **TOL)
-
-    def test_barostat_rejected_in_2x_mode(self):
-        s, pot = lj_setup()
-        with pytest.raises(ValueError, match="1x"):
-            DistributedSimulation(s, pot, nranks=2, halo_mode="2x",
-                                  barostat=BerendsenBarostat(pressure=0.5))
-
-    def test_no_virial_in_2x_mode(self):
-        # 2x halos need subdomains >= 2*cutoff, so use a wider box
-        s = lattice_system("fcc", a=2.5, reps=(6, 6, 6))
-        s.seed_velocities(40.0, rng=np.random.default_rng(5))
-        pot = LennardJones(epsilon=0.2, sigma=2.2, cutoff=3.0)
-        with DistributedSimulation(s, pot, nranks=2,
-                                   halo_mode="2x") as dsim:
-            with pytest.raises(RuntimeError, match="virial"):
-                dsim.instantaneous_pressure()
 
 
 # ======================================================================
@@ -184,10 +176,9 @@ class TestSatelliteFixes:
         # neighbor list; the build counter must carry across rebinds
         # (it used to reset, reporting 1 regardless of nsteps)
         s, pot = lj_setup()
-        sim = Simulation(s, pot, dt=1e-3,
-                         barostat=BerendsenBarostat(pressure=0.5, tau=0.05))
-        out = sim.run(5)
-        assert out["neighbor_builds"] >= 5
+        loop = MDLoop(build_engine(s, pot), dt=1e-3,
+                      barostat=BerendsenBarostat(pressure=0.5, tau=0.05))
+        assert loop.run(5).neighbor_builds >= 5
 
     def test_zero_wall_rate_is_guarded(self):
         s, pot = lj_setup()
@@ -208,8 +199,12 @@ class TestSatelliteFixes:
 # ======================================================================
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 from multiprocessing import shared_memory
+from pathlib import Path
 
 from repro.core import SNAPParams
 from repro.md import MDLoop
@@ -317,18 +312,13 @@ class TestProcessParity:
 
     def test_thermo_log_rows_match_serial(self):
         rows = {}
-        for backend in ("serial", "process"):
+        for backend, nprocs in (("serial", None), ("process", 2)):
             s, pot = lj_setup()
             thermostat = LangevinThermostat(temp=40.0, damp=0.5, seed=11)
-            if backend == "serial":
-                sim = Simulation(s, pot, dt=1e-3, thermostat=thermostat)
-                sim.run(5, thermo_every=1)
-                rows[backend] = sim.thermo_log
-            else:
-                with ProcessEngine(s, pot, nprocs=2) as engine:
-                    loop = MDLoop(engine, dt=1e-3, thermostat=thermostat)
-                    loop.run(5, thermo_every=1)
-                    rows[backend] = loop.thermo_log
+            with build_engine(s, pot, nprocs=nprocs) as engine:
+                loop = MDLoop(engine, dt=1e-3, thermostat=thermostat)
+                loop.run(5, thermo_every=1)
+            rows[backend] = loop.thermo_log
         assert len(rows["serial"]) == len(rows["process"]) == 6
         for a, b in zip(rows["serial"], rows["process"]):
             assert a.step == b.step
@@ -339,16 +329,12 @@ class TestProcessParity:
 
     def test_checkpoint_files_identical(self, tmp_path):
         paths = {}
-        for backend in ("serial", "process"):
+        for backend, nprocs in (("serial", None), ("process", 2)):
             s, pot = lj_setup()
             path = tmp_path / f"{backend}.npz"
-            if backend == "serial":
-                Simulation(s, pot, dt=1e-3, checkpoint_every=2,
-                           checkpoint_path=path).run(4)
-            else:
-                with ProcessEngine(s, pot, nprocs=2) as engine:
-                    MDLoop(engine, dt=1e-3, checkpoint_every=2,
-                           checkpoint_path=path).run(4)
+            with build_engine(s, pot, nprocs=nprocs) as engine:
+                MDLoop(engine, dt=1e-3, checkpoint_every=2,
+                       checkpoint_path=path).run(4)
             paths[backend] = path
         with np.load(paths["serial"]) as ser, \
                 np.load(paths["process"]) as proc:
@@ -359,14 +345,11 @@ class TestProcessParity:
 
     def test_barostat_tracks_serial(self):
         volumes = {}
-        for backend in ("serial", "process"):
+        for backend, nprocs in (("serial", None), ("process", 2)):
             s, pot = lj_setup()
             barostat = BerendsenBarostat(pressure=0.5, tau=0.05, kappa=0.3)
-            if backend == "serial":
-                Simulation(s, pot, dt=1e-3, barostat=barostat).run(5)
-            else:
-                with ProcessEngine(s, pot, nprocs=2) as engine:
-                    MDLoop(engine, dt=1e-3, barostat=barostat).run(5)
+            with build_engine(s, pot, nprocs=nprocs) as engine:
+                MDLoop(engine, dt=1e-3, barostat=barostat).run(5)
             volumes[backend] = s.box.volume
         assert volumes["serial"] != lj_setup()[0].box.volume
         assert np.isclose(volumes["serial"], volumes["process"], **TOL)
@@ -384,8 +367,8 @@ class TestProcessParity:
         assert {"neigh", "force", "comm"} <= set(out["phase_fractions"])
         # serial summaries must not grow the process-only field
         s2, pot2 = lj_setup()
-        serial = Simulation(s2, pot2, dt=1e-3).run(2)
-        assert "nprocs" not in serial
+        serial = MDLoop(build_engine(s2, pot2), dt=1e-3).run(2)
+        assert "nprocs" not in serial.as_dict()
 
 
 class TestProcessRobustness:
@@ -398,6 +381,37 @@ class TestProcessRobustness:
         engine.close()
         engine.close()  # idempotent
         assert_no_leaked_blocks(names)
+
+    def test_clean_lifecycle_leaves_no_tracker_noise_or_shm(self):
+        """Build, evaluate, close in a fresh interpreter: the resource
+        tracker must have nothing to complain about at exit and no
+        block may outlive the process in /dev/shm."""
+        script = textwrap.dedent("""
+            import numpy as np
+            from repro.md import build_engine
+            from repro.potentials import LennardJones
+            from repro.structures import lattice_system
+
+            s = lattice_system("fcc", a=2.5, reps=(3, 3, 3))
+            pot = LennardJones(epsilon=0.2, sigma=2.2, cutoff=3.0)
+            engine = build_engine(s, pot, backend="process", nprocs=2)
+            assert np.isfinite(engine.evaluate().energy)
+            names = engine.block_names
+            engine.close()
+            print("\\n".join(names))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src")]
+            + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "resource_tracker" not in proc.stderr, proc.stderr
+        names = proc.stdout.split()
+        assert names
+        leaked = [n for n in names
+                  if (Path("/dev/shm") / n.lstrip("/")).exists()]
+        assert not leaked
 
     def test_worker_exception_surfaces_and_cleans_up(self):
         s, _ = lj_setup()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import PhaseClassifier
-from repro.md import LangevinThermostat, Simulation, read_checkpoint
+from repro.md import LangevinThermostat, MDLoop, build_engine, read_checkpoint
 from repro.perfmodel import ProductionRun, production_trace
 from repro.potentials import StillingerWeber
 from repro.structures import lattice_system
@@ -24,9 +24,9 @@ def mini_production(tmp_path_factory):
     system = lattice_system("diamond", a=3.567, reps=(2, 2, 2))
     system.seed_velocities(300.0, rng=np.random.default_rng(0))
     ck = tmp / "restart.npz"
-    sim = Simulation(system, pot, dt=5e-4,
-                     thermostat=LangevinThermostat(temp=300.0, damp=0.05, seed=1),
-                     checkpoint_every=20, checkpoint_path=ck)
+    sim = MDLoop(build_engine(system, pot), dt=5e-4,
+                 thermostat=LangevinThermostat(temp=300.0, damp=0.05, seed=1),
+                 checkpoint_every=20, checkpoint_path=ck)
     fractions = []
     pc = PhaseClassifier()
     for temp in (300.0, 600.0, 900.0):
@@ -53,9 +53,8 @@ class TestMiniProduction:
         assert step == sim.step
         assert np.allclose(system.positions, sim.system.positions)
         # restarting MD from the checkpoint works
-        sim2 = Simulation(system, StillingerWeber(), dt=5e-4)
-        out = sim2.run(2)
-        assert out["steps"] == 2
+        sim2 = MDLoop(build_engine(system, StillingerWeber()), dt=5e-4)
+        assert sim2.run(2).steps == 2
 
     def test_phase_tracking(self, mini_production):
         _, _, fractions = mini_production

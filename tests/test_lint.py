@@ -24,7 +24,7 @@ from repro.lint.__main__ import main as lint_main
 REPO = Path(__file__).resolve().parents[1]
 
 #: a path inside the determinism scope (R1) and the guarded-by scope (R3)
-HOT = "repro/parallel/shards.py"
+HOT = "repro/parallel/process_engine.py"
 #: a path outside every restricted scope
 COLD = "repro/analysis/thermo.py"
 
@@ -313,7 +313,7 @@ class TestR4RawTimer:
             "class PhaseTimers:\n"
             "    def tick(self):\n"
             "        return time.perf_counter()\n"),
-            path="repro/md/simulation.py")
+            path=self.DRIVER)
 
     def test_scope_excludes_cold_paths(self):
         assert_silent("R4-raw-timer", (

@@ -39,8 +39,8 @@ class TestModuleNames:
             "repro.core.snap"
 
     def test_relative_fixture_path(self):
-        assert module_name_for("repro/parallel/shards.py") == \
-            "repro.parallel.shards"
+        assert module_name_for("repro/parallel/distributed.py") == \
+            "repro.parallel.distributed"
 
     def test_package_init(self):
         assert module_name_for("src/repro/lint/__init__.py") == \
@@ -284,8 +284,9 @@ class TestRobustness:
         src = Path(__file__).resolve().parent.parent / "src" / "repro"
         p = Project.from_paths(sorted(src.rglob("*.py")))
         assert len(p.modules) > 50
-        assert "repro.parallel.shards.ShardedSNAP.compute" in p.functions
+        assert "repro.parallel.distributed.DistributedEngine.evaluate" \
+            in p.functions
         # the known pool/thread entry points are discovered
-        assert "repro.parallel.shards._init_worker" in p.pool_entries
+        assert "repro.parallel.process_engine._worker_main" in p.pool_entries
         assert "repro.md.trajectory.AsyncTrajectoryWriter._drain_loop" \
             in p.pool_entries

@@ -6,8 +6,8 @@ import pytest
 from repro.analysis import cold_curve, fit_birch_murnaghan
 from repro.analysis.eos import birch_murnaghan_energy
 from repro.constants import EVA3_TO_BAR, MBAR
-from repro.md import (BerendsenBarostat, LangevinThermostat, Simulation,
-                      build_pairs, fire_minimize, relax_volume)
+from repro.md import (BerendsenBarostat, LangevinThermostat, MDLoop,
+                      build_engine, build_pairs, fire_minimize, relax_volume)
 from repro.potentials import LennardJones, StillingerWeber
 from repro.structures import lattice_system
 
@@ -105,8 +105,8 @@ class TestBarostat:
         s = lattice_system("diamond", a=3.45, reps=(2, 2, 2))
         s.seed_velocities(300.0, rng=rng)
         target = 1.0 * MBAR / EVA3_TO_BAR
-        sim = Simulation(
-            s, StillingerWeber(), dt=5e-4,
+        sim = MDLoop(
+            build_engine(s, StillingerWeber()), dt=5e-4,
             thermostat=LangevinThermostat(temp=300.0, damp=0.05, seed=1),
             barostat=BerendsenBarostat(pressure=target, tau=0.01, kappa=0.36))
         sim.run(250)
@@ -116,9 +116,9 @@ class TestBarostat:
     def test_expansion_under_negative_mismatch(self, rng):
         s = lattice_system("diamond", a=3.40, reps=(2, 2, 2))  # compressed
         l0 = s.box.lengths[0]
-        sim = Simulation(s, StillingerWeber(), dt=5e-4,
-                         barostat=BerendsenBarostat(pressure=0.0, tau=0.01,
-                                                    kappa=0.36))
+        sim = MDLoop(build_engine(s, StillingerWeber()), dt=5e-4,
+                     barostat=BerendsenBarostat(pressure=0.0, tau=0.01,
+                                                kappa=0.36))
         sim.run(100)
         assert s.box.lengths[0] > l0  # relaxes outward toward P=0
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import SNAPParams
-from repro.md import Box, build_pairs
-from repro.parallel import (DistributedSimulation, DomainGrid, SharedBlock,
+from repro.md import Box, MDLoop, build_engine, build_pairs
+from repro.parallel import (DistributedEngine, DomainGrid, SharedBlock,
                             best_grid, build_halos, row_partition)
 from repro.potentials import LennardJones, SNAPPotential, StillingerWeber
 from repro.structures import lattice_system
@@ -110,10 +110,9 @@ class TestDistributed:
         pot = LennardJones(epsilon=0.2, sigma=2.2, cutoff=3.0)
         nbr = build_pairs(s.positions, s.box, pot.cutoff)
         ref = pot.compute(s.natoms, nbr)
-        dsim = DistributedSimulation(s.copy(), pot, nranks=nranks)
-        e, f = dsim.compute_forces()
-        assert e == pytest.approx(ref.energy, abs=1e-9)
-        assert np.allclose(f, ref.forces, atol=1e-10)
+        res = DistributedEngine(s.copy(), pot, nranks).evaluate()
+        assert res.energy == pytest.approx(ref.energy, abs=1e-9)
+        assert np.allclose(res.forces, ref.forces, atol=1e-10)
 
     def test_sw_matches_serial(self, rng):
         s = lattice_system("diamond", a=3.57, reps=(4, 4, 4))
@@ -121,10 +120,9 @@ class TestDistributed:
         pot = StillingerWeber()
         nbr = build_pairs(s.positions, s.box, pot.cutoff)
         ref = pot.compute(s.natoms, nbr)
-        dsim = DistributedSimulation(s.copy(), pot, nranks=8)
-        e, f = dsim.compute_forces()
-        assert e == pytest.approx(ref.energy, abs=1e-8)
-        assert np.allclose(f, ref.forces, atol=1e-9)
+        res = DistributedEngine(s.copy(), pot, 8).evaluate()
+        assert res.energy == pytest.approx(ref.energy, abs=1e-8)
+        assert np.allclose(res.forces, ref.forces, atol=1e-9)
 
     def test_snap_matches_serial(self, rng):
         params = SNAPParams(twojmax=2, rcut=2.2)
@@ -133,30 +131,26 @@ class TestDistributed:
         s.positions = s.positions + rng.normal(scale=0.03, size=s.positions.shape)
         nbr = build_pairs(s.positions, s.box, pot.cutoff)
         ref = pot.compute(s.natoms, nbr)
-        dsim = DistributedSimulation(s.copy(), pot, nranks=4)
-        e, f = dsim.compute_forces()
-        assert e == pytest.approx(ref.energy, abs=1e-8)
-        assert np.allclose(f, ref.forces, atol=1e-9)
+        res = DistributedEngine(s.copy(), pot, 4).evaluate()
+        assert res.energy == pytest.approx(ref.energy, abs=1e-8)
+        assert np.allclose(res.forces, ref.forces, atol=1e-9)
 
     def test_run_reports_traffic(self, rng):
         s = lattice_system("fcc", a=2.5, reps=(5, 5, 5))
         s.seed_velocities(50.0, rng=rng)
         pot = LennardJones(epsilon=0.2, sigma=2.2, cutoff=3.0)
-        dsim = DistributedSimulation(s, pot, nranks=4, dt=1e-3)
-        out = dsim.run(3)
-        assert out["nranks"] == 4
-        assert out["ghost_bytes_per_step"] > 0
-        assert set(out["phase_fractions"]) >= {"comm", "force", "neigh"}
+        out = MDLoop(build_engine(s, pot, nranks=4), dt=1e-3).run(3)
+        assert out.nranks == 4
+        assert out.ghost_bytes_per_step > 0
+        assert set(out.phase_fractions) >= {"comm", "force", "neigh"}
 
     def test_distributed_md_matches_serial_md(self, rng):
-        from repro.md import Simulation
-
         s1 = lattice_system("fcc", a=2.5, reps=(5, 5, 5))
         s1.seed_velocities(40.0, rng=np.random.default_rng(5))
         s2 = s1.copy()
         pot = LennardJones(epsilon=0.2, sigma=2.2, cutoff=3.0)
-        Simulation(s1, pot, dt=1e-3, skin=0.0).run(5)
-        DistributedSimulation(s2, pot, nranks=8, dt=1e-3).run(5)
+        MDLoop(build_engine(s1, pot, skin=0.0), dt=1e-3).run(5)
+        MDLoop(build_engine(s2, pot, nranks=8), dt=1e-3).run(5)
         # wrap both before comparing (distributed wraps internally)
         assert np.allclose(s1.box.wrap(s1.positions), s2.box.wrap(s2.positions),
                            atol=1e-8)

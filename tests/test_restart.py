@@ -15,7 +15,7 @@ import pytest
 from repro.md import (AsyncTrajectoryWriter, LangevinThermostat, MDLoop,
                       TrajectoryReader, build_engine, load_checkpoint,
                       write_checkpoint)
-from repro.md.dump import TrajectoryWriter, checkpoint_path
+from repro.md.dump import checkpoint_path
 from repro.potentials import LennardJones
 from repro.structures import lattice_system
 
@@ -79,18 +79,6 @@ class TestCheckpointFiles:
     def test_checkpoint_path_helper(self):
         assert checkpoint_path("a/b").name == "b.npz"
         assert checkpoint_path("a/b.npz").name == "b.npz"
-
-    def test_legacy_writer_close_clears_and_append_raises(self, tmp_path):
-        s, _pot = _setup()
-        w = TrajectoryWriter(tmp_path / "legacy")
-        w.append(s, 0)
-        w.close()
-        assert w._frames == [] and w._steps == []
-        with pytest.raises(RuntimeError):
-            w.append(s, 1)
-        w.close()  # idempotent: must not rewrite the file with 0 frames
-        with np.load(tmp_path / "legacy.npz") as data:
-            assert data["positions"].shape[0] == 1
 
 
 # ======================================================================

@@ -1,15 +1,14 @@
 """Runtime sanitizers: NaN/Inf kernel guards and the scatter-add race
 detector, wired through ``SNAPParams.check_finite`` and the
-``check_finite`` / ``race_check`` flags of ``DistributedSimulation``.
+``check_finite`` / ``race_check`` arguments of ``build_engine``.
 
 Covers the acceptance criteria of the lint PR:
 
 * an injected NaN in a force kernel is caught with the offending phase
-  (and rank, in the distributed driver) named,
-* a deliberately overlapping concurrent scatter-add triggers the race
+  (and rank, in the distributed engine) named,
+* a deliberately overlapping owned-row scatter-add triggers the race
   detector, and
-* a real 4-rank x 2-worker run reports zero overlaps in both halo
-  modes.
+* a real 4-rank run reports zero overlaps.
 """
 
 import threading
@@ -17,12 +16,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import SNAP, SNAPParams
+from repro.core import SNAPParams
 from repro.lint.sanitizers import (NumericsError, RaceDetector, RaceError,
                                    check_finite)
-from repro.md import build_pairs
-from repro.parallel import DistributedSimulation
-from repro.parallel.shards import ShardedSNAP
+from repro.md import MDLoop, build_engine, build_pairs
 from repro.potentials import SNAPPotential
 from repro.structures import lattice_system
 
@@ -123,26 +120,13 @@ class TestKernelGuards:
         result = pot.compute(s.natoms, nbr)  # no raise: sanitizer off
         assert np.isnan(result.energy)
 
-    def test_sharded_snap_catches_poisoned_coefficients(self, rng):
-        params = SNAPParams(twojmax=4, rcut=2.4, check_finite=True)
-        snap = SNAP(params, beta=rng.normal(
-            size=SNAP(params).index.ncoeff))
-        snap.beta[1] = np.nan
-        s = lattice_system("diamond", a=3.57, reps=(2, 2, 2))
-        nbr = build_pairs(s.positions, s.box, params.rcut)
-        with ShardedSNAP(snap, nworkers=2) as sharded:
-            with pytest.raises(NumericsError, match=r"compute_yi.*sharded"):
-                sharded.compute(s.natoms, nbr)
-
     def test_distributed_names_offending_rank(self, rng):
         s, pot = snap_carbon(rng)
         poisoned = _PoisonOnCall(pot, poison_call=3)
-        dsim = DistributedSimulation(s, poisoned, nranks=4,
-                                     check_finite=True)
+        engine = build_engine(s, poisoned, nranks=4, check_finite=True)
         with pytest.raises(NumericsError,
                            match=r"phase 'rank_force' \[rank2\]"):
-            dsim.compute_forces()
-        dsim.close()
+            engine.evaluate()
 
 
 # ======================================================================
@@ -226,50 +210,39 @@ class TestRaceDetector:
 
 
 # ======================================================================
-# race detector wired through the distributed driver
+# race detector wired through the distributed engine
 # ======================================================================
 class TestDistributedRaceCheck:
-    @pytest.mark.parametrize("mode,skin", [("1x", 0.3), ("2x", 0.1)])
-    def test_real_run_reports_zero_overlaps(self, rng, mode, skin):
+    def test_real_run_reports_zero_overlaps(self, rng):
         s, pot = snap_carbon(rng)
-        dsim = DistributedSimulation(s, pot, nranks=4, nworkers=2,
-                                     halo_mode=mode, skin=skin,
-                                     race_check=True)
-        dsim.run(2)
-        assert dsim.race_detector.reports == []
-        assert dsim.race_detector.epochs == 3  # initial eval + 2 steps
-        dsim.close()
+        engine = build_engine(s, pot, nranks=4, race_check=True)
+        MDLoop(engine, dt=1e-3).run(2)
+        assert engine.race_detector.reports == []
+        assert engine.race_detector.epochs == 3  # initial eval + 2 steps
 
     def test_synthetic_overlapping_scatter_add_is_flagged(self, rng):
         s, pot = snap_carbon(rng)
-        dsim = DistributedSimulation(s, pot, nranks=4, nworkers=2,
-                                     race_check=True)
-        dsim.compute_forces()
+        engine = build_engine(s, pot, nranks=4, race_check=True)
+        engine.evaluate()
         # corrupt rank ownership: rank1 now claims three of rank0's rows,
-        # which makes the concurrent owned-row scatter-adds overlap
-        dsim._ranks[1].owned[:3] = dsim._ranks[0].owned[:3]
+        # which makes the owned-row scatter-adds overlap
+        engine._ranks[1].owned[:3] = engine._ranks[0].owned[:3]
         with pytest.raises(RaceError,
                            match=r"forces\.scatter.*rank0 and rank1"):
-            dsim.compute_forces()
-        assert dsim.race_detector.reports[0].count == 3
-        dsim.close()
+            engine.evaluate()
+        assert engine.race_detector.reports[0].count == 3
 
     def test_detector_absent_when_flag_off(self, rng):
         s, pot = snap_carbon(rng)
-        dsim = DistributedSimulation(s, pot, nranks=2)
-        assert dsim.race_detector is None
-        dsim.compute_forces()
-        dsim.close()
+        engine = build_engine(s, pot, nranks=2)
+        assert engine.race_detector is None
+        engine.evaluate()
 
     def test_sanitized_run_matches_clean_run(self, rng):
         """Sanitizers observe; they must not change the physics."""
         s, pot = snap_carbon(rng)
-        ref = DistributedSimulation(s.copy(), pot, nranks=4, nworkers=2)
-        e0, f0 = ref.compute_forces()
-        ref.close()
-        chk = DistributedSimulation(s.copy(), pot, nranks=4, nworkers=2,
-                                    check_finite=True, race_check=True)
-        e1, f1 = chk.compute_forces()
-        chk.close()
-        assert e0 == e1
-        assert np.array_equal(f0, f1)
+        ref = build_engine(s.copy(), pot, nranks=4).evaluate()
+        chk = build_engine(s.copy(), pot, nranks=4, check_finite=True,
+                           race_check=True).evaluate()
+        assert ref.energy == chk.energy
+        assert np.array_equal(ref.forces, chk.forces)

@@ -1,11 +1,10 @@
-"""Tests for the serial MD driver, timers, and checkpoint I/O."""
+"""Tests for the MD loop on the serial engine, timers, and checkpoint I/O."""
 
 import numpy as np
 import pytest
 
-from repro.md import (LangevinThermostat, PhaseTimers, Simulation,
+from repro.md import (LangevinThermostat, MDLoop, PhaseTimers, build_engine,
                       read_checkpoint, write_checkpoint)
-from repro.md.dump import TrajectoryWriter
 from repro.potentials import LennardJones
 from repro.structures import lattice_system
 
@@ -14,8 +13,8 @@ from repro.structures import lattice_system
 def lj_sim(rng):
     s = lattice_system("fcc", a=1.7, reps=(2, 2, 2), mass=39.95)
     s.seed_velocities(30.0, rng=rng)
-    return Simulation(s, LennardJones(epsilon=0.0104, sigma=1.0, cutoff=2.5),
-                      dt=2e-3)
+    pot = LennardJones(epsilon=0.0104, sigma=1.0, cutoff=2.5)
+    return MDLoop(build_engine(s, pot), dt=2e-3)
 
 
 class TestPhaseTimers:
@@ -49,10 +48,10 @@ class TestPhaseTimers:
 class TestSimulation:
     def test_run_summary(self, lj_sim):
         out = lj_sim.run(20)
-        assert out["steps"] == 20
-        assert out["natoms"] == 32
-        assert out["atom_steps_per_s"] > 0
-        assert set(out["phase_fractions"]) >= {"force", "neigh", "other"}
+        assert out.steps == 20
+        assert out.natoms == 32
+        assert out.atom_steps_per_s > 0
+        assert set(out.phase_fractions) >= {"force", "neigh", "other"}
 
     def test_thermo_log(self, lj_sim):
         lj_sim.run(20, thermo_every=5)
@@ -68,10 +67,10 @@ class TestSimulation:
 
     def test_langevin_heats_cold_start(self, rng):
         s = lattice_system("fcc", a=1.7, reps=(2, 2, 2), mass=39.95)
-        sim = Simulation(s, LennardJones(epsilon=0.0104, sigma=1.0, cutoff=2.5),
-                         dt=2e-3,
-                         thermostat=LangevinThermostat(temp=80.0, damp=0.02, seed=2))
-        sim.run(200)
+        pot = LennardJones(epsilon=0.0104, sigma=1.0, cutoff=2.5)
+        MDLoop(build_engine(s, pot), dt=2e-3,
+               thermostat=LangevinThermostat(temp=80.0, damp=0.02,
+                                             seed=2)).run(200)
         assert s.temperature() > 20.0
 
     def test_checkpointing(self, lj_sim, tmp_path):
@@ -98,14 +97,3 @@ class TestCheckpointIO:
         assert np.allclose(loaded.velocities, s.velocities)
         assert np.allclose(loaded.box.lengths, s.box.lengths)
         assert loaded.box.periodic == s.box.periodic
-
-    def test_trajectory_writer(self, rng, tmp_path):
-        s = lattice_system("sc", a=2.0, reps=(2, 2, 2))
-        path = tmp_path / "traj.npz"
-        with TrajectoryWriter(path) as tw:
-            tw.append(s, 0)
-            s.positions = s.positions + 0.1
-            tw.append(s, 10)
-        data = np.load(path)
-        assert data["positions"].shape == (2, 8, 3)
-        assert data["steps"].tolist() == [0, 10]

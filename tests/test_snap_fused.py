@@ -1,10 +1,10 @@
-"""Fused SNAP hot path: store/recompute parity, sharding determinism.
+"""Fused SNAP hot path: store/recompute parity.
 
-The optimized evaluator has three independently toggleable pieces - the
-stored-U cache (``store_u``), the segment-reduced accumulation and the
-sharded force pass - and the contract for all of them is exact: forces
-match the Listing-1 reference to 1e-10 and every configuration is
-bitwise identical to every other (same arithmetic, different schedule).
+The optimized evaluator has two independently toggleable pieces - the
+stored-U cache (``store_u``) and the segment-reduced accumulation - and
+the contract for both is exact: forces match the Listing-1 reference to
+1e-10 and every configuration is bitwise identical to every other (same
+arithmetic, different schedule).
 """
 
 from dataclasses import replace
@@ -16,7 +16,6 @@ from conftest import free_cluster_pairs, random_cluster
 from repro.core import SNAP, NeighborBatch, SNAPParams
 from repro.core.baseline import reference_energy_forces
 from repro.core.indexing import SNAPIndex
-from repro.parallel.shards import ShardedSNAP, shard_bounds, sharded_potential
 
 
 def _snap(rng, twojmax, **kw):
@@ -283,101 +282,11 @@ class TestEmptyAndEdgeCases:
             assert np.all(out.virial == 0.0)
             assert np.isfinite(out.energy)
 
-    def test_empty_sharded(self, rng):
-        snap = _snap(rng, 4)
-        empty = NeighborBatch(i_idx=np.zeros(0, dtype=np.intp),
-                              rij=np.zeros((0, 3)), r=np.zeros(0),
-                              j_idx=np.zeros(0, dtype=np.intp))
-        with ShardedSNAP(snap, nworkers=3) as ev:
-            out = ev.compute(3, empty)
-        assert np.all(out.forces == 0.0)
-
     def test_j_idx_shape_validated(self):
         with pytest.raises(ValueError, match="j_idx"):
             NeighborBatch(i_idx=np.zeros(3, dtype=np.intp),
                           rij=np.zeros((3, 3)), r=np.ones(3),
                           j_idx=np.zeros(2, dtype=np.intp))
-
-
-class TestSharding:
-    def test_shard_bounds(self):
-        assert shard_bounds(10, 3, align=4) == [(0, 4), (4, 8), (8, 10)]
-        assert shard_bounds(0, 4) == [(0, 0)]
-        assert shard_bounds(7, 100, align=2) == [(0, 2), (2, 4), (4, 6), (6, 7)]
-        b = shard_bounds(1000, 4, align=32)
-        assert b[0][0] == 0 and b[-1][1] == 1000
-        assert all(lo % 32 == 0 for lo, _ in b)
-        with pytest.raises(ValueError):
-            shard_bounds(10, 0)
-
-    def test_nworkers_bitwise_determinism(self, rng, cluster):
-        pos, nbr = cluster
-        snap = _snap(rng, 6, chunk=8)
-        ref = snap.compute(pos.shape[0], nbr)
-        for nw in (2, 4):
-            with ShardedSNAP(snap, nworkers=nw) as ev:
-                out = ev.compute(pos.shape[0], nbr)
-            assert np.array_equal(out.forces, ref.forces)
-            assert out.energy == ref.energy
-            assert np.array_equal(out.virial, ref.virial)
-            assert np.array_equal(out.peratom, ref.peratom)
-            assert set(ev.last_timings) == set(snap.last_timings)
-
-    def test_process_backend_bitwise(self, rng, cluster):
-        pos, nbr = cluster
-        snap = _snap(rng, 4, chunk=16)
-        ref = snap.compute(pos.shape[0], nbr)
-        with ShardedSNAP(snap, nworkers=2, backend="process") as ev:
-            out = ev.compute(pos.shape[0], nbr)
-        assert np.array_equal(out.forces, ref.forces)
-
-    def test_sharded_potential_passthrough(self, rng):
-        from repro.potentials import SNAPPotential
-
-        class Dummy:
-            cutoff = 3.0
-
-        d = Dummy()
-        assert sharded_potential(d, 4) is d  # not SNAP-backed
-        params = SNAPParams(twojmax=4, rcut=3.0, chunk=32)
-        pot = SNAPPotential(params, beta=rng.normal(size=SNAPIndex(4).ncoeff))
-        assert sharded_potential(pot, 1) is pot  # serial stays unwrapped
-        with pytest.raises(ValueError, match="positive"):
-            sharded_potential(pot, -2)
-        wrapped = sharded_potential(pot, 4)
-        assert wrapped is not pot
-        assert wrapped.cutoff == pot.cutoff
-        wrapped.close()
-
-    def test_simulation_nworkers_matches_serial(self, rng):
-        from repro.md import Simulation
-        from repro.potentials import SNAPPotential
-        from repro.structures import lattice_system
-
-        params = SNAPParams(twojmax=4, rcut=2.2, chunk=64)
-        beta = np.random.default_rng(9).normal(size=SNAPIndex(4).ncoeff)
-
-        def build(nw):
-            s = lattice_system("fcc", a=2.4, reps=(2, 2, 2), mass=12.0)
-            s.seed_velocities(300.0, rng=np.random.default_rng(5))
-            return Simulation(s, SNAPPotential(params, beta=beta), dt=1e-3,
-                              nworkers=nw)
-
-        runs = {}
-        for nw in (1, 4):
-            sim = build(nw)
-            sim.run(3)
-            runs[nw] = (sim.system.positions.copy(),
-                        sim.last_result.forces.copy())
-        assert np.array_equal(runs[1][0], runs[4][0])
-        assert np.array_equal(runs[1][1], runs[4][1])
-
-    def test_invalid_args(self, rng):
-        snap = _snap(rng, 4)
-        with pytest.raises(ValueError):
-            ShardedSNAP(snap, nworkers=0)
-        with pytest.raises(ValueError):
-            ShardedSNAP(snap, backend="gpu")
 
 
 class TestBenchRecord:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.constants import MVV2E
 from repro.md import (BerendsenThermostat, Box, LangevinThermostat,
-                      ParticleSystem, Simulation, VelocityVerlet)
+                      MDLoop, ParticleSystem, VelocityVerlet, build_engine)
 from repro.potentials import LennardJones
 from repro.structures import lattice_system
 
@@ -76,7 +76,7 @@ class TestVelocityVerlet:
         s = lattice_system("fcc", a=1.64, reps=(3, 3, 3), mass=39.95)
         s.seed_velocities(20.0, rng=rng)
         pot = LennardJones(epsilon=0.0104, sigma=1.0, cutoff=2.5)
-        sim = Simulation(s, pot, dt=2e-3)
+        sim = MDLoop(build_engine(s, pot), dt=2e-3)
         e0 = sim.potential_energy + s.kinetic_energy()
         sim.run(150)
         e1 = sim.potential_energy + s.kinetic_energy()
@@ -87,7 +87,7 @@ class TestVelocityVerlet:
         s.seed_velocities(10.0, rng=rng)
         pot = LennardJones(epsilon=0.0104, sigma=1.0, cutoff=2.5)
         start = s.positions.copy()
-        sim = Simulation(s, pot, dt=1e-3, skin=1.0)
+        sim = MDLoop(build_engine(s, pot, skin=1.0), dt=1e-3)
         sim.run(50)
         s.velocities *= -1.0
         sim.run(50)
@@ -99,7 +99,7 @@ class TestLangevin:
         s = lattice_system("fcc", a=1.7, reps=(3, 3, 3), mass=39.95)
         pot = LennardJones(epsilon=0.0104, sigma=1.0, cutoff=2.5)
         thermo = LangevinThermostat(temp=50.0, damp=0.05, seed=4)
-        sim = Simulation(s, pot, dt=2e-3, thermostat=thermo)
+        sim = MDLoop(build_engine(s, pot), dt=2e-3, thermostat=thermo)
         sim.run(300)
         temps = []
         for _ in range(10):

@@ -12,7 +12,7 @@ from repro.tuning import (SCHEMA_VERSION, TunedConfig, TuningDB,
                           default_db_path, resolve_params, shape_key, tune)
 
 GOOD_ENTRY = {"chunk": 2048, "store_u": "never", "y_mode": "sparse",
-              "shard_workers": 1, "seconds": 0.01}
+              "seconds": 0.01}
 
 
 class TestShapeKey:
@@ -81,6 +81,18 @@ class TestTuningDB:
         fresh = TuningDB(path)
         assert fresh.lookup("k1") == GOOD_ENTRY
         assert fresh.lookup("k2") is None
+
+        # a DB written before the shard pool was removed carries a
+        # "shard_workers" field per entry: it must still load and steer
+        # the surviving policy fields
+        key = shape_key(4, 10, 100, 1)
+        TuningDB(path).record(key, dict(GOOD_ENTRY, shard_workers=2))
+        params = SNAPParams(twojmax=4, rcut=3.0, chunk="auto",
+                            y_mode="auto", store_u="auto")
+        out, dec = resolve_params(params, natoms=10, npairs=100,
+                                  db=TuningDB(path))
+        assert dec.source == "db"
+        assert (out.chunk, out.y_mode, out.store_u) == (2048, "sparse", "never")
 
     def test_atomic_write_schema_envelope(self, tmp_path):
         path = tmp_path / "db.json"
@@ -178,23 +190,6 @@ class TestEngineBinding:
         assert dec is not None and not snap.params.has_auto
         # second resolution attempt is a no-op (first caller won)
         assert snap.resolve_tuning(natoms=99, npairs=99, db=db) is dec
-
-    def test_sharded_binds_before_shard_bounds(self, rng, tmp_path,
-                                               monkeypatch):
-        from conftest import free_cluster_pairs, random_cluster
-        from repro.parallel.shards import ShardedSNAP
-
-        monkeypatch.setenv("REPRO_TUNING_DB", str(tmp_path / "iso.json"))
-        pos = random_cluster(rng, natoms=5, span=4.0)
-        nbr = free_cluster_pairs(pos, 3.0)
-        snap = self._auto_snap(rng)
-        ref = SNAP(SNAPParams(twojmax=4, rcut=3.0, chunk=4096),
-                   beta=snap.beta).compute(pos.shape[0], nbr)
-        with ShardedSNAP(snap, nworkers=2) as ev:
-            out = ev.compute(pos.shape[0], nbr)
-        assert isinstance(snap.params.chunk, int)
-        assert snap.tuning_decision is not None
-        assert np.array_equal(out.forces, ref.forces)
 
     def test_build_engine_eager_binding(self, rng, tmp_path):
         from repro.md import build_engine
