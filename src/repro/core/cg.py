@@ -19,10 +19,11 @@ import numpy as np
 __all__ = ["clebsch_gordan", "cg_tensor", "cg_sparse", "SparseCGTriple"]
 
 #: serializes cache-miss builds of the (lru-cached) CG tensors and sparse
-#: index structures: shard/process workers may touch these lazily, and a
-#: concurrent first call must not duplicate the (non-trivial) build work.
-#: SNAP.__init__ additionally primes both caches eagerly for every triple
-#: it uses, so worker pools normally only ever see cache hits.
+#: index structures: concurrent evaluators (ParSplice session threads)
+#: may touch these lazily, and a concurrent first call must not duplicate
+#: the (non-trivial) build work.  SNAP.__init__ additionally primes both
+#: caches eagerly for every triple it uses, so forked process workers
+#: only ever see cache hits.
 _CACHE_LOCK = threading.Lock()  # guarded-by: _CACHE_LOCK
 
 
@@ -204,7 +205,7 @@ def cg_sparse(j1: int, j2: int, j: int) -> SparseCGTriple:
 
     See :class:`SparseCGTriple`.  Built once per triple alongside
     :func:`cg_tensor`; `SNAP.__init__` primes this cache eagerly so
-    shard/process workers never race a first build.
+    process workers never race a first build.
     """
     with _CACHE_LOCK:
         return _cg_sparse_build(j1, j2, j)

@@ -11,15 +11,17 @@ mirroring the optimized LAMMPS/Kokkos pipeline in NumPy:
    refactorization" that made the 2J=14 problem fit on a V100 and is the
    paper's key algorithmic enabler.  The bispectrum components ``B``
    (for the energy) fall out of the same pass.
-3. ``compute_dui/deidrj`` - per-pair gradients contracted against ``Y``
-   (paper Eq. 8), evaluated in fixed-size pair chunks so that the
-   intermediate ``dU`` tensor never exceeds a memory budget.  Whether
-   the per-pair ``U`` layers are re-computed per chunk or cached from
-   stage 1 is the ``SNAPParams.store_u`` knob - the same
+3. ``compute_dui/deidrj`` - per-pair gradients of ``Y : conj(U)``
+   (paper Eq. 8) by one reverse-mode sweep of the ``U`` recursion per
+   pair chunk: the adjoint of each layer is carried downwards, so
+   neither ``dU`` nor any per-direction tensor is ever materialized.
+   Whether the per-pair ``U`` layers are re-computed per chunk or
+   cached from stage 1 is the ``SNAPParams.store_u`` knob - the same
    recompute-vs-store trade the paper uses to raise arithmetic
    intensity on GPUs (kernel fusion).  All hot-path array work runs in
-   *layer-major* layout (pair axis innermost) and both force scatters
-   are ``np.add.reduceat`` segment reductions.
+   *layer-major* half-plane layout (pair axis innermost, columns
+   ``mb <= j/2``) and both force scatters are ``np.add.reduceat``
+   segment reductions.
 
 The per-kernel wall times of the latest evaluation are kept in
 :attr:`SNAP.last_timings` so benchmarks can report a stage breakdown.
@@ -36,9 +38,8 @@ import numpy as np
 from .cg import cg_sparse, cg_tensor
 from .indexing import SNAPIndex
 from .switching import sfac_dsfac
-from .wigner import (cayley_klein, compute_du_layers_half_lm,
-                     compute_u_layers_lm,
-                     flatten_layers_lm)
+from .wigner import (adjoint_sweep_half_lm, cayley_klein,
+                     compute_u_layers_half_lm, half_ncols)
 
 __all__ = ["SNAPParams", "NeighborBatch", "EnergyForces", "SNAP"]
 
@@ -60,10 +61,8 @@ class SNAPParams:
 
     ``chunk`` is the pair-block size of both passes: large enough to
     amortize per-chunk dispatch overhead, small enough that the
-    force-pass gradient scratch (O(nu * chunk * 3) complex) stays
-    cache-friendly.  4096 is the measured sweet spot at 2J=8; the
-    pre-fusion kernel shipped with 8192, which at 2J=8 pushes the
-    gradient scratch past typical last-level caches.
+    per-chunk scratch (O(nu_half * chunk) complex) stays
+    cache-friendly.  4096 is the measured sweet spot at 2J=8.
 
     ``y_mode`` selects the z-triple contraction of the adjoint pass:
     ``"dense"`` runs the three-GEMM path, ``"sparse"`` contracts only
@@ -243,20 +242,16 @@ class SNAP:
         self.quadratic = quadratic
         self._diag = self.index.diagonal_indices()
         # _build_triples touches cg_tensor/cg_sparse for every triple,
-        # priming both lru caches eagerly so shard/process workers only
-        # ever see cache hits (no lazy first-touch from a pool thread).
+        # priming both lru caches eagerly so forked process workers only
+        # ever see cache hits.
         self._triple_cache = self._build_triples()
         self._half_slices, self._nu_half, self._expand_phase = \
             self._build_half_layout()
-        # Columns of each U layer the force pass actually consumes (the
-        # half plane, plus for odd j < twojmax the one extra column the
-        # dU recursion of layer j+1 reads); this is the store_u cache
-        # layout and the basis of its byte estimate.
-        self._store_ncols = [
-            j // 2 + 1 + (1 if j % 2 and j < params.twojmax else 0)
-            for j in range(params.twojmax + 1)]
-        self._nu_store = sum((j + 1) * nc
-                             for j, nc in enumerate(self._store_ncols))
+        # Complex values per pair of the half-plane U layers (half plane
+        # plus the odd-layer spill columns): the store_u cache layout
+        # and the basis of its byte estimate.
+        self._nu_store = sum((j + 1) * nc for j, nc
+                             in enumerate(half_ncols(params.twojmax)))
         self.last_timings: dict[str, float] = {}
         self.last_store_u: bool = False
         #: TunedConfig once "auto" params have been pinned (None before).
@@ -358,8 +353,8 @@ class SNAP:
     def store_u_bytes_per_pair(self) -> int:
         """Cache footprint per pair of the ``store_u`` path, in bytes.
 
-        Computed from the layout actually cached: the ``_store_ncols``
-        column subset of every U layer (``_nu_store`` complex values -
+        Computed from the layout actually cached: the half-plane
+        columns of every U layer (``_nu_store`` complex values -
         the half plane plus the odd-layer spill column, *not* the full
         ``nu`` plane), Cayley-Klein a/b/da/db (8 complex) and
         sfac/dsfac (2 float).
@@ -376,16 +371,31 @@ class SNAP:
         return (npairs * self.store_u_bytes_per_pair
                 <= self.params.store_u_budget_mb * 2**20)
 
-    def _slice_u_store(self, u_lm: list[np.ndarray]) -> list[np.ndarray]:
-        """Restrict full U layers to the columns the force pass reads.
+    def _chunk_slices(self, npairs: int, chunk_origin: int = 0):
+        """Pair-chunk slices of both passes.
 
-        Both the cached (``store_u``) and the recomputed force paths go
-        through this, so the contraction inputs have identical memory
-        layout either way and stored-vs-recomputed forces stay bitwise
-        identical.
+        ``chunk_origin`` shifts the grid so that *global* pair index
+        ``chunk_origin + lo`` lands on multiples of ``params.chunk``: an
+        evaluator working on a contiguous row slice of a larger pair
+        list passes its global pair offset and gets the per-chunk
+        segment grouping of the full-list evaluation.
         """
-        return [np.ascontiguousarray(layer[:, :nc])
-                for layer, nc in zip(u_lm, self._store_ncols)]
+        chunk = self.params.chunk
+        lo = 0
+        while lo < npairs:
+            hi = min(lo + chunk - (chunk_origin + lo) % chunk, npairs)
+            yield slice(lo, hi)
+            lo = hi
+
+    def _pair_terms(self, nbr: NeighborBatch, sl: slice) -> tuple:
+        """Per-pair ``(ck, u_layers, sfac, dsfac)`` of one chunk: the
+        ``store_u`` cache entry, or its per-chunk recomputation."""
+        p = self.params
+        rcut, wj, r_eff = self._pair_params(nbr, sl)
+        ck = cayley_klein(nbr.rij[sl], r_eff, rcut, p.rfac0, p.rmin0)
+        sfac, dsfac = sfac_dsfac(nbr.r[sl], rcut, p.rmin0, wj=wj,
+                                 switch=p.switch)
+        return ck, compute_u_layers_half_lm(ck, p.twojmax), sfac, dsfac
 
     def compute_utot(self, natoms: int, nbr: NeighborBatch,
                      cache: list | None = None,
@@ -393,50 +403,42 @@ class SNAP:
         """Stage 1 (compute_ui): accumulate ``U_tot`` per atom.
 
         Returns a complex array of shape ``(natoms, nu)``; the self
-        contribution ``wself`` sits on every layer diagonal.
+        contribution ``wself`` sits on every layer diagonal.  Only the
+        half plane ``mb <= j/2`` is built and accumulated per pair; the
+        right half follows per atom from the conjugation symmetry.
 
         When ``cache`` is a list, the per-chunk Cayley-Klein parameters,
-        layer-major ``U`` layers and switching factors are appended to it
-        so :meth:`compute_forces_from_y` can reuse them instead of
-        recomputing (the ``store_u`` trade).
+        half-plane ``U`` layers and switching factors are appended to it
+        so :meth:`_compute_dedr` can reuse them instead of recomputing
+        (the ``store_u`` trade).
 
-        ``chunk_origin`` shifts the chunk grid so that *global* pair
-        index ``chunk_origin + lo`` lands on multiples of
-        ``params.chunk``: an evaluator working on a contiguous row slice
-        of a larger pair list passes its global pair offset and gets the
-        exact per-chunk segment grouping of the full-list evaluation.
-        The per-atom accumulation order (and hence ``U_tot``) is then
-        bitwise identical to the serial pass over the full list - the
-        property the multiprocess row-slice backend relies on.  With a
-        ``cache``, ``chunk_origin`` must be 0 (cache entries are indexed
-        on the unshifted grid).
+        With ``chunk_origin`` set to a row slice's global pair offset
+        (see :meth:`_chunk_slices`), the per-atom accumulation order -
+        and hence ``U_tot`` - is bitwise identical to the serial pass
+        over the full list: the property the multiprocess row-slice
+        backend relies on.
         """
-        p = self.params
-        if cache is not None and chunk_origin:
-            raise ValueError("chunk_origin requires cache=None")
-        utot = np.zeros((natoms, self.index.nu), dtype=np.complex128)
-        utot[:, self._diag] = p.wself
-        lo = 0
-        while lo < nbr.npairs:
-            sl = slice(lo, min(lo + p.chunk - (chunk_origin + lo) % p.chunk,
-                               nbr.npairs))
-            rcut, wj, r_eff = self._pair_params(nbr, sl)
-            ck = cayley_klein(nbr.rij[sl], r_eff, rcut, p.rfac0, p.rmin0)
-            u_lm = compute_u_layers_lm(ck, p.twojmax)
-            sfac, dsfac = sfac_dsfac(nbr.r[sl], rcut, p.rmin0, wj=wj,
-                                     switch=p.switch)
-            w = flatten_layers_lm(u_lm)  # (nu, npc), fresh copy
-            w *= sfac[None, :]
+        utot_half = np.zeros((natoms, self._nu_half), dtype=np.complex128)
+        for sl in self._chunk_slices(nbr.npairs, chunk_origin):
+            terms = self._pair_terms(nbr, sl)
+            _, u_lm, sfac, _ = terms
+            w = np.empty((self._nu_half, sfac.shape[0]), dtype=np.complex128)
+            for j, hsl in enumerate(self._half_slices):
+                ncol = j // 2 + 1
+                np.multiply(u_lm[j][:, :ncol], sfac,
+                            out=w[hsl].reshape(j + 1, ncol, -1))
             idx = nbr.i_idx[sl]
-            if idx.size and np.all(np.diff(idx) >= 0):
-                starts = np.flatnonzero(np.r_[True, np.diff(idx) > 0])
+            step = np.diff(idx)
+            if np.all(step >= 0):
+                starts = np.flatnonzero(np.r_[True, step > 0])
                 sums = np.add.reduceat(w, starts, axis=1)
-                utot[idx[starts]] += sums.T
-            elif idx.size:
-                np.add.at(utot, idx, w.T)
+                utot_half[idx[starts]] += sums.T
+            else:
+                np.add.at(utot_half, idx, w.T)
             if cache is not None:
-                cache.append((ck, self._slice_u_store(u_lm), sfac, dsfac))
-            lo = sl.stop
+                cache.append(terms)
+        utot = self._expand_y_half(utot_half)
+        utot[:, self._diag] += self.params.wself
         return utot
 
     def _pair_params(self, nbr: NeighborBatch, sl: slice):
@@ -581,8 +583,8 @@ class SNAP:
         """Pin any ``"auto"`` kernel-policy fields to concrete values.
 
         Resolution is sticky and happens at most once per evaluator
-        (first caller wins, under a lock): shard and process workers
-        share this object (or pickled copies of it), so the bound
+        (first caller wins, under a lock): process workers hold forked
+        or pickled copies of this object, so the bound
         ``chunk`` grid and ``y_mode`` must be identical everywhere for
         the bitwise-reproducibility contracts to hold.  ``db`` is an
         optional :class:`repro.tuning.TuningDB` consulted for a
@@ -750,63 +752,44 @@ class SNAP:
         return out
 
     def _compute_dedr(self, nbr: NeighborBatch, y: np.ndarray,
-                      cache: list | None = None, start: int = 0,
-                      stop: int | None = None,
-                      scratch: dict | None = None) -> np.ndarray:
+                      cache: list | None = None) -> np.ndarray:
         """Stage 3 (compute_duidrj / compute_deidrj): per-pair gradients.
 
-        Returns ``dedr`` of shape ``(stop - start, 3)``: the contribution
-        of pair ``k`` to the force on its central atom,
+        Returns ``dedr`` of shape ``(npairs, 3)``: the contribution of
+        pair ``k`` to the force on its central atom,
         ``dE_i/dr_k = Re( Y : conj(dU_tot) )`` with
-        ``dU_tot = sfac * dU + (dsfac * uhat) * U``.
+        ``dU_tot = sfac * dU + (dsfac * uhat) * U``.  ``Y : conj(dU)``
+        comes from one adjoint sweep of the ``U`` recursion against the
+        pre-folded ``Y`` (see :meth:`_fold_y`) as two complex scalars
+        per pair, contracted with the Cayley-Klein gradients at the end.
 
-        Every operation is per-pair, so the result is independent of
-        chunking and of how the range ``[start, stop)`` is sharded - the
-        property the multi-core shard evaluator relies on for bitwise
-        reproducibility.  ``cache`` entries (from :meth:`compute_utot`)
-        are indexed on the global chunk grid, so ``start`` must be a
-        multiple of ``params.chunk`` when a cache is supplied.
+        Every operation is per-pair, so the result is independent of the
+        chunk grid - the property the multiprocess row-slice backend
+        relies on for bitwise reproducibility.  ``cache`` entries (from
+        :meth:`compute_utot`, on whatever grid it ran) are consumed in
+        order; without a cache the terms are recomputed chunk by chunk.
         """
-        p = self.params
-        stop = nbr.npairs if stop is None else stop
-        if cache is not None and start % p.chunk:
-            raise ValueError("start must be chunk-aligned when using a cache")
-        dedr_all = np.empty((stop - start, 3))
-        if scratch is None:
-            scratch = {}
-        yfold = self._fold_y(y)
-        for lo in range(start, stop, p.chunk):
-            sl = slice(lo, min(lo + p.chunk, stop))
-            rij, r = nbr.rij[sl], nbr.r[sl]
-            if cache is not None:
-                ck, u_lm, sfac, dsfac = cache[lo // p.chunk]
-            else:
-                rcut, wj, r_eff = self._pair_params(nbr, sl)
-                ck = cayley_klein(rij, r_eff, rcut, p.rfac0, p.rmin0)
-                u_lm = self._slice_u_store(compute_u_layers_lm(ck, p.twojmax))
-                sfac, dsfac = sfac_dsfac(r, rcut, p.rmin0, wj=wj,
-                                         switch=p.switch)
-            du_lm = compute_du_layers_half_lm(ck, p.twojmax, u_lm,
-                                              scratch=scratch)
-            npc = r.shape[0]
-            uhat = rij / r[:, None]
-            # Contract the pre-folded Y (see _fold_y) against U and dU
-            # over the left half-plane only (columns mb <= j/2), in
-            # layer-major layout: one einsum pair per layer over a long
-            # contiguous pair axis.  Under Re(.) each folded term
-            # contributes exactly its conjugate mirror's value, so the
-            # half-plane sum equals the full-plane one.
-            ylm = yfold[nbr.i_idx[sl]].T  # (nu_half, npc)
-            radial = np.zeros(npc, dtype=np.complex128)  # Y : conj(U)
-            dedr = np.zeros((npc, 3), dtype=np.complex128)
-            for j in range(p.twojmax + 1):
-                ncol = j // 2 + 1
-                yf = ylm[self._half_slices[j]].reshape(j + 1, ncol, npc)
-                radial += np.einsum("abp,abp->p", yf, u_lm[j][:, :ncol])
-                dedr += np.einsum("abp,abpc->pc", yf, du_lm[j])
-            dedr_all[lo - start:sl.stop - start] = \
-                dedr.real * sfac[:, None] + (dsfac * radial.real)[:, None] * uhat
-        return dedr_all
+        if cache is None:
+            cache = (self._pair_terms(nbr, sl)
+                     for sl in self._chunk_slices(nbr.npairs))
+        dedr = np.empty((nbr.npairs, 3))
+        yfold = np.ascontiguousarray(self._fold_y(y).T)  # (nu_half, natoms)
+        lo = 0
+        for ck, u_lm, sfac, dsfac in cache:
+            sl = slice(lo, lo + sfac.shape[0])
+            lo = sl.stop
+            ylm = np.take(yfold, nbr.i_idx[sl], axis=1)  # (nu_half, npc)
+            yf = [ylm[hsl].reshape(j + 1, j // 2 + 1, -1)
+                  for j, hsl in enumerate(self._half_slices)]
+            radial, pa, pb = adjoint_sweep_half_lm(ck, u_lm, yf)
+            grad = (pa.real[:, None] * ck.da.real
+                    + pa.imag[:, None] * ck.da.imag
+                    + pb.real[:, None] * ck.db.real
+                    + pb.imag[:, None] * ck.db.imag)
+            uhat = nbr.rij[sl] / nbr.r[sl][:, None]
+            dedr[sl] = (grad * sfac[:, None]
+                        + (dsfac * radial.real)[:, None] * uhat)
+        return dedr
 
     def _accumulate_forces(self, natoms: int, nbr: NeighborBatch,
                            dedr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

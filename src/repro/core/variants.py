@@ -27,9 +27,10 @@ benchmark reports grind time relative to the baseline:
     by recomputing ``U`` per chunk (the kernel-fusion/recompute trade).
 ``fused``
     The production hot path (``SNAP.compute`` with ``store_u="never"``):
-    layer-major Wigner recursions, whole-vector BLAS-style force
-    contraction and segment-reduced (``np.add.reduceat``) accumulation
-    on both scatter sides, still recomputing ``U`` in the force pass.
+    layer-major half-plane Wigner recursion, one adjoint sweep of that
+    recursion per pair chunk in place of a stored ``dU``, and
+    segment-reduced (``np.add.reduceat``) accumulation on both scatter
+    sides, still recomputing ``U`` in the force pass.
 ``sparse_y``
     The fused hot path with ``y_mode="sparse"``: the z-triple stage
     contracts only the nonzero Clebsch-Gordan products through the
@@ -162,10 +163,12 @@ def _legacy_forces_from_y(snap: SNAP, natoms: int, nbr: NeighborBatch,
                           y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pre-fusion force pass, preserved as a ladder rung.
 
-    Pair-major Wigner recursion recomputed per chunk, per-layer einsum
+    Pair-major forward-mode Wigner gradient recursion (``dU`` stored for
+    all three directions) recomputed per chunk, per-layer einsum
     contractions on strided real/imaginary views, and ``np.add.at``
     scatter adds for both force sides - the hot path this repo shipped
-    before the fused/stored-U/segment-reduced pipeline replaced it.
+    before the fused pipeline replaced it, and the forward-mode
+    reference the adjoint sweep is tested against.
     """
     from .switching import sfac_dsfac
     from .wigner import cayley_klein, compute_du_layers

@@ -18,14 +18,13 @@ vectorized over an arbitrary batch of neighbor vectors; a layer ``j``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 __all__ = ["CayleyKlein", "cayley_klein", "compute_u_layers", "compute_du_layers",
-           "flatten_layers", "flatten_dlayers", "compute_u_layers_lm",
-           "compute_du_layers_lm", "compute_du_layers_half_lm",
-           "flatten_layers_lm"]
+           "flatten_layers", "flatten_dlayers", "half_ncols",
+           "compute_u_layers_half_lm", "adjoint_sweep_half_lm"]
 
 
 @dataclass
@@ -135,153 +134,121 @@ def compute_du_layers(ck: CayleyKlein, twojmax: int,
     return u_layers, dlayers
 
 
-def compute_u_layers_lm(ck: CayleyKlein, twojmax: int) -> list[np.ndarray]:
-    """Layer-major Wigner layers: element ``j`` has shape ``(j+1, j+1, n)``.
+def _recursion_coeffs(j: int, ncol: int) -> tuple[np.ndarray, np.ndarray]:
+    """VMK coefficients ``(c1, c2)`` of layer ``j``, shape ``(j, ncol, 1)``."""
+    ma = np.arange(j)[:, None]
+    mb = np.arange(ncol)[None, :]
+    return (np.sqrt((j - ma) / (j - mb))[:, :, None],
+            np.sqrt((ma + 1) / (j - mb))[:, :, None])
+
+
+def half_ncols(twojmax: int) -> list[int]:
+    """Columns per layer of the half-plane layout: ``mb <= j//2``, plus
+    for odd ``j < twojmax`` the spill column ``(j+1)/2`` that the even
+    layer above reads."""
+    return [j // 2 + 1 + (1 if j % 2 and j < twojmax else 0)
+            for j in range(twojmax + 1)]
+
+
+def compute_u_layers_half_lm(ck: CayleyKlein, twojmax: int) -> list[np.ndarray]:
+    """Layer-major left-half Wigner layers: element ``j`` has shape
+    ``(j+1, half_ncols(twojmax)[j], n)``.
 
     Same recursion as :func:`compute_u_layers` with the pair axis
-    innermost, so every elementwise operation runs over a long contiguous
-    axis instead of the tiny ``(j+1, j+1)`` trailing block.  This is the
-    hot-path layout: on large chunks it is ~2x faster than the pair-major
-    recursion and it is the layout the fused force contraction consumes.
+    innermost (every elementwise operation runs over a long contiguous
+    axis), restricted to the columns ``mb <= j//2``: the layers obey
+    ``U_j[j-ma, j-mb] = (-1)^(ma+mb) conj(U_j[ma, mb])``, so the right
+    half is redundant.  Column ``mb`` of layer ``j`` depends only on
+    column ``mb`` of layer ``j-1``, so the recursion stays closed on the
+    left half, except that an even layer needs column ``j/2`` of the odd
+    layer below - that *spill column* is reconstructed from the odd
+    layer's column ``j/2 - 1`` by the same symmetry and stored with it.
     """
     n = ck.a.shape[0]
-    ac = np.conj(ck.a)[None, None, :]
-    bc = np.conj(ck.b)[None, None, :]
+    ac = np.conj(ck.a)
+    bc = np.conj(ck.b)
+    ncols = half_ncols(twojmax)
     layers = [np.ones((1, 1, n), dtype=np.complex128)]
+    # one product scratch for all layers; the real coefficients multiply
+    # through float views (half the work of a complex-by-complex product)
+    buf = np.empty((twojmax, twojmax // 2 + 1, n), dtype=np.complex128)
     for j in range(1, twojmax + 1):
         prev = layers[j - 1]
-        uj = np.empty((j + 1, j + 1, n), dtype=np.complex128)
-        ma = np.arange(j)
-        mb = np.arange(j)
-        c1 = np.sqrt((j - ma)[:, None] / (j - mb)[None, :])[:, :, None]
-        c2 = np.sqrt((ma + 1)[:, None] / (j - mb)[None, :])[:, :, None]
-        uj[:j, :j] = c1 * (ac * prev)
-        uj[j, :j] = 0.0
-        uj[1:, :j] -= c2 * (bc * prev)
-        rows = np.arange(j + 1)
-        sign = (-1.0) ** (j - rows)
-        uj[rows, j] = sign[:, None] * np.conj(uj[j - rows, 0])
+        ncol = j // 2 + 1
+        c1, c2 = _recursion_coeffs(j, ncol)
+        uj = np.empty((j + 1, ncols[j], n), dtype=np.complex128)
+        t = buf[:j, :ncol]
+        tf = t.view(np.float64)
+        np.multiply(prev, ac, out=t)
+        np.multiply(tf, c1, out=uj.view(np.float64)[:j, :ncol])
+        uj[j, :ncol] = 0.0
+        np.multiply(prev, bc, out=t)
+        tf *= c2
+        uj[1:, :ncol] -= t
+        if ncols[j] > ncol:
+            sign = (-1.0) ** (j - np.arange(j + 1) + ncol - 1)
+            uj[:, ncol] = sign[:, None] * np.conj(uj[::-1, ncol - 1])
         layers.append(uj)
     return layers
 
 
-def compute_du_layers_lm(ck: CayleyKlein, twojmax: int,
-                         u_layers_lm: list[np.ndarray],
-                         scratch: dict | None = None) -> list[np.ndarray]:
-    """Layer-major Wigner gradients: element ``j`` is ``(j+1, j+1, n, 3)``.
+def adjoint_sweep_half_lm(ck: CayleyKlein, u_layers: list[np.ndarray],
+                          yf_layers: list[np.ndarray]
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reverse-mode sweep of the half-plane recursion against ``yf_layers``.
 
-    ``u_layers_lm`` must come from :func:`compute_u_layers_lm` for the
-    same batch (the recursion consumes the previous ``U`` layer).
+    ``u_layers`` come from :func:`compute_u_layers_half_lm`; element
+    ``j`` of ``yf_layers`` is the ``(j+1, j//2+1, n)`` weight of layer
+    ``j``.  With ``S = sum_j sum(yf_j * U_j)`` over the half plane,
+    returns per-pair complex ``(s, p, q)`` such that ``s = S`` and
 
-    ``scratch`` optionally carries reusable output buffers between calls
-    (keyed by ``(twojmax, n)``): every element of every layer is written
-    on each call, so reuse only saves the allocation + zero-fill of the
-    large gradient arrays - worth ~2x on big chunks.  Callers that share
-    a scratch dict must not run concurrently.
+        d Re(S) = Re(p * d conj(a) + q * d conj(b)).
+
+    Every layer is linear in ``(conj(a), conj(b))`` and in the layer
+    below (``u_j[:j] = c1 conj(a) x``, ``u_j[1:] -= c2 conj(b) x``,
+    ``x = u_{j-1}``), so the adjoint ``G_j`` of layer ``j`` is carried
+    downwards instead of three Cartesian tangents upwards:
+    ``p += sum c1 G_j[:j] x``, ``q -= sum c2 G_j[1:] x`` and
+    ``G_{j-1} = yf_{j-1} + c1 conj(a) G_j[:j] - c2 conj(b) G_j[1:]``.
+    The spill column of ``x`` is an anti-linear function of column
+    ``j/2 - 1``, so its adjoint is conjugated back into that column.
     """
+    twojmax = len(u_layers) - 1
     n = ck.a.shape[0]
-    ac = np.conj(ck.a)[None, None, :, None]
-    bc = np.conj(ck.b)[None, None, :, None]
-    dac = np.conj(ck.da)[None, None, :, :]
-    dbc = np.conj(ck.db)[None, None, :, :]
-    key = (twojmax, n)
-    dlayers = scratch.get(key) if scratch is not None else None
-    if dlayers is None:
-        dlayers = [np.empty((j + 1, j + 1, n, 3), dtype=np.complex128)
-                   for j in range(twojmax + 1)]
-        if scratch is not None:
-            scratch[key] = dlayers
-    dlayers[0][...] = 0.0
-    for j in range(1, twojmax + 1):
-        uprev = u_layers_lm[j - 1][:, :, :, None]
-        dprev = dlayers[j - 1]
-        duj = dlayers[j]
-        ma = np.arange(j)
-        mb = np.arange(j)
-        c1 = np.sqrt((j - ma)[:, None] / (j - mb)[None, :])[:, :, None, None]
-        c2 = np.sqrt((ma + 1)[:, None] / (j - mb)[None, :])[:, :, None, None]
-        t = dac * uprev
-        t += ac * dprev
-        duj[:j, :j] = c1 * t
-        duj[j, :j] = 0.0
-        t = dbc * uprev
-        t += bc * dprev
-        duj[1:, :j] -= c2 * t
-        rows = np.arange(j + 1)
-        sign = (-1.0) ** (j - rows)
-        duj[rows, j] = sign[:, None, None] * np.conj(duj[j - rows, 0])
-    return dlayers
-
-
-def compute_du_layers_half_lm(ck: CayleyKlein, twojmax: int,
-                              u_layers_lm: list[np.ndarray],
-                              scratch: dict | None = None) -> list[np.ndarray]:
-    """Left-half Wigner gradient columns: element ``j`` is
-    ``(j+1, j//2+1, n, 3)``.
-
-    The layers obey the conjugation symmetry
-    ``dU_j[j-ma, j-mb] = (-1)^(ma+mb) conj(dU_j[ma, mb])``, so only
-    columns ``mb <= j//2`` are materialized - the contraction consumer
-    folds the conjugate half into ``Y`` instead (half the recursion
-    traffic and half the contraction terms of the full-plane layers).
-
-    Column ``mb`` of layer ``j`` depends only on column ``mb`` of layer
-    ``j-1``, so the recursion stays closed on the left half, except that
-    an even layer needs column ``j/2`` of the odd layer below, which is
-    reconstructed from that layer's column ``j/2 - 1`` by the same
-    symmetry.  ``scratch`` semantics match :func:`compute_du_layers_lm`.
-    """
-    n = ck.a.shape[0]
-    ac = np.conj(ck.a)[None, None, :, None]
-    bc = np.conj(ck.b)[None, None, :, None]
-    dac = np.conj(ck.da)[None, None, :, :]
-    dbc = np.conj(ck.db)[None, None, :, :]
-    key = ("half", twojmax, n)
-    dlayers = scratch.get(key) if scratch is not None else None
-    if dlayers is None:
-        dlayers = [np.empty((j + 1, j // 2 + 1, n, 3), dtype=np.complex128)
-                   for j in range(twojmax + 1)]
-        if scratch is not None:
-            scratch[key] = dlayers
-    dlayers[0][...] = 0.0
-    for j in range(1, twojmax + 1):
+    if n == 1:
+        # einsum folds a length-1 pair axis away and reduces in another
+        # order; run the pair twice so per-pair results never depend on
+        # the batch they sit in (the bitwise serial == row-slice contract)
+        def twice(v):
+            return np.repeat(v, 2, axis=-1)
+        return tuple(v[:1] for v in adjoint_sweep_half_lm(
+            replace(ck, a=twice(ck.a), b=twice(ck.b)),
+            [twice(u) for u in u_layers], [twice(w) for w in yf_layers]))
+    ac = np.conj(ck.a)
+    bc = np.conj(ck.b)
+    s = np.zeros(n, dtype=np.complex128)
+    p = np.zeros(n, dtype=np.complex128)
+    q = np.zeros(n, dtype=np.complex128)
+    g = yf_layers[twojmax]
+    for j in range(twojmax, 0, -1):
         ncol = j // 2 + 1
-        dprev = dlayers[j - 1]
-        k = min(dprev.shape[1], ncol)  # prev columns available directly
-        uprev = u_layers_lm[j - 1][:, :k, :, None]
-        duj = dlayers[j]
-        ma = np.arange(j)
-        mb = np.arange(ncol)
-        c1 = np.sqrt((j - ma)[:, None] / (j - mb)[None, :])[:, :, None, None]
-        c2 = np.sqrt((ma + 1)[:, None] / (j - mb)[None, :])[:, :, None, None]
-        t = dac * uprev
-        t += ac * dprev[:, :k]
-        duj[:j, :k] = c1[:, :k] * t
-        duj[j, :k] = 0.0
-        t = dbc * uprev
-        t += bc * dprev[:, :k]
-        duj[1:, :k] -= c2[:, :k] * t
-        if k < ncol:
-            # even j: column j/2 of the odd layer below, via the symmetry
-            jp = j - 1
-            rows = np.arange(jp + 1)
-            sign = ((-1.0) ** (jp - rows + k - 1))[:, None, None]
-            extra = sign * np.conj(dprev[::-1, k - 1])       # (j, n, 3)
-            uq = u_layers_lm[jp][:, k, :, None]
-            t = dac[0] * uq
-            t += ac[0] * extra
-            duj[:j, k] = c1[:, k] * t
-            duj[j, k] = 0.0
-            t = dbc[0] * uq
-            t += bc[0] * extra
-            duj[1:, k] -= c2[:, k] * t
-    return dlayers
-
-
-def flatten_layers_lm(layers: list[np.ndarray]) -> np.ndarray:
-    """Concatenate layer-major layers into a ``(nu, n)`` array."""
-    n = layers[0].shape[-1]
-    return np.concatenate([l.reshape(-1, n) for l in layers], axis=0)
+        s += np.einsum("abp,abp->p", yf_layers[j], u_layers[j][:, :ncol])
+        x = u_layers[j - 1]
+        c1, c2 = _recursion_coeffs(j, ncol)
+        g1 = c1 * g[:j]
+        g2 = c2 * g[1:]
+        p += np.einsum("abp,abp->p", g1, x)
+        q -= np.einsum("abp,abp->p", g2, x)
+        g1 *= ac
+        g2 *= bc
+        g1 -= g2
+        kept = (j - 1) // 2 + 1
+        g = yf_layers[j - 1] + g1[:, :kept]
+        if kept < ncol:
+            sign = (-1.0) ** (j - 1 - np.arange(j) + kept - 1)
+            g[::-1, kept - 1] += sign[:, None] * np.conj(g1[:, kept])
+    s += yf_layers[0][0, 0]  # u_0 = 1
+    return s, p, q
 
 
 def flatten_layers(layers: list[np.ndarray]) -> np.ndarray:

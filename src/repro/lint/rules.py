@@ -329,8 +329,7 @@ _COMBINE_FNS = {"einsum", "matmul", "dot", "tensordot", "add", "multiply",
                 "subtract", "outer"}
 #: repo-specific functions known to return complex arrays (the Wigner
 #: pipeline); keeps the checker useful across module boundaries.
-_COMPLEX_PRODUCERS = {"cayley_klein", "compute_u_layers_lm",
-                      "flatten_layers_lm"}
+_COMPLEX_PRODUCERS = {"cayley_klein", "compute_u_layers_half_lm"}
 
 
 def _dtype_class(node: ast.expr | None) -> str | None:

@@ -379,7 +379,9 @@ class _WorkerState:
         pair list; feeding it to ``compute_utot`` as the chunk origin
         aligns the local chunk grid with the serial one, making the
         density accumulation (and everything downstream of it) bitwise
-        identical to the serial evaluation of the full list.
+        identical to the serial evaluation of the full list.  Workers
+        recompute the per-pair ``U`` layers in the force pass: caching
+        them (``store_u``) costs +5 % peak RSS and buys no throughput.
         """
         pot = self.potential
         pnbr = pot._with_pair_params(nbr)  # per-type params use global ids

@@ -59,6 +59,24 @@ def fd_forces(energy_fn, positions, h=1e-6):
     return f
 
 
+def fd_forces_fixed_topology(snap, pos, nbr, h=1e-6):
+    """Central-difference forces at fixed pair topology and overrides.
+
+    The analytic forces of ``snap.compute`` differentiate the energy at
+    the *given* pair list, so the finite difference must keep the same
+    pairs (with their per-pair weight/rcut) and only refresh geometry.
+    """
+    def energy(p):
+        rij = p[nbr.j_idx] - p[nbr.i_idx]
+        batch = NeighborBatch(i_idx=nbr.i_idx, rij=rij,
+                              r=np.linalg.norm(rij, axis=1), j_idx=nbr.j_idx,
+                              pair_weight=nbr.pair_weight,
+                              pair_rcut=nbr.pair_rcut)
+        return snap.compute(pos.shape[0], batch).energy
+
+    return fd_forces(energy, pos, h)
+
+
 @pytest.fixture
 def snap4(rng):
     """Small SNAP (2J=4) with random coefficients."""

@@ -1,0 +1,143 @@
+"""The adjoint pair-gradient sweep and the half-plane density pass.
+
+The force pass carries the adjoint of the Wigner recursion downwards
+(two complex scalars per pair) instead of three Cartesian tangents
+upwards; the density pass builds only the columns ``mb <= j/2``.  Both
+are checked against the pair-major forward-mode code kept in
+``repro.core.variants`` / ``repro.core.wigner`` for that purpose.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conftest import (fd_forces_fixed_topology, free_cluster_pairs,
+                      random_cluster)
+from repro.core import SNAP, NeighborBatch, SNAPParams
+from repro.core.indexing import SNAPIndex
+from repro.core.switching import sfac_dsfac
+from repro.core.variants import _legacy_forces_from_y
+from repro.core.wigner import cayley_klein, compute_u_layers, flatten_layers
+
+RCUT = 3.0
+
+
+def _problem(twojmax, overrides, **params):
+    rng = np.random.default_rng(100 + twojmax)
+    pos = random_cluster(rng, natoms=5, span=3.5)
+    nbr = free_cluster_pairs(pos, RCUT)
+    if overrides:
+        nbr = NeighborBatch(
+            i_idx=nbr.i_idx, rij=nbr.rij, r=nbr.r, j_idx=nbr.j_idx,
+            pair_weight=rng.uniform(0.5, 1.5, nbr.npairs),
+            pair_rcut=rng.uniform(2.0, 2.9, nbr.npairs))
+    beta = rng.normal(size=SNAPIndex(twojmax).ncoeff)
+
+    def snap(store_u):
+        return SNAP(SNAPParams(twojmax=twojmax, rcut=RCUT, chunk=8,
+                               store_u=store_u, **params), beta=beta)
+    return pos, nbr, snap
+
+
+@pytest.mark.parametrize("overrides", [False, True],
+                         ids=["single", "overrides"])
+@pytest.mark.parametrize("rmin0", [0.0, 0.3])
+@pytest.mark.parametrize("switch", [True, False])
+@pytest.mark.parametrize("twojmax", [0, 1, 2, 3, 4, 5, 8])
+def test_sweep_matches_forward_mode_and_fd(twojmax, switch, rmin0, overrides):
+    # odd and even top layers exercise both spill-column cases
+    pos, nbr, make = _problem(twojmax, overrides, switch=switch, rmin0=rmin0)
+    natoms = pos.shape[0]
+    out = {}
+    for store_u in ("always", "never"):
+        snap = make(store_u)
+        cache = [] if store_u == "always" else None
+        utot = snap.compute_utot(natoms, nbr, cache=cache)
+        _, y = snap._peratom_and_y(utot)
+        out[store_u] = snap._compute_dedr(nbr, y, cache=cache)
+    assert np.array_equal(out["always"], out["never"])
+    forces, virial = snap._accumulate_forces(natoms, nbr, out["never"])
+    ref_f, ref_v = _legacy_forces_from_y(snap, natoms, nbr, y)
+    scale = max(np.abs(ref_f).max(), 1e-300)
+    assert np.abs(forces - ref_f).max() <= 1e-12 * scale
+    assert np.abs(virial - ref_v).max() <= 1e-12 * max(np.abs(ref_v).max(),
+                                                       1e-300)
+    fd = fd_forces_fixed_topology(snap, pos, nbr)
+    assert np.allclose(forces, fd, atol=5e-6 * max(1.0, scale))
+
+
+@pytest.mark.parametrize("store_u", ["always", "never"])
+def test_no_pairs_and_pair_at_cutoff_give_zeros(store_u):
+    snap = SNAP(SNAPParams(twojmax=4, rcut=RCUT, store_u=store_u),
+                beta=np.random.default_rng(3).normal(
+                    size=SNAPIndex(4).ncoeff))
+    z = np.zeros(0, dtype=np.intp)
+    empty = NeighborBatch(i_idx=z, rij=np.zeros((0, 3)), r=np.zeros(0),
+                          j_idx=z)
+    utot = snap.compute_utot(2, empty)
+    _, y = snap._peratom_and_y(utot)
+    assert snap._compute_dedr(empty, y).shape == (0, 3)
+    rij = np.array([[1.2, 0.3, 0.8], [0.0, 0.0, 2.5]])
+    r = np.linalg.norm(rij, axis=1)
+    nbr = NeighborBatch(i_idx=np.zeros(2, dtype=np.intp), rij=rij, r=r,
+                        j_idx=np.array([1, 2]),
+                        pair_rcut=np.array([RCUT, r[1]]))
+    cache = [] if store_u == "always" else None
+    utot = snap.compute_utot(3, nbr, cache=cache)
+    _, y = snap._peratom_and_y(utot)
+    dedr = snap._compute_dedr(nbr, y, cache=cache)
+    assert np.all(dedr[1] == 0.0)
+    assert np.any(dedr[0] != 0.0)
+
+
+@pytest.mark.parametrize("overrides", [False, True],
+                         ids=["single", "overrides"])
+@pytest.mark.parametrize("twojmax", [0, 1, 2, 3, 4, 5, 8])
+def test_half_plane_utot_matches_full_plane_reference(twojmax, overrides):
+    pos, nbr, make = _problem(twojmax, overrides, rmin0=0.3)
+    snap = make("never")
+    p = snap.params
+    natoms = pos.shape[0]
+    rcut, wj, r_eff = snap._pair_params(nbr, slice(None))
+    ck = cayley_klein(nbr.rij, r_eff, rcut, p.rfac0, p.rmin0)
+    sfac, _ = sfac_dsfac(nbr.r, rcut, p.rmin0, wj=wj)
+    ref = np.zeros((natoms, snap.index.nu), dtype=np.complex128)
+    ref[:, snap.index.diagonal_indices()] = p.wself
+    np.add.at(ref, nbr.i_idx,
+              sfac[:, None] * flatten_layers(compute_u_layers(ck, twojmax)))
+    utot = snap.compute_utot(natoms, nbr)
+    assert np.abs(utot - ref).max() <= 1e-13 * np.abs(ref).max()
+    for j in range(twojmax + 1):
+        uj = utot[:, snap.index.layer_slice(j)].reshape(natoms, j + 1, j + 1)
+        m = np.arange(j + 1)
+        phase = (-1.0) ** (m[:, None] + m[None, :])
+        mirror = phase * np.conj(uj[:, ::-1, ::-1])
+        right = slice(j // 2 + 1, j + 1)
+        assert np.array_equal(uj[:, :, right], mirror[:, :, right])
+
+
+def test_force_pass_allocation_guard():
+    # One cached force pass over a 4096-pair chunk at 2J=8 must stay
+    # below 3.5 half-plane pair buffers; re-materialising a
+    # per-direction gradient tensor costs 3 more and trips this.
+    rng = np.random.default_rng(5)
+    npairs, natoms = 4096, 160
+    rij = rng.normal(size=(npairs, 3))
+    rij *= (rng.uniform(1.0, 2.9, npairs)
+            / np.linalg.norm(rij, axis=1))[:, None]
+    nbr = NeighborBatch(i_idx=np.sort(rng.integers(0, natoms, npairs)),
+                        rij=rij, r=np.linalg.norm(rij, axis=1),
+                        j_idx=rng.integers(0, natoms, npairs))
+    snap = SNAP(SNAPParams(twojmax=8, rcut=RCUT, chunk=4096,
+                           store_u="always"))
+    cache = []
+    snap.compute_utot(natoms, nbr, cache=cache)
+    y = rng.normal(size=(natoms, snap.index.nu)) + 0j
+    tracemalloc.start()
+    try:
+        snap._compute_dedr(nbr, y, cache=cache)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * snap._nu_half * npairs * 16

@@ -12,7 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import free_cluster_pairs, random_cluster
+from conftest import (fd_forces_fixed_topology, free_cluster_pairs,
+                      random_cluster)
 from repro.core import SNAP, NeighborBatch, SNAPParams
 from repro.core.baseline import reference_energy_forces
 from repro.core.indexing import SNAPIndex
@@ -91,14 +92,24 @@ class TestStoreUParity:
         with pytest.raises(ValueError, match="chunk"):
             SNAPParams(twojmax=4, rcut=3.0, chunk="big")
 
-    def test_cache_requires_chunk_alignment(self, rng, cluster):
+    def test_dedr_independent_of_chunk_grid(self, cluster):
+        # every force-pass operation is per pair, and cache entries are
+        # consumed in order on whatever grid built them
         pos, nbr = cluster
-        snap = _snap(rng, 4, chunk=8)
-        cache = []
-        utot = snap.compute_utot(pos.shape[0], nbr, cache=cache)
-        _, y = snap._peratom_and_y(utot)
-        with pytest.raises(ValueError, match="chunk-aligned"):
-            snap._compute_dedr(nbr, y, cache=cache, start=3)
+        y = None
+        results = []
+        for chunk in (1, 7, 64, 4096):
+            for origin in (0, 5):
+                for store_u in ("always", "never"):
+                    snap = _snap(np.random.default_rng(1), 5, chunk=chunk)
+                    cache = [] if store_u == "always" else None
+                    utot = snap.compute_utot(pos.shape[0], nbr, cache=cache,
+                                             chunk_origin=origin)
+                    if y is None:  # U_tot rounds differently per grid
+                        _, y = snap._peratom_and_y(utot)
+                    results.append(snap._compute_dedr(nbr, y, cache=cache))
+        for dedr in results[1:]:
+            assert np.array_equal(dedr, results[0])
 
 
 class TestSparseY:
@@ -214,7 +225,7 @@ class TestPairOverrides:
             pair_weight=wrng.uniform(0.5, 1.5, nbr.npairs),
             pair_rcut=wrng.uniform(2.0, 2.9, nbr.npairs))
         out = snap.compute(pos.shape[0], nbr2)
-        fd = _fd_forces_fixed_topology(snap, pos, nbr2)
+        fd = fd_forces_fixed_topology(snap, pos, nbr2)
         assert np.allclose(out.forces, fd, atol=1e-5)
         # stored-U and recompute paths agree bitwise with overrides too
         out2 = SNAP(replace(snap.params, store_u="never"),
@@ -239,35 +250,6 @@ class TestPairOverrides:
         assert np.all(np.isfinite(out.forces))
         assert np.allclose(out.forces[:2], ref.forces[:2], atol=1e-12)
         assert np.allclose(out.forces[2], 0.0, atol=1e-12)
-
-
-def _fd_forces_fixed_topology(snap, pos, nbr, h=1e-6):
-    """Central-difference forces at fixed pair topology and overrides.
-
-    The analytic forces of ``snap.compute`` differentiate the energy at
-    the *given* pair list, so the finite difference must keep the same
-    pairs (with their per-pair weight/rcut) and only refresh geometry.
-    """
-    natoms = pos.shape[0]
-
-    def energy(p):
-        rij = p[nbr.j_idx] - p[nbr.i_idx]
-        batch = NeighborBatch(i_idx=nbr.i_idx, rij=rij,
-                              r=np.linalg.norm(rij, axis=1), j_idx=nbr.j_idx,
-                              pair_weight=nbr.pair_weight,
-                              pair_rcut=nbr.pair_rcut)
-        return snap.compute(natoms, batch).energy
-
-    out = np.zeros((natoms, 3))
-    for a in range(natoms):
-        for c in range(3):
-            pp = pos.copy()
-            pp[a, c] += h
-            ep = energy(pp)
-            pp[a, c] -= 2 * h
-            em = energy(pp)
-            out[a, c] = -(ep - em) / (2 * h)
-    return out
 
 
 class TestEmptyAndEdgeCases:

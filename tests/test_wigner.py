@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.wigner import (cayley_klein, compute_du_layers, compute_u_layers,
-                               flatten_dlayers, flatten_layers)
+from repro.core.wigner import (adjoint_sweep_half_lm, cayley_klein,
+                               compute_du_layers, compute_u_layers,
+                               compute_u_layers_half_lm, flatten_dlayers,
+                               flatten_layers, half_ncols)
 
 
 def _random_vectors(rng, n=5, rmin=0.4, rmax=2.2):
@@ -83,6 +85,39 @@ class TestULayers:
         ck = cayley_klein(rij, np.linalg.norm(rij, axis=1), RCUT)
         flat = flatten_layers(compute_u_layers(ck, 4))
         assert flat.shape == (7, sum((j + 1) ** 2 for j in range(5)))
+
+
+class TestHalfPlane:
+    @pytest.mark.parametrize("tj", [0, 1, 4, 5, 8])
+    def test_layers_are_left_columns_of_full_recursion(self, rng, tj):
+        # incl. the spill column (j+1)/2 stored with every odd j < tj
+        rij = _random_vectors(rng, n=6)
+        ck = cayley_klein(rij, np.linalg.norm(rij, axis=1), RCUT)
+        half = compute_u_layers_half_lm(ck, tj)
+        for u, h, nc in zip(compute_u_layers(ck, tj), half, half_ncols(tj)):
+            assert h.shape == (u.shape[1], nc, 6)
+            assert np.allclose(h, u[:, :, :nc].transpose(1, 2, 0), atol=1e-13)
+
+    @pytest.mark.parametrize("tj", [1, 4, 5])
+    def test_sweep_is_the_adjoint_of_the_gradient_recursion(self, rng, tj):
+        # Re(p dconj(a) + q dconj(b)) == Re sum_half w . dU, per direction
+        n = 4
+        rij = _random_vectors(rng, n=n)
+        ck = cayley_klein(rij, np.linalg.norm(rij, axis=1), RCUT)
+        u_full, du_full = compute_du_layers(ck, tj)
+        w = [rng.normal(size=(j + 1, j // 2 + 1, n))
+             + 1j * rng.normal(size=(j + 1, j // 2 + 1, n))
+             for j in range(tj + 1)]
+        s, p, q = adjoint_sweep_half_lm(ck, compute_u_layers_half_lm(ck, tj),
+                                        w)
+        s_ref = sum(np.einsum("abn,nab->n", wj, u[:, :, :wj.shape[1]])
+                    for wj, u in zip(w, u_full))
+        assert np.allclose(s, s_ref, atol=1e-12)
+        for c in range(3):
+            ref = sum(np.einsum("abn,nab->n", wj, du[:, c, :, :wj.shape[1]])
+                      for wj, du in zip(w, du_full)).real
+            got = (p * np.conj(ck.da[:, c]) + q * np.conj(ck.db[:, c])).real
+            assert np.allclose(got, ref, atol=1e-11)
 
 
 class TestDULayers:
