@@ -296,8 +296,8 @@ def _cmd_parsplice_serve(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    """First-class ``repro lint``: forwards to the lint CLI (cached
-    whole-program pass, --format/--baseline/--stats)."""
+    """First-class ``repro lint``: forwards to the lint CLI (one
+    whole-program pass, --select/--ignore/--format/--stats)."""
     from .lint.__main__ import main as lint_main
 
     return lint_main(args.lint_args)
@@ -368,8 +368,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="worker processes per session (process backend)")
     p.set_defaults(fn=_cmd_parsplice_serve)
     p = sub.add_parser(
-        "lint", help="static analysis (R1-R10, cached; see "
-                     "python -m repro.lint --help)")
+        "lint", help="static analysis (see python -m repro.lint --help)")
     p.add_argument("lint_args", nargs=argparse.REMAINDER,
                    help="arguments forwarded to python -m repro.lint")
     p.set_defaults(fn=_cmd_lint)

@@ -222,7 +222,7 @@ class SNAP:
 
     def __init__(self, params: SNAPParams, beta: np.ndarray | None = None,
                  bzero: bool = False, quadratic: np.ndarray | None = None) -> None:
-        self.params = params
+        self.params = params  # guarded-by: _tuning_lock
         self.index = SNAPIndex(params.twojmax)
         if beta is None:
             beta = np.zeros(self.index.ncoeff)
@@ -876,8 +876,11 @@ class SNAP:
             from ..lint.sanitizers import check_finite
             check_finite("neighbor_input", where="serial",
                          rij=nbr.rij, r=nbr.r)
-        self.last_store_u = self._resolve_store_u(nbr.npairs)
-        cache = [] if self.last_store_u else None
+        # decide once into a local: a second service thread sharing this
+        # evaluator must not flip the decision between write and read
+        store = self._resolve_store_u(nbr.npairs)
+        cache = [] if store else None
+        self.last_store_u = store  # repro-lint: disable=R8-lockset -- diagnostic, last writer wins; compute() itself reads only the local
         utot = self.compute_utot(natoms, nbr, cache=cache)
         if sane:
             check_finite("compute_ui", where="serial", utot=utot)
@@ -891,6 +894,7 @@ class SNAP:
             check_finite("compute_dui_deidrj", where="serial",
                          forces=forces, virial=virial)
         t3 = time.perf_counter()
+        # repro-lint: disable=R8-lockset -- diagnostic, one atomic rebind of a fresh dict; last writer wins, the kernel never reads it
         self.last_timings = {
             "compute_ui": t1 - t0,
             "compute_yi": t2 - t1,

@@ -1,9 +1,9 @@
 """CLI entry point: ``python -m repro.lint [paths...]``.
 
-Runs the full pass - per-file rules R1-R7 plus the whole-program
-call-graph analyses R8-R10 - through the result cache.  Exit status is
-0 when no findings survive suppression (and baseline), 1 otherwise -
-suitable for CI gating alongside the test suite.
+Runs the one pass - per-file rules plus the whole-program call-graph
+analyses, each file parsed once.  Exit status is 0 when no findings
+survive suppression, 1 otherwise - suitable for CI gating alongside the
+test suite.
 
 Also reachable as ``repro lint`` (see :mod:`repro.cli`).
 """
@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .engine import (DEFAULT_CACHE_NAME, findings_to_json,
-                     findings_to_sarif, format_findings, run_lint,
-                     write_baseline)
+from .engine import findings_to_json, format_findings, run_lint
 from .rules import RULES
 
 
@@ -23,8 +21,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="Repo-aware static analysis: per-file rules "
-                    "(determinism, dtype, guarded-by, hygiene, shm/io/"
-                    "tuning ownership) plus whole-program call-graph "
+                    "(determinism, uninitialised scratch, shm lifecycle, "
+                    "shm/io/tuning ownership) plus whole-program call-graph "
                     "analyses (lockset, engine contract, determinism "
                     "taint).")
     parser.add_argument("paths", nargs="*", default=["src"],
@@ -35,27 +33,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ignore", action="append", default=None,
                         metavar="RULE", help="skip rules matching this id "
                         "or prefix (repeatable)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="report format")
-    parser.add_argument("--baseline", metavar="FILE", default=None,
-                        help="JSON baseline of accepted findings to "
-                        "subtract from the report")
-    parser.add_argument("--write-baseline", metavar="FILE", default=None,
-                        help="record the current findings to FILE and "
-                        "exit 0")
-    parser.add_argument("--cache-file", metavar="FILE",
-                        default=DEFAULT_CACHE_NAME,
-                        help=f"result-cache path (default: "
-                        f"{DEFAULT_CACHE_NAME})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the result cache (cold run)")
-    parser.add_argument("--no-project", action="store_true",
-                        help="skip the whole-program R8-R10 pass")
-    parser.add_argument("--statistics", action="store_true",
-                        help="append a per-rule finding count")
     parser.add_argument("--stats", action="store_true",
                         help="print a summary (findings per rule, "
-                        "suppressions per rule, cache hit rate) instead "
+                        "suppressions per rule, wall time) instead "
                         "of individual findings")
     parser.add_argument("--list-rules", action="store_true",
                         help="list rule ids and exit")
@@ -72,18 +54,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{rule.id:24s} [{kind:7s}] {rule.summary}  [{scope}]")
         return 0
 
-    result = run_lint(
-        args.paths, select=args.select, ignore=args.ignore,
-        cache_path=None if args.no_cache else args.cache_file,
-        baseline_path=args.baseline,
-        project_pass=not args.no_project)
+    result = run_lint(args.paths, select=args.select, ignore=args.ignore)
     findings, stats = result.findings, result.stats
-
-    if args.write_baseline:
-        write_baseline(args.write_baseline, findings)
-        print(f"baseline: {len(findings)} finding(s) recorded to "
-              f"{args.write_baseline}")
-        return 0
 
     if args.stats:
         print(f"files:            {stats.files}")
@@ -94,21 +66,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"suppressed:       {total_sup}")
         for rule, n in sorted(stats.suppressed_per_rule.items()):
             print(f"  {rule:28s} {n}")
-        if stats.baseline_dropped:
-            print(f"baseline-dropped: {stats.baseline_dropped}")
-        print(f"cache:            {stats.cache_hits} hit / "
-              f"{stats.cache_misses} miss "
-              f"({stats.cache_hit_rate:.0%} hit rate, project pass "
-              f"{'hit' if stats.project_cache_hit else 'miss'})")
         print(f"wall:             {stats.wall_s:.3f} s")
         return 1 if findings else 0
 
     if args.format == "json":
         print(findings_to_json(findings, stats))
-    elif args.format == "sarif":
-        print(findings_to_sarif(findings))
     else:
-        print(format_findings(findings, statistics=args.statistics))
+        print(format_findings(findings))
     return 1 if findings else 0
 
 

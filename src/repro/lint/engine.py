@@ -1,70 +1,37 @@
 """Driver for the :mod:`repro.lint` static pass.
 
-Two layers:
+One pass, one entry point.  :func:`run_lint` reads every ``.py`` file
+under the given paths, parses each **once**, and hands the same parsed
+module (:class:`repro.lint.graph.ModuleInfo`) to the per-file rules
+(:mod:`repro.lint.rules`) and to the shared call graph on which the
+whole-program R8/R9/R10 analyses (:mod:`repro.lint.flow`) run; every
+finding then goes through the same scope / selection / pragma filter.
+:func:`lint_source` is the same pass over one in-memory source - the
+fixture tests drive it directly.
 
-* the per-file pass (:func:`lint_source` / :func:`lint_file` /
-  :func:`lint_paths`): parse one file, run every applicable R1-R7
-  rule, filter through suppression pragmas.  Unchanged public surface
-  since PR 3 - the fixture tests drive it directly.
-* the whole-program pass (:func:`run_lint`): builds the shared call
-  graph (:mod:`repro.lint.graph`) over every file and runs the
-  interprocedural R8/R9/R10 analyses (:mod:`repro.lint.flow`) on top,
-  with
-
-  - **result caching**: per-file findings keyed on the file's SHA-256
-    (plus a fingerprint of the lint tool itself and the rule
-    selection), cross-file findings keyed on the hash of the *whole
-    file set*, persisted as atomic JSON with the same envelope
-    discipline as the tuning DB (tmp + fsync + ``os.replace``,
-    corrupt-tolerant read);
-  - **baselines**: a JSON file of known findings (keyed rule+path+
-    message, line-drift tolerant) subtracted from the report for
-    incremental adoption;
-  - **formats**: human text, ``--format=json``, and SARIF 2.1.0 for
-    code-scanning UIs;
-  - **stats**: findings per rule, suppressions per rule, cache hit
-    rate.
+Output is human text or ``--format=json``; ``--stats`` summarises
+findings and suppressions per rule.  Nothing is written to disk.
 
 The shipped tree lints clean: ``python -m repro.lint src/`` exits 0,
-and the tier-1 suite asserts that it stays that way - through the
-cached path, under a wall-time budget.
+and one tier-1 test asserts that it stays that way.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import io
 import json
-import os
 import time
-import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .flow import run_project_rules
+from .graph import Project
 from .pragmas import collect_pragmas
-from .rules import RULES, FileContext, Finding
+from .rules import RULES, Finding
 
-__all__ = ["lint_source", "lint_file", "lint_paths", "iter_py_files",
-           "format_findings", "run_lint", "LintResult", "LintStats",
-           "load_baseline", "write_baseline", "findings_to_json",
-           "findings_to_sarif", "DEFAULT_CACHE_NAME"]
-
-DEFAULT_CACHE_NAME = ".repro-lint-cache.json"
-_CACHE_SCHEMA = 1
-_BASELINE_SCHEMA = 1
-
-
-def _comment_map(source: str) -> dict[int, str]:
-    comments: dict[int, str] = {}
-    try:
-        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-            if tok.type == tokenize.COMMENT:
-                comments[tok.start[0]] = tok.string
-    except (tokenize.TokenError, SyntaxError, IndentationError):
-        pass
-    return comments
+__all__ = ["lint_source", "run_lint", "LintResult", "LintStats",
+           "format_findings", "findings_to_json"]
 
 
 def _select_rules(select: Sequence[str] | None,
@@ -81,81 +48,100 @@ def _select_rules(select: Sequence[str] | None,
     return ids
 
 
-# ======================================================================
-# per-file pass
-# ======================================================================
-def _lint_source_detailed(source: str, path: str,
-                          active: set[str]
-                          ) -> tuple[list[Finding], dict[str, int]]:
-    """One file's findings plus ``{rule: suppressed-count}``."""
-    posix = Path(path).as_posix()
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [Finding("E0-syntax", posix, exc.lineno or 1, 0,
-                        f"file does not parse: {exc.msg}")], {}
-    ctx = FileContext(path=posix, source=source,
-                      lines=source.splitlines(), tree=tree,
-                      comments=_comment_map(source))
-    pragmas = collect_pragmas(source)
+@dataclass
+class LintStats:
+    files: int = 0
+    findings_per_rule: dict = field(default_factory=dict)
+    suppressed_per_rule: dict = field(default_factory=dict)
+    wall_s: float = 0.0
 
-    findings: list[Finding] = []
-    ran: set[int] = set()  # several rule ids share one check function
-    for rule in RULES.values():
-        if rule.check is None or rule.project:
-            continue  # whole-program rules run in run_lint()
-        if id(rule.check) in ran:
-            continue
-        if not any(r.applies_to(posix) and r.id in active
-                   for r in RULES.values() if r.check is rule.check):
-            continue
-        ran.add(id(rule.check))
-        findings.extend(rule.check(ctx))
+    def as_dict(self) -> dict:
+        return {"files": self.files,
+                "findings_per_rule": dict(sorted(
+                    self.findings_per_rule.items())),
+                "suppressed_per_rule": dict(sorted(
+                    self.suppressed_per_rule.items())),
+                "wall_s": round(self.wall_s, 4)}
 
-    kept: list[Finding] = []
-    suppressed: dict[str, int] = {}
+
+@dataclass
+class LintResult:
+    findings: list
+    stats: LintStats
+    #: the call graph the whole-program rules ran on
+    project: Project
+
+
+def _lint_sources(sources: dict[str, str], active: set[str],
+                  unreadable: Sequence[Finding] = ()) -> LintResult:
+    """The pass itself over ``{path: source}``."""
+    stats = LintStats(files=len(sources))
+    project = Project()
+    raw: list[Finding] = []             # rule findings, filtered below
+    kept: list[Finding] = list(unreadable)  # E0/P0 diagnostics, unfiltered
+    tables = {}
+
+    for path in sorted(sources):
+        source = sources[path]
+        try:
+            tree = ast.parse(source)
+        except SyntaxError as exc:
+            kept.append(Finding("E0-syntax", Path(path).as_posix(),
+                                exc.lineno or 1, 0,
+                                f"file does not parse: {exc.msg}"))
+            continue
+        mod = project.add_parsed(path, source, tree)
+        pragmas = tables[mod.path] = collect_pragmas(source, mod.comments)
+        # a suppression without a recorded reason, or naming a rule that
+        # does not exist, is itself a finding
+        for p in pragmas.unjustified():
+            kept.append(Finding("P0-unjustified-pragma", mod.path, p.line, 0,
+                                "suppression pragma lacks a justification; "
+                                "append ' -- <why this is safe>'"))
+        for p, rule_id in pragmas.unknown(RULES):
+            kept.append(Finding("P0-unknown-rule", mod.path, p.line, 0,
+                                f"pragma names unknown rule {rule_id!r}; it "
+                                "suppresses nothing (python -m repro.lint "
+                                "--list-rules)"))
+        # several rule ids share one check function: run each once
+        checks = {r.check for r in RULES.values()
+                  if r.check is not None and r.id in active
+                  and r.applies_to(mod.path)}
+        for check in checks:
+            raw.extend(check(mod))
+    project.link()
+    raw.extend(run_project_rules(project, active))
+
     seen: set[tuple] = set()
-    for f in findings:
-        if f.rule in RULES and (
-                f.rule not in active or not RULES[f.rule].applies_to(posix)):
+    for f in raw:
+        if f.rule not in active or not RULES[f.rule].applies_to(f.path):
             continue
-        key = (f.rule, f.line, f.col, f.message)
+        key = (f.rule, f.path, f.line, f.col, f.message)
         if key in seen:
             continue
         seen.add(key)
-        if pragmas.suppresses(f.rule, f.line):
-            suppressed[f.rule] = suppressed.get(f.rule, 0) + 1
+        if tables[f.path].suppresses(f.rule, f.line):
+            stats.suppressed_per_rule[f.rule] = \
+                stats.suppressed_per_rule.get(f.rule, 0) + 1
             continue
         kept.append(f)
-    # a suppression without a recorded reason is itself a finding
-    for p in pragmas.unjustified():
-        kept.append(Finding("P0-unjustified-pragma", posix, p.line, 0,
-                            "suppression pragma lacks a justification; "
-                            "append ' -- <why this is safe>'"))
-    kept.sort(key=lambda f: (f.line, f.col, f.rule))
-    return kept, suppressed
+
+    kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    for f in kept:
+        stats.findings_per_rule[f.rule] = \
+            stats.findings_per_rule.get(f.rule, 0) + 1
+    return LintResult(findings=kept, stats=stats, project=project)
 
 
 def lint_source(source: str, path: str = "<string>",
                 select: Sequence[str] | None = None,
                 ignore: Sequence[str] | None = None) -> list[Finding]:
     """Lint one source string; ``path`` drives rule scoping."""
-    return _lint_source_detailed(source, path,
-                                 _select_rules(select, ignore))[0]
+    return _lint_sources({path: source},
+                         _select_rules(select, ignore)).findings
 
 
-def lint_file(path: str | Path,
-              select: Sequence[str] | None = None,
-              ignore: Sequence[str] | None = None) -> list[Finding]:
-    p = Path(path)
-    try:
-        source = p.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        return [Finding("E0-io", p.as_posix(), 1, 0, f"cannot read: {exc}")]
-    return lint_source(source, path=str(p), select=select, ignore=ignore)
-
-
-def iter_py_files(paths: Iterable[str | Path]) -> list[Path]:
+def _iter_py_files(paths: Iterable[str | Path]) -> list[Path]:
     files: list[Path] = []
     for path in paths:
         p = Path(path)
@@ -166,354 +152,41 @@ def iter_py_files(paths: Iterable[str | Path]) -> list[Path]:
     return files
 
 
-def lint_paths(paths: Iterable[str | Path],
-               select: Sequence[str] | None = None,
-               ignore: Sequence[str] | None = None) -> list[Finding]:
-    """Per-file lint of every ``.py`` file under ``paths``.
-
-    Kept for the fixture tests and ad-hoc use; the full pass (per-file
-    + whole-program + cache) is :func:`run_lint`.
-    """
-    findings: list[Finding] = []
-    for f in iter_py_files(paths):
-        findings.extend(lint_file(f, select=select, ignore=ignore))
-    return findings
-
-
-# ======================================================================
-# result cache (tuning-DB envelope discipline)
-# ======================================================================
-def _tool_fingerprint(active: set[str]) -> str:
-    """Hash of the lint implementation + rule selection.
-
-    Any edit to the lint package invalidates every cached result -
-    cached findings are only valid for the exact tool that produced
-    them.
-    """
-    h = hashlib.sha256()
-    pkg = Path(__file__).parent
-    for name in sorted(("engine.py", "rules.py", "pragmas.py",
-                        "graph.py", "flow.py", "sanitizers.py")):
-        p = pkg / name
-        try:
-            h.update(p.read_bytes())
-        except OSError:
-            h.update(name.encode())
-    h.update(repr(sorted(active)).encode())
-    return h.hexdigest()[:16]
-
-
-def _read_cache(path: Path) -> dict:
-    """Corrupt-tolerant read: any damage degrades to a cold run."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError):
-        return {}
-    if not isinstance(raw, dict) or raw.get("schema") != _CACHE_SCHEMA:
-        return {}
-    entries = raw.get("entries")
-    return raw if isinstance(entries, dict) else {}
-
-
-def _write_cache(path: Path, payload: dict) -> None:
-    """Atomic replace: a concurrent reader sees old or new, never torn."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        try:
-            tmp.unlink(missing_ok=True)
-        except OSError:
-            pass
-
-
-def _finding_to_dict(f: Finding) -> dict:
-    d = {"rule": f.rule, "path": f.path, "line": f.line, "col": f.col,
-         "message": f.message}
-    if f.trace:
-        d["trace"] = list(f.trace)
-    return d
-
-
-def _finding_from_dict(d: dict) -> Finding:
-    return Finding(d["rule"], d["path"], int(d["line"]), int(d["col"]),
-                   d["message"], trace=tuple(d.get("trace", ())))
-
-
-# ======================================================================
-# baseline
-# ======================================================================
-def load_baseline(path: str | Path) -> dict[tuple[str, str, str], int]:
-    """``(rule, path, message) -> allowed count`` from a baseline file."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError):
-        return {}
-    allow: dict[tuple[str, str, str], int] = {}
-    for e in raw.get("entries", []) if isinstance(raw, dict) else []:
-        try:
-            key = (e["rule"], e["path"], e["message"])
-        except (TypeError, KeyError):
-            continue
-        allow[key] = allow.get(key, 0) + int(e.get("count", 1))
-    return allow
-
-
-def write_baseline(path: str | Path, findings: Sequence[Finding]) -> None:
-    """Record the current findings as the accepted baseline."""
-    counts: dict[tuple[str, str, str], int] = {}
-    for f in findings:
-        key = (f.rule, f.path, f.message)
-        counts[key] = counts.get(key, 0) + 1
-    entries = [{"rule": r, "path": p, "message": m, "count": c}
-               for (r, p, m), c in sorted(counts.items())]
-    _write_cache(Path(path), {"schema": _BASELINE_SCHEMA,
-                              "entries": entries})
-
-
-def _apply_baseline(findings: list[Finding],
-                    allow: dict[tuple[str, str, str], int]
-                    ) -> tuple[list[Finding], int]:
-    """Drop findings covered by the baseline (line numbers may drift)."""
-    if not allow:
-        return findings, 0
-    budget = dict(allow)
-    kept: list[Finding] = []
-    dropped = 0
-    for f in findings:
-        key = (f.rule, f.path, f.message)
-        if budget.get(key, 0) > 0:
-            budget[key] -= 1
-            dropped += 1
-            continue
-        kept.append(f)
-    return kept, dropped
-
-
-# ======================================================================
-# the whole-program run
-# ======================================================================
-@dataclass
-class LintStats:
-    files: int = 0
-    findings_per_rule: dict = field(default_factory=dict)
-    suppressed_per_rule: dict = field(default_factory=dict)
-    baseline_dropped: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    project_cache_hit: bool = False
-    wall_s: float = 0.0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        return {"files": self.files,
-                "findings_per_rule": dict(sorted(
-                    self.findings_per_rule.items())),
-                "suppressed_per_rule": dict(sorted(
-                    self.suppressed_per_rule.items())),
-                "baseline_dropped": self.baseline_dropped,
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-                "cache_hit_rate": round(self.cache_hit_rate, 4),
-                "project_cache_hit": self.project_cache_hit,
-                "wall_s": round(self.wall_s, 4)}
-
-
-@dataclass
-class LintResult:
-    findings: list
-    stats: LintStats
-
-
 def run_lint(paths: Iterable[str | Path], *,
              select: Sequence[str] | None = None,
-             ignore: Sequence[str] | None = None,
-             cache_path: str | Path | None = DEFAULT_CACHE_NAME,
-             baseline_path: str | Path | None = None,
-             project_pass: bool = True) -> LintResult:
-    """Full lint: per-file rules + whole-program analyses, cached.
-
-    ``cache_path=None`` disables the result cache (cold run).  The
-    cache is keyed per file on the source SHA-256 and globally on a
-    fingerprint of the lint tool + rule selection; the cross-file
-    (R8/R9/R10) result is keyed on the hash of the entire file set, so
-    editing *any* file re-runs the interprocedural pass while untouched
-    per-file results are reused.
-    """
+             ignore: Sequence[str] | None = None) -> LintResult:
+    """Lint every ``.py`` file under ``paths``: per-file rules and the
+    whole-program analyses over the call graph of the whole file set."""
     t0 = time.perf_counter()
-    active = _select_rules(select, ignore)
-    stats = LintStats()
-
-    files = iter_py_files(paths)
     sources: dict[str, str] = {}
-    shas: dict[str, str] = {}
-    findings: list[Finding] = []
-    for p in files:
-        posix = p.as_posix()
+    unreadable: list[Finding] = []
+    for p in _iter_py_files(paths):
         try:
-            sources[posix] = p.read_text()
+            sources[p.as_posix()] = p.read_text()
         except (OSError, UnicodeDecodeError) as exc:
-            findings.append(Finding("E0-io", posix, 1, 0,
-                                    f"cannot read: {exc}"))
-            continue
-        shas[posix] = hashlib.sha256(
-            sources[posix].encode()).hexdigest()
-    stats.files = len(sources)
-
-    fingerprint = _tool_fingerprint(active)
-    cache: dict = {}
-    if cache_path is not None:
-        cache = _read_cache(Path(cache_path))
-        if cache.get("tool") != fingerprint:
-            cache = {}
-    entries = cache.get("entries", {})
-    new_entries: dict[str, dict] = {}
-
-    # ---- per-file pass (cached) -------------------------------------
-    for posix, source in sources.items():
-        entry = entries.get(posix)
-        if entry is not None and entry.get("sha") == shas[posix]:
-            stats.cache_hits += 1
-            file_findings = [_finding_from_dict(d)
-                             for d in entry.get("findings", [])]
-            suppressed = {k: int(v) for k, v in
-                          entry.get("suppressed", {}).items()}
-        else:
-            stats.cache_misses += 1
-            file_findings, suppressed = _lint_source_detailed(
-                source, posix, active)
-        new_entries[posix] = {
-            "sha": shas[posix],
-            "findings": [_finding_to_dict(f) for f in file_findings],
-            "suppressed": suppressed,
-        }
-        findings.extend(file_findings)
-        for rule, n in suppressed.items():
-            stats.suppressed_per_rule[rule] = \
-                stats.suppressed_per_rule.get(rule, 0) + n
-
-    # ---- whole-program pass (cached on the full file set) -----------
-    project_active = {r.id for r in RULES.values()
-                      if r.project and r.id in active}
-    if project_pass and project_active and sources:
-        h = hashlib.sha256()
-        for posix in sorted(shas):
-            h.update(posix.encode())
-            h.update(shas[posix].encode())
-        h.update(repr(sorted(project_active)).encode())
-        project_sha = h.hexdigest()
-        proj = cache.get("project", {})
-        if proj.get("sha") == project_sha:
-            stats.project_cache_hit = True
-            project_findings = [_finding_from_dict(d)
-                                for d in proj.get("findings", [])]
-        else:
-            from .flow import build_project, run_project_rules
-            project = build_project(sources)
-            raw = run_project_rules(project, project_active)
-            tables = {posix: collect_pragmas(src)
-                      for posix, src in sources.items()}
-            project_findings = []
-            for f in raw:
-                table = tables.get(f.path)
-                if table is not None and table.suppresses(f.rule, f.line):
-                    stats.suppressed_per_rule[f.rule] = \
-                        stats.suppressed_per_rule.get(f.rule, 0) + 1
-                    continue
-                project_findings.append(f)
-        findings.extend(project_findings)
-        cache_project = {"sha": project_sha,
-                         "findings": [_finding_to_dict(f)
-                                      for f in project_findings]}
-    else:
-        cache_project = cache.get("project", {})
-
-    if cache_path is not None:
-        _write_cache(Path(cache_path),
-                     {"schema": _CACHE_SCHEMA, "tool": fingerprint,
-                      "entries": new_entries, "project": cache_project})
-
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    if baseline_path is not None:
-        findings, stats.baseline_dropped = _apply_baseline(
-            findings, load_baseline(baseline_path))
-    for f in findings:
-        stats.findings_per_rule[f.rule] = \
-            stats.findings_per_rule.get(f.rule, 0) + 1
-    stats.wall_s = time.perf_counter() - t0
-    return LintResult(findings=findings, stats=stats)
+            unreadable.append(Finding("E0-io", p.as_posix(), 1, 0,
+                                      f"cannot read: {exc}"))
+    result = _lint_sources(sources, _select_rules(select, ignore),
+                           unreadable)
+    result.stats.wall_s = time.perf_counter() - t0
+    return result
 
 
 # ======================================================================
 # output formats
 # ======================================================================
-def format_findings(findings: Sequence[Finding],
-                    statistics: bool = False) -> str:
+def format_findings(findings: Sequence[Finding]) -> str:
     lines = [f.render() for f in findings]
-    if statistics and findings:
-        counts: dict[str, int] = {}
-        for f in findings:
-            counts[f.rule] = counts.get(f.rule, 0) + 1
-        lines.append("")
-        for rule in sorted(counts):
-            lines.append(f"{counts[rule]:5d}  {rule}")
     lines.append(f"{len(findings)} finding(s)")
     return "\n".join(lines)
 
 
 def findings_to_json(findings: Sequence[Finding],
                      stats: LintStats | None = None) -> str:
-    doc: dict = {"findings": [_finding_to_dict(f) for f in findings]}
+    doc: dict = {"findings": [
+        {"rule": f.rule, "path": f.path, "line": f.line, "col": f.col,
+         "message": f.message, **({"trace": list(f.trace)} if f.trace else {})}
+        for f in findings]}
     if stats is not None:
         doc["stats"] = stats.as_dict()
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def findings_to_sarif(findings: Sequence[Finding]) -> str:
-    """Minimal SARIF 2.1.0 document (code-scanning upload format)."""
-    rule_ids = sorted({f.rule for f in findings} | set())
-    rules = []
-    for rid in rule_ids:
-        desc = RULES[rid].summary if rid in RULES else rid
-        rules.append({"id": rid,
-                      "shortDescription": {"text": desc}})
-    results = []
-    for f in findings:
-        message = f.message
-        if f.trace:
-            message += " [via " + " -> ".join(f.trace) + "]"
-        results.append({
-            "ruleId": f.rule,
-            "level": "error",
-            "message": {"text": message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {"uri": f.path},
-                    "region": {"startLine": max(1, f.line),
-                               "startColumn": max(1, f.col + 1)},
-                }}],
-        })
-    doc = {
-        "$schema": ("https://raw.githubusercontent.com/oasis-tcs/"
-                    "sarif-spec/master/Schemata/sarif-schema-2.1.0.json"),
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {"driver": {"name": "repro-lint",
-                                "informationUri":
-                                    "https://example.invalid/repro",
-                                "rules": rules}},
-            "results": results,
-        }],
-    }
     return json.dumps(doc, indent=2, sort_keys=True)

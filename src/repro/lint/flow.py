@@ -1,18 +1,21 @@
 """Interprocedural analyses on the :mod:`repro.lint.graph` call graph.
 
-Three whole-program rules, each the flow-based upgrade of a lexical
-per-file rule:
+Three whole-program rules:
 
-R8-lockset (replaces R3's "a ``with lock:`` is lexically nearby")
+R8-lockset (the only lock rule)
     Propagates *held-lock sets* along resolved call chains.  Seeds are
     the points concurrency actually enters: pool/thread targets (held =
     nothing) and public or caller-less functions (held = their def-line
-    ``# guarded-by:`` contract, if any).  A write to an attribute
-    declared ``# guarded-by: <lock>`` that is reachable on any chain
-    where the lock is not in the held set is a finding, reported with
-    the witnessing call path.  Lock identity is class-scoped
-    (``ShardedSNAP._lock``), so holding *your* ``_lock`` does not
-    vouch for writes to another class's guarded state.
+    ``# guarded-by:`` contract, if any).  Every ``self.<attr>`` write
+    outside construction/teardown carries two obligations.  *Declared*:
+    in a class that owns a ``Lock``/``RLock``, or on a chain entered
+    from a pool/thread target, the attribute must carry a
+    ``# guarded-by: <lock>`` declaration - otherwise nothing below can
+    see it.  *Held*: a declared attribute reachable on any chain where
+    its lock is not in the held set is a finding, reported with the
+    witnessing call path.  Lock identity is class-scoped
+    (``Store._lock``), so holding *your* ``_lock`` does not vouch for
+    writes to another class's guarded state.
 
 R9-engine-contract
     Checks every class deriving from ``ForceEngine`` against the
@@ -24,7 +27,8 @@ R9-engine-contract
     ``SUB_PHASES`` / ``DYNAMIC_SUB_PARENTS``), both extracted
     statically from the linted sources.
 
-R10-determinism-taint (replaces R1's "a ``set(`` literal is iterated")
+R10-determinism-taint (flow-based; the lexical R1 stays beside it -
+R10 only convicts order that *reaches* a force/energy accumulation)
     Taints hash-ordered values (``set``/``frozenset``), directory
     listings (``listdir``/``iterdir``/``glob``), unseeded
     ``default_rng()`` and wall-clock reads, propagates them through
@@ -45,9 +49,9 @@ import re
 from collections import deque
 
 from .graph import Project, FunctionInfo, _dotted
-from .rules import Finding, HOT_PATH_SCOPE, _GUARDED_BY_RE
+from .rules import Finding, HOT_PATH_SCOPE
 
-__all__ = ["run_project_rules", "PROJECT_RULE_IDS", "build_project"]
+__all__ = ["run_project_rules", "PROJECT_RULE_IDS"]
 
 PROJECT_RULE_IDS = ("R8-lockset", "R9-engine-contract",
                     "R10-determinism-taint")
@@ -55,11 +59,6 @@ PROJECT_RULE_IDS = ("R8-lockset", "R9-engine-contract",
 #: methods allowed to touch guarded state unlocked: construction and
 #: teardown of the *owning* reference happen-before/after any sharing
 _EXEMPT_METHODS = {"__init__", "__del__", "__enter__", "__exit__"}
-
-
-def build_project(sources: dict[str, str]) -> Project:
-    """Build the shared call graph for ``{path: source}``."""
-    return Project.from_sources(sources)
 
 
 def run_project_rules(project: Project,
@@ -79,36 +78,61 @@ def run_project_rules(project: Project,
 # ======================================================================
 # R8 - lockset analysis
 # ======================================================================
+_GUARDED_BY_RE = re.compile(r"#:?\s*guarded-by:\s*([A-Za-z_][\w.()\- ]*)")
+_LOCK_CTORS = {"Lock", "RLock"}
+
+
 def _normalize_lock(raw: str) -> str:
     """``"_lock (held by compute)"`` -> ``"_lock"``."""
     return raw.strip().split()[0].split("(")[0].rstrip(".")
 
 
-def _collect_guarded_attrs(project: Project
-                           ) -> dict[tuple[str, str], str]:
+def _self_attr(target: ast.expr) -> str | None:
+    """``attr`` when ``target`` is ``self.attr`` (or a subscript of it)."""
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    if (isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "self"):
+        return target.attr
+    return None
+
+
+def _assign_targets(node: ast.AST) -> list[ast.expr]:
+    if isinstance(node, ast.Assign):
+        return node.targets
+    if isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        return [node.target]
+    return []
+
+
+def _collect_class_facts(project: Project
+                         ) -> tuple[dict[tuple[str, str], str], set[str]]:
     """``(class_qualname, attr) -> lock name`` from ``# guarded-by:``
-    comments on ``self.attr = ...`` lines."""
+    comments on ``self.attr = ...`` lines, and the qualnames of classes
+    that create a ``Lock()``/``RLock()`` on ``self``."""
     declared: dict[tuple[str, str], str] = {}
+    lock_owners: set[str] = set()
     for fn in project.functions.values():
         if fn.cls is None or isinstance(fn.node, ast.Lambda):
             continue
         comments = project.modules[fn.module].comments
         for node in ast.walk(fn.node):
-            targets: list[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                targets = [node.target]
-            for tgt in targets:
-                if not (isinstance(tgt, ast.Attribute)
-                        and isinstance(tgt.value, ast.Name)
-                        and tgt.value.id == "self"):
+            for tgt in _assign_targets(node):
+                # declarations are plain ``self.attr = ...`` statements
+                if isinstance(tgt, ast.Subscript) \
+                        or _self_attr(tgt) is None:
                     continue
+                value = getattr(node, "value", None)
+                if isinstance(value, ast.Call):
+                    ctor = (_dotted(value.func) or "").rsplit(".", 1)[-1]
+                    if ctor in _LOCK_CTORS:
+                        lock_owners.add(fn.cls)
                 m = _GUARDED_BY_RE.search(comments.get(node.lineno, ""))
                 if m:
                     declared.setdefault((fn.cls, tgt.attr),
                                         _normalize_lock(m.group(1)))
-    return declared
+    return declared, lock_owners
 
 
 def _def_contract(project: Project, fn: FunctionInfo) -> frozenset[str]:
@@ -157,9 +181,16 @@ def _acquired_locks(project: Project, fn: FunctionInfo,
 
 
 def check_lockset(project: Project) -> list[Finding]:
-    declared = _collect_guarded_attrs(project)
-    if not declared:
-        return []
+    """Two obligations on every ``self.<attr>`` write outside
+    construction/teardown, checked on each call path that reaches it:
+
+    *declared* - in a class that owns a lock (itself or through a project
+    base), or on a path entered from a pool/thread target of the same
+    class (the ``self`` that target provably shares), the attribute must
+    carry a ``# guarded-by: <lock>`` declaration;
+    *held* - a declared attribute's lock must be in the held set.
+    """
+    declared, lock_owners = _collect_class_facts(project)
 
     # callee qualname -> has at least one resolved incoming edge
     has_caller: set[str] = set()
@@ -169,51 +200,47 @@ def check_lockset(project: Project) -> list[Finding]:
         for s in fn.calls:
             has_caller.update(s.callees)
 
-    # --- seeds -------------------------------------------------------
-    work: deque[tuple[str, frozenset[str], tuple[str, ...]]] = deque()
-
-    def seed(fn: FunctionInfo, held: frozenset[str], why: str) -> None:
-        work.append((fn.qualname, held,
-                     (f"{fn.qualname} [{why}]",)))
-
-    for fn in project.functions.values():
-        if fn.pool_target:
-            seed(fn, frozenset(), "pool target")
-        elif fn.qualname not in has_caller:
-            seed(fn, _def_contract(project, fn), "entry")
-        elif not fn.name.startswith("_") and fn.cls is not None \
-                and fn.name not in _EXEMPT_METHODS:
-            # public methods are callable from outside the project even
-            # when they also have internal callers
-            seed(fn, _def_contract(project, fn), "public")
-
-    processed: dict[str, list[frozenset[str]]] = {}
+    #: (qualname, held locks, call path, class of the pool target the
+    #: path was entered from - None off the pool paths)
+    work: deque[tuple[str, frozenset[str], tuple[str, ...], str | None]] \
+        = deque()
+    #: qualname -> pool class -> held sets already walked
+    processed: dict[str, dict[str | None, list[frozenset[str]]]] = {}
     findings: dict[tuple[str, int, str], Finding] = {}
 
-    def report(fn: FunctionInfo, node: ast.AST, attr: str, lock: str,
-               trace: tuple[str, ...]) -> None:
-        key = (fn.path, node.lineno, attr)
-        if key in findings:
-            return
-        findings[key] = Finding(
-            "R8-lockset", fn.path, node.lineno,
-            getattr(node, "col_offset", 0),
-            f"write to self.{attr} (guarded-by: {lock}) is reachable "
-            f"without the lock held",
-            trace=trace)
+    def family(cls: str) -> list[str]:
+        return [cls] + project.bases_of(cls)
 
-    def guard_for(fn: FunctionInfo, attr: str) -> tuple[str, str] | None:
-        """(declaring-class-scoped lock key, bare lock name) or None."""
-        if fn.cls is None:
-            return None
-        for cls in [fn.cls] + project.bases_of(fn.cls):
-            lock = declared.get((cls, attr))
-            if lock is not None:
-                return f"{cls}.{lock}", lock
-        return None
+    def check_write(fn: FunctionInfo, node: ast.AST, attr: str,
+                    held: frozenset[str], trace: tuple[str, ...],
+                    pool_cls: str | None) -> None:
+        fam = family(fn.cls)
+        owner = next((c for c in fam if (c, attr) in declared), None)
+        if owner is not None:
+            lock = declared[(owner, attr)]
+            # class-scoped identity of the declaring class's lock
+            if f"{owner}.{lock}" in held:
+                return
+            message = (f"write to self.{attr} (guarded-by: {lock}) is "
+                       f"reachable without the lock held")
+        elif pool_cls is not None and (pool_cls in fam
+                                       or fn.cls in family(pool_cls)):
+            message = (f"self.{attr} is written on a path entered from a "
+                       f"pool/thread target but carries no "
+                       f"'# guarded-by: <lock>' declaration")
+        elif lock_owners.intersection(fam):
+            message = (f"self.{attr} of a lock-owning class is written "
+                       f"outside __init__ but carries no "
+                       f"'# guarded-by: <lock>' declaration")
+        else:
+            return
+        findings.setdefault((fn.path, node.lineno, attr), Finding(
+            "R8-lockset", fn.path, node.lineno,
+            getattr(node, "col_offset", 0), message, trace=trace))
 
     def visit(fn: FunctionInfo, node: ast.AST, held: frozenset[str],
-              trace: tuple[str, ...], exempt: bool) -> None:
+              trace: tuple[str, ...], pool_cls: str | None,
+              exempt: bool) -> None:
         """Walk one node (dispatching on the node itself, so a with-lock
         at any statement depth extends the held set of its body)."""
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -222,69 +249,67 @@ def check_lockset(project: Project) -> list[Finding]:
         if isinstance(node, (ast.With, ast.AsyncWith)):
             added: set[str] = set()
             for item in node.items:
-                visit(fn, item.context_expr, held, trace, exempt)
+                visit(fn, item.context_expr, held, trace, pool_cls, exempt)
                 if item.optional_vars is not None:
-                    visit(fn, item.optional_vars, held, trace, exempt)
+                    visit(fn, item.optional_vars, held, trace, pool_cls,
+                          exempt)
                 added |= _acquired_locks(project, fn, item)
             inner = held | frozenset(added)
             for stmt in node.body:
-                visit(fn, stmt, inner, trace, exempt)
+                visit(fn, stmt, inner, trace, pool_cls, exempt)
             return
-        if not exempt and isinstance(
-                node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) \
-                else [node.target]
-            for tgt in targets:
-                base = tgt
-                if isinstance(base, ast.Subscript):
-                    base = base.value
-                if (isinstance(base, ast.Attribute)
-                        and isinstance(base.value, ast.Name)
-                        and base.value.id == "self"):
-                    guard = guard_for(fn, base.attr)
-                    if guard is not None and guard[0] not in held:
-                        report(fn, node, base.attr, guard[1], trace)
+        if not exempt and fn.cls is not None:
+            for tgt in _assign_targets(node):
+                attr = _self_attr(tgt)
+                if attr is not None:
+                    check_write(fn, node, attr, held, trace, pool_cls)
         if isinstance(node, ast.Call):
             for callee in sites_of[fn.qualname].get(id(node), ()):
-                work.append((callee, held, trace + (callee,)))
+                work.append((callee, held, trace + (callee,), pool_cls))
         for child in ast.iter_child_nodes(node):
-            visit(fn, child, held, trace, exempt)
+            visit(fn, child, held, trace, pool_cls, exempt)
 
-    # NOTE: a def-line guarded-by contract only seeds entry points -
-    # it is a promise callers must keep, not a grant, so propagated
-    # calls keep the caller's *actual* held set
-    while work:
-        qual, held, trace = work.popleft()
-        fn = project.functions.get(qual)
-        if fn is None:
-            continue
-        if any(h <= held for h in processed.get(qual, [])):
-            continue
-        processed.setdefault(qual, []).append(held)
-        exempt = fn.cls is not None and fn.name in _EXEMPT_METHODS
-        body = [fn.node.body] if isinstance(fn.node, ast.Lambda) \
-            else fn.node.body
-        for stmt in body:
-            visit(fn, stmt, held, trace, exempt)
+    def drain() -> None:
+        # NOTE: a def-line guarded-by contract only seeds entry points -
+        # it is a promise callers must keep, not a grant, so propagated
+        # calls keep the caller's *actual* held set
+        while work:
+            qual, held, trace, pool_cls = work.popleft()
+            fn = project.functions.get(qual)
+            if fn is None:
+                continue
+            walked = processed.setdefault(qual, {}).setdefault(pool_cls, [])
+            if any(h <= held for h in walked):
+                continue
+            walked.append(held)
+            exempt = fn.cls is not None and fn.name in _EXEMPT_METHODS
+            body = [fn.node.body] if isinstance(fn.node, ast.Lambda) \
+                else fn.node.body
+            for stmt in body:
+                visit(fn, stmt, held, trace, pool_cls, exempt)
 
-    # every guarded function not otherwise reached still gets a pass
-    # under its own contract (cycles with no external entry)
+    def seed(fn: FunctionInfo, why: str) -> None:
+        work.append((fn.qualname, _def_contract(project, fn),
+                     (f"{fn.qualname} [{why}]",), None))
+
+    for fn in project.functions.values():
+        if fn.pool_target:
+            work.append((fn.qualname, frozenset(),
+                         (f"{fn.qualname} [pool target]",), fn.cls))
+        elif fn.qualname not in has_caller:
+            seed(fn, "entry")
+        elif not fn.name.startswith("_") and fn.cls is not None \
+                and fn.name not in _EXEMPT_METHODS:
+            # public methods are callable from outside the project even
+            # when they also have internal callers
+            seed(fn, "public")
+    drain()
+    # every function not otherwise reached still gets a pass under its
+    # own contract (cycles with no external entry)
     for fn in project.functions.values():
         if fn.qualname not in processed:
-            work.append((fn.qualname, _def_contract(project, fn),
-                         (f"{fn.qualname} [unreached]",)))
-            while work:
-                qual, held, trace = work.popleft()
-                f2 = project.functions.get(qual)
-                if f2 is None or any(h <= held
-                                     for h in processed.get(qual, [])):
-                    continue
-                processed.setdefault(qual, []).append(held)
-                exempt = f2.cls is not None and f2.name in _EXEMPT_METHODS
-                body = [f2.node.body] if isinstance(f2.node, ast.Lambda) \
-                    else f2.node.body
-                for stmt in body:
-                    visit(f2, stmt, held, trace, exempt)
+            seed(fn, "unreached")
+            drain()
 
     return list(findings.values())
 

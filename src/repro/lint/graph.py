@@ -1,10 +1,12 @@
 """Project-wide symbol table and call graph for the whole-program lint.
 
-The per-file rules in :mod:`repro.lint.rules` deliberately stop at the
-module boundary: R3 trusts a ``# guarded-by:`` write if a ``with lock:``
-is lexically nearby, and R1 cannot see hash order entering a force array
-through a helper call.  This module provides the shared substrate the
-interprocedural analyses in :mod:`repro.lint.flow` run on:
+The per-file rules in :mod:`repro.lint.rules` stop at the module
+boundary: R1 cannot see hash order entering a force array through a
+helper call, and no lexical rule can tell whether a lock is held along
+the call chain that reaches a write.  This module provides the shared
+substrate the interprocedural analyses in :mod:`repro.lint.flow` run
+on.  Each file is parsed once (:meth:`Project.add_parsed`); the same
+:class:`ModuleInfo` is what the per-file rules receive:
 
 :class:`Project`
     Parsed modules, a per-module name-binding table (aliased imports,
@@ -38,7 +40,7 @@ import ast
 import io
 import tokenize
 from dataclasses import dataclass, field
-from pathlib import Path, PurePosixPath
+from pathlib import PurePosixPath
 
 __all__ = ["Project", "ModuleInfo", "ClassInfo", "FunctionInfo",
            "CallSite", "UNKNOWN", "module_name_for"]
@@ -189,33 +191,26 @@ class Project:
         """Build a project from ``{path: source}`` (fixture-friendly)."""
         proj = cls()
         for path in sorted(sources):
-            proj._add_module(path, sources[path])
-        proj._link()
+            try:
+                tree = ast.parse(sources[path])
+            except SyntaxError:
+                continue  # run_lint reports E0-syntax
+            proj.add_parsed(path, sources[path], tree)
+        proj.link()
         return proj
 
-    @classmethod
-    def from_paths(cls, paths: list[str | Path]) -> "Project":
-        sources: dict[str, str] = {}
-        for p in paths:
-            p = Path(p)
-            try:
-                sources[p.as_posix()] = p.read_text()
-            except (OSError, UnicodeDecodeError):
-                continue
-        return cls.from_sources(sources)
-
-    def _add_module(self, path: str, source: str) -> None:
+    def add_parsed(self, path: str, source: str,
+                   tree: ast.Module) -> ModuleInfo:
+        """Register one already-parsed file; call :meth:`link` after the
+        last one."""
         posix = PurePosixPath(path).as_posix()
-        try:
-            tree = ast.parse(source)
-        except SyntaxError:
-            return  # the per-file pass reports E0-syntax
-        name = module_name_for(posix)
-        mod = ModuleInfo(name=name, path=posix, source=source, tree=tree,
+        mod = ModuleInfo(name=module_name_for(posix), path=posix,
+                         source=source, tree=tree,
                          comments=_comment_map(source))
-        self.modules[name] = mod
+        self.modules[mod.name] = mod
         self._bind_module_scope(mod)
         self._register_defs(mod)
+        return mod
 
     # ------------------------------------------------------------------
     def _bind_module_scope(self, mod: ModuleInfo) -> None:
@@ -361,7 +356,7 @@ class Project:
     # ------------------------------------------------------------------
     # linking: resolve bases, instance types, calls, pool targets
     # ------------------------------------------------------------------
-    def _link(self) -> None:
+    def link(self) -> None:
         for cls in self.classes.values():
             mod = self.modules[cls.module]
             for base in cls.node.bases:
@@ -548,13 +543,3 @@ class Project:
                 else:
                     tgt.add(UNKNOWN)
         return out
-
-    def function_at(self, qualname: str) -> FunctionInfo | None:
-        return self.functions.get(qualname)
-
-    def module_for_path(self, path: str) -> ModuleInfo | None:
-        posix = PurePosixPath(path).as_posix()
-        for mod in self.modules.values():
-            if mod.path == posix:
-                return mod
-        return None

@@ -14,15 +14,15 @@ line, which keeps long statements readable::
 ``disable=all`` suppresses every rule on the covered line.  A pragma
 without a ``-- <justification>`` tail is itself reported
 (``P0-unjustified-pragma``): the whole point of the convention is that
-every suppression records *why* the flagged pattern is safe.
+every suppression records *why* the flagged pattern is safe.  So is a
+pragma naming a rule id that does not exist (``P0-unknown-rule``): a
+typo, or a pragma left behind by a deleted rule, suppresses nothing.
 """
 
 from __future__ import annotations
 
-import io
 import re
-import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["Pragma", "PragmaTable", "collect_pragmas", "PRAGMA_TAG"]
 
@@ -41,7 +41,6 @@ class Pragma:
     applies_to: int      #: line whose findings it suppresses
     rules: frozenset[str]
     justification: str
-    used: bool = field(default=False, compare=False)
 
     def covers(self, rule_id: str) -> bool:
         return "all" in self.rules or rule_id in self.rules
@@ -57,33 +56,31 @@ class PragmaTable:
             self._by_line.setdefault(p.applies_to, []).append(p)
 
     def suppresses(self, rule_id: str, line: int) -> bool:
-        """True (and marks the pragma used) if ``rule_id@line`` is disabled."""
-        for p in self._by_line.get(line, ()):
-            if p.covers(rule_id):
-                p.used = True
-                return True
-        return False
+        """True if ``rule_id@line`` is disabled."""
+        return any(p.covers(rule_id) for p in self._by_line.get(line, ()))
 
     def unjustified(self) -> list[Pragma]:
         return [p for p in self.pragmas if not p.justification]
 
+    def unknown(self, known_ids) -> list[tuple[Pragma, str]]:
+        """``(pragma, id)`` for every named id outside ``known_ids``."""
+        return [(p, r) for p in self.pragmas for r in sorted(p.rules)
+                if r != "all" and r not in known_ids]
 
-def collect_pragmas(source: str) -> PragmaTable:
-    """Parse all ``repro-lint`` pragmas out of ``source``.
 
-    Uses the tokenizer (not line regexes) so pragmas inside string
-    literals are never misread as suppressions.
+def collect_pragmas(source: str, comments: dict[int, str]) -> PragmaTable:
+    """Parse all ``repro-lint`` pragmas out of one file.
+
+    Works from the tokenizer's comment map (``ModuleInfo.comments``),
+    not line regexes, so pragmas inside string literals are never
+    misread as suppressions.
     """
     pragmas: list[Pragma] = []
-    try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
-    except (tokenize.TokenError, SyntaxError, IndentationError):
-        return PragmaTable([])
-    for tok in tokens:
-        if tok.type != tokenize.COMMENT or PRAGMA_TAG not in tok.string:
+    lines = source.splitlines()
+    for line, text in sorted(comments.items()):
+        if PRAGMA_TAG not in text:
             continue
-        m = _PRAGMA_RE.search(tok.string)
-        line = tok.start[0]
+        m = _PRAGMA_RE.search(text)
         if m is None:
             # malformed pragma: record as unjustified so it gets reported
             pragmas.append(Pragma(line=line, applies_to=line,
@@ -92,7 +89,7 @@ def collect_pragmas(source: str) -> PragmaTable:
         rules = frozenset(r.strip() for r in m.group("rules").split(",")
                           if r.strip())
         # a comment alone on its line covers the following line
-        standalone = source.splitlines()[line - 1].lstrip().startswith("#")
+        standalone = lines[line - 1].lstrip().startswith("#")
         pragmas.append(Pragma(
             line=line,
             applies_to=line + 1 if standalone else line,

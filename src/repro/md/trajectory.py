@@ -535,7 +535,9 @@ class AsyncTrajectoryWriter:
             try:
                 for buf in batch:
                     self._file.write_encoded(buf)
-            except Exception as exc:  # repro-lint: disable=R4-bare-except -- any drain-thread failure is parked and re-raised on the submitting thread
+            except Exception as exc:
+                # any drain-thread failure is parked and re-raised on the
+                # submitting thread
                 err = exc
             with self._lock:
                 self._draining = False

@@ -257,7 +257,9 @@ class _WorkerState:
     def _step(self) -> None:
         ctl = self.ctl.array
         pos = self.pos.array
-        t0 = time.perf_counter()  # repro-lint: disable=R4-raw-timer -- per-rank stopwatch in a worker process, folded into PhaseTimers by the parent
+        # per-rank stopwatch in the worker process; the parent folds the
+        # readings into its PhaseTimers
+        t0 = time.perf_counter()
         t_fwd = 0.0
         if int(ctl[_BOX_EPOCH]) != self.box_epoch:
             # the barostat rescaled the cell: rebuild against the new
@@ -276,9 +278,9 @@ class _WorkerState:
             ref = build_pairs(pos, self.box, self.cutoff + self.skin,
                               rows=(self.alo, self.ahi))
             ctl[self._slot(_F_REF)] = ref.npairs
-            tb = time.perf_counter()  # repro-lint: disable=R4-raw-timer -- per-rank stopwatch in a worker process, folded into PhaseTimers by the parent
+            tb = time.perf_counter()
             self.barrier.wait()
-            t_fwd += time.perf_counter() - tb  # repro-lint: disable=R4-raw-timer -- per-rank stopwatch in a worker process, folded into PhaseTimers by the parent
+            t_fwd += time.perf_counter() - tb
             counts = self._field(_F_REF).copy()
             total = int(counts.sum())
             if total > self.cap:
@@ -295,9 +297,9 @@ class _WorkerState:
             ctl[self._slot(_F_GHOST)] = int(np.unique(ref.j_idx[outside]).size)
             if self.rank == 0:
                 ctl[_NBUILDS] += 1
-            tb = time.perf_counter()  # repro-lint: disable=R4-raw-timer -- per-rank stopwatch in a worker process, folded into PhaseTimers by the parent
+            tb = time.perf_counter()
             self.barrier.wait()
-            t_fwd += time.perf_counter() - tb  # repro-lint: disable=R4-raw-timer -- per-rank stopwatch in a worker process, folded into PhaseTimers by the parent
+            t_fwd += time.perf_counter() - tb
             # neighbor incidence of the owned window, grouped by owned
             # atom, ascending global pair index within each atom: the
             # gather order that equals the serial j-sorted slab
@@ -317,9 +319,9 @@ class _WorkerState:
         nbr = filter_pairs(ref, rij, r, keep)
         ctl[self._slot(_F_KEPT)] = nbr.npairs
         self.kept.array[self.ref_off:self.ref_off + ref.npairs] = keep
-        t1 = time.perf_counter()  # repro-lint: disable=R4-raw-timer -- per-rank stopwatch in a worker process, folded into PhaseTimers by the parent
+        t1 = time.perf_counter()
         self.barrier.wait()  # kept counts + masks visible on every rank
-        t2 = time.perf_counter()  # repro-lint: disable=R4-raw-timer -- per-rank stopwatch in a worker process, folded into PhaseTimers by the parent
+        t2 = time.perf_counter()
         t_neigh = (t1 - t0) - t_fwd
         t_fwd += t2 - t1
         filtered_off = int(self._field(_F_KEPT)[:self.rank].sum())
@@ -329,7 +331,7 @@ class _WorkerState:
             vals, pa_own = self._snap_stage(nbr, m, filtered_off)
         else:
             vals, pa_own = self._pair_stage(nbr, m)
-        t3 = time.perf_counter()  # repro-lint: disable=R4-raw-timer -- per-rank stopwatch in a worker process, folded into PhaseTimers by the parent
+        t3 = time.perf_counter()
         # publish per-pair values at their kept reference slots (dropped
         # slots are never gathered, so they can stay stale)
         self.val.array[self.ref_off:self.ref_off + ref.npairs][keep] = vals
@@ -360,7 +362,7 @@ class _WorkerState:
         ctl[self._slot(_F_REVERSE)] = int((kmask & self.cross).sum())
         self.frc.array[self.alo:self.ahi] = f_own
         self.pa.array[self.alo:self.ahi] = pa_own
-        t4 = time.perf_counter()  # repro-lint: disable=R4-raw-timer -- per-rank stopwatch in a worker process, folded into PhaseTimers by the parent
+        t4 = time.perf_counter()
         sc = self.scal.array
         sc[self.rank, _S_VIRIAL] = virial.ravel()
         sc[self.rank, _S_NEIGH] = t_neigh
@@ -390,13 +392,13 @@ class _WorkerState:
                              pair_weight=pnbr.pair_weight,
                              pair_rcut=pnbr.pair_rcut)
         snap = pot.snap
-        ta = time.perf_counter()  # repro-lint: disable=R4-raw-timer -- per-rank stopwatch in a worker process, folded into PhaseTimers by the parent
+        ta = time.perf_counter()
         utot = snap.compute_utot(m, lnbr, chunk_origin=filtered_off)
-        tb = time.perf_counter()  # repro-lint: disable=R4-raw-timer -- per-rank stopwatch in a worker process, folded into PhaseTimers by the parent
+        tb = time.perf_counter()
         pa_own, y = snap._peratom_and_y(utot)
-        tc = time.perf_counter()  # repro-lint: disable=R4-raw-timer -- per-rank stopwatch in a worker process, folded into PhaseTimers by the parent
+        tc = time.perf_counter()
         dedr = snap._compute_dedr(lnbr, y)
-        td = time.perf_counter()  # repro-lint: disable=R4-raw-timer -- per-rank stopwatch in a worker process, folded into PhaseTimers by the parent
+        td = time.perf_counter()
         self._stage_t = (tb - ta, tc - tb, td - tc)
         return dedr, pa_own
 

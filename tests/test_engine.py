@@ -438,8 +438,7 @@ class TestProcessRobustness:
         assert_no_leaked_blocks(names)
 
 
-@pytest.mark.slow
-class TestProcessMatrixSlow:
+class TestProcessMatrix:
     @pytest.mark.parametrize("nprocs", [2, 3, 4, 5])
     def test_lj_bitwise_across_nprocs(self, nprocs):
         s1, pot1 = lj_setup()

@@ -1,20 +1,22 @@
 """Tests for the whole-program analyses (:mod:`repro.lint.flow`):
 R8-lockset, R9-engine-contract and R10-determinism-taint over the
 shared call graph, including the seeded violations from the issue
-acceptance list and the R3 blind-spot regression (a guarded-by write
-reached through a nested function handed to a pool, which the lexical
-per-file rule trusts and the interprocedural lockset walk convicts).
+acceptance list, the replay of the deleted lexical lock rule's fixture
+shapes through R8, and the blind-spot regression (a guarded-by write
+reached through a nested function handed to a pool, which a lexical
+rule trusts and the interprocedural lockset walk convicts).
 """
 
 import textwrap
 
-from repro.lint.engine import lint_source
-from repro.lint.flow import (PROJECT_RULE_IDS, build_project,
-                             run_project_rules)
+import pytest
+
+from repro.lint.flow import PROJECT_RULE_IDS, run_project_rules
+from repro.lint.graph import Project
 
 
 def _run(sources: dict, active: set) -> list:
-    project = build_project(
+    project = Project.from_sources(
         {path: textwrap.dedent(src) for path, src in sources.items()})
     return run_project_rules(project, active)
 
@@ -166,9 +168,74 @@ class TestLockset:
         assert _r8(src) == []
 
 
+# The fixture shapes of the deleted lexical lock rule (R3), replayed
+# through R8 at a path outside R3's old scope table (R8 is unscoped).
+# The parent-commit R8 convicted only the last firing shape: it tracked
+# no attribute that lacked the guarded-by comment.
+_EVALUATOR = """\
+    import threading
+    class Evaluator:
+        def __init__(self):
+            self._lock = threading.Lock()
+            self.hits = 0{decl}
+        def work(self):
+            {body}
+        def run(self, pool):
+            pool.submit(self.work)
+    """
+_CACHE = """\
+    import threading
+    class Cache:
+        def __init__(self):
+            self._lock = threading.Lock()
+            self.data = {{}}{decl}
+        def put(self, k, v):
+            {body}
+    """
+_LOCKED_PUT = "with self._lock:\n                self.data[k] = v"
+_DECL = "  # guarded-by: _lock"
+R3_SHAPES = {
+    # ---- firing ----
+    "unannotated-pool-reachable-write": ("""\
+        class Evaluator:
+            def __init__(self):
+                self.hits = 0
+            def work(self):
+                self.hits += 1
+            def run(self, pool):
+                pool.submit(self.work)
+        """, 5, "pool/thread target"),
+    "unannotated-lock-owner-write": (_CACHE.format(
+        decl="", body="self.data[k] = v"), 7, "lock-owning class"),
+    "locked-but-undeclared": (_CACHE.format(
+        decl="", body=_LOCKED_PUT), 8, "lock-owning class"),
+    "declared-but-unlocked": (_CACHE.format(
+        decl=_DECL, body="self.data[k] = v"), 7, "without the lock held"),
+    # ---- silent ----
+    "locked-pool-reachable-write": (_EVALUATOR.format(
+        decl=_DECL,
+        body="with self._lock:\n                self.hits += 1"), None, ""),
+    "annotated-and-locked": (_CACHE.format(
+        decl=_DECL, body=_LOCKED_PUT), None, ""),
+}
+
+
+class TestLocksetReplaysLexicalRule:
+    @pytest.mark.parametrize("shape", sorted(R3_SHAPES))
+    def test_r3_shape(self, shape):
+        src, line, fragment = R3_SHAPES[shape]
+        findings = _r8({"repro/analysis/thermo.py": src})
+        if line is None:
+            assert findings == []
+        else:
+            assert [(f.rule, f.line) for f in findings] == \
+                [("R8-lockset", line)]
+            assert fragment in findings[0].message
+
+
 class TestLocksetBlindSpotRegression:
-    """The R3 false negative R8 was built to close: a write annotated
-    ``# guarded-by:`` (lexically trusted by R3) inside a method only
+    """The false negative R8 was built to close: a write annotated
+    ``# guarded-by:`` (which a lexical rule trusts) inside a method only
     reachable from a nested function handed to ``pool.submit``."""
 
     SRC = textwrap.dedent("""\
@@ -189,11 +256,6 @@ class TestLocksetBlindSpotRegression:
                 pool.submit(work, 0.1)
         """)
     PATH = "repro/parallel/shardlike.py"
-
-    def test_per_file_r3_misses_it(self):
-        r3 = [f for f in lint_source(self.SRC, self.PATH)
-              if f.rule.startswith("R3")]
-        assert r3 == []
 
     def test_r8_catches_it_with_the_call_path(self):
         findings = _r8({self.PATH: self.SRC})
@@ -431,7 +493,7 @@ class TestRunProjectRules:
     def test_rule_selection(self):
         sources = dict(R8_CROSS_FUNCTION)
         sources.update(R10_KERNEL)
-        project = build_project(
+        project = Project.from_sources(
             {p: textwrap.dedent(s) for p, s in sources.items()})
         every = run_project_rules(project)
         rules = {f.rule for f in every}
@@ -445,12 +507,3 @@ class TestRunProjectRules:
         findings = _r10(R10_KERNEL)
         keys = [(f.path, f.line, f.col, f.rule) for f in findings]
         assert keys == sorted(keys)
-
-    def test_real_tree_is_clean(self):
-        from pathlib import Path
-        root = Path(__file__).resolve().parent.parent / "src" / "repro"
-        sources = {}
-        for path in sorted(root.rglob("*.py")):
-            sources[str(path)] = path.read_text()
-        project = build_project(sources)
-        assert run_project_rules(project) == []

@@ -278,15 +278,3 @@ class TestRobustness:
         })
         assert "pkg.bad" not in p.modules
         assert "pkg.good.fine" in p.functions
-
-    def test_real_tree_builds(self):
-        from pathlib import Path
-        src = Path(__file__).resolve().parent.parent / "src" / "repro"
-        p = Project.from_paths(sorted(src.rglob("*.py")))
-        assert len(p.modules) > 50
-        assert "repro.parallel.distributed.DistributedEngine.evaluate" \
-            in p.functions
-        # the known pool/thread entry points are discovered
-        assert "repro.parallel.process_engine._worker_main" in p.pool_entries
-        assert "repro.md.trajectory.AsyncTrajectoryWriter._drain_loop" \
-            in p.pool_entries

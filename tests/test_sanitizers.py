@@ -40,7 +40,7 @@ class _PoisonOnCall:
     def __init__(self, inner, poison_call):
         self.inner = inner
         self.poison_call = poison_call
-        self.calls = 0
+        self.calls = 0  # guarded-by: _lock
         self._lock = threading.Lock()
 
     @property

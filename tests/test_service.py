@@ -347,9 +347,8 @@ class TestCalibrationOverSession:
 
 
 # ======================================================================
-# soak matrix (excluded from tier-1; run with -m slow)
+# soak matrix
 # ======================================================================
-@pytest.mark.slow
 @pytest.mark.parametrize("engine_kwargs", BACKENDS)
 @pytest.mark.parametrize("nworkers", [1, 2, 4])
 def test_soak_matrix_bitwise_across_pool_shapes(nworkers, engine_kwargs):
