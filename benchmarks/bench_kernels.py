@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core import SNAP, SNAPParams
-from repro.core.benchrecord import make_snap_record, write_snap_record
+from repro.core.benchrecord import make_snap_record, write_record
 from repro.core.flops import kernel_flops_per_atom
 from repro.core.variants import run_variant
 from repro.md import build_pairs
@@ -69,43 +69,33 @@ def test_flops_model_matches_stage_trends(benchmark, report):
     assert k8["yi"] / k4["yi"] > k8["ui"] / k4["ui"]
 
 
-def test_fused_speedup_2j8(benchmark, report, tmp_path):
+def test_fused_speedup_2j8(benchmark, report):
     """Fused/sparse-Y hot paths vs the pre-fusion kernel, 2J=8, ~2000 atoms.
 
     ``vectorized_chunked`` is the pre-fusion kernel preserved verbatim
     as a ladder rung, run at its shipped default ``chunk=8192``;
-    ``stored_u`` is the new default hot path (U cache on, production
-    ``chunk``); ``sparse_y`` contracts the z-triple stage through the
-    nonzero CG products only; ``tuned`` runs whatever the auto-tuner
-    measured as the winner for this shape (resolved from a tuning DB
-    written in this test).  Acceptance bars: stored_u >= 1.5x over the
-    pre-fusion kernel, and the sparse-Y ``compute_yi`` stage >= 1.3x
-    the fused stage throughput.
+    ``fused`` is the production kernel recomputing the per-pair U
+    layers per chunk, ``stored_u`` the same kernel with the U cache on
+    (what ``store_u="auto"`` picks at this size; recorded runs put it
+    between 3 % faster and 20 % slower than ``fused``); ``sparse_y``
+    contracts the z-triple stage through the nonzero CG products
+    only.  Acceptance bars:
+    stored_u >= 1.5x over the pre-fusion kernel, and the sparse-Y
+    ``compute_yi`` stage >= 1.3x the fused stage throughput.
     """
     import gc
 
     from repro.core.flops import yi_contraction_model
     from repro.core.variants import with_params
-    from repro.tuning import TuningDB, tune
 
     snap, n, nbr = _problem(8, natoms=2000)
     seed_snap = with_params(snap, chunk=8192)
-    # tune on a smaller probe in the same (natoms, density) shape
-    # buckets as the 2000-atom measurement, then resolve auto params
-    # against the freshly written DB
-    db = TuningDB(tmp_path / "bench_tuning.json")
-    tune(db, twojmax=8, natoms=1500, repeats=1, chunks=(4096, 8192))
-    tuned_snap = with_params(snap, chunk="auto", store_u="auto",
-                             y_mode="auto")
-    decision = tuned_snap.resolve_tuning(natoms=n, npairs=nbr.npairs, db=db)
-    assert decision.source == "db", "bench tuner wrote no usable DB entry"
     evaluators = {
         "vectorized_chunked":
             lambda: run_variant("vectorized_chunked", seed_snap, n, nbr),
         "fused": with_params(snap, store_u="never"),
         "sparse_y": with_params(snap, store_u="never", y_mode="sparse"),
         "stored_u": with_params(snap, store_u="always"),
-        "tuned": tuned_snap,
     }
 
     # interleaved best-of-2: the pre-fusion kernel's timing is dominated
@@ -139,9 +129,8 @@ def test_fused_speedup_2j8(benchmark, report, tmp_path):
                  "yi_theoretical_speedup": yi_model["theoretical_speedup"]},
         seconds=seconds, natoms=n, reference="vectorized_chunked",
         stage_timings=stages)
-    record["variants"]["tuned"]["config"] = decision.describe()
-    out = write_snap_record(Path(__file__).resolve().parent.parent
-                            / "BENCH_snap.json", record)
+    out = write_record(Path(__file__).resolve().parent.parent
+                       / "BENCH_snap.json", record)
 
     report("")
     report(f"fused hot path vs pre-fusion kernel (2J=8, {n} atoms, "
@@ -153,7 +142,6 @@ def test_fused_speedup_2j8(benchmark, report, tmp_path):
     report(f"  compute_yi sparse vs dense: {yi_speedup:.2f}x measured, "
            f"{yi_model['theoretical_speedup']:.2f}x per-triple nnz model "
            f"(CG density {yi_model['cg_density']:.3f})")
-    report(f"  tuned config: {decision.describe()}")
     report(f"  record written to {out}")
     speedup = seconds["vectorized_chunked"] / seconds["stored_u"]
     assert speedup >= 1.5, f"stored_u speedup {speedup:.2f}x below 1.5x bar"

@@ -17,11 +17,8 @@ Commands
 ``run-md``
     Run real MD on any execution backend (serial / multiprocess /
     distributed comm model) through the shared engine layer and print
-    the :class:`repro.md.RunSummary`.
-``tune``
-    Measure candidate SNAP kernel configs for a problem shape and
-    persist the winner to the on-disk tuning DB; subsequent runs with
-    ``"auto"`` params (``run-md --tuning-db``/``--tune``) read it.
+    the :class:`repro.md.RunSummary`.  ``--potential snap`` runs the
+    sparse-CG adjoint pass (``y_mode="sparse"``).
 ``parsplice-serve``
     Serve batched real-MD ParSplice segments from a pool of persistent
     engine sessions (:class:`repro.parsplice.SegmentScheduler`) and
@@ -141,22 +138,6 @@ def _cmd_bench_kernel(args) -> int:
     return 0
 
 
-def _cmd_tune(args) -> int:
-    from .tuning import TuningDB, tune
-
-    db = TuningDB(args.db)
-    res = tune(db, twojmax=args.twojmax, natoms=args.natoms,
-               neighbors=args.neighbors, nprocs=args.nprocs,
-               repeats=args.repeats, force=args.force, log=print)
-    verb = "cached winner" if res.cached else "measured winner"
-    e = res.entry
-    print(f"{verb} for {res.key}: chunk={e['chunk']} "
-          f"store_u={e['store_u']} y_mode={e['y_mode']} "
-          f"({e.get('seconds', 0.0) * 1e3:.1f} ms probe)")
-    print(f"tuning DB: {res.db_path}")
-    return 0
-
-
 def _cmd_run_md(args) -> int:
     from .core import SNAP, SNAPParams
     from .md import MDLoop, build_engine
@@ -164,21 +145,6 @@ def _cmd_run_md(args) -> int:
     from .structures import random_packed
 
     density = 0.1
-    tuning = args.tune or args.tuning_db is not None
-    if tuning and args.potential != "snap":
-        print("--tune/--tuning-db only apply to --potential snap")
-        return 2
-    tuning_db = None
-    if tuning:
-        from .tuning import TuningDB
-
-        tuning_db = TuningDB(args.tuning_db)
-        if args.tune:
-            from .tuning import tune
-            res = tune(tuning_db, twojmax=args.twojmax, natoms=args.natoms,
-                       repeats=1)
-            print(f"tune[{'cached' if res.cached else 'measured'}] "
-                  f"{res.key} -> {tuning_db.path}")
     s = random_packed(args.natoms, density=density, seed=1)
     s.seed_velocities(args.temp, rng=np.random.default_rng(2))
     if args.potential == "lj":
@@ -186,9 +152,10 @@ def _cmd_run_md(args) -> int:
                            cutoff=(26 / (4 / 3 * np.pi * density)) ** (1 / 3))
     else:
         rcut = (26 / (4 / 3 * np.pi * density)) ** (1 / 3)
-        auto = {"chunk": "auto", "y_mode": "auto",
-                "store_u": "auto"} if tuning else {}
-        params = SNAPParams(twojmax=args.twojmax, rcut=rcut, **auto)
+        # sparse-CG Y pass: faster than "dense" in every measured cell
+        # (EXPERIMENTS E18), and the model here is linear
+        params = SNAPParams(twojmax=args.twojmax, rcut=rcut,
+                            y_mode="sparse")
         pot = SNAPPotential(params, beta=np.random.default_rng(0).normal(
             size=SNAP(params).index.ncoeff))
     observers = []
@@ -209,9 +176,7 @@ def _cmd_run_md(args) -> int:
             return 2
     try:
         engine = build_engine(s, pot, backend=args.backend,
-                              nranks=args.nranks, nprocs=args.nprocs,
-                              tuning_db=tuning_db.path
-                              if tuning_db is not None else None)
+                              nranks=args.nranks, nprocs=args.nprocs)
     except ValueError as exc:
         print(f"run-md: {exc}")
         return 2
@@ -238,9 +203,6 @@ def _cmd_run_md(args) -> int:
           f"-> {summary.atom_steps_per_s / 1e3:.2f} Katom-steps/s")
     for phase, frac in sorted(summary.phase_fractions.items()):
         print(f"  {phase:8s} {frac * 100:5.1f}%")
-    decision = getattr(pot, "tuning_decision", None)
-    if decision is not None:
-        print(f"  tuned: {decision.describe()}")
     if writer is not None and summary.io_bytes is not None:
         rate = summary.io_bytes_per_s or 0.0
         print(f"  trajectory: {summary.io_frames} frames, "
@@ -339,12 +301,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="observer cadence in steps")
     p.add_argument("--potential", choices=("lj", "snap"), default="lj")
     p.add_argument("--twojmax", type=int, default=4)
-    p.add_argument("--tune", action="store_true",
-                   help="tune the SNAP kernel for this shape first, then "
-                        "run with the tuned config")
-    p.add_argument("--tuning-db", default=None,
-                   help="tuning DB path (implies auto kernel params; "
-                        "default: $REPRO_TUNING_DB or ~/.cache/repro)")
     p.set_defaults(fn=_cmd_run_md)
     p = sub.add_parser(
         "parsplice-serve",
@@ -372,20 +328,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("lint_args", nargs=argparse.REMAINDER,
                    help="arguments forwarded to python -m repro.lint")
     p.set_defaults(fn=_cmd_lint)
-    p = sub.add_parser("tune")
-    p.add_argument("--twojmax", type=int, default=8)
-    p.add_argument("--natoms", type=int, default=256)
-    p.add_argument("--neighbors", type=float, default=26.0)
-    p.add_argument("--nprocs", type=int, default=1,
-                   help="tag the DB entry for this process layout")
-    p.add_argument("--repeats", type=int, default=2,
-                   help="best-of-N probes per candidate")
-    p.add_argument("--db", default=None,
-                   help="tuning DB path (default: $REPRO_TUNING_DB or "
-                        "~/.cache/repro/tuning.json)")
-    p.add_argument("--force", action="store_true",
-                   help="re-measure even on a DB hit")
-    p.set_defaults(fn=_cmd_tune)
     args = parser.parse_args(argv)
     return args.fn(args)
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = ["host_metadata", "make_record", "write_record",
-           "make_snap_record", "write_snap_record"]
+           "make_snap_record"]
 
 
 def _usable_cpu_count() -> int | None:
@@ -119,7 +119,3 @@ def make_snap_record(problem: dict, seconds: dict[str, float],
         extras = {name: {"stages": dict(st)} for name, st in stage_timings.items()}
     return make_record("snap_force_kernel", problem, seconds, natoms,
                        reference=reference, extras=extras)
-
-
-#: kept as an alias - existing callers write kernel records through it
-write_snap_record = write_record

@@ -29,6 +29,7 @@ The per-kernel wall times of the latest evaluation are kept in
 
 from __future__ import annotations
 
+import operator
 import threading
 import time
 from dataclasses import dataclass, field
@@ -70,10 +71,9 @@ class SNAPParams:
     lists of :func:`repro.core.cg.cg_sparse` (identical forces, fewer
     FLOPs - the selection rules zero most of the dense blocks).
 
-    ``chunk`` and ``y_mode`` (and ``store_u``) accept ``"auto"``: the
-    value is then pinned once per evaluator from the self-tuning policy
-    (``repro.tuning``) - from a persisted tuning-DB entry when one
-    matches the problem shape, otherwise from conservative defaults.
+    These three fields are the whole kernel policy.  They are fixed
+    when the (frozen) params object is built; nothing is read from disk
+    or the environment, and an evaluator never rebinds its params.
 
     ``check_finite`` (debug sanitizer, default off) validates every
     kernel-stage output for NaN/Inf on exit and raises
@@ -87,7 +87,7 @@ class SNAPParams:
     rmin0: float = 0.0
     wself: float = 1.0
     switch: bool = True
-    chunk: int | str = 4096
+    chunk: int = 4096
     store_u: str = "auto"
     store_u_budget_mb: float = 256.0
     check_finite: bool = False
@@ -98,26 +98,21 @@ class SNAPParams:
             raise ValueError("rcut must exceed rmin0")
         if self.twojmax < 0:
             raise ValueError("twojmax must be non-negative")
-        if self.chunk != "auto" and (not isinstance(self.chunk, int)
-                                     or self.chunk < 1):
-            raise ValueError("chunk must be a positive integer or 'auto'")
+        try:
+            chunk = operator.index(self.chunk)  # int or NumPy integer
+        except TypeError:
+            chunk = 0
+        if chunk < 1 or isinstance(self.chunk, bool):
+            raise ValueError(
+                f"chunk must be a positive integer, got {self.chunk!r}")
+        object.__setattr__(self, "chunk", chunk)
         if self.store_u not in ("auto", "always", "never"):
             raise ValueError("store_u must be 'auto', 'always' or 'never'")
         if self.store_u_budget_mb <= 0:
             raise ValueError("store_u_budget_mb must be positive")
-        if self.y_mode not in ("auto", "dense", "sparse"):
-            raise ValueError("y_mode must be 'auto', 'dense' or 'sparse'")
-
-    @property
-    def has_auto(self) -> bool:
-        """True if any kernel-policy field still needs tuning resolution.
-
-        ``store_u == "auto"`` is excluded: it has its own budget
-        heuristic (:meth:`SNAP._resolve_store_u`) and never blocks an
-        evaluation, whereas an unresolved ``chunk``/``y_mode`` must be
-        pinned before the kernel can run.
-        """
-        return self.chunk == "auto" or self.y_mode == "auto"
+        if self.y_mode not in ("dense", "sparse"):
+            raise ValueError(
+                f"y_mode must be 'dense' or 'sparse', got {self.y_mode!r}")
 
 
 @dataclass
@@ -222,7 +217,7 @@ class SNAP:
 
     def __init__(self, params: SNAPParams, beta: np.ndarray | None = None,
                  bzero: bool = False, quadratic: np.ndarray | None = None) -> None:
-        self.params = params  # guarded-by: _tuning_lock
+        self.params = params
         self.index = SNAPIndex(params.twojmax)
         if beta is None:
             beta = np.zeros(self.index.ncoeff)
@@ -254,11 +249,9 @@ class SNAP:
                              in enumerate(half_ncols(params.twojmax)))
         self.last_timings: dict[str, float] = {}
         self.last_store_u: bool = False
-        #: TunedConfig once "auto" params have been pinned (None before).
-        self.tuning_decision = None  # guarded-by: _tuning_lock
-        self._tuning_lock = threading.Lock()
+        self._plan_lock = threading.Lock()
         #: lazily built beta-folded plan of the sparse-CG Y pass
-        self._y_plan: dict | None = None  # guarded-by: _tuning_lock
+        self._y_plan: dict | None = None  # guarded-by: _plan_lock
         self.bzero_shift = self._isolated_b() if bzero else np.zeros(self.index.nb)
 
     # ------------------------------------------------------------------
@@ -578,32 +571,6 @@ class SNAP:
             y_out[:, self.index.layer_slice(j)] = full.reshape(n, -1)
         return y_out
 
-    def resolve_tuning(self, natoms: int = 0, npairs: int = 0,
-                       nprocs: int = 1, db=None):
-        """Pin any ``"auto"`` kernel-policy fields to concrete values.
-
-        Resolution is sticky and happens at most once per evaluator
-        (first caller wins, under a lock): process workers hold forked
-        or pickled copies of this object, so the bound
-        ``chunk`` grid and ``y_mode`` must be identical everywhere for
-        the bitwise-reproducibility contracts to hold.  ``db`` is an
-        optional :class:`repro.tuning.TuningDB` consulted for a
-        measured winner matching the problem shape; without one (or on
-        a miss) conservative defaults are used.  Returns the
-        :class:`repro.tuning.TunedConfig` decision (also kept in
-        :attr:`tuning_decision`).
-        """
-        with self._tuning_lock:
-            if self.tuning_decision is not None:
-                return self.tuning_decision
-            from ..tuning.policy import resolve_params
-            params, decision = resolve_params(
-                self.params, natoms=natoms, npairs=npairs, nprocs=nprocs,
-                db=db)
-            self.params = params
-            self.tuning_decision = decision
-            return decision
-
     # Atoms per block of the sparse-CG Y pass: bounds the gathered
     # unique-product scratch (2 x nuniq x block complex, ~32 MB at 2J=8)
     # so it stays cache-resident through the gather/multiply/reduce trio.
@@ -623,7 +590,7 @@ class SNAP:
         stored as a sparse matrix (scipy CSR when available, otherwise
         sorted ``np.add.reduceat`` segments).
         """
-        with self._tuning_lock:
+        with self._plan_lock:
             if self._y_plan is not None:
                 return self._y_plan
             idx = self.index
@@ -709,8 +676,6 @@ class SNAP:
 
     def compute_descriptors(self, natoms: int, nbr: NeighborBatch) -> np.ndarray:
         """Bispectrum components ``B`` per atom, shape ``(natoms, nb)``."""
-        if self.params.has_auto:
-            self.resolve_tuning(natoms=natoms, npairs=nbr.npairs)
         utot = self.compute_utot(natoms, nbr)
         b, _ = self._compute_b_y(utot, want_y=False)
         return b - self.bzero_shift
@@ -868,8 +833,6 @@ class SNAP:
         the force pass or recomputed per chunk (store-vs-recompute);
         :attr:`last_store_u` records the decision taken.
         """
-        if self.params.has_auto:
-            self.resolve_tuning(natoms=natoms, npairs=nbr.npairs)
         t0 = time.perf_counter()
         sane = self.params.check_finite
         if sane:

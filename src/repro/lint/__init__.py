@@ -3,8 +3,8 @@
 Static half (``python -m repro.lint src/`` or ``repro lint``): one pass,
 one analysis per bug class.  Per-file AST rules enforce deterministic
 iteration order (R1), filled ``np.empty`` scratch (R2), shared-memory
-lifecycle (R5) and the shm / io / tuning-DB ownership table (R5-helper,
-R6, R7); whole-program analyses on a shared call graph
+lifecycle (R5) and the shm / io ownership table (R5-helper, R6);
+whole-program analyses on a shared call graph
 (:mod:`repro.lint.graph` / :mod:`repro.lint.flow`) check the
 ``# guarded-by: <lock>`` convention - declaration presence and lock
 held on every call path (R8, the only lock rule) -, ForceEngine

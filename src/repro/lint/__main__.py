@@ -22,7 +22,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description="Repo-aware static analysis: per-file rules "
                     "(determinism, uninitialised scratch, shm lifecycle, "
-                    "shm/io/tuning ownership) plus whole-program call-graph "
+                    "shm/io ownership) plus whole-program call-graph "
                     "analyses (lockset, engine contract, determinism "
                     "taint).")
     parser.add_argument("paths", nargs="*", default=["src"],

@@ -21,15 +21,13 @@ R5 *shared-memory lifecycle*
     that outlive a crashed process: every created block must have a
     guaranteed close+unlink path.
 
-R5-helper / R6 / R7 *ownership*
+R5-helper / R6 *ownership*
     "Only module X may call Y on a path named Z", one row each of
     :data:`OWNERS`: raw ``SharedMemory`` belongs to
     :mod:`repro.parallel.shm` (resource-tracker workaround, idempotent
     teardown); raw writes of checkpoint/trajectory paths to
     :mod:`repro.md.dump` / :mod:`repro.md.trajectory` (atomic replace,
-    CRC frames, torn-tail recovery); raw writes of tuning-DB paths to
-    :mod:`repro.tuning.db` (schema envelope, host fingerprint, atomic
-    replace).
+    CRC frames, torn-tail recovery).
 
 The whole-program rules (R8 lockset - the only lock rule -, R9 engine
 contract, R10 determinism taint) live in :mod:`repro.lint.flow` and are
@@ -97,7 +95,7 @@ HOT_PATH_SCOPE = ("repro/parallel/", "repro/core/snap.py",
                   "repro/md/engine.py")
 #: where the shared-memory helper/lifecycle rules bite
 SHM_SCOPE = ("repro/parallel/",)
-#: where the io / tuning-DB ownership rules bite (the whole package)
+#: where the io ownership rule bites (the whole package)
 IO_SCOPE = ("repro/",)
 
 
@@ -366,7 +364,7 @@ def _check_r2_empty(ctx: ModuleInfo) -> list[Finding]:
 
 
 # ======================================================================
-# R5-helper / R6 / R7 - ownership: only module X may call Y on path Z
+# R5-helper / R6 - ownership: only module X may call Y on path Z
 # ======================================================================
 #: the one module allowed to touch multiprocessing.shared_memory raw
 _SHM_HELPER_PATH = "parallel/shm.py"
@@ -448,11 +446,6 @@ OWNERS = (
           "repro.md.dump / repro.md.trajectory; route it through "
           "write_checkpoint or TrajectoryFile so atomic replace "
           "and torn-frame recovery apply"),
-    Owner("R7-tuning-db-owner", ("tuning/db.py",),
-          _raw_write_target, ("tuning",),
-          "raw write of a tuning-DB path outside repro.tuning.db; "
-          "route it through TuningDB.record so the schema "
-          "envelope, host fingerprint and atomic replace apply"),
 )
 
 
@@ -565,9 +558,6 @@ RULES: dict[str, Rule] = {r.id: r for r in [
          SHM_SCOPE, _check_r5_lifecycle),
     Rule("R6-io-owner",
          "raw write of a restart-critical file outside its owner module",
-         IO_SCOPE, _check_owners),
-    Rule("R7-tuning-db-owner",
-         "raw write of a tuning-DB file outside repro.tuning.db",
          IO_SCOPE, _check_owners),
     # whole-program analyses (repro.lint.flow)
     Rule("R8-lockset",

@@ -223,9 +223,9 @@ class ForceEngine(abc.ABC):
         coordinates - never reusing stale pair order, even when the new
         positions sit within the old Verlet skin - so a rebound engine
         is bitwise identical to a freshly constructed one.  What it does
-        *not* do is tear anything down: worker processes, shared-memory
-        blocks and resolved kernel tuning all survive, which is what
-        makes thousands of short segments cheap
+        *not* do is tear anything down: worker processes and
+        shared-memory blocks survive, which is what makes thousands of
+        short segments cheap
         (see :class:`EngineSession`).
 
         Backends override this to invalidate their persistent topology;
@@ -646,33 +646,11 @@ class MDLoop:
 # ======================================================================
 # factory
 # ======================================================================
-def _bind_tuning(system: ParticleSystem, potential: Potential,
-                 nprocs: int, db) -> None:
-    """Eagerly pin ``"auto"`` SNAP kernel-policy fields from a tuning DB.
-
-    The neighbor list does not exist yet at engine-build time, so the
-    pair count entering the shape key is estimated from the cutoff
-    sphere and the system density - the same bucketing the lazy
-    first-evaluation binding would land in.
-    """
-    snap = getattr(potential, "snap", None)
-    if snap is None or not snap.params.has_auto:
-        return
-    from ..tuning import TuningDB
-
-    rc = potential.cutoff
-    per_atom = (4.0 / 3.0 * np.pi * rc ** 3
-                * system.natoms / max(system.box.volume, 1e-300))
-    snap.resolve_tuning(natoms=system.natoms,
-                        npairs=int(system.natoms * per_atom),
-                        nprocs=nprocs, db=TuningDB(db))
-
-
 def build_engine(system: ParticleSystem, potential: Potential, *,
                  backend: str | None = None, nranks: int = 1,
                  nprocs: int | None = None, skin: float = 0.3,
-                 check_finite: bool = False, race_check: bool = False,
-                 tuning_db: str | Path | None = None) -> ForceEngine:
+                 check_finite: bool = False, race_check: bool = False
+                 ) -> ForceEngine:
     """Select a force backend from the requested execution layout.
 
     ``backend`` picks the engine: ``"serial"``, ``"process"``
@@ -685,11 +663,6 @@ def build_engine(system: ParticleSystem, potential: Potential, *,
     ``ValueError`` instead of being dropped.  ``race_check`` applies to
     the distributed backend only.  Every returned engine drives the
     same :class:`MDLoop`.
-
-    ``tuning_db`` names a :class:`repro.tuning.TuningDB` file consulted
-    for any ``SNAPParams`` fields left at ``"auto"``; they are pinned
-    here, before workers exist.  Without it, auto fields resolve lazily
-    on first evaluation against the default DB location.
     """
     if backend is None:
         backend = ("process" if nprocs is not None
@@ -703,10 +676,6 @@ def build_engine(system: ParticleSystem, potential: Potential, *,
     if nprocs is not None and backend != "process":
         raise ValueError(f"nprocs={nprocs} does not apply to "
                          f"backend={backend!r}")
-    if tuning_db is not None:
-        _bind_tuning(system, potential,
-                     nprocs=(nprocs or 2) if backend == "process" else 1,
-                     db=tuning_db)
     if backend == "serial":
         return SerialEngine(system, potential, skin=skin,
                             check_finite=check_finite)
@@ -733,10 +702,10 @@ class EngineSession:
 
     The one-shot lifecycle (construct, run, tear down) prices every
     ParSplice segment at a full engine setup - worker process forks,
-    shared-memory blocks, kernel-tuning resolution - when
-    the segment itself may be a few hundred force calls.  A session pays
-    that cost once: :meth:`run` rebinds the live engine to each new
-    system state (:meth:`ForceEngine.bind`), drives a fresh
+    shared-memory blocks - when the segment itself may be a few hundred
+    force calls.  A session pays that cost once: :meth:`run` rebinds
+    the live engine to each new system state
+    (:meth:`ForceEngine.bind`), drives a fresh
     :class:`MDLoop` over it and leaves every pool alive for the next
     segment.  The bind contract keeps results bitwise identical to a
     freshly constructed engine, so reuse is a pure amortization.

@@ -478,19 +478,6 @@ class ProcessEngine(ForceEngine):
         self.ledger.max_rank_atoms = int(sizes.max())
         self.ledger.min_rank_atoms = int(sizes.min())
 
-        if isinstance(potential, SNAPPotential) and \
-                potential.snap.params.has_auto:
-            # pin "auto" kernel-policy fields BEFORE the potential is
-            # pickled into the worker processes: every rank must run
-            # the identical chunk grid and y_mode, or the bitwise force
-            # contract (and the chunk-origin alignment) breaks
-            rc = potential.cutoff
-            per_atom = (4.0 / 3.0 * np.pi * rc ** 3
-                        * system.natoms / max(system.box.volume, 1e-300))
-            potential.snap.resolve_tuning(
-                natoms=system.natoms,
-                npairs=int(system.natoms * per_atom),
-                nprocs=self.nprocs)
         n = system.natoms
         self._prefix = f"repro-pe-{os.getpid()}-{secrets.token_hex(3)}"
         cap = pair_capacity if pair_capacity is not None \

@@ -4,10 +4,9 @@ The production shape of ParSplice/EXAALT is many small MD jobs and
 heavy aggregate traffic: thousands of short, independently seeded
 segments in flight against a fixed worker fleet.  One-shot engines
 price every segment at a full construct/teardown (worker forks,
-shared-memory blocks, shard pools, tuning resolution); this module
-serves segments from **persistent engine sessions** instead, so the
-setup cost is paid ``nworkers`` times per campaign rather than once per
-segment.
+shared-memory blocks); this module serves segments from **persistent
+engine sessions** instead, so the setup cost is paid ``nworkers`` times
+per campaign rather than once per segment.
 
 :class:`SegmentScheduler`
     The service core.  Holds ``nworkers`` live

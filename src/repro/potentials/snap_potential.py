@@ -47,15 +47,6 @@ class SNAPPotential(Potential):
     def last_timings(self) -> dict[str, float]:
         return self.snap.last_timings
 
-    @property
-    def tuning_decision(self):
-        """The pinned :class:`repro.tuning.TunedConfig`, if any yet.
-
-        ``None`` until an evaluation (or :func:`repro.md.build_engine`
-        with a ``tuning_db``) has resolved ``"auto"`` params.
-        """
-        return self.snap.tuning_decision
-
     def set_types(self, types: np.ndarray) -> None:
         """Bind the per-atom type array used for multi-species runs."""
         self._types = np.asarray(types, dtype=np.intp)

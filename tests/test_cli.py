@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -41,6 +43,17 @@ class TestCLI:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_subcommand_census(self, capsys):
+        """The subcommands are reviewed, not accreted: exactly these,
+        and the deleted ``tune`` is an argparse usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", "--twojmax", "4"])
+        assert exc.value.code == 2
+        usage = capsys.readouterr().err
+        assert re.search(r"\{(.*?)\}", usage).group(1).split(",") == [
+            "info", "headline", "scaling", "machines", "production",
+            "bench-kernel", "run-md", "parsplice-serve", "lint"]
 
 
 class TestRunMD:
@@ -110,3 +123,14 @@ class TestRunMD:
     def test_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
             main(["run-md", "--backend", "threads"])
+
+    def test_snap_runs_without_a_tuner(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run-md", "--potential", "snap", "--tune"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["run-md", "--potential", "snap", "--twojmax", "2",
+                     "--natoms", "32", "--steps", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "SerialEngine: 32 atoms x 1 steps" in out
+        assert "tuned:" not in out

@@ -52,11 +52,11 @@ class TestBuildEngine:
 
     def test_knob_census(self):
         """The factory's options are reviewed, not accreted: exactly
-        these seven keywords, nothing positional beyond the problem."""
+        these six keywords, nothing positional beyond the problem."""
         params = inspect.signature(build_engine).parameters
         assert list(params) == ["system", "potential", "backend", "nranks",
                                 "nprocs", "skin", "check_finite",
-                                "race_check", "tuning_db"]
+                                "race_check"]
         assert all(p.kind is p.KEYWORD_ONLY
                    for name, p in params.items()
                    if name not in ("system", "potential"))
@@ -212,12 +212,12 @@ from repro.parallel import ProcessEngine
 from repro.potentials import SNAPPotential, StillingerWeber
 
 
-def snap_setup(seed=3):
+def snap_setup(seed=3, reps=(2, 2, 2), y_mode="dense"):
     rng = np.random.default_rng(seed)
-    params = SNAPParams(twojmax=2, rcut=2.4, chunk=64)
+    params = SNAPParams(twojmax=2, rcut=2.4, chunk=64, y_mode=y_mode)
     pot = SNAPPotential(params, beta=rng.normal(
         size=SNAPPotential(params).snap.index.ncoeff))
-    s = lattice_system("diamond", a=3.57, reps=(2, 2, 2))
+    s = lattice_system("diamond", a=3.57, reps=reps)
     s.positions = s.positions + rng.normal(scale=0.03, size=s.positions.shape)
     s.seed_velocities(40.0, rng=np.random.default_rng(seed + 1))
     return s, pot
@@ -284,12 +284,16 @@ class TestProcessParity:
                 assert a.energy == b.energy
                 assert np.allclose(a.virial, b.virial, **TOL)
 
-    def test_snap_forces_bitwise_vs_serial(self):
-        s1, pot = snap_setup()
+    @pytest.mark.parametrize("nprocs", [2, 3])
+    @pytest.mark.parametrize("y_mode", ["dense", "sparse"])
+    def test_snap_forces_bitwise_vs_serial(self, y_mode, nprocs):
+        # 96 atoms: the serial pass crosses a 64-atom block of the
+        # sparse Y plan where the 48- and 32-row worker slices do not
+        s1, pot = snap_setup(reps=(3, 2, 2), y_mode=y_mode)
         serial = SerialEngine(s1, pot)
-        s2, _ = snap_setup()
+        s2, _ = snap_setup(reps=(3, 2, 2))
         s2.positions = s1.positions.copy()
-        with ProcessEngine(s2, pot, nprocs=2) as engine:
+        with ProcessEngine(s2, pot, nprocs=nprocs) as engine:
             rng = np.random.default_rng(4)
             for scale in (0.0, 0.01):  # build + refresh
                 step = rng.normal(scale=scale, size=s1.positions.shape)
@@ -298,8 +302,8 @@ class TestProcessParity:
                 a = serial.evaluate()
                 b = engine.evaluate()
                 assert np.array_equal(a.forces, b.forces)
-                assert np.allclose(a.peratom, b.peratom, **TOL)
-                assert np.isclose(a.energy, b.energy, **TOL)
+                assert np.array_equal(a.peratom, b.peratom)
+                assert a.energy == b.energy
 
     def test_grow_protocol_keeps_bitwise_forces(self):
         s1, pot1 = lj_setup()

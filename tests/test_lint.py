@@ -284,57 +284,6 @@ class TestR6IoOwner:
 
 
 # ======================================================================
-# R7 - tuning-DB ownership
-# ======================================================================
-class TestR7TuningDbOwner:
-    def test_raw_open_write_of_tuning_db_fires(self):
-        assert_fires("R7-tuning-db-owner", (
-            "import json\n"
-            "def save(tuning_path, entries):\n"
-            "    with open(tuning_path, 'w') as fh:\n"
-            "        json.dump(entries, fh)\n"))
-
-    def test_write_text_of_tuning_file_fires(self):
-        assert_fires("R7-tuning-db-owner", (
-            "def save(tuning_db, payload):\n"
-            "    tuning_db.write_text(payload)\n"))
-
-    def test_string_literal_path_fires(self):
-        assert_fires("R7-tuning-db-owner", (
-            "def save(payload):\n"
-            "    with open('cache/tuning.json', mode='w') as fh:\n"
-            "        fh.write(payload)\n"))
-
-    def test_owner_module_is_exempt(self):
-        assert_silent("R7-tuning-db-owner", (
-            "import json\n"
-            "def save(tuning_path, entries):\n"
-            "    with open(tuning_path, 'w') as fh:\n"
-            "        json.dump(entries, fh)\n"), path="repro/tuning/db.py")
-
-    def test_read_of_tuning_db_is_silent(self):
-        assert_silent("R7-tuning-db-owner", (
-            "import json\n"
-            "def load(tuning_path):\n"
-            "    with open(tuning_path) as fh:\n"
-            "        return json.load(fh)\n"))
-
-    def test_unrelated_write_is_silent(self):
-        assert_silent("R7-tuning-db-owner", (
-            "def save(log_path, text):\n"
-            "    with open(log_path, 'w') as fh:\n"
-            "        fh.write(text)\n"))
-
-    def test_pragma_suppresses(self):
-        src = (
-            "def save(tuning_path, payload):\n"
-            "    # repro-lint: disable=R7-tuning-db-owner -- fixture\n"
-            "    with open(tuning_path, 'w') as fh:\n"
-            "        fh.write(payload)\n")
-        assert_silent("R7-tuning-db-owner", src)
-
-
-# ======================================================================
 # suppression pragmas
 # ======================================================================
 class TestPragmas:
@@ -456,8 +405,7 @@ class TestEngine:
         assert sorted(RULES) == sorted([
             "R1-set-iter", "R1-unordered-reduce", "R2-empty-escape",
             "R5-shm-helper", "R5-shm-lifecycle", "R6-io-owner",
-            "R7-tuning-db-owner", "R8-lockset", "R9-engine-contract",
-            "R10-determinism-taint"])
+            "R8-lockset", "R9-engine-contract", "R10-determinism-taint"])
         flags = {opt for action in build_parser()._actions
                  for opt in action.option_strings} - {"-h", "--help"}
         assert flags == {"--select", "--ignore", "--format", "--stats",

@@ -89,8 +89,14 @@ class TestStoreUParity:
             SNAPParams(twojmax=4, rcut=3.0, store_u_budget_mb=0.0)
         with pytest.raises(ValueError, match="y_mode"):
             SNAPParams(twojmax=4, rcut=3.0, y_mode="csr")
-        with pytest.raises(ValueError, match="chunk"):
-            SNAPParams(twojmax=4, rcut=3.0, chunk="big")
+        with pytest.raises(ValueError, match="'dense' or 'sparse'"):
+            SNAPParams(twojmax=4, rcut=3.0, y_mode="auto")
+        for chunk in ("big", "auto", True, 0, 4096.0):
+            with pytest.raises(ValueError, match="chunk must be a positive "
+                                                 "integer"):
+                SNAPParams(twojmax=4, rcut=3.0, chunk=chunk)
+        params = SNAPParams(twojmax=4, rcut=3.0, chunk=np.int64(4096))
+        assert params.chunk == 4096 and type(params.chunk) is int
 
     def test_dedr_independent_of_chunk_grid(self, cluster):
         # every force-pass operation is per pair, and cache entries are
@@ -275,7 +281,7 @@ class TestBenchRecord:
     def test_round_trip(self, tmp_path):
         import json
 
-        from repro.core.benchrecord import make_snap_record, write_snap_record
+        from repro.core.benchrecord import make_snap_record, write_record
 
         rec = make_snap_record(
             problem={"twojmax": 8, "natoms": 100},
@@ -286,7 +292,7 @@ class TestBenchRecord:
         assert rec["variants"]["fused"]["atoms_per_s"] == pytest.approx(200.0)
         assert rec["variants"]["fused"]["stages"] == {"compute_ui": 0.1}
         assert rec["host"]["numpy"] == np.__version__
-        path = write_snap_record(tmp_path / "BENCH_snap.json", rec)
+        path = write_record(tmp_path / "BENCH_snap.json", rec)
         assert json.loads(path.read_text()) == rec
 
     def test_default_reference_is_slowest(self):
