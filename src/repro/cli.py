@@ -251,9 +251,9 @@ def _cmd_parsplice_serve(args) -> int:
         seed=args.seed, **engine_kwargs)
     print(run.summary())
     for i, row in enumerate(run.session_stats):
-        print(f"  session {i} [{row['backend']}]: {row['segments']} segments, "
-              f"{row['binds']} binds, {row['steps']} steps, "
-              f"{row['md_wall_s']:.2f} s MD")
+        print(f"  session {i} [{row['backend']}, pid {row['pid']}]: "
+              f"{row['segments']} segments, {row['binds']} binds, "
+              f"{row['steps']} steps, {row['md_wall_s']:.2f} s MD")
     return 0
 
 

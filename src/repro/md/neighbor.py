@@ -38,33 +38,61 @@ def ragged_arange(counts: np.ndarray) -> np.ndarray:
     return out - np.repeat(starts, counts)
 
 
+#: largest ``(images, N, N)`` distance table the small-box sweep forms in
+#: one pass (32 MiB of float64); bigger systems go one x image at a time
+_SWEEP_TABLE_ELEMS = 1 << 22
+
+
 def _brute_force_pairs(positions: np.ndarray, box: Box, cutoff: float):
-    """All pairs within cutoff including periodic images (small boxes)."""
-    shifts = [np.arange(-1, 2) if p else np.array([0]) for p in box.periodic]
+    """All pairs within cutoff including periodic images (small boxes).
+
+    One pass over all 27 images: per axis a ``(nshift, N, N)`` table of
+    ``(x_j + shift) - x_i`` is built once, ``d2`` of every image is
+    their broadcast sum and a single ``flatnonzero`` emits the pairs in
+    ``(sx, sy, sz, i, j)`` order.
+
+    Callers hand in *unwrapped* coordinates (``MDLoop`` never wraps), so
+    each ``x_j - x_i`` is first reduced by its whole-box count
+    ``trunc(dx / L)`` and the +-1 sweep runs around that.  The count is
+    zero for coordinates within one box length of each other, where the
+    shifts are exactly ``s * L``.
+    """
     # Enough images? require cutoff < smallest periodic box length so that
     # +-1 image sweeps suffice.
     for k in range(3):
         if box.periodic[k] and cutoff >= box.lengths[k] * 1.5:
             raise ValueError(
                 f"cutoff {cutoff} too large for box length {box.lengths[k]}")
-    i_list, j_list, rij_list = [], [], []
-    for sx in shifts[0]:
-        for sy in shifts[1]:
-            for sz in shifts[2]:
-                shift = np.array([sx, sy, sz], dtype=float) * box.lengths
-                dr = positions[None, :, :] + shift - positions[:, None, :]
-                d2 = np.sum(dr * dr, axis=-1)
-                mask = d2 < cutoff * cutoff
-                if sx == 0 and sy == 0 and sz == 0:
-                    np.fill_diagonal(mask, False)
-                ii, jj = np.nonzero(mask)
-                i_list.append(ii)
-                j_list.append(jj)
-                rij_list.append(dr[ii, jj])
-    i_idx = np.concatenate(i_list)
-    j_idx = np.concatenate(j_list)
-    rij = np.concatenate(rij_list)
-    return i_idx, j_idx, rij
+    n = positions.shape[0]
+    comps, squares = [], []
+    for k in range(3):
+        x, length = positions[:, k], box.lengths[k]
+        if box.periodic[k]:
+            images = np.arange(-1.0, 2.0)[:, None, None]
+            images = images - np.trunc((x[None, :] - x[:, None]) / length)
+        else:
+            images = np.zeros((1, 1, 1))
+        comp = (x[None, None, :] + images * length) - x[None, :, None]
+        comps.append(comp)
+        squares.append(comp * comp)
+    dx, dy, dz = comps
+    dx2, dy2, dz2 = squares
+    home = tuple(len(c) // 2 for c in comps)  # the zero-shift image
+    nimg = len(dx) * len(dy) * len(dz)
+    step = len(dx) if nimg * n * n <= _SWEEP_TABLE_ELEMS else 1
+    found = []
+    for x0 in range(0, len(dx), step):
+        d2 = (dx2[x0:x0 + step, None, None] + dy2[None, :, None]) \
+            + dz2[None, None, :]
+        mask = d2 < cutoff * cutoff
+        if x0 <= home[0] < x0 + step:
+            np.fill_diagonal(mask[home[0] - x0, home[1], home[2]], False)
+        # flat scan + unravel: the 5-d nonzero walks every index tuple
+        sx, sy, sz, ii, jj = np.unravel_index(np.flatnonzero(mask),
+                                              mask.shape)
+        found.append((ii, jj, np.stack(
+            [dx[sx + x0, ii, jj], dy[sy, ii, jj], dz[sz, ii, jj]], axis=1)))
+    return tuple(np.concatenate(part) for part in zip(*found))
 
 
 def _cell_pairs(positions: np.ndarray, box: Box, cutoff: float,

@@ -37,10 +37,12 @@ at every ``nprocs``.  Three properties carry the proof:
   ``compute_utot(chunk_origin=...)``, stages 2-3 are per-row/per-pair;
 * owner assembly replays the serial reduction *by the same operation on
   the same operand layout*: ``np.add.reduceat`` segment sums over the
-  contiguous j-sorted slab (SNAP) and strictly-sequential ``np.add.at``
-  chains (pair potentials).  Zero-padding or re-chunking a segment would
-  change NumPy's pairwise summation tree, so the gather compresses
-  dropped skin pairs *before* reducing, exactly like the serial filter.
+  contiguous j-sorted slab (SNAP) and the strictly-sequential
+  ``scatter_add`` / ``scatter_pair_forces`` of
+  :mod:`repro.potentials.base` (pair potentials).  Zero-padding or
+  re-chunking a segment would change NumPy's pairwise summation tree,
+  so the gather compresses dropped skin pairs *before* reducing,
+  exactly like the serial filter.
 
 Per-atom energies and the virial keep the usual fixed-order 1e-10
 contract (the per-atom energy matvec and the virial GEMM are not
@@ -72,12 +74,27 @@ from ..md.box import Box
 from ..md.engine import CommLedger, ForceEngine
 from ..md.neighbor import build_pairs, filter_pairs
 from ..md.timers import PhaseTimers
+from ..potentials.base import scatter_add, scatter_pair_forces
 from ..potentials.snap_potential import SNAPPotential
 from .decomposition import row_partition
 from .halo import BYTES_PER_GHOST, BYTES_PER_POSITION
 from .shm import SharedBlock
 
-__all__ = ["ProcessEngine"]
+__all__ = ["ProcessEngine", "worker_context"]
+
+
+def worker_context(start_method: str | None = None):
+    """The ``multiprocessing`` context this repo starts workers from.
+
+    ``None`` prefers ``fork`` (cheap, copy-on-write potential tables and
+    templates, nothing has to pickle) with a ``spawn`` fallback.  Shared
+    by :class:`ProcessEngine` and the ParSplice segment workers so both
+    follow one start-method policy.
+    """
+    if start_method is None:
+        methods = multiprocessing.get_all_start_methods()
+        start_method = "fork" if "fork" in methods else "spawn"
+    return multiprocessing.get_context(start_method)
 
 # control-word layout (int64 slots in the "ctl" block)
 _CMD = 0          #: 0 = step, 1 = stop
@@ -342,8 +359,8 @@ class _WorkerState:
         inck = self.inc[kmask]
         jk = self.incj[kmask]
         vals_g = self.val.array[inck]
-        f_own = np.zeros((m, 3))
         if self.is_snap:
+            f_own = np.zeros((m, 3))
             i_loc = nbr.i_idx - self.alo
             if i_loc.size:
                 _scatter_sum_sorted(f_own, i_loc, vals)
@@ -351,8 +368,8 @@ class _WorkerState:
                 _scatter_sum_sorted(f_own, jk - self.alo, -vals_g)
             virial = -(nbr.rij.T @ vals)
         else:
-            np.add.at(f_own, jk - self.alo, vals_g)
-            np.add.at(f_own, nbr.i_idx - self.alo, -vals)
+            f_own = scatter_pair_forces(m, jk - self.alo, vals_g,
+                                        nbr.i_idx - self.alo, vals)
             virial = nbr.rij.T @ vals
         if self.check_finite:
             from ..lint.sanitizers import check_finite
@@ -408,13 +425,12 @@ class _WorkerState:
 
         Mirrors :func:`repro.potentials.base.pair_result` exactly: the
         force vector formula is the same elementwise expression and the
-        per-atom energy uses the same strictly-sequential ``np.add.at``
-        chain, so owned rows are bitwise identical to the serial pass.
+        per-atom energy goes through the same ``scatter_add``, so owned
+        rows are bitwise identical to the serial pass.
         """
         phi, dphidr = self.potential.pair_terms(nbr)
         fvec = (-0.5 * dphidr / nbr.r)[:, None] * nbr.rij
-        pa_own = np.zeros(m)
-        np.add.at(pa_own, nbr.i_idx - self.alo, 0.5 * phi)
+        pa_own = scatter_add(nbr.i_idx - self.alo, 0.5 * phi, m)
         self._stage_t = (0.0, 0.0, 0.0)
         return fvec, pa_own
 
@@ -514,10 +530,7 @@ class ProcessEngine(ForceEngine):
         #: so MDLoop checkpoints can replay it on restore)
         self._ref_raw: np.ndarray | None = None
 
-        methods = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            start_method = "fork" if "fork" in methods else "spawn"
-        ctx = multiprocessing.get_context(start_method)
+        ctx = worker_context(start_method)
         barrier = ctx.Barrier(self.nprocs)
         for rank in range(self.nprocs):
             self._start.append(ctx.Semaphore(0))

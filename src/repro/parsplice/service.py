@@ -9,9 +9,9 @@ engine sessions** instead, so the setup cost is paid ``nworkers`` times
 per campaign rather than once per segment.
 
 :class:`SegmentScheduler`
-    The service core.  Holds ``nworkers`` live
-    :class:`~repro.md.engine.EngineSession` objects, multiplexes
-    segment requests over them on a thread pool, and gives every
+    The service core.  Holds ``nworkers`` long-lived worker processes,
+    each owning one live :class:`~repro.md.engine.EngineSession`,
+    multiplexes segment requests over them, and gives every
     request the idempotency contract of
     :func:`~repro.parsplice.segments.run_md_segment`: the same
     ``(state, seed)`` is the bitwise-identical segment, which makes
@@ -35,21 +35,38 @@ per campaign rather than once per segment.
     A self-contained campaign: oracle speculation per quantum, batched
     requests, spliced trajectory throughput accounting.
 
-Threading model: the executor (``self._pool``) runs at most one task
-per session; sessions are checked out of an idle queue, so a session is
-only ever driven by one thread at a time.  All scheduler bookkeeping
-(cache, in-flight table, reorder buffer, splicer, stats) is guarded by
-``self._lock``.
+Process model: one MD instance per Python process.  Every session lives
+in its own worker process (``repro-segsvc-<slot>``) that holds the
+template library, runs the whole of
+:func:`~repro.parsplice.segments.run_md_segment` for a ``(state, seed)``
+key received over a pipe and sends back the
+:class:`~repro.parsplice.segments.MDSegment` (a few KB) with its session
+counters - segments never share a GIL.  Workers start from
+:func:`repro.parallel.process_engine.worker_context` (fork preferred, so
+factories and classifiers need not pickle) and are non-daemonic, so a
+``backend="process"`` session can fork its own ranks.  The parent keeps
+only what must live in one place: cache, in-flight table, reorder
+buffer, splicer and stats, all guarded by ``self._lock``.  Its executor
+(``self._pool``) runs at most one task per worker; a task checks a
+worker out of the idle queue and blocks on that worker's pipe, so a
+worker serves one request at a time.  A worker that dies surfaces as
+``EOFError``/``OSError`` on its pipe, an exception raised inside it is
+re-raised in the parent with the remote traceback attached; both take
+the replace-and-reschedule path.
 """
 
 from __future__ import annotations
 
+import functools
+import pickle
 import queue
 import threading
 import time
+import traceback
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from multiprocessing import util as mp_util
 
 import numpy as np
 
@@ -69,6 +86,147 @@ __all__ = ["SegmentScheduler", "ServiceStats", "ServiceSegmentGenerator",
 #: propagate - rescheduling cannot fix those.
 _ENGINE_FAILURES = (RuntimeError, OSError, ValueError, EOFError,
                     ArithmeticError)
+
+
+# ======================================================================
+# segment worker processes
+# ======================================================================
+def _default_session(template, potential, engine_kwargs) -> EngineSession:
+    return EngineSession.build(template.copy(), potential, **engine_kwargs)
+
+
+def _send_error(conn, err: Exception) -> None:
+    """Report ``err`` and the current traceback to the parent."""
+    trace = traceback.format_exc()
+    try:
+        conn.send(("error", (err, trace)))
+    except (pickle.PicklingError, TypeError, AttributeError):
+        # an exception that does not pickle still gets reported
+        conn.send(("error", (RuntimeError(f"{type(err).__name__}: {err}"),
+                             trace)))
+
+
+def _segment_worker_main(conn, parent_conn, session_factory, states,
+                         segment_kwargs: dict) -> None:
+    """Process entry point: build one session, serve segment requests.
+
+    Requests are ``(state, seed)`` keys, ``None`` stops the worker; a
+    vanished parent reads as end-of-file on the pipe.  An exception
+    leaves the worker serving - whether it is replaced is the parent's
+    decision.
+    """
+    # the inherited copy of the parent's end would hide the parent's
+    # death from recv() below
+    parent_conn.close()
+    try:
+        session = session_factory()
+    except Exception as err:
+        _send_error(conn, err)
+        return
+    try:
+        conn.send(("ready", getattr(session, "backend",
+                                    type(session).__name__)))
+        while True:
+            try:
+                key = conn.recv()
+            except EOFError:
+                break
+            if key is None:
+                break
+            state, seed = key
+            try:
+                segment = run_md_segment(session, states[state], state=state,
+                                         seed=seed, **segment_kwargs)
+            except Exception as err:
+                _send_error(conn, err)
+                continue
+            conn.send(("ok", (segment, {
+                "segments": session.segments, "binds": session.binds,
+                "steps": session.steps, "md_wall_s": session.md_wall_s})))
+    finally:
+        session.close()
+
+
+class _RemoteTraceback(Exception):
+    """Carries a worker's formatted traceback as the ``__cause__``."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
+
+
+class _SegmentWorker:
+    """Parent-side handle of one segment worker process.
+
+    Checked out of the scheduler's idle queue by one pool thread at a
+    time.  ``counters`` is rebound, never mutated, so
+    :meth:`SegmentScheduler.session_stats` may read it from any thread.
+    """
+
+    def __init__(self, name: str, *worker_args) -> None:
+        # imported here like build_engine's backends: repro.parallel is
+        # only paid for by programs that start workers
+        from ..parallel.process_engine import worker_context
+
+        ctx = worker_context()
+        self.name = name
+        self._conn, child_conn = ctx.Pipe()
+        self._proc = ctx.Process(target=_segment_worker_main, name=name,
+                                 args=(child_conn, self._conn, *worker_args))
+        self._proc.start()
+        child_conn.close()
+        try:
+            backend = self._reply()
+        except BaseException:
+            self.close()
+            raise
+        self.counters = {"backend": backend, "pid": self._proc.pid,
+                         "segments": 0, "binds": 0, "steps": 0,
+                         "md_wall_s": 0.0}
+
+    def _reply(self):
+        """Payload of the worker's next message.
+
+        A worker's own exception is re-raised here with its traceback
+        as the cause.  The pipe alone cannot be trusted to report a
+        death - a sibling forked while this worker's pipe was being set
+        up holds a copy of its far end - so liveness is polled too.
+        """
+        while not self._conn.poll(0.25):
+            # (a last message may have landed between the two checks)
+            if not self._proc.is_alive() and not self._conn.poll(0):
+                raise EOFError(f"segment worker {self.name} died "
+                               f"(exit code {self._proc.exitcode})")
+        kind, payload = self._conn.recv()
+        if kind == "error":
+            err, trace = payload
+            raise err from _RemoteTraceback(trace)
+        return payload
+
+    def run_segment(self, state: int, seed: int) -> MDSegment:
+        self._conn.send((state, seed))
+        segment, counters = self._reply()
+        self.counters = {**self.counters, **counters}
+        return segment
+
+    def close(self) -> None:
+        """Stop the worker (it closes its session) and reap it."""
+        try:
+            self._conn.send(None)
+        except OSError:
+            pass  # already dead, or this handle is already closed
+        self._proc.join(timeout=10.0)
+        if self._proc.is_alive():  # mid-segment or wedged: do not wait
+            self._proc.terminate()
+            self._proc.join(timeout=2.0)
+            if self._proc.is_alive():
+                self._proc.kill()
+                self._proc.join()
+        self._conn.close()
+
+
+def _close_workers(workers: list) -> None:
+    for worker in workers:
+        worker.close()
 
 
 @dataclass
@@ -96,7 +254,7 @@ class ServiceStats:
 
 
 class SegmentScheduler:
-    """Multiplex batched segment requests over persistent engine sessions.
+    """Multiplex batched segment requests over persistent session workers.
 
     Parameters
     ----------
@@ -107,7 +265,8 @@ class SegmentScheduler:
         Force field for the default session factory (ignored when
         ``session_factory`` is given).
     nworkers:
-        Live engine sessions (= maximum concurrently running segments).
+        Worker processes, one live engine session each (= maximum
+        concurrently running segments).
     nsteps, dt, temperature, damp:
         Segment physics; one segment is ``nsteps`` Langevin steps.
     seed:
@@ -116,7 +275,7 @@ class SegmentScheduler:
     classifier:
         ``classifier(system, start_state) -> end_state`` hook mapping a
         segment's final configuration onto the library; default keeps
-        the segment in its start state.
+        the segment in its start state.  Runs inside the workers.
     cache_limit:
         Bounded LRU capacity of the ``(state, seed)`` segment cache.
     max_inflight:
@@ -126,8 +285,9 @@ class SegmentScheduler:
         Reschedule attempts per segment after session failures.
     session_factory:
         Zero-argument callable producing a fresh
-        :class:`~repro.md.engine.EngineSession`; used at construction
-        and to replace dead sessions.  Default builds
+        :class:`~repro.md.engine.EngineSession`; called inside each
+        worker process as it starts, at construction and when a dead
+        worker is replaced.  Default builds
         ``build_engine(states[0], potential, **engine_kwargs)``.
     """
 
@@ -153,11 +313,8 @@ class SegmentScheduler:
             if potential is None:
                 raise ValueError(
                     "potential is required without a session_factory")
-            template = self.states[0]
-
-            def session_factory() -> EngineSession:
-                return EngineSession.build(template.copy(), potential,
-                                           **engine_kwargs)
+            session_factory = functools.partial(
+                _default_session, self.states[0], potential, engine_kwargs)
 
         self.nworkers = int(nworkers)
         self.nsteps = int(nsteps)
@@ -171,8 +328,21 @@ class SegmentScheduler:
         self.max_retries = int(max_retries)
         self.cache_limit = int(cache_limit)
 
-        self._session_factory = session_factory
-        self._sessions = [session_factory() for _ in range(self.nworkers)]  # guarded-by: _lock
+        self._worker_args = (session_factory, self.states, dict(
+            stream=self.stream, nsteps=self.nsteps, dt=self.dt,
+            temperature=self.temperature, damp=self.damp,
+            classifier=classifier))
+        self._workers: list = []  # guarded-by: _lock
+        # runs at close(), at garbage collection and - before
+        # multiprocessing joins its non-daemonic children - at exit
+        self._finalizer = mp_util.Finalize(
+            self, _close_workers, args=(self._workers,), exitpriority=10)
+        try:
+            for idx in range(self.nworkers):
+                self._workers.append(self._spawn_worker(idx))
+        except BaseException:
+            self._finalizer()
+            raise
         self._idle: queue.SimpleQueue = queue.SimpleQueue()
         for idx in range(self.nworkers):
             self._idle.put(idx)
@@ -284,7 +454,7 @@ class SegmentScheduler:
         return [f.result() for f in futures]
 
     # ------------------------------------------------------------------
-    # worker path (runs on pool threads)
+    # dispatch path (runs on pool threads; the MD runs in the workers)
     # ------------------------------------------------------------------
     def _run_segment(self, key, ticket: int) -> MDSegment:
         state, seed = key
@@ -294,16 +464,11 @@ class SegmentScheduler:
                 with self._lock:
                     self.stats.reschedules += 1
             idx = self._idle.get()
-            session = self._sessions[idx]
             try:
-                segment = run_md_segment(
-                    session, self.states[state], state=state, seed=seed,
-                    stream=self.stream, nsteps=self.nsteps, dt=self.dt,
-                    temperature=self.temperature, damp=self.damp,
-                    classifier=self.classifier)
+                segment = self._workers[idx].run_segment(state, seed)
             except _ENGINE_FAILURES as err:  # session died mid-segment
                 last_err = err
-                self._replace_session(idx)
+                self._replace_worker(idx)
                 continue
             self._idle.put(idx)
             self._complete(key, ticket, segment)
@@ -313,21 +478,21 @@ class SegmentScheduler:
             f"segment {key} failed after {self.max_retries + 1} attempts"
         ) from last_err
 
-    def _replace_session(self, idx: int) -> None:
-        """Swap a dead session for a factory-fresh one.
+    def _spawn_worker(self, idx: int) -> _SegmentWorker:
+        return _SegmentWorker(f"repro-segsvc-{idx}", *self._worker_args)
+
+    def _replace_worker(self, idx: int) -> None:
+        """Swap a failed worker (and its session) for a fresh one.
 
         The idle token goes back only once the replacement exists: if
         the factory itself fails, the slot is lost and the error
         propagates to the segment's future instead of hanging peers on
         a token for a broken session.
         """
-        try:
-            self._sessions[idx].close()  # guarded-by: _idle (slot checked out)
-        except _ENGINE_FAILURES:
-            pass  # already-broken engines may fail their own teardown
-        replacement = self._session_factory()
+        self._workers[idx].close()  # guarded-by: _idle (slot checked out)
+        replacement = self._spawn_worker(idx)
         with self._lock:
-            self._sessions[idx] = replacement
+            self._workers[idx] = replacement
             self.stats.sessions_replaced += 1
         self._idle.put(idx)
 
@@ -383,12 +548,10 @@ class SegmentScheduler:
             return self.splicer.current_state
 
     def session_stats(self) -> list[dict]:
-        """Per-session reuse counters (segments, binds, steps, wall)."""
+        """Per-session counters as last relayed by each worker: backend,
+        pid, segments, binds, steps, MD wall seconds."""
         with self._lock:
-            sessions = list(self._sessions)
-        return [{"backend": s.backend, "segments": s.segments,
-                 "binds": s.binds, "steps": s.steps,
-                 "md_wall_s": s.md_wall_s} for s in sessions]
+            return [dict(worker.counters) for worker in self._workers]
 
     def summary(self) -> dict:
         with self._lock:
@@ -411,16 +574,13 @@ class SegmentScheduler:
             }
 
     def close(self) -> None:
-        """Drain the pool and close every session (idempotent)."""
+        """Drain the pool and stop every worker (idempotent)."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
         self._pool.shutdown(wait=True)
-        with self._lock:
-            sessions = list(self._sessions)
-        for session in sessions:
-            session.close()
+        self._finalizer()
 
     def __enter__(self) -> "SegmentScheduler":
         return self

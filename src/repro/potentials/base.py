@@ -15,7 +15,7 @@ import numpy as np
 
 from ..core.snap import EnergyForces, NeighborBatch
 
-__all__ = ["Potential", "pair_result"]
+__all__ = ["Potential", "pair_result", "scatter_add", "scatter_pair_forces"]
 
 
 class Potential(abc.ABC):
@@ -52,6 +52,42 @@ class Potential(abc.ABC):
         return type(self).__name__
 
 
+def scatter_add(index: np.ndarray, weights: np.ndarray,
+                size: int) -> np.ndarray:
+    """``out = zeros(size); np.add.at(out, index, weights)``, faster.
+
+    ``np.bincount`` accumulates strictly in input order from zero, like
+    the ``add.at`` chain it replaces, so the sums are bitwise equal to
+    it - which is what lets every force backend share this one helper
+    and stay bitwise equal to the serial pass.
+    """
+    if index.size == 0:  # bincount of nothing is int64, not float64
+        return np.zeros(size)
+    return np.bincount(index, weights=weights, minlength=size)
+
+
+def scatter_pair_forces(size: int, plus_idx: np.ndarray, plus: np.ndarray,
+                        minus_idx: np.ndarray,
+                        minus: np.ndarray) -> np.ndarray:
+    """Per-atom forces from per-pair vectors, in ``add.at`` order.
+
+    Bitwise equal to ``f = zeros((size, 3)); np.add.at(f, plus_idx,
+    plus); np.add.at(f, minus_idx, -minus)``: each atom first receives
+    its ``plus`` rows in pair order, then its negated ``minus`` rows.
+    Runs one :func:`scatter_add` per Cartesian component over a reused
+    weight buffer, so no ``(2 * npairs, 3)`` array is formed.
+    """
+    index = np.concatenate((plus_idx, minus_idx))
+    weights = np.empty(index.size)
+    nplus = plus_idx.size
+    forces = np.empty((size, 3))
+    for c in range(3):
+        weights[:nplus] = plus[:, c]
+        np.negative(minus[:, c], out=weights[nplus:])
+        forces[:, c] = scatter_add(index, weights, size)
+    return forces
+
+
 def pair_result(natoms: int, nbr: NeighborBatch,
                 phi: np.ndarray, dphidr: np.ndarray) -> EnergyForces:
     """Assemble an :class:`EnergyForces` for a radial pair potential.
@@ -66,13 +102,10 @@ def pair_result(natoms: int, nbr: NeighborBatch,
     dphidr:
         ``(npairs,)`` radial derivative ``d(phi)/dr``.
     """
-    peratom = np.zeros(natoms)
-    np.add.at(peratom, nbr.i_idx, 0.5 * phi)
+    peratom = scatter_add(nbr.i_idx, 0.5 * phi, natoms)
     # Ordered pair (i -> j) contributes -0.5*dphidr*rhat to the force on j.
     fvec = (-0.5 * dphidr / nbr.r)[:, None] * nbr.rij
-    forces = np.zeros((natoms, 3))
-    np.add.at(forces, nbr.j_idx, fvec)
-    np.add.at(forces, nbr.i_idx, -fvec)
+    forces = scatter_pair_forces(natoms, nbr.j_idx, fvec, nbr.i_idx, fvec)
     virial = nbr.rij.T @ fvec
     return EnergyForces(energy=float(peratom.sum()), peratom=peratom,
                         forces=forces, virial=virial)

@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.snap import EnergyForces, NeighborBatch
-from .base import Potential, pair_result
+from .base import (Potential, pair_result, scatter_add,
+                   scatter_pair_forces)
 
 __all__ = ["FinnisSinclair"]
 
@@ -56,8 +57,7 @@ class FinnisSinclair(Potential):
         out = pair_result(natoms, nbr, phi, dphi)
 
         psi, dpsi = self._psi(nbr.r)
-        rho = np.zeros(natoms)
-        np.add.at(rho, nbr.i_idx, psi)
+        rho = scatter_add(nbr.i_idx, psi, natoms)
         sqrt_rho = np.sqrt(np.maximum(rho, 1e-300))
         emb = -self.a * sqrt_rho
         # F'(rho) = -A / (2 sqrt(rho)); zero for isolated atoms.
@@ -67,9 +67,8 @@ class FinnisSinclair(Potential):
         # rho_i depends on r_j: dE/dr_j = F'(rho_i) psi'(r) rhat per pair.
         g = fprime[nbr.i_idx] * dpsi / np.where(nbr.r > 0, nbr.r, 1.0)
         fvec = -g[:, None] * nbr.rij  # force contribution on neighbor j
-        forces = out.forces
-        np.add.at(forces, nbr.j_idx, fvec)
-        np.add.at(forces, nbr.i_idx, -fvec)
+        forces = out.forces + scatter_pair_forces(
+            natoms, nbr.j_idx, fvec, nbr.i_idx, fvec)
         virial = out.virial + nbr.rij.T @ fvec
         return EnergyForces(energy=float(out.peratom.sum()), peratom=out.peratom,
                             forces=forces, virial=virial)

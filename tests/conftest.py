@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.core import SNAP, NeighborBatch, SNAPParams
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_worker_process_outlives_the_session():
+    """Tier-1 fails if a segment worker (``repro-segsvc-*``) or a
+    ``ProcessEngine`` rank (``repro-pe-*``) is still alive at exit: every
+    scheduler and engine a test builds must have been closed (or
+    finalized at collection) by then."""
+    yield
+    gc.collect()
+    leaked = [f"{p.name} (pid {p.pid})"
+              for p in multiprocessing.active_children()
+              if p.name.startswith(("repro-segsvc", "repro-pe-"))]
+    assert not leaked, f"worker processes alive at session end: {leaked}"
 
 
 @pytest.fixture

@@ -486,6 +486,10 @@ class TestTreeIsClean:
             in project.pool_entries
         assert "repro.md.trajectory.AsyncTrajectoryWriter._drain_loop" \
             in project.pool_entries
+        assert "repro.parsplice.service._segment_worker_main" \
+            in project.pool_entries
+        assert "repro.parsplice.service.SegmentScheduler._run_segment" \
+            in project.pool_entries
         assert result.stats.suppressed_per_rule.get("R8-lockset") == 2
 
     def test_cli_module_entrypoint(self, tmp_path):

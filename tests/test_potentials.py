@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import SNAPParams
 from repro.md import Box, build_pairs
 from repro.potentials import (FinnisSinclair, LennardJones, SNAPPotential,
                               StillingerWeber)
+from repro.potentials.base import scatter_add, scatter_pair_forces
 from repro.potentials.sw import triplet_indices
 from repro.structures import lattice_system
 
@@ -30,6 +33,37 @@ def _fd_check(pot, system, atol, h=1e-6, natoms_checked=4):
             f[i, c] = -(ep - em) / (2 * h)
     assert np.allclose(res.forces[:natoms_checked], f, atol=atol)
     return res
+
+
+@settings(deadline=None, max_examples=60)
+@given(natoms=st.integers(1, 40), nplus=st.integers(0, 300),
+       nminus=st.integers(0, 300), decades=st.integers(0, 12),
+       seed=st.integers(0, 2**16))
+def test_scatter_helpers_equal_the_add_at_chain(natoms, nplus, nminus,
+                                                decades, seed):
+    """``scatter_add`` / ``scatter_pair_forces`` against the literal
+    ``np.add.at`` chains they replaced: bitwise, float64 - the empty
+    pair list included (``np.bincount`` of nothing is int64)."""
+    rng = np.random.default_rng(seed)
+    plus_idx = rng.integers(0, natoms, size=nplus)
+    minus_idx = rng.integers(0, natoms, size=nminus)
+    # magnitudes spread over decades so summation order shows in the bits
+    plus = rng.normal(size=(nplus, 3)) * 10.0 ** rng.uniform(
+        0, decades, size=(nplus, 1))
+    minus = rng.normal(size=(nminus, 3)) * 10.0 ** rng.uniform(
+        0, decades, size=(nminus, 1))
+
+    forces = np.zeros((natoms, 3))
+    np.add.at(forces, plus_idx, plus)
+    np.add.at(forces, minus_idx, -minus)
+    got = scatter_pair_forces(natoms, plus_idx, plus, minus_idx, minus)
+    assert got.dtype == np.float64 and got.tobytes() == forces.tobytes()
+
+    peratom = np.zeros(natoms)
+    np.add.at(peratom, plus_idx, plus[:, 0])
+    got = scatter_add(plus_idx, plus[:, 0], natoms)
+    assert got.dtype == np.float64 and got.shape == (natoms,)
+    assert got.tobytes() == peratom.tobytes()
 
 
 @pytest.fixture

@@ -6,10 +6,15 @@ constructed one, on every backend), the in-memory
 snapshot/restore-snapshot path against the file-checkpoint baseline,
 and the :class:`SegmentScheduler` service semantics - idempotent
 resubmission, the segment cache, deterministic splicing, and
-worker-death rescheduling.
+rescheduling after a killed worker process or a worker-side exception.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -220,42 +225,101 @@ class TestSegmentService:
         assert (a.seed, b.seed) == (0, 1)
         assert a.fingerprint != b.fingerprint
 
-    def test_worker_death_reschedules_on_replacement_session(self):
+    def test_worker_death_reschedules_on_replacement_session(self, tmp_path):
+        """SIGKILL a segment worker mid-segment: the session is
+        replaced, the segment rescheduled, and the result is bitwise
+        what a healthy scheduler produces."""
         states, pot = _library(), _pot()
+        reached = tmp_path / "mid-segment"
+
+        def classifier(system, state):
+            # inside run_md_segment, in the worker: the first attempt
+            # parks here until it is killed, the rescheduled one returns
+            if not reached.exists():
+                reached.touch()
+                time.sleep(120)
+            return state
+
+        with SegmentScheduler(states, pot, nworkers=1, nsteps=6, seed=7,
+                              classifier=classifier) as sched:
+            victim = sched.session_stats()[0]["pid"]
+            fut = sched.request(1, seed=5)
+            deadline = time.monotonic() + 60
+            while not reached.exists():
+                assert time.monotonic() < deadline, "worker never started"
+                time.sleep(0.01)
+            os.kill(victim, signal.SIGKILL)
+            seg = fut.result(timeout=60)
+            assert sched.stats.reschedules == 1
+            assert sched.stats.sessions_replaced == 1
+            assert sched.session_stats()[0]["pid"] != victim
+        with SegmentScheduler(states, pot, nworkers=1, nsteps=6,
+                              seed=7) as sched:
+            healthy = sched.request(1, seed=5).result()
+        assert seg.fingerprint == healthy.fingerprint
+
+    def test_worker_exception_is_reported_with_traceback_and_retried(
+            self, tmp_path):
+        states, pot = _library(), _pot()
+        tripped = tmp_path / "tripped"
 
         class FlakySession:
-            """Dies on its first run, then delegates to a real session."""
+            """Raises on the first run of the campaign (the flag is a
+            file: the session lives in a worker process), then
+            delegates to a real session."""
 
-            def __init__(self, real):
-                self._real = real
-                self._poisoned = True
+            def __init__(self):
+                self._real = EngineSession.build(states[0].copy(), pot)
 
             def run(self, *args, **kwargs):
-                if self._poisoned:
-                    self._poisoned = False
-                    raise RuntimeError("engine died")
+                if not tripped.exists():
+                    tripped.touch()
+                    raise ValueError("engine poisoned")
                 return self._real.run(*args, **kwargs)
 
             def __getattr__(self, name):
                 return getattr(self._real, name)
 
-        built = []
+        with SegmentScheduler(states, session_factory=FlakySession,
+                              nworkers=1, nsteps=6, seed=7) as sched:
+            seg = sched.request(1, seed=5).result(timeout=60)
+            assert sched.stats.reschedules == 1
+            assert sched.stats.sessions_replaced == 1
+        with MDSegmentGenerator(states, pot, nsteps=6, seed=7) as gen:
+            assert seg.fingerprint == gen.generate(1, seed=5).fingerprint
+        # out of retries, the worker's own exception and traceback are
+        # what the future's error chains to
+        tripped.unlink()
+        with SegmentScheduler(states, session_factory=FlakySession,
+                              nworkers=1, nsteps=6, seed=7,
+                              max_retries=0) as sched:
+            with pytest.raises(RuntimeError, match="failed after 1") as info:
+                sched.request(1, seed=5).result(timeout=60)
+        remote = info.value.__cause__
+        assert isinstance(remote, ValueError)
+        assert "engine poisoned" in str(remote)
+        assert "run_md_segment" in str(remote.__cause__)
+        assert "test_service.py" in str(remote.__cause__)
 
-        def factory():
-            real = EngineSession.build(states[0].copy(), pot)
-            built.append(real)
-            return FlakySession(real) if len(built) == 1 else real
+    def test_close_reaps_every_worker_process(self):
+        states, pot = _library(), _pot()
 
-        with SegmentScheduler(states, session_factory=factory, nworkers=1,
-                              nsteps=6, seed=7) as sched:
-            seg = sched.request(1, seed=5).result()
-            assert sched.stats.reschedules >= 1
-            assert sched.stats.sessions_replaced >= 1
-        # the rescheduled segment is bitwise what a healthy run produces
-        with SegmentScheduler(states, pot, nworkers=1, nsteps=6,
-                              seed=7) as sched:
-            healthy = sched.request(1, seed=5).result()
-        assert seg.fingerprint == healthy.fingerprint
+        def segment_workers():
+            return [p for p in multiprocessing.active_children()
+                    if p.name.startswith("repro-segsvc")]
+
+        sched = SegmentScheduler(states, pot, nworkers=3, nsteps=6, seed=7)
+        try:
+            assert len(segment_workers()) == 3
+            sched.gather(sched.request_batch([1, 1, 1]))
+            pids = {row["pid"] for row in sched.session_stats()}
+            assert pids == {p.pid for p in segment_workers()}
+            assert os.getpid() not in pids
+        finally:
+            sched.close()
+        assert segment_workers() == []
+        assert multiprocessing.active_children() == []
+        sched.close()  # idempotent
 
     def test_exhausted_retries_fail_the_future_not_the_service(self):
         states, pot = _library(), _pot()
@@ -314,6 +378,11 @@ class TestSegmentService:
         assert run.n_spliced >= 1
         assert run.trajectory_ps > 0
         assert len(run.session_stats) == 2
+        assert sum(row["segments"] for row in run.session_stats) \
+            == run.stats.segments_run
+        assert all(row["steps"] == 6 * row["segments"]
+                   and row["binds"] == row["segments"]
+                   for row in run.session_stats)
         assert "sessions" in run.summary()
 
 
