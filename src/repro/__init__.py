@@ -12,8 +12,9 @@ md
     Molecular-dynamics substrate: boxes/PBC, neighbor lists, integrators,
     thermostats, the instrumented simulation driver.
 parallel
-    Simulated-MPI domain decomposition: communicator, 3D grid, halo
-    exchange, distributed MD driver.
+    Simulated-MPI domain decomposition: 3D grid, halo exchange with
+    reverse communication, the distributed comm-model engine and the
+    shared-memory multiprocess engine.
 potentials
     Classical potentials used as substrates/baselines (LJ, EAM,
     bond-order carbon).

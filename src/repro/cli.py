@@ -12,8 +12,6 @@ Commands
     Print the machine-comparison table (Fig. 6).
 ``production``
     Simulate the 24 h production trace (Fig. 7) and print summary rows.
-``bench-kernel``
-    Measure the local SNAP kernel (Table-I-style row for this host).
 ``run-md``
     Run real MD on any execution backend (serial / multiprocess /
     distributed comm model) through the shared engine layer and print
@@ -110,31 +108,6 @@ def _cmd_production(args) -> int:
           f"{trace['sim_time_ns'][-1]:.2f} ns of physics")
     print(f"median rate {np.median(perf):.2f} Matom-steps/node-s, "
           f"I/O dip floor {perf.min():.2f}")
-    return 0
-
-
-def _cmd_bench_kernel(args) -> int:
-    import time
-
-    from .core import SNAP, SNAPParams
-    from .md import build_pairs
-    from .structures import random_packed
-
-    density = 0.1
-    s = random_packed(args.natoms, density=density, seed=1)
-    rcut = (26 / (4 / 3 * np.pi * density)) ** (1 / 3)
-    params = SNAPParams(twojmax=args.twojmax, rcut=rcut)
-    snap = SNAP(params, beta=np.random.default_rng(0).normal(
-        size=SNAP(params).index.ncoeff))
-    nbr = build_pairs(s.positions, s.box, rcut)
-    t0 = time.perf_counter()
-    snap.compute(args.natoms, nbr)
-    dt = time.perf_counter() - t0
-    print(f"2J={args.twojmax}, {args.natoms} atoms, "
-          f"{nbr.npairs / args.natoms:.1f} nbrs: "
-          f"{args.natoms / dt / 1e3:.2f} Katom-steps/s")
-    for k, v in snap.last_timings.items():
-        print(f"  {k:22s} {v / dt * 100:5.1f}%")
     return 0
 
 
@@ -276,10 +249,6 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("production")
     p.add_argument("--hours", type=float, default=24.0)
     p.set_defaults(fn=_cmd_production)
-    p = sub.add_parser("bench-kernel")
-    p.add_argument("--natoms", type=int, default=256)
-    p.add_argument("--twojmax", type=int, default=8)
-    p.set_defaults(fn=_cmd_bench_kernel)
     p = sub.add_parser("run-md")
     p.add_argument("--natoms", type=int, default=128)
     p.add_argument("--steps", type=int, default=10)

@@ -6,8 +6,6 @@ Public entry points:
 * :mod:`~repro.core.baseline` - Listing-1 reference implementation.
 * :mod:`~repro.core.variants` - the TestSNAP optimization ladder (E2/E3).
 * :mod:`~repro.core.flops` - FLOP model used by the performance model.
-* :mod:`~repro.core.benchrecord` - machine-readable benchmark records
-  (``BENCH_snap.json``).
 """
 
 from .indexing import SNAPIndex, num_bispectrum

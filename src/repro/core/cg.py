@@ -141,8 +141,8 @@ class SparseCGTriple:
     ``seg_starts`` performs the whole deterministic segment reduction.
 
     ``nnz`` / ``dense_size`` give the achieved sparsity for the FLOP
-    model and the benchmark record (``dense_size`` counts the half-plane
-    inner products the dense GEMM path evaluates for this triple).
+    model (``dense_size`` counts the half-plane inner products the dense
+    GEMM path evaluates for this triple).
     """
 
     idx1: np.ndarray

@@ -2,8 +2,8 @@
 
 The kernel paper documents a sequence of restructurings from the 2012
 baseline to the production kernel.  We reproduce the ladder's *shape*
-in NumPy - each rung is a complete, correct implementation, and the
-benchmark reports grind time relative to the baseline:
+in NumPy - each rung is a complete, correct implementation, and
+:func:`grind_times` reports grind time relative to the baseline:
 
 ``listing1_baseline``
     The original algorithm (Listing 1): per-atom loop; Clebsch-Gordan
@@ -271,7 +271,7 @@ def grind_times(snap: SNAP, natoms: int, nbr: NeighborBatch,
     """Measure grind time of every rung on the same problem.
 
     Also asserts all rungs agree with the baseline to 1e-8, so the
-    benchmark cannot silently drift from correctness.
+    timing cannot silently drift from correctness.
     """
     ref = None
     out = []

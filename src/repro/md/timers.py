@@ -2,8 +2,9 @@
 
 The paper's Fig. 4 splits wall time into "SNAP" (force), "MPI Comm" and
 "Other" (I/O, thermostat, Verlet integration, ...).  :class:`PhaseTimers`
-accumulates the same categories for our drivers so the breakdown bench
-can report measured fractions next to the paper's.
+accumulates the same categories for our drivers so a run's
+``RunSummary.phase_breakdown`` reports measured fractions in the
+paper's terms.
 
 Phases nest one level: a dotted name like ``"comm.halo_build"`` is a
 *sub-phase* of the top-level ``"comm"`` phase.  Sub-phases are kept in a
@@ -26,12 +27,12 @@ __all__ = ["PhaseTimers", "TOP_PHASES", "SUB_PHASES",
 # canonical phase registry
 # ----------------------------------------------------------------------
 # Every backend reports its time through the same small phase
-# vocabulary so the Fig. 4 breakdown bench can compare them; a backend
+# vocabulary so one Fig. 4 breakdown can compare them; a backend
 # that invents a phase string silently falls out of every cross-backend
 # table.  The whole-program lint pass (rule R9-phase-name in
 # repro.lint.flow) statically extracts these tuples and validates each
 # string handed to ``timers.phase(...)`` / ``timers.add(...)`` against
-# them, so a typo is a lint finding instead of a missing bench column.
+# them, so a typo is a lint finding instead of a missing table column.
 # New phases are added HERE first, then used.
 
 #: top-level phases (the Fig. 4 categories plus engine bookkeeping)

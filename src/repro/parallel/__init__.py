@@ -1,6 +1,6 @@
 """Simulated-MPI domain decomposition substrate."""
 
-from .comm import CommStats, VirtualComm, reverse_scatter_add
+from .comm import CommStats, reverse_scatter_add
 from .decomposition import DomainGrid, best_grid, row_partition
 from .distributed import DistributedEngine
 from .halo import BYTES_PER_GHOST, BYTES_PER_POSITION, Halo, build_halos
@@ -8,7 +8,6 @@ from .process_engine import ProcessEngine
 from .shm import SharedBlock, attach_shm, close_shm, create_shm
 
 __all__ = [
-    "VirtualComm",
     "CommStats",
     "reverse_scatter_add",
     "best_grid",

@@ -1,39 +1,32 @@
-"""In-process virtual communicator with an mpi4py-like buffer API.
+"""Traffic accounting and reverse communication for the in-process ranks.
 
-The distributed driver exchanges halos through direct array access; this
-module provides the general message-passing substrate for code written
-against an MPI-style interface (point-to-point ``Send``/``Recv``,
-``Bcast``, ``Allreduce``, ``Alltoall``), executing all ranks in one
-process.  Every transfer is accounted (bytes, message count), feeding
-the same communication model the paper's scaling analysis relies on.
-
-Ranks run as steps of a bulk-synchronous schedule: user code calls
-:meth:`VirtualComm.run` with one callable per rank; calls block only in
-the sense that message order is preserved per (source, dest, tag).
+:class:`~repro.parallel.distributed.DistributedEngine` exchanges halos
+through direct array access, so there is no message-passing object here:
+:func:`reverse_scatter_add` returns ghost-row forces to their owners in
+fixed rank order and :class:`CommStats` counts the messages and bytes
+that move, feeding the same communication model the paper's scaling
+analysis relies on.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["VirtualComm", "CommStats", "reverse_scatter_add"]
+__all__ = ["CommStats", "reverse_scatter_add"]
 
 
 @dataclass
 class CommStats:
-    """Traffic accounting for a virtual communicator."""
+    """Traffic accounting for the reverse (ghost -> owner) exchange."""
 
     messages: int = 0
     bytes: int = 0
-    collectives: int = 0
 
     def reset(self) -> None:
         self.messages = 0
         self.bytes = 0
-        self.collectives = 0
 
 
 def reverse_scatter_add(out: np.ndarray, index_blocks: list[np.ndarray],
@@ -63,92 +56,3 @@ def reverse_scatter_add(out: np.ndarray, index_blocks: list[np.ndarray],
             stats.bytes += val.nbytes
     return out
 
-
-class VirtualComm:
-    """A fixed-size communicator whose ranks live in one process.
-
-    Point-to-point semantics follow mpi4py's buffer API: ``Send`` copies
-    the array into an internal mailbox, ``Recv`` pops the oldest
-    matching message into the caller's buffer.  Collectives operate on
-    per-rank value lists supplied at call time.
-    """
-
-    def __init__(self, size: int) -> None:
-        if size < 1:
-            raise ValueError("communicator size must be >= 1")
-        self._size = size
-        self._mail: dict[tuple[int, int, int], deque[np.ndarray]] = defaultdict(deque)
-        self.stats = CommStats()
-
-    def Get_size(self) -> int:
-        return self._size
-
-    # ------------------------------------------------------------------
-    # point to point
-    # ------------------------------------------------------------------
-    def _check_rank(self, rank: int) -> None:
-        if not 0 <= rank < self._size:
-            raise ValueError(f"rank {rank} out of range for size {self._size}")
-
-    def Send(self, buf: np.ndarray, source: int, dest: int, tag: int = 0) -> None:
-        """Copy ``buf`` into the mailbox of ``dest``."""
-        self._check_rank(source)
-        self._check_rank(dest)
-        arr = np.array(buf)
-        self._mail[(source, dest, tag)].append(arr)
-        self.stats.messages += 1
-        self.stats.bytes += arr.nbytes
-
-    def Recv(self, buf: np.ndarray, source: int, dest: int, tag: int = 0) -> None:
-        """Pop the oldest matching message into ``buf`` (shape must match)."""
-        key = (source, dest, tag)
-        if not self._mail[key]:
-            raise RuntimeError(
-                f"no message from rank {source} to {dest} with tag {tag}")
-        msg = self._mail[key].popleft()
-        if buf.shape != msg.shape:
-            raise ValueError(f"receive buffer shape {buf.shape} != {msg.shape}")
-        buf[...] = msg
-
-    def pending(self) -> int:
-        """Number of sent-but-unreceived messages (leak detector)."""
-        return sum(len(q) for q in self._mail.values())
-
-    # ------------------------------------------------------------------
-    # collectives (value-list style: element i belongs to rank i)
-    # ------------------------------------------------------------------
-    def Bcast(self, value: np.ndarray, root: int = 0) -> list[np.ndarray]:
-        self._check_rank(root)
-        arr = np.array(value)
-        self.stats.collectives += 1
-        self.stats.bytes += arr.nbytes * (self._size - 1)
-        return [arr.copy() for _ in range(self._size)]
-
-    def Allreduce(self, values: list[np.ndarray], op=np.add) -> list[np.ndarray]:
-        if len(values) != self._size:
-            raise ValueError("need one value per rank")
-        total = values[0].copy()
-        for v in values[1:]:
-            total = op(total, v)
-        self.stats.collectives += 1
-        self.stats.bytes += 2 * total.nbytes * (self._size - 1)
-        return [total.copy() for _ in range(self._size)]
-
-    def Alltoall(self, matrix: list[list[np.ndarray]]) -> list[list[np.ndarray]]:
-        """``matrix[i][j]`` is what rank i sends to rank j."""
-        if len(matrix) != self._size or any(len(row) != self._size for row in matrix):
-            raise ValueError("need a size x size send matrix")
-        self.stats.collectives += 1
-        out = [[np.array(matrix[i][j]) for i in range(self._size)]
-               for j in range(self._size)]
-        self.stats.bytes += sum(np.asarray(matrix[i][j]).nbytes
-                                for i in range(self._size)
-                                for j in range(self._size) if i != j)
-        return out
-
-    # ------------------------------------------------------------------
-    def run(self, rank_fns: list) -> list:
-        """Execute one callable per rank, in rank order (BSP step)."""
-        if len(rank_fns) != self._size:
-            raise ValueError("need one callable per rank")
-        return [fn(rank, self) for rank, fn in enumerate(rank_fns)]

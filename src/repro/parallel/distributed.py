@@ -218,9 +218,11 @@ class DistributedEngine(ForceEngine):
         self.ledger.rebuilds += 1
         self.ledger.max_rank_atoms = max(self.ledger.max_rank_atoms,
                                          int(counts.max()))
-        self.ledger.min_rank_atoms = int(counts.min()) \
-            if self.ledger.min_rank_atoms == 0 \
-            else min(self.ledger.min_rank_atoms, int(counts.min()))
+        # 0 is a real minimum (an empty rank), so the rebuild count, not
+        # the value, says whether there is an earlier minimum to keep
+        fewest = int(counts.min())
+        self.ledger.min_rank_atoms = fewest if self.ledger.rebuilds == 1 \
+            else min(self.ledger.min_rank_atoms, fewest)
 
     # ------------------------------------------------------------------
     # per-rank evaluation

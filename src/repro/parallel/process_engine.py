@@ -570,9 +570,7 @@ class ProcessEngine(ForceEngine):
     def _estimate_capacity(self) -> int:
         """Reference pair count estimate with headroom (grow covers misses)."""
         rc = self.potential.cutoff + self.skin
-        volume = float(np.prod(self._box_lengths)) \
-            if hasattr(self, "_box_lengths") else self.system.box.volume
-        density = self.system.natoms / max(volume, 1e-300)
+        density = self.system.natoms / max(self.system.box.volume, 1e-300)
         per_atom = 4.0 / 3.0 * np.pi * rc ** 3 * density
         return int(self.system.natoms * per_atom * 1.6) + 1024
 

@@ -28,7 +28,7 @@ def measured_md_rate(system, potential=None, dt: float = 1.0e-3,
     segment cost in an actual engine measurement instead of a guess.
 
     By default a fresh engine is built (``engine_kwargs`` select the
-    backend: ``nranks``, ``nworkers``, ...) and torn down.  Passing a
+    backend: ``nranks``, ``nprocs``, ...) and torn down.  Passing a
     live :class:`repro.md.EngineSession` (or bare engine) via ``engine``
     measures over it instead - the session is rebound to ``system``,
     reused, and left open (caller keeps ownership), so calibration runs

@@ -7,7 +7,8 @@ streaming write is well described by a latency + bandwidth model::
     t(n) = latency + nbytes / bandwidth
 
 which also fits the measured throughput of this repo's own chunked
-trajectory writer (see ``benchmarks/bench_engine.py``): per-frame
+trajectory writer (the suite's ``md.trajectory.write_mb_per_s`` and
+``md.trajectory.bytes_per_frame`` on ``lj4k_nvt_io``): per-frame
 latency covers syscall + header overhead, bandwidth the payload burst.
 """
 

@@ -1,7 +1,8 @@
 """Paper-reported values, verbatim, for side-by-side comparison.
 
-Every benchmark prints the relevant entries from here next to the
-reproduced numbers; EXPERIMENTS.md is generated from the same data.
+The ``repro headline | scaling | machines | production`` tables print
+the relevant entries from here next to the reproduced numbers and
+``tests/test_perfmodel.py`` asserts against the same data.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-ADAPTERS = (Path(__file__).resolve().parents[1]
-            / "benchmarks" / "suite" / "adapters.py")
+ROOT = Path(__file__).resolve().parents[1]
+ADAPTERS = ROOT / "benchmarks" / "suite" / "adapters.py"
 
 
 def _load_adapters():
@@ -30,3 +30,17 @@ def test_adapter_surface_resolves_and_binds():
     inspect.signature(repo.build_engine).bind(None, None, backend="serial")
     assert "nworkers" in inspect.signature(repo.SegmentScheduler).parameters
     assert "nsteps" in inspect.signature(repo.SegmentScheduler).parameters
+
+
+def test_layout_census():
+    """The suite is the only perf record: ``benchmarks/`` holds
+    ``suite/`` and nothing else, no ``BENCH_*.json`` sits at the repo
+    root, and pytest neither collects ``bench_*.py`` nor needs
+    pytest-benchmark."""
+    found = sorted(p.name for p in (ROOT / "benchmarks").iterdir()
+                   if p.name != "__pycache__")
+    assert found == ["suite"]
+    assert sorted(ROOT.glob("BENCH_*.json")) == []
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert "bench_*.py" not in pyproject
+    assert "pytest-benchmark" not in pyproject

@@ -1,10 +1,15 @@
 """Tests for the command-line interface."""
 
 import re
+import runpy
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+EXAMPLES = sorted((Path(__file__).resolve().parents[1] / "examples")
+                  .glob("*.py"))
 
 
 class TestCLI:
@@ -35,25 +40,23 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "ns of physics" in out
 
-    def test_bench_kernel(self, capsys):
-        assert main(["bench-kernel", "--natoms", "24", "--twojmax", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "Katom-steps/s" in out
-
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
 
     def test_subcommand_census(self, capsys):
         """The subcommands are reviewed, not accreted: exactly these,
-        and the deleted ``tune`` is an argparse usage error."""
-        with pytest.raises(SystemExit) as exc:
-            main(["tune", "--twojmax", "4"])
-        assert exc.value.code == 2
-        usage = capsys.readouterr().err
-        assert re.search(r"\{(.*?)\}", usage).group(1).split(",") == [
-            "info", "headline", "scaling", "machines", "production",
-            "bench-kernel", "run-md", "parsplice-serve", "lint"]
+        and the deleted ``tune`` and ``bench-kernel`` are argparse usage
+        errors."""
+        for argv in (["tune", "--twojmax", "4"],
+                     ["bench-kernel", "--natoms", "24"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            usage = capsys.readouterr().err
+            assert re.search(r"\{(.*?)\}", usage).group(1).split(",") == [
+                "info", "headline", "scaling", "machines", "production",
+                "run-md", "parsplice-serve", "lint"]
 
 
 class TestRunMD:
@@ -134,3 +137,12 @@ class TestRunMD:
         out = capsys.readouterr().out
         assert "SerialEngine: 32 atoms x 1 steps" in out
         assert "tuned:" not in out
+
+
+@pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)
+def test_example_runs(script, capsys, monkeypatch, tmp_path):
+    """Every ``examples/*.py`` runs to completion as ``__main__`` and
+    prints something; from ``tmp_path``, so nothing lands in the tree."""
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out.strip()

@@ -1,89 +1,10 @@
-"""Tests for the virtual communicator, SNAP file I/O and dynamics analysis."""
+"""Tests for SNAP file I/O and dynamics analysis."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import diffusion_coefficient, vacf, vibrational_dos
 from repro.core import SNAP, SNAPParams, read_snap_files, write_snap_files
-from repro.parallel import VirtualComm
-
-
-class TestVirtualComm:
-    def test_send_recv_roundtrip(self):
-        comm = VirtualComm(4)
-        data = np.arange(10.0)
-        comm.Send(data, source=0, dest=2, tag=7)
-        buf = np.zeros(10)
-        comm.Recv(buf, source=0, dest=2, tag=7)
-        assert np.allclose(buf, data)
-        assert comm.pending() == 0
-        assert comm.stats.messages == 1
-        assert comm.stats.bytes == data.nbytes
-
-    def test_message_ordering(self):
-        comm = VirtualComm(2)
-        comm.Send(np.array([1.0]), 0, 1)
-        comm.Send(np.array([2.0]), 0, 1)
-        buf = np.zeros(1)
-        comm.Recv(buf, 0, 1)
-        assert buf[0] == 1.0
-        comm.Recv(buf, 0, 1)
-        assert buf[0] == 2.0
-
-    def test_recv_without_send_raises(self):
-        comm = VirtualComm(2)
-        with pytest.raises(RuntimeError, match="no message"):
-            comm.Recv(np.zeros(1), 0, 1)
-
-    def test_shape_mismatch(self):
-        comm = VirtualComm(2)
-        comm.Send(np.zeros(3), 0, 1)
-        with pytest.raises(ValueError, match="shape"):
-            comm.Recv(np.zeros(4), 0, 1)
-
-    def test_send_copies(self):
-        comm = VirtualComm(2)
-        data = np.zeros(3)
-        comm.Send(data, 0, 1)
-        data[:] = 9.0
-        buf = np.empty(3)
-        # repro-lint: disable=R2-empty-escape -- Recv is an out-parameter call that fills buf in place
-        comm.Recv(buf, 0, 1)
-        assert np.all(buf == 0.0)
-
-    def test_bcast(self):
-        comm = VirtualComm(3)
-        out = comm.Bcast(np.array([5.0, 6.0]), root=1)
-        assert len(out) == 3
-        assert all(np.allclose(o, [5.0, 6.0]) for o in out)
-
-    def test_allreduce_sum(self):
-        comm = VirtualComm(3)
-        vals = [np.array([float(i)]) for i in range(3)]
-        out = comm.Allreduce(vals)
-        assert all(o[0] == 3.0 for o in out)
-        assert comm.stats.collectives == 1
-
-    def test_alltoall_transpose(self):
-        comm = VirtualComm(2)
-        m = [[np.array([i * 10 + j]) for j in range(2)] for i in range(2)]
-        out = comm.Alltoall(m)
-        assert out[1][0][0] == 1  # rank 1 receives what rank 0 sent to it
-
-    def test_run_bsp(self):
-        comm = VirtualComm(2)
-
-        def rank_fn(rank, c):
-            return rank * 2
-
-        assert comm.run([rank_fn, rank_fn]) == [0, 2]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            VirtualComm(0)
-        comm = VirtualComm(2)
-        with pytest.raises(ValueError):
-            comm.Send(np.zeros(1), 0, 5)
 
 
 class TestSnapFileIO:

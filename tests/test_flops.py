@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.flops import (PAPER_FLOPS_PER_ATOM_STEP, flops_per_atom_step,
                               kernel_flops_per_atom)
+from repro.core.indexing import SNAPIndex, enumerate_z_triples
 
 
 class TestCalibration:
@@ -41,3 +42,20 @@ class TestScaling:
         # compute_yi is O(J^7): doubling J should grow it far more than 8x
         r = kernel_flops_per_atom(14, 26)["yi"] / kernel_flops_per_atom(7, 26)["yi"]
         assert r > 20.0
+
+    def test_adjoint_storage_breaks_the_2j14_memory_wall(self):
+        """TestSNAP Fig. 3: per atom the pre-adjoint algorithm stores the
+        O(J^5) ``Z`` products plus ``dB`` per neighbour, the adjoint one
+        only the O(J^3) ``Y`` (complex128 = 16 B, float64 = 8 B)."""
+        def stored_bytes(twojmax, nnbor=26):
+            idx = SNAPIndex(twojmax)
+            zlist = 16 * sum((j + 1) ** 2
+                             for _, _, j in enumerate_z_triples(twojmax))
+            dblist = 8 * nnbor * 3 * idx.nb
+            return zlist, dblist, 16 * idx.nu
+
+        z14, db14, y14 = stored_bytes(14)
+        assert (z14 + db14) / y14 > 30
+        assert z14 > 10 * y14
+        z8, db8, y8 = stored_bytes(8)
+        assert (z14 + db14) / y14 > 1.5 * (z8 + db8) / y8

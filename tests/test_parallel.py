@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import SNAPParams
-from repro.md import Box, MDLoop, build_engine, build_pairs
+from repro.md import Box, MDLoop, ParticleSystem, build_engine, build_pairs
 from repro.parallel import (DistributedEngine, DomainGrid, SharedBlock,
                             best_grid, build_halos, row_partition)
 from repro.potentials import LennardJones, SNAPPotential, StillingerWeber
@@ -154,6 +154,27 @@ class TestDistributed:
         # wrap both before comparing (distributed wraps internally)
         assert np.allclose(s1.box.wrap(s1.positions), s2.box.wrap(s2.positions),
                            atol=1e-8)
+
+    def test_empty_rank_minimum_survives_later_rebuilds(self, rng):
+        """An empty rank is a minimum of 0, not "unset": a later rebuild
+        where every rank owns atoms must not overwrite it."""
+        box = Box.cubic(24.0)
+        pot = LennardJones(epsilon=0.2, sigma=2.2, cutoff=3.0)
+        octant = ParticleSystem(positions=rng.uniform(1.0, 9.0, size=(12, 3)),
+                                box=box)
+        spread = ParticleSystem(positions=rng.uniform(0.0, 24.0, size=(64, 3)),
+                                box=box)
+        engine = DistributedEngine(octant, pot, 2)
+        engine.evaluate()
+        assert (engine.ledger.min_rank_atoms, engine.ledger.max_rank_atoms) \
+            == (0, 12)
+        engine.bind(spread)
+        engine.evaluate()
+        counts = np.bincount(engine.grid.assign_atoms(spread.positions),
+                             minlength=2)
+        assert counts.min() > 0 and engine.ledger.rebuilds == 2
+        assert engine.ledger.min_rank_atoms == 0
+        assert engine.ledger.max_rank_atoms == counts.max()
 
 
 class TestRowPartition:

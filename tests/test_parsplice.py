@@ -177,6 +177,13 @@ class TestRunParSplice:
         assert hot.speedup < cold.speedup
         assert hot.n_transitions > cold.n_transitions
 
+    def test_speedup_grows_with_workers(self):
+        e, b = nanoparticle_landscape(n_basins=40, states_per_basin=8, seed=2)
+        msm = arrhenius_msm(e, b, temperature=300.0)
+        speedups = [run_parsplice(msm, nworkers=nw, quanta=15, t_segment=0.2,
+                                  seed=1).speedup for nw in (4, 16, 64)]
+        assert speedups[0] < speedups[1] < speedups[2]
+
     def test_trajectory_time_bounded_by_generated(self):
         e, b = nanoparticle_landscape(seed=3)
         run = run_parsplice(arrhenius_msm(e, b, 800.0), nworkers=8, quanta=10)

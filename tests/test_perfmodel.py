@@ -89,6 +89,12 @@ class TestBreakdown:
         f2 = breakdown("summit", N1B, 4650)["MPI Comm"]
         assert f2 > f1
 
+    def test_comm_fraction_grows_as_sample_shrinks(self):
+        # the trend Fig. 4 exists to show, at the full machine
+        fracs = [breakdown("summit", n, 4650)["MPI Comm"]
+                 for n in (N20, N1B, N100M)]
+        assert fracs[0] < fracs[1] < fracs[2]
+
 
 class TestWeakScaling:
     def test_efficiency_90_percent(self):
@@ -134,6 +140,36 @@ class TestMachines:
         pf = pflops("selene", N20, 512, PAPER_FLOPS_PER_ATOM_STEP)
         assert pf == pytest.approx(11.14, rel=0.06)
 
+    def test_perlmutter_pflops(self):
+        pf = pflops("perlmutter", N20, 1024, PAPER_FLOPS_PER_ATOM_STEP)
+        assert pf == pytest.approx(11.24, rel=0.08)
+
+    def test_ordering_at_common_scale(self):
+        # Fig. 6's visual ordering per node: Selene > Perlmutter ~ Summit
+        # >> Frontera
+        perf = {m: md_performance(m, N1B, 256) for m in MACHINES}
+        assert perf["selene"] > perf["perlmutter"] > 0.8 * perf["summit"]
+        assert perf["summit"] > 20 * perf["frontera"]
+
+    def test_table1_gpu_fraction_of_peak_below_cpu(self):
+        """Table I's motivating shape: normalised to SandyBridge, the
+        baseline kernel's fraction of peak on every GPU generation sits
+        below every CPU's and no later part regains the 2012 fraction;
+        the column itself follows from the speed and peak columns."""
+        rows = PAPER["table1"]
+        _, _, speed0, peak0, frac0 = rows[0]
+        assert rows[0][0] == "Intel SandyBridge" and frac0 == 1.0
+        for hw, _, speed, peak, frac in rows:
+            assert frac == pytest.approx((speed / peak) / (speed0 / peak0),
+                                         rel=0.02), hw
+        def is_accel(hw):  # KNL is manycore and sits with the GPUs
+            return "NVIDIA" in hw or "KNL" in hw
+
+        accel = [r[4] for r in rows if is_accel(r[0])]
+        cpu = [r[4] for r in rows if not is_accel(r[0])]
+        assert len(accel) == 4 and max(accel) < 0.1 < min(cpu)
+        assert all(r[4] <= frac0 for r in rows)
+
     def test_min_nodes(self):
         m = MACHINES["summit"]
         assert m.min_nodes(N1B) <= 64
@@ -159,6 +195,31 @@ class TestCommModel:
     def test_invalid_nodes(self):
         with pytest.raises(ValueError):
             comm_time_per_step(MACHINES["summit"], 0, 1000)
+
+    def test_ghost_residual_against_distributed_engine(self):
+        """The model's ghost shell against the halos ``DistributedEngine``
+        builds on the paper-shaped sample (EXPERIMENTS E4b has the
+        rows): within 8 % on every grid, best on the cubic one the
+        model assumes, and the total halo grows with the rank count
+        (Fig. 3's surface-to-volume trend)."""
+        from repro.md import build_engine
+        from repro.potentials import LennardJones
+        from repro.structures import random_packed
+
+        natoms, density, skin = 4000, 0.1, 0.3
+        s = random_packed(natoms, density=density, seed=1)
+        cutoff = (26 / (4 / 3 * np.pi * density)) ** (1 / 3)
+        pot = LennardJones(epsilon=0.2, sigma=2.2, cutoff=cutoff)
+        residual, total = {}, {}
+        for n in (2, 4, 8):
+            engine = build_engine(s.copy(), pot, nranks=n, skin=skin)
+            engine.evaluate()
+            total[n] = engine.ledger.ghost_atoms
+            model = ghost_atoms_per_domain(natoms / n, density, cutoff + skin)
+            residual[n] = total[n] / n / model - 1.0
+        assert all(abs(r) <= 0.08 for r in residual.values()), residual
+        assert abs(residual[8]) == min(abs(r) for r in residual.values())
+        assert total[2] < total[4] < total[8]
 
 
 class TestProductionTrace:
@@ -194,6 +255,19 @@ class TestProductionTrace:
     def test_custom_bc8_curve(self):
         tr = production_trace(bc8_fraction_of_time=lambda f: 0.0)
         assert np.all(tr["bc8"] == 0.0)
+
+    def test_checkpoint_cadence(self, trace):
+        # ~2e6 steps at a 50k-step checkpoint interval: a dip per write
+        perf = trace["perf"]
+        assert 10 <= (perf < 0.8 * np.median(perf)).sum() <= 80
+
+    def test_crystallisation_buys_simulated_time(self):
+        from repro.perfmodel import ProductionRun
+        flat = production_trace(ProductionRun(seed=5),
+                                bc8_fraction_of_time=lambda f: 0.0)
+        ramp = production_trace(ProductionRun(seed=5),
+                                bc8_fraction_of_time=lambda f: min(1.0, 2 * f))
+        assert ramp["sim_time_ns"][-1] > flat["sim_time_ns"][-1]
 
 
 class TestFileSystemModel:

@@ -276,33 +276,3 @@ class TestEmptyAndEdgeCases:
                           rij=np.zeros((3, 3)), r=np.ones(3),
                           j_idx=np.zeros(2, dtype=np.intp))
 
-
-class TestBenchRecord:
-    def test_round_trip(self, tmp_path):
-        import json
-
-        from repro.core.benchrecord import make_snap_record, write_record
-
-        rec = make_snap_record(
-            problem={"twojmax": 8, "natoms": 100},
-            seconds={"legacy": 2.0, "fused": 0.5},
-            natoms=100, reference="legacy",
-            stage_timings={"fused": {"compute_ui": 0.1}})
-        assert rec["variants"]["fused"]["speedup_vs_legacy"] == pytest.approx(4.0)
-        assert rec["variants"]["fused"]["atoms_per_s"] == pytest.approx(200.0)
-        assert rec["variants"]["fused"]["stages"] == {"compute_ui": 0.1}
-        assert rec["host"]["numpy"] == np.__version__
-        path = write_record(tmp_path / "BENCH_snap.json", rec)
-        assert json.loads(path.read_text()) == rec
-
-    def test_default_reference_is_slowest(self):
-        from repro.core.benchrecord import make_snap_record
-
-        rec = make_snap_record(problem={}, seconds={"a": 1.0, "b": 3.0},
-                               natoms=10)
-        assert rec["reference"] == "b"
-        with pytest.raises(ValueError):
-            make_snap_record(problem={}, seconds={}, natoms=10)
-        with pytest.raises(ValueError):
-            make_snap_record(problem={}, seconds={"a": 1.0}, natoms=10,
-                             reference="nope")
