@@ -39,16 +39,14 @@ def _qlm_sums(positions: np.ndarray, box: Box, rcut: float, l: int,
     for mi, m in enumerate(range(-l, l + 1)):
         vals = sph_harm_y(l, m, theta, phi)
         np.add.at(qlm[:, mi], i_idx, vals)
-    counts = np.zeros(n)
-    np.add.at(counts, i_idx, 1.0)
-    return qlm, counts
+    return qlm, np.bincount(i_idx, minlength=n)
 
 
 def steinhardt_q(positions: np.ndarray, box: Box, rcut: float, l: int = 6,
                  nnn: int | None = None) -> np.ndarray:
     """Per-atom ``q_l``; zero for atoms with no neighbors."""
     qlm, counts = _qlm_sums(positions, box, rcut, l, nnn)
-    safe = np.maximum(counts, 1.0)
+    safe = np.maximum(counts, 1)
     qlm /= safe[:, None]
     s = np.sum(np.abs(qlm) ** 2, axis=1)
     q = np.sqrt(4.0 * np.pi / (2 * l + 1) * s)

@@ -33,6 +33,4 @@ def rdf(positions: np.ndarray, box: Box, rmax: float, nbins: int = 100
 def coordination_numbers(positions: np.ndarray, box: Box, rcut: float) -> np.ndarray:
     """Number of neighbors within ``rcut`` per atom."""
     pairs = build_pairs(positions, box, rcut)
-    out = np.zeros(positions.shape[0], dtype=np.intp)
-    np.add.at(out, pairs.i_idx, 1)
-    return out
+    return np.bincount(pairs.i_idx, minlength=positions.shape[0])

@@ -176,6 +176,9 @@ def _cmd_run_md(args) -> int:
           f"-> {summary.atom_steps_per_s / 1e3:.2f} Katom-steps/s")
     for phase, frac in sorted(summary.phase_fractions.items()):
         print(f"  {phase:8s} {frac * 100:5.1f}%")
+        sub = summary.phase_breakdown[phase].get("sub", {})
+        for name, seconds in sorted(sub.items()):
+            print(f"    {name:20s} {seconds * 1e3:9.2f} ms")
     if writer is not None and summary.io_bytes is not None:
         rate = summary.io_bytes_per_s or 0.0
         print(f"  trajectory: {summary.io_frames} frames, "

@@ -137,6 +137,9 @@ class NeighborBatch:
     pair_weight: np.ndarray | None = None
     pair_rcut: np.ndarray | None = None
     _j_perm: np.ndarray | None = field(default=None, init=False, repr=False)
+    #: ``(reference batch, keep mask)`` of a skin-filtered batch, set by
+    #: :func:`repro.md.neighbor.filter_pairs`
+    _j_source: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.i_idx = np.ascontiguousarray(self.i_idx, dtype=np.intp)
@@ -165,13 +168,21 @@ class NeighborBatch:
     def j_sorted_perm(self) -> np.ndarray:
         """Stable permutation sorting pairs by neighbor atom (cached).
 
-        Built once per neighbor build so the j-side force scatter can run
-        as a segment reduction instead of an ``np.add.at`` scatter.
+        Built on first call - only the SNAP force scatter asks - so the
+        j-side scatter can run as a segment reduction instead of an
+        ``np.add.at`` scatter.  A skin-filtered batch derives it from its
+        reference's permutation in O(npairs): compressing a stable sort
+        keeps it stable, so there is one sort per topology build.
         """
         if self.j_idx is None:
             raise ValueError("NeighborBatch.j_idx is required for j_sorted_perm")
         if self._j_perm is None:
-            self._j_perm = np.argsort(self.j_idx, kind="stable")
+            if self._j_source is None:
+                self._j_perm = np.argsort(self.j_idx, kind="stable")
+            else:
+                ref, keep = self._j_source
+                p = ref.j_sorted_perm()
+                self._j_perm = (np.cumsum(keep) - 1)[p[keep[p]]]
         return self._j_perm
 
 
@@ -587,8 +598,7 @@ class SNAP:
         ``utot`` row, ``(i1, i2)`` and ``(i2, i1)`` are the same product:
         pairs are canonicalized and deduplicated (~2.6x fewer gathered
         products at 2J=8), and the weighted entry->output reduction is
-        stored as a sparse matrix (scipy CSR when available, otherwise
-        sorted ``np.add.reduceat`` segments).
+        stored as a scipy CSR matrix.
         """
         with self._plan_lock:
             if self._y_plan is not None:
@@ -617,30 +627,18 @@ class SNAP:
             pair_hi = np.maximum(i1, i2)
             upair, col = np.unique(pair_lo * idx.nu + pair_hi,
                                    return_inverse=True)
-            plan: dict = {
+            from scipy import sparse as sps
+
+            m = sps.csr_matrix((val, (out, col)),
+                               shape=(self._nu_half, upair.size))
+            m.sum_duplicates()
+            self._y_plan = {
                 "nuniq": int(upair.size),
                 "pi1": np.ascontiguousarray(upair // idx.nu, dtype=np.intp),
                 "pi2": np.ascontiguousarray(upair % idx.nu, dtype=np.intp),
-                "mat": None,
+                "mat": m.astype(np.complex128),
             }
-            try:
-                from scipy import sparse as sps
-            except ImportError:  # pragma: no cover - scipy is optional
-                sps = None
-            if sps is not None:
-                m = sps.csr_matrix((val, (out, col)),
-                                   shape=(self._nu_half, upair.size))
-                m.sum_duplicates()
-                plan["mat"] = m.astype(np.complex128)
-            else:
-                order = np.lexsort((col, out))
-                out, col, val = out[order], col[order], val[order]
-                seg = np.flatnonzero(np.r_[True, np.diff(out) > 0])
-                plan.update(val=np.ascontiguousarray(val)[:, None],
-                            col=np.ascontiguousarray(col, dtype=np.intp),
-                            seg=seg, rows=out[seg])
-            self._y_plan = plan
-            return plan
+            return self._y_plan
 
     def _sparse_y_half(self, utot: np.ndarray) -> np.ndarray:
         """Packed half-plane ``Y`` via the global sparse-CG plan.
@@ -666,12 +664,7 @@ class SNAP:
             np.take(ut, plan["pi1"], axis=0, out=a)
             np.take(ut, plan["pi2"], axis=0, out=b)
             a *= b
-            if plan["mat"] is not None:
-                y_half[sl] = (plan["mat"] @ a).T
-            else:
-                prod = plan["val"] * a[plan["col"]]
-                zs = np.add.reduceat(prod, plan["seg"], axis=0)
-                y_half[sl][:, plan["rows"]] = zs.T
+            y_half[sl] = (plan["mat"] @ a).T
         return y_half
 
     def compute_descriptors(self, natoms: int, nbr: NeighborBatch) -> np.ndarray:

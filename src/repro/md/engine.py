@@ -302,8 +302,13 @@ class SerialEngine(ForceEngine):
                                    skin=self.skin)
             rebound.nbuilds = self.neighbors.nbuilds
             self.neighbors = rebound
-        with self.timers.phase("neigh"):
-            nbr = self.neighbors.get(positions)
+        builds = self.neighbors.nbuilds
+        t0 = time.perf_counter()
+        nbr = self.neighbors.get(positions)
+        t_neigh = time.perf_counter() - t0
+        self.timers.add("neigh", t_neigh)
+        self.timers.add("neigh.rebuild" if self.neighbors.nbuilds > builds
+                        else "neigh.refresh", t_neigh)
         with self.timers.phase("force"):
             result = self.potential.compute(self.system.natoms, nbr)
         # kernel-stage split (SNAP-backed potentials expose last_timings)

@@ -1,15 +1,17 @@
-"""Neighbor lists: linked cells with a Verlet skin.
+"""Neighbor lists: a tree pair search with a Verlet skin.
 
 ``build_neighborlist`` is the paper's ``build_neighborlist()`` stage.
 Two code paths share one contract (a full, both-directions pair list
 sorted by central atom, exactly what :class:`repro.core.NeighborBatch`
 expects):
 
-* a vectorized **cell list** (O(N)) used whenever the box admits at
-  least three cells per periodic axis, and
-* a brute-force **image sweep** (O(27 N^2)) that remains correct for
-  boxes smaller than twice the cutoff, where a single pair can interact
-  through several periodic images (small training cells need this).
+* a **k-d tree** search (``scipy.spatial.cKDTree``, O(N log N)) in
+  canonical ``(i, j)`` order, used whenever every periodic axis is at
+  least three cutoffs long, and
+* a brute-force **image sweep** (O(27 N^2)) for shorter boxes; it
+  remains correct below twice the cutoff, where a single pair can
+  interact through several periodic images (small training cells need
+  this).
 
 A Verlet skin lets the list persist across steps; rebuild is triggered
 when any atom moved more than half the skin, the standard MD heuristic.
@@ -20,22 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from ..core.snap import NeighborBatch
 from .box import Box
 
-__all__ = ["NeighborList", "build_pairs", "filter_pairs", "ragged_arange"]
-
-
-def ragged_arange(counts: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(c)`` for every count (vectorized)."""
-    counts = np.asarray(counts, dtype=np.intp)
-    if counts.size == 0 or counts.sum() == 0:
-        return np.zeros(0, dtype=np.intp)
-    ends = np.cumsum(counts)
-    out = np.arange(ends[-1], dtype=np.intp)
-    starts = ends - counts
-    return out - np.repeat(starts, counts)
+__all__ = ["NeighborList", "build_pairs", "filter_pairs", "refresh_pairs"]
 
 
 #: largest ``(images, N, N)`` distance table the small-box sweep forms in
@@ -95,99 +87,77 @@ def _brute_force_pairs(positions: np.ndarray, box: Box, cutoff: float):
     return tuple(np.concatenate(part) for part in zip(*found))
 
 
-def _cell_pairs(positions: np.ndarray, box: Box, cutoff: float,
+def _tree_pairs(positions: np.ndarray, box: Box, cutoff: float,
                 rows: tuple[int, int] | None = None):
-    """Linked-cell pair search; requires >= 3 cells per periodic axis.
+    """k-d tree pair search; periodic axes must be >= 3 cutoffs long.
 
-    With ``rows=(lo, hi)`` only pairs whose *central* atom falls in that
-    index window are emitted.  The cell structure is still built over
-    all atoms and the per-offset emission order is unchanged, so the
-    restricted lists of a disjoint row partition concatenate to exactly
-    the full list (same pairs, same order) - the invariant the
-    multiprocess row-slice backend relies on for bitwise parity.
+    The tree (over wrapped coordinates, radius padded by 1e-12) only
+    proposes the half list; the geometry and the inclusion test are our
+    own arithmetic on it, and the list is mirrored with ``-d``.  With
+    ``rows=(lo, hi)`` half pairs that do not touch the window are
+    dropped before the geometry; the arithmetic per pair is the same,
+    so a restricted list holds the same bits as the full one.
     """
-    n = positions.shape[0]
-    ncell = np.maximum(np.floor(box.lengths / cutoff).astype(int), 1)
     pos = box.wrap(positions)
-    coord = np.minimum((pos / (box.lengths / ncell)).astype(int), ncell - 1)
-    ncx, ncy, ncz = ncell
-    cid = (coord[:, 0] * ncy + coord[:, 1]) * ncz + coord[:, 2]
-    order = np.argsort(cid, kind="stable")
-    cid_sorted = cid[order]
-    ncells = int(ncx * ncy * ncz)
-    cell_ptr = np.searchsorted(cid_sorted, np.arange(ncells + 1))
-    counts = np.diff(cell_ptr)
-
-    rowmask = None
+    period = np.where(box.pmask, box.lengths, 0.0)
+    half = cKDTree(pos, boxsize=period).query_pairs(
+        cutoff * (1.0 + 1e-12), output_type="ndarray")
     if rows is not None:
-        rowmask = np.zeros(n, dtype=bool)
-        rowmask[rows[0]:rows[1]] = True
-    i_list, j_list, rij_list = [], [], []
-    offsets = np.array([(ox, oy, oz)
-                        for ox in (-1, 0, 1) for oy in (-1, 0, 1) for oz in (-1, 0, 1)])
-    pmask = box.pmask
-    for off in offsets:
-        nc = coord + off  # neighbor cell raw coords per atom
-        wrapcnt = np.floor_divide(nc, ncell)  # image count per axis
-        valid = np.ones(n, dtype=bool) if rowmask is None else rowmask.copy()
-        for k in range(3):
-            if not pmask[k]:
-                valid &= (nc[:, k] >= 0) & (nc[:, k] < ncell[k])
-        ncw = nc - wrapcnt * ncell
-        ncid = (ncw[:, 0] * ncy + ncw[:, 1]) * ncz + ncw[:, 2]
-        shift = wrapcnt * box.lengths  # added to neighbor positions
-        atoms = np.nonzero(valid)[0]
-        if atoms.size == 0:
-            continue
-        cnt = counts[ncid[atoms]]
-        ii = np.repeat(atoms, cnt)
-        lane = ragged_arange(cnt)
-        jj = order[np.repeat(cell_ptr[ncid[atoms]], cnt) + lane]
-        dr = pos[jj] + np.repeat(shift[atoms], cnt, axis=0) - pos[ii]
-        d2 = np.sum(dr * dr, axis=1)
-        keep = d2 < cutoff * cutoff
-        samecell = np.all(off == 0)
-        if samecell:
-            keep &= ii != jj
-        i_list.append(ii[keep])
-        j_list.append(jj[keep])
-        rij_list.append(dr[keep])
-    i_idx = np.concatenate(i_list) if i_list else np.zeros(0, dtype=np.intp)
-    j_idx = np.concatenate(j_list) if j_list else np.zeros(0, dtype=np.intp)
-    rij = np.concatenate(rij_list) if rij_list else np.zeros((0, 3))
-    return i_idx, j_idx, rij
+        inwin = (half >= rows[0]) & (half < rows[1])
+        half = half[inwin[:, 0] | inwin[:, 1]]
+    d = np.take(pos, half[:, 1], axis=0) - np.take(pos, half[:, 0], axis=0)
+    d -= period * np.round(d / box.lengths)
+    near = np.flatnonzero(np.einsum("ij,ij->i", d, d) < cutoff * cutoff)
+    a, b, d = half[near, 0], half[near, 1], np.take(d, near, axis=0)
+    return (np.concatenate([a, b]), np.concatenate([b, a]),
+            np.concatenate([d, -d]))
 
 
 def build_pairs(positions: np.ndarray, box: Box, cutoff: float,
                 rows: tuple[int, int] | None = None) -> NeighborBatch:
     """Full neighbor pair list within ``cutoff``, sorted by central atom.
 
+    Within an atom the tree path orders pairs by ascending ``j`` - a
+    canonical ``(i, j)`` order that is a pure function of the positions
+    - and the small-box sweep, where a pair can repeat through several
+    images, by image.
+
     ``rows=(lo, hi)`` restricts the list to pairs whose central atom
     index lies in ``[lo, hi)``; the restricted lists of a disjoint row
     partition concatenate (in partition order) to exactly the
-    unrestricted list.  The backend selection (cell list vs brute-force
+    unrestricted list.  The backend selection (tree vs brute-force
     sweep) depends only on the box and the total atom count, never on
     the window, so every slice of one system takes the same code path.
     """
     positions = np.asarray(positions, dtype=float)
+    n = positions.shape[0]
     ncell = np.floor(box.lengths / cutoff).astype(int)
     usable = all((not box.periodic[k]) or ncell[k] >= 3 for k in range(3))
-    if usable and positions.shape[0] > 32:
-        i_idx, j_idx, rij = _cell_pairs(positions, box, cutoff, rows=rows)
+    tree = usable and n > 32
+    if tree:
+        i_idx, j_idx, rij = _tree_pairs(positions, box, cutoff, rows=rows)
     else:
         i_idx, j_idx, rij = _brute_force_pairs(positions, box, cutoff)
-        if rows is not None:
-            inwin = (i_idx >= rows[0]) & (i_idx < rows[1])
-            i_idx, j_idx, rij = i_idx[inwin], j_idx[inwin], rij[inwin]
-    order = np.argsort(i_idx, kind="stable")
-    i_idx, j_idx, rij = i_idx[order], j_idx[order], rij[order]
-    r = np.linalg.norm(rij, axis=1)
-    batch = NeighborBatch(i_idx=i_idx, rij=rij, r=r, j_idx=j_idx)
-    # sort by j once per topology build; the force accumulator turns the
-    # j-side scatter into a segment sum with this permutation, and
-    # NeighborList.get derives filtered permutations from it for free
-    batch.j_sorted_perm()
-    return batch
+    if rows is not None:
+        inwin = np.flatnonzero((i_idx >= rows[0]) & (i_idx < rows[1]))
+        i_idx, j_idx = i_idx[inwin], j_idx[inwin]
+        rij = np.take(rij, inwin, axis=0)
+    # the tree key is unique, so the order does not depend on the sort
+    order = np.argsort(i_idx * n + j_idx) if tree \
+        else np.argsort(i_idx, kind="stable")
+    rij = np.take(rij, order, axis=0)
+    return NeighborBatch(i_idx=i_idx[order], rij=rij, j_idx=j_idx[order],
+                         r=np.sqrt(np.einsum("ij,ij->i", rij, rij)))
+
+
+def refresh_pairs(ref: NeighborBatch,
+                  disp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Geometry ``(rij, r)`` of every reference pair after the atoms
+    moved by ``disp`` since the build.  The one refresh every engine
+    calls, so their pair geometry is equal to the bit."""
+    rij = ref.rij + np.take(disp, ref.j_idx, axis=0)
+    rij -= np.take(disp, ref.i_idx, axis=0)
+    return rij, np.sqrt(np.einsum("ij,ij->i", rij, rij))
 
 
 def filter_pairs(ref: NeighborBatch, rij: np.ndarray, r: np.ndarray,
@@ -195,18 +165,16 @@ def filter_pairs(ref: NeighborBatch, rij: np.ndarray, r: np.ndarray,
     """Compress a skin-extended reference batch down to the kept pairs.
 
     ``rij``/``r`` are the refreshed geometry of every reference pair and
-    ``keep`` the boolean pair mask.  The j-sorted permutation of the
-    filtered batch is derived from the reference's build-time permutation
-    in O(npairs) - compressing a stable sort keeps it stable - so no
-    per-step re-sort is needed.  Shared by the serial
-    :class:`NeighborList` and the distributed per-rank caches.
+    ``keep`` the boolean pair mask.  The filtered batch remembers
+    ``(ref, keep)`` so that its j-sorted permutation, if SNAP asks for
+    it, is derived from the reference's instead of re-sorted.  Shared by
+    the serial :class:`NeighborList` and the distributed per-rank caches.
     """
-    batch = NeighborBatch(i_idx=ref.i_idx[keep], rij=rij[keep], r=r[keep],
-                          j_idx=ref.j_idx[keep])
-    p = ref.j_sorted_perm()
-    new_index = np.cumsum(keep) - 1
-    pk = p[keep[p]]
-    batch._j_perm = new_index[pk]
+    kept = np.flatnonzero(keep)
+    batch = NeighborBatch(i_idx=np.take(ref.i_idx, kept),
+                          rij=np.take(rij, kept, axis=0), r=np.take(r, kept),
+                          j_idx=np.take(ref.j_idx, kept))
+    batch._j_source = (ref, keep)
     return batch
 
 
@@ -238,34 +206,26 @@ class NeighborList:
         """Positions of the last topology build (None before the first).
 
         Checkpointed by :meth:`repro.md.engine.MDLoop.write_checkpoint`:
-        pair *order* depends on the build-time positions, so a bitwise
-        restart must rebuild at exactly these coordinates.
+        the skin-extended pair set and the refreshed geometry depend on
+        the build-time positions, so a bitwise restart must rebuild at
+        exactly these coordinates.
         """
         return self._ref_positions
 
-    def needs_rebuild(self, positions: np.ndarray) -> bool:
-        if self._pairs is None:
-            return True
-        disp = self.box.minimum_image(positions - self._ref_positions)
-        return bool(np.max(np.sum(disp * disp, axis=1)) > (0.5 * self.skin) ** 2)
-
     def get(self, positions: np.ndarray) -> NeighborBatch:
-        if self.needs_rebuild(positions):
-            self._pairs = build_pairs(positions, self.box, self.cutoff + self.skin)
+        ref = self._pairs
+        if ref is not None:
+            disp = self.box.minimum_image(positions - self._ref_positions)
+            if np.max(np.sum(disp * disp, axis=1)) > (0.5 * self.skin) ** 2:
+                ref = None
+        if ref is None:
+            ref = self._pairs = build_pairs(positions, self.box,
+                                            self.cutoff + self.skin)
             self._ref_positions = np.array(positions)
             self.nbuilds += 1
-            ref = self._pairs
             # fresh build: displacements are zero, rij/r are already
             # exact - skip the refresh and filter the skin shell once
-            return self._filtered(ref, ref.rij, ref.r)
-        ref = self._pairs
-        # refresh distances for current positions
-        disp_i = self.box.minimum_image(positions - self._ref_positions)
-        rij = ref.rij + disp_i[ref.j_idx] - disp_i[ref.i_idx]
-        r = np.linalg.norm(rij, axis=1)
-        return self._filtered(ref, rij, r)
-
-    def _filtered(self, ref: NeighborBatch, rij: np.ndarray,
-                  r: np.ndarray) -> NeighborBatch:
-        """Drop skin-shell pairs beyond the bare cutoff."""
+            rij, r = ref.rij, ref.r
+        else:
+            rij, r = refresh_pairs(ref, disp)
         return filter_pairs(ref, rij, r, r < self.cutoff)

@@ -37,7 +37,7 @@ import numpy as np
 from ..core.snap import EnergyForces, NeighborBatch
 from ..md.box import Box
 from ..md.engine import CommLedger, ForceEngine
-from ..md.neighbor import build_pairs, filter_pairs
+from ..md.neighbor import build_pairs, filter_pairs, refresh_pairs
 from ..md.system import ParticleSystem
 from ..md.timers import PhaseTimers
 from ..potentials.base import Potential
@@ -246,9 +246,7 @@ class DistributedEngine(ForceEngine):
             if disp is None:
                 rij, r = ref.rij, ref.r
             else:
-                dl = disp[state.local_idx]
-                rij = ref.rij + dl[ref.j_idx] - dl[ref.i_idx]
-                r = np.linalg.norm(rij, axis=1)
+                rij, r = refresh_pairs(ref, disp[state.local_idx])
             keep = r < self.potential.cutoff
             keep &= state.central_mask
             nbr = filter_pairs(ref, rij, r, keep)

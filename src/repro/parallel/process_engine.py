@@ -72,7 +72,7 @@ import numpy as np
 from ..core.snap import EnergyForces, NeighborBatch, _scatter_sum_sorted
 from ..md.box import Box
 from ..md.engine import CommLedger, ForceEngine
-from ..md.neighbor import build_pairs, filter_pairs
+from ..md.neighbor import build_pairs, filter_pairs, refresh_pairs
 from ..md.timers import PhaseTimers
 from ..potentials.base import scatter_add, scatter_pair_forces
 from ..potentials.snap_potential import SNAPPotential
@@ -330,8 +330,7 @@ class _WorkerState:
             rij, r = ref.rij, ref.r
         else:
             ref = self.ref
-            rij = ref.rij + disp[ref.j_idx] - disp[ref.i_idx]
-            r = np.linalg.norm(rij, axis=1)
+            rij, r = refresh_pairs(ref, disp)
         keep = r < self.cutoff
         nbr = filter_pairs(ref, rij, r, keep)
         ctl[self._slot(_F_KEPT)] = nbr.npairs

@@ -90,6 +90,8 @@ class TestRunMD:
         assert "SerialEngine" in out
         assert "32 atoms x 2 steps" in out
         assert "procs]" not in out and "ranks" not in out
+        # sub-phases are printed under their phase, in ms
+        assert re.search(r"neigh +[\d.]+%\n +rebuild +[\d.]+ ms", out)
 
     def test_backend_serial_explicit(self, capsys):
         assert main(["run-md", "--natoms", "32", "--steps", "2",

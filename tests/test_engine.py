@@ -193,6 +193,38 @@ class TestSatelliteFixes:
         assert summary.atom_steps_per_s == float("inf")
         assert summary.nranks == 4
 
+    def test_serial_engine_splits_neigh_into_rebuild_and_refresh(self):
+        s, pot = lj_setup()
+        with build_engine(s, pot, skin=1.0) as engine:
+            summary = MDLoop(engine, dt=1e-3).run(6)
+        assert summary.neighbor_builds == 1
+        neigh = summary.phase_breakdown["neigh"]
+        assert set(neigh["sub"]) == {"rebuild", "refresh"}
+        assert sum(neigh["sub"].values()) == pytest.approx(neigh["seconds"])
+        # one build is one rebuild entry; every later call is a refresh
+        s2, _ = lj_setup()
+        with build_engine(s2, pot, skin=1.0) as engine:
+            engine.evaluate()
+            assert set(engine.timers.subtotals) == {"neigh.rebuild"}
+            engine.evaluate()
+            assert set(engine.timers.subtotals) == {"neigh.rebuild",
+                                                    "neigh.refresh"}
+
+    def test_only_snap_asks_for_the_j_sorted_permutation(self, monkeypatch):
+        from repro.core.snap import NeighborBatch
+
+        def asked(self):
+            raise AssertionError("j_sorted_perm() was called")
+
+        monkeypatch.setattr(NeighborBatch, "j_sorted_perm", asked)
+        s, pot = lj_setup()
+        with build_engine(s, pot) as engine:
+            assert MDLoop(engine, dt=1e-3).run(4).steps == 4
+        s, pot = snap_setup()
+        with build_engine(s, pot) as engine:
+            with pytest.raises(AssertionError, match="j_sorted_perm"):
+                MDLoop(engine, dt=1e-3).run(1)
+
 
 # ======================================================================
 # ProcessEngine: shared-memory multiprocess rank backend

@@ -1,26 +1,36 @@
 """Tests for neighbor lists."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.md import Box, MDLoop, NeighborList, build_engine, build_pairs
-from repro.md.neighbor import _brute_force_pairs, ragged_arange
+from repro.md.neighbor import (_brute_force_pairs, filter_pairs,
+                               refresh_pairs)
 from repro.potentials import LennardJones
 from repro.structures import random_packed
 
 
-class TestRaggedArange:
-    def test_basic(self):
-        out = ragged_arange(np.array([3, 0, 2]))
-        assert out.tolist() == [0, 1, 2, 0, 1]
+def test_refresh_census():
+    """One refresh, shared: the pair-geometry update lives in
+    ``refresh_pairs`` and the three engines call it - no copy of its
+    arithmetic elsewhere under ``src/repro``."""
+    import repro
+    import repro.md.neighbor as neighbor
 
-    def test_empty(self):
-        assert ragged_arange(np.array([], dtype=int)).size == 0
-
-    def test_all_zero(self):
-        assert ragged_arange(np.array([0, 0])).size == 0
+    assert sorted(neighbor.__all__) == ["NeighborList", "build_pairs",
+                                        "filter_pairs", "refresh_pairs"]
+    source = {p: p.read_text()
+              for p in Path(repro.__file__).parent.rglob("*.py")}
+    calls = {p.name: len(re.findall(r"(?<!def )refresh_pairs\(", text))
+             for p, text in source.items() if "refresh_pairs(" in text}
+    assert calls == {"neighbor.py": 1, "process_engine.py": 1,
+                     "distributed.py": 1}
+    assert not any("linalg.norm(rij" in text for text in source.values())
 
 
 def _pair_set(nbr):
@@ -94,6 +104,116 @@ class TestBuildPairs:
         pos = np.array([[1.0, 1.0, 1.0]])
         with pytest.raises(ValueError, match="too large"):
             build_pairs(pos, box, 3.5)
+
+
+@st.composite
+def tree_systems(draw):
+    """``(box, positions, cutoff, rng)`` that ``build_pairs`` sends down
+    the tree path: n > 32 and three cells per periodic axis.  Mixed
+    periodicity, non-cubic, and every atom drifted by whole box lengths
+    along the periodic axes (``MDLoop`` never wraps)."""
+    periodic = draw(st.tuples(*[st.booleans()] * 3))
+    box = Box(lengths=draw(st.tuples(*[st.floats(6.0, 14.0)] * 3)),
+              periodic=periodic)
+    n = draw(st.integers(33, 200))
+    room = min([box.lengths[k] for k in range(3) if periodic[k]] or [12.0])
+    cutoff = draw(st.floats(0.25, 0.999)) * room / 3.0
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    pos = rng.uniform(0, 1, size=(n, 3)) * box.lengths
+    pos += rng.integers(-3, 4, size=(n, 3)) * box.lengths * box.pmask
+    return box, pos, cutoff, rng
+
+
+def _in_canonical_order(i_idx, j_idx, rij):
+    order = np.argsort(i_idx * (j_idx.max(initial=0) + 1) + j_idx,
+                       kind="stable")
+    return i_idx[order], j_idx[order], rij[order]
+
+
+class TestTreeSearch:
+    """The tree path against the image sweep, over generated systems."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(system=tree_systems())
+    def test_tree_equals_brute_force_in_canonical_order(self, system):
+        box, pos, cutoff, _ = system
+        nbr = build_pairs(pos, box, cutoff)
+        ii, jj, rv = _in_canonical_order(*_brute_force_pairs(pos, box, cutoff))
+        assert np.array_equal(nbr.i_idx, ii)
+        assert np.array_equal(nbr.j_idx, jj)
+        assert np.allclose(nbr.rij, rv, rtol=0, atol=1e-12)
+        assert np.allclose(nbr.r, np.linalg.norm(rv, axis=1), rtol=0,
+                           atol=1e-12)
+        # i non-decreasing, j strictly increasing within an atom
+        key = nbr.i_idx * len(pos) + nbr.j_idx
+        assert np.all(np.diff(key) > 0) and np.all(np.diff(nbr.i_idx) >= 0)
+
+    @settings(deadline=None, max_examples=40)
+    @given(system=tree_systems(), nparts=st.integers(2, 4))
+    def test_row_partitions_concatenate_bitwise(self, system, nparts):
+        box, pos, cutoff, rng = system
+        full = build_pairs(pos, box, cutoff)
+        cuts = np.sort(rng.integers(0, len(pos) + 1, size=nparts - 1))
+        edges = [0, *cuts.tolist(), len(pos)]  # empty windows allowed
+        parts = [build_pairs(pos, box, cutoff, rows=(lo, hi))
+                 for lo, hi in zip(edges[:-1], edges[1:])]
+        for name in ("i_idx", "j_idx", "rij", "r"):
+            whole = getattr(full, name)
+            glued = np.concatenate([getattr(part, name) for part in parts])
+            assert glued.dtype == whole.dtype
+            assert glued.tobytes() == whole.tobytes()
+
+    @settings(deadline=None, max_examples=40)
+    @given(system=tree_systems(), skin_frac=st.floats(0.02, 0.3))
+    def test_refresh_and_filter_equal_a_fresh_build(self, system, skin_frac):
+        box, pos, reach, rng = system
+        skin = skin_frac * reach
+        cutoff = reach - skin
+        ref = build_pairs(pos, box, reach)
+        move = rng.uniform(-1, 1, size=pos.shape)
+        move *= 0.499 * skin / np.linalg.norm(move, axis=1).max()
+        rij, r = refresh_pairs(ref, move)
+        got = filter_pairs(ref, rij, r, r < cutoff)
+        fresh = build_pairs(pos + move, box, cutoff)
+        assert np.array_equal(got.i_idx, fresh.i_idx)
+        assert np.array_equal(got.j_idx, fresh.j_idx)
+        assert np.allclose(got.rij, fresh.rij, rtol=0, atol=1e-12)
+        assert np.array_equal(got.j_sorted_perm(),
+                              np.argsort(got.j_idx, kind="stable"))
+
+    def test_atoms_on_and_just_below_a_periodic_face(self, rng):
+        # the tree needs 0 <= x < L: -1e-17 % L is L in floating point
+        # and x == L is one box length out; Box.wrap maps both to 0
+        box = Box.cubic(12.0)
+        pos = rng.uniform(0, 12, size=(60, 3))
+        pos[0] = [-1e-17, 6.0, 6.0]
+        pos[1] = [12.0, 6.5, 6.0]
+        pos[2] = [11.5, 30.0, -6.0]
+        nbr = build_pairs(pos, box, 3.0)
+        ii, jj, rv = _in_canonical_order(*_brute_force_pairs(pos, box, 3.0))
+        assert np.array_equal(nbr.i_idx, ii)
+        assert np.array_equal(nbr.j_idx, jj)
+        assert np.allclose(nbr.rij, rv, rtol=0, atol=1e-12)
+        assert {(0, 1), (0, 2), (1, 2)} <= set(zip(ii.tolist(), jj.tolist()))
+
+    def test_atoms_outside_the_box_on_an_open_axis(self, rng):
+        box = Box(lengths=[10.0, 10.0, 10.0], periodic=(True, False, True))
+        pos = rng.uniform(0, 10, size=(80, 3))
+        pos[:, 1] = rng.uniform(-15.0, 25.0, size=80)
+        nbr = build_pairs(pos, box, 3.2)
+        ii, jj, rv = _in_canonical_order(*_brute_force_pairs(pos, box, 3.2))
+        assert nbr.npairs == len(ii) > 0
+        assert np.array_equal(nbr.j_idx, jj)
+        assert np.allclose(nbr.rij, rv, rtol=0, atol=1e-12)
+        # open axis: never an image, rij is the plain difference there
+        assert np.array_equal(nbr.rij[:, 1],
+                              pos[nbr.j_idx, 1] - pos[nbr.i_idx, 1])
+
+    def test_nan_positions_raise(self, rng):
+        pos = rng.uniform(0, 12, size=(64, 3))
+        pos[7, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            build_pairs(pos, Box.cubic(12.0), 3.0)
 
 
 def _reference_sweep(positions, box, cutoff):
@@ -262,18 +382,23 @@ class TestNeighborList:
         nl = NeighborList(box=box, cutoff=3.0, skin=0.6)
         for p in (pos, pos + rng.normal(scale=0.05, size=pos.shape)):
             got = nl.get(p)
-            perm = got._j_perm
-            assert perm is not None
+            perm = got.j_sorted_perm()
             assert np.array_equal(np.sort(perm), np.arange(got.npairs))
             js = got.j_idx[perm]
             assert np.all(np.diff(js) >= 0)
             # stability: equal j keep their original relative order
             assert np.array_equal(perm, np.argsort(got.j_idx, kind="stable"))
+        assert nl.nbuilds == 1
 
     def test_build_pairs_precomputes_j_perm(self, rng):
+        # (name kept from when the build did sort eagerly) the build no
+        # longer sorts by j: the first j_sorted_perm() call does, once
         box = Box.cubic(10.0)
         nbr = build_pairs(rng.uniform(0, 10, size=(40, 3)), box, 2.5)
-        assert nbr._j_perm is not None
+        assert nbr._j_perm is None  # nobody asked yet
+        perm = nbr.j_sorted_perm()
+        assert np.array_equal(perm, np.argsort(nbr.j_idx, kind="stable"))
+        assert nbr.j_sorted_perm() is perm  # cached
 
 
 @settings(deadline=None, max_examples=20)
