@@ -15,8 +15,7 @@ Commands
 ``run-md``
     Run real MD on any execution backend (serial / multiprocess /
     distributed comm model) through the shared engine layer and print
-    the :class:`repro.md.RunSummary`.  ``--potential snap`` runs the
-    sparse-CG adjoint pass (``y_mode="sparse"``).
+    the :class:`repro.md.RunSummary`.
 ``parsplice-serve``
     Serve batched real-MD ParSplice segments from a pool of persistent
     engine sessions (:class:`repro.parsplice.SegmentScheduler`) and
@@ -125,10 +124,7 @@ def _cmd_run_md(args) -> int:
                            cutoff=(26 / (4 / 3 * np.pi * density)) ** (1 / 3))
     else:
         rcut = (26 / (4 / 3 * np.pi * density)) ** (1 / 3)
-        # sparse-CG Y pass: faster than "dense" in every measured cell
-        # (EXPERIMENTS E18), and the model here is linear
-        params = SNAPParams(twojmax=args.twojmax, rcut=rcut,
-                            y_mode="sparse")
+        params = SNAPParams(twojmax=args.twojmax, rcut=rcut)
         pot = SNAPPotential(params, beta=np.random.default_rng(0).normal(
             size=SNAP(params).index.ncoeff))
     observers = []

@@ -37,18 +37,22 @@ def _atom_ranges(i_idx: np.ndarray, natoms: int) -> np.ndarray:
     return np.searchsorted(i_idx, np.arange(natoms + 1))
 
 
-def _atom_u_du(snap, rij, r):
+def _atom_u_du(snap, nbr, sl):
     """Per-neighbor U layers, total U layers and total dU layers for one atom.
 
-    Returns ``(utot_layers, dutot_layers)`` where ``utot_layers[j]`` is
-    ``(j+1, j+1)`` and ``dutot_layers[j]`` is ``(nn, 3, j+1, j+1)``: the
-    derivative of the *accumulated* density w.r.t. each neighbor position
-    (switching-function product rule included).
+    ``sl`` is the atom's pair slice of ``nbr`` (per-pair weights and
+    cutoffs honored).  Returns ``(utot_layers, dutot_layers)`` where
+    ``utot_layers[j]`` is ``(j+1, j+1)`` and ``dutot_layers[j]`` is
+    ``(nn, 3, j+1, j+1)``: the derivative of the *accumulated* density
+    w.r.t. each neighbor position (switching-function product rule
+    included).
     """
     p = snap.params
-    ck = cayley_klein(rij, r, p.rcut, p.rfac0, p.rmin0)
+    rij, r = nbr.rij[sl], nbr.r[sl]
+    rcut, wj, r_eff = snap._pair_params(nbr, sl)
+    ck = cayley_klein(rij, r_eff, rcut, p.rfac0, p.rmin0)
     u_layers, du_layers = compute_du_layers(ck, p.twojmax)
-    sfac, dsfac = sfac_dsfac(r, p.rcut, p.rmin0, switch=p.switch)
+    sfac, dsfac = sfac_dsfac(r, rcut, p.rmin0, wj=wj, switch=p.switch)
     uhat = rij / r[:, None]
     utot_layers = []
     dutot_layers = []
@@ -95,7 +99,7 @@ def reference_descriptors(snap, natoms: int, nbr) -> np.ndarray:
     out = np.zeros((natoms, snap.index.nb))
     for i in range(natoms):
         sl = slice(ptr[i], ptr[i + 1])
-        utot, dutot = _atom_u_du(snap, nbr.rij[sl], nbr.r[sl])
+        utot, dutot = _atom_u_du(snap, nbr, sl)
         out[i], _ = _atom_b_db(snap, utot, dutot)
     return out - snap.bzero_shift
 
@@ -108,7 +112,7 @@ def descriptor_gradients(snap, natoms: int, nbr) -> np.ndarray:
         sl = slice(ptr[i], ptr[i + 1])
         if sl.start == sl.stop:
             continue
-        utot, dutot = _atom_u_du(snap, nbr.rij[sl], nbr.r[sl])
+        utot, dutot = _atom_u_du(snap, nbr, sl)
         _, db = _atom_b_db(snap, utot, dutot)
         out[sl] = db
     return out
@@ -132,10 +136,13 @@ def reference_energy_forces(snap, natoms: int, nbr):
     virial = np.zeros((3, 3))
     for i in range(natoms):
         sl = slice(ptr[i], ptr[i + 1])
-        utot, dutot = _atom_u_du(snap, nbr.rij[sl], nbr.r[sl])
+        utot, dutot = _atom_u_du(snap, nbr, sl)
         b, db = _atom_b_db(snap, utot, dutot)
-        peratom[i] = beta[0] + (b - snap.bzero_shift) @ beta[1:]
-        dedr = np.einsum("kcl,l->kc", db, beta[1:])  # dE_i/dr_k per neighbor
+        bc = b - snap.bzero_shift
+        qb = 0.0 if snap.quadratic is None else snap.quadratic @ bc
+        peratom[i] = beta[0] + bc @ (beta[1:] + 0.5 * qb)
+        # dE_i/dr_k per neighbor
+        dedr = np.einsum("kcl,l->kc", db, beta[1:] + qb)
         forces[i] += dedr.sum(axis=0)
         np.add.at(forces, nbr.j_idx[sl], -dedr)
         virial -= nbr.rij[sl].T @ dedr

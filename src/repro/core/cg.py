@@ -124,7 +124,7 @@ _cg_tensor_cached = _cg_tensor_build
 class SparseCGTriple:
     """Flattened sparse index structure for one ``(j1, j2, j)`` z-triple.
 
-    The dense contraction computes, for every atom and every half-plane
+    The Clebsch-Gordan product is, for every atom and every half-plane
     output element ``(ma, mb)`` with ``mb <= j/2``::
 
         z[ma, mb] = sum_{ma1+ma2=ma+shift} sum_{mb1+mb2=mb+shift}
@@ -137,12 +137,13 @@ class SparseCGTriple:
     and ``idx2[k]`` (into layer ``j2``) with real weight ``value[k]``,
     and accumulates into half-plane output ``out_index[seg]`` where
     ``seg`` is the segment containing ``k``.  Entries are sorted by
-    ``(out, idx1, idx2)`` so a single ``np.add.reduceat`` over
-    ``seg_starts`` performs the whole deterministic segment reduction.
+    ``(out, idx1, idx2)``; ``seg_starts`` marks the output segments
+    (:meth:`repro.core.snap.SNAP._build_plan` turns them into the rows
+    of its CSR operators).
 
     ``nnz`` / ``dense_size`` give the achieved sparsity for the FLOP
-    model (``dense_size`` counts the half-plane inner products the dense
-    GEMM path evaluates for this triple).
+    model (``dense_size`` counts the half-plane inner products a dense
+    GEMM contraction would evaluate for this triple).
     """
 
     idx1: np.ndarray

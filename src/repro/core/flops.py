@@ -74,15 +74,15 @@ def kernel_flops_per_atom(twojmax: int, nnbor: float) -> dict[str, float]:
 def yi_contraction_model(twojmax: int) -> dict[str, float]:
     """Dense vs sparse cost of the Y (z-triple) contraction per atom.
 
-    The dense path evaluates every half-plane inner product of the
+    A dense contraction evaluates every half-plane inner product of the
     Clebsch-Gordan blocks (``SparseCGTriple.dense_size`` terms per
-    triple); the sparse path touches only the nonzero CG products
-    (``nnz``).  ``cg_density`` is the measured nonzero fraction and
-    ``theoretical_speedup`` its reciprocal - the per-triple FLOP model
-    the ``sparse_y`` rung is judged against.  The shipped kernel can
-    beat this number: its beta-folded plan also deduplicates symmetric
-    ``(i1, i2)`` products and skips zero-coefficient triples, neither
-    of which the per-triple count models.
+    triple); the shipped sparse one touches only the nonzero CG
+    products (``nnz``).  ``cg_density`` is the measured nonzero fraction
+    and ``theoretical_speedup`` its reciprocal.  The shipped kernel
+    beats this number: its plan also deduplicates symmetric
+    ``(i1, i2)`` products and its beta-folded rows skip
+    zero-coefficient triples, neither of which the per-triple count
+    models.
     """
     from .cg import cg_sparse
 

@@ -9,8 +9,12 @@ mirroring the optimized LAMMPS/Kokkos pipeline in NumPy:
    (paper Eq. 7) which replaces the O(J^5) ``Z``/``dB`` storage of the
    original algorithm with O(J^3) storage - the "adjoint
    refactorization" that made the 2J=14 problem fit on a V100 and is the
-   paper's key algorithmic enabler.  The bispectrum components ``B``
-   (for the energy) fall out of the same pass.
+   paper's key algorithmic enabler.  There is one Clebsch-Gordan
+   contraction: per atom block, one deduplicated gather of the products
+   ``u[i1] * u[i2]`` pushed through a constant real CSR operator
+   (:meth:`SNAP._build_plan`).  Its beta-folded rows give linear ``Y``;
+   its unfolded ``(triple, output)`` rows give every ``Z_t``, from
+   which the bispectrum ``B`` and quadratic ``Y`` follow.
 3. ``compute_dui/deidrj`` - per-pair gradients of ``Y : conj(U)``
    (paper Eq. 8) by one reverse-mode sweep of the ``U`` recursion per
    pair chunk: the adjoint of each layer is carried downwards, so
@@ -30,13 +34,13 @@ The per-kernel wall times of the latest evaluation are kept in
 from __future__ import annotations
 
 import operator
-import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse as sps
 
-from .cg import cg_sparse, cg_tensor
+from .cg import cg_sparse
 from .indexing import SNAPIndex
 from .switching import sfac_dsfac
 from .wigner import (adjoint_sweep_half_lm, cayley_klein,
@@ -65,13 +69,12 @@ class SNAPParams:
     per-chunk scratch (O(nu_half * chunk) complex) stays
     cache-friendly.  4096 is the measured sweet spot at 2J=8.
 
-    ``y_mode`` selects the z-triple contraction of the adjoint pass:
-    ``"dense"`` runs the three-GEMM path, ``"sparse"`` contracts only
-    the nonzero Clebsch-Gordan products through the precomputed index
-    lists of :func:`repro.core.cg.cg_sparse` (identical forces, fewer
-    FLOPs - the selection rules zero most of the dense blocks).
+    ``y_mode`` is inert: ``"dense"`` and ``"sparse"`` both run the one
+    sparse Clebsch-Gordan contraction of :meth:`SNAP._build_plan`.  The
+    field stays validated only because the benchmark suite passes it by
+    name (ROADMAP item 1(c) deletes it).
 
-    These three fields are the whole kernel policy.  They are fixed
+    ``chunk`` and ``store_u`` are the whole kernel policy.  They are fixed
     when the (frozen) params object is built; nothing is read from disk
     or the environment, and an evaluator never rebinds its params.
 
@@ -233,7 +236,10 @@ class SNAP:
         if beta is None:
             beta = np.zeros(self.index.ncoeff)
             beta[1:] = 1.0
-        beta = np.asarray(beta, dtype=float)
+        # private read-only copies: beta and Q are folded into the plan
+        # built below, so a later write could only go stale
+        beta = np.array(beta, dtype=float)
+        beta.setflags(write=False)
         if beta.shape != (self.index.ncoeff,):
             raise ValueError(
                 f"beta must have shape ({self.index.ncoeff},) for twojmax="
@@ -245,11 +251,12 @@ class SNAP:
             if quadratic.shape != (nb, nb):
                 raise ValueError(f"quadratic must have shape ({nb}, {nb})")
             quadratic = 0.5 * (quadratic + quadratic.T)  # symmetrize
+            quadratic.setflags(write=False)
         self.quadratic = quadratic
         self._diag = self.index.diagonal_indices()
-        # _build_triples touches cg_tensor/cg_sparse for every triple,
-        # priming both lru caches eagerly so forked process workers only
-        # ever see cache hits.
+        # _build_triples touches cg_sparse (and through it cg_tensor) for
+        # every triple, priming both lru caches eagerly so forked process
+        # workers only ever see cache hits.
         self._triple_cache = self._build_triples()
         self._half_slices, self._nu_half, self._expand_phase = \
             self._build_half_layout()
@@ -260,21 +267,21 @@ class SNAP:
                              in enumerate(half_ncols(params.twojmax)))
         self.last_timings: dict[str, float] = {}
         self.last_store_u: bool = False
-        self._plan_lock = threading.Lock()
-        #: lazily built beta-folded plan of the sparse-CG Y pass
-        self._y_plan: dict | None = None  # guarded-by: _plan_lock
+        # built here, before any fork: process workers inherit it
+        self._plan = self._build_plan()
         self.bzero_shift = self._isolated_b() if bzero else np.zeros(self.index.nb)
 
     # ------------------------------------------------------------------
     # setup helpers
     # ------------------------------------------------------------------
     def _build_triples(self) -> list[dict]:
-        """Per z-triple: CG tensor, layer views and the Y beta-routing.
+        """Per z-triple: sparse CG entries and the Y beta-routing.
 
-        ``beta_route`` stores ``(b_index, factor)`` implementing the
-        LAMMPS role-permutation rules by which every ``Z^j_{j1 j2}``
+        ``y_b_index`` / ``y_factor`` implement the LAMMPS
+        role-permutation rules by which every ``Z^j_{j1 j2}``
         contributes to ``Y_j`` weighted by the bispectrum coefficient of
-        the *canonical* triple it corresponds to.
+        the *canonical* triple it corresponds to; ``b_index`` is set on
+        the canonical triples (``j >= j1``), the only ones ``B`` reads.
         """
         idx = self.index
         triples = []
@@ -293,32 +300,13 @@ class SNAP:
             else:
                 bidx = idx.b_index[(j2, j, j1)]
                 factor = (j1 + 1) / (j + 1.0)
-            h = cg_tensor(j1, j2, j)
-            d1, d2, d = h.shape
-            hc = np.ascontiguousarray(h, dtype=np.complex128)
-            # Z inherits the layer symmetry Z[j-ma, j-mb] = (-1)^(ma+mb)
-            # conj(Z[ma, mb]), so only columns mb <= j/2 are computed:
-            # the final GEMM keeps ncol of d output columns and the B
-            # contraction runs on the half-plane with doubled column
-            # weights (the self-mirrored middle column of even j singly).
-            ncol = j // 2 + 1
-            bw = np.full(ncol, 2.0)
-            if j % 2 == 0:
-                bw[-1] = 1.0
             triples.append({
-                "j1": j1, "j2": j2, "j": j, "ncol": ncol, "bw": bw,
-                "h1": h,
-                # pre-reshaped complex copies so the Z contraction runs as
-                # three BLAS (zgemm) calls instead of generic einsums
-                "hm_left": hc.reshape(d1, d2 * d),
-                "hm_right_half": np.ascontiguousarray(
-                    hc.reshape(d1 * d2, d)[:, :ncol]),
+                "j1": j1, "j2": j2, "j": j,
                 "b_index": idx.b_index.get((j1, j2, j)) if j >= j1 else None,
                 "y_b_index": bidx,
                 "y_factor": factor,
-                # sparse index lists over the nonzero CG products; the
-                # y_mode="sparse" contraction path (and the FLOP model's
-                # density report) read these
+                # index lists over the nonzero CG products (also what
+                # the FLOP model's density report counts)
                 "sparse": cg_sparse(j1, j2, j),
             })
         return triples
@@ -342,13 +330,106 @@ class SNAP:
             expand.append((-1.0) ** (ma[:, None] + mb[None, :]))
         return half_slices, off, expand
 
+    # Byte bound of the product-gather scratch, the two (nuniq, block)
+    # complex arrays of _product_blocks.  The atom block is derived from
+    # it, so the scratch does not grow with 2J (nuniq is 15 521 at 2J=8
+    # and 296 163 at 2J=14) - the memory wall the adjoint form avoids.
+    _GATHER_SCRATCH_BYTES = 32 << 20
+
+    def _build_plan(self) -> dict:
+        """The one Clebsch-Gordan contraction, as constant operators.
+
+        Concatenates the :func:`repro.core.cg.cg_sparse` entry lists of
+        every z-triple, mapping u-layer indices into the flat ``utot``
+        row.  Both product factors come from the *same* row, so
+        ``(i1, i2)`` and ``(i2, i1)`` are one product: pairs are
+        canonicalized and deduplicated (~2.6x fewer gathered products at
+        2J=8) into the gather lists ``pi1`` / ``pi2``.  The CG weights
+        are real, so the entry -> output reduction is a real scipy CSR
+        matrix over the products, in two row sets:
+
+        ``z_op``
+            one row per ``(triple, half-plane output)``: applied to the
+            products it yields every ``Z_t`` at once.  Canonical triples
+            come first, so ``zb_op`` (its leading ``nbrow`` rows) is all
+            ``B`` needs; ``b_op`` then sums ``bw * Re(Z_t conj(U_j))``
+            per triple (half-plane columns doubled, the self-mirrored
+            middle column of even ``j`` singly) and ``fold_op`` adds the
+            per-row weighted ``Z_t`` into the packed half-plane ``Y``.
+        ``y_op``
+            the same rows pre-weighted by ``y_factor * beta`` and folded
+            onto the ``nu_half`` outputs: linear ``Y`` in one product.
+        """
+        idx = self.index
+        # stable: canonical triples first, each group in z_triples order
+        triples = sorted(self._triple_cache,
+                         key=lambda t: t["b_index"] is None)
+        # rows: every half-plane output (ma, mb <= j/2) of every triple
+        js = np.array([t["j"] for t in triples])
+        nout = (js + 1) * (js // 2 + 1)
+        row0 = np.r_[0, np.cumsum(nout)]
+        nrow = int(row0[-1])
+        row_j = np.repeat(js, nout)
+        out = np.arange(nrow) - np.repeat(row0[:-1], nout)
+        ma, mb = np.divmod(out, row_j // 2 + 1)
+        row_factor = np.repeat([t["y_factor"] for t in triples], nout)
+        row_b = np.repeat([t["y_b_index"] for t in triples], nout)
+        row_half = np.array([h.start for h in self._half_slices])[row_j] + out
+        b_of_row = np.repeat([t["b_index"] for t in triples
+                              if t["b_index"] is not None],
+                             nout[:idx.nb])
+        nbrow = b_of_row.size
+        row_u = (np.array(idx.u_offset)[row_j] + ma * (row_j + 1) + mb)[:nbrow]
+        row_bw = np.where(2 * mb == row_j, 1.0, 2.0)[:nbrow]
+        i1s, i2s, rows = [], [], []
+        for t, r0 in zip(triples, row0):
+            sp = t["sparse"]
+            i1s.append(idx.u_offset[t["j1"]] + sp.idx1)
+            i2s.append(idx.u_offset[t["j2"]] + sp.idx2)
+            counts = np.diff(np.r_[sp.seg_starts, sp.nnz])
+            rows.append(r0 + np.repeat(sp.out_index, counts))
+        i1 = np.concatenate(i1s)
+        i2 = np.concatenate(i2s)
+        upair, col = np.unique(np.minimum(i1, i2) * idx.nu
+                               + np.maximum(i1, i2), return_inverse=True)
+        nuniq = upair.size
+        # coo -> csr sums the (i1, i2) / (i2, i1) duplicates of a row
+        z_op = sps.csr_matrix(
+            (np.concatenate([t["sparse"].value for t in triples]),
+             (np.concatenate(rows), col)), shape=(nrow, nuniq))
+        b_op = sps.csr_matrix((row_bw, (b_of_row, np.arange(nbrow))),
+                              shape=(idx.nb, nbrow))
+        fold_op = sps.csr_matrix((np.ones(nrow), (row_half, np.arange(nrow))),
+                                 shape=(self._nu_half, nrow))
+        y_op = (fold_op @ sps.diags(row_factor * self.beta[1 + row_b])
+                @ z_op).tocsr()
+        y_op.eliminate_zeros()  # triples with a zero coefficient
+        y_op.sort_indices()
+        pi1 = np.ascontiguousarray(upair // idx.nu, dtype=np.intp)
+        pi2 = np.ascontiguousarray(upair % idx.nu, dtype=np.intp)
+        # the gathers run unchecked (mode="clip"): check the constants once
+        for ind in (pi1, pi2, row_u):
+            assert ind.min() >= 0 and ind.max() < idx.nu
+        return {
+            "nuniq": nuniq,
+            "block": max(1, self._GATHER_SCRATCH_BYTES // (2 * 16 * nuniq)),
+            "pi1": pi1, "pi2": pi2,
+            "z_op": z_op, "zb_op": z_op[:nbrow], "y_op": y_op,
+            "row_u": row_u, "b_op": b_op,
+            "fold_op": fold_op, "row_factor": row_factor, "row_b": row_b,
+            # Q as CSR: a sparse product is column-by-column, so the
+            # per-atom beta_eff does not depend on how many atoms share
+            # the block (a GEMM's blocking would; the row-partitioned
+            # process backend needs bitwise-equal rows)
+            "q_op": (None if self.quadratic is None
+                     else sps.csr_matrix(self.quadratic)),
+        }
+
     def _isolated_b(self) -> np.ndarray:
         """Bispectrum of an atom with no neighbors (self-term only)."""
         empty = NeighborBatch(i_idx=np.zeros(0, dtype=np.intp),
                               rij=np.zeros((0, 3)), r=np.zeros(0))
-        utot = self.compute_utot(1, empty)
-        b, _ = self._compute_b_y(utot, want_y=False)
-        return b[0]
+        return self._bispectrum(self.compute_utot(1, empty))[0]
 
     # ------------------------------------------------------------------
     # pipeline stages
@@ -464,105 +545,88 @@ class SNAP:
         wj = nbr.pair_weight[sl] if nbr.pair_weight is not None else 1.0
         return rcut, wj, r_eff
 
-    def _layer_view(self, flat: np.ndarray, j: int) -> np.ndarray:
-        n = flat.shape[0]
-        return flat[:, self.index.layer_slice(j)].reshape(n, j + 1, j + 1)
+    def _product_blocks(self, utot: np.ndarray):
+        """Stage 2 gather: the deduplicated products, atom block by block.
 
-    # Atoms per block of the z-triple pass.  Every quantity is computed
-    # per-atom-row, so blocking changes nothing bitwise; it keeps the
-    # per-triple GEMM temporaries (O(block * (j+1)^3) complex) resident
-    # in cache instead of streaming whole-population arrays through DRAM
-    # once per triple.
-    _B_Y_BLOCK = 256
-
-    def _compute_b_y(self, utot: np.ndarray, want_y: bool = True,
-                     want_b: bool = True, beta_eff: np.ndarray | None = None
-                     ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Stage 2 (compute_yi / compute_bi): one pass over z-triples.
-
-        For every triple the Clebsch-Gordan product ``Z`` is formed and
-        immediately consumed - accumulated into ``Y`` (adjoint, Eq. 7)
-        and contracted with ``U*`` into ``B`` (Eq. 3) - so ``Z`` is never
-        stored, which is precisely the paper's memory-footprint win.
-        Atoms are processed in cache-sized blocks (see ``_B_Y_BLOCK``).
-
-        ``beta_eff`` optionally supplies *per-atom* linear coefficients of
-        shape ``(natoms, nb)`` - this is how quadratic SNAP reuses the
-        adjoint machinery (LAMMPS does the same: the quadratic model's
-        gradient is linear-SNAP with ``beta + Q B(i)``).
+        Yields ``(rows, ut, prod)``: the atom slice, its ``U_tot``
+        transposed to ``(nu, m)`` (atom axis innermost) and the
+        ``(nuniq, m)`` products ``ut[pi1] * ut[pi2]``, valid until the
+        next iteration.  Everything downstream is per atom column, so
+        the block size changes nothing bitwise.
         """
+        plan = self._plan
         n = utot.shape[0]
-        if n > self._B_Y_BLOCK:
-            b_out = np.empty((n, self.index.nb)) if want_b else None
-            y_out = (np.empty((n, self.index.nu), dtype=np.complex128)
-                     if want_y else None)
-            for lo in range(0, n, self._B_Y_BLOCK):
-                sl = slice(lo, min(lo + self._B_Y_BLOCK, n))
-                bb, yy = self._compute_b_y(
-                    utot[sl], want_y=want_y, want_b=want_b,
-                    beta_eff=None if beta_eff is None else beta_eff[sl])
-                if want_b:
-                    b_out[sl] = bb
-                if want_y:
-                    y_out[sl] = yy
-            return b_out, y_out
-        beta = self.beta
-        b_out = np.zeros((n, self.index.nb)) if want_b else None
-        y_out = np.zeros((n, self.index.nu), dtype=np.complex128) if want_y else None
-        y_half = (np.zeros((n, self._nu_half), dtype=np.complex128)
-                  if want_y else None)
-        sparse_y = self.params.y_mode == "sparse"
-        for t in self._triple_cache:
-            j1, j2, j = t["j1"], t["j2"], t["j"]
-            d1, d2, d = j1 + 1, j2 + 1, j + 1
-            ncol = t["ncol"]
-            if sparse_y:
-                # Sparse-CG contraction: gather the u-layer factor pairs
-                # of every nonzero CG product, weight, and segment-reduce
-                # into the half-plane outputs (entries pre-sorted by
-                # output, see cg_sparse) - same Z, ~5x fewer products
-                # than the dense GEMMs at 2J=8.
-                sp = t["sparse"]
-                u1f = utot[:, self.index.layer_slice(j1)]
-                u2f = utot[:, self.index.layer_slice(j2)]
-                prod = u1f[:, sp.idx1]
-                prod *= sp.value
-                prod *= u2f[:, sp.idx2]
-                zsum = np.add.reduceat(prod, sp.seg_starts, axis=1)
-                z = np.zeros((n, d * ncol), dtype=np.complex128)
-                z[:, sp.out_index] = zsum
-                z = z.reshape(n, d, ncol)                         # (a,i,jj<=j/2)
-            else:
-                u1 = self._layer_view(utot, j1)
-                u2 = self._layer_view(utot, j2)
-                # Z[a,i,jj] = H[p,q,i] H[r,s,jj] U1[a,p,r] U2[a,q,s]
-                # evaluated as three GEMMs (see _build_triples for the
-                # reshaped H); only the left-half columns jj = mb <= j/2
-                # are produced, the conjugate half follows from the
-                # layer symmetry.
-                t1 = np.tensordot(u1, t["hm_left"], axes=([1], [0]))  # (a,r,q*i)
-                t1 = t1.reshape(n, d1, d2, d).transpose(0, 1, 3, 2)   # (a,r,i,q)
-                t2 = np.matmul(t1.reshape(n, d1 * d, d2), u2)         # (a,r*i,s)
-                t2 = t2.reshape(n, d1, d, d2).transpose(0, 2, 1, 3)   # (a,i,r,s)
-                z = np.matmul(np.ascontiguousarray(t2.reshape(n, d, d1 * d2)),
-                              t["hm_right_half"])                 # (a,i,jj<=j/2)
-            if want_b and t["b_index"] is not None:
-                uj = self._layer_view(utot, j)[:, :, :ncol]
-                b_out[:, t["b_index"]] = np.einsum(
-                    "aij,aij,j->a", z.real, uj.real, t["bw"]) + np.einsum(
-                    "aij,aij,j->a", z.imag, uj.imag, t["bw"])
-            if want_y:
-                hsl = self._half_slices[j]
-                if beta_eff is not None:
-                    betaj = t["y_factor"] * beta_eff[:, t["y_b_index"]]
-                    y_half[:, hsl] += betaj[:, None] * z.reshape(n, -1)
-                else:
-                    betaj = t["y_factor"] * beta[1 + t["y_b_index"]]
-                    if betaj != 0.0:
-                        y_half[:, hsl] += betaj * z.reshape(n, -1)
-        if want_y:
-            self._expand_y_half(y_half, y_out)
-        return b_out, y_out
+        nuniq = plan["nuniq"]
+        blk = plan["block"]
+        g1 = np.empty(nuniq * min(n, blk), dtype=np.complex128)
+        g2 = np.empty(nuniq * min(n, blk), dtype=np.complex128)
+        for lo in range(0, n, blk):
+            rows = slice(lo, min(lo + blk, n))
+            ut = np.ascontiguousarray(utot[rows].T)
+            m = ut.shape[1]
+            a = g1[:nuniq * m].reshape(nuniq, m)
+            b = g2[:nuniq * m].reshape(nuniq, m)
+            # mode="clip": the default "raise" buffers the whole output
+            np.take(ut, plan["pi1"], axis=0, out=a, mode="clip")
+            np.take(ut, plan["pi2"], axis=0, out=b, mode="clip")
+            a *= b
+            yield rows, ut, a
+
+    @staticmethod
+    def _apply(op, x: np.ndarray) -> np.ndarray:
+        """Real CSR operator times a complex ``(k, m)`` block: the real
+        and imaginary planes ride one product over the float64 view."""
+        return (op @ x.view(np.float64)).view(np.complex128)
+
+    def _b_block(self, z: np.ndarray, ut: np.ndarray) -> np.ndarray:
+        """``B`` of one block, ``(nb, m)``, from its canonical ``Z_t``
+        rows (Eq. 3): ``sum bw * Re(Z_t conj(U_j))`` on the half plane."""
+        plan = self._plan
+        uj = np.take(ut, plan["row_u"], axis=0, mode="clip")
+        zu = plan["b_op"] @ (z.view(np.float64) * uj.view(np.float64))
+        return zu[:, 0::2] + zu[:, 1::2]  # re*re + im*im
+
+    def _bispectrum(self, utot: np.ndarray) -> np.ndarray:
+        """Raw bispectrum ``B`` per atom (no ``bzero`` shift)."""
+        plan = self._plan
+        b = np.empty((utot.shape[0], self.index.nb))
+        for rows, ut, prod in self._product_blocks(utot):
+            b[rows] = self._b_block(self._apply(plan["zb_op"], prod), ut).T
+        return b
+
+    def _linear_y_half(self, utot: np.ndarray) -> np.ndarray:
+        """Packed half-plane ``Y = sum beta Z`` (Eq. 7), ``Z`` never formed."""
+        plan = self._plan
+        y_half = np.empty((utot.shape[0], self._nu_half), dtype=np.complex128)
+        for rows, _, prod in self._product_blocks(utot):
+            y_half[rows] = self._apply(plan["y_op"], prod).T
+        return y_half
+
+    def _quadratic_b_y_half(self, utot: np.ndarray
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(B - B0, Q (B - B0), packed half-plane Y)`` of quadratic SNAP.
+
+        The gradient of the quadratic model is linear SNAP with the
+        per-atom coefficients ``beta + Q B_i`` (LAMMPS does the same), so
+        one gather serves both uses of ``Z_t``: ``B`` from its canonical
+        rows, then ``Y`` from all rows weighted per atom.
+        """
+        plan = self._plan
+        n = utot.shape[0]
+        bc = np.empty((n, self.index.nb))
+        qb = np.empty((n, self.index.nb))
+        y_half = np.empty((n, self._nu_half), dtype=np.complex128)
+        for rows, ut, prod in self._product_blocks(utot):
+            z = self._apply(plan["z_op"], prod)
+            bcb = self._b_block(z[:plan["row_u"].size], ut) \
+                - self.bzero_shift[:, None]
+            qbb = plan["q_op"] @ bcb
+            beta_eff = self.beta[1:, None] + qbb
+            z *= plan["row_factor"][:, None] * beta_eff[plan["row_b"]]
+            y_half[rows] = self._apply(plan["fold_op"], z).T
+            bc[rows] = bcb.T
+            qb[rows] = qbb.T
+        return bc, qb, y_half
 
     def _expand_y_half(self, y_half: np.ndarray,
                        y_out: np.ndarray | None = None) -> np.ndarray:
@@ -582,96 +646,10 @@ class SNAP:
             y_out[:, self.index.layer_slice(j)] = full.reshape(n, -1)
         return y_out
 
-    # Atoms per block of the sparse-CG Y pass: bounds the gathered
-    # unique-product scratch (2 x nuniq x block complex, ~32 MB at 2J=8)
-    # so it stays cache-resident through the gather/multiply/reduce trio.
-    _Y_SPARSE_BLOCK = 64
-
-    def _get_y_plan(self) -> dict:
-        """Beta-folded global plan of the sparse-CG Y pass (built once).
-
-        Concatenates the per-triple :func:`repro.core.cg.cg_sparse`
-        entry lists of every triple with a nonzero adjoint weight
-        ``y_factor * beta[b]``, mapping u-layer indices into the flat
-        ``utot`` row and outputs into the packed half-plane ``Y``
-        layout.  Because both product factors come from the *same*
-        ``utot`` row, ``(i1, i2)`` and ``(i2, i1)`` are the same product:
-        pairs are canonicalized and deduplicated (~2.6x fewer gathered
-        products at 2J=8), and the weighted entry->output reduction is
-        stored as a scipy CSR matrix.
-        """
-        with self._plan_lock:
-            if self._y_plan is not None:
-                return self._y_plan
-            idx = self.index
-            i1s, i2s, vals, outs = [], [], [], []
-            for t in self._triple_cache:
-                betaj = t["y_factor"] * self.beta[1 + t["y_b_index"]]
-                if betaj == 0.0:
-                    continue
-                sp = t["sparse"]
-                i1s.append(idx.layer_slice(t["j1"]).start + sp.idx1)
-                i2s.append(idx.layer_slice(t["j2"]).start + sp.idx2)
-                vals.append(betaj * sp.value)
-                counts = np.diff(np.r_[sp.seg_starts, sp.nnz])
-                outs.append(self._half_slices[t["j"]].start
-                            + np.repeat(sp.out_index, counts))
-            if not vals:
-                self._y_plan = {"nuniq": 0}
-                return self._y_plan
-            i1 = np.concatenate(i1s)
-            i2 = np.concatenate(i2s)
-            val = np.concatenate(vals)
-            out = np.concatenate(outs)
-            pair_lo = np.minimum(i1, i2)
-            pair_hi = np.maximum(i1, i2)
-            upair, col = np.unique(pair_lo * idx.nu + pair_hi,
-                                   return_inverse=True)
-            from scipy import sparse as sps
-
-            m = sps.csr_matrix((val, (out, col)),
-                               shape=(self._nu_half, upair.size))
-            m.sum_duplicates()
-            self._y_plan = {
-                "nuniq": int(upair.size),
-                "pi1": np.ascontiguousarray(upair // idx.nu, dtype=np.intp),
-                "pi2": np.ascontiguousarray(upair % idx.nu, dtype=np.intp),
-                "mat": m.astype(np.complex128),
-            }
-            return self._y_plan
-
-    def _sparse_y_half(self, utot: np.ndarray) -> np.ndarray:
-        """Packed half-plane ``Y`` via the global sparse-CG plan.
-
-        Per atom block: gather the two u factors of every unique product
-        pair (layer-major, atom axis innermost), multiply once, and push
-        the products through the weighted sparse entry->output map.
-        """
-        plan = self._get_y_plan()
-        n = utot.shape[0]
-        y_half = np.zeros((n, self._nu_half), dtype=np.complex128)
-        if not plan["nuniq"]:
-            return y_half
-        blk = min(n, self._Y_SPARSE_BLOCK)
-        g1 = np.empty((plan["nuniq"], blk), dtype=np.complex128)
-        g2 = np.empty((plan["nuniq"], blk), dtype=np.complex128)
-        for lo in range(0, n, blk):
-            sl = slice(lo, min(lo + blk, n))
-            ut = np.ascontiguousarray(utot[sl].T)
-            m = ut.shape[1]
-            a = g1[:, :m]
-            b = g2[:, :m]
-            np.take(ut, plan["pi1"], axis=0, out=a)
-            np.take(ut, plan["pi2"], axis=0, out=b)
-            a *= b
-            y_half[sl] = (plan["mat"] @ a).T
-        return y_half
-
     def compute_descriptors(self, natoms: int, nbr: NeighborBatch) -> np.ndarray:
         """Bispectrum components ``B`` per atom, shape ``(natoms, nb)``."""
-        utot = self.compute_utot(natoms, nbr)
-        b, _ = self._compute_b_y(utot, want_y=False)
-        return b - self.bzero_shift
+        return self._bispectrum(self.compute_utot(natoms, nbr)) \
+            - self.bzero_shift
 
     def compute_descriptor_gradients(
             self, natoms: int, nbr: NeighborBatch) -> np.ndarray:
@@ -792,30 +770,23 @@ class SNAP:
         ``E_i = beta0 + beta . B_i + 0.5 B_i^T Q B_i`` and ``Y`` is built
         with the per-atom effective coefficients ``beta + Q B_i``.
 
-        With ``y_mode="sparse"`` (linear model only), ``Y`` comes from
-        the global sparse-CG plan and the per-atom energy from the
-        adjoint identity ``sum_j Re(Y_j : conj(U_j)) = 3 beta . B``
-        (every canonical triple enters ``Y`` under its role permutations
-        with multiplicity weights that total 3): no bispectrum pass at
-        all on the force path.
+        The linear model takes its per-atom energy from the adjoint
+        identity ``sum_j Re(Y_j : conj(U_j)) = 3 beta . B`` (every
+        canonical triple enters ``Y`` under its role permutations with
+        multiplicity weights that total 3): no bispectrum pass at all on
+        the force path.
         """
-        if self.quadratic is None and self.params.y_mode == "sparse":
-            y = self._expand_y_half(self._sparse_y_half(utot))
+        if self.quadratic is None:
+            y = self._expand_y_half(self._linear_y_half(utot))
             r = (np.einsum("au,au->a", y.real, utot.real)
                  + np.einsum("au,au->a", y.imag, utot.imag))
             peratom = (self.beta[0] + r / 3.0
                        - self.bzero_shift @ self.beta[1:])
-        elif self.quadratic is None:
-            b, y = self._compute_b_y(utot)
-            bc = b - self.bzero_shift
-            peratom = self.beta[0] + bc @ self.beta[1:]
         else:
-            b, _ = self._compute_b_y(utot, want_y=False)
-            bc = b - self.bzero_shift
-            qb = bc @ self.quadratic
-            beta_eff = self.beta[1:][None, :] + qb
-            _, y = self._compute_b_y(utot, want_b=False, beta_eff=beta_eff)
-            peratom = self.beta[0] + bc @ self.beta[1:] + 0.5 * np.sum(bc * qb, axis=1)
+            bc, qb, y_half = self._quadratic_b_y_half(utot)
+            y = self._expand_y_half(y_half)
+            peratom = (self.beta[0] + bc @ self.beta[1:]
+                       + 0.5 * np.sum(bc * qb, axis=1))
         return peratom, y
 
     def compute(self, natoms: int, nbr: NeighborBatch) -> EnergyForces:
@@ -836,7 +807,7 @@ class SNAP:
         # evaluator must not flip the decision between write and read
         store = self._resolve_store_u(nbr.npairs)
         cache = [] if store else None
-        self.last_store_u = store  # repro-lint: disable=R8-lockset -- diagnostic, last writer wins; compute() itself reads only the local
+        self.last_store_u = store
         utot = self.compute_utot(natoms, nbr, cache=cache)
         if sane:
             check_finite("compute_ui", where="serial", utot=utot)
@@ -850,7 +821,6 @@ class SNAP:
             check_finite("compute_dui_deidrj", where="serial",
                          forces=forces, virial=virial)
         t3 = time.perf_counter()
-        # repro-lint: disable=R8-lockset -- diagnostic, one atomic rebind of a fresh dict; last writer wins, the kernel never reads it
         self.last_timings = {
             "compute_ui": t1 - t0,
             "compute_yi": t2 - t1,

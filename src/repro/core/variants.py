@@ -31,14 +31,6 @@ in NumPy - each rung is a complete, correct implementation, and
     recursion per pair chunk in place of a stored ``dU``, and
     segment-reduced (``np.add.reduceat``) accumulation on both scatter
     sides, still recomputing ``U`` in the force pass.
-``sparse_y``
-    The fused hot path with ``y_mode="sparse"``: the z-triple stage
-    contracts only the nonzero Clebsch-Gordan products through the
-    precomputed index lists of :func:`repro.core.cg.cg_sparse`
-    (beta-folded, pair-deduplicated gather -> weighted multiply ->
-    segment reduce) instead of dense GEMMs - the selection rules zero
-    most of the dense blocks, so the dominant ``compute_yi`` stage
-    sheds the wasted FLOPs.
 ``stored_u``
     The production hot path with ``store_u="always"``: per-pair ``U``
     layers and switching factors cached from stage 1 and reused by the
@@ -84,7 +76,7 @@ def _listing2_staged(snap: SNAP, natoms: int, nbr: NeighborBatch) -> EnergyForce
     u_store, du_store = [], []
     for i in range(natoms):
         sl = slice(ptr[i], ptr[i + 1])
-        utot, dutot = _atom_u_du(snap, nbr.rij[sl], nbr.r[sl])
+        utot, dutot = _atom_u_du(snap, nbr, sl)
         u_store.append(utot)
         du_store.append(dutot)
     # stage 2: B and dB for all atoms, stored
@@ -125,8 +117,8 @@ def _listing5_adjoint_impl(snap: SNAP, natoms: int, nbr: NeighborBatch) -> Energ
         sub = NeighborBatch(i_idx=np.zeros(nn, dtype=np.intp),
                             rij=nbr.rij[sl], r=nbr.r[sl])
         utot = snap.compute_utot(1, sub)
-        b, y = snap._compute_b_y(utot)
-        peratom[i] = snap.beta[0] + (b[0] - snap.bzero_shift) @ snap.beta[1:]
+        pa, y = snap._peratom_and_y(utot)
+        peratom[i] = pa[0]
         if nn == 0:
             continue
         ck = cayley_klein(nbr.rij[sl], nbr.r[sl], p.rcut, p.rfac0, p.rmin0)
@@ -227,11 +219,6 @@ def _fused(snap: SNAP, natoms: int, nbr: NeighborBatch) -> EnergyForces:
     return with_params(snap, store_u="never").compute(natoms, nbr)
 
 
-def _sparse_y(snap: SNAP, natoms: int, nbr: NeighborBatch) -> EnergyForces:
-    return with_params(snap, store_u="never",
-                       y_mode="sparse").compute(natoms, nbr)
-
-
 def _stored_u(snap: SNAP, natoms: int, nbr: NeighborBatch) -> EnergyForces:
     return with_params(snap, store_u="always").compute(natoms, nbr)
 
@@ -244,7 +231,6 @@ VARIANTS = {
     "vectorized": _vectorized,
     "vectorized_chunked": _vectorized_chunked,
     "fused": _fused,
-    "sparse_y": _sparse_y,
     "stored_u": _stored_u,
 }
 

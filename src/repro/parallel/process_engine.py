@@ -46,8 +46,9 @@ at every ``nprocs``.  Three properties carry the proof:
 
 Per-atom energies and the virial keep the usual fixed-order 1e-10
 contract (the per-atom energy matvec and the virial GEMM are not
-row-partition-stable); quadratic SNAP is rejected because its per-atom
-effective coefficients go through a row-count-sensitive GEMM.
+row-partition-stable).  Quadratic SNAP holds the force contract too:
+its per-atom effective coefficients come from a column-by-column sparse
+product (see ``SNAP._build_plan``), not a row-count-sensitive GEMM.
 
 The step protocol is IPC-free in steady state: two semaphores per worker
 (start/done) plus two worker-internal barriers per step (four on rebuild
@@ -457,10 +458,8 @@ class ProcessEngine(ForceEngine):
         fallback.
 
     Supported potentials: :class:`~repro.potentials.SNAPPotential`
-    (linear, any species count) and radial pair potentials exposing
-    ``pair_terms()``.  Quadratic SNAP is rejected - its per-atom
-    effective coefficients pass through a row-count-sensitive GEMM that
-    breaks the bitwise force contract.
+    (linear or quadratic, any species count) and radial pair potentials
+    exposing ``pair_terms()``.
     """
 
     def __init__(self, system, potential, nprocs: int, skin: float = 0.3,
@@ -471,13 +470,8 @@ class ProcessEngine(ForceEngine):
             raise ValueError("nprocs must be positive")
         if skin < 0:
             raise ValueError("skin must be non-negative")
-        if isinstance(potential, SNAPPotential):
-            if potential.snap.quadratic is not None:
-                raise ValueError(
-                    "backend='process' does not support quadratic SNAP: the "
-                    "per-atom effective coefficients are not row-partition "
-                    "stable, which would break the bitwise force contract")
-        elif not callable(getattr(potential, "pair_terms", None)):
+        if not isinstance(potential, SNAPPotential) \
+                and not callable(getattr(potential, "pair_terms", None)):
             raise ValueError(
                 "backend='process' needs a SNAPPotential or a pair potential "
                 f"exposing pair_terms(); got {type(potential).__name__}")

@@ -139,6 +139,11 @@ class TestRunMD:
         out = capsys.readouterr().out
         assert "SerialEngine: 32 atoms x 1 steps" in out
         assert "tuned:" not in out
+        # one contraction: the CLI has no kernel mode left to name
+        import inspect
+
+        import repro.cli
+        assert "y_mode" not in inspect.getsource(repro.cli)
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)

@@ -244,11 +244,13 @@ from repro.parallel import ProcessEngine
 from repro.potentials import SNAPPotential, StillingerWeber
 
 
-def snap_setup(seed=3, reps=(2, 2, 2), y_mode="dense"):
+def snap_setup(seed=3, reps=(2, 2, 2), quadratic=False):
     rng = np.random.default_rng(seed)
-    params = SNAPParams(twojmax=2, rcut=2.4, chunk=64, y_mode=y_mode)
-    pot = SNAPPotential(params, beta=rng.normal(
-        size=SNAPPotential(params).snap.index.ncoeff))
+    params = SNAPParams(twojmax=2, rcut=2.4, chunk=64)
+    nb = SNAPPotential(params).snap.index.nb
+    pot = SNAPPotential(params, beta=rng.normal(size=nb + 1),
+                        quadratic=0.1 * np.random.default_rng(seed + 2).normal(
+                            size=(nb, nb)) if quadratic else None)
     s = lattice_system("diamond", a=3.57, reps=reps)
     s.positions = s.positions + rng.normal(scale=0.03, size=s.positions.shape)
     s.seed_velocities(40.0, rng=np.random.default_rng(seed + 1))
@@ -317,11 +319,13 @@ class TestProcessParity:
                 assert np.allclose(a.virial, b.virial, **TOL)
 
     @pytest.mark.parametrize("nprocs", [2, 3])
-    @pytest.mark.parametrize("y_mode", ["dense", "sparse"])
-    def test_snap_forces_bitwise_vs_serial(self, y_mode, nprocs):
-        # 96 atoms: the serial pass crosses a 64-atom block of the
-        # sparse Y plan where the 48- and 32-row worker slices do not
-        s1, pot = snap_setup(reps=(3, 2, 2), y_mode=y_mode)
+    @pytest.mark.parametrize("model", ["linear", "quadratic"])
+    def test_snap_forces_bitwise_vs_serial(self, model, nprocs):
+        # 96 atoms in 40-atom blocks of the Z contraction: the serial
+        # pass splits 40 + 40 + 16, the 48- and 32-row worker slices
+        # split 40 + 8 and not at all (workers fork after this line)
+        s1, pot = snap_setup(reps=(3, 2, 2), quadratic=model == "quadratic")
+        pot.snap._plan["block"] = 40
         serial = SerialEngine(s1, pot)
         s2, _ = snap_setup(reps=(3, 2, 2))
         s2.positions = s1.positions.copy()

@@ -5,6 +5,12 @@ import pytest
 
 from conftest import fd_forces, free_cluster_pairs, random_cluster
 from repro.core import SNAP, SNAPParams
+from repro.core.baseline import (reference_descriptors,
+                                 reference_energy_forces)
+from repro.md import SerialEngine
+from repro.parallel import DistributedEngine
+from repro.potentials import SNAPPotential
+from repro.structures import lattice_system
 
 PARAMS = SNAPParams(twojmax=2, rcut=3.0)
 NB = SNAP(PARAMS).index.nb
@@ -36,6 +42,41 @@ class TestQuadraticSNAP:
         expect = (quad_snap.beta[0] + b @ quad_snap.beta[1:]
                   + 0.5 * np.einsum("al,lm,am->a", b, quad_snap.quadratic, b))
         assert np.allclose(res.peratom, expect, atol=1e-10)
+
+    @pytest.mark.parametrize("twojmax", [2, 6])
+    def test_matches_reference(self, rng, twojmax):
+        # Listing-1 oracle: dense einsums over stored Z and dB, with the
+        # per-atom coefficients beta + Q B applied to dB directly
+        params = SNAPParams(twojmax=twojmax, rcut=3.0, chunk=16)
+        nb = SNAP(params).index.nb
+        snap = SNAP(params, beta=rng.normal(size=nb + 1),
+                    quadratic=0.1 * rng.normal(size=(nb, nb)))
+        pos = random_cluster(rng, natoms=5)
+        nbr = free_cluster_pairs(pos, 3.0)
+        out = snap.compute(5, nbr)
+        ref = reference_energy_forces(snap, 5, nbr)
+        tol = dict(atol=1e-12, rtol=1e-12)
+        assert out.energy == pytest.approx(ref.energy, rel=1e-12, abs=1e-12)
+        assert np.allclose(out.peratom, ref.peratom, **tol)
+        assert np.allclose(out.forces, ref.forces, **tol)
+        assert np.allclose(out.virial, ref.virial, atol=1e-11, rtol=1e-11)
+        assert np.allclose(snap.compute_descriptors(5, nbr),
+                           reference_descriptors(snap, 5, nbr), **tol)
+
+    def test_distributed_matches_serial(self, rng):
+        # the comm-model engine's own contract (<= 1e-10; it is not
+        # bitwise for linear SNAP either).  ProcessEngine is bitwise:
+        # tests/test_engine.py::test_snap_forces_bitwise_vs_serial
+        params = SNAPParams(twojmax=2, rcut=2.4)
+        pot = SNAPPotential(params, beta=rng.normal(size=NB + 1),
+                            quadratic=0.1 * rng.normal(size=(NB, NB)))
+        s = lattice_system("diamond", a=3.57, reps=(3, 3, 3))
+        s.positions = s.positions + rng.normal(scale=0.03,
+                                               size=s.positions.shape)
+        ref = SerialEngine(s.copy(), pot).evaluate()
+        res = DistributedEngine(s.copy(), pot, 4).evaluate()
+        assert res.energy == pytest.approx(ref.energy, abs=1e-10)
+        assert np.abs(res.forces - ref.forces).max() <= 1e-10
 
     def test_forces_fd(self, rng, quad_snap):
         pos = random_cluster(rng, natoms=5)

@@ -34,6 +34,15 @@ def snap_carbon(rng, reps=(3, 3, 3), jitter=0.03, **params):
     return s, pot
 
 
+def _with_nan_beta(pot):
+    """``pot`` rebuilt with one NaN coefficient (``SNAP.beta`` is
+    read-only: the coefficients are folded into the contraction plan
+    when the evaluator is built)."""
+    beta = pot.snap.beta.copy()
+    beta[1] = np.nan
+    return SNAPPotential(pot.params, beta=beta)
+
+
 class _PoisonOnCall:
     """Potential wrapper that poisons forces on the Nth compute() call."""
 
@@ -107,7 +116,7 @@ class TestKernelGuards:
 
     def test_serial_snap_catches_poisoned_coefficients(self, rng):
         s, pot = snap_carbon(rng, check_finite=True)
-        pot.snap.beta[1] = np.nan  # poisons Y/peratom, not U
+        pot = _with_nan_beta(pot)  # poisons Y/peratom, not U
         nbr = build_pairs(s.positions, s.box, pot.cutoff)
         with pytest.raises(NumericsError, match="compute_yi"):
             pot.compute(s.natoms, nbr)
@@ -115,7 +124,7 @@ class TestKernelGuards:
     def test_off_by_default_lets_nan_through(self, rng):
         s, pot = snap_carbon(rng)
         assert pot.snap.params.check_finite is False
-        pot.snap.beta[1] = np.nan
+        pot = _with_nan_beta(pot)
         nbr = build_pairs(s.positions, s.box, pot.cutoff)
         result = pot.compute(s.natoms, nbr)  # no raise: sanitizer off
         assert np.isnan(result.energy)

@@ -7,7 +7,10 @@ the contract for both is exact: forces match the Listing-1 reference to
 arithmetic, different schedule).
 """
 
+import ast
+import inspect
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +18,8 @@ import pytest
 from conftest import (fd_forces_fixed_topology, free_cluster_pairs,
                       random_cluster)
 from repro.core import SNAP, NeighborBatch, SNAPParams
-from repro.core.baseline import reference_energy_forces
+from repro.core.baseline import (reference_descriptors,
+                                 reference_energy_forces)
 from repro.core.indexing import SNAPIndex
 
 
@@ -118,8 +122,29 @@ class TestStoreUParity:
             assert np.array_equal(dedr, results[0])
 
 
+def _assert_matches_oracle(snap, n, nbr, tol=1e-12):
+    """Energy, per-atom, forces, virial and descriptors of ``snap``
+    against the Listing-1 oracle (dense einsums over stored Z and dB,
+    no code shared with the sparse contraction)."""
+    out = snap.compute(n, nbr)
+    ref = reference_energy_forces(snap, n, nbr)
+    assert out.energy == pytest.approx(ref.energy, rel=tol, abs=tol)
+    assert np.allclose(out.peratom, ref.peratom, atol=tol, rtol=tol)
+    assert np.allclose(out.forces, ref.forces, atol=tol, rtol=tol)
+    assert np.allclose(out.virial, ref.virial, atol=10 * tol, rtol=10 * tol)
+    assert np.allclose(snap.compute_descriptors(n, nbr),
+                       reference_descriptors(snap, n, nbr),
+                       atol=tol, rtol=tol)
+    return out
+
+
 class TestSparseY:
-    """The sparse-CG Y contraction (``y_mode="sparse"``) vs the dense GEMMs."""
+    """The one sparse-CG Z contraction against the Listing-1 oracle.
+
+    ``y_mode`` no longer selects anything (both values run this
+    contraction), so the independent check is
+    :mod:`repro.core.baseline`, not the other mode.
+    """
 
     @pytest.mark.parametrize("twojmax", [4, 6, 8])
     @pytest.mark.parametrize("store_u", ["always", "never", "auto"])
@@ -131,51 +156,118 @@ class TestSparseY:
         for y_mode in ("dense", "sparse"):
             snap = SNAP(SNAPParams(twojmax=twojmax, rcut=3.0, chunk=32,
                                    store_u=store_u, y_mode=y_mode), beta=beta)
-            out[y_mode] = snap.compute(n, nbr)
-        a, b = out["dense"], out["sparse"]
-        assert np.allclose(b.forces, a.forces, atol=1e-12, rtol=1e-12)
-        assert b.energy == pytest.approx(a.energy, rel=1e-12, abs=1e-12)
-        assert np.allclose(b.peratom, a.peratom, atol=1e-12, rtol=1e-12)
-        assert np.allclose(b.virial, a.virial, atol=1e-11, rtol=1e-11)
+            out[y_mode] = _assert_matches_oracle(snap, n, nbr)
+        assert np.array_equal(out["dense"].forces, out["sparse"].forces)
+        assert out["dense"].energy == out["sparse"].energy
 
-    def test_variant_rung_registered(self, rng, cluster):
-        from repro.core.variants import VARIANTS, run_variant
+    def test_variant_rung_registered(self):
+        # the sparse_y rung is the fused rung now: one entry, not two
+        from repro.core.variants import VARIANTS
 
         names = list(VARIANTS)
-        assert names.index("sparse_y") == names.index("fused") + 1
-        pos, nbr = cluster
-        snap = _snap(rng, 6)
-        a = run_variant("fused", snap, pos.shape[0], nbr)
-        b = run_variant("sparse_y", snap, pos.shape[0], nbr)
-        assert np.allclose(b.forces, a.forces, atol=1e-12, rtol=1e-12)
+        assert "sparse_y" not in names
+        assert names.index("stored_u") == names.index("fused") + 1
 
     def test_sparse_descriptors_and_quadratic(self, rng, cluster):
-        # the per-triple sparse z branch also feeds the descriptor and
-        # quadratic paths (no adjoint shortcut there) - both must agree
+        # quadratic SNAP: B from the canonical Z rows, then Y from all
+        # rows weighted by the per-atom beta + Q B, off one gather
+        pos, nbr = cluster
+        nb = SNAPIndex(4).nb
+        snap = SNAP(SNAPParams(twojmax=4, rcut=3.0, chunk=32),
+                    beta=rng.normal(size=nb + 1),
+                    quadratic=0.1 * rng.normal(size=(nb, nb)))
+        _assert_matches_oracle(snap, pos.shape[0], nbr)
+
+    def test_bzero_shift_and_model(self, rng, cluster):
         pos, nbr = cluster
         n = pos.shape[0]
         nb = SNAPIndex(4).nb
         beta = rng.normal(size=nb + 1)
-        quad = 0.1 * rng.normal(size=(nb, nb))
-        out = {}
-        for y_mode in ("dense", "sparse"):
-            snap = SNAP(SNAPParams(twojmax=4, rcut=3.0, chunk=32,
-                                   y_mode=y_mode), beta=beta, quadratic=quad)
-            out[y_mode] = (snap.compute_descriptors(n, nbr),
-                           snap.compute(n, nbr))
-        assert np.allclose(out["sparse"][0], out["dense"][0],
-                           atol=1e-12, rtol=1e-12)
-        assert np.allclose(out["sparse"][1].forces, out["dense"][1].forces,
-                           atol=1e-12, rtol=1e-12)
+        params = SNAPParams(twojmax=4, rcut=3.0, chunk=32)
+        empty = NeighborBatch(i_idx=np.zeros(0, dtype=np.intp),
+                              rij=np.zeros((0, 3)), r=np.zeros(0),
+                              j_idx=np.zeros(0, dtype=np.intp))
+        lone = reference_descriptors(SNAP(params, beta=beta), 1, empty)[0]
+        for quad in (None, 0.1 * rng.normal(size=(nb, nb))):
+            snap = SNAP(params, beta=beta, bzero=True, quadratic=quad)
+            assert np.allclose(snap.bzero_shift, lone, atol=1e-12, rtol=1e-12)
+            assert snap.compute(1, empty).energy == pytest.approx(beta[0])
+            _assert_matches_oracle(snap, n, nbr)
+
+    def test_pair_overrides_match_oracle(self, rng, cluster):
+        pos, nbr = cluster
+        nb = SNAPIndex(4).nb
+        nbr2 = NeighborBatch(
+            i_idx=nbr.i_idx, rij=nbr.rij, r=nbr.r, j_idx=nbr.j_idx,
+            pair_weight=rng.uniform(0.5, 1.5, nbr.npairs),
+            pair_rcut=rng.uniform(2.0, 2.9, nbr.npairs))
+        for quad in (None, 0.1 * rng.normal(size=(nb, nb))):
+            snap = SNAP(SNAPParams(twojmax=4, rcut=3.0, chunk=32),
+                        beta=rng.normal(size=nb + 1), quadratic=quad)
+            _assert_matches_oracle(snap, pos.shape[0], nbr2)
+
+    def test_zero_coefficients(self, rng, cluster):
+        # a zero beta drops its triples from the folded operator (they
+        # stay in the unfolded one); all-zero beta leaves it empty
+        pos, nbr = cluster
+        n = pos.shape[0]
+        nb = SNAPIndex(6).nb
+        params = SNAPParams(twojmax=6, rcut=3.0, chunk=32)
+        beta = rng.normal(size=nb + 1)
+        beta[1 + rng.choice(nb, size=nb // 2, replace=False)] = 0.0
+        full = SNAP(params)
+        some = SNAP(params, beta=beta)
+        assert 0 < some._plan["y_op"].nnz < full._plan["y_op"].nnz
+        assert some._plan["z_op"].nnz == full._plan["z_op"].nnz
+        _assert_matches_oracle(some, n, nbr)
+        beta0 = np.zeros(nb + 1)
+        beta0[0] = 0.7
+        none = SNAP(params, beta=beta0)
+        assert none._plan["y_op"].nnz == 0
+        out = _assert_matches_oracle(none, n, nbr)
+        assert np.all(out.forces == 0.0) and np.all(out.peratom == 0.7)
 
     def test_sparse_empty_neighbor_list(self, rng):
-        snap = _snap(rng, 4, y_mode="sparse")
+        snap = _snap(rng, 4)
         empty = NeighborBatch(i_idx=np.zeros(0, dtype=np.intp),
                               rij=np.zeros((0, 3)), r=np.zeros(0),
                               j_idx=np.zeros(0, dtype=np.intp))
         out = snap.compute(3, empty)
         assert np.all(out.forces == 0.0)
         assert np.isfinite(out.energy)
+
+    @pytest.mark.parametrize("quadratic", [False, True])
+    def test_block_size_changes_nothing(self, rng, quadratic):
+        # every stage-2 quantity is per atom column: Y, B and forces are
+        # bitwise equal for any block, natoms a multiple of it or not
+        pos = random_cluster(rng, natoms=11, span=5.0)
+        nbr = free_cluster_pairs(pos, 3.0)
+        nb = SNAPIndex(4).nb
+        snap = SNAP(SNAPParams(twojmax=4, rcut=3.0, chunk=32),
+                    beta=rng.normal(size=nb + 1),
+                    quadratic=0.1 * rng.normal(size=(nb, nb))
+                    if quadratic else None)
+        utot = snap.compute_utot(11, nbr)
+        results = []
+        for block in (1, 2, 4, 11, 64):
+            snap._plan["block"] = block
+            pa, y = snap._peratom_and_y(utot)
+            results.append((pa, y, snap.compute_descriptors(11, nbr),
+                            snap.compute(11, nbr).forces))
+        for other in results[1:]:
+            for a, b in zip(results[0], other):
+                assert np.array_equal(a, b)
+
+    def test_gather_scratch_is_bounded_in_bytes(self):
+        # the block is derived from nuniq, so the two gather arrays stay
+        # under one byte constant at any 2J (64 atoms at 2J=14 was 606 MB)
+        for twojmax in (2, 8, 14):
+            plan = SNAP(SNAPParams(twojmax=twojmax, rcut=3.0))._plan
+            scratch = 2 * 16 * plan["nuniq"] * plan["block"]
+            assert plan["block"] >= 1
+            assert scratch <= SNAP._GATHER_SCRATCH_BYTES
+            assert scratch + 2 * 16 * plan["nuniq"] > SNAP._GATHER_SCRATCH_BYTES
+        assert plan["nuniq"] == 296163 and plan["block"] == 3
 
     def test_sparse_cg_structure(self):
         # entries enumerate exactly the nonzero CG products of the
@@ -219,6 +311,32 @@ class TestSparseY:
         # selection rules bite harder as J grows
         assert yi_contraction_model(8)["cg_density"] < \
             yi_contraction_model(2)["cg_density"]
+
+
+def test_one_contraction_census():
+    """Neither the second Z implementation nor the buffered gather
+    comes back unnoticed."""
+    import repro
+    from repro.core import snap as snap_module
+
+    source = inspect.getsource(snap_module)
+    for gemm in ("np.tensordot", "np.matmul", "hm_left", "hm_right_half",
+                 "_B_Y_BLOCK", "_compute_b_y"):
+        assert gemm not in source
+    # the triple cache holds scalars and the shared cg_sparse lists: no
+    # per-triple reshaped CG copies for a GEMM to consume
+    for t in SNAP(SNAPParams(twojmax=4, rcut=3.0))._triple_cache:
+        assert sorted(t) == ["b_index", "j", "j1", "j2", "sparse",
+                             "y_b_index", "y_factor"]
+        assert not any(isinstance(v, np.ndarray) for v in t.values())
+    # np.take(..., out=) without mode= buffers the whole output ("raise")
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) \
+                    and getattr(node.func, "attr", None) == "take":
+                names = {kw.arg for kw in node.keywords}
+                assert "out" not in names or "mode" in names, \
+                    f"{path}:{node.lineno}: np.take(out=) without mode="
 
 
 class TestPairOverrides:
