@@ -27,6 +27,14 @@ mirroring the optimized LAMMPS/Kokkos pipeline in NumPy:
    ``mb <= j/2``) and both force scatters are ``np.add.reduceat``
    segment reductions.
 
+Stages 1 and 3 walk the pair list in chunks of about
+``SNAPParams.chunk`` pairs that are cut on atom-row boundaries: a
+central atom's pairs are never split, so its whole neighbor sum is one
+``np.add.reduceat`` segment (one team per atom in TestSNAP's
+``compute_ui``) and ``U_tot``, ``Y``, ``dedr`` and the forces are
+bitwise independent of ``chunk`` and of where a row slice of a longer
+list starts.
+
 The per-kernel wall times of the latest evaluation are kept in
 :attr:`SNAP.last_timings` so benchmarks can report a stage breakdown.
 """
@@ -64,10 +72,12 @@ class SNAPParams:
     ``"never"`` recomputes them per chunk, and ``"auto"`` stores only
     when the whole-pair-list cache fits in ``store_u_budget_mb``.
 
-    ``chunk`` is the pair-block size of both passes: large enough to
-    amortize per-chunk dispatch overhead, small enough that the
-    per-chunk scratch (O(nu_half * chunk) complex) stays
-    cache-friendly.  4096 is the measured sweet spot at 2J=8.
+    ``chunk`` is the target pair-block length of both passes: large
+    enough to amortize per-chunk dispatch overhead, small enough that
+    the per-chunk scratch (O(nu_half * chunk) complex) stays
+    cache-friendly.  4096 is the measured sweet spot at 2J=8.  Blocks
+    end on atom-row boundaries (a row is never split, so a block can
+    run up to one row past ``chunk``); results do not depend on it.
 
     ``y_mode`` is inert: ``"dense"`` and ``"sparse"`` both run the one
     sparse Clebsch-Gordan contraction of :meth:`SNAP._build_plan`.  The
@@ -142,7 +152,7 @@ class NeighborBatch:
     _j_perm: np.ndarray | None = field(default=None, init=False, repr=False)
     #: ``(reference batch, keep mask)`` of a skin-filtered batch, set by
     #: :func:`repro.md.neighbor.filter_pairs`
-    _j_source: tuple | None = field(default=None, init=False, repr=False)
+    filtered_from: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.i_idx = np.ascontiguousarray(self.i_idx, dtype=np.intp)
@@ -180,10 +190,10 @@ class NeighborBatch:
         if self.j_idx is None:
             raise ValueError("NeighborBatch.j_idx is required for j_sorted_perm")
         if self._j_perm is None:
-            if self._j_source is None:
+            if self.filtered_from is None:
                 self._j_perm = np.argsort(self.j_idx, kind="stable")
             else:
-                ref, keep = self._j_source
+                ref, keep = self.filtered_from
                 p = ref.j_sorted_perm()
                 self._j_perm = (np.cumsum(keep) - 1)[p[keep[p]]]
         return self._j_perm
@@ -456,19 +466,25 @@ class SNAP:
         return (npairs * self.store_u_bytes_per_pair
                 <= self.params.store_u_budget_mb * 2**20)
 
-    def _chunk_slices(self, npairs: int, chunk_origin: int = 0):
-        """Pair-chunk slices of both passes.
+    def _chunk_slices(self, i_idx: np.ndarray):
+        """Pair-chunk slices of both passes, cut on atom-row boundaries.
 
-        ``chunk_origin`` shifts the grid so that *global* pair index
-        ``chunk_origin + lo`` lands on multiples of ``params.chunk``: an
-        evaluator working on a contiguous row slice of a larger pair
-        list passes its global pair offset and gets the per-chunk
-        segment grouping of the full-list evaluation.
+        ``params.chunk`` is a target length: a chunk ends at the first
+        row start at or after ``lo + chunk``, so no atom's row is ever
+        split (a row longer than ``chunk`` is one chunk) and every
+        ``np.add.reduceat`` segment of the density pass is whole.  An
+        unsorted ``i_idx`` has no rows to respect and keeps the fixed
+        grid.
         """
+        npairs = i_idx.shape[0]
         chunk = self.params.chunk
+        step = np.diff(i_idx)
+        cuts = np.flatnonzero(step) + 1 if np.all(step >= 0) \
+            else np.arange(chunk, npairs, chunk)
         lo = 0
         while lo < npairs:
-            hi = min(lo + chunk - (chunk_origin + lo) % chunk, npairs)
+            k = np.searchsorted(cuts, lo + chunk)
+            hi = int(cuts[k]) if k < cuts.size else npairs
             yield slice(lo, hi)
             lo = hi
 
@@ -483,8 +499,7 @@ class SNAP:
         return ck, compute_u_layers_half_lm(ck, p.twojmax), sfac, dsfac
 
     def compute_utot(self, natoms: int, nbr: NeighborBatch,
-                     cache: list | None = None,
-                     chunk_origin: int = 0) -> np.ndarray:
+                     cache: list | None = None) -> np.ndarray:
         """Stage 1 (compute_ui): accumulate ``U_tot`` per atom.
 
         Returns a complex array of shape ``(natoms, nu)``; the self
@@ -497,14 +512,14 @@ class SNAP:
         so :meth:`_compute_dedr` can reuse them instead of recomputing
         (the ``store_u`` trade).
 
-        With ``chunk_origin`` set to a row slice's global pair offset
-        (see :meth:`_chunk_slices`), the per-atom accumulation order -
-        and hence ``U_tot`` - is bitwise identical to the serial pass
-        over the full list: the property the multiprocess row-slice
+        Chunks hold whole atom rows (:meth:`_chunk_slices`), so each
+        atom's sum is one segment reduction over exactly its own pairs:
+        a row slice of a longer sorted list yields bitwise the rows the
+        full list yields - the property the multiprocess row-slice
         backend relies on.
         """
         utot_half = np.zeros((natoms, self._nu_half), dtype=np.complex128)
-        for sl in self._chunk_slices(nbr.npairs, chunk_origin):
+        for sl in self._chunk_slices(nbr.i_idx):
             terms = self._pair_terms(nbr, sl)
             _, u_lm, sfac, _ = terms
             w = np.empty((self._nu_half, sfac.shape[0]), dtype=np.complex128)
@@ -707,7 +722,7 @@ class SNAP:
         """
         if cache is None:
             cache = (self._pair_terms(nbr, sl)
-                     for sl in self._chunk_slices(nbr.npairs))
+                     for sl in self._chunk_slices(nbr.i_idx))
         dedr = np.empty((nbr.npairs, 3))
         yfold = np.ascontiguousarray(self._fold_y(y).T)  # (nu_half, natoms)
         lo = 0

@@ -14,9 +14,8 @@ determinism taint (R10).  :func:`run_lint` is the entry point
 inline with ``# repro-lint: disable=<rule> -- <justification>``.
 
 Runtime half (:mod:`repro.lint.sanitizers`): opt-in NaN/Inf guards with
-phase attribution and a scatter-add race detector for the rank
-decomposition, wired through ``SNAPParams.check_finite`` and the
-``check_finite``/``race_check`` arguments of ``build_engine``.
+phase and rank attribution, wired through ``SNAPParams.check_finite``
+and the ``check_finite`` argument of ``build_engine``.
 """
 
 from .engine import (LintResult, LintStats, findings_to_json,
@@ -24,8 +23,7 @@ from .engine import (LintResult, LintStats, findings_to_json,
 from .flow import PROJECT_RULE_IDS, run_project_rules
 from .graph import Project
 from .rules import RULES, Finding, Rule
-from .sanitizers import (NumericsError, Overlap, RaceDetector, RaceError,
-                         WriteRecord, check_finite)
+from .sanitizers import NumericsError, check_finite
 
 __all__ = [
     "Finding",
@@ -41,9 +39,5 @@ __all__ = [
     "run_project_rules",
     "PROJECT_RULE_IDS",
     "NumericsError",
-    "RaceError",
-    "RaceDetector",
-    "Overlap",
-    "WriteRecord",
     "check_finite",
 ]

@@ -285,23 +285,14 @@ class SerialEngine(ForceEngine):
         at the new coordinates (the build counter carries over, same as
         the barostat rebind path)."""
         super().bind(system)
-        rebound = NeighborList(box=system.box, cutoff=self.potential.cutoff,
-                               skin=self.skin)
-        rebound.nbuilds = self.neighbors.nbuilds
-        self.neighbors = rebound
+        self.neighbors = self.neighbors.rebound(system.box)
 
     def evaluate(self, positions: np.ndarray | None = None) -> EnergyForces:
         if positions is None:
             positions = self.system.positions
         if self.neighbors.box is not self.system.box:
-            # the barostat rescaled the cell; rebind the neighbor list
-            # but carry the build counter so neighbor_builds keeps
-            # counting across rebinds
-            rebound = NeighborList(box=self.system.box,
-                                   cutoff=self.potential.cutoff,
-                                   skin=self.skin)
-            rebound.nbuilds = self.neighbors.nbuilds
-            self.neighbors = rebound
+            # the barostat rescaled the cell
+            self.neighbors = self.neighbors.rebound(self.system.box)
         builds = self.neighbors.nbuilds
         t0 = time.perf_counter()
         nbr = self.neighbors.get(positions)
@@ -654,8 +645,7 @@ class MDLoop:
 def build_engine(system: ParticleSystem, potential: Potential, *,
                  backend: str | None = None, nranks: int = 1,
                  nprocs: int | None = None, skin: float = 0.3,
-                 check_finite: bool = False, race_check: bool = False
-                 ) -> ForceEngine:
+                 check_finite: bool = False) -> ForceEngine:
     """Select a force backend from the requested execution layout.
 
     ``backend`` picks the engine: ``"serial"``, ``"process"``
@@ -665,9 +655,8 @@ def build_engine(system: ParticleSystem, potential: Potential, *,
     ``backend=None`` infers it: ``nprocs`` set yields the process
     engine, ``nranks > 1`` the distributed one, neither the serial one.
     A size argument the chosen backend does not read raises
-    ``ValueError`` instead of being dropped.  ``race_check`` applies to
-    the distributed backend only.  Every returned engine drives the
-    same :class:`MDLoop`.
+    ``ValueError`` instead of being dropped.  Every returned engine
+    drives the same :class:`MDLoop`.
     """
     if backend is None:
         backend = ("process" if nprocs is not None
@@ -690,8 +679,7 @@ def build_engine(system: ParticleSystem, potential: Potential, *,
         from ..parallel.distributed import DistributedEngine
 
         return DistributedEngine(system, potential, nranks, skin=skin,
-                                 check_finite=check_finite,
-                                 race_check=race_check)
+                                 check_finite=check_finite)
     from ..parallel.process_engine import ProcessEngine
 
     return ProcessEngine(system, potential,

@@ -166,15 +166,16 @@ def filter_pairs(ref: NeighborBatch, rij: np.ndarray, r: np.ndarray,
 
     ``rij``/``r`` are the refreshed geometry of every reference pair and
     ``keep`` the boolean pair mask.  The filtered batch remembers
-    ``(ref, keep)`` so that its j-sorted permutation, if SNAP asks for
-    it, is derived from the reference's instead of re-sorted.  Shared by
-    the serial :class:`NeighborList` and the distributed per-rank caches.
+    ``(ref, keep)`` as ``filtered_from``: its j-sorted permutation, if
+    SNAP asks for it, is derived from the reference's instead of
+    re-sorted, and the process workers publish their kept mask from it.
+    Shared by :class:`NeighborList` and the distributed per-rank caches.
     """
     kept = np.flatnonzero(keep)
     batch = NeighborBatch(i_idx=np.take(ref.i_idx, kept),
                           rij=np.take(rij, kept, axis=0), r=np.take(r, kept),
                           j_idx=np.take(ref.j_idx, kept))
-    batch._j_source = (ref, keep)
+    batch.filtered_from = (ref, keep)
     return batch
 
 
@@ -186,11 +187,17 @@ class NeighborList:
     distances for the current positions while the underlying pair
     topology is rebuilt only when an atom moved more than ``skin/2``
     since the last build.
+
+    ``rows=(lo, hi)`` keeps only the pairs whose central atom lies in
+    that window (see :func:`build_pairs`); the skin test still looks at
+    every atom, so the lists of a row partition rebuild on the same
+    steps and concatenate, build or refresh, to the unrestricted list.
     """
 
     box: Box
     cutoff: float
     skin: float = 0.3
+    rows: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         if self.cutoff <= 0:
@@ -212,6 +219,15 @@ class NeighborList:
         """
         return self._ref_positions
 
+    def rebound(self, box: Box) -> "NeighborList":
+        """A fresh list on ``box``: the next :meth:`get` rebuilds, never
+        reusing pair order from the old cell, and the build counter
+        carries over so it keeps counting across rebinds."""
+        fresh = NeighborList(box=box, cutoff=self.cutoff, skin=self.skin,
+                             rows=self.rows)
+        fresh.nbuilds = self.nbuilds
+        return fresh
+
     def get(self, positions: np.ndarray) -> NeighborBatch:
         ref = self._pairs
         if ref is not None:
@@ -220,7 +236,8 @@ class NeighborList:
                 ref = None
         if ref is None:
             ref = self._pairs = build_pairs(positions, self.box,
-                                            self.cutoff + self.skin)
+                                            self.cutoff + self.skin,
+                                            rows=self.rows)
             self._ref_positions = np.array(positions)
             self.nbuilds += 1
             # fresh build: displacements are zero, rij/r are already

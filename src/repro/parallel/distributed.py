@@ -113,17 +113,11 @@ class DistributedEngine(ForceEngine):
         output and the globally accumulated forces for NaN/Inf, raising
         :class:`repro.lint.sanitizers.NumericsError` with rank and phase
         attribution.
-    race_check:
-        Debug sanitizer (default off): run a
-        :class:`repro.lint.sanitizers.RaceDetector` across each force
-        evaluation; two ranks claiming the same owned row raise
-        :class:`repro.lint.sanitizers.RaceError` naming ranks and phase.
     """
 
     def __init__(self, system: ParticleSystem, potential: Potential,
                  nranks: int, skin: float = 0.3,
-                 check_finite: bool = False,
-                 race_check: bool = False) -> None:
+                 check_finite: bool = False) -> None:
         if skin < 0:
             raise ValueError("skin must be non-negative")
         self.system = system
@@ -142,14 +136,6 @@ class DistributedEngine(ForceEngine):
         self._ref_raw: np.ndarray | None = None
         self._ghost_count = 0
         self.check_finite = bool(check_finite)
-        #: live :class:`~repro.lint.sanitizers.RaceDetector` when
-        #: ``race_check`` is on, else None; its ``reports`` list holds
-        #: every overlap seen so far
-        self.race_detector = None
-        if race_check:
-            from ..lint.sanitizers import RaceDetector
-
-            self.race_detector = RaceDetector()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -233,10 +219,8 @@ class DistributedEngine(ForceEngine):
 
         Returns ``(energy, owned_peratom, owned_forces, ghost_forces,
         virial)``; ``ghost_forces`` is ``None`` for a rank that owns no
-        atoms.  With ``race_check`` on, the rank declares the owned-row
-        region it will scatter into; with ``check_finite`` on, kernel
-        outputs are validated here so a NaN is attributed to the rank
-        that produced it.
+        atoms.  With ``check_finite`` on, kernel outputs are validated
+        here so a NaN is attributed to the rank that produced it.
         """
         if state.nowned == 0:
             return 0.0, np.zeros(0), np.zeros((0, 3)), None, np.zeros((3, 3))
@@ -265,12 +249,6 @@ class DistributedEngine(ForceEngine):
             check_finite("rank_force", where=f"rank{rank}",
                          peratom=result.peratom[:nown],
                          forces=result.forces)
-        if self.race_detector is not None:
-            # declare this rank's owned-row scatter region;
-            # disjointness across ranks is the invariant the
-            # decomposition must uphold
-            self.race_detector.record("forces.scatter", f"rank{rank}",
-                                      state.owned)
         peratom = result.peratom[:nown]
         energy = float(peratom.sum())
         return energy, peratom, result.forces[:nown], result.forces[nown:], \
@@ -312,15 +290,12 @@ class DistributedEngine(ForceEngine):
         ledger.steps += 1
         ledger.ghost_atoms += self._ghost_count
 
-        if self.race_detector is not None:
-            self.race_detector.begin_epoch()
         energy = 0.0
         peratom = np.zeros(n)
         forces = np.zeros((n, 3))
         virial = np.zeros((3, 3))
         ghost_blocks: list[np.ndarray] = []
         ghost_values: list[np.ndarray] = []
-        ghost_ranks: list[int] = []
         for rank, state in enumerate(self._ranks):
             e, pa, owned_f, ghost_f, vir = self._eval_rank(rank, state, disp,
                                                            rebuild)
@@ -331,24 +306,13 @@ class DistributedEngine(ForceEngine):
             if ghost_f is not None:
                 ghost_blocks.append(state.ghost_idx)
                 ghost_values.append(ghost_f)
-                ghost_ranks.append(rank)
 
         if ghost_blocks:
-            if self.race_detector is not None:
-                # ghost contributions from different ranks legitimately
-                # target the same owner rows; the reverse pass applies
-                # them in fixed rank order on this thread, so they are
-                # declared serialized (exempt from pairwise overlap)
-                for rank, blk in zip(ghost_ranks, ghost_blocks):
-                    self.race_detector.record("comm.reverse", f"rank{rank}",
-                                              blk, serialized=True)
             with self.timers.phase("comm"), self.timers.phase("comm.reverse"):
                 before = self.comm_stats.bytes
                 reverse_scatter_add(forces, ghost_blocks, ghost_values,
                                     stats=self.comm_stats)
                 ledger.reverse_bytes += self.comm_stats.bytes - before
-        if self.race_detector is not None:
-            self.race_detector.check()
         if self.check_finite:
             from ..lint.sanitizers import check_finite
 

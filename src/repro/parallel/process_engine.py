@@ -10,11 +10,14 @@ to CPython where the GIL makes the thread-rank backend lose to serial.
 Decomposition - row slices, not subdomains
 ------------------------------------------
 Rank ``r`` owns the contiguous *atom-index window* ``[alo, ahi)`` of a
-balanced :func:`~repro.parallel.decomposition.row_partition`.  Because
-the global neighbor list is CSR-sorted by central atom, the per-rank
-row-restricted builds (``build_pairs(..., rows=...)``) concatenate to
-exactly the serial list, and every pair is computed by the rank that
-owns its central atom.  That turns the halo exchange into:
+balanced :func:`~repro.parallel.decomposition.row_partition` and runs
+the serial step on it: one :class:`~repro.md.neighbor.NeighborList`
+restricted to its rows (``rows=(alo, ahi)``), then the potential's
+kernel on the batch that list returns.  Because the global neighbor
+list is CSR-sorted by central atom, the per-rank lists concatenate -
+on build and on refresh steps - to exactly the serial list, and every
+pair is computed by the rank that owns its central atom.  That turns
+the halo exchange into:
 
 forward
     each worker reads any row of the shared position block directly
@@ -29,12 +32,13 @@ reverse
 Bitwise determinism contract
 ----------------------------
 Forces are bitwise identical to :class:`~repro.md.engine.SerialEngine`
-at every ``nprocs``.  Three properties carry the proof:
+at every ``nprocs``.  Two properties carry the proof:
 
-* row-restricted neighbor builds concatenate to the serial pair list
-  (same pairs, same order);
-* the SNAP density accumulation runs on the serial chunk grid via
-  ``compute_utot(chunk_origin=...)``, stages 2-3 are per-row/per-pair;
+* the row-restricted neighbor lists concatenate to the serial pair list
+  (same pairs, same order, same skin decisions), and every kernel stage
+  is per atom row or per pair - the SNAP density pass never splits a
+  row across chunks, so a rank's rows hold the bits the full list
+  yields whatever ``chunk`` either side runs with;
 * owner assembly replays the serial reduction *by the same operation on
   the same operand layout*: ``np.add.reduceat`` segment sums over the
   contiguous j-sorted slab (SNAP) and the strictly-sequential
@@ -51,8 +55,10 @@ its per-atom effective coefficients come from a column-by-column sparse
 product (see ``SNAP._build_plan``), not a row-count-sensitive GEMM.
 
 The step protocol is IPC-free in steady state: two semaphores per worker
-(start/done) plus two worker-internal barriers per step (four on rebuild
-steps), no pickling, no pipes.  Pair-capacity growth re-allocates the
+(start/done) plus one worker-internal barrier per step - the kept mask
+and the per-pair values are published together behind it - and two more
+on rebuild steps (pair counts, then neighbor ids), no pickling, no
+pipes.  Pair-capacity growth re-allocates the
 pair-space blocks under a generation counter.  The parent owns every
 block and unlinks them all on ``close()``; a ``weakref.finalize``
 backstop covers abandoned engines, and a worker death is detected by a
@@ -73,7 +79,7 @@ import numpy as np
 from ..core.snap import EnergyForces, NeighborBatch, _scatter_sum_sorted
 from ..md.box import Box
 from ..md.engine import CommLedger, ForceEngine
-from ..md.neighbor import build_pairs, filter_pairs, refresh_pairs
+from ..md.neighbor import NeighborList
 from ..md.timers import PhaseTimers
 from ..potentials.base import scatter_add, scatter_pair_forces
 from ..potentials.snap_potential import SNAPPotential
@@ -84,18 +90,18 @@ from .shm import SharedBlock
 __all__ = ["ProcessEngine", "worker_context"]
 
 
-def worker_context(start_method: str | None = None):
+def worker_context():
     """The ``multiprocessing`` context this repo starts workers from.
 
-    ``None`` prefers ``fork`` (cheap, copy-on-write potential tables and
-    templates, nothing has to pickle) with a ``spawn`` fallback.  Shared
-    by :class:`ProcessEngine` and the ParSplice segment workers so both
-    follow one start-method policy.
+    ``fork`` where the platform has it (cheap, copy-on-write potential
+    tables and templates, nothing has to pickle), else ``spawn``.
+    Shared by :class:`ProcessEngine` and the ParSplice segment workers
+    so both follow one start-method policy.
     """
-    if start_method is None:
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else "spawn"
-    return multiprocessing.get_context(start_method)
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn")
+
 
 # control-word layout (int64 slots in the "ctl" block)
 _CMD = 0          #: 0 = step, 1 = stop
@@ -109,10 +115,9 @@ _ERR = 7          #: rank + 1 of a worker that hit an exception
 _RANK0 = 8        #: start of the per-rank counter arrays
 # per-rank counter arrays (each ``nprocs`` long, starting at _RANK0):
 _F_REF = 0        #: reference (skinned) pair count
-_F_KEPT = 1       #: kept (filtered) pair count
-_F_GHOST = 2      #: distinct out-of-window neighbor atoms
-_F_REVERSE = 3    #: kept cross-rank reverse-pass entries
-_NFIELDS = 4
+_F_GHOST = 1      #: distinct out-of-window neighbor atoms
+_F_REVERSE = 2    #: kept cross-rank reverse-pass entries
+_NFIELDS = 3
 
 _CMD_STEP = 0
 _CMD_STOP = 1
@@ -175,8 +180,8 @@ def _worker_main(cfg: dict) -> None:
 class _WorkerState:
     """Per-process state of one rank (worker-process-private).
 
-    Owns the rank's attachments, its persistent reference pair list and
-    the rebuild-time neighbor-incidence index used for the reverse pass.
+    Owns the rank's attachments, its row-window neighbor list and the
+    rebuild-time neighbor-incidence index used for the reverse pass.
     Nothing here is shared between threads - each worker is a fresh
     process - so no locking is needed; cross-process ordering comes from
     the start/done semaphores and the step barriers.
@@ -188,10 +193,7 @@ class _WorkerState:
         self.alo: int = cfg["alo"]
         self.ahi: int = cfg["ahi"]
         self.natoms: int = cfg["natoms"]
-        self.periodic: tuple = cfg["periodic"]
         self.potential = cfg["potential"]
-        self.cutoff: float = cfg["cutoff"]
-        self.skin: float = cfg["skin"]
         self.check_finite: bool = cfg["check_finite"]
         self.prefix: str = cfg["prefix"]
         self.start = cfg["start"]
@@ -215,10 +217,10 @@ class _WorkerState:
         self.jref: SharedBlock | None = None
         self._attach_pair_blocks()
 
-        self.box: Box | None = None
+        self.neighbors = NeighborList(box=cfg["box"], cutoff=cfg["cutoff"],
+                                      skin=cfg["skin"],
+                                      rows=(self.alo, self.ahi))
         self.box_epoch = 0
-        self.ref: NeighborBatch | None = None
-        self.ref_pos: np.ndarray | None = None
         self.ref_off = 0
         self.inc = np.zeros(0, dtype=np.intp)
         self.incj = np.zeros(0, dtype=np.intp)
@@ -274,50 +276,42 @@ class _WorkerState:
     # ------------------------------------------------------------------
     def _step(self) -> None:
         ctl = self.ctl.array
-        pos = self.pos.array
         # per-rank stopwatch in the worker process; the parent folds the
         # readings into its PhaseTimers
         t0 = time.perf_counter()
-        t_fwd = 0.0
         if int(ctl[_BOX_EPOCH]) != self.box_epoch:
-            # the barostat rescaled the cell: rebuild against the new
-            # box, exactly like the serial NeighborList rebind
+            # the cell changed (barostat, bind): a fresh list on the new
+            # box, exactly like the serial engine's rebind
             self.box_epoch = int(ctl[_BOX_EPOCH])
-            self.box = Box(lengths=self.boxl.array.copy(),
-                           periodic=self.periodic)
-            self.ref = None
-        rebuild = self.ref is None
-        disp = None
-        if not rebuild:
-            disp = self.box.minimum_image(pos - self.ref_pos)
-            rebuild = bool(np.max(np.sum(disp * disp, axis=1))
-                           > (0.5 * self.skin) ** 2)
-        if rebuild:
-            ref = build_pairs(pos, self.box, self.cutoff + self.skin,
-                              rows=(self.alo, self.ahi))
+            self.neighbors = self.neighbors.rebound(
+                Box(lengths=self.boxl.array.copy(),
+                    periodic=self.neighbors.box.periodic))
+        builds = self.neighbors.nbuilds
+        nbr = self.neighbors.get(self.pos.array)
+        ref, keep = nbr.filtered_from
+        t1 = time.perf_counter()
+        if self.neighbors.nbuilds > builds:
+            # new topology: agree on the ranks' offsets into the shared
+            # reference pair space, then publish the neighbor ids
             ctl[self._slot(_F_REF)] = ref.npairs
-            tb = time.perf_counter()
             self.barrier.wait()
-            t_fwd += time.perf_counter() - tb
             counts = self._field(_F_REF).copy()
             total = int(counts.sum())
             if total > self.cap:
                 # deterministic on every rank (same counts): all ranks
                 # return together and the parent re-runs the step with
-                # regrown pair blocks
+                # regrown pair blocks; an empty list makes that run
+                # build, and so publish, again
                 ctl[_NEED] = total
+                self.neighbors = self.neighbors.rebound(self.neighbors.box)
                 return
-            self.ref = ref
             self.ref_off = int(counts[:self.rank].sum())
-            self.ref_pos = pos.copy()
             self.jref.array[self.ref_off:self.ref_off + ref.npairs] = ref.j_idx
             outside = (ref.j_idx < self.alo) | (ref.j_idx >= self.ahi)
             ctl[self._slot(_F_GHOST)] = int(np.unique(ref.j_idx[outside]).size)
             if self.rank == 0:
                 ctl[_NBUILDS] += 1
-            tb = time.perf_counter()
             self.barrier.wait()
-            t_fwd += time.perf_counter() - tb
             # neighbor incidence of the owned window, grouped by owned
             # atom, ascending global pair index within each atom: the
             # gather order that equals the serial j-sorted slab
@@ -328,31 +322,21 @@ class _WorkerState:
             self.incj = jall[self.inc]
             self.cross = ((self.inc < self.ref_off)
                           | (self.inc >= self.ref_off + ref.npairs))
-            rij, r = ref.rij, ref.r
-        else:
-            ref = self.ref
-            rij, r = refresh_pairs(ref, disp)
-        keep = r < self.cutoff
-        nbr = filter_pairs(ref, rij, r, keep)
-        ctl[self._slot(_F_KEPT)] = nbr.npairs
-        self.kept.array[self.ref_off:self.ref_off + ref.npairs] = keep
-        t1 = time.perf_counter()
-        self.barrier.wait()  # kept counts + masks visible on every rank
         t2 = time.perf_counter()
-        t_neigh = (t1 - t0) - t_fwd
-        t_fwd += t2 - t1
-        filtered_off = int(self._field(_F_KEPT)[:self.rank].sum())
 
         m = self.ahi - self.alo
         if self.is_snap:
-            vals, pa_own = self._snap_stage(nbr, m, filtered_off)
+            vals, pa_own = self._snap_stage(nbr, m)
         else:
             vals, pa_own = self._pair_stage(nbr, m)
         t3 = time.perf_counter()
-        # publish per-pair values at their kept reference slots (dropped
-        # slots are never gathered, so they can stay stale)
-        self.val.array[self.ref_off:self.ref_off + ref.npairs][keep] = vals
-        self.barrier.wait()  # all per-pair values visible
+        # publish the kept mask and the per-pair values at their kept
+        # reference slots (dropped slots are never gathered, so they can
+        # stay stale) behind one barrier
+        window = slice(self.ref_off, self.ref_off + ref.npairs)
+        self.kept.array[window] = keep
+        self.val.array[window][keep] = vals
+        self.barrier.wait()
         # reverse pass: gather this window's neighbor incidence (kept
         # entries only) and replay the serial owner accumulation
         kmask = self.kept.array[self.inc]
@@ -382,25 +366,23 @@ class _WorkerState:
         t4 = time.perf_counter()
         sc = self.scal.array
         sc[self.rank, _S_VIRIAL] = virial.ravel()
-        sc[self.rank, _S_NEIGH] = t_neigh
+        sc[self.rank, _S_NEIGH] = t1 - t0
         sc[self.rank, _S_FORCE] = t3 - t2
-        sc[self.rank, _S_COMM_FWD] = t_fwd
+        sc[self.rank, _S_COMM_FWD] = t2 - t1
         sc[self.rank, _S_COMM_REV] = t4 - t3
         sc[self.rank, _S_UI], sc[self.rank, _S_YI], sc[self.rank, _S_DUI] = \
             self._stage_t
 
     # ------------------------------------------------------------------
-    def _snap_stage(self, nbr: NeighborBatch, m: int,
-                    filtered_off: int) -> tuple[np.ndarray, np.ndarray]:
+    def _snap_stage(self, nbr: NeighborBatch,
+                    m: int) -> tuple[np.ndarray, np.ndarray]:
         """Stages 1-3 of SNAP on the local row slice.
 
-        ``filtered_off`` is this rank's offset into the filtered global
-        pair list; feeding it to ``compute_utot`` as the chunk origin
-        aligns the local chunk grid with the serial one, making the
-        density accumulation (and everything downstream of it) bitwise
-        identical to the serial evaluation of the full list.  Workers
-        recompute the per-pair ``U`` layers in the force pass: caching
-        them (``store_u``) costs +5 % peak RSS and buys no throughput.
+        Every stage is per atom row or per pair (the density pass keeps
+        each row in one chunk), so the slice yields the bits the serial
+        evaluation of the full list yields.  Workers recompute the
+        per-pair ``U`` layers in the force pass: caching them
+        (``store_u``) costs +5 % peak RSS and buys no throughput.
         """
         pot = self.potential
         pnbr = pot._with_pair_params(nbr)  # per-type params use global ids
@@ -410,7 +392,7 @@ class _WorkerState:
                              pair_rcut=pnbr.pair_rcut)
         snap = pot.snap
         ta = time.perf_counter()
-        utot = snap.compute_utot(m, lnbr, chunk_origin=filtered_off)
+        utot = snap.compute_utot(m, lnbr)
         tb = time.perf_counter()
         pa_own, y = snap._peratom_and_y(utot)
         tc = time.perf_counter()
@@ -447,15 +429,10 @@ class ProcessEngine(ForceEngine):
         Number of worker processes (= row-slice ranks).
     skin:
         Verlet skin, identical semantics to the serial backend.
-    pair_capacity:
-        Initial pair-space capacity; ``None`` estimates it from the
-        density with headroom.  Undersized capacities are grown on the
-        fly (the generation protocol), so this is a tuning/testing knob,
-        not a correctness one.
-    start_method:
-        ``multiprocessing`` start method; ``None`` prefers ``fork``
-        (cheap, copy-on-write potential tables) with a ``spawn``
-        fallback.
+
+    The pair-space capacity is estimated from the density with headroom
+    and grown on the fly when a build exceeds it (the generation
+    protocol); workers start from :func:`worker_context`.
 
     Supported potentials: :class:`~repro.potentials.SNAPPotential`
     (linear or quadratic, any species count) and radial pair potentials
@@ -463,9 +440,7 @@ class ProcessEngine(ForceEngine):
     """
 
     def __init__(self, system, potential, nprocs: int, skin: float = 0.3,
-                 check_finite: bool = False,
-                 pair_capacity: int | None = None,
-                 start_method: str | None = None) -> None:
+                 check_finite: bool = False) -> None:
         if nprocs < 1:
             raise ValueError("nprocs must be positive")
         if skin < 0:
@@ -489,8 +464,6 @@ class ProcessEngine(ForceEngine):
 
         n = system.natoms
         self._prefix = f"repro-pe-{os.getpid()}-{secrets.token_hex(3)}"
-        cap = pair_capacity if pair_capacity is not None \
-            else self._estimate_capacity()
         self._blocks: dict[str, SharedBlock] = {}
         self._procs: list = []
         self._start: list = []
@@ -511,19 +484,17 @@ class ProcessEngine(ForceEngine):
             np.int64)
         self._blocks["scal"] = SharedBlock.create(
             f"{self._prefix}-scal", (self.nprocs, _NSCAL), np.float64)
-        self._create_pair_blocks(gen=0, cap=max(int(cap), 64))
-        ctl = self._ctl
+        self._create_pair_blocks(gen=0,
+                                 cap=max(self._estimate_capacity(), 64))
+        #: the box the workers' lists are on (they start on this one)
         self._box = system.box
-        self._box_lengths = np.array(system.box.lengths, dtype=float)
-        self._blocks["boxl"].array[:] = self._box_lengths
-        ctl[_BOX_EPOCH] = 1
         self._nbuilds_seen = 0
         #: raw positions of the last worker topology rebuild (workers
         #: rebuild in lockstep; the parent mirrors the build reference
         #: so MDLoop checkpoints can replay it on restore)
         self._ref_raw: np.ndarray | None = None
 
-        ctx = worker_context(start_method)
+        ctx = worker_context()
         barrier = ctx.Barrier(self.nprocs)
         for rank in range(self.nprocs):
             self._start.append(ctx.Semaphore(0))
@@ -543,7 +514,7 @@ class ProcessEngine(ForceEngine):
                 "rank": rank, "nprocs": self.nprocs,
                 "alo": int(self.bounds[rank]),
                 "ahi": int(self.bounds[rank + 1]),
-                "natoms": n, "periodic": tuple(system.box.periodic),
+                "natoms": n, "box": system.box,
                 "potential": potential, "cutoff": float(potential.cutoff),
                 "skin": self.skin, "check_finite": self.check_finite,
                 "prefix": self._prefix, "start": self._start[rank],
@@ -593,6 +564,12 @@ class ProcessEngine(ForceEngine):
         self._create_pair_blocks(gen=gen, cap=int(need * 1.3) + 64)
         ctl[_NEED] = 0
 
+    def _publish_box(self, box) -> None:
+        """Hand the workers a new cell: each builds a fresh list on it."""
+        self._box = box
+        self._blocks["boxl"].array[:] = box.lengths
+        self._ctl[_BOX_EPOCH] += 1
+
     # ------------------------------------------------------------------
     def _fail(self, message: str) -> None:
         self.close()
@@ -623,12 +600,10 @@ class ProcessEngine(ForceEngine):
         if positions is None:
             positions = system.positions
         ctl = self._ctl
-        if (self._box is not system.box
-                or not np.array_equal(self._box_lengths, system.box.lengths)):
-            self._box = system.box
-            self._box_lengths = np.array(system.box.lengths, dtype=float)
-            self._blocks["boxl"].array[:] = self._box_lengths
-            ctl[_BOX_EPOCH] += 1
+        if self._box is not system.box:
+            # the barostat rescaled the cell (Box is frozen: a changed
+            # cell is a new object)
+            self._publish_box(system.box)
         self._blocks["pos"].array[:] = positions
         ctl[_SEQ] += 1
         while True:
@@ -707,10 +682,7 @@ class ProcessEngine(ForceEngine):
                 "cannot change atom types on a bound ProcessEngine: the "
                 "potential was pickled into the workers at construction")
         super().bind(system)
-        self._box = system.box
-        self._box_lengths = np.array(system.box.lengths, dtype=float)
-        self._blocks["boxl"].array[:] = self._box_lengths
-        self._ctl[_BOX_EPOCH] += 1
+        self._publish_box(system.box)
         self._ref_raw = None
 
     @property

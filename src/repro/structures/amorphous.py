@@ -35,7 +35,12 @@ def random_packed(natoms: int, density: float = AC_DENSITY_EXTREME,
     """Random sample at the requested number density with a core radius.
 
     Uses cell-binned random sequential addition; ``min_dist`` defaults
-    to 80% of the ideal first-neighbor distance at this density.
+    to 80% of the ideal first-neighbor distance at this density.  A
+    candidate is tested against the placed atoms of its own and the 26
+    adjacent cells only (cells are at least ``min_dist`` wide, so no
+    other atom can be closer), which leaves every accept / reject
+    decision - and with it the draw sequence and the positions - the
+    one the all-pairs test makes.
     """
     if natoms < 1:
         raise ValueError("natoms must be positive")
@@ -47,21 +52,36 @@ def random_packed(natoms: int, density: float = AC_DENSITY_EXTREME,
         min_dist = 0.8 * (1.0 / density) ** (1.0 / 3.0)
     rng = np.random.default_rng(seed)
     positions = np.empty((natoms, 3))
-    n_placed = 0
+    # a hair wider than min_dist, so a rounded cell index cannot hide a
+    # too-close atom two cells away; under three cells the adjacent
+    # cells wrap onto each other: test every placed atom instead
+    ncell = int(l / (min_dist * (1.0 + 1e-9)))
+    binned = ncell >= 3
+    if binned:
+        grid = np.indices((3, 3, 3)).reshape(3, -1).T - 1
+        strides = np.array([ncell * ncell, ncell, 1])
+        members: list[list[int]] = [[] for _ in range(ncell ** 3)]
     for i in range(natoms):
         for _ in range(max_tries):
             cand = rng.uniform(0, l, size=3)
-            if n_placed == 0:
+            if binned:
+                home = np.minimum((cand / l * ncell).astype(int), ncell - 1)
+                near = positions[[j for c in ((home + grid) % ncell) @ strides
+                                  for j in members[c]]]
+            else:
+                near = positions[:i]
+            if near.shape[0] == 0:
                 break
-            dr = box.minimum_image(positions[:n_placed] - cand)
+            dr = box.minimum_image(near - cand)
             if np.min(np.sum(dr * dr, axis=1)) >= min_dist * min_dist:
                 break
         else:
             raise RuntimeError(
                 f"could not place atom {i} with min_dist={min_dist:.3f}; "
                 "lower the density or min_dist")
-        positions[n_placed] = cand
-        n_placed += 1
+        positions[i] = cand
+        if binned:
+            members[home @ strides].append(i)
     return ParticleSystem(positions=positions, box=box)
 
 

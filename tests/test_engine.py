@@ -52,14 +52,18 @@ class TestBuildEngine:
 
     def test_knob_census(self):
         """The factory's options are reviewed, not accreted: exactly
-        these six keywords, nothing positional beyond the problem."""
+        these five keywords, nothing positional beyond the problem; the
+        process backend takes nothing the factory does not pass."""
         params = inspect.signature(build_engine).parameters
         assert list(params) == ["system", "potential", "backend", "nranks",
-                                "nprocs", "skin", "check_finite",
-                                "race_check"]
+                                "nprocs", "skin", "check_finite"]
         assert all(p.kind is p.KEYWORD_ONLY
                    for name, p in params.items()
                    if name not in ("system", "potential"))
+        assert list(inspect.signature(ProcessEngine.__init__).parameters) \
+            == ["self", "system", "potential", "nprocs", "skin",
+                "check_finite"]
+        assert not inspect.signature(worker_context).parameters
 
     @pytest.mark.parametrize("kwargs,name", [
         (dict(backend="serial", nranks=8), "nranks"),
@@ -241,17 +245,26 @@ from pathlib import Path
 from repro.core import SNAPParams
 from repro.md import MDLoop
 from repro.parallel import ProcessEngine
+from repro.parallel.process_engine import worker_context
 from repro.potentials import SNAPPotential, StillingerWeber
 
 
-def snap_setup(seed=3, reps=(2, 2, 2), quadratic=False):
+def snap_setup(seed=3, reps=(2, 2, 2), model="linear", chunk=64):
     rng = np.random.default_rng(seed)
-    params = SNAPParams(twojmax=2, rcut=2.4, chunk=64)
+    params = SNAPParams(twojmax=2, rcut=2.4, chunk=chunk)
     nb = SNAPPotential(params).snap.index.nb
-    pot = SNAPPotential(params, beta=rng.normal(size=nb + 1),
-                        quadratic=0.1 * np.random.default_rng(seed + 2).normal(
-                            size=(nb, nb)) if quadratic else None)
+    extra = {}
+    if model == "quadratic":
+        extra["quadratic"] = 0.1 * np.random.default_rng(seed + 2).normal(
+            size=(nb, nb))
+    if model == "multispecies":  # pair cutoffs 2.0 / 2.2 / 2.4
+        extra.update(wj=np.array([1.0, 0.6]), radii=np.array([0.5, 0.6]),
+                     rcutfac=2.0)
+    pot = SNAPPotential(params, beta=rng.normal(size=nb + 1), **extra)
     s = lattice_system("diamond", a=3.57, reps=reps)
+    if model == "multispecies":
+        s.types = (np.arange(s.natoms) % 2).astype(np.intp)
+        pot.set_types(s.types)
     s.positions = s.positions + rng.normal(scale=0.03, size=s.positions.shape)
     s.seed_velocities(40.0, rng=np.random.default_rng(seed + 1))
     return s, pot
@@ -318,13 +331,13 @@ class TestProcessParity:
                 assert a.energy == b.energy
                 assert np.allclose(a.virial, b.virial, **TOL)
 
-    @pytest.mark.parametrize("nprocs", [2, 3])
-    @pytest.mark.parametrize("model", ["linear", "quadratic"])
+    @pytest.mark.parametrize("nprocs", [1, 2, 3])
+    @pytest.mark.parametrize("model", ["linear", "quadratic", "multispecies"])
     def test_snap_forces_bitwise_vs_serial(self, model, nprocs):
         # 96 atoms in 40-atom blocks of the Z contraction: the serial
         # pass splits 40 + 40 + 16, the 48- and 32-row worker slices
         # split 40 + 8 and not at all (workers fork after this line)
-        s1, pot = snap_setup(reps=(3, 2, 2), quadratic=model == "quadratic")
+        s1, pot = snap_setup(reps=(3, 2, 2), model=model)
         pot.snap._plan["block"] = 40
         serial = SerialEngine(s1, pot)
         s2, _ = snap_setup(reps=(3, 2, 2))
@@ -341,14 +354,49 @@ class TestProcessParity:
                 assert np.array_equal(a.peratom, b.peratom)
                 assert a.energy == b.energy
 
-    def test_grow_protocol_keeps_bitwise_forces(self):
+    @pytest.mark.parametrize("chunks", [(64, 7), (1, 4096)])
+    def test_snap_bitwise_when_the_two_sides_chunk_differently(self, chunks):
+        # the density pass never splits an atom's row, so neither the
+        # chunk length nor where a rank's slice starts reaches the bits
+        s1, pot1 = snap_setup(chunk=chunks[0])
+        s2, pot2 = snap_setup(chunk=chunks[1])
+        serial = SerialEngine(s1, pot1)
+        with ProcessEngine(s2, pot2, nprocs=3) as engine:
+            rng = np.random.default_rng(8)
+            for scale in (0.0, 0.01, 0.3):  # build, refresh, rebuild
+                step = rng.normal(scale=scale, size=s1.positions.shape)
+                s1.positions += step
+                s2.positions += step
+                a = serial.evaluate()
+                b = engine.evaluate()
+                assert np.array_equal(a.forces, b.forces)
+                assert np.array_equal(a.peratom, b.peratom)
+                assert a.energy == b.energy
+
+    def test_grow_protocol_keeps_bitwise_forces(self, monkeypatch):
         s1, pot1 = lj_setup()
-        a = SerialEngine(s1, pot1).evaluate()
+        serial = SerialEngine(s1, pot1)
         s2, pot2 = lj_setup()
-        with ProcessEngine(s2, pot2, nprocs=2, pair_capacity=64) as engine:
-            b = engine.evaluate()
-            assert np.array_equal(a.forces, b.forces)
-            assert int(engine._ctl[2]) > 0  # generation advanced (regrown)
+        monkeypatch.setattr(ProcessEngine, "_estimate_capacity",
+                            lambda self: 64)  # far too small: must regrow
+        engine = ProcessEngine(s2, pot2, nprocs=2)
+        names = set(engine.block_names)
+        with engine:
+            assert np.array_equal(serial.evaluate().forces,
+                                  engine.evaluate().forces)
+            assert int(engine._ctl[2]) == 1  # one regrow, one generation
+            names |= set(engine.block_names)
+            # the retried step published its topology: a refresh step
+            # on the regrown blocks still gathers the right slots
+            step = np.random.default_rng(1).normal(
+                scale=0.01, size=s1.positions.shape)
+            s1.positions += step
+            s2.positions += step
+            assert np.array_equal(serial.evaluate().forces,
+                                  engine.evaluate().forces)
+            assert engine.neighbor_builds == serial.neighbor_builds == 1
+        assert len(names) == 6 + 2 * 3  # both generations of pair blocks
+        assert_no_leaked_blocks(names)
 
     def test_thermo_log_rows_match_serial(self):
         rows = {}
@@ -478,8 +526,50 @@ class TestProcessRobustness:
         assert_no_leaked_blocks(names)
 
 
+class _CountingBarrier:
+    """A worker barrier that counts every ``wait()`` across processes."""
+
+    def __init__(self, ctx, parties, waits):
+        self.inner = ctx.Barrier(parties)
+        self.waits = waits
+
+    def wait(self):
+        with self.waits.get_lock():
+            self.waits.value += 1
+        self.inner.wait()
+
+
+class TestStepProtocol:
+    def test_one_barrier_per_step_three_on_a_rebuild(self, monkeypatch):
+        import repro.parallel.process_engine as pe
+
+        ctx = pe.worker_context()
+        waits = ctx.Value("i", 0)
+
+        class Context:
+            Process, Semaphore = ctx.Process, ctx.Semaphore
+
+            @staticmethod
+            def Barrier(parties):
+                return _CountingBarrier(ctx, parties, waits)
+
+        monkeypatch.setattr(pe, "worker_context", Context)
+        s, pot = snap_setup()
+        nprocs = 2
+        seen = []
+        with ProcessEngine(s, pot, nprocs=nprocs) as engine:
+            rng = np.random.default_rng(6)
+            for scale in (0.0, 0.01, 0.01, 0.3, 0.0):
+                s.positions += rng.normal(scale=scale, size=s.positions.shape)
+                before, builds = waits.value, engine.neighbor_builds
+                engine.evaluate()
+                seen.append((engine.neighbor_builds - builds,
+                             (waits.value - before) // nprocs))
+        assert seen == [(1, 3), (0, 1), (0, 1), (1, 3), (0, 1)]
+
+
 class TestProcessMatrix:
-    @pytest.mark.parametrize("nprocs", [2, 3, 4, 5])
+    @pytest.mark.parametrize("nprocs", [1, 2, 3, 4, 5])
     def test_lj_bitwise_across_nprocs(self, nprocs):
         s1, pot1 = lj_setup()
         serial = SerialEngine(s1, pot1)
@@ -493,7 +583,29 @@ class TestProcessMatrix:
                 assert np.array_equal(serial.evaluate().forces,
                                       engine.evaluate().forces)
 
-    @pytest.mark.parametrize("nprocs", [2, 3, 5])
+    @pytest.mark.parametrize("nprocs", [1, 2, 3, 4, 5])
+    def test_rescale_and_bind_bitwise_across_nprocs(self, nprocs):
+        s1, pot = snap_setup()
+        s2 = s1.copy()
+        serial = SerialEngine(s1, pot)
+        with ProcessEngine(s2, pot, nprocs=nprocs) as engine:
+            def same():
+                a, b = serial.evaluate(), engine.evaluate()
+                return (np.array_equal(a.forces, b.forces)
+                        and np.array_equal(a.peratom, b.peratom))
+
+            assert same()
+            for s in (s1, s2):  # what the barostat does: a new Box
+                s.box = s.box.scaled(1.02)
+                s.positions = s.positions * 1.02
+            assert same()
+            fresh = snap_setup(seed=9)[0]
+            serial.bind(fresh.copy())
+            engine.bind(fresh.copy())
+            assert same()
+            assert engine.neighbor_builds == serial.neighbor_builds == 3
+
+    @pytest.mark.parametrize("nprocs", [1, 2, 3, 4, 5])
     def test_snap_bitwise_across_nprocs(self, nprocs):
         s1, pot = snap_setup()
         serial = SerialEngine(s1, pot)

@@ -17,8 +17,10 @@ from repro.structures import random_packed
 
 def test_refresh_census():
     """One refresh, shared: the pair-geometry update lives in
-    ``refresh_pairs`` and the three engines call it - no copy of its
-    arithmetic elsewhere under ``src/repro``."""
+    ``refresh_pairs``; ``NeighborList`` (serial engine and every process
+    worker) and the distributed per-rank caches call it - no copy of
+    its arithmetic, and no second skin state machine, elsewhere under
+    ``src/repro``."""
     import repro
     import repro.md.neighbor as neighbor
 
@@ -28,9 +30,14 @@ def test_refresh_census():
               for p in Path(repro.__file__).parent.rglob("*.py")}
     calls = {p.name: len(re.findall(r"(?<!def )refresh_pairs\(", text))
              for p, text in source.items() if "refresh_pairs(" in text}
-    assert calls == {"neighbor.py": 1, "process_engine.py": 1,
-                     "distributed.py": 1}
+    assert calls == {"neighbor.py": 1, "distributed.py": 1}
     assert not any("linalg.norm(rij" in text for text in source.values())
+    worker = next(text for p, text in source.items()
+                  if p.name == "process_engine.py")
+    for name in ("build_pairs", "refresh_pairs", "filter_pairs"):
+        assert name not in worker
+    assert worker.count("barrier.wait()") == 3
+    assert not any("chunk_origin" in text for text in source.values())
 
 
 def _pair_set(nbr):
@@ -107,17 +114,22 @@ class TestBuildPairs:
 
 
 @st.composite
-def tree_systems(draw):
+def tree_systems(draw, sweep=False):
     """``(box, positions, cutoff, rng)`` that ``build_pairs`` sends down
     the tree path: n > 32 and three cells per periodic axis.  Mixed
     periodicity, non-cubic, and every atom drifted by whole box lengths
-    along the periodic axes (``MDLoop`` never wraps)."""
+    along the periodic axes (``MDLoop`` never wraps).  ``sweep=True``
+    draws the other side of that choice: a periodic axis shorter than
+    three cutoffs, so the image sweep runs."""
     periodic = draw(st.tuples(*[st.booleans()] * 3))
+    if sweep:
+        periodic = (True,) + periodic[1:]
     box = Box(lengths=draw(st.tuples(*[st.floats(6.0, 14.0)] * 3)),
               periodic=periodic)
-    n = draw(st.integers(33, 200))
+    n = draw(st.integers(33, 80 if sweep else 200))
     room = min([box.lengths[k] for k in range(3) if periodic[k]] or [12.0])
-    cutoff = draw(st.floats(0.25, 0.999)) * room / 3.0
+    cutoff = draw(st.floats(0.34, 0.9)) * room if sweep \
+        else draw(st.floats(0.25, 0.999)) * room / 3.0
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     pos = rng.uniform(0, 1, size=(n, 3)) * box.lengths
     pos += rng.integers(-3, 4, size=(n, 3)) * box.lengths * box.pmask
@@ -162,6 +174,38 @@ class TestTreeSearch:
             glued = np.concatenate([getattr(part, name) for part in parts])
             assert glued.dtype == whole.dtype
             assert glued.tobytes() == whole.tobytes()
+
+    @settings(deadline=None, max_examples=40)
+    @given(system=st.one_of(tree_systems(), tree_systems(sweep=True)),
+           nparts=st.integers(1, 4), skin_frac=st.floats(0.02, 0.3))
+    def test_row_windowed_lists_concatenate_bitwise(self, system, nparts,
+                                                    skin_frac):
+        """``NeighborList(rows=)`` over a row partition ≡ the
+        unrestricted list, bit for bit, on the build step, a refresh
+        step and the rebuild one far-away atom triggers in all of them."""
+        box, pos, reach, rng = system
+        skin = skin_frac * reach
+        cuts = np.sort(rng.integers(0, len(pos) + 1, size=nparts - 1))
+        edges = [0, *cuts.tolist(), len(pos)]  # empty windows allowed
+        full = NeighborList(box=box, cutoff=reach - skin, skin=skin)
+        parts = [NeighborList(box=box, cutoff=reach - skin, skin=skin,
+                              rows=rows)
+                 for rows in zip(edges[:-1], edges[1:])]
+        nudge = rng.uniform(-1, 1, size=pos.shape)
+        nudge *= 0.499 * skin / np.linalg.norm(nudge, axis=1).max()
+        jump = np.zeros_like(pos)
+        jump[rng.integers(len(pos))] = 0.6 * skin
+        for step, builds in ((0.0, 1), (nudge, 1), (nudge + jump, 2)):
+            whole = full.get(pos + step)
+            glued = [part.get(pos + step) for part in parts]
+            assert [nl.nbuilds for nl in [full] + parts] \
+                == [builds] * (nparts + 1)
+            for name in ("i_idx", "j_idx", "rij", "r"):
+                assert np.concatenate(
+                    [getattr(nbr, name) for nbr in glued]).tobytes() \
+                    == getattr(whole, name).tobytes()
+            kept = np.concatenate([nbr.filtered_from[1] for nbr in glued])
+            assert np.array_equal(kept, whole.filtered_from[1])
 
     @settings(deadline=None, max_examples=40)
     @given(system=tree_systems(), skin_frac=st.floats(0.02, 0.3))

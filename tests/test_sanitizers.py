@@ -1,25 +1,19 @@
-"""Runtime sanitizers: NaN/Inf kernel guards and the scatter-add race
-detector, wired through ``SNAPParams.check_finite`` and the
-``check_finite`` / ``race_check`` arguments of ``build_engine``.
-
-Covers the acceptance criteria of the lint PR:
+"""Runtime sanitizer: NaN/Inf kernel guards, wired through
+``SNAPParams.check_finite`` and the ``check_finite`` argument of
+``build_engine``.
 
 * an injected NaN in a force kernel is caught with the offending phase
-  (and rank, in the distributed engine) named,
-* a deliberately overlapping owned-row scatter-add triggers the race
-  detector, and
-* a real 4-rank run reports zero overlaps.
+  (and rank, in the distributed engine) named, and
+* the invariant the deleted scatter-add race detector watched - every
+  atom owned by exactly one rank - is asserted on the rank states.
 """
-
-import threading
 
 import numpy as np
 import pytest
 
 from repro.core import SNAPParams
-from repro.lint.sanitizers import (NumericsError, RaceDetector, RaceError,
-                                   check_finite)
-from repro.md import MDLoop, build_engine, build_pairs
+from repro.lint.sanitizers import NumericsError, check_finite
+from repro.md import build_engine, build_pairs
 from repro.potentials import SNAPPotential
 from repro.structures import lattice_system
 
@@ -49,8 +43,7 @@ class _PoisonOnCall:
     def __init__(self, inner, poison_call):
         self.inner = inner
         self.poison_call = poison_call
-        self.calls = 0  # guarded-by: _lock
-        self._lock = threading.Lock()
+        self.calls = 0
 
     @property
     def cutoff(self):
@@ -58,10 +51,8 @@ class _PoisonOnCall:
 
     def compute(self, natoms, nbr):
         result = self.inner.compute(natoms, nbr)
-        with self._lock:
-            self.calls += 1
-            poison = self.calls == self.poison_call
-        if poison and result.forces.size:
+        self.calls += 1
+        if self.calls == self.poison_call and result.forces.size:
             result.forces[0, 0] = np.nan
         return result
 
@@ -137,121 +128,36 @@ class TestKernelGuards:
                            match=r"phase 'rank_force' \[rank2\]"):
             engine.evaluate()
 
-
-# ======================================================================
-# RaceDetector unit behavior
-# ======================================================================
-class TestRaceDetector:
-    def test_disjoint_writers_clean(self):
-        det = RaceDetector()
-        det.begin_epoch()
-        det.record("forces.scatter", "rank0", np.arange(0, 10))
-        det.record("forces.scatter", "rank1", np.arange(10, 20))
-        assert det.check() == []
-        assert det.reports == []
-
-    def test_overlap_detected_with_attribution(self):
-        det = RaceDetector()
-        det.begin_epoch()
-        det.record("forces.scatter", "rank0", np.arange(0, 12))
-        det.record("forces.scatter", "rank1", np.arange(8, 20))
-        with pytest.raises(RaceError, match="rank0 and rank1"):
-            det.check()
-        assert det.reports[0].phase == "forces.scatter"
-        assert det.reports[0].count == 4
-
-    def test_serialized_overlap_is_exempt(self):
-        det = RaceDetector()
-        det.begin_epoch()
-        det.record("comm.reverse", "rank0", np.arange(0, 12),
-                   serialized=True)
-        det.record("comm.reverse", "rank1", np.arange(8, 20),
-                   serialized=True)
-        assert det.check() == []
-
-    def test_phases_do_not_cross_talk(self):
-        det = RaceDetector()
-        det.begin_epoch()
-        det.record("phase_a", "rank0", np.arange(0, 10))
-        det.record("phase_b", "rank1", np.arange(5, 15))
-        assert det.check() == []
-
-    def test_epoch_reset_clears_records(self):
-        det = RaceDetector(raise_on_overlap=False)
-        det.begin_epoch()
-        det.record("p", "a", np.arange(4))
-        det.record("p", "b", np.arange(4))
-        assert len(det.check()) == 1
-        det.begin_epoch()
-        assert det.check() == []
-        assert det.epochs == 2
-
-    def test_interval_quick_reject_still_finds_sparse_overlap(self):
-        det = RaceDetector()
-        det.begin_epoch()
-        # interleaved but disjoint index sets: intervals overlap, rows don't
-        det.record("p", "even", np.arange(0, 20, 2))
-        det.record("p", "odd", np.arange(1, 20, 2))
-        assert det.check() == []
-        # one shared row buried in overlapping intervals
-        det.begin_epoch()
-        det.record("p", "even", np.arange(0, 20, 2))
-        det.record("p", "odd", np.append(np.arange(1, 20, 2), 10))
-        with pytest.raises(RaceError, match=r"\[10\]"):
-            det.check()
-
-    def test_concurrent_recording_is_thread_safe(self):
-        det = RaceDetector()
-        det.begin_epoch()
-
-        def writer(w):
-            for i in range(50):
-                det.record("p", f"w{w}", np.array([w * 10_000 + i]))
-
-        threads = [threading.Thread(target=writer, args=(w,))
-                   for w in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(det.records) == 200
-        assert det.check() == []
-
-
-# ======================================================================
-# race detector wired through the distributed engine
-# ======================================================================
-class TestDistributedRaceCheck:
-    def test_real_run_reports_zero_overlaps(self, rng):
-        s, pot = snap_carbon(rng)
-        engine = build_engine(s, pot, nranks=4, race_check=True)
-        MDLoop(engine, dt=1e-3).run(2)
-        assert engine.race_detector.reports == []
-        assert engine.race_detector.epochs == 3  # initial eval + 2 steps
-
-    def test_synthetic_overlapping_scatter_add_is_flagged(self, rng):
-        s, pot = snap_carbon(rng)
-        engine = build_engine(s, pot, nranks=4, race_check=True)
-        engine.evaluate()
-        # corrupt rank ownership: rank1 now claims three of rank0's rows,
-        # which makes the owned-row scatter-adds overlap
-        engine._ranks[1].owned[:3] = engine._ranks[0].owned[:3]
-        with pytest.raises(RaceError,
-                           match=r"forces\.scatter.*rank0 and rank1"):
-            engine.evaluate()
-        assert engine.race_detector.reports[0].count == 3
-
-    def test_detector_absent_when_flag_off(self, rng):
-        s, pot = snap_carbon(rng)
-        engine = build_engine(s, pot, nranks=2)
-        assert engine.race_detector is None
-        engine.evaluate()
-
     def test_sanitized_run_matches_clean_run(self, rng):
-        """Sanitizers observe; they must not change the physics."""
+        """The sanitizer observes; it must not change the physics."""
         s, pot = snap_carbon(rng)
         ref = build_engine(s.copy(), pot, nranks=4).evaluate()
-        chk = build_engine(s.copy(), pot, nranks=4, check_finite=True,
-                           race_check=True).evaluate()
+        chk = build_engine(s.copy(), pot, nranks=4,
+                           check_finite=True).evaluate()
         assert ref.energy == chk.energy
         assert np.array_equal(ref.forces, chk.forces)
+
+
+# ======================================================================
+# rank ownership (what the race detector watched when ranks were threads)
+# ======================================================================
+class TestOwnership:
+    def test_owned_rows_partition_the_atoms_exactly_once(self, rng):
+        """Ranks run in order on one thread, so the whole scatter
+        invariant is static: after a rebuild every atom is owned by
+        exactly one rank - with an empty rank in the grid, and again
+        after atoms moved across subdomain faces."""
+        s, pot = snap_carbon(rng)
+        engine = build_engine(s, pot, nranks=4, check_finite=True)
+        axis = int(np.argmax(engine.grid.dims))
+        length = s.box.lengths[axis]
+        # squeezed into 0.05-0.45 L: the upper ranks own nothing
+        s.positions[:, axis] = 0.05 * length + 0.4 * s.positions[:, axis]
+        for shift, empty in ((0.0, True), (0.3 * length, False)):
+            s.positions[:, axis] += shift
+            engine.evaluate()
+            owned = [state.owned for state in engine._ranks]
+            assert any(o.size == 0 for o in owned) == empty
+            assert np.array_equal(np.sort(np.concatenate(owned)),
+                                  np.arange(s.natoms))
+        assert engine.neighbor_builds == 2

@@ -102,24 +102,67 @@ class TestStoreUParity:
         params = SNAPParams(twojmax=4, rcut=3.0, chunk=np.int64(4096))
         assert params.chunk == 4096 and type(params.chunk) is int
 
-    def test_dedr_independent_of_chunk_grid(self, cluster):
-        # every force-pass operation is per pair, and cache entries are
-        # consumed in order on whatever grid built them
-        pos, nbr = cluster
-        y = None
+    def test_dedr_independent_of_chunk_grid(self, rng):
+        # (name kept) chunks hold whole atom rows, so every stage output
+        # - not only the per-pair dedr - is bitwise independent of the
+        # chunk length and of store_u.  11 crowded atoms (rows of up to
+        # 10 pairs, longer than chunk 1 and 7) plus one with no
+        # neighbours at all
+        pos = np.vstack([random_cluster(rng, natoms=11, span=3.0),
+                         [[40.0, 40.0, 40.0]]])
+        n = pos.shape[0]
+        nbr = free_cluster_pairs(pos, 3.0)
+        rows = np.bincount(nbr.i_idx, minlength=n)
+        assert rows.max() > 7 and rows[-1] == 0
         results = []
         for chunk in (1, 7, 64, 4096):
-            for origin in (0, 5):
-                for store_u in ("always", "never"):
-                    snap = _snap(np.random.default_rng(1), 5, chunk=chunk)
-                    cache = [] if store_u == "always" else None
-                    utot = snap.compute_utot(pos.shape[0], nbr, cache=cache,
-                                             chunk_origin=origin)
-                    if y is None:  # U_tot rounds differently per grid
-                        _, y = snap._peratom_and_y(utot)
-                    results.append(snap._compute_dedr(nbr, y, cache=cache))
-        for dedr in results[1:]:
-            assert np.array_equal(dedr, results[0])
+            for store_u in ("always", "never"):
+                snap = _snap(np.random.default_rng(1), 5, chunk=chunk,
+                             store_u=store_u)
+                sizes = [sl.stop - sl.start
+                         for sl in snap._chunk_slices(nbr.i_idx)]
+                assert sum(sizes) == nbr.npairs
+                if chunk == 1:  # one row per chunk, never less
+                    assert sizes == rows[rows > 0].tolist()
+                cache = [] if store_u == "always" else None
+                utot = snap.compute_utot(n, nbr, cache=cache)
+                _, y = snap._peratom_and_y(utot)
+                out = snap.compute(n, nbr)
+                results.append((utot, y, snap._compute_dedr(nbr, y, cache),
+                                np.array(out.energy), out.forces))
+        for got in results[1:]:
+            for a, b in zip(got, results[0]):
+                assert np.array_equal(a, b)
+        assert list(snap._chunk_slices(np.zeros(0, dtype=np.intp))) == []
+        # a row slice of the list yields the rows the full list yields
+        lo = int(np.searchsorted(nbr.i_idx, 4))
+        tail = NeighborBatch(i_idx=nbr.i_idx[lo:] - 4, rij=nbr.rij[lo:],
+                             r=nbr.r[lo:], j_idx=nbr.j_idx[lo:])
+        snap = _snap(np.random.default_rng(1), 5, chunk=7)
+        assert np.array_equal(snap.compute_utot(n - 4, tail),
+                              results[0][0][4:])
+
+    def test_unsorted_list_keeps_the_fixed_grid(self, rng, cluster):
+        # no rows to respect: fixed-length chunks and the np.add.at
+        # scatter, same physics as the sorted list (the oracle only
+        # takes sorted lists)
+        pos, nbr = cluster
+        perm = rng.permutation(nbr.npairs)
+        mixed = NeighborBatch(i_idx=nbr.i_idx[perm], rij=nbr.rij[perm],
+                              r=nbr.r[perm], j_idx=nbr.j_idx[perm])
+        assert np.any(np.diff(mixed.i_idx) < 0)
+        for store_u in ("always", "never"):
+            snap = _snap(np.random.default_rng(1), 5, chunk=7,
+                         store_u=store_u)
+            assert [(sl.start, sl.stop)
+                    for sl in snap._chunk_slices(mixed.i_idx)] \
+                == [(lo, min(lo + 7, nbr.npairs))
+                    for lo in range(0, nbr.npairs, 7)]
+            got = snap.compute(pos.shape[0], mixed)
+            ref = _assert_matches_oracle(snap, pos.shape[0], nbr)
+            assert np.allclose(got.forces, ref.forces, rtol=0, atol=1e-12)
+            assert np.allclose(got.peratom, ref.peratom, rtol=0, atol=1e-12)
+            assert np.allclose(got.virial, ref.virial, rtol=0, atol=1e-11)
 
 
 def _assert_matches_oracle(snap, n, nbr, tol=1e-12):

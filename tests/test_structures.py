@@ -83,7 +83,62 @@ class TestReplicate:
             replicate(s, 0, 1, 1)
 
 
+def _all_pairs_random_packed(natoms, density, min_dist, seed, max_tries=2000):
+    """The all-pairs sequential addition ``random_packed`` ran before it
+    binned the placed atoms: kept as the oracle of its decisions."""
+    from repro.md import Box
+
+    l = (natoms / density) ** (1.0 / 3.0)
+    box = Box.cubic(l)
+    if min_dist is None:
+        min_dist = 0.8 * (1.0 / density) ** (1.0 / 3.0)
+    rng = np.random.default_rng(seed)
+    positions = np.empty((natoms, 3))
+    for i in range(natoms):
+        for _ in range(max_tries):
+            cand = rng.uniform(0, l, size=3)
+            if i == 0:
+                break
+            dr = box.minimum_image(positions[:i] - cand)
+            if np.min(np.sum(dr * dr, axis=1)) >= min_dist * min_dist:
+                break
+        else:
+            raise RuntimeError(f"could not place atom {i}")
+        positions[i] = cand
+    return positions
+
+
 class TestRandomPacked:
+    @pytest.mark.parametrize("natoms", [1, 2, 64, 500])
+    @pytest.mark.parametrize("density", [0.02, 0.1, 0.23])
+    def test_binned_equals_all_pairs_bitwise(self, natoms, density):
+        # same draws, same accept / reject decisions: the same bits.
+        # None is the default core (0.8 of the ideal spacing, ~13 draws
+        # per atom); 0.84 is close enough to jamming for ~100 rejected
+        # draws per late atom (small N only: it is slow); 0.3 gives
+        # more than three cells even at N = 64
+        spacing = (1.0 / density) ** (1.0 / 3.0)
+        for seed, min_dist in ((0, None), (1, 0.84 * spacing),
+                               (2, 0.3 * spacing)):
+            if natoms > 64 and seed == 1:
+                continue
+            got = random_packed(natoms, density=density, min_dist=min_dist,
+                                seed=seed, max_tries=20000)
+            ref = _all_pairs_random_packed(natoms, density, min_dist, seed,
+                                           max_tries=20000)
+            assert got.positions.tobytes() == ref.tobytes()
+
+    def test_impossible_packing_fails_on_the_same_atom(self):
+        for natoms in (20, 200):  # all-atoms branch and binned branch
+            kw = dict(density=1.0, min_dist=1.05, seed=4, max_tries=50)
+            with pytest.raises(RuntimeError, match="could not place atom") \
+                    as binned:
+                random_packed(natoms, **kw)
+            with pytest.raises(RuntimeError) as ref:
+                _all_pairs_random_packed(natoms, kw["density"],
+                                         kw["min_dist"], 4, max_tries=50)
+            assert str(ref.value) in str(binned.value)
+
     def test_density(self):
         s = random_packed(100, density=0.1, seed=1)
         assert s.density() == pytest.approx(0.1)
