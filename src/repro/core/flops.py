@@ -37,7 +37,8 @@ _CMA = 8.0
 def _raw_counts(twojmax: int) -> dict[str, float]:
     """Unscaled per-atom flop counts with N_nbor factored out where linear."""
     idx = SNAPIndex(twojmax)
-    # ui: recursion does ~2 complex multiply-adds per U element per pair.
+    # ui: the recursion's 2 complex multiply-adds per full-plane U element
+    # per pair (the paper's count; ours builds the half plane only).
     ui = 2.0 * _CMA * idx.nu
     # yi: per z-triple the CG contraction costs ~ d1*d2*dout element updates
     # (LAMMPS' na*nb inner loops summed over (ma, mb)); one CMA each.

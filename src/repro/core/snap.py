@@ -19,13 +19,14 @@ mirroring the optimized LAMMPS/Kokkos pipeline in NumPy:
    (paper Eq. 8) by one reverse-mode sweep of the ``U`` recursion per
    pair chunk: the adjoint of each layer is carried downwards, so
    neither ``dU`` nor any per-direction tensor is ever materialized.
-   Whether the per-pair ``U`` layers are re-computed per chunk or
-   cached from stage 1 is the ``SNAPParams.store_u`` knob - the same
-   recompute-vs-store trade the paper uses to raise arithmetic
-   intensity on GPUs (kernel fusion).  All hot-path array work runs in
-   *layer-major* half-plane layout (pair axis innermost, columns
-   ``mb <= j/2``) and both force scatters are ``np.add.reduceat``
-   segment reductions.
+   The per-pair ``U`` layers are recomputed per chunk, never stored:
+   the recompute side of the trade the paper uses to raise arithmetic
+   intensity on GPUs (kernel fusion), and the faster side here
+   (EXPERIMENTS E24).  All hot-path array work runs in *layer-major*
+   half-plane layout (pair axis innermost, columns ``mb <= j/2``, also
+   the format ``Y`` is handed over in), in the coefficient-free scaled
+   basis of :func:`repro.core.wigner.compute_u_layers_half_lm`, and
+   both force scatters are ``np.add.reduceat`` segment reductions.
 
 Stages 1 and 3 walk the pair list in chunks of about
 ``SNAPParams.chunk`` pairs that are cut on atom-row boundaries: a
@@ -47,12 +48,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse as sps
+from scipy.sparse import _sparsetools  # csr_matvecs adds into its output
 
 from .cg import cg_sparse
 from .indexing import SNAPIndex
 from .switching import sfac_dsfac
 from .wigner import (adjoint_sweep_half_lm, cayley_klein,
-                     compute_u_layers_half_lm, half_ncols)
+                     compute_u_layers_half_lm, half_scale)
 
 __all__ = ["SNAPParams", "NeighborBatch", "EnergyForces", "SNAP"]
 
@@ -65,13 +67,6 @@ class SNAPParams:
     14, giving 55 and 204 bispectrum components).  ``rcut`` is the
     neighbor cutoff in Angstrom.
 
-    ``store_u`` controls the store-vs-recompute trade of the force pass
-    (the arithmetic-intensity knob of the TestSNAP ladder): ``"always"``
-    caches the per-pair switching factors and Wigner ``U`` layers from
-    the density accumulation and reuses them for the gradients,
-    ``"never"`` recomputes them per chunk, and ``"auto"`` stores only
-    when the whole-pair-list cache fits in ``store_u_budget_mb``.
-
     ``chunk`` is the target pair-block length of both passes: large
     enough to amortize per-chunk dispatch overhead, small enough that
     the per-chunk scratch (O(nu_half * chunk) complex) stays
@@ -82,11 +77,11 @@ class SNAPParams:
     ``y_mode`` is inert: ``"dense"`` and ``"sparse"`` both run the one
     sparse Clebsch-Gordan contraction of :meth:`SNAP._build_plan`.  The
     field stays validated only because the benchmark suite passes it by
-    name (ROADMAP item 1(c) deletes it).
+    name (ROADMAP item 1(b) deletes it).
 
-    ``chunk`` and ``store_u`` are the whole kernel policy.  They are fixed
-    when the (frozen) params object is built; nothing is read from disk
-    or the environment, and an evaluator never rebinds its params.
+    ``chunk`` is the whole kernel policy.  It is fixed when the (frozen)
+    params object is built; nothing is read from disk or the
+    environment, and an evaluator never rebinds its params.
 
     ``check_finite`` (debug sanitizer, default off) validates every
     kernel-stage output for NaN/Inf on exit and raises
@@ -101,8 +96,6 @@ class SNAPParams:
     wself: float = 1.0
     switch: bool = True
     chunk: int = 4096
-    store_u: str = "auto"
-    store_u_budget_mb: float = 256.0
     check_finite: bool = False
     y_mode: str = "dense"
 
@@ -119,10 +112,6 @@ class SNAPParams:
             raise ValueError(
                 f"chunk must be a positive integer, got {self.chunk!r}")
         object.__setattr__(self, "chunk", chunk)
-        if self.store_u not in ("auto", "always", "never"):
-            raise ValueError("store_u must be 'auto', 'always' or 'never'")
-        if self.store_u_budget_mb <= 0:
-            raise ValueError("store_u_budget_mb must be positive")
         if self.y_mode not in ("dense", "sparse"):
             raise ValueError(
                 f"y_mode must be 'dense' or 'sparse', got {self.y_mode!r}")
@@ -239,6 +228,9 @@ class SNAP:
         lone atom has energy ``beta[0]`` exactly (LAMMPS ``bzeroflag``).
     """
 
+    #: nothing is stored per pair; the suite still reads this (ROADMAP 1(b))
+    last_store_u = False
+
     def __init__(self, params: SNAPParams, beta: np.ndarray | None = None,
                  bzero: bool = False, quadratic: np.ndarray | None = None) -> None:
         self.params = params
@@ -268,15 +260,8 @@ class SNAP:
         # every triple, priming both lru caches eagerly so forked process
         # workers only ever see cache hits.
         self._triple_cache = self._build_triples()
-        self._half_slices, self._nu_half, self._expand_phase = \
-            self._build_half_layout()
-        # Complex values per pair of the half-plane U layers (half plane
-        # plus the odd-layer spill columns): the store_u cache layout
-        # and the basis of its byte estimate.
-        self._nu_store = sum((j + 1) * nc for j, nc
-                             in enumerate(half_ncols(params.twojmax)))
+        self._build_half_layout()
         self.last_timings: dict[str, float] = {}
-        self.last_store_u: bool = False
         # built here, before any fork: process workers inherit it
         self._plan = self._build_plan()
         self.bzero_shift = self._isolated_b() if bzero else np.zeros(self.index.nb)
@@ -321,30 +306,41 @@ class SNAP:
             })
         return triples
 
-    def _build_half_layout(self) -> tuple[list[slice], int, list[np.ndarray]]:
-        """Packed layout of the left-half Y columns plus expansion phases.
+    def _build_half_layout(self) -> None:
+        """Packed layout of the left-half columns ``mb <= j/2``.
 
-        Returns ``(half_slices, nu_half, expand_phase)``: slice of layer
-        ``j`` inside the packed ``(n, nu_half)`` buffer the z-triple pass
-        accumulates into, the packed width, and per layer the
-        ``(-1)^(ma+mb)`` factors of the mirrored columns ``mb > j/2``
-        used to reconstruct the full-plane ``Y``.
+        ``_half_slices[j]`` is layer ``j`` inside a packed buffer
+        ``_nu_half`` wide and ``_expand_phase[j]`` the ``(-1)^(ma+mb)``
+        of its mirrored columns ``mb > j/2``.  Per packed element:
+        ``_half_u``, its index in the flat ``nu`` row; ``_w_half``, the
+        weight with which it stands for its mirror image too (2, or 1 on
+        the self-mirrored middle column of even ``j``); ``_d_half``,
+        the scale of :func:`repro.core.wigner.half_scale`.
         """
-        half_slices, expand, off = [], [], 0
+        half_slices, expand, half_u, w_half, off = [], [], [], [], 0
         for j in range(self.params.twojmax + 1):
             ncol = j // 2 + 1
             half_slices.append(slice(off, off + (j + 1) * ncol))
             off += (j + 1) * ncol
-            ma = np.arange(j + 1)
-            mb = np.arange(ncol, j + 1)
-            expand.append((-1.0) ** (ma[:, None] + mb[None, :]))
-        return half_slices, off, expand
+            expand.append((-1.0) ** np.add.outer(np.arange(j + 1),
+                                                 np.arange(ncol, j + 1)))
+            ma, mb = np.divmod(np.arange((j + 1) * ncol), ncol)
+            half_u.append(self.index.u_offset[j] + ma * (j + 1) + mb)
+            w_half.append(np.where(2 * mb == j, 1.0, 2.0))
+        self._half_slices, self._nu_half, self._expand_phase = \
+            half_slices, off, expand
+        self._half_u = np.concatenate(half_u)
+        self._w_half = np.concatenate(w_half)
+        self._d_half = np.concatenate(
+            [d.ravel() for d in half_scale(self.params.twojmax)])
 
-    # Byte bound of the product-gather scratch, the two (nuniq, block)
-    # complex arrays of _product_blocks.  The atom block is derived from
-    # it, so the scratch does not grow with 2J (nuniq is 15 521 at 2J=8
-    # and 296 163 at 2J=14) - the memory wall the adjoint form avoids.
-    _GATHER_SCRATCH_BYTES = 32 << 20
+    # Byte bound of the product-gather scratch, the two (columns, block)
+    # complex arrays of _product_blocks: column chunks that stay in L2
+    # (1 MiB measured best on the TestSNAP problem, E24).
+    _GATHER_SCRATCH_BYTES = 1 << 20
+    # The atom block keeps a block's *whole* product set under this (67
+    # atoms at 2J=8, 3 at 2J=14): its Z rows do not grow with 2J.
+    _PRODUCT_SET_BYTES = 32 << 20
 
     def _build_plan(self) -> dict:
         """The one Clebsch-Gordan contraction, as constant operators.
@@ -369,6 +365,9 @@ class SNAP:
         ``y_op``
             the same rows pre-weighted by ``y_factor * beta`` and folded
             onto the ``nu_half`` outputs: linear ``Y`` in one product.
+
+        ``y_op``, ``zb_op`` and ``z_op`` are stored split at the column
+        ``edges`` of :meth:`_product_blocks`, one CSR matrix per chunk.
         """
         idx = self.index
         # stable: canonical triples first, each group in z_triples order
@@ -420,11 +419,19 @@ class SNAP:
         # the gathers run unchecked (mode="clip"): check the constants once
         for ind in (pi1, pi2, row_u):
             assert ind.min() >= 0 and ind.max() < idx.nu
+        block = max(1, self._PRODUCT_SET_BYTES // (2 * 16 * nuniq))
+        cols = max(1, self._GATHER_SCRATCH_BYTES // (2 * 16 * block))
+        edges = np.r_[np.arange(0, nuniq, cols), nuniq]
+
+        def split(op):  # csc -> csr leaves every row's columns sorted
+            csc = op.tocsc()
+            return [csc[:, k0:k1].tocsr()
+                    for k0, k1 in zip(edges[:-1], edges[1:])]
         return {
-            "nuniq": nuniq,
-            "block": max(1, self._GATHER_SCRATCH_BYTES // (2 * 16 * nuniq)),
+            "nuniq": nuniq, "block": block, "edges": edges,
             "pi1": pi1, "pi2": pi2,
-            "z_op": z_op, "zb_op": z_op[:nbrow], "y_op": y_op,
+            "z_op": split(z_op), "zb_op": split(z_op[:nbrow]),
+            "y_op": split(y_op),
             "row_u": row_u, "b_op": b_op,
             "fold_op": fold_op, "row_factor": row_factor, "row_b": row_b,
             # Q as CSR: a sparse product is column-by-column, so the
@@ -444,28 +451,6 @@ class SNAP:
     # ------------------------------------------------------------------
     # pipeline stages
     # ------------------------------------------------------------------
-    @property
-    def store_u_bytes_per_pair(self) -> int:
-        """Cache footprint per pair of the ``store_u`` path, in bytes.
-
-        Computed from the layout actually cached: the half-plane
-        columns of every U layer (``_nu_store`` complex values -
-        the half plane plus the odd-layer spill column, *not* the full
-        ``nu`` plane), Cayley-Klein a/b/da/db (8 complex) and
-        sfac/dsfac (2 float).
-        """
-        return (self._nu_store + 8) * 16 + 16
-
-    def _resolve_store_u(self, npairs: int) -> bool:
-        """Decide store-vs-recompute for a pair list of size ``npairs``."""
-        mode = self.params.store_u
-        if mode == "always":
-            return True
-        if mode == "never":
-            return False
-        return (npairs * self.store_u_bytes_per_pair
-                <= self.params.store_u_budget_mb * 2**20)
-
     def _chunk_slices(self, i_idx: np.ndarray):
         """Pair-chunk slices of both passes, cut on atom-row boundaries.
 
@@ -489,28 +474,24 @@ class SNAP:
             lo = hi
 
     def _pair_terms(self, nbr: NeighborBatch, sl: slice) -> tuple:
-        """Per-pair ``(ck, u_layers, sfac, dsfac)`` of one chunk: the
-        ``store_u`` cache entry, or its per-chunk recomputation."""
+        """Per-pair ``(ck, layers, dsfac)`` of one chunk.  Seeded with the
+        switching weight ``sfac``, the layers *are* the density terms, and
+        the adjoint sweep against them returns ``sfac`` times its ``p, q``."""
         p = self.params
         rcut, wj, r_eff = self._pair_params(nbr, sl)
         ck = cayley_klein(nbr.rij[sl], r_eff, rcut, p.rfac0, p.rmin0)
         sfac, dsfac = sfac_dsfac(nbr.r[sl], rcut, p.rmin0, wj=wj,
                                  switch=p.switch)
-        return ck, compute_u_layers_half_lm(ck, p.twojmax), sfac, dsfac
+        return ck, compute_u_layers_half_lm(ck, p.twojmax, sfac), dsfac
 
-    def compute_utot(self, natoms: int, nbr: NeighborBatch,
-                     cache: list | None = None) -> np.ndarray:
+    def compute_utot(self, natoms: int, nbr: NeighborBatch) -> np.ndarray:
         """Stage 1 (compute_ui): accumulate ``U_tot`` per atom.
 
         Returns a complex array of shape ``(natoms, nu)``; the self
         contribution ``wself`` sits on every layer diagonal.  Only the
-        half plane ``mb <= j/2`` is built and accumulated per pair; the
-        right half follows per atom from the conjugation symmetry.
-
-        When ``cache`` is a list, the per-chunk Cayley-Klein parameters,
-        half-plane ``U`` layers and switching factors are appended to it
-        so :meth:`_compute_dedr` can reuse them instead of recomputing
-        (the ``store_u`` trade).
+        half plane ``mb <= j/2`` is built and accumulated per pair, in
+        the scaled basis; the scale ``D`` and the right half (from the
+        conjugation symmetry) follow per atom.
 
         Chunks hold whole atom rows (:meth:`_chunk_slices`), so each
         atom's sum is one segment reduction over exactly its own pairs:
@@ -519,24 +500,21 @@ class SNAP:
         backend relies on.
         """
         utot_half = np.zeros((natoms, self._nu_half), dtype=np.complex128)
+        in_rows = bool(np.all(np.diff(nbr.i_idx) >= 0))
         for sl in self._chunk_slices(nbr.i_idx):
-            terms = self._pair_terms(nbr, sl)
-            _, u_lm, sfac, _ = terms
-            w = np.empty((self._nu_half, sfac.shape[0]), dtype=np.complex128)
-            for j, hsl in enumerate(self._half_slices):
-                ncol = j // 2 + 1
-                np.multiply(u_lm[j][:, :ncol], sfac,
-                            out=w[hsl].reshape(j + 1, ncol, -1))
+            _, layers, _ = self._pair_terms(nbr, sl)
             idx = nbr.i_idx[sl]
-            step = np.diff(idx)
-            if np.all(step >= 0):
-                starts = np.flatnonzero(np.r_[True, step > 0])
-                sums = np.add.reduceat(w, starts, axis=1)
-                utot_half[idx[starts]] += sums.T
-            else:
-                np.add.at(utot_half, idx, w.T)
-            if cache is not None:
-                cache.append(terms)
+            # runs of one central atom: its whole row on a sorted list
+            starts = np.flatnonzero(np.r_[True, np.diff(idx) != 0])
+            rows = idx[starts]
+            for j, hsl in enumerate(self._half_slices):
+                sums = np.add.reduceat(layers[j][:, :j // 2 + 1], starts,
+                                       axis=2).reshape(-1, rows.size).T
+                if in_rows:
+                    utot_half[rows, hsl] += sums
+                else:
+                    np.add.at(utot_half[:, hsl], rows, sums)
+        utot_half *= self._d_half
         utot = self._expand_y_half(utot_half)
         utot[:, self._diag] += self.params.wself
         return utot
@@ -560,38 +538,47 @@ class SNAP:
         wj = nbr.pair_weight[sl] if nbr.pair_weight is not None else 1.0
         return rcut, wj, r_eff
 
-    def _product_blocks(self, utot: np.ndarray):
-        """Stage 2 gather: the deduplicated products, atom block by block.
+    def _product_blocks(self, utot: np.ndarray, op: str):
+        """Stage 2 gather and contraction, atom block by block.
 
-        Yields ``(rows, ut, prod)``: the atom slice, its ``U_tot``
-        transposed to ``(nu, m)`` (atom axis innermost) and the
-        ``(nuniq, m)`` products ``ut[pi1] * ut[pi2]``, valid until the
-        next iteration.  Everything downstream is per atom column, so
-        the block size changes nothing bitwise.
+        Yields ``(rows, ut, z)``: the atom slice, its ``U_tot``
+        transposed to ``(nu, m)`` (atom axis innermost) and the real CSR
+        operator ``plan[op]`` applied to the deduplicated products
+        ``ut[pi1] * ut[pi2]``.  The products are never whole: each
+        column chunk is gathered into an L2-sized scratch and its slice
+        of the operator accumulated into ``z`` (real and imaginary
+        planes ride one product over the float64 view).  ``csr_matvecs``
+        *adds* each nonzero's term to the output in column order, so
+        ``z`` is the same sequential sum wherever the column edges fall;
+        all of it is per atom column, so the block changes nothing
+        bitwise either.
         """
         plan = self._plan
         n = utot.shape[0]
-        nuniq = plan["nuniq"]
-        blk = plan["block"]
-        g1 = np.empty(nuniq * min(n, blk), dtype=np.complex128)
-        g2 = np.empty(nuniq * min(n, blk), dtype=np.complex128)
+        blk = min(n, plan["block"])
+        edges = plan["edges"]
+        parts = plan[op]
+        nrow = parts[0].shape[0]
+        kmax = int(np.diff(edges).max())
+        g1 = np.empty(kmax * blk, dtype=np.complex128)
+        g2 = np.empty(kmax * blk, dtype=np.complex128)
         for lo in range(0, n, blk):
             rows = slice(lo, min(lo + blk, n))
             ut = np.ascontiguousarray(utot[rows].T)
             m = ut.shape[1]
-            a = g1[:nuniq * m].reshape(nuniq, m)
-            b = g2[:nuniq * m].reshape(nuniq, m)
-            # mode="clip": the default "raise" buffers the whole output
-            np.take(ut, plan["pi1"], axis=0, out=a, mode="clip")
-            np.take(ut, plan["pi2"], axis=0, out=b, mode="clip")
-            a *= b
-            yield rows, ut, a
-
-    @staticmethod
-    def _apply(op, x: np.ndarray) -> np.ndarray:
-        """Real CSR operator times a complex ``(k, m)`` block: the real
-        and imaginary planes ride one product over the float64 view."""
-        return (op @ x.view(np.float64)).view(np.complex128)
+            z = np.zeros((nrow, m), dtype=np.complex128)
+            zf = z.view(np.float64).ravel()
+            for k0, k1, part in zip(edges[:-1], edges[1:], parts):
+                a = g1[:(k1 - k0) * m].reshape(k1 - k0, m)
+                b = g2[:(k1 - k0) * m].reshape(k1 - k0, m)
+                # mode="clip": the default "raise" buffers the whole output
+                np.take(ut, plan["pi1"][k0:k1], axis=0, out=a, mode="clip")
+                np.take(ut, plan["pi2"][k0:k1], axis=0, out=b, mode="clip")
+                a *= b
+                _sparsetools.csr_matvecs(
+                    nrow, k1 - k0, 2 * m, part.indptr, part.indices,
+                    part.data, a.view(np.float64).ravel(), zf)
+            yield rows, ut, z
 
     def _b_block(self, z: np.ndarray, ut: np.ndarray) -> np.ndarray:
         """``B`` of one block, ``(nb, m)``, from its canonical ``Z_t``
@@ -603,18 +590,17 @@ class SNAP:
 
     def _bispectrum(self, utot: np.ndarray) -> np.ndarray:
         """Raw bispectrum ``B`` per atom (no ``bzero`` shift)."""
-        plan = self._plan
         b = np.empty((utot.shape[0], self.index.nb))
-        for rows, ut, prod in self._product_blocks(utot):
-            b[rows] = self._b_block(self._apply(plan["zb_op"], prod), ut).T
+        for rows, ut, z in self._product_blocks(utot, "zb_op"):
+            b[rows] = self._b_block(z, ut).T
         return b
 
     def _linear_y_half(self, utot: np.ndarray) -> np.ndarray:
-        """Packed half-plane ``Y = sum beta Z`` (Eq. 7), ``Z`` never formed."""
-        plan = self._plan
-        y_half = np.empty((utot.shape[0], self._nu_half), dtype=np.complex128)
-        for rows, _, prod in self._product_blocks(utot):
-            y_half[rows] = self._apply(plan["y_op"], prod).T
+        """Packed half-plane ``Y = sum beta Z`` (Eq. 7), ``(nu_half,
+        natoms)``; ``Z`` is never formed."""
+        y_half = np.empty((self._nu_half, utot.shape[0]), dtype=np.complex128)
+        for rows, _, y in self._product_blocks(utot, "y_op"):
+            y_half[:, rows] = y
         return y_half
 
     def _quadratic_b_y_half(self, utot: np.ndarray
@@ -630,26 +616,24 @@ class SNAP:
         n = utot.shape[0]
         bc = np.empty((n, self.index.nb))
         qb = np.empty((n, self.index.nb))
-        y_half = np.empty((n, self._nu_half), dtype=np.complex128)
-        for rows, ut, prod in self._product_blocks(utot):
-            z = self._apply(plan["z_op"], prod)
+        y_half = np.empty((self._nu_half, n), dtype=np.complex128)
+        for rows, ut, z in self._product_blocks(utot, "z_op"):
             bcb = self._b_block(z[:plan["row_u"].size], ut) \
                 - self.bzero_shift[:, None]
             qbb = plan["q_op"] @ bcb
             beta_eff = self.beta[1:, None] + qbb
             z *= plan["row_factor"][:, None] * beta_eff[plan["row_b"]]
-            y_half[rows] = self._apply(plan["fold_op"], z).T
+            y_half[:, rows] = (plan["fold_op"] @ z.view(np.float64)
+                               ).view(np.complex128)
             bc[rows] = bcb.T
             qb[rows] = qbb.T
         return bc, qb, y_half
 
-    def _expand_y_half(self, y_half: np.ndarray,
-                       y_out: np.ndarray | None = None) -> np.ndarray:
-        """Expand packed half-plane columns to the full-plane ``Y`` via
-        ``Y[j-ma, j-mb] = (-1)^(ma+mb) conj(Y[ma, mb])``."""
+    def _expand_y_half(self, y_half: np.ndarray) -> np.ndarray:
+        """Expand packed half-plane columns ``(n, nu_half)`` to the full
+        plane via ``Y[j-ma, j-mb] = (-1)^(ma+mb) conj(Y[ma, mb])``."""
         n = y_half.shape[0]
-        if y_out is None:
-            y_out = np.empty((n, self.index.nu), dtype=np.complex128)
+        y_out = np.empty((n, self.index.nu), dtype=np.complex128)
         for j in range(self.params.twojmax + 1):
             ncol = j // 2 + 1
             zh = y_half[:, self._half_slices[j]].reshape(n, j + 1, ncol)
@@ -678,68 +662,41 @@ class SNAP:
         from .baseline import descriptor_gradients  # local import: heavy path
         return descriptor_gradients(self, natoms, nbr)
 
-    def _fold_y(self, y: np.ndarray) -> np.ndarray:
-        """Fold the conjugate half-plane of ``Y`` into its left half.
-
-        Returns ``(natoms, nu_half)`` with
-        ``Yf[ma, mb] = conj(Y[ma, mb]) + (-1)^(ma+mb) Y[j-ma, j-mb]``
-        (middle column of even layers halved), so that
-        ``Re(Y : conj(X)) == Re(sum_half Yf * X)`` for any ``X`` with the
-        layer conjugation symmetry.  Folding is per atom - the per-pair
-        contraction then only gathers ``nu_half`` rows.
-        """
-        n = y.shape[0]
-        out = np.empty((n, self._nu_half), dtype=np.complex128)
-        for j in range(self.params.twojmax + 1):
-            ncol = j // 2 + 1
-            yj = y[:, self.index.layer_slice(j)].reshape(n, j + 1, j + 1)
-            ma = np.arange(j + 1)
-            phase = (-1.0) ** (ma[:, None] + ma[None, :ncol])
-            o = out[:, self._half_slices[j]].reshape(n, j + 1, ncol)
-            np.conjugate(yj[:, :, :ncol], out=o)
-            o += phase * yj[:, ::-1, ::-1][:, :, :ncol]
-            if j % 2 == 0:
-                o[:, :, -1] *= 0.5
-        return out
-
-    def _compute_dedr(self, nbr: NeighborBatch, y: np.ndarray,
-                      cache: list | None = None) -> np.ndarray:
+    def _compute_dedr(self, nbr: NeighborBatch, y_half: np.ndarray
+                      ) -> np.ndarray:
         """Stage 3 (compute_duidrj / compute_deidrj): per-pair gradients.
 
         Returns ``dedr`` of shape ``(npairs, 3)``: the contribution of
         pair ``k`` to the force on its central atom,
         ``dE_i/dr_k = Re( Y : conj(dU_tot) )`` with
-        ``dU_tot = sfac * dU + (dsfac * uhat) * U``.  ``Y : conj(dU)``
-        comes from one adjoint sweep of the ``U`` recursion against the
-        pre-folded ``Y`` (see :meth:`_fold_y`) as two complex scalars
-        per pair, contracted with the Cayley-Klein gradients at the end.
+        ``dU_tot = sfac * dU + (dsfac * uhat) * U``.  ``y_half`` is the
+        packed half plane of :meth:`_peratom_and_y`; an element stands
+        for its mirror image too, so a pair's layer element weighs
+        ``w D conj(Y)`` (``_w_half``, ``_d_half``), formed per atom
+        before it is taken to pairs.  One adjoint sweep of the chunk's
+        recomputed, ``sfac``-seeded layers against those weights yields
+        ``sfac * Y : conj(dU)`` as two complex scalars per pair,
+        contracted with the Cayley-Klein gradients at the end, and
+        ``Y : conj(U)`` as the adjoint that reaches layer 0.
 
         Every operation is per-pair, so the result is independent of the
         chunk grid - the property the multiprocess row-slice backend
-        relies on for bitwise reproducibility.  ``cache`` entries (from
-        :meth:`compute_utot`, on whatever grid it ran) are consumed in
-        order; without a cache the terms are recomputed chunk by chunk.
+        relies on for bitwise reproducibility.
         """
-        if cache is None:
-            cache = (self._pair_terms(nbr, sl)
-                     for sl in self._chunk_slices(nbr.i_idx))
         dedr = np.empty((nbr.npairs, 3))
-        yfold = np.ascontiguousarray(self._fold_y(y).T)  # (nu_half, natoms)
-        lo = 0
-        for ck, u_lm, sfac, dsfac in cache:
-            sl = slice(lo, lo + sfac.shape[0])
-            lo = sl.stop
-            ylm = np.take(yfold, nbr.i_idx[sl], axis=1)  # (nu_half, npc)
+        yv = (self._w_half * self._d_half)[:, None] * np.conj(y_half)
+        for sl in self._chunk_slices(nbr.i_idx):
+            ck, layers, dsfac = self._pair_terms(nbr, sl)
+            ylm = np.take(yv, nbr.i_idx[sl], axis=1)  # (nu_half, npc)
             yf = [ylm[hsl].reshape(j + 1, j // 2 + 1, -1)
                   for j, hsl in enumerate(self._half_slices)]
-            radial, pa, pb = adjoint_sweep_half_lm(ck, u_lm, yf)
+            radial, pa, pb = adjoint_sweep_half_lm(ck, layers, yf)
             grad = (pa.real[:, None] * ck.da.real
                     + pa.imag[:, None] * ck.da.imag
                     + pb.real[:, None] * ck.db.real
                     + pb.imag[:, None] * ck.db.imag)
             uhat = nbr.rij[sl] / nbr.r[sl][:, None]
-            dedr[sl] = (grad * sfac[:, None]
-                        + (dsfac * radial.real)[:, None] * uhat)
+            dedr[sl] = grad + (dsfac * radial.real)[:, None] * uhat
         return dedr
 
     def _accumulate_forces(self, natoms: int, nbr: NeighborBatch,
@@ -761,18 +718,17 @@ class SNAP:
         return forces, virial
 
     def compute_forces_from_y(self, natoms: int, nbr: NeighborBatch,
-                              y: np.ndarray, cache: list | None = None
+                              y_half: np.ndarray
                               ) -> tuple[np.ndarray, np.ndarray]:
         """Stages 3-4 (compute_duidrj / compute_deidrj / update_forces).
 
-        Returns ``(forces, virial)``.  Processes pairs in chunks; with
-        ``cache`` from :meth:`compute_utot` the per-pair ``U`` layers and
-        switching factors are reused, otherwise they are recomputed per
-        chunk to bound memory (kernel fusion).
+        Returns ``(forces, virial)`` for the packed half-plane ``Y`` of
+        :meth:`_peratom_and_y`.  The per-pair layers are recomputed chunk
+        by chunk: nothing of size ``npairs x nu_half`` is ever alive.
         """
         if nbr.j_idx is None:
             raise ValueError("NeighborBatch.j_idx is required for forces")
-        dedr = self._compute_dedr(nbr, y, cache=cache)
+        dedr = self._compute_dedr(nbr, y_half)
         return self._accumulate_forces(natoms, nbr, dedr)
 
     # ------------------------------------------------------------------
@@ -781,6 +737,10 @@ class SNAP:
     def _peratom_and_y(self, utot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Stage 2: per-atom energies and the adjoint ``Y`` from ``U_tot``.
 
+        ``Y`` is returned as its packed half plane, ``(nu_half, natoms)``
+        (atom axis innermost): the one format the force pass reads
+        (:meth:`_expand_y_half` of its transpose is the full plane).
+
         With a ``quadratic`` coefficient matrix set, the model is
         ``E_i = beta0 + beta . B_i + 0.5 B_i^T Q B_i`` and ``Y`` is built
         with the per-atom effective coefficients ``beta + Q B_i``.
@@ -788,42 +748,32 @@ class SNAP:
         The linear model takes its per-atom energy from the adjoint
         identity ``sum_j Re(Y_j : conj(U_j)) = 3 beta . B`` (every
         canonical triple enters ``Y`` under its role permutations with
-        multiplicity weights that total 3): no bispectrum pass at all on
-        the force path.
+        multiplicity weights that total 3), summed on the half plane
+        with the mirror weights: no bispectrum pass on the force path.
         """
         if self.quadratic is None:
-            y = self._expand_y_half(self._linear_y_half(utot))
-            r = (np.einsum("au,au->a", y.real, utot.real)
-                 + np.einsum("au,au->a", y.imag, utot.imag))
+            y_half = self._linear_y_half(utot)
+            # one contiguous row per atom: the same pairwise sum
+            # whatever the number of atoms in the batch
+            r = np.ascontiguousarray(self._w_half * (
+                y_half.T * np.conj(utot[:, self._half_u])).real).sum(axis=1)
             peratom = (self.beta[0] + r / 3.0
                        - self.bzero_shift @ self.beta[1:])
         else:
             bc, qb, y_half = self._quadratic_b_y_half(utot)
-            y = self._expand_y_half(y_half)
             peratom = (self.beta[0] + bc @ self.beta[1:]
                        + 0.5 * np.sum(bc * qb, axis=1))
-        return peratom, y
+        return peratom, y_half
 
     def compute(self, natoms: int, nbr: NeighborBatch) -> EnergyForces:
-        """Full energy/force/virial evaluation (the paper's force kernel).
-
-        Depending on ``params.store_u``, the per-pair ``U`` layers and
-        switching factors from stage 1 are either cached and reused by
-        the force pass or recomputed per chunk (store-vs-recompute);
-        :attr:`last_store_u` records the decision taken.
-        """
+        """Full energy/force/virial evaluation (the paper's force kernel)."""
         t0 = time.perf_counter()
         sane = self.params.check_finite
         if sane:
             from ..lint.sanitizers import check_finite
             check_finite("neighbor_input", where="serial",
                          rij=nbr.rij, r=nbr.r)
-        # decide once into a local: a second service thread sharing this
-        # evaluator must not flip the decision between write and read
-        store = self._resolve_store_u(nbr.npairs)
-        cache = [] if store else None
-        self.last_store_u = store
-        utot = self.compute_utot(natoms, nbr, cache=cache)
+        utot = self.compute_utot(natoms, nbr)
         if sane:
             check_finite("compute_ui", where="serial", utot=utot)
         t1 = time.perf_counter()
@@ -831,7 +781,7 @@ class SNAP:
         if sane:
             check_finite("compute_yi", where="serial", peratom=peratom, y=y)
         t2 = time.perf_counter()
-        forces, virial = self.compute_forces_from_y(natoms, nbr, y, cache=cache)
+        forces, virial = self.compute_forces_from_y(natoms, nbr, y)
         if sane:
             check_finite("compute_dui_deidrj", where="serial",
                          forces=forces, virial=virial)

@@ -25,16 +25,15 @@ in NumPy - each rung is a complete, correct implementation, and
 ``vectorized_chunked``
     The vectorized kernel with pair chunking: bounds intermediate memory
     by recomputing ``U`` per chunk (the kernel-fusion/recompute trade).
-``fused``
-    The production hot path (``SNAP.compute`` with ``store_u="never"``):
-    layer-major half-plane Wigner recursion, one adjoint sweep of that
-    recursion per pair chunk in place of a stored ``dU``, and
+``current``
+    The production hot path (``SNAP.compute``): layer-major half-plane
+    Wigner recursion without coefficient arrays, one adjoint sweep of
+    that recursion per pair chunk in place of a stored ``dU``,
     segment-reduced (``np.add.reduceat``) accumulation on both scatter
-    sides, still recomputing ``U`` in the force pass.
-``stored_u``
-    The production hot path with ``store_u="always"``: per-pair ``U``
-    layers and switching factors cached from stage 1 and reused by the
-    force pass - the store side of the arithmetic-intensity trade.
+    sides, ``U`` recomputed in the force pass.  As in TestSNAP, a rung
+    replaces the one before: the kernels this one superseded are
+    history (EXPERIMENTS), not entries.
+
 All rungs produce identical energies and forces; the agreement test is
 part of the suite.
 """
@@ -42,15 +41,14 @@ part of the suite.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .baseline import reference_energy_forces
 from .snap import SNAP, EnergyForces, NeighborBatch
 
-__all__ = ["VARIANTS", "run_variant", "grind_times", "VariantTiming",
-           "with_params"]
+__all__ = ["VARIANTS", "run_variant", "grind_times", "VariantTiming"]
 
 
 def _listing1(snap: SNAP, natoms: int, nbr: NeighborBatch) -> EnergyForces:
@@ -117,7 +115,8 @@ def _listing5_adjoint_impl(snap: SNAP, natoms: int, nbr: NeighborBatch) -> Energ
         sub = NeighborBatch(i_idx=np.zeros(nn, dtype=np.intp),
                             rij=nbr.rij[sl], r=nbr.r[sl])
         utot = snap.compute_utot(1, sub)
-        pa, y = snap._peratom_and_y(utot)
+        pa, y_half = snap._peratom_and_y(utot)
+        y = snap._expand_y_half(y_half.T)
         peratom[i] = pa[0]
         if nn == 0:
             continue
@@ -138,25 +137,14 @@ def _listing5_adjoint_impl(snap: SNAP, natoms: int, nbr: NeighborBatch) -> Energ
                         forces=forces, virial=virial)
 
 
-def with_params(snap: SNAP, **overrides) -> SNAP:
-    """Shallow clone of ``snap`` with dataclass param fields replaced.
-
-    The clone shares the (expensive) precomputed triple cache and index
-    with the original; only the hyperparameter record differs.
-    """
-    clone = SNAP.__new__(SNAP)
-    clone.__dict__.update(snap.__dict__)
-    clone.params = replace(snap.params, **overrides)
-    clone.last_timings = {}
-    return clone
-
-
 def _legacy_forces_from_y(snap: SNAP, natoms: int, nbr: NeighborBatch,
-                          y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                          y: np.ndarray, chunk: int | None = None
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """The pre-fusion force pass, preserved as a ladder rung.
 
-    Pair-major forward-mode Wigner gradient recursion (``dU`` stored for
-    all three directions) recomputed per chunk, per-layer einsum
+    Takes the full-plane ``Y``.  Pair-major forward-mode Wigner gradient
+    recursion (``dU`` stored for all three directions) recomputed per
+    chunk (``params.chunk`` unless given), per-layer einsum
     contractions on strided real/imaginary views, and ``np.add.at``
     scatter adds for both force sides - the hot path this repo shipped
     before the fused pipeline replaced it, and the forward-mode
@@ -171,8 +159,9 @@ def _legacy_forces_from_y(snap: SNAP, natoms: int, nbr: NeighborBatch,
     if nbr.j_idx is None:
         raise ValueError("NeighborBatch.j_idx is required for forces")
     idx = snap.index
-    for lo in range(0, nbr.npairs, p.chunk):
-        sl = slice(lo, min(lo + p.chunk, nbr.npairs))
+    chunk = chunk or p.chunk
+    for lo in range(0, nbr.npairs, chunk):
+        sl = slice(lo, min(lo + chunk, nbr.npairs))
         rij, r = nbr.rij[sl], nbr.r[sl]
         rcut, wj, r_eff = snap._pair_params(nbr, sl)
         ck = cayley_klein(rij, r_eff, rcut, p.rfac0, p.rmin0)
@@ -196,31 +185,24 @@ def _legacy_forces_from_y(snap: SNAP, natoms: int, nbr: NeighborBatch,
     return forces, virial
 
 
-def _legacy_compute(snap: SNAP, natoms: int, nbr: NeighborBatch) -> EnergyForces:
+def _legacy_compute(snap: SNAP, natoms: int, nbr: NeighborBatch,
+                    chunk: int | None = None) -> EnergyForces:
     """Full evaluation through the preserved pre-fusion force pass."""
     utot = snap.compute_utot(natoms, nbr)
-    peratom, y = snap._peratom_and_y(utot)
-    forces, virial = _legacy_forces_from_y(snap, natoms, nbr, y)
+    peratom, y_half = snap._peratom_and_y(utot)
+    forces, virial = _legacy_forces_from_y(
+        snap, natoms, nbr, snap._expand_y_half(y_half.T), chunk)
     return EnergyForces(energy=float(peratom.sum()), peratom=peratom,
                         forces=forces, virial=virial)
 
 
 def _vectorized(snap: SNAP, natoms: int, nbr: NeighborBatch) -> EnergyForces:
-    """Pre-fusion kernel with an effectively unbounded chunk."""
-    return _legacy_compute(with_params(snap, chunk=max(nbr.npairs, 1)),
-                           natoms, nbr)
+    """Pre-fusion force pass with an effectively unbounded chunk."""
+    return _legacy_compute(snap, natoms, nbr, chunk=max(nbr.npairs, 1))
 
 
 def _vectorized_chunked(snap: SNAP, natoms: int, nbr: NeighborBatch) -> EnergyForces:
     return _legacy_compute(snap, natoms, nbr)
-
-
-def _fused(snap: SNAP, natoms: int, nbr: NeighborBatch) -> EnergyForces:
-    return with_params(snap, store_u="never").compute(natoms, nbr)
-
-
-def _stored_u(snap: SNAP, natoms: int, nbr: NeighborBatch) -> EnergyForces:
-    return with_params(snap, store_u="always").compute(natoms, nbr)
 
 
 #: ordered ladder, baseline first (the paper's Figs. 2-3 x-axis).
@@ -230,8 +212,7 @@ VARIANTS = {
     "listing5_adjoint": _listing5_adjoint_impl,
     "vectorized": _vectorized,
     "vectorized_chunked": _vectorized_chunked,
-    "fused": _fused,
-    "stored_u": _stored_u,
+    "current": SNAP.compute,
 }
 
 

@@ -11,9 +11,10 @@ Cayley-Klein parameters
 with :math:`r_0 = \sqrt{r^2 + z_0^2}`, :math:`z_0 = r \cot\theta_0` and
 :math:`\theta_0 = r_{fac0}\,\pi\,(r - r_{min0}) / (r_{cut} - r_{min0})`.
 Layers are then built by the standard VMK recursion, exactly as the
-LAMMPS/TestSNAP kernels the paper optimizes.  Everything here is
-vectorized over an arbitrary batch of neighbor vectors; a layer ``j``
-(doubled convention) is a complex array of shape ``(n, j+1, j+1)``.
+LAMMPS/TestSNAP kernels the paper optimizes (the hot path runs it in a
+scaled basis where its square-root coefficients are all 1).  Everything
+here is vectorized over an arbitrary batch of neighbor vectors; a layer
+``j`` (doubled convention) is a complex array of shape ``(n, j+1, j+1)``.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import comb
 
 __all__ = ["CayleyKlein", "cayley_klein", "compute_u_layers", "compute_du_layers",
-           "flatten_layers", "flatten_dlayers", "half_ncols",
+           "flatten_layers", "flatten_dlayers", "half_ncols", "half_scale",
            "compute_u_layers_half_lm", "adjoint_sweep_half_lm"]
 
 
@@ -134,14 +136,6 @@ def compute_du_layers(ck: CayleyKlein, twojmax: int,
     return u_layers, dlayers
 
 
-def _recursion_coeffs(j: int, ncol: int) -> tuple[np.ndarray, np.ndarray]:
-    """VMK coefficients ``(c1, c2)`` of layer ``j``, shape ``(j, ncol, 1)``."""
-    ma = np.arange(j)[:, None]
-    mb = np.arange(ncol)[None, :]
-    return (np.sqrt((j - ma) / (j - mb))[:, :, None],
-            np.sqrt((ma + 1) / (j - mb))[:, :, None])
-
-
 def half_ncols(twojmax: int) -> list[int]:
     """Columns per layer of the half-plane layout: ``mb <= j//2``, plus
     for odd ``j < twojmax`` the spill column ``(j+1)/2`` that the even
@@ -150,70 +144,90 @@ def half_ncols(twojmax: int) -> list[int]:
             for j in range(twojmax + 1)]
 
 
-def compute_u_layers_half_lm(ck: CayleyKlein, twojmax: int) -> list[np.ndarray]:
-    """Layer-major left-half Wigner layers: element ``j`` has shape
-    ``(j+1, half_ncols(twojmax)[j], n)``.
+def half_scale(twojmax: int) -> list[np.ndarray]:
+    """``D_j[ma, mb] = sqrt(C(j, mb) / C(j, ma))`` on ``mb <= j//2``:
+    the constant that takes a layer of :func:`compute_u_layers_half_lm`
+    to the Wigner matrix, ``U_j = D_j * V_j`` (<= 8.4 at 2J=8, 59 at 14)."""
+    out = []
+    for j in range(twojmax + 1):
+        c = comb(j, np.arange(j + 1))  # exact in float64 far beyond 2J=14
+        out.append(np.sqrt(c[None, :j // 2 + 1] / c[:, None]))
+    return out
 
-    Same recursion as :func:`compute_u_layers` with the pair axis
+
+def compute_u_layers_half_lm(ck: CayleyKlein, twojmax: int,
+                             seed: np.ndarray | float = 1.0
+                             ) -> list[np.ndarray]:
+    """Layer-major left-half layers in the binomially scaled basis:
+    element ``j`` has shape ``(j+1, half_ncols(twojmax)[j], n)`` and
+    holds ``V_j[ma, mb] = seed * U_j[ma, mb] * sqrt(C(j,ma) / C(j,mb))``.
+
+    In that basis the recursion of :func:`compute_u_layers` has no
+    coefficients, ``V_j[ma, mb] = conj(a) V_{j-1}[ma, mb] - conj(b)
+    V_{j-1}[ma-1, mb]``; the constant ``D_j`` (:func:`half_scale`) is
+    applied where the layers are consumed, once per atom.  Every layer
+    is linear in layer 0, so a per-pair real ``seed`` (the switching
+    weight) comes out multiplied into all of them.  The pair axis is
     innermost (every elementwise operation runs over a long contiguous
-    axis), restricted to the columns ``mb <= j//2``: the layers obey
-    ``U_j[j-ma, j-mb] = (-1)^(ma+mb) conj(U_j[ma, mb])``, so the right
-    half is redundant.  Column ``mb`` of layer ``j`` depends only on
-    column ``mb`` of layer ``j-1``, so the recursion stays closed on the
-    left half, except that an even layer needs column ``j/2`` of the odd
-    layer below - that *spill column* is reconstructed from the odd
-    layer's column ``j/2 - 1`` by the same symmetry and stored with it.
+    axis) and only the columns ``mb <= j//2`` are built: the mirror
+    ``V_j[j-ma, j-mb] = (-1)^(ma+mb) conj(V_j[ma, mb])`` (the scale is
+    invariant under it) makes the right half redundant.  Column ``mb``
+    of layer ``j`` depends only on column ``mb`` of layer ``j-1``, so
+    the recursion stays closed on the left half, except that an even
+    layer needs column ``j/2`` of the odd layer below - that *spill
+    column* is rebuilt from the odd layer's column ``j/2 - 1`` by the
+    same symmetry and stored with it.
     """
     n = ck.a.shape[0]
     ac = np.conj(ck.a)
     bc = np.conj(ck.b)
     ncols = half_ncols(twojmax)
-    layers = [np.ones((1, 1, n), dtype=np.complex128)]
-    # one product scratch for all layers; the real coefficients multiply
-    # through float views (half the work of a complex-by-complex product)
+    layers = [np.full((1, 1, n), seed, dtype=np.complex128)]
     buf = np.empty((twojmax, twojmax // 2 + 1, n), dtype=np.complex128)
     for j in range(1, twojmax + 1):
         prev = layers[j - 1]
         ncol = j // 2 + 1
-        c1, c2 = _recursion_coeffs(j, ncol)
-        uj = np.empty((j + 1, ncols[j], n), dtype=np.complex128)
+        vj = np.empty((j + 1, ncols[j], n), dtype=np.complex128)
+        np.multiply(prev, ac, out=vj[:j, :ncol])
+        vj[j, :ncol] = 0.0
         t = buf[:j, :ncol]
-        tf = t.view(np.float64)
-        np.multiply(prev, ac, out=t)
-        np.multiply(tf, c1, out=uj.view(np.float64)[:j, :ncol])
-        uj[j, :ncol] = 0.0
         np.multiply(prev, bc, out=t)
-        tf *= c2
-        uj[1:, :ncol] -= t
+        vj[1:, :ncol] -= t
         if ncols[j] > ncol:
             sign = (-1.0) ** (j - np.arange(j + 1) + ncol - 1)
-            uj[:, ncol] = sign[:, None] * np.conj(uj[::-1, ncol - 1])
-        layers.append(uj)
+            vj[:, ncol] = sign[:, None] * np.conj(vj[::-1, ncol - 1])
+        layers.append(vj)
     return layers
 
 
-def adjoint_sweep_half_lm(ck: CayleyKlein, u_layers: list[np.ndarray],
-                          yf_layers: list[np.ndarray]
+def adjoint_sweep_half_lm(ck: CayleyKlein, v_layers: list[np.ndarray],
+                          yv_layers: list[np.ndarray]
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reverse-mode sweep of the half-plane recursion against ``yf_layers``.
+    """Reverse-mode sweep of the half-plane recursion against ``yv_layers``.
 
-    ``u_layers`` come from :func:`compute_u_layers_half_lm`; element
-    ``j`` of ``yf_layers`` is the ``(j+1, j//2+1, n)`` weight of layer
-    ``j``.  With ``S = sum_j sum(yf_j * U_j)`` over the half plane,
-    returns per-pair complex ``(s, p, q)`` such that ``s = S`` and
+    ``v_layers`` come from :func:`compute_u_layers_half_lm`; element
+    ``j`` of ``yv_layers`` is the ``(j+1, j//2+1, n)`` weight of layer
+    ``j`` in the same basis (``D_j`` times the weight of ``U_j``).  With
+    ``S = sum_j sum(yv_j * V_j)`` over the half plane, returns per-pair
+    complex ``(g0, p, q)`` such that
 
-        d Re(S) = Re(p * d conj(a) + q * d conj(b)).
+        d Re(S) = Re(p * d conj(a) + q * d conj(b))
+
+    and ``Re(g0)`` is ``Re(S)`` of the unit-seeded layers.
 
     Every layer is linear in ``(conj(a), conj(b))`` and in the layer
-    below (``u_j[:j] = c1 conj(a) x``, ``u_j[1:] -= c2 conj(b) x``,
-    ``x = u_{j-1}``), so the adjoint ``G_j`` of layer ``j`` is carried
+    below (``v_j[:j] = conj(a) x``, ``v_j[1:] -= conj(b) x``,
+    ``x = v_{j-1}``), so the adjoint ``G_j`` of layer ``j`` is carried
     downwards instead of three Cartesian tangents upwards:
-    ``p += sum c1 G_j[:j] x``, ``q -= sum c2 G_j[1:] x`` and
-    ``G_{j-1} = yf_{j-1} + c1 conj(a) G_j[:j] - c2 conj(b) G_j[1:]``.
+    ``p += sum G_j[:j] x``, ``q -= sum G_j[1:] x`` and
+    ``G_{j-1} = yv_{j-1} + conj(a) G_j[:j] - conj(b) G_j[1:]``.
     The spill column of ``x`` is an anti-linear function of column
     ``j/2 - 1``, so its adjoint is conjugated back into that column.
+    ``G`` never reads the layers and ``Re(S)`` is real-linear in layer
+    0, so the adjoint that reaches layer 0 is ``g0`` whatever the seed,
+    while ``p`` and ``q`` carry it.
     """
-    twojmax = len(u_layers) - 1
+    twojmax = len(v_layers) - 1
     n = ck.a.shape[0]
     if n == 1:
         # einsum folds a length-1 pair axis away and reduces in another
@@ -223,32 +237,25 @@ def adjoint_sweep_half_lm(ck: CayleyKlein, u_layers: list[np.ndarray],
             return np.repeat(v, 2, axis=-1)
         return tuple(v[:1] for v in adjoint_sweep_half_lm(
             replace(ck, a=twice(ck.a), b=twice(ck.b)),
-            [twice(u) for u in u_layers], [twice(w) for w in yf_layers]))
+            [twice(v) for v in v_layers], [twice(w) for w in yv_layers]))
     ac = np.conj(ck.a)
     bc = np.conj(ck.b)
-    s = np.zeros(n, dtype=np.complex128)
     p = np.zeros(n, dtype=np.complex128)
     q = np.zeros(n, dtype=np.complex128)
-    g = yf_layers[twojmax]
+    g = yv_layers[twojmax]
     for j in range(twojmax, 0, -1):
         ncol = j // 2 + 1
-        s += np.einsum("abp,abp->p", yf_layers[j], u_layers[j][:, :ncol])
-        x = u_layers[j - 1]
-        c1, c2 = _recursion_coeffs(j, ncol)
-        g1 = c1 * g[:j]
-        g2 = c2 * g[1:]
-        p += np.einsum("abp,abp->p", g1, x)
-        q -= np.einsum("abp,abp->p", g2, x)
-        g1 *= ac
-        g2 *= bc
-        g1 -= g2
+        x = v_layers[j - 1]
+        p += np.einsum("abp,abp->p", g[:j], x)
+        q -= np.einsum("abp,abp->p", g[1:], x)
+        g1 = g[:j] * ac
+        g1 -= g[1:] * bc
         kept = (j - 1) // 2 + 1
-        g = yf_layers[j - 1] + g1[:, :kept]
+        g = yv_layers[j - 1] + g1[:, :kept]
         if kept < ncol:
             sign = (-1.0) ** (j - 1 - np.arange(j) + kept - 1)
             g[::-1, kept - 1] += sign[:, None] * np.conj(g1[:, kept])
-    s += yf_layers[0][0, 0]  # u_0 = 1
-    return s, p, q
+    return g[0, 0], p, q
 
 
 def flatten_layers(layers: list[np.ndarray]) -> np.ndarray:

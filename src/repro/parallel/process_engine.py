@@ -380,9 +380,8 @@ class _WorkerState:
 
         Every stage is per atom row or per pair (the density pass keeps
         each row in one chunk), so the slice yields the bits the serial
-        evaluation of the full list yields.  Workers recompute the
-        per-pair ``U`` layers in the force pass: caching them
-        (``store_u``) costs +5 % peak RSS and buys no throughput.
+        evaluation of the full list yields.  These are the calls
+        ``SNAP.compute`` makes, timed stage by stage.
         """
         pot = self.potential
         pnbr = pot._with_pair_params(nbr)  # per-type params use global ids

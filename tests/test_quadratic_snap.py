@@ -108,3 +108,28 @@ class TestQuadraticSNAP:
         lin = SNAP(PARAMS, beta=quad_snap.beta)
         assert quad_snap.compute(4, nbr).energy != pytest.approx(
             lin.compute(4, nbr).energy)
+
+    def test_column_chunked_gather_changes_nothing(self, rng, monkeypatch):
+        # B, Q B and quadratic Y come off one column-chunked product
+        # gather: one column per chunk, the shipped bound and one chunk
+        # for everything agree bitwise, and with the oracle
+        pos = random_cluster(rng, natoms=7)
+        nbr = free_cluster_pairs(pos, 3.0)
+        params = SNAPParams(twojmax=4, rcut=3.0, chunk=16)
+        nb = SNAP(params).index.nb
+        beta, q = rng.normal(size=nb + 1), 0.1 * rng.normal(size=(nb, nb))
+        results = []
+        for scratch in (1, SNAP._GATHER_SCRATCH_BYTES, 1 << 40):
+            monkeypatch.setattr(SNAP, "_GATHER_SCRATCH_BYTES", scratch)
+            snap = SNAP(params, beta=beta, quadratic=q, bzero=True)
+            out = snap.compute(7, nbr)
+            results.append((len(snap._plan["z_op"]), out.peratom, out.forces,
+                            out.virial, snap.compute_descriptors(7, nbr)))
+        assert results[0][0] == snap._plan["nuniq"] and results[2][0] == 1
+        for other in results[1:]:
+            for a, b in zip(results[0][1:], other[1:]):
+                assert np.array_equal(a, b)
+        ref = reference_energy_forces(snap, 7, nbr)
+        assert np.allclose(out.forces, ref.forces, atol=1e-12, rtol=1e-12)
+        assert np.allclose(results[0][4], reference_descriptors(snap, 7, nbr),
+                           atol=1e-12, rtol=1e-12)

@@ -34,9 +34,8 @@ def _problem(twojmax, overrides, **params):
             pair_rcut=rng.uniform(2.0, 2.9, nbr.npairs))
     beta = rng.normal(size=SNAPIndex(twojmax).ncoeff)
 
-    def snap(store_u):
-        return SNAP(SNAPParams(twojmax=twojmax, rcut=RCUT, chunk=8,
-                               store_u=store_u, **params), beta=beta)
+    snap = SNAP(SNAPParams(twojmax=twojmax, rcut=RCUT, chunk=8, **params),
+                beta=beta)
     return pos, nbr, snap
 
 
@@ -47,18 +46,14 @@ def _problem(twojmax, overrides, **params):
 @pytest.mark.parametrize("twojmax", [0, 1, 2, 3, 4, 5, 8])
 def test_sweep_matches_forward_mode_and_fd(twojmax, switch, rmin0, overrides):
     # odd and even top layers exercise both spill-column cases
-    pos, nbr, make = _problem(twojmax, overrides, switch=switch, rmin0=rmin0)
+    pos, nbr, snap = _problem(twojmax, overrides, switch=switch, rmin0=rmin0)
     natoms = pos.shape[0]
-    out = {}
-    for store_u in ("always", "never"):
-        snap = make(store_u)
-        cache = [] if store_u == "always" else None
-        utot = snap.compute_utot(natoms, nbr, cache=cache)
-        _, y = snap._peratom_and_y(utot)
-        out[store_u] = snap._compute_dedr(nbr, y, cache=cache)
-    assert np.array_equal(out["always"], out["never"])
-    forces, virial = snap._accumulate_forces(natoms, nbr, out["never"])
-    ref_f, ref_v = _legacy_forces_from_y(snap, natoms, nbr, y)
+    utot = snap.compute_utot(natoms, nbr)
+    _, y_half = snap._peratom_and_y(utot)
+    dedr = snap._compute_dedr(nbr, y_half)
+    forces, virial = snap._accumulate_forces(natoms, nbr, dedr)
+    ref_f, ref_v = _legacy_forces_from_y(snap, natoms, nbr,
+                                         snap._expand_y_half(y_half.T))
     scale = max(np.abs(ref_f).max(), 1e-300)
     assert np.abs(forces - ref_f).max() <= 1e-12 * scale
     assert np.abs(virial - ref_v).max() <= 1e-12 * max(np.abs(ref_v).max(),
@@ -67,9 +62,12 @@ def test_sweep_matches_forward_mode_and_fd(twojmax, switch, rmin0, overrides):
     assert np.allclose(forces, fd, atol=5e-6 * max(1.0, scale))
 
 
-@pytest.mark.parametrize("store_u", ["always", "never"])
-def test_no_pairs_and_pair_at_cutoff_give_zeros(store_u):
-    snap = SNAP(SNAPParams(twojmax=4, rcut=RCUT, store_u=store_u),
+# (ids kept: the suite's floor names them) the axis that was the deleted
+# store/recompute mode is the chunk target: whole list / one row per chunk
+@pytest.mark.parametrize("chunk", [pytest.param(4096, id="always"),
+                                   pytest.param(1, id="never")])
+def test_no_pairs_and_pair_at_cutoff_give_zeros(chunk):
+    snap = SNAP(SNAPParams(twojmax=4, rcut=RCUT, chunk=chunk),
                 beta=np.random.default_rng(3).normal(
                     size=SNAPIndex(4).ncoeff))
     z = np.zeros(0, dtype=np.intp)
@@ -83,10 +81,9 @@ def test_no_pairs_and_pair_at_cutoff_give_zeros(store_u):
     nbr = NeighborBatch(i_idx=np.zeros(2, dtype=np.intp), rij=rij, r=r,
                         j_idx=np.array([1, 2]),
                         pair_rcut=np.array([RCUT, r[1]]))
-    cache = [] if store_u == "always" else None
-    utot = snap.compute_utot(3, nbr, cache=cache)
+    utot = snap.compute_utot(3, nbr)
     _, y = snap._peratom_and_y(utot)
-    dedr = snap._compute_dedr(nbr, y, cache=cache)
+    dedr = snap._compute_dedr(nbr, y)
     assert np.all(dedr[1] == 0.0)
     assert np.any(dedr[0] != 0.0)
 
@@ -95,8 +92,7 @@ def test_no_pairs_and_pair_at_cutoff_give_zeros(store_u):
                          ids=["single", "overrides"])
 @pytest.mark.parametrize("twojmax", [0, 1, 2, 3, 4, 5, 8])
 def test_half_plane_utot_matches_full_plane_reference(twojmax, overrides):
-    pos, nbr, make = _problem(twojmax, overrides, rmin0=0.3)
-    snap = make("never")
+    pos, nbr, snap = _problem(twojmax, overrides, rmin0=0.3)
     p = snap.params
     natoms = pos.shape[0]
     rcut, wj, r_eff = snap._pair_params(nbr, slice(None))
@@ -118,9 +114,10 @@ def test_half_plane_utot_matches_full_plane_reference(twojmax, overrides):
 
 
 def test_force_pass_allocation_guard():
-    # One cached force pass over a 4096-pair chunk at 2J=8 must stay
-    # below 3.5 half-plane pair buffers; re-materialising a
-    # per-direction gradient tensor costs 3 more and trips this.
+    # One force pass over a 4096-pair chunk at 2J=8 - the chunk's
+    # recomputed layers included - must stay below 3.5 half-plane pair
+    # buffers (measured 2.9); re-materialising a per-direction gradient
+    # tensor costs 3 more and trips this.
     rng = np.random.default_rng(5)
     npairs, natoms = 4096, 160
     rij = rng.normal(size=(npairs, 3))
@@ -129,15 +126,87 @@ def test_force_pass_allocation_guard():
     nbr = NeighborBatch(i_idx=np.sort(rng.integers(0, natoms, npairs)),
                         rij=rij, r=np.linalg.norm(rij, axis=1),
                         j_idx=rng.integers(0, natoms, npairs))
-    snap = SNAP(SNAPParams(twojmax=8, rcut=RCUT, chunk=4096,
-                           store_u="always"))
-    cache = []
-    snap.compute_utot(natoms, nbr, cache=cache)
-    y = rng.normal(size=(natoms, snap.index.nu)) + 0j
+    snap = SNAP(SNAPParams(twojmax=8, rcut=RCUT, chunk=4096))
+    y = rng.normal(size=(snap._nu_half, natoms)) + 0j
     tracemalloc.start()
     try:
-        snap._compute_dedr(nbr, y, cache=cache)
+        snap._compute_dedr(nbr, y)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * snap._nu_half * npairs * 16
+
+
+def _old_fold_y(snap, y):
+    """The per-atom fold the force pass ran before the packed hand-off
+    (deleted from ``SNAP``; kept here as the comparison's other side):
+    ``Yf[ma, mb] = conj(Y[ma, mb]) + (-1)^(ma+mb) Y[j-ma, j-mb]``, middle
+    column of even layers halved."""
+    n = y.shape[0]
+    out = np.empty((n, snap._nu_half), dtype=np.complex128)
+    for j in range(snap.params.twojmax + 1):
+        ncol = j // 2 + 1
+        yj = y[:, snap.index.layer_slice(j)].reshape(n, j + 1, j + 1)
+        ma = np.arange(j + 1)
+        phase = (-1.0) ** (ma[:, None] + ma[None, :ncol])
+        o = out[:, snap._half_slices[j]].reshape(n, j + 1, ncol)
+        np.conjugate(yj[:, :, :ncol], out=o)
+        o += phase * yj[:, ::-1, ::-1][:, :, :ncol]
+        if j % 2 == 0:
+            o[:, :, -1] *= 0.5
+    return out
+
+
+@pytest.mark.parametrize("twojmax", [0, 1, 2, 5, 8])
+def test_mirror_weights_are_the_old_expand_then_fold(twojmax):
+    # fold(expand(Y_half)) = w * conj(Y_half), w = 2 or 1 on the
+    # self-mirrored middle column of even j: bitwise, given a middle
+    # column that carries the layer symmetry exactly (the old fold
+    # averaged it with its mirror image)
+    snap = SNAP(SNAPParams(twojmax=twojmax, rcut=RCUT))
+    rng = np.random.default_rng(twojmax)
+    n = 7
+    y_half = (rng.normal(size=(n, snap._nu_half))
+              + 1j * rng.normal(size=(n, snap._nu_half)))
+    for j in range(0, twojmax + 1, 2):
+        mid = y_half[:, snap._half_slices[j]].reshape(n, j + 1, -1)[:, :, -1]
+        ma = np.arange(j + 1)
+        mid[:] = 0.5 * (mid + (-1.0) ** (ma + j // 2) * np.conj(mid[:, ::-1]))
+    new = snap._w_half * np.conj(y_half)
+    old = _old_fold_y(snap, snap._expand_y_half(y_half))
+    assert np.array_equal(new, old)
+    # the half plane the kernel itself produces has that symmetry to
+    # rounding: the weights it hands the sweep moved by an ulp, not more
+    pos, nbr, ksnap = _problem(twojmax, False)
+    _, y = ksnap._peratom_and_y(ksnap.compute_utot(pos.shape[0], nbr))
+    new = ksnap._w_half * np.conj(y.T)
+    old = _old_fold_y(ksnap, ksnap._expand_y_half(y.T))
+    assert np.abs(new - old).max() <= 4e-16 * max(np.abs(old).max(), 1e-300)
+
+
+def test_fd_forces_at_2j14():
+    # the largest scale constant in use (D up to 59): 16 atoms
+    rng = np.random.default_rng(14)
+    pos = random_cluster(rng, natoms=16, span=4.5)
+    nbr = free_cluster_pairs(pos, RCUT)
+    snap = SNAP(SNAPParams(twojmax=14, rcut=RCUT),
+                beta=0.01 * rng.normal(size=SNAPIndex(14).ncoeff))
+    out = snap.compute(16, nbr)
+    fd = fd_forces_fixed_topology(snap, pos, nbr)
+    scale = np.abs(out.forces).max()
+    assert scale > 1e-3
+    assert np.abs(out.forces - fd).max() <= 2e-6 * max(1.0, scale)
+
+
+@pytest.mark.parametrize("twojmax", [2, 5, 8])
+def test_listing1_oracle_to_1e12(twojmax):
+    from repro.core.baseline import reference_energy_forces
+
+    pos, nbr, snap = _problem(twojmax, True, rmin0=0.3)
+    n = pos.shape[0]
+    out = snap.compute(n, nbr)
+    ref = reference_energy_forces(snap, n, nbr)
+    for got, want in ((out.peratom, ref.peratom), (out.forces, ref.forces),
+                      (out.virial, ref.virial)):
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0,
+                                                       np.abs(want).max())

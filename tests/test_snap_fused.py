@@ -1,15 +1,16 @@
-"""Fused SNAP hot path: store/recompute parity.
+"""Fused SNAP hot path: one kernel, any schedule.
 
-The optimized evaluator has two independently toggleable pieces - the
-stored-U cache (``store_u``) and the segment-reduced accumulation - and
-the contract for both is exact: forces match the Listing-1 reference to
-1e-10 and every configuration is bitwise identical to every other (same
-arithmetic, different schedule).
+The evaluator recomputes the per-pair layers in the force pass (there is
+no stored-U cache any more) and its only policy is the chunk target; the
+contract is exact: forces match the Listing-1 reference to 1e-10 and
+every chunk length, atom block and product-column chunk is bitwise
+identical to every other (same arithmetic, different schedule).
 """
 
 import ast
+import dataclasses
 import inspect
-from dataclasses import replace
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,63 +35,32 @@ def cluster(rng):
     return pos, free_cluster_pairs(pos, 3.0)
 
 
+# (ids kept: the suite's floor names these tests) the axis that carried
+# the deleted store/recompute mode is the chunk target now - whole list
+# in one chunk, one atom row per chunk, the fixtures' old 32
+_CHUNK_AXIS = [pytest.param(4096, id="always"), pytest.param(1, id="never"),
+               pytest.param(32, id="auto")]
+
+
 class TestStoreUParity:
+    """(class name kept) schedule parity of the one recomputing kernel."""
+
     @pytest.mark.parametrize("twojmax", [4, 6, 8])
-    @pytest.mark.parametrize("store_u", ["always", "never"])
-    def test_matches_reference(self, rng, cluster, twojmax, store_u):
+    @pytest.mark.parametrize("chunk", _CHUNK_AXIS[:2])
+    def test_matches_reference(self, rng, cluster, twojmax, chunk):
         pos, nbr = cluster
-        snap = _snap(rng, twojmax, store_u=store_u)
+        snap = _snap(rng, twojmax, chunk=chunk)
         out = snap.compute(pos.shape[0], nbr)
         ref = reference_energy_forces(snap, pos.shape[0], nbr)
         assert out.energy == pytest.approx(ref.energy, abs=1e-10)
         assert np.allclose(out.forces, ref.forces, atol=1e-10)
         assert np.allclose(out.virial, ref.virial, atol=1e-10)
 
-    def test_store_vs_recompute_bitwise(self, rng, cluster):
-        # identical arithmetic on identical inputs: not just close, equal
-        pos, nbr = cluster
-        beta = rng.normal(size=SNAPIndex(6).ncoeff)
-        results = {}
-        for mode in ("always", "never"):
-            snap = SNAP(SNAPParams(twojmax=6, rcut=3.0, chunk=16, store_u=mode),
-                        beta=beta)
-            results[mode] = snap.compute(pos.shape[0], nbr)
-            assert snap.last_store_u == (mode == "always")
-        assert np.array_equal(results["always"].forces, results["never"].forces)
-        assert results["always"].energy == results["never"].energy
-        assert np.array_equal(results["always"].virial, results["never"].virial)
-
-    def test_auto_resolution(self):
-        snap = SNAP(SNAPParams(twojmax=8, rcut=3.0, store_u="auto",
-                               store_u_budget_mb=1.0))
-        fits = int(1.0 * 2**20 / snap.store_u_bytes_per_pair)
-        assert snap._resolve_store_u(fits)
-        assert not snap._resolve_store_u(fits + 1)
-        assert SNAP(SNAPParams(twojmax=8, rcut=3.0,
-                               store_u="always"))._resolve_store_u(10**9)
-        assert not SNAP(SNAPParams(twojmax=8, rcut=3.0,
-                                   store_u="never"))._resolve_store_u(1)
-
-    def test_byte_estimate_matches_cached_layout(self, rng, cluster):
-        # the auto budget must count what the cache actually holds: the
-        # half-plane column subset of each U layer, not the full plane
-        pos, nbr = cluster
-        for twojmax in (4, 6, 8):
-            snap = _snap(rng, twojmax, store_u="always", chunk=nbr.npairs)
-            cache = []
-            snap.compute_utot(pos.shape[0], nbr, cache=cache)
-            (ck, u_store, sfac, dsfac), = cache
-            u_bytes = sum(layer.nbytes for layer in u_store)
-            ck_bytes = sum(arr.nbytes for arr in (ck.a, ck.b, ck.da, ck.db))
-            measured = (u_bytes + ck_bytes + sfac.nbytes + dsfac.nbytes)
-            assert measured == snap.store_u_bytes_per_pair * nbr.npairs
-            assert snap._nu_store < snap.index.nu  # strictly tighter
-
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="store_u"):
-            SNAPParams(twojmax=4, rcut=3.0, store_u="sometimes")
-        with pytest.raises(ValueError):
-            SNAPParams(twojmax=4, rcut=3.0, store_u_budget_mb=0.0)
+        # the store/recompute knob is gone, not merely ignored
+        for gone in ({"store_u": "never"}, {"store_u_budget_mb": 1.0}):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                SNAPParams(twojmax=4, rcut=3.0, **gone)
         with pytest.raises(ValueError, match="y_mode"):
             SNAPParams(twojmax=4, rcut=3.0, y_mode="csr")
         with pytest.raises(ValueError, match="'dense' or 'sparse'"):
@@ -102,34 +72,38 @@ class TestStoreUParity:
         params = SNAPParams(twojmax=4, rcut=3.0, chunk=np.int64(4096))
         assert params.chunk == 4096 and type(params.chunk) is int
 
-    def test_dedr_independent_of_chunk_grid(self, rng):
+    def test_dedr_independent_of_chunk_grid(self, rng, monkeypatch):
         # (name kept) chunks hold whole atom rows, so every stage output
         # - not only the per-pair dedr - is bitwise independent of the
-        # chunk length and of store_u.  11 crowded atoms (rows of up to
-        # 10 pairs, longer than chunk 1 and 7) plus one with no
-        # neighbours at all
+        # chunk length, and stage 2 of where the product-column edges
+        # fall.  11 crowded atoms (rows of up to 10 pairs, longer than
+        # chunk 1 and 7) plus one with no neighbours at all
         pos = np.vstack([random_cluster(rng, natoms=11, span=3.0),
                          [[40.0, 40.0, 40.0]]])
         n = pos.shape[0]
         nbr = free_cluster_pairs(pos, 3.0)
         rows = np.bincount(nbr.i_idx, minlength=n)
         assert rows.max() > 7 and rows[-1] == 0
-        results = []
-        for chunk in (1, 7, 64, 4096):
-            for store_u in ("always", "never"):
-                snap = _snap(np.random.default_rng(1), 5, chunk=chunk,
-                             store_u=store_u)
-                sizes = [sl.stop - sl.start
-                         for sl in snap._chunk_slices(nbr.i_idx)]
-                assert sum(sizes) == nbr.npairs
-                if chunk == 1:  # one row per chunk, never less
-                    assert sizes == rows[rows > 0].tolist()
-                cache = [] if store_u == "always" else None
-                utot = snap.compute_utot(n, nbr, cache=cache)
-                _, y = snap._peratom_and_y(utot)
-                out = snap.compute(n, nbr)
-                results.append((utot, y, snap._compute_dedr(nbr, y, cache),
-                                np.array(out.energy), out.forces))
+        results, nchunks = [], []
+        for chunk, scratch in ((1, None), (7, None), (64, None),
+                               (4096, None), (7, 1 << 12), (64, 1 << 30)):
+            if scratch is not None:
+                monkeypatch.setattr(SNAP, "_GATHER_SCRATCH_BYTES", scratch)
+            snap = _snap(np.random.default_rng(1), 5, chunk=chunk)
+            sizes = [sl.stop - sl.start
+                     for sl in snap._chunk_slices(nbr.i_idx)]
+            assert sum(sizes) == nbr.npairs
+            if chunk == 1:  # one row per chunk, never less
+                assert sizes == rows[rows > 0].tolist()
+            utot = snap.compute_utot(n, nbr)
+            _, y = snap._peratom_and_y(utot)
+            out = snap.compute(n, nbr)
+            results.append((utot, y, snap._compute_dedr(nbr, y),
+                            np.array(out.energy), out.forces))
+            nchunks.append(len(snap._plan["y_op"]))
+        # the two patched byte bounds cut the products one column per
+        # chunk and all columns in one; the shipped bound lies between
+        assert nchunks[4] > nchunks[3] > nchunks[5] == 1
         for got in results[1:]:
             for a, b in zip(got, results[0]):
                 assert np.array_equal(a, b)
@@ -151,18 +125,19 @@ class TestStoreUParity:
         mixed = NeighborBatch(i_idx=nbr.i_idx[perm], rij=nbr.rij[perm],
                               r=nbr.r[perm], j_idx=nbr.j_idx[perm])
         assert np.any(np.diff(mixed.i_idx) < 0)
-        for store_u in ("always", "never"):
-            snap = _snap(np.random.default_rng(1), 5, chunk=7,
-                         store_u=store_u)
-            assert [(sl.start, sl.stop)
-                    for sl in snap._chunk_slices(mixed.i_idx)] \
-                == [(lo, min(lo + 7, nbr.npairs))
-                    for lo in range(0, nbr.npairs, 7)]
-            got = snap.compute(pos.shape[0], mixed)
-            ref = _assert_matches_oracle(snap, pos.shape[0], nbr)
-            assert np.allclose(got.forces, ref.forces, rtol=0, atol=1e-12)
-            assert np.allclose(got.peratom, ref.peratom, rtol=0, atol=1e-12)
-            assert np.allclose(got.virial, ref.virial, rtol=0, atol=1e-11)
+        snap = _snap(np.random.default_rng(1), 5, chunk=7)
+        assert [(sl.start, sl.stop)
+                for sl in snap._chunk_slices(mixed.i_idx)] \
+            == [(lo, min(lo + 7, nbr.npairs))
+                for lo in range(0, nbr.npairs, 7)]
+        got = snap.compute(pos.shape[0], mixed)
+        ref = _assert_matches_oracle(snap, pos.shape[0], nbr)
+        assert np.allclose(got.forces, ref.forces, rtol=0, atol=1e-12)
+        assert np.allclose(got.peratom, ref.peratom, rtol=0, atol=1e-12)
+        assert np.allclose(got.virial, ref.virial, rtol=0, atol=1e-11)
+        assert np.allclose(snap.compute_utot(pos.shape[0], mixed),
+                           snap.compute_utot(pos.shape[0], nbr),
+                           rtol=0, atol=1e-13)
 
 
 def _assert_matches_oracle(snap, n, nbr, tol=1e-12):
@@ -190,26 +165,27 @@ class TestSparseY:
     """
 
     @pytest.mark.parametrize("twojmax", [4, 6, 8])
-    @pytest.mark.parametrize("store_u", ["always", "never", "auto"])
-    def test_matches_fused(self, rng, cluster, twojmax, store_u):
+    @pytest.mark.parametrize("chunk", _CHUNK_AXIS)
+    def test_matches_fused(self, rng, cluster, twojmax, chunk):
         pos, nbr = cluster
         n = pos.shape[0]
         beta = rng.normal(size=SNAPIndex(twojmax).ncoeff)
         out = {}
         for y_mode in ("dense", "sparse"):
-            snap = SNAP(SNAPParams(twojmax=twojmax, rcut=3.0, chunk=32,
-                                   store_u=store_u, y_mode=y_mode), beta=beta)
+            snap = SNAP(SNAPParams(twojmax=twojmax, rcut=3.0, chunk=chunk,
+                                   y_mode=y_mode), beta=beta)
             out[y_mode] = _assert_matches_oracle(snap, n, nbr)
         assert np.array_equal(out["dense"].forces, out["sparse"].forces)
         assert out["dense"].energy == out["sparse"].energy
 
     def test_variant_rung_registered(self):
-        # the sparse_y rung is the fused rung now: one entry, not two
+        # rungs replace one another: the production kernel is one entry,
+        # the last, whatever it superseded (sparse_y, fused, stored_u)
         from repro.core.variants import VARIANTS
 
         names = list(VARIANTS)
-        assert "sparse_y" not in names
-        assert names.index("stored_u") == names.index("fused") + 1
+        assert names[-1] == "current"
+        assert not {"sparse_y", "fused", "stored_u"} & set(names)
 
     def test_sparse_descriptors_and_quadratic(self, rng, cluster):
         # quadratic SNAP: B from the canonical Z rows, then Y from all
@@ -260,13 +236,15 @@ class TestSparseY:
         beta[1 + rng.choice(nb, size=nb // 2, replace=False)] = 0.0
         full = SNAP(params)
         some = SNAP(params, beta=beta)
-        assert 0 < some._plan["y_op"].nnz < full._plan["y_op"].nnz
-        assert some._plan["z_op"].nnz == full._plan["z_op"].nnz
+        def nnz(snap, op):
+            return sum(part.nnz for part in snap._plan[op])
+        assert 0 < nnz(some, "y_op") < nnz(full, "y_op")
+        assert nnz(some, "z_op") == nnz(full, "z_op")
         _assert_matches_oracle(some, n, nbr)
         beta0 = np.zeros(nb + 1)
         beta0[0] = 0.7
         none = SNAP(params, beta=beta0)
-        assert none._plan["y_op"].nnz == 0
+        assert nnz(none, "y_op") == 0
         out = _assert_matches_oracle(none, n, nbr)
         assert np.all(out.forces == 0.0) and np.all(out.peratom == 0.7)
 
@@ -302,15 +280,41 @@ class TestSparseY:
                 assert np.array_equal(a, b)
 
     def test_gather_scratch_is_bounded_in_bytes(self):
-        # the block is derived from nuniq, so the two gather arrays stay
-        # under one byte constant at any 2J (64 atoms at 2J=14 was 606 MB)
+        # the products are walked in column chunks, so the two gather
+        # arrays stay under one byte constant at any 2J (64 atoms at
+        # 2J=14 was 606 MB whole, 28 MB per atom block before the column
+        # chunks); the atom block still comes from nuniq
         for twojmax in (2, 8, 14):
             plan = SNAP(SNAPParams(twojmax=twojmax, rcut=3.0))._plan
-            scratch = 2 * 16 * plan["nuniq"] * plan["block"]
-            assert plan["block"] >= 1
-            assert scratch <= SNAP._GATHER_SCRATCH_BYTES
-            assert scratch + 2 * 16 * plan["nuniq"] > SNAP._GATHER_SCRATCH_BYTES
+            edges, block = plan["edges"], plan["block"]
+            assert block >= 1 and edges[0] == 0 and edges[-1] == plan["nuniq"]
+            assert 2 * 16 * plan["nuniq"] * block <= SNAP._PRODUCT_SET_BYTES
+            cols = int(np.diff(edges).max())
+            assert 2 * 16 * cols * block <= SNAP._GATHER_SCRATCH_BYTES
+            if len(edges) > 2:  # as wide as the bound allows
+                assert 2 * 16 * (cols + 1) * block > SNAP._GATHER_SCRATCH_BYTES
+            for op in ("y_op", "zb_op", "z_op"):
+                assert [p.shape[1] for p in plan[op]] == np.diff(edges).tolist()
+                # the sum order of a row is its column order
+                assert all(p.has_sorted_indices for p in plan[op])
         assert plan["nuniq"] == 296163 and plan["block"] == 3
+
+    def test_stage2_scratch_stays_under_its_bound_at_2j14(self):
+        # measured, not derived: Y of 128 atoms at 2J=14 allocates its
+        # output, one block's accumulator and the two gather arrays -
+        # nothing that grows with the 296 163 products
+        snap = SNAP(SNAPParams(twojmax=14, rcut=3.0))
+        rng = np.random.default_rng(2)
+        utot = (rng.normal(size=(128, snap.index.nu))
+                + 1j * rng.normal(size=(128, snap.index.nu)))
+        y_bytes = 16 * snap._nu_half * 128
+        tracemalloc.start()
+        try:
+            snap._linear_y_half(utot)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < y_bytes + SNAP._GATHER_SCRATCH_BYTES + (1 << 20)
 
     def test_sparse_cg_structure(self):
         # entries enumerate exactly the nonzero CG products of the
@@ -385,7 +389,7 @@ def test_one_contraction_census():
 class TestPairOverrides:
     def test_pair_weight_and_rcut(self, rng, cluster):
         pos, nbr = cluster
-        snap = _snap(rng, 4, store_u="always")
+        snap = _snap(rng, 4)
         wrng = np.random.default_rng(7)
         nbr2 = NeighborBatch(
             i_idx=nbr.i_idx, rij=nbr.rij, r=nbr.r, j_idx=nbr.j_idx,
@@ -394,8 +398,8 @@ class TestPairOverrides:
         out = snap.compute(pos.shape[0], nbr2)
         fd = fd_forces_fixed_topology(snap, pos, nbr2)
         assert np.allclose(out.forces, fd, atol=1e-5)
-        # stored-U and recompute paths agree bitwise with overrides too
-        out2 = SNAP(replace(snap.params, store_u="never"),
+        # any chunking agrees bitwise with overrides too
+        out2 = SNAP(dataclasses.replace(snap.params, chunk=1),
                     beta=snap.beta).compute(pos.shape[0], nbr2)
         assert np.array_equal(out.forces, out2.forces)
 
@@ -421,15 +425,14 @@ class TestPairOverrides:
 
 class TestEmptyAndEdgeCases:
     def test_empty_neighbor_list(self, rng):
-        for store_u in ("always", "never"):
-            snap = _snap(rng, 4, store_u=store_u)
-            empty = NeighborBatch(i_idx=np.zeros(0, dtype=np.intp),
-                                  rij=np.zeros((0, 3)), r=np.zeros(0),
-                                  j_idx=np.zeros(0, dtype=np.intp))
-            out = snap.compute(3, empty)
-            assert np.all(out.forces == 0.0)
-            assert np.all(out.virial == 0.0)
-            assert np.isfinite(out.energy)
+        snap = _snap(rng, 4)
+        empty = NeighborBatch(i_idx=np.zeros(0, dtype=np.intp),
+                              rij=np.zeros((0, 3)), r=np.zeros(0),
+                              j_idx=np.zeros(0, dtype=np.intp))
+        out = snap.compute(3, empty)
+        assert np.all(out.forces == 0.0)
+        assert np.all(out.virial == 0.0)
+        assert np.isfinite(out.energy)
 
     def test_j_idx_shape_validated(self):
         with pytest.raises(ValueError, match="j_idx"):
@@ -437,3 +440,138 @@ class TestEmptyAndEdgeCases:
                           rij=np.zeros((3, 3)), r=np.ones(3),
                           j_idx=np.zeros(2, dtype=np.intp))
 
+
+
+class TestSeededRecursionEdgeCases:
+    """What seeding the recursion with ``sfac`` must not break."""
+
+    def test_pair_beyond_its_own_cutoff_is_exactly_inert(self, rng, cluster):
+        # sfac = dsfac = 0 seeds all-zero layers: the pair adds exact
+        # zeros to U_tot, dedr and the virial (nothing divides by sfac),
+        # and the sanitizer sees nothing non-finite on the way
+        pos, nbr = cluster
+        n = pos.shape[0]
+        far = nbr.r > np.median(nbr.r)
+        assert far.any() and not far.all()
+        pair_rcut = np.where(far, 0.9 * nbr.r, 3.0)
+        weight = rng.uniform(0.5, 1.5, nbr.npairs)
+        with_far = NeighborBatch(i_idx=nbr.i_idx, rij=nbr.rij, r=nbr.r,
+                                 j_idx=nbr.j_idx, pair_weight=weight,
+                                 pair_rcut=pair_rcut)
+        near = NeighborBatch(i_idx=nbr.i_idx[~far], rij=nbr.rij[~far],
+                             r=nbr.r[~far], j_idx=nbr.j_idx[~far],
+                             pair_weight=weight[~far],
+                             pair_rcut=pair_rcut[~far])
+        snap = _snap(rng, 6, check_finite=True)
+        _, layers, dsfac = snap._pair_terms(with_far, slice(None))
+        for v in layers:  # what the pair adds to U_tot
+            assert np.all(v[:, :, far] == 0.0)
+            assert np.all(np.isfinite(v))
+        assert np.all(dsfac[far] == 0.0)
+        utot = snap.compute_utot(n, with_far)
+        _, y = snap._peratom_and_y(utot)
+        dedr = snap._compute_dedr(with_far, y)
+        assert np.all(dedr[far] == 0.0)  # and with it rij (x) dedr
+        assert np.array_equal(dedr[~far], snap._compute_dedr(near, y))
+        # against the list without those pairs: equal up to where the
+        # exact zeros sit in each atom's segment sum (reduceat adds the
+        # first element to the sum of the rest)
+        got, ref = snap.compute(n, with_far), snap.compute(n, near)
+        assert np.allclose(utot, snap.compute_utot(n, near),
+                           rtol=0, atol=1e-14)
+        assert np.allclose(got.forces, ref.forces, rtol=0, atol=1e-12)
+        assert np.allclose(got.virial, ref.virial, rtol=0, atol=1e-12)
+        assert got.energy == pytest.approx(ref.energy, abs=1e-12)
+
+    @pytest.mark.parametrize("kw", [dict(switch=False), dict(wself=0.7),
+                                    dict(rmin0=0.25)],
+                             ids=["noswitch", "wself", "rmin0"])
+    @pytest.mark.parametrize("quadratic", [False, True],
+                             ids=["linear", "quadratic"])
+    def test_physics_fields_against_the_oracle(self, rng, cluster, kw,
+                                               quadratic):
+        pos, nbr = cluster
+        nb = SNAPIndex(5).nb
+        for bzero in (False, True):
+            snap = SNAP(SNAPParams(twojmax=5, rcut=3.0, chunk=7, **kw),
+                        beta=rng.normal(size=nb + 1), bzero=bzero,
+                        quadratic=0.1 * rng.normal(size=(nb, nb))
+                        if quadratic else None)
+            _assert_matches_oracle(snap, pos.shape[0], nbr)
+
+    def test_atom_without_neighbours(self, rng, cluster):
+        # its row of U_tot is the self term, its energy the lone-atom
+        # energy, its force zero; the others do not notice it
+        pos, nbr = cluster
+        n = pos.shape[0]
+        snap = _snap(rng, 4)
+        out = snap.compute(n + 1, nbr)
+        assert np.array_equal(out.forces[:n], snap.compute(n, nbr).forces)
+        assert np.all(out.forces[n] == 0.0)
+        lone = np.zeros(snap.index.nu, dtype=complex)
+        lone[snap.index.diagonal_indices()] = snap.params.wself
+        assert np.array_equal(snap.compute_utot(n + 1, nbr)[n], lone)
+        empty = NeighborBatch(i_idx=np.zeros(0, dtype=np.intp),
+                              rij=np.zeros((0, 3)), r=np.zeros(0),
+                              j_idx=np.zeros(0, dtype=np.intp))
+        assert out.peratom[n] == snap.compute(1, empty).peratom[0]
+
+    def test_nothing_of_size_npairs_x_nu_half_is_alive(self):
+        # the guard that replaces the store budget: the same 500 atoms
+        # with 4x the pairs (cutoff x 4^(1/3)) at a fixed chunk.  The
+        # traced peak of a whole evaluation grows only by its O(npairs)
+        # outputs and index arrays (dedr, the j permutation and scatter
+        # temporaries: measured 48 B a pair); one stored half plane of
+        # layers would add 16 * nu_half = 2480 B a pair
+        from repro.md import NeighborList
+        from repro.structures import random_packed
+
+        system = random_packed(500, density=0.1, seed=5, min_dist=1.2)
+
+        def peak(rcut):
+            snap = SNAP(SNAPParams(twojmax=8, rcut=rcut, chunk=1024))
+            nbr = NeighborList(box=system.box, cutoff=rcut, skin=0.0).get(
+                system.positions)
+            snap.compute(500, nbr)  # warm: the list's j permutation
+            tracemalloc.start()
+            try:
+                snap.compute(500, nbr)
+                return tracemalloc.get_traced_memory()[1], nbr.npairs
+            finally:
+                tracemalloc.stop()
+        small, npairs = peak(3.9)
+        large, npairs4 = peak(3.9 * 4 ** (1 / 3))
+        assert 11_000 < npairs < 14_000 and npairs4 > 3.8 * npairs
+        assert large - small < 128 * (npairs4 - npairs)
+
+
+def test_kernel_policy_census():
+    """The store/recompute knob, the coefficient arrays and the fold do
+    not come back unnoticed."""
+    import repro
+    from repro.core import snap as snap_module
+    from repro.core import wigner as wigner_module
+
+    assert [f.name for f in dataclasses.fields(SNAPParams)] == [
+        "twojmax", "rcut", "rfac0", "rmin0", "wself", "switch",  # physics
+        "chunk", "check_finite", "y_mode"]
+    assert SNAP.last_store_u is False
+    assert "last_store_u" not in vars(SNAP(SNAPParams(twojmax=2, rcut=3.0)))
+    assert list(inspect.signature(SNAP.compute_utot).parameters) \
+        == ["self", "natoms", "nbr"]
+    assert list(inspect.signature(SNAP.compute_forces_from_y).parameters) \
+        == ["self", "natoms", "nbr", "y_half"]
+    root = Path(repro.__file__).parent
+    for path in root.rglob("*.py"):
+        text = path.read_text()
+        assert "store_u" not in text.replace("last_store_u", ""), path
+    for path in (root / "core").glob("*.py"):
+        text = path.read_text()
+        for gone in ("_recursion_coeffs", "_fold_y", "cache="):
+            assert gone not in text, (path, gone)
+    # one forward recursion, one sweep; the full-plane pair stays the oracle
+    assert [n for n in vars(wigner_module)
+            if n.startswith(("compute_", "adjoint_"))] == [
+        "compute_u_layers", "compute_du_layers", "compute_u_layers_half_lm",
+        "adjoint_sweep_half_lm"]
+    assert "_product_blocks" in inspect.getsource(snap_module.SNAP._bispectrum)

@@ -1,5 +1,7 @@
 """Tests for the Wigner U-matrix recursion and its gradients."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core.wigner import (adjoint_sweep_half_lm, cayley_klein,
                                compute_du_layers, compute_u_layers,
                                compute_u_layers_half_lm, flatten_dlayers,
-                               flatten_layers, half_ncols)
+                               flatten_layers, half_ncols, half_scale)
 
 
 def _random_vectors(rng, n=5, rmin=0.4, rmax=2.2):
@@ -87,16 +89,37 @@ class TestULayers:
         assert flat.shape == (7, sum((j + 1) ** 2 for j in range(5)))
 
 
+def _scale_with_spill(tj):
+    """``D_j`` on the stored columns, spill column included (the scale
+    of column ``mb`` is ``sqrt(C(j, mb) / C(j, ma))`` there too)."""
+    out = []
+    for j, nc in enumerate(half_ncols(tj)):
+        c = np.array([math.comb(j, m) for m in range(j + 1)], dtype=float)
+        out.append(np.sqrt(c[None, :nc] / c[:, None]))
+    return out
+
+
+def _random_weights(rng, tj, n):
+    return [rng.normal(size=(j + 1, j // 2 + 1, n))
+            + 1j * rng.normal(size=(j + 1, j // 2 + 1, n))
+            for j in range(tj + 1)]
+
+
 class TestHalfPlane:
     @pytest.mark.parametrize("tj", [0, 1, 4, 5, 8])
     def test_layers_are_left_columns_of_full_recursion(self, rng, tj):
-        # incl. the spill column (j+1)/2 stored with every odd j < tj
+        # D * V is U, incl. the spill column (j+1)/2 stored with every
+        # odd j < tj
         rij = _random_vectors(rng, n=6)
         ck = cayley_klein(rij, np.linalg.norm(rij, axis=1), RCUT)
         half = compute_u_layers_half_lm(ck, tj)
-        for u, h, nc in zip(compute_u_layers(ck, tj), half, half_ncols(tj)):
+        for u, h, d, nc in zip(compute_u_layers(ck, tj), half,
+                               _scale_with_spill(tj), half_ncols(tj)):
             assert h.shape == (u.shape[1], nc, 6)
-            assert np.allclose(h, u[:, :, :nc].transpose(1, 2, 0), atol=1e-13)
+            assert np.allclose(d[:, :, None] * h,
+                               u[:, :, :nc].transpose(1, 2, 0), atol=1e-13)
+        for d, full in zip(half_scale(tj), _scale_with_spill(tj)):
+            assert np.array_equal(d, full[:, :d.shape[1]])
 
     @pytest.mark.parametrize("tj", [1, 4, 5])
     def test_sweep_is_the_adjoint_of_the_gradient_recursion(self, rng, tj):
@@ -105,19 +128,89 @@ class TestHalfPlane:
         rij = _random_vectors(rng, n=n)
         ck = cayley_klein(rij, np.linalg.norm(rij, axis=1), RCUT)
         u_full, du_full = compute_du_layers(ck, tj)
-        w = [rng.normal(size=(j + 1, j // 2 + 1, n))
-             + 1j * rng.normal(size=(j + 1, j // 2 + 1, n))
-             for j in range(tj + 1)]
-        s, p, q = adjoint_sweep_half_lm(ck, compute_u_layers_half_lm(ck, tj),
-                                        w)
+        w = _random_weights(rng, tj, n)
+        yv = [d[:, :, None] * wj for d, wj in zip(half_scale(tj), w)]
+        g0, p, q = adjoint_sweep_half_lm(ck, compute_u_layers_half_lm(ck, tj),
+                                         yv)
         s_ref = sum(np.einsum("abn,nab->n", wj, u[:, :, :wj.shape[1]])
                     for wj, u in zip(w, u_full))
-        assert np.allclose(s, s_ref, atol=1e-12)
+        assert np.allclose(g0.real, s_ref.real, atol=1e-12)
         for c in range(3):
             ref = sum(np.einsum("abn,nab->n", wj, du[:, c, :, :wj.shape[1]])
                       for wj, du in zip(w, du_full)).real
             got = (p * np.conj(ck.da[:, c]) + q * np.conj(ck.db[:, c])).real
             assert np.allclose(got, ref, atol=1e-11)
+
+
+@st.composite
+def _pair_batches(draw):
+    """2J in 0..8, a batch of 1..5 neighbour vectors inside the cutoff,
+    complex layer weights and per-pair seeds in [0, 1] (zero included)."""
+    tj = draw(st.integers(0, 8))
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rij = _random_vectors(rng, n=n, rmin=0.05, rmax=0.999 * RCUT)
+    seed = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) > 0.2)
+    return tj, rij, _random_weights(rng, tj, n), seed
+
+
+class TestScaledRecursionIdentities:
+    """The three exact identities the coefficient-free recursion rests
+    on, over generated inputs (the fixtures above pin a few sizes)."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(_pair_batches())
+    def test_scaled_layers_are_the_wigner_layers(self, batch):
+        tj, rij, _, _ = batch
+        ck = cayley_klein(rij, np.linalg.norm(rij, axis=1), RCUT)
+        for u, v, d, nc in zip(compute_u_layers(ck, tj),
+                               compute_u_layers_half_lm(ck, tj),
+                               _scale_with_spill(tj), half_ncols(tj)):
+            assert np.abs(d[:, :, None] * v
+                          - u[:, :, :nc].transpose(1, 2, 0)).max() <= 1e-13
+
+    @settings(deadline=None, max_examples=60)
+    @given(_pair_batches())
+    def test_layer_zero_adjoint_is_the_radial_sum(self, batch):
+        tj, rij, w, _ = batch
+        ck = cayley_klein(rij, np.linalg.norm(rij, axis=1), RCUT)
+        yv = [d[:, :, None] * wj for d, wj in zip(half_scale(tj), w)]
+        g0, _, _ = adjoint_sweep_half_lm(
+            ck, compute_u_layers_half_lm(ck, tj), yv)
+        direct = sum(np.einsum("abn,nab->n", wj, u[:, :, :wj.shape[1]])
+                     for wj, u in zip(w, compute_u_layers(ck, tj)))
+        scale = max(1.0, np.abs(direct).max())
+        assert np.abs(g0.real - direct.real).max() <= 1e-12 * scale
+
+    @settings(deadline=None, max_examples=60)
+    @given(_pair_batches())
+    def test_seed_scales_p_and_q_and_leaves_g0(self, batch):
+        tj, rij, w, seed = batch
+        ck = cayley_klein(rij, np.linalg.norm(rij, axis=1), RCUT)
+        g0, p, q = adjoint_sweep_half_lm(
+            ck, compute_u_layers_half_lm(ck, tj), w)
+        seeded = compute_u_layers_half_lm(ck, tj, seed)
+        g0s, ps, qs = adjoint_sweep_half_lm(ck, seeded, w)
+        assert np.array_equal(g0s, g0)  # G never reads the layers
+        scale = max(1.0, np.abs(p).max(), np.abs(q).max())
+        assert np.abs(ps - seed * p).max() <= 1e-13 * scale
+        assert np.abs(qs - seed * q).max() <= 1e-13 * scale
+        zero = seed == 0.0
+        for v in seeded:
+            assert np.all(v[:, :, zero] == 0.0)
+        assert np.all(ps[zero] == 0.0) and np.all(qs[zero] == 0.0)
+
+    def test_batch_of_one_is_the_row_of_a_longer_batch(self, rng):
+        # the einsum guard: per-pair results do not depend on the batch
+        rij = _random_vectors(rng, n=3)
+        w = _random_weights(rng, 5, 3)
+        ck = cayley_klein(rij, np.linalg.norm(rij, axis=1), RCUT)
+        whole = adjoint_sweep_half_lm(ck, compute_u_layers_half_lm(ck, 5), w)
+        ck1 = cayley_klein(rij[:1], np.linalg.norm(rij[:1], axis=1), RCUT)
+        one = adjoint_sweep_half_lm(ck1, compute_u_layers_half_lm(ck1, 5),
+                                    [wj[:, :, :1] for wj in w])
+        for a, b in zip(one, whole):
+            assert np.array_equal(a, b[:1])
 
 
 class TestDULayers:
