@@ -115,11 +115,6 @@ def cg_tensor(j1: int, j2: int, j: int) -> np.ndarray:
         return _cg_tensor_build(j1, j2, j)
 
 
-# Backwards-compatible alias for the raw (unlocked) cached builder; kept
-# because tests and profiling poke at the lru_cache statistics directly.
-_cg_tensor_cached = _cg_tensor_build
-
-
 @dataclass(frozen=True)
 class SparseCGTriple:
     """Flattened sparse index structure for one ``(j1, j2, j)`` z-triple.

@@ -25,8 +25,12 @@ mirroring the optimized LAMMPS/Kokkos pipeline in NumPy:
    (EXPERIMENTS E24).  All hot-path array work runs in *layer-major*
    half-plane layout (pair axis innermost, columns ``mb <= j/2``, also
    the format ``Y`` is handed over in), in the coefficient-free scaled
-   basis of :func:`repro.core.wigner.compute_u_layers_half_lm`, and
-   both force scatters are ``np.add.reduceat`` segment reductions.
+   basis of :func:`repro.core.wigner.compute_u_layers_half_lm`.
+4. ``update_forces`` - the one force assembly, :func:`update_forces`:
+   ``f[i] += dedr``, ``f[j] -= dedr`` strictly in pair order.  Stages
+   1-3 are :meth:`SNAP.pair_gradients`, the contract every potential
+   in :mod:`repro.potentials` implements, so every potential on every
+   engine ends in this same stage.
 
 Stages 1 and 3 walk the pair list in chunks of about
 ``SNAPParams.chunk`` pairs that are cut on atom-row boundaries: a
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse as sps
@@ -56,7 +60,8 @@ from .switching import sfac_dsfac
 from .wigner import (adjoint_sweep_half_lm, cayley_klein,
                      compute_u_layers_half_lm, half_scale)
 
-__all__ = ["SNAPParams", "NeighborBatch", "EnergyForces", "SNAP"]
+__all__ = ["SNAPParams", "NeighborBatch", "EnergyForces", "SNAP",
+           "scatter_add", "scatter_pair_forces", "update_forces"]
 
 
 @dataclass(frozen=True)
@@ -138,7 +143,6 @@ class NeighborBatch:
     j_idx: np.ndarray | None = None  # neighbor atom ids; needed for forces
     pair_weight: np.ndarray | None = None
     pair_rcut: np.ndarray | None = None
-    _j_perm: np.ndarray | None = field(default=None, init=False, repr=False)
     #: ``(reference batch, keep mask)`` of a skin-filtered batch, set by
     #: :func:`repro.md.neighbor.filter_pairs`
     filtered_from: tuple | None = field(default=None, init=False, repr=False)
@@ -167,40 +171,6 @@ class NeighborBatch:
     def npairs(self) -> int:
         return self.i_idx.shape[0]
 
-    def j_sorted_perm(self) -> np.ndarray:
-        """Stable permutation sorting pairs by neighbor atom (cached).
-
-        Built on first call - only the SNAP force scatter asks - so the
-        j-side scatter can run as a segment reduction instead of an
-        ``np.add.at`` scatter.  A skin-filtered batch derives it from its
-        reference's permutation in O(npairs): compressing a stable sort
-        keeps it stable, so there is one sort per topology build.
-        """
-        if self.j_idx is None:
-            raise ValueError("NeighborBatch.j_idx is required for j_sorted_perm")
-        if self._j_perm is None:
-            if self.filtered_from is None:
-                self._j_perm = np.argsort(self.j_idx, kind="stable")
-            else:
-                ref, keep = self.filtered_from
-                p = ref.j_sorted_perm()
-                self._j_perm = (np.cumsum(keep) - 1)[p[keep[p]]]
-        return self._j_perm
-
-
-def _scatter_sum_sorted(out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
-    """``out[idx] += values`` for *sorted* ``idx`` via segment reduction.
-
-    Neighbor pair lists are CSR-sorted by central atom, so the hot
-    accumulation of ``U_tot`` reduces to ``np.add.reduceat`` on segment
-    boundaries - far faster than ``np.add.at`` scatter adds.
-    """
-    if idx.size == 0:
-        return
-    starts = np.flatnonzero(np.r_[True, np.diff(idx) > 0])
-    sums = np.add.reduceat(values, starts, axis=0)
-    out[idx[starts]] += sums
-
 
 @dataclass
 class EnergyForces:
@@ -210,6 +180,59 @@ class EnergyForces:
     peratom: np.ndarray
     forces: np.ndarray
     virial: np.ndarray  # (3, 3), eV
+
+
+def scatter_add(index: np.ndarray, weights: np.ndarray,
+                size: int) -> np.ndarray:
+    """``out = zeros(size); np.add.at(out, index, weights)``, faster.
+
+    ``np.bincount`` accumulates strictly in input order from zero, like
+    the ``add.at`` chain it replaces, so the sums are bitwise equal to
+    it - which is what lets every force backend share this one helper
+    and stay bitwise equal to the serial pass.
+    """
+    if index.size == 0:  # bincount of nothing is int64, not float64
+        return np.zeros(size)
+    return np.bincount(index, weights=weights, minlength=size)
+
+
+def scatter_pair_forces(size: int, i_idx: np.ndarray, dedr_i: np.ndarray,
+                        j_idx: np.ndarray, dedr_j: np.ndarray) -> np.ndarray:
+    """Per-atom forces from per-pair gradients, in ``add.at`` order.
+
+    Bitwise equal to ``f = zeros((size, 3)); np.add.at(f, j_idx,
+    -dedr_j); np.add.at(f, i_idx, dedr_i)``: each atom first receives
+    the negated rows of the pairs it is the neighbor of, in pair order,
+    then the rows of its own pairs.  The two sides are separate
+    arguments because a process rank gathers its neighbor-side rows
+    from every rank's pairs.  Runs one :func:`scatter_add` per Cartesian
+    component over a reused weight buffer, so no ``(2 * npairs, 3)``
+    array is formed.
+    """
+    index = np.concatenate((j_idx, i_idx))
+    weights = np.empty(index.size)
+    nj = j_idx.size
+    forces = np.empty((size, 3))
+    for c in range(3):
+        np.negative(dedr_j[:, c], out=weights[:nj])
+        weights[nj:] = dedr_i[:, c]
+        forces[:, c] = scatter_add(index, weights, size)
+    return forces
+
+
+def update_forces(natoms: int, nbr: NeighborBatch, peratom: np.ndarray,
+                  dedr: np.ndarray) -> EnergyForces:
+    """Stage 4 (update_forces): the one force assembly of the package.
+
+    ``peratom`` and ``dedr[k] = dE_i/dr_k`` are what a potential's
+    ``pair_gradients(nbr, (0, natoms))`` returns; pair ``k`` pushes its
+    central atom by ``+dedr[k]`` and its neighbor by ``-dedr[k]``.
+    """
+    if nbr.j_idx is None:
+        raise ValueError("NeighborBatch.j_idx is required for forces")
+    forces = scatter_pair_forces(natoms, nbr.i_idx, dedr, nbr.j_idx, dedr)
+    return EnergyForces(energy=float(peratom.sum()), peratom=peratom,
+                        forces=forces, virial=-(nbr.rij.T @ dedr))
 
 
 class SNAP:
@@ -230,6 +253,8 @@ class SNAP:
 
     #: nothing is stored per pair; the suite still reads this (ROADMAP 1(b))
     last_store_u = False
+    #: keys of :attr:`last_timings`, there from construction on
+    _STAGES = ("compute_ui", "compute_yi", "compute_dui_deidrj")
 
     def __init__(self, params: SNAPParams, beta: np.ndarray | None = None,
                  bzero: bool = False, quadratic: np.ndarray | None = None) -> None:
@@ -261,7 +286,7 @@ class SNAP:
         # workers only ever see cache hits.
         self._triple_cache = self._build_triples()
         self._build_half_layout()
-        self.last_timings: dict[str, float] = {}
+        self.last_timings = dict.fromkeys(self._STAGES, 0.0)
         # built here, before any fork: process workers inherit it
         self._plan = self._build_plan()
         self.bzero_shift = self._isolated_b() if bzero else np.zeros(self.index.nb)
@@ -699,38 +724,6 @@ class SNAP:
             dedr[sl] = grad + (dsfac * radial.real)[:, None] * uhat
         return dedr
 
-    def _accumulate_forces(self, natoms: int, nbr: NeighborBatch,
-                           dedr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Stage 4 (update_forces): scatter per-pair ``dedr`` into forces.
-
-        Both scatters run as ``np.add.reduceat`` segment sums: the i-side
-        uses the CSR sort of the pair list, the j-side the cached
-        j-sorted permutation of the batch.
-        """
-        forces = np.zeros((natoms, 3))
-        if nbr.i_idx.size and np.all(np.diff(nbr.i_idx) >= 0):
-            _scatter_sum_sorted(forces, nbr.i_idx, dedr)
-        else:
-            np.add.at(forces, nbr.i_idx, dedr)
-        perm = nbr.j_sorted_perm()
-        _scatter_sum_sorted(forces, nbr.j_idx[perm], -dedr[perm])
-        virial = -(nbr.rij.T @ dedr)
-        return forces, virial
-
-    def compute_forces_from_y(self, natoms: int, nbr: NeighborBatch,
-                              y_half: np.ndarray
-                              ) -> tuple[np.ndarray, np.ndarray]:
-        """Stages 3-4 (compute_duidrj / compute_deidrj / update_forces).
-
-        Returns ``(forces, virial)`` for the packed half-plane ``Y`` of
-        :meth:`_peratom_and_y`.  The per-pair layers are recomputed chunk
-        by chunk: nothing of size ``npairs x nu_half`` is ever alive.
-        """
-        if nbr.j_idx is None:
-            raise ValueError("NeighborBatch.j_idx is required for forces")
-        dedr = self._compute_dedr(nbr, y_half)
-        return self._accumulate_forces(natoms, nbr, dedr)
-
     # ------------------------------------------------------------------
     # public evaluation
     # ------------------------------------------------------------------
@@ -761,35 +754,50 @@ class SNAP:
                        - self.bzero_shift @ self.beta[1:])
         else:
             bc, qb, y_half = self._quadratic_b_y_half(utot)
-            peratom = (self.beta[0] + bc @ self.beta[1:]
-                       + 0.5 * np.sum(bc * qb, axis=1))
+            # a row sum, not a matvec: BLAS picks its kernel by row count
+            peratom = self.beta[0] + np.sum(
+                bc * (self.beta[1:] + 0.5 * qb), axis=1)
         return peratom, y_half
 
-    def compute(self, natoms: int, nbr: NeighborBatch) -> EnergyForces:
-        """Full energy/force/virial evaluation (the paper's force kernel)."""
+    def pair_gradients(self, nbr: NeighborBatch, rows: tuple[int, int]
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """Stages 1-3 on the atom window ``rows=(lo, hi)``.
+
+        ``nbr`` holds every pair whose central atom lies in the window
+        (global ids).  Returns ``(peratom[lo:hi], dedr)`` with
+        ``dedr[k] = dE_i/dr_k``, shape ``(npairs, 3)``: the contract of
+        :class:`repro.potentials.Potential`, to be handed to
+        :func:`update_forces`.  Every stage is per atom row or per pair,
+        so the windows of a row partition yield the bits the full list
+        yields.  Stage wall times go to :attr:`last_timings`; with
+        ``params.check_finite`` every stage output is validated here -
+        the one place every engine's SNAP evaluation passes through.
+        """
+        lo, hi = rows
         t0 = time.perf_counter()
         sane = self.params.check_finite
         if sane:
             from ..lint.sanitizers import check_finite
-            check_finite("neighbor_input", where="serial",
-                         rij=nbr.rij, r=nbr.r)
-        utot = self.compute_utot(natoms, nbr)
+            check_finite("neighbor_input", rij=nbr.rij, r=nbr.r)
+        if lo:
+            nbr = replace(nbr, i_idx=nbr.i_idx - lo)
+        utot = self.compute_utot(hi - lo, nbr)
         if sane:
-            check_finite("compute_ui", where="serial", utot=utot)
+            check_finite("compute_ui", utot=utot)
         t1 = time.perf_counter()
         peratom, y = self._peratom_and_y(utot)
         if sane:
-            check_finite("compute_yi", where="serial", peratom=peratom, y=y)
+            check_finite("compute_yi", peratom=peratom, y=y)
         t2 = time.perf_counter()
-        forces, virial = self.compute_forces_from_y(natoms, nbr, y)
+        dedr = self._compute_dedr(nbr, y)
         if sane:
-            check_finite("compute_dui_deidrj", where="serial",
-                         forces=forces, virial=virial)
+            check_finite("compute_dui_deidrj", dedr=dedr)
         t3 = time.perf_counter()
-        self.last_timings = {
-            "compute_ui": t1 - t0,
-            "compute_yi": t2 - t1,
-            "compute_dui_deidrj": t3 - t2,
-        }
-        return EnergyForces(energy=float(peratom.sum()), peratom=peratom,
-                            forces=forces, virial=virial)
+        self.last_timings = dict(zip(self._STAGES,
+                                     (t1 - t0, t2 - t1, t3 - t2)))
+        return peratom, dedr
+
+    def compute(self, natoms: int, nbr: NeighborBatch) -> EnergyForces:
+        """Full energy/force/virial evaluation (the paper's force kernel)."""
+        return update_forces(natoms, nbr,
+                             *self.pair_gradients(nbr, (0, natoms)))

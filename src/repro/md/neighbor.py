@@ -166,9 +166,8 @@ def filter_pairs(ref: NeighborBatch, rij: np.ndarray, r: np.ndarray,
 
     ``rij``/``r`` are the refreshed geometry of every reference pair and
     ``keep`` the boolean pair mask.  The filtered batch remembers
-    ``(ref, keep)`` as ``filtered_from``: its j-sorted permutation, if
-    SNAP asks for it, is derived from the reference's instead of
-    re-sorted, and the process workers publish their kept mask from it.
+    ``(ref, keep)`` as ``filtered_from``: the process workers publish
+    their kept mask from it.
     Shared by :class:`NeighborList` and the distributed per-rank caches.
     """
     kept = np.flatnonzero(keep)

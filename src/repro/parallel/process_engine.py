@@ -1,11 +1,12 @@
 """Persistent-worker multiprocess force backend over shared memory.
 
-:class:`ProcessEngine` is the third :class:`~repro.md.engine.ForceEngine`
-implementation: ranks are long-lived **worker processes** (one fork per
-run, not per step) that communicate exclusively through named
+:class:`ProcessEngine` is the parallel :class:`~repro.md.engine.ForceEngine`:
+ranks are long-lived **worker processes** (one fork per run, not per
+step) that communicate exclusively through named
 ``multiprocessing.shared_memory`` blocks - the persistent-worker /
-fixed-communication-schedule discipline of production MD codes, applied
-to CPython where the GIL makes the thread-rank backend lose to serial.
+fixed-communication-schedule discipline of production MD codes.  It
+runs any :class:`~repro.potentials.Potential`: a worker knows the
+``pair_gradients`` contract and the one force assembly, nothing else.
 
 Decomposition - row slices, not subdomains
 ------------------------------------------
@@ -13,46 +14,44 @@ Rank ``r`` owns the contiguous *atom-index window* ``[alo, ahi)`` of a
 balanced :func:`~repro.parallel.decomposition.row_partition` and runs
 the serial step on it: one :class:`~repro.md.neighbor.NeighborList`
 restricted to its rows (``rows=(alo, ahi)``), then the potential's
-kernel on the batch that list returns.  Because the global neighbor
-list is CSR-sorted by central atom, the per-rank lists concatenate -
-on build and on refresh steps - to exactly the serial list, and every
-pair is computed by the rank that owns its central atom.  That turns
-the halo exchange into:
+``pair_gradients`` on the batch that list returns, for the same rows.
+Because the global neighbor list is CSR-sorted by central atom, the
+per-rank lists concatenate - on build and on refresh steps - to exactly
+the serial list, and every pair is computed by the rank that owns its
+central atom.  That turns the halo exchange into:
 
 forward
     each worker reads any row of the shared position block directly
     (owned-row slice reads of the other ranks' slices);
 reverse
-    per-pair values (``dE/dr`` for SNAP, force vectors for pair
-    potentials) are published to a shared reference-pair-space buffer;
-    each owner gathers the entries whose *neighbor* atom it owns - in
-    ascending global pair order, i.e. **fixed rank order** - and applies
-    exactly the serial accumulation operations.
+    the per-pair gradients ``dE_i/dr_k`` are published to a shared
+    reference-pair-space buffer; each owner gathers the entries whose
+    *neighbor* atom it owns - in ascending global pair order, i.e.
+    **fixed rank order** - and applies exactly the serial assembly.
 
 Bitwise determinism contract
 ----------------------------
-Forces are bitwise identical to :class:`~repro.md.engine.SerialEngine`
-at every ``nprocs``.  Two properties carry the proof:
+Forces and per-atom energies are bitwise identical to
+:class:`~repro.md.engine.SerialEngine` at every ``nprocs``, for every
+potential.  Two properties carry the proof:
 
 * the row-restricted neighbor lists concatenate to the serial pair list
-  (same pairs, same order, same skin decisions), and every kernel stage
-  is per atom row or per pair - the SNAP density pass never splits a
-  row across chunks, so a rank's rows hold the bits the full list
-  yields whatever ``chunk`` either side runs with;
-* owner assembly replays the serial reduction *by the same operation on
-  the same operand layout*: ``np.add.reduceat`` segment sums over the
-  contiguous j-sorted slab (SNAP) and the strictly-sequential
-  ``scatter_add`` / ``scatter_pair_forces`` of
-  :mod:`repro.potentials.base` (pair potentials).  Zero-padding or
-  re-chunking a segment would change NumPy's pairwise summation tree,
-  so the gather compresses dropped skin pairs *before* reducing,
-  exactly like the serial filter.
+  (same pairs, same order, same skin decisions), and ``pair_gradients``
+  is per atom row or per pair by contract - the SNAP density pass never
+  splits a row across chunks, so a rank's rows hold the bits the full
+  list yields whatever ``chunk`` either side runs with;
+* owner assembly is the serial assembly: the strictly sequential
+  :func:`~repro.core.snap.scatter_pair_forces` (what
+  :func:`~repro.core.snap.update_forces` calls) over the owned rows,
+  fed each atom's neighbor-side entries in global pair order and then
+  its own pairs.  The gather compresses dropped skin pairs *before*
+  the scatter, exactly like the serial filter.
 
-Per-atom energies and the virial keep the usual fixed-order 1e-10
-contract (the per-atom energy matvec and the virial GEMM are not
-row-partition-stable).  Quadratic SNAP holds the force contract too:
-its per-atom effective coefficients come from a column-by-column sparse
-product (see ``SNAP._build_plan``), not a row-count-sensitive GEMM.
+The virial keeps the usual fixed-order 1e-10 contract (the per-rank
+GEMMs are summed in rank order).  Quadratic SNAP holds the force
+contract too: its per-atom effective coefficients come from a
+column-by-column sparse product (see ``SNAP._build_plan``), not a
+row-count-sensitive GEMM.
 
 The step protocol is IPC-free in steady state: two semaphores per worker
 (start/done) plus one worker-internal barrier per step - the kept mask
@@ -76,13 +75,11 @@ import weakref
 
 import numpy as np
 
-from ..core.snap import EnergyForces, NeighborBatch, _scatter_sum_sorted
+from ..core.snap import EnergyForces, scatter_pair_forces
 from ..md.box import Box
 from ..md.engine import CommLedger, ForceEngine
 from ..md.neighbor import NeighborList
 from ..md.timers import PhaseTimers
-from ..potentials.base import scatter_add, scatter_pair_forces
-from ..potentials.snap_potential import SNAPPotential
 from .decomposition import row_partition
 from .halo import BYTES_PER_GHOST, BYTES_PER_POSITION
 from .shm import SharedBlock
@@ -128,10 +125,7 @@ _S_NEIGH = 9
 _S_FORCE = 10
 _S_COMM_FWD = 11
 _S_COMM_REV = 12
-_S_UI = 13
-_S_YI = 14
-_S_DUI = 15
-_NSCAL = 16
+_S_STAGE0 = 13    #: one slot per key of ``potential.last_timings``
 
 #: bytes of one reverse-pass entry: a 3-vector of float64 partial forces
 #: (the owning rank already knows the target row, no index payload)
@@ -199,7 +193,6 @@ class _WorkerState:
         self.start = cfg["start"]
         self.done = cfg["done"]
         self.barrier = cfg["barrier"]
-        self.is_snap = isinstance(self.potential, SNAPPotential)
 
         n = self.natoms
         self.pos = SharedBlock.attach(f"{self.prefix}-pos", (n, 3), np.float64)
@@ -209,7 +202,7 @@ class _WorkerState:
         self.ctl = SharedBlock.attach(
             f"{self.prefix}-ctl", (_RANK0 + _NFIELDS * self.nprocs,), np.int64)
         self.scal = SharedBlock.attach(
-            f"{self.prefix}-scal", (self.nprocs, _NSCAL), np.float64)
+            f"{self.prefix}-scal", (self.nprocs, cfg["nscal"]), np.float64)
         self.gen = -1
         self.cap = 0
         self.val: SharedBlock | None = None
@@ -225,7 +218,6 @@ class _WorkerState:
         self.inc = np.zeros(0, dtype=np.intp)
         self.incj = np.zeros(0, dtype=np.intp)
         self.cross = np.zeros(0, dtype=bool)
-        self._stage_t = (0.0, 0.0, 0.0)
 
     # ------------------------------------------------------------------
     def _slot(self, field: int) -> int:
@@ -324,13 +316,10 @@ class _WorkerState:
                           | (self.inc >= self.ref_off + ref.npairs))
         t2 = time.perf_counter()
 
-        m = self.ahi - self.alo
-        if self.is_snap:
-            vals, pa_own = self._snap_stage(nbr, m)
-        else:
-            vals, pa_own = self._pair_stage(nbr, m)
+        pa_own, vals = self.potential.pair_gradients(nbr,
+                                                     (self.alo, self.ahi))
         t3 = time.perf_counter()
-        # publish the kept mask and the per-pair values at their kept
+        # publish the kept mask and the per-pair gradients at their kept
         # reference slots (dropped slots are never gathered, so they can
         # stay stale) behind one barrier
         window = slice(self.ref_off, self.ref_off + ref.npairs)
@@ -338,23 +327,12 @@ class _WorkerState:
         self.val.array[window][keep] = vals
         self.barrier.wait()
         # reverse pass: gather this window's neighbor incidence (kept
-        # entries only) and replay the serial owner accumulation
+        # entries only) and run the serial assembly on the owned rows
         kmask = self.kept.array[self.inc]
-        inck = self.inc[kmask]
-        jk = self.incj[kmask]
-        vals_g = self.val.array[inck]
-        if self.is_snap:
-            f_own = np.zeros((m, 3))
-            i_loc = nbr.i_idx - self.alo
-            if i_loc.size:
-                _scatter_sum_sorted(f_own, i_loc, vals)
-            if jk.size:
-                _scatter_sum_sorted(f_own, jk - self.alo, -vals_g)
-            virial = -(nbr.rij.T @ vals)
-        else:
-            f_own = scatter_pair_forces(m, jk - self.alo, vals_g,
-                                        nbr.i_idx - self.alo, vals)
-            virial = nbr.rij.T @ vals
+        f_own = scatter_pair_forces(
+            self.ahi - self.alo, nbr.i_idx - self.alo, vals,
+            self.incj[kmask] - self.alo, self.val.array[self.inc[kmask]])
+        virial = -(nbr.rij.T @ vals)
         if self.check_finite:
             from ..lint.sanitizers import check_finite
 
@@ -370,50 +348,8 @@ class _WorkerState:
         sc[self.rank, _S_FORCE] = t3 - t2
         sc[self.rank, _S_COMM_FWD] = t2 - t1
         sc[self.rank, _S_COMM_REV] = t4 - t3
-        sc[self.rank, _S_UI], sc[self.rank, _S_YI], sc[self.rank, _S_DUI] = \
-            self._stage_t
-
-    # ------------------------------------------------------------------
-    def _snap_stage(self, nbr: NeighborBatch,
-                    m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Stages 1-3 of SNAP on the local row slice.
-
-        Every stage is per atom row or per pair (the density pass keeps
-        each row in one chunk), so the slice yields the bits the serial
-        evaluation of the full list yields.  These are the calls
-        ``SNAP.compute`` makes, timed stage by stage.
-        """
-        pot = self.potential
-        pnbr = pot._with_pair_params(nbr)  # per-type params use global ids
-        lnbr = NeighborBatch(i_idx=pnbr.i_idx - self.alo, rij=pnbr.rij,
-                             r=pnbr.r, j_idx=pnbr.j_idx,
-                             pair_weight=pnbr.pair_weight,
-                             pair_rcut=pnbr.pair_rcut)
-        snap = pot.snap
-        ta = time.perf_counter()
-        utot = snap.compute_utot(m, lnbr)
-        tb = time.perf_counter()
-        pa_own, y = snap._peratom_and_y(utot)
-        tc = time.perf_counter()
-        dedr = snap._compute_dedr(lnbr, y)
-        td = time.perf_counter()
-        self._stage_t = (tb - ta, tc - tb, td - tc)
-        return dedr, pa_own
-
-    def _pair_stage(self, nbr: NeighborBatch,
-                    m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-pair terms of a radial pair potential on the local slice.
-
-        Mirrors :func:`repro.potentials.base.pair_result` exactly: the
-        force vector formula is the same elementwise expression and the
-        per-atom energy goes through the same ``scatter_add``, so owned
-        rows are bitwise identical to the serial pass.
-        """
-        phi, dphidr = self.potential.pair_terms(nbr)
-        fvec = (-0.5 * dphidr / nbr.r)[:, None] * nbr.rij
-        pa_own = scatter_add(nbr.i_idx - self.alo, 0.5 * phi, m)
-        self._stage_t = (0.0, 0.0, 0.0)
-        return fvec, pa_own
+        sc[self.rank, _S_STAGE0:] = list(
+            (self.potential.last_timings or {}).values())  # same key order
 
 
 # ======================================================================
@@ -433,9 +369,8 @@ class ProcessEngine(ForceEngine):
     and grown on the fly when a build exceeds it (the generation
     protocol); workers start from :func:`worker_context`.
 
-    Supported potentials: :class:`~repro.potentials.SNAPPotential`
-    (linear or quadratic, any species count) and radial pair potentials
-    exposing ``pair_terms()``.
+    Any :class:`~repro.potentials.Potential` runs here: the workers
+    call its ``pair_gradients`` on their rows and nothing else.
     """
 
     def __init__(self, system, potential, nprocs: int, skin: float = 0.3,
@@ -444,11 +379,6 @@ class ProcessEngine(ForceEngine):
             raise ValueError("nprocs must be positive")
         if skin < 0:
             raise ValueError("skin must be non-negative")
-        if not isinstance(potential, SNAPPotential) \
-                and not callable(getattr(potential, "pair_terms", None)):
-            raise ValueError(
-                "backend='process' needs a SNAPPotential or a pair potential "
-                f"exposing pair_terms(); got {type(potential).__name__}")
         self.system = system
         self.potential = potential
         self.nprocs = int(nprocs)
@@ -481,8 +411,12 @@ class ProcessEngine(ForceEngine):
         self._blocks["ctl"] = SharedBlock.create(
             f"{self._prefix}-ctl", (_RANK0 + _NFIELDS * self.nprocs,),
             np.int64)
+        #: stage names of the potential's ``last_timings`` (one "scal"
+        #: slot each; the workers' copies fill in the seconds)
+        self._stages = tuple(potential.last_timings or ())
+        nscal = _S_STAGE0 + len(self._stages)
         self._blocks["scal"] = SharedBlock.create(
-            f"{self._prefix}-scal", (self.nprocs, _NSCAL), np.float64)
+            f"{self._prefix}-scal", (self.nprocs, nscal), np.float64)
         self._create_pair_blocks(gen=0,
                                  cap=max(self._estimate_capacity(), 64))
         #: the box the workers' lists are on (they start on this one)
@@ -513,7 +447,7 @@ class ProcessEngine(ForceEngine):
                 "rank": rank, "nprocs": self.nprocs,
                 "alo": int(self.bounds[rank]),
                 "ahi": int(self.bounds[rank + 1]),
-                "natoms": n, "box": system.box,
+                "natoms": n, "nscal": nscal, "box": system.box,
                 "potential": potential, "cutoff": float(potential.cutoff),
                 "skin": self.skin, "check_finite": self.check_finite,
                 "prefix": self._prefix, "start": self._start[rank],
@@ -639,11 +573,8 @@ class ProcessEngine(ForceEngine):
         self.timers.add("neigh.rebuild" if rebuilt else "neigh.refresh",
                         t_neigh)
         self.timers.add("force", t_force)
-        for key, slot in (("compute_ui", _S_UI), ("compute_yi", _S_YI),
-                          ("compute_dui_deidrj", _S_DUI)):
-            seconds = float(scal[:, slot].sum())
-            if seconds > 0.0:
-                self.timers.add(f"force.{key}", seconds)
+        for slot, key in enumerate(self._stages, start=_S_STAGE0):
+            self.timers.add(f"force.{key}", float(scal[:, slot].sum()))
         self.timers.add("comm", t_fwd + t_rev)
         self.timers.add("comm.halo_build" if rebuilt else "comm.forward",
                         t_fwd)

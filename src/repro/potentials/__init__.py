@@ -1,6 +1,6 @@
 """Interatomic potentials: SNAP adapter plus classical substrates."""
 
-from .base import Potential, pair_result
+from .base import Potential
 from .eam import FinnisSinclair
 from .lj import LennardJones
 from .snap_potential import SNAPPotential
@@ -9,7 +9,6 @@ from .table import TablePotential
 
 __all__ = [
     "Potential",
-    "pair_result",
     "LennardJones",
     "FinnisSinclair",
     "StillingerWeber",

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.snap import EnergyForces, NeighborBatch
-from .base import (Potential, pair_result, scatter_add,
-                   scatter_pair_forces)
+from ..core.snap import NeighborBatch, scatter_add
+from .base import Potential
 
 __all__ = ["FinnisSinclair"]
 
@@ -52,23 +51,17 @@ class FinnisSinclair(Potential):
         dr = np.where(inside, r - self.d, 0.0)
         return dr * dr, 2.0 * dr
 
-    def compute(self, natoms: int, nbr: NeighborBatch) -> EnergyForces:
+    def pair_gradients(self, nbr: NeighborBatch, rows: tuple[int, int]
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = rows
+        i_loc = nbr.i_idx - lo
         phi, dphi = self._phi(nbr.r)
-        out = pair_result(natoms, nbr, phi, dphi)
-
         psi, dpsi = self._psi(nbr.r)
-        rho = scatter_add(nbr.i_idx, psi, natoms)
+        rho = scatter_add(i_loc, psi, hi - lo)
         sqrt_rho = np.sqrt(np.maximum(rho, 1e-300))
-        emb = -self.a * sqrt_rho
         # F'(rho) = -A / (2 sqrt(rho)); zero for isolated atoms.
         fprime = np.where(rho > 0, -self.a / (2.0 * sqrt_rho), 0.0)
-
-        out.peratom += emb
-        # rho_i depends on r_j: dE/dr_j = F'(rho_i) psi'(r) rhat per pair.
-        g = fprime[nbr.i_idx] * dpsi / np.where(nbr.r > 0, nbr.r, 1.0)
-        fvec = -g[:, None] * nbr.rij  # force contribution on neighbor j
-        forces = out.forces + scatter_pair_forces(
-            natoms, nbr.j_idx, fvec, nbr.i_idx, fvec)
-        virial = out.virial + nbr.rij.T @ fvec
-        return EnergyForces(energy=float(out.peratom.sum()), peratom=out.peratom,
-                            forces=forces, virial=virial)
+        peratom = scatter_add(i_loc, 0.5 * phi, hi - lo) - self.a * sqrt_rho
+        # rho_i depends on r_j: dE_i/dr_j = (phi'/2 + F'(rho_i) psi') rhat
+        g = (0.5 * dphi + fprime[i_loc] * dpsi) / np.where(nbr.r > 0, nbr.r, 1.0)
+        return peratom, g[:, None] * nbr.rij

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.snap import EnergyForces, NeighborBatch
-from .base import Potential, pair_result
+from ..core.snap import NeighborBatch, scatter_add
+from .base import Potential
 
 __all__ = ["LennardJones"]
 
@@ -37,14 +37,12 @@ class LennardJones(Potential):
         else:
             self._shift = 0.0
 
-    def pair_terms(self, nbr: NeighborBatch) -> tuple[np.ndarray, np.ndarray]:
-        """Per-pair ``(phi, dphidr)``; every operation is elementwise.
-
-        This is the radial-pair-potential contract the multiprocess
-        row-slice backend consumes directly: because each output row
-        depends only on its own pair, any contiguous slice of the pair
-        list yields bitwise-identical rows to the full-list evaluation.
-        """
+    def pair_gradients(self, nbr: NeighborBatch, rows: tuple[int, int]
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """``E_i = sum_j phi(r_ij) / 2`` (the full list visits each bond
+        twice), ``dedr = phi'(r) / 2 * rhat``; every operation is
+        elementwise per pair."""
+        lo, hi = rows
         inside = nbr.r < self.cutoff
         sr6 = np.zeros(nbr.npairs)
         r = nbr.r
@@ -54,8 +52,5 @@ class LennardJones(Potential):
         dphidr = np.where(inside,
                           4.0 * self.epsilon * (-12.0 * sr12 + 6.0 * sr6) / np.where(r > 0, r, 1.0),
                           0.0)
-        return phi, dphidr
-
-    def compute(self, natoms: int, nbr: NeighborBatch) -> EnergyForces:
-        phi, dphidr = self.pair_terms(nbr)
-        return pair_result(natoms, nbr, phi, dphidr)
+        return (scatter_add(nbr.i_idx - lo, 0.5 * phi, hi - lo),
+                (0.5 * dphidr / r)[:, None] * nbr.rij)

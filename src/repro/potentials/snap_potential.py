@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.snap import SNAP, EnergyForces, NeighborBatch, SNAPParams
+from ..core.snap import SNAP, NeighborBatch, SNAPParams
 from .base import Potential
 
 __all__ = ["SNAPPotential"]
@@ -65,8 +65,11 @@ class SNAPPotential(Potential):
             pair_weight=self.wj[tj],
             pair_rcut=(self.radii[ti] + self.radii[tj]) * self.rcutfac)
 
-    def compute(self, natoms: int, nbr: NeighborBatch) -> EnergyForces:
-        return self.snap.compute(natoms, self._with_pair_params(nbr))
+    def pair_gradients(self, nbr: NeighborBatch, rows: tuple[int, int]
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """Stages 1-3 of the kernel (:meth:`repro.core.SNAP.pair_gradients`);
+        the per-type pair parameters are looked up by global atom id."""
+        return self.snap.pair_gradients(self._with_pair_params(nbr), rows)
 
     def descriptors(self, natoms: int, nbr: NeighborBatch) -> np.ndarray:
         return self.snap.compute_descriptors(natoms, self._with_pair_params(nbr))

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.snap import EnergyForces, NeighborBatch
-from .base import Potential, pair_result
+from ..core.snap import NeighborBatch, scatter_add
+from .base import Potential
 
 __all__ = ["StillingerWeber", "triplet_indices"]
 
@@ -106,14 +106,19 @@ class StillingerWeber(Potential):
         de = e * (-self.gamma * sig / (rs - self.a * sig) ** 2)
         return np.where(inside, e, 0.0), np.where(inside, de, 0.0)
 
-    def compute(self, natoms: int, nbr: NeighborBatch) -> EnergyForces:
+    def pair_gradients(self, nbr: NeighborBatch, rows: tuple[int, int]
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """``E_i`` is half of atom ``i``'s bonds plus the triplets it
+        centers; a triplet's two gradients land on its two pair rows.
+        Each row collects only its own atom's triplets, in the fixed
+        ``triu`` order, so row windows concatenate bitwise."""
+        lo, hi = rows
+        i_loc = nbr.i_idx - lo
         phi, dphi = self._v2(nbr.r)
-        out = pair_result(natoms, nbr, phi, dphi)
-        forces = out.forces
-        peratom = out.peratom
-        virial = out.virial
+        peratom = scatter_add(i_loc, 0.5 * phi, hi - lo)
+        dedr = (0.5 * dphi / nbr.r)[:, None] * nbr.rij
 
-        pidx, qidx = triplet_indices(nbr.i_idx, natoms)
+        pidx, qidx = triplet_indices(i_loc, hi - lo)
         if pidx.size:
             uj = nbr.rij[pidx]
             uk = nbr.rij[qidx]
@@ -125,8 +130,7 @@ class StillingerWeber(Potential):
             dc = c - self.cos0
             pref = self.lam * self.epsilon
             e3 = pref * dc * dc * ej * ek
-            icen = nbr.i_idx[pidx]
-            np.add.at(peratom, icen, e3)
+            peratom += scatter_add(i_loc[pidx], e3, hi - lo)
 
             # dcos/d(u_j) = u_k/(rj rk) - c u_j/rj^2  (and j<->k symmetric)
             dcdj = uk / (rj * rk)[:, None] - (c / (rj * rj))[:, None] * uj
@@ -137,9 +141,8 @@ class StillingerWeber(Potential):
                 (pref * dc * dc * dej * ek / rj)[:, None] * uj
             gk = common[:, None] * (2.0 * dc[:, None] * dcdk) + \
                 (pref * dc * dc * ej * dek / rk)[:, None] * uk
-            np.add.at(forces, nbr.j_idx[pidx], -gj)
-            np.add.at(forces, nbr.j_idx[qidx], -gk)
-            np.add.at(forces, icen, gj + gk)
-            virial -= uj.T @ gj + uk.T @ gk
-        return EnergyForces(energy=float(peratom.sum()), peratom=peratom,
-                            forces=forces, virial=virial)
+            rows3 = np.concatenate((pidx, qidx))
+            g3 = np.concatenate((gj, gk))
+            for axis in range(3):
+                dedr[:, axis] += scatter_add(rows3, g3[:, axis], nbr.npairs)
+        return peratom, dedr

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from ..core.snap import EnergyForces, NeighborBatch
-from .base import Potential, pair_result
+from ..core.snap import NeighborBatch, scatter_add
+from .base import Potential
 
 __all__ = ["TablePotential"]
 
@@ -46,9 +46,12 @@ class TablePotential(Potential):
         r = np.linspace(rmin, cutoff, npoints)
         return cls(r, np.asarray(phi_callable(r), dtype=float), cutoff=cutoff)
 
-    def compute(self, natoms: int, nbr: NeighborBatch) -> EnergyForces:
+    def pair_gradients(self, nbr: NeighborBatch, rows: tuple[int, int]
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = rows
         inside = nbr.r < self.cutoff
         rr = np.where(inside, nbr.r, self.cutoff)
         phi = np.where(inside, self._spline(rr) - self._shift, 0.0)
         dphi = np.where(inside, self._deriv(rr), 0.0)
-        return pair_result(natoms, nbr, phi, dphi)
+        return (scatter_add(nbr.i_idx - lo, 0.5 * phi, hi - lo),
+                (0.5 * dphi / nbr.r)[:, None] * nbr.rij)

@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 from repro.core import SNAP, NeighborBatch, SNAPParams
+from repro.potentials import (FinnisSinclair, LennardJones, SNAPPotential,
+                              StillingerWeber, TablePotential)
+from repro.structures import lattice_system
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -100,3 +103,60 @@ def snap4(rng):
     params = SNAPParams(twojmax=4, rcut=3.0, chunk=64)
     n = SNAP(params).index.ncoeff
     return SNAP(params, beta=rng.normal(size=n))
+
+
+def snap_setup(seed=3, reps=(2, 2, 2), model="linear", chunk=64):
+    rng = np.random.default_rng(seed)
+    params = SNAPParams(twojmax=2, rcut=2.4, chunk=chunk)
+    nb = SNAPPotential(params).snap.index.nb
+    extra = {}
+    if model == "quadratic":
+        extra["quadratic"] = 0.1 * np.random.default_rng(seed + 2).normal(
+            size=(nb, nb))
+    if model == "multispecies":  # pair cutoffs 2.0 / 2.2 / 2.4
+        extra.update(wj=np.array([1.0, 0.6]), radii=np.array([0.5, 0.6]),
+                     rcutfac=2.0)
+    pot = SNAPPotential(params, beta=rng.normal(size=nb + 1), **extra)
+    s = lattice_system("diamond", a=3.57, reps=reps)
+    if model == "multispecies":
+        s.types = (np.arange(s.natoms) % 2).astype(np.intp)
+        pot.set_types(s.types)
+    s.positions = s.positions + rng.normal(scale=0.03, size=s.positions.shape)
+    s.seed_velocities(40.0, rng=np.random.default_rng(seed + 1))
+    return s, pot
+
+
+def _jittered(kind, a, reps, scale=0.03, seed=7):
+    s = lattice_system(kind, a=a, reps=reps)
+    s.positions = s.positions + np.random.default_rng(seed).normal(
+        scale=scale, size=s.positions.shape)
+    return s
+
+
+#: every bundled potential with a system it is at home on, for the
+#: potential x engine matrix of tests/test_engine.py: every box fits a
+#: two-rank halo, no system has more than 256 atoms
+POTENTIAL_CASES = [
+    ("lj", lambda: (_jittered("fcc", 2.5, (4, 4, 4)),
+                    LennardJones(epsilon=0.2, sigma=2.2, cutoff=3.0))),
+    ("table", lambda: (_jittered("fcc", 2.5, (4, 4, 4)),
+                       TablePotential.from_potential(
+                           lambda r: np.exp(-r) * np.cos(2 * r),
+                           rmin=0.5, cutoff=3.0))),
+    ("finnis_sinclair", lambda: (_jittered("bcc", 3.2, (4, 4, 4)),
+                                 FinnisSinclair())),
+    ("stillinger_weber", lambda: (_jittered("diamond", 3.57, (3, 2, 2)),
+                                  StillingerWeber())),
+    ("snap_linear", lambda: snap_setup(reps=(3, 2, 2))),
+    ("snap_quadratic", lambda: snap_setup(reps=(3, 2, 2),
+                                          model="quadratic")),
+    ("snap_two_species", lambda: snap_setup(reps=(3, 2, 2),
+                                            model="multispecies")),
+]
+
+
+@pytest.fixture(params=POTENTIAL_CASES, ids=lambda case: case[0])
+def potential_case(request):
+    """``(name, system, potential)`` of one :data:`POTENTIAL_CASES` row."""
+    name, build = request.param
+    return (name, *build())

@@ -11,7 +11,7 @@ import pytest
 import inspect
 
 from repro.md import (BerendsenBarostat, LangevinThermostat, MDLoop,
-                      RunSummary, SerialEngine, build_engine)
+                      RunSummary, SerialEngine, build_engine, build_pairs)
 from repro.parallel import DistributedEngine
 from repro.potentials import LennardJones
 from repro.structures import lattice_system
@@ -64,6 +64,35 @@ class TestBuildEngine:
             == ["self", "system", "potential", "nprocs", "skin",
                 "check_finite"]
         assert not inspect.signature(worker_context).parameters
+
+    def test_force_contract_census(self):
+        """One force contract, one assembly: every bundled potential
+        defines ``pair_gradients`` and inherits ``compute``; nothing
+        under ``potentials/`` scatters on its own; the process backend
+        does not know what SNAP is; nobody keeps a j-permutation."""
+        import dataclasses
+        from pathlib import Path
+
+        import repro
+        from repro import potentials
+        from repro.core import NeighborBatch
+
+        classes = [getattr(potentials, n) for n in potentials.__all__]
+        assert len(classes) == 6
+        for cls in classes:
+            assert "pair_gradients" in vars(cls), cls
+            assert ("compute" in vars(cls)) == (cls is potentials.Potential)
+        root = Path(repro.__file__).parent
+        for path in (root / "potentials").glob("*.py"):
+            assert "np.add.at" not in path.read_text(), path
+        for path in (root / "parallel").glob("*.py"):
+            text = path.read_text()
+            for name in ("SNAPPotential", "_peratom_and_y", "_compute_dedr",
+                         "_with_pair_params"):
+                assert name not in text, (path, name)
+        assert "_j_perm" not in {f.name
+                                 for f in dataclasses.fields(NeighborBatch)}
+        assert not hasattr(NeighborBatch, "j_sorted_perm")
 
     @pytest.mark.parametrize("kwargs,name", [
         (dict(backend="serial", nranks=8), "nranks"),
@@ -214,21 +243,6 @@ class TestSatelliteFixes:
             assert set(engine.timers.subtotals) == {"neigh.rebuild",
                                                     "neigh.refresh"}
 
-    def test_only_snap_asks_for_the_j_sorted_permutation(self, monkeypatch):
-        from repro.core.snap import NeighborBatch
-
-        def asked(self):
-            raise AssertionError("j_sorted_perm() was called")
-
-        monkeypatch.setattr(NeighborBatch, "j_sorted_perm", asked)
-        s, pot = lj_setup()
-        with build_engine(s, pot) as engine:
-            assert MDLoop(engine, dt=1e-3).run(4).steps == 4
-        s, pot = snap_setup()
-        with build_engine(s, pot) as engine:
-            with pytest.raises(AssertionError, match="j_sorted_perm"):
-                MDLoop(engine, dt=1e-3).run(1)
-
 
 # ======================================================================
 # ProcessEngine: shared-memory multiprocess rank backend
@@ -242,32 +256,10 @@ import time
 from multiprocessing import shared_memory
 from pathlib import Path
 
-from repro.core import SNAPParams
+from conftest import snap_setup
 from repro.md import MDLoop
 from repro.parallel import ProcessEngine
 from repro.parallel.process_engine import worker_context
-from repro.potentials import SNAPPotential, StillingerWeber
-
-
-def snap_setup(seed=3, reps=(2, 2, 2), model="linear", chunk=64):
-    rng = np.random.default_rng(seed)
-    params = SNAPParams(twojmax=2, rcut=2.4, chunk=chunk)
-    nb = SNAPPotential(params).snap.index.nb
-    extra = {}
-    if model == "quadratic":
-        extra["quadratic"] = 0.1 * np.random.default_rng(seed + 2).normal(
-            size=(nb, nb))
-    if model == "multispecies":  # pair cutoffs 2.0 / 2.2 / 2.4
-        extra.update(wj=np.array([1.0, 0.6]), radii=np.array([0.5, 0.6]),
-                     rcutfac=2.0)
-    pot = SNAPPotential(params, beta=rng.normal(size=nb + 1), **extra)
-    s = lattice_system("diamond", a=3.57, reps=reps)
-    if model == "multispecies":
-        s.types = (np.arange(s.natoms) % 2).astype(np.intp)
-        pot.set_types(s.types)
-    s.positions = s.positions + rng.normal(scale=0.03, size=s.positions.shape)
-    s.seed_velocities(40.0, rng=np.random.default_rng(seed + 1))
-    return s, pot
 
 
 def assert_no_leaked_blocks(names):
@@ -286,7 +278,7 @@ def assert_no_leaked_blocks(names):
 class _ExplodingLJ(LennardJones):
     """Raises inside the worker's force stage (error-protocol fixture)."""
 
-    def pair_terms(self, nbr):
+    def pair_gradients(self, nbr, rows):
         raise ValueError("injected kernel failure")
 
 
@@ -306,11 +298,6 @@ class TestProcessBackendFactory:
         s, pot = lj_setup()
         with pytest.raises(ValueError, match="backend"):
             build_engine(s, pot, backend="gpu")
-
-    def test_unsupported_potential_rejected(self):
-        s, _ = lj_setup()
-        with pytest.raises(ValueError, match="pair_terms"):
-            ProcessEngine(s, StillingerWeber(), nprocs=2)
 
 
 class TestProcessParity:
@@ -619,3 +606,80 @@ class TestProcessMatrix:
                 s2.positions += step
                 assert np.array_equal(serial.evaluate().forces,
                                       engine.evaluate().forces)
+
+
+# ======================================================================
+# potential x engine: one force contract, every bundled potential
+# ======================================================================
+class TestPotentialEngineMatrix:
+    """Rows come from ``conftest.POTENTIAL_CASES``; every cell holds for
+    a potential because it honours ``Potential.pair_gradients``, not
+    because an engine knows it."""
+
+    def test_forces_are_minus_the_energy_gradient(self, potential_case):
+        _, s, pot = potential_case
+        n = s.natoms
+
+        def energy(pos):
+            nbr = build_pairs(pos, s.box, pot.cutoff)
+            return pot.pair_gradients(nbr, (0, n))[0].sum()
+
+        res = pot.compute(n, build_pairs(s.positions, s.box, pot.cutoff))
+        assert res.energy == energy(s.positions)
+        scale = max(1.0, np.abs(res.forces).max())
+        assert np.abs(res.forces.sum(axis=0)).max() <= 1e-12 * n * scale
+        h = 1e-6
+        for i, c in ((0, 0), (n // 2, 1), (n - 1, 2)):
+            pos = s.positions.copy()
+            pos[i, c] += h
+            ep = energy(pos)
+            pos[i, c] -= 2 * h
+            fd = -(ep - energy(pos)) / (2 * h)
+            assert abs(res.forces[i, c] - fd) <= 5e-5 * scale
+
+    def test_row_windows_concatenate_bitwise(self, potential_case):
+        _, s, pot = potential_case
+        n = s.natoms
+        full = build_pairs(s.positions, s.box, pot.cutoff)
+        peratom, dedr = pot.pair_gradients(full, (0, n))
+        assert peratom.shape == (n,) and dedr.shape == (full.npairs, 3)
+        parts = [pot.pair_gradients(
+            build_pairs(s.positions, s.box, pot.cutoff, rows=(lo, hi)),
+            (lo, hi)) for lo, hi in ((0, 1), (1, n // 3), (n // 3, n))]
+        assert np.concatenate([pa for pa, _ in parts]).tobytes() \
+            == peratom.tobytes()
+        assert np.concatenate([g for _, g in parts]).tobytes() \
+            == dedr.tobytes()
+
+    @pytest.mark.parametrize("nprocs", [1, 2, 3])
+    def test_process_bitwise_vs_serial(self, potential_case, nprocs):
+        _, s1, pot = potential_case
+        s2 = s1.copy()
+        serial = SerialEngine(s1, pot)
+        with ProcessEngine(s2, pot, nprocs=nprocs) as engine:
+            rng = np.random.default_rng(nprocs)
+            for scale in (0.0, 0.01, 0.3):  # build, refresh, rebuild
+                step = rng.normal(scale=scale, size=s1.positions.shape)
+                s1.positions += step
+                s2.positions += step
+                a = serial.evaluate()
+                b = engine.evaluate()
+                assert np.array_equal(a.forces, b.forces)
+                assert np.array_equal(a.peratom, b.peratom)
+                assert a.energy == b.energy
+                assert np.allclose(a.virial, b.virial, **TOL)
+            assert engine.neighbor_builds == serial.neighbor_builds == 2
+
+    def test_distributed_matches_serial(self, potential_case):
+        name, s1, pot = potential_case
+        if name == "snap_two_species":
+            pytest.skip("DistributedEngine hands the potential rank-local "
+                        "atom ids; per-type SNAP looks types up by global id")
+        s2 = s1.copy()
+        a = SerialEngine(s1, pot).evaluate()
+        with build_engine(s2, pot, nranks=2) as engine:
+            b = engine.evaluate()
+        assert np.isclose(a.energy, b.energy, **TOL)
+        assert np.allclose(a.peratom, b.peratom, **TOL)
+        assert np.allclose(a.forces, b.forces, **TOL)
+        assert np.allclose(a.virial, b.virial, **TOL)

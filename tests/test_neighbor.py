@@ -222,8 +222,6 @@ class TestTreeSearch:
         assert np.array_equal(got.i_idx, fresh.i_idx)
         assert np.array_equal(got.j_idx, fresh.j_idx)
         assert np.allclose(got.rij, fresh.rij, rtol=0, atol=1e-12)
-        assert np.array_equal(got.j_sorted_perm(),
-                              np.argsort(got.j_idx, kind="stable"))
 
     def test_atoms_on_and_just_below_a_periodic_face(self, rng):
         # the tree needs 0 <= x < L: -1e-17 % L is L in floating point
@@ -417,32 +415,6 @@ class TestNeighborList:
         got2 = nl.get(pos2)
         assert nl.nbuilds == 2
         assert _pair_set(got2) == _pair_set(build_pairs(pos2, box, 3.0))
-
-    def test_filtered_j_perm_is_valid(self, rng):
-        # the derived permutation of a skin-filtered batch must be a
-        # stable j-sort, both right after a rebuild and between rebuilds
-        box = Box.cubic(12.0)
-        pos = rng.uniform(0, 12, size=(64, 3))
-        nl = NeighborList(box=box, cutoff=3.0, skin=0.6)
-        for p in (pos, pos + rng.normal(scale=0.05, size=pos.shape)):
-            got = nl.get(p)
-            perm = got.j_sorted_perm()
-            assert np.array_equal(np.sort(perm), np.arange(got.npairs))
-            js = got.j_idx[perm]
-            assert np.all(np.diff(js) >= 0)
-            # stability: equal j keep their original relative order
-            assert np.array_equal(perm, np.argsort(got.j_idx, kind="stable"))
-        assert nl.nbuilds == 1
-
-    def test_build_pairs_precomputes_j_perm(self, rng):
-        # (name kept from when the build did sort eagerly) the build no
-        # longer sorts by j: the first j_sorted_perm() call does, once
-        box = Box.cubic(10.0)
-        nbr = build_pairs(rng.uniform(0, 10, size=(40, 3)), box, 2.5)
-        assert nbr._j_perm is None  # nobody asked yet
-        perm = nbr.j_sorted_perm()
-        assert np.array_equal(perm, np.argsort(nbr.j_idx, kind="stable"))
-        assert nbr.j_sorted_perm() is perm  # cached
 
 
 @settings(deadline=None, max_examples=20)

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SNAPParams
+from repro.core.snap import scatter_add, scatter_pair_forces
 from repro.md import Box, build_pairs
 from repro.potentials import (FinnisSinclair, LennardJones, SNAPPotential,
-                              StillingerWeber)
-from repro.potentials.base import scatter_add, scatter_pair_forces
+                              StillingerWeber, TablePotential)
 from repro.potentials.sw import triplet_indices
 from repro.structures import lattice_system
 
@@ -54,8 +54,8 @@ def test_scatter_helpers_equal_the_add_at_chain(natoms, nplus, nminus,
         0, decades, size=(nminus, 1))
 
     forces = np.zeros((natoms, 3))
-    np.add.at(forces, plus_idx, plus)
     np.add.at(forces, minus_idx, -minus)
+    np.add.at(forces, plus_idx, plus)
     got = scatter_pair_forces(natoms, plus_idx, plus, minus_idx, minus)
     assert got.dtype == np.float64 and got.tobytes() == forces.tobytes()
 
@@ -64,6 +64,35 @@ def test_scatter_helpers_equal_the_add_at_chain(natoms, nplus, nminus,
     got = scatter_add(plus_idx, plus[:, 0], natoms)
     assert got.dtype == np.float64 and got.shape == (natoms,)
     assert got.tobytes() == peratom.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["lj", "table"])
+def test_pair_potential_forces_equal_the_literal_add_at_chain(kind, rng):
+    """The radial pair potentials through the one assembly against the
+    chain written out: the force on the neighbor of ordered pair
+    ``(i -> j)`` is ``-phi'(r) / 2 * rhat``, every atom takes its
+    neighbor-side rows first, then its own, in pair order.  Bitwise."""
+    s = lattice_system("fcc", a=1.6, reps=(3, 3, 3))
+    s.positions = s.positions + rng.normal(scale=0.04, size=s.positions.shape)
+    if kind == "lj":
+        pot = LennardJones(epsilon=0.7, sigma=1.1, cutoff=2.5)
+    else:
+        pot = TablePotential.from_potential(
+            lambda r: np.exp(-r) * np.cos(2 * r), rmin=0.5, cutoff=2.5)
+    nbr = build_pairs(s.positions, s.box, pot.cutoff)
+    r = nbr.r
+    if kind == "lj":
+        sr6 = (pot.sigma / r) ** 6
+        dphidr = 4.0 * pot.epsilon * (-12.0 * (sr6 * sr6) + 6.0 * sr6) / r
+    else:
+        dphidr = pot._deriv(r)
+    fvec = (-0.5 * dphidr / r)[:, None] * nbr.rij
+    forces = np.zeros((s.natoms, 3))
+    np.add.at(forces, nbr.j_idx, fvec)
+    np.add.at(forces, nbr.i_idx, -fvec)
+    res = pot.compute(s.natoms, nbr)
+    assert res.forces.tobytes() == forces.tobytes()
+    assert np.array_equal(res.virial, nbr.rij.T @ fvec)
 
 
 @pytest.fixture
@@ -237,8 +266,6 @@ class TestSNAPPotential:
 class TestTablePotential:
     def test_reproduces_lj(self, perturbed_fcc):
         lj = LennardJones(epsilon=1.0, sigma=1.0, cutoff=2.5, shift=True)
-        from repro.potentials import TablePotential
-
         def phi(r):
             sr6 = (1.0 / r) ** 6
             return 4.0 * (sr6 * sr6 - sr6)
@@ -252,14 +279,11 @@ class TestTablePotential:
         assert np.allclose(a.forces, b.forces, atol=2e-3)
 
     def test_forces_fd(self, perturbed_fcc):
-        from repro.potentials import TablePotential
-
         tab = TablePotential.from_potential(
             lambda r: np.exp(-r) * np.cos(2 * r), rmin=0.5, cutoff=2.5)
         _fd_check(tab, perturbed_fcc, 1e-4)
 
     def test_energy_zero_at_cutoff(self):
-        from repro.potentials import TablePotential
         from repro.md import Box
 
         tab = TablePotential.from_potential(lambda r: 1.0 / r, rmin=0.5,
@@ -270,8 +294,6 @@ class TestTablePotential:
         assert abs(res.energy) < 1e-5
 
     def test_validation(self):
-        from repro.potentials import TablePotential
-
         with pytest.raises(ValueError):
             TablePotential(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):

@@ -120,6 +120,16 @@ class TestKernelGuards:
         result = pot.compute(s.natoms, nbr)  # no raise: sanitizer off
         assert np.isnan(result.energy)
 
+    def test_process_workers_run_the_kernel_stage_checks(self, rng):
+        """``SNAPParams.check_finite`` is the kernel's own switch: it
+        must bite wherever the kernel runs, the process workers
+        included, with the engine-level check off."""
+        s, pot = snap_carbon(rng, reps=(2, 2, 2), check_finite=True)
+        engine = build_engine(s, _with_nan_beta(pot), backend="process",
+                              nprocs=2, check_finite=False)
+        with engine, pytest.raises(RuntimeError, match=r"worker rank \d"):
+            engine.evaluate()
+
     def test_distributed_names_offending_rank(self, rng):
         s, pot = snap_carbon(rng)
         poisoned = _PoisonOnCall(pot, poison_call=3)

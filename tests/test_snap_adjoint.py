@@ -16,6 +16,7 @@ from conftest import (fd_forces_fixed_topology, free_cluster_pairs,
                       random_cluster)
 from repro.core import SNAP, NeighborBatch, SNAPParams
 from repro.core.indexing import SNAPIndex
+from repro.core.snap import update_forces
 from repro.core.switching import sfac_dsfac
 from repro.core.variants import _legacy_forces_from_y
 from repro.core.wigner import cayley_klein, compute_u_layers, flatten_layers
@@ -49,9 +50,9 @@ def test_sweep_matches_forward_mode_and_fd(twojmax, switch, rmin0, overrides):
     pos, nbr, snap = _problem(twojmax, overrides, switch=switch, rmin0=rmin0)
     natoms = pos.shape[0]
     utot = snap.compute_utot(natoms, nbr)
-    _, y_half = snap._peratom_and_y(utot)
-    dedr = snap._compute_dedr(nbr, y_half)
-    forces, virial = snap._accumulate_forces(natoms, nbr, dedr)
+    peratom, y_half = snap._peratom_and_y(utot)
+    res = update_forces(natoms, nbr, peratom, snap._compute_dedr(nbr, y_half))
+    forces, virial = res.forces, res.virial
     ref_f, ref_v = _legacy_forces_from_y(snap, natoms, nbr,
                                          snap._expand_y_half(y_half.T))
     scale = max(np.abs(ref_f).max(), 1e-300)

@@ -559,8 +559,8 @@ def test_kernel_policy_census():
     assert "last_store_u" not in vars(SNAP(SNAPParams(twojmax=2, rcut=3.0)))
     assert list(inspect.signature(SNAP.compute_utot).parameters) \
         == ["self", "natoms", "nbr"]
-    assert list(inspect.signature(SNAP.compute_forces_from_y).parameters) \
-        == ["self", "natoms", "nbr", "y_half"]
+    assert list(inspect.signature(SNAP.pair_gradients).parameters) \
+        == ["self", "nbr", "rows"]
     root = Path(repro.__file__).parent
     for path in root.rglob("*.py"):
         text = path.read_text()
