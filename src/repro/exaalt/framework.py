@@ -11,7 +11,7 @@ bottleneck when TMs are removed) can be measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ..core.rng import SeedStream
 from .events import EventLoop
@@ -82,32 +82,24 @@ def calibrated_config(system, potential=None, t_segment: float = 1.0,
     """An :class:`ExaaltConfig` with a *measured* task duration.
 
     EXAALT tasks are MD segments; instead of guessing
-    ``task_duration_mean``, run one ``t_segment``-ps segment through the
-    shared :class:`repro.md.MDLoop` on this host and use the measured
-    wall time.  By default a fresh engine is built and torn down (the
-    engine kwargs ``nranks`` and ``skin`` are split off; the rest
-    forward to :class:`ExaaltConfig`); passing a live
-    :class:`repro.md.EngineSession` (or bare engine) via ``engine``
-    calibrates over it instead and leaves it open, so the task duration
-    reflects the session fleet's true marginal segment cost.
+    ``task_duration_mean``, run one ``t_segment``-ps segment through
+    :func:`repro.parsplice.measured_md_rate` on this host and use its
+    wall time.  Keywords naming an :class:`ExaaltConfig` field go to the
+    config, every other one to the engine (``build_engine``'s keywords:
+    ``backend``, ``nranks``, ``nprocs``, ...); ``engine`` calibrates over
+    a live :class:`repro.md.EngineSession` (or bare engine) and leaves
+    it open, so the task duration reflects the session fleet's true
+    marginal segment cost.
     """
-    from ..md.engine import MDLoop, build_engine
+    from ..parsplice.oracle import measured_md_rate
 
-    engine_keys = ("nranks", "skin")
-    engine_kwargs = {k: kwargs.pop(k) for k in engine_keys if k in kwargs}
+    config_keys = {f.name for f in fields(ExaaltConfig)}
+    config = {k: kwargs.pop(k) for k in list(kwargs) if k in config_keys}
     nsteps = max(1, int(round(t_segment / dt)))
-    if engine is not None:
-        if hasattr(engine, "loop"):  # an EngineSession: count its stats
-            summary = engine.loop(system, dt=dt).run(nsteps)
-        else:
-            engine.bind(system)
-            summary = MDLoop(engine, dt=dt).run(nsteps)
-    else:
-        if potential is None:
-            raise ValueError("potential is required without an engine")
-        with build_engine(system, potential, **engine_kwargs) as eng:
-            summary = MDLoop(eng, dt=dt).run(nsteps)
-    return ExaaltConfig(task_duration_mean=summary.wall_s, **kwargs)
+    rate = measured_md_rate(system, potential, dt=dt, nsteps=nsteps,
+                            engine=engine, **kwargs)
+    # simulated ps / (ps per wall-second) = the measured wall seconds
+    return ExaaltConfig(task_duration_mean=nsteps * dt / rate, **config)
 
 
 def simulate_exaalt(config: ExaaltConfig | None = None) -> ExaaltStats:

@@ -1,15 +1,14 @@
 """Repo-aware static analysis + runtime sanitizers for the hot path.
 
 Static half (``python -m repro.lint src/`` or ``repro lint``): one pass,
-one analysis per bug class.  Per-file AST rules enforce deterministic
-iteration order (R1), filled ``np.empty`` scratch (R2), shared-memory
-lifecycle (R5) and the shm / io ownership table (R5-helper, R6);
-whole-program analyses on a shared call graph
-(:mod:`repro.lint.graph` / :mod:`repro.lint.flow`) check the
-``# guarded-by: <lock>`` convention - declaration presence and lock
-held on every call path (R8, the only lock rule) -, ForceEngine
-protocol conformance with phase-registry validation (R9) and flow-based
-determinism taint (R10).  :func:`run_lint` is the entry point
+one analysis per bug class, and only the classes no test convicts (the
+seeded-bug ledger in ``tests/mutants/`` decides, EXPERIMENTS E26).
+Per-file AST rules enforce deterministic iteration order (R1),
+shared-memory lifecycle (R5) and io ownership (R6); a whole-program
+analysis on a shared call graph (:mod:`repro.lint.graph` /
+:mod:`repro.lint.flow`) checks the ``# guarded-by: <lock>`` convention
+- declaration presence and lock held on every call path (R8, the only
+lock rule).  :func:`run_lint` is the entry point
 (:func:`lint_source` for one in-memory file); findings are suppressed
 inline with ``# repro-lint: disable=<rule> -- <justification>``.
 

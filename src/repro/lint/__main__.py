@@ -1,7 +1,7 @@
 """CLI entry point: ``python -m repro.lint [paths...]``.
 
 Runs the one pass - per-file rules plus the whole-program call-graph
-analyses, each file parsed once.  Exit status is 0 when no findings
+analysis, each file parsed once.  Exit status is 0 when no findings
 survive suppression, 1 otherwise - suitable for CI gating alongside the
 test suite.
 
@@ -21,10 +21,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="Repo-aware static analysis: per-file rules "
-                    "(determinism, uninitialised scratch, shm lifecycle, "
-                    "shm/io ownership) plus whole-program call-graph "
-                    "analyses (lockset, engine contract, determinism "
-                    "taint).")
+                    "(determinism, shm lifecycle, io ownership) plus the "
+                    "whole-program call-graph lockset analysis.")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
     parser.add_argument("--select", action="append", default=None,

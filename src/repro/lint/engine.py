@@ -4,7 +4,7 @@ One pass, one entry point.  :func:`run_lint` reads every ``.py`` file
 under the given paths, parses each **once**, and hands the same parsed
 module (:class:`repro.lint.graph.ModuleInfo`) to the per-file rules
 (:mod:`repro.lint.rules`) and to the shared call graph on which the
-whole-program R8/R9/R10 analyses (:mod:`repro.lint.flow`) run; every
+whole-program R8 lockset analysis (:mod:`repro.lint.flow`) runs; every
 finding then goes through the same scope / selection / pragma filter.
 :func:`lint_source` is the same pass over one in-memory source - the
 fixture tests drive it directly.
@@ -156,7 +156,7 @@ def run_lint(paths: Iterable[str | Path], *,
              select: Sequence[str] | None = None,
              ignore: Sequence[str] | None = None) -> LintResult:
     """Lint every ``.py`` file under ``paths``: per-file rules and the
-    whole-program analyses over the call graph of the whole file set."""
+    whole-program analysis over the call graph of the whole file set."""
     t0 = time.perf_counter()
     sources: dict[str, str] = {}
     unreadable: list[Finding] = []

@@ -1,11 +1,10 @@
 """Project-wide symbol table and call graph for the whole-program lint.
 
 The per-file rules in :mod:`repro.lint.rules` stop at the module
-boundary: R1 cannot see hash order entering a force array through a
-helper call, and no lexical rule can tell whether a lock is held along
-the call chain that reaches a write.  This module provides the shared
-substrate the interprocedural analyses in :mod:`repro.lint.flow` run
-on.  Each file is parsed once (:meth:`Project.add_parsed`); the same
+boundary: no lexical rule can tell whether a lock is held along the
+call chain that reaches a write.  This module provides the shared
+substrate the interprocedural lockset analysis in
+:mod:`repro.lint.flow` runs on.  Each file is parsed once (:meth:`Project.add_parsed`); the same
 :class:`ModuleInfo` is what the per-file rules receive:
 
 :class:`Project`

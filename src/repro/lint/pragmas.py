@@ -8,8 +8,8 @@ mandatory justification::
 A pragma that is the only content of its line applies to the *next*
 line, which keeps long statements readable::
 
-    # repro-lint: disable=R2-complex-narrowing -- phases cancel, imag == 0
-    out[sl] = accumulated
+    # repro-lint: disable=R6-io-owner -- a scratch copy, never restored
+    np.savez(ckpt_scratch, **arrays)
 
 ``disable=all`` suppresses every rule on the covered line.  A pragma
 without a ``-- <justification>`` tail is itself reported

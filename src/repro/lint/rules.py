@@ -1,36 +1,28 @@
 """Repo-aware per-file static-analysis rules for the SNAP/MD codebase.
 
-One analysis per bug class; each mirrors a convention the concurrent
-hot path relies on (see the module docstrings of
-:mod:`repro.parallel.distributed` and :mod:`repro.parallel.process_engine`):
+A rule stays only while it convicts a seeded bug that no test and no
+other rule convicts (``tests/mutants/ledger.py``; EXPERIMENTS E26 has
+the ledger and the rules it deleted).  Each mirrors a convention the
+hot path relies on but no test can observe being broken:
 
 R1 *determinism*
-    Bitwise reproducibility rests on fixed iteration and accumulation
-    order.  Iterating a ``set`` (or reducing over one with ``sum``)
-    injects hash order into the result, so it is banned in the
-    parallel layer and the SNAP kernel.
-
-R2 *uninitialised scratch*
-    ``np.empty`` scratch must be filled before it escapes.  (Implicit
-    complex->real narrowing is not a lint rule: the project pytest
-    config turns NumPy's own ``ComplexWarning`` into an error, which
-    convicts it at run time on every tested path.)
+    Iterating a ``set`` (or reducing over one with ``sum``) injects hash
+    order - salted per process for strings - or silently collapses
+    equal values, so both are banned in the parallel layer, the SNAP
+    kernel and the MD engine.
 
 R5 *shared-memory lifecycle*
     ``multiprocessing.shared_memory`` segments are named kernel objects
-    that outlive a crashed process: every created block must have a
-    guaranteed close+unlink path.
+    that outlive the code that made them: every created block must have
+    a guaranteed close+unlink path, the error paths included.
 
-R5-helper / R6 *ownership*
-    "Only module X may call Y on a path named Z", one row each of
-    :data:`OWNERS`: raw ``SharedMemory`` belongs to
-    :mod:`repro.parallel.shm` (resource-tracker workaround, idempotent
-    teardown); raw writes of checkpoint/trajectory paths to
+R6 *io ownership*
+    Raw writes of checkpoint/trajectory paths belong to
     :mod:`repro.md.dump` / :mod:`repro.md.trajectory` (atomic replace,
-    CRC frames, torn-tail recovery).
+    CRC frames, torn-tail recovery): a direct write leaves a torn
+    restart file when it fails halfway.
 
-The whole-program rules (R8 lockset - the only lock rule -, R9 engine
-contract, R10 determinism taint) live in :mod:`repro.lint.flow` and are
+The whole-program lock rule (R8) lives in :mod:`repro.lint.flow` and is
 only registered here.  Every rule reports :class:`Finding` objects;
 suppression happens in the engine via
 ``# repro-lint: disable=<id> -- <why>`` pragmas.
@@ -44,16 +36,16 @@ from typing import Callable
 
 from .graph import ModuleInfo, _dotted
 
-__all__ = ["Finding", "Rule", "RULES", "OWNERS", "HOT_PATH_SCOPE",
-           "SHM_SCOPE", "IO_SCOPE"]
+__all__ = ["Finding", "Rule", "RULES", "HOT_PATH_SCOPE", "SHM_SCOPE",
+           "IO_SCOPE"]
 
 @dataclass(frozen=True)
 class Finding:
     """One static-analysis diagnostic.
 
-    ``trace`` is populated by the whole-program analyses
+    ``trace`` is populated by the whole-program analysis
     (:mod:`repro.lint.flow`): for a cross-file finding it names the
-    call path (entry point -> ... -> write/sink site) that witnesses
+    call path (entry point -> ... -> write site) that witnesses
     the violation, so the report shows both the convicted line and how
     execution reaches it.
     """
@@ -79,8 +71,8 @@ class Rule:
     #: path substrings the rule applies to (None = every file)
     scope: tuple[str, ...] | None
     #: per-file check on the parsed module; None for the whole-program
-    #: rules (R8/R9/R10), which run once per *project* on the shared
-    #: call graph (repro.lint.flow)
+    #: rule (R8), which runs once per *project* on the shared call graph
+    #: (repro.lint.flow)
     check: Callable[[ModuleInfo], list[Finding]] | None
     project: bool = False
 
@@ -93,7 +85,7 @@ class Rule:
 #: where the determinism rules bite: the concurrent layer + SNAP kernel
 HOT_PATH_SCOPE = ("repro/parallel/", "repro/core/snap.py",
                   "repro/md/engine.py")
-#: where the shared-memory helper/lifecycle rules bite
+#: where the shared-memory lifecycle rule bites
 SHM_SCOPE = ("repro/parallel/",)
 #: where the io ownership rule bites (the whole package)
 IO_SCOPE = ("repro/",)
@@ -109,32 +101,6 @@ def _call_name(node: ast.Call) -> str | None:
 def _tail(name: str | None) -> str | None:
     """Last component of a dotted name ('np.empty' -> 'empty')."""
     return None if name is None else name.rsplit(".", 1)[-1]
-
-
-def _base_name(node: ast.expr) -> str | None:
-    """Underlying variable of a view chain (``v[sl].reshape(...).T`` -> v).
-
-    Descends through subscripts, attribute access and no-copy array
-    methods so alias assignments like ``o = out[:, sl].reshape(n, -1)``
-    resolve to the buffer they view.
-    """
-    view_methods = {"reshape", "view", "transpose", "ravel", "swapaxes",
-                    "astype", "squeeze"}
-    while True:
-        if isinstance(node, ast.Name):
-            return node.id
-        if isinstance(node, ast.Subscript):
-            node = node.value
-        elif isinstance(node, ast.Attribute):
-            node = node.value
-        elif isinstance(node, ast.Call):
-            fn = node.func
-            if isinstance(fn, ast.Attribute) and fn.attr in view_methods:
-                node = fn.value
-            else:
-                return None
-        else:
-            return None
 
 
 def _functions(tree: ast.Module):
@@ -239,135 +205,13 @@ def _check_r1(ctx: ModuleInfo) -> list[Finding]:
 
 
 # ======================================================================
-# R2 - uninitialised scratch
+# R6 - io ownership: restart-critical files are written by their owners
 # ======================================================================
-_ALLOC_FNS = {"zeros", "empty", "ones", "full"}
-
-
-def _iter_stmts(body):
-    """Textual-order statement walk that stays inside the current scope."""
-    for stmt in body:
-        yield stmt
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            continue
-        for field in ("body", "orelse", "finalbody"):
-            yield from _iter_stmts(getattr(stmt, field, []) or [])
-        for handler in getattr(stmt, "handlers", []) or []:
-            yield from _iter_stmts(handler.body)
-
-
-def _check_r2_empty(ctx: ModuleInfo) -> list[Finding]:
-    findings: list[Finding] = []
-    for func, _cls in _functions(ctx.tree):
-        empties: dict[str, ast.AST] = {}    # name -> allocation node
-        aliases: dict[str, str] = {}        # view name -> buffer name
-        stored: set[str] = set()
-        escapes: dict[str, ast.AST] = {}
-
-        def root(name: str | None) -> str | None:
-            seen = set()
-            while name in aliases and name not in seen:
-                seen.add(name)
-                name = aliases[name]
-            return name if name in empties else None
-
-        body_stmts = list(_iter_stmts(func.body))
-        for stmt in body_stmts:
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
-                    and isinstance(stmt.targets[0], ast.Name):
-                tname = stmt.targets[0].id
-                val = stmt.value
-                if isinstance(val, ast.Call) \
-                        and _tail(_call_name(val)) == "empty" \
-                        and _call_name(val) not in ("empty",):
-                    empties[tname] = stmt
-                    aliases.pop(tname, None)
-                    continue
-                base = _base_name(val)
-                if base is not None and root(base):
-                    aliases[tname] = base
-                    continue
-                aliases.pop(tname, None)
-                empties.pop(tname, None)
-        # stores: subscript assignment, aug-assignment, out= keyword.
-        # Walk the whole subtree (nested closures included): a shard
-        # worker filling `dedr[lo:hi]` inside a submitted closure is a
-        # store on the outer buffer.
-        for stmt in ast.walk(func):
-            targets = []
-            if isinstance(stmt, ast.Assign):
-                targets = stmt.targets
-            elif isinstance(stmt, ast.AugAssign):
-                targets = [stmt.target]
-            for tgt in targets:
-                if isinstance(tgt, ast.Subscript):
-                    r = root(_base_name(tgt.value))
-                    if r:
-                        stored.add(r)
-                elif isinstance(tgt, ast.Name) and isinstance(stmt,
-                                                              ast.AugAssign):
-                    r = root(tgt.id)
-                    if r:
-                        stored.add(r)
-        for node in ast.walk(func):
-            if isinstance(node, ast.Call):
-                for kw in node.keywords:
-                    if kw.arg == "out":
-                        r = root(_base_name(kw.value))
-                        if r:
-                            stored.add(r)
-                tail = _tail(_call_name(node))
-                if tail in ("fill", "copyto"):
-                    target = (node.func.value if isinstance(node.func,
-                                                            ast.Attribute)
-                              else (node.args[0] if node.args else None))
-                    if target is not None:
-                        r = root(_base_name(target))
-                        if r:
-                            stored.add(r)
-        # escapes: the raw buffer leaves the function or is consumed
-        for node in ast.walk(func):
-            args: list[ast.expr] = []
-            if isinstance(node, ast.Return) and node.value is not None:
-                args = [node.value]
-            elif isinstance(node, ast.Call):
-                tail = _tail(_call_name(node))
-                if tail in _ALLOC_FNS or tail in ("fill", "copyto"):
-                    continue
-                args = list(node.args) + [kw.value for kw in node.keywords
-                                          if kw.arg != "out"]
-            elif isinstance(node, ast.Assign) and isinstance(
-                    node.targets[0], ast.Attribute):
-                args = [node.value]
-            elif isinstance(node, (ast.Yield, ast.YieldFrom)) \
-                    and node.value is not None:
-                args = [node.value]
-            for arg in args:
-                leaves = [arg]
-                if isinstance(arg, (ast.Tuple, ast.List)):
-                    leaves = list(arg.elts)
-                for leaf in leaves:
-                    if isinstance(leaf, ast.Name):
-                        r = root(leaf.id)
-                        if r and r not in escapes:
-                            escapes[r] = node
-        for name, site in escapes.items():
-            if name not in stored:
-                findings.append(Finding(
-                    "R2-empty-escape", ctx.path, site.lineno,
-                    getattr(site, "col_offset", 0),
-                    f"np.empty buffer '{name}' escapes without any element "
-                    "assignment; uninitialized memory would leak into "
-                    "results - fill it or allocate with np.zeros"))
-    return findings
-
-
-# ======================================================================
-# R5-helper / R6 - ownership: only module X may call Y on path Z
-# ======================================================================
-#: the one module allowed to touch multiprocessing.shared_memory raw
-_SHM_HELPER_PATH = "parallel/shm.py"
+#: the modules that write checkpoint / trajectory files (atomic replace,
+#: CRC frames, torn-tail recovery)
+_IO_OWNERS = ("md/dump.py", "md/trajectory.py")
+#: words naming a restart-critical path
+_IO_HINTS = ("traj", "ckpt", "checkpoint", "restart")
 #: callables that put bytes on disk
 _WRITE_TAILS = ("savez", "savez_compressed", "save",
                 "write_bytes", "write_text")
@@ -396,7 +240,7 @@ def _raw_write_target(node: ast.Call) -> str | None:
     Recognizes ``open(..., "w"/"a"/"x"/"+")``, ``np.savez*``/``np.save``
     and ``Path.write_bytes``/``write_text``; the returned string joins
     the callable name with the identifiers/literals in the path
-    expression so ownership rules can hint-match against it.
+    expression so the rule can hint-match against it.
     """
     name = _call_name(node) or ""
     tail = _tail(name)
@@ -417,57 +261,29 @@ def _raw_write_target(node: ast.Call) -> str | None:
     return target
 
 
-def _raw_shm_target(node: ast.Call) -> str | None:
-    name = _call_name(node)
-    return name if _tail(name) == "SharedMemory" else None
-
-
-@dataclass(frozen=True)
-class Owner:
-    """One ownership row: outside ``owners`` (path suffixes), a call for
-    which ``target`` returns words containing one of ``hints`` (any
-    words when ``hints`` is empty) is a ``rule`` finding."""
-
-    rule: str
-    owners: tuple[str, ...]
-    target: Callable[[ast.Call], str | None]
-    hints: tuple[str, ...]
-    message: str
-
-
-OWNERS = (
-    Owner("R5-shm-helper", (_SHM_HELPER_PATH,), _raw_shm_target, (),
-          "raw SharedMemory construction outside repro.parallel.shm; "
-          "use create_shm/attach_shm/SharedBlock so the resource-"
-          "tracker workaround and idempotent teardown apply"),
-    Owner("R6-io-owner", ("md/dump.py", "md/trajectory.py"),
-          _raw_write_target, ("traj", "ckpt", "checkpoint", "restart"),
-          "raw write of a checkpoint/trajectory path outside "
-          "repro.md.dump / repro.md.trajectory; route it through "
-          "write_checkpoint or TrajectoryFile so atomic replace "
-          "and torn-frame recovery apply"),
-)
-
-
-def _check_owners(ctx: ModuleInfo) -> list[Finding]:
-    rows = [o for o in OWNERS
-            if not any(ctx.path.endswith(p) for p in o.owners)]
+def _check_r6_io_owner(ctx: ModuleInfo) -> list[Finding]:
+    if any(ctx.path.endswith(p) for p in _IO_OWNERS):
+        return []
     findings: list[Finding] = []
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
-        for row in rows:
-            words = row.target(node)
-            if words is not None and (not row.hints or any(
-                    h in words.lower() for h in row.hints)):
-                findings.append(Finding(row.rule, ctx.path, node.lineno,
-                                        node.col_offset, row.message))
+        words = _raw_write_target(node)
+        if words is not None and any(h in words.lower() for h in _IO_HINTS):
+            findings.append(Finding(
+                "R6-io-owner", ctx.path, node.lineno, node.col_offset,
+                "raw write of a checkpoint/trajectory path outside "
+                "repro.md.dump / repro.md.trajectory; route it through "
+                "write_checkpoint or TrajectoryFile so atomic replace "
+                "and torn-frame recovery apply"))
     return findings
 
 
 # ======================================================================
 # R5 - shared-memory lifecycle
 # ======================================================================
+#: the helper module that owns raw SharedMemory (and its teardown)
+_SHM_HELPER_PATH = "parallel/shm.py"
 #: a cleanup call counts if its name suggests close/unlink/finalize
 _CLOSE_HINTS = ("close", "unlink", "finaliz")
 
@@ -547,26 +363,14 @@ RULES: dict[str, Rule] = {r.id: r for r in [
     Rule("R1-unordered-reduce",
          "floating-point reduction over a hash-ordered iterable",
          HOT_PATH_SCOPE, _check_r1),
-    Rule("R2-empty-escape",
-         "np.empty buffer escapes before any assignment",
-         None, _check_r2_empty),
-    Rule("R5-shm-helper",
-         "raw SharedMemory construction outside the shm helper module",
-         SHM_SCOPE, _check_owners),
     Rule("R5-shm-lifecycle",
          "shared-memory block created without a guaranteed cleanup path",
          SHM_SCOPE, _check_r5_lifecycle),
     Rule("R6-io-owner",
          "raw write of a restart-critical file outside its owner module",
-         IO_SCOPE, _check_owners),
-    # whole-program analyses (repro.lint.flow)
+         IO_SCOPE, _check_r6_io_owner),
+    # the whole-program analysis (repro.lint.flow)
     Rule("R8-lockset",
          "shared attribute undeclared, or written on a lock-free call path",
-         None, None, project=True),
-    Rule("R9-engine-contract",
-         "ForceEngine implementation drifts from the engine protocol",
-         None, None, project=True),
-    Rule("R10-determinism-taint",
-         "unordered/wall-clock taint flows into a hot-path accumulation",
          None, None, project=True),
 ]}

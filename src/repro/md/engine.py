@@ -233,10 +233,8 @@ class ForceEngine(abc.ABC):
         multi-species potential's type binding.
         """
         self.system = system
-        set_types = getattr(self.potential, "set_types", None)
-        if callable(set_types) and getattr(self.potential, "_types",
-                                           None) is not None:
-            set_types(system.types)
+        if getattr(self.potential, "types", None) is not None:
+            self.potential.set_types(system.types)
 
     def close(self) -> None:
         """Release backend resources (idempotent); none by default."""

@@ -29,11 +29,10 @@ __all__ = ["PhaseTimers", "TOP_PHASES", "SUB_PHASES",
 # Every backend reports its time through the same small phase
 # vocabulary so one Fig. 4 breakdown can compare them; a backend
 # that invents a phase string silently falls out of every cross-backend
-# table.  The whole-program lint pass (rule R9-phase-name in
-# repro.lint.flow) statically extracts these tuples and validates each
-# string handed to ``timers.phase(...)`` / ``timers.add(...)`` against
-# them, so a typo is a lint finding instead of a missing table column.
-# New phases are added HERE first, then used.
+# table.  PhaseTimers enforces this at run time: the first time a name
+# is timed it must pass known_phase() or the call raises ValueError, so
+# a typo fails the first run that reaches it instead of dropping a
+# table column.  New phases are added HERE first, then used.
 
 #: top-level phases (the Fig. 4 categories plus engine bookkeeping)
 TOP_PHASES = ("neigh", "force", "comm", "other", "io", "analysis")
@@ -65,14 +64,15 @@ def known_phase(name: str) -> bool:
 
 
 class PhaseTimers:
-    """Named accumulating wall-clock timers with one level of nesting."""
+    """Named accumulating wall-clock timers with one level of nesting.
+
+    A name outside the registry raises ``ValueError`` the first time it
+    is timed (:func:`known_phase`); names already seen cost nothing more.
+    """
 
     def __init__(self) -> None:
         self._acc: dict[str, float] = {}
         self._sub: dict[str, float] = {}
-
-    def _target(self, name: str) -> dict[str, float]:
-        return self._sub if "." in name else self._acc
 
     @contextmanager
     def phase(self, name: str):
@@ -80,12 +80,19 @@ class PhaseTimers:
         try:
             yield
         finally:
-            acc = self._target(name)
-            acc[name] = acc.get(name, 0.0) + time.perf_counter() - t0
+            self.add(name, time.perf_counter() - t0)
 
     def add(self, name: str, seconds: float) -> None:
-        acc = self._target(name)
-        acc[name] = acc.get(name, 0.0) + seconds
+        acc = self._sub if "." in name else self._acc
+        try:
+            acc[name] += seconds
+        except KeyError:
+            if not known_phase(name):
+                raise ValueError(
+                    f"phase {name!r} is not registered in repro.md.timers "
+                    "(TOP_PHASES / SUB_PHASES / DYNAMIC_SUB_PARENTS)"
+                ) from None
+            acc[name] = seconds
 
     @property
     def totals(self) -> dict[str, float]:

@@ -296,16 +296,25 @@ class DistributedEngine(ForceEngine):
         virial = np.zeros((3, 3))
         ghost_blocks: list[np.ndarray] = []
         ghost_values: list[np.ndarray] = []
-        for rank, state in enumerate(self._ranks):
-            e, pa, owned_f, ghost_f, vir = self._eval_rank(rank, state, disp,
-                                                           rebuild)
-            energy += e
-            peratom[state.owned] = pa
-            forces[state.owned] += owned_f
-            virial += vir
-            if ghost_f is not None:
-                ghost_blocks.append(state.ghost_idx)
-                ghost_values.append(ghost_f)
+        # a per-type potential looks types up by atom id: each rank hands
+        # it the types in its local numbering, the global ones go back after
+        types = getattr(self.potential, "types", None)
+        try:
+            for rank, state in enumerate(self._ranks):
+                if types is not None:
+                    self.potential.set_types(types[state.local_idx])
+                e, pa, owned_f, ghost_f, vir = self._eval_rank(
+                    rank, state, disp, rebuild)
+                energy += e
+                peratom[state.owned] = pa
+                forces[state.owned] += owned_f
+                virial += vir
+                if ghost_f is not None:
+                    ghost_blocks.append(state.ghost_idx)
+                    ghost_values.append(ghost_f)
+        finally:
+            if types is not None:
+                self.potential.set_types(types)
 
         if ghost_blocks:
             with self.timers.phase("comm"), self.timers.phase("comm.reverse"):

@@ -11,10 +11,9 @@ repo kept re-implementing:
   gone (e.g. the parent unlinked it after a worker died mid-step).
 
 This module owns that dance once - :func:`create_shm` / :func:`attach_shm`
-/ :func:`close_shm` are the only sanctioned ways to touch
-``SharedMemory`` inside ``repro.parallel`` (the ``R5-shm-helper`` lint
-rule enforces it), and :class:`SharedBlock` wraps a named block with a
-typed ndarray view for the persistent-worker engine.
+/ :func:`close_shm` are the sanctioned ways to touch ``SharedMemory``
+inside ``repro.parallel``, and :class:`SharedBlock` wraps a named block
+with a typed ndarray view for the persistent-worker engine.
 """
 
 from __future__ import annotations

@@ -92,8 +92,8 @@ class TransitionOracle:
         m = self.transition_matrix()
         return p @ np.linalg.matrix_power(m, horizon)
 
-    def allocate(self, state: int, nworkers: int, horizon: int = 4,
-                 rng: np.random.Generator | None = None) -> np.ndarray:
+    def allocate(self, state: int, nworkers: int,
+                 horizon: int = 4) -> np.ndarray:
         """Worker counts per state for the next scheduling quantum.
 
         Mixes the predicted occupation over 1..horizon segments ahead and

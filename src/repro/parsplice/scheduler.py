@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.rng import SeedStream
 from .model import MarkovStateModel
 from .oracle import TransitionOracle
 from .segments import SegmentGenerator
@@ -95,16 +94,16 @@ def run_parsplice(msm: MarkovStateModel | None = None, nworkers: int = 1,
     nstates = int(generator.nstates if hasattr(generator, "nstates")
                   else msm.nstates)
     t_segment = float(getattr(generator, "t_segment", t_segment))
-    base_generated = float(getattr(generator, "generated_time", 0.0))
+    # a reused generator counts its lifetime: report this campaign's share
+    base_count = generator.n_generated
+    base_time = generator.generated_time
     oracle = TransitionOracle(nstates)
     splicer = SpliceEngine(initial_state=initial_state)
-    # realizes the historical default_rng(seed + 1) stream bitwise
-    rng = SeedStream(seed + 1).generator()
 
     for _ in range(quanta):
         if speculate:
             alloc = oracle.allocate(splicer.current_state, nworkers,
-                                    horizon=horizon, rng=rng)
+                                    horizon=horizon)
         else:
             alloc = np.zeros(nstates, dtype=int)
             alloc[splicer.current_state] = nworkers
@@ -120,15 +119,16 @@ def run_parsplice(msm: MarkovStateModel | None = None, nworkers: int = 1,
             splicer.deposit(seg)
 
     visited = {s for s, t in splicer.state_time.items() if t > 0}
+    n_generated = generator.n_generated - base_count
     return ParSpliceRun(
         nworkers=nworkers, quanta=quanta,
         trajectory_time=splicer.trajectory_time,
-        generated_time=generator.generated_time - base_generated,
+        generated_time=generator.generated_time - base_time,
         n_spliced=splicer.n_spliced,
-        n_generated=generator.n_generated,
+        n_generated=n_generated,
         n_transitions=splicer.n_transitions,
         n_states_visited=len(visited),
         speedup=splicer.trajectory_time / (quanta * t_segment),
-        spliced_fraction=splicer.spliced_fraction(generator.n_generated),
+        spliced_fraction=splicer.spliced_fraction(n_generated),
         state_time=dict(splicer.state_time),
     )

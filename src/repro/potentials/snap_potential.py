@@ -47,6 +47,11 @@ class SNAPPotential(Potential):
     def last_timings(self) -> dict[str, float]:
         return self.snap.last_timings
 
+    @property
+    def types(self) -> np.ndarray | None:
+        """The bound per-atom type array (``None`` until :meth:`set_types`)."""
+        return self._types
+
     def set_types(self, types: np.ndarray) -> None:
         """Bind the per-atom type array used for multi-species runs."""
         self._types = np.asarray(types, dtype=np.intp)

@@ -1,0 +1,440 @@
+"""The seeded-bug ledger: hand-made source mutants and what each attacks.
+
+One row per mutant: a file (relative to the repository root), the exact
+text it replaces (which must occur exactly once in that file), the new
+text, the bug's shape and the contract it attacks.  ``tags`` names the
+lint rule ids whose fixture shape the row reproduces on the real tree,
+so every rule is tried on at least one bug of its own kind.
+
+Contracts:
+
+``bitwise``
+    every backend equals the serial engine (``ProcessEngine`` to the
+    bit, ``DistributedEngine`` to 1e-10) and the force assembly keeps
+    the ``np.add.at`` order its references pin;
+``restart`` / ``rebind`` / ``segment-purity``
+    resumed run = uninterrupted run; rebound engine = fresh engine;
+    a ParSplice segment = a pure function of (template, state, seed);
+``physics``
+    forces = -grad E, descriptors equal the reference implementation;
+``engine-protocol`` / ``phase-registry``
+    what the deleted R9 rule checked statically;
+``shm-lifecycle`` / ``lock-discipline`` / ``observability``
+    no leaked ``/dev/shm`` segment on any exit path; guarded state
+    written under its lock; timers and ledgers report what happened;
+``none``
+    the row changes no observable behaviour (``why`` says why); it can
+    give no net a unique kill.
+
+This module is data only: pytest does not collect it (no ``test_``
+prefix), ``tests/mutants/drive.py`` applies the rows to a scratch copy
+of the tree, and ``tests/test_mutant_ledger.py`` checks that every row
+still applies.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+__all__ = ["Mutant", "ROWS", "CONTRACTS"]
+
+CONTRACTS = ("bitwise", "restart", "rebind", "segment-purity", "physics",
+             "engine-protocol", "phase-registry", "shm-lifecycle",
+             "lock-discipline", "observability", "none")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    id: str
+    path: str
+    old: str
+    new: str
+    shape: str
+    contract: str
+    tags: tuple[str, ...] = ()
+    #: for ``contract == "none"``: why no behaviour changes
+    why: str = ""
+
+
+SNAP = "src/repro/core/snap.py"
+NEIGH = "src/repro/md/neighbor.py"
+ENGINE = "src/repro/md/engine.py"
+PROC = "src/repro/parallel/process_engine.py"
+DIST = "src/repro/parallel/distributed.py"
+SEGS = "src/repro/parsplice/segments.py"
+SERVICE = "src/repro/parsplice/service.py"
+
+ROWS: tuple[Mutant, ...] = (
+    # ------------------------------------------------------------------
+    # reductions and the one force assembly
+    # ------------------------------------------------------------------
+    Mutant(
+        "scatter-add-reversed", SNAP,
+        old="    return np.bincount(index, weights=weights, minlength=size)\n",
+        new=("    out = np.zeros(size)\n"
+             "    np.add.at(out, index[::-1], weights[::-1])\n"
+             "    return out\n"),
+        shape="reduction reordered: bincount -> add.at in reverse order",
+        contract="bitwise"),
+    Mutant(
+        "scatter-sides-swapped", SNAP,
+        old=("    index = np.concatenate((j_idx, i_idx))\n"
+             "    weights = np.empty(index.size)\n"
+             "    nj = j_idx.size\n"
+             "    forces = np.empty((size, 3))\n"
+             "    for c in range(3):\n"
+             "        np.negative(dedr_j[:, c], out=weights[:nj])\n"
+             "        weights[nj:] = dedr_i[:, c]\n"),
+        new=("    index = np.concatenate((i_idx, j_idx))\n"
+             "    weights = np.empty(index.size)\n"
+             "    ni = i_idx.size\n"
+             "    forces = np.empty((size, 3))\n"
+             "    for c in range(3):\n"
+             "        weights[:ni] = dedr_i[:, c]\n"
+             "        np.negative(dedr_j[:, c], out=weights[ni:])\n"),
+        shape="the two sides of scatter_pair_forces swapped (own rows "
+              "first)",
+        contract="bitwise"),
+    Mutant(
+        "scatter-shuffled-unseeded", SNAP,
+        old="        forces[:, c] = scatter_add(index, weights, size)\n",
+        new=("        perm = np.random.default_rng().permutation(index.size)\n"
+             "        forces[:, c] = scatter_add(index[perm], weights[perm],"
+             " size)\n"),
+        shape="unseeded rng reaches the fixed-order accumulator",
+        contract="bitwise", tags=("R10-determinism-taint",)),
+    Mutant(
+        "scatter-empty-uninitialised", SNAP,
+        old=("    if index.size == 0:  # bincount of nothing is int64, not "
+             "float64\n"
+             "        return np.zeros(size)\n"),
+        new=("    if index.size == 0:  # bincount of nothing is int64, not "
+             "float64\n"
+             "        out = np.empty(size)\n"
+             "        return out\n"),
+        shape="np.empty buffer escapes unfilled (an empty pair list)",
+        contract="physics", tags=("R2-empty-escape",)),
+    Mutant(
+        "density-zero-padded-segment", SNAP,
+        old=("            starts = np.flatnonzero(np.r_[True, np.diff(idx) "
+             "!= 0])\n"
+             "            rows = idx[starts]\n"),
+        new=("            rows = np.arange(idx[0], idx[-1] + 1)\n"
+             "            starts = np.searchsorted(idx, rows)\n"),
+        shape="zero-padded reduceat segment: an atom with no pairs in the "
+              "chunk reads its successor's first term",
+        contract="physics"),
+    Mutant(
+        "density-rows-assumed-sorted", SNAP,
+        old="        in_rows = bool(np.all(np.diff(nbr.i_idx) >= 0))\n",
+        new="        in_rows = True\n",
+        shape="buffered fancy-index += on an unsorted list drops repeated "
+              "rows",
+        contract="physics"),
+    Mutant(
+        "y-factor-dropped", SNAP,
+        old="        y_op = (fold_op @ sps.diags(row_factor * self.beta[1 + "
+            "row_b])\n",
+        new="        y_op = (fold_op @ sps.diags(self.beta[1 + row_b])\n",
+        shape="beta-folded Y row uses the unfolded weight (role "
+              "multiplicity lost)",
+        contract="physics"),
+    Mutant(
+        "take-clip-dropped", SNAP,
+        old=('                np.take(ut, plan["pi1"][k0:k1], axis=0, out=a, '
+             'mode="clip")\n'),
+        new='                np.take(ut, plan["pi1"][k0:k1], axis=0, out=a)\n',
+        shape='mode="clip" dropped from a np.take(out=)',
+        contract="none",
+        why="indices are checked once at plan build; mode='raise' only "
+            "buffers the output (time and memory, no value changes)"),
+    # ------------------------------------------------------------------
+    # neighbour lists
+    # ------------------------------------------------------------------
+    Mutant(
+        "mirror-sign", NEIGH,
+        old="            np.concatenate([d, -d]))\n",
+        new="            np.concatenate([d, d]))\n",
+        shape="the mirrored half list keeps +d", contract="physics"),
+    Mutant(
+        "rows-window-off-by-one", NEIGH,
+        old=("        inwin = np.flatnonzero((i_idx >= rows[0]) & (i_idx < "
+             "rows[1]))\n"),
+        new=("        inwin = np.flatnonzero((i_idx >= rows[0]) & (i_idx <= "
+             "rows[1]))\n"),
+        shape="rows window off by one (the next rank's first row)",
+        contract="bitwise"),
+    # ------------------------------------------------------------------
+    # the process backend
+    # ------------------------------------------------------------------
+    Mutant(
+        "gather-ignores-kept-mask", PROC,
+        old="        kmask = self.kept.array[self.inc]\n",
+        new="        kmask = np.ones(self.inc.size, dtype=bool)\n",
+        shape="skin filter applied after the reduce: stale dropped-pair "
+              "slots are gathered",
+        contract="bitwise"),
+    Mutant(
+        "gather-order-unstable", PROC,
+        old='            order = np.argsort(jall[inc], kind="stable")\n',
+        new="            order = np.argsort(jall[inc])\n",
+        shape="neighbour-side gather sorted without kind='stable'",
+        contract="bitwise"),
+    Mutant(
+        "virial-slot-overlaps-timer", PROC,
+        old="_S_NEIGH = 9\n",
+        new="_S_NEIGH = 8\n",
+        shape="a wall-clock reading lands in the virial (overlapping "
+              "scalar slots)",
+        contract="bitwise", tags=("R10-determinism-taint",)),
+    Mutant(
+        "virial-ranks-via-set", PROC,
+        old="        for rank in range(self.nprocs):  # fixed rank order\n",
+        new="        for rank in set(range(self.nprocs)):  # fixed rank order\n",
+        shape="a set iterated into virial +=",
+        contract="none", tags=("R1-set-iter", "R10-determinism-taint"),
+        why="a set of small non-negative ints iterates in ascending order "
+            "(CPython hashes ints to themselves, unsalted)"),
+    Mutant(
+        "stage-slots-via-set", PROC,
+        old="        self._stages = tuple(potential.last_timings or ())\n",
+        new="        self._stages = tuple(set(potential.last_timings or ()))\n",
+        shape="hash-ordered stage names label the workers' timer slots",
+        contract="observability", tags=("R1-set-iter",)),
+    Mutant(
+        "ghost-count-set-sum", PROC,
+        old="        ghosts = int(self._ctl[lo:lo + self.nprocs].sum())\n",
+        new=("        ghosts = int(sum(set(self._ctl[lo:lo + self.nprocs]"
+             ".tolist())))\n"),
+        shape="a reduction over a set (equal per-rank counts collapse)",
+        contract="observability", tags=("R1-unordered-reduce",)),
+    Mutant(
+        "worker-raw-attach", PROC,
+        old=('        self.pos = SharedBlock.attach(f"{self.prefix}-pos", '
+             '(n, 3), np.float64)\n'),
+        new=("        from multiprocessing import shared_memory\n"
+             "\n"
+             "        self.pos = SharedBlock(shared_memory.SharedMemory(\n"
+             '            name=f"{self.prefix}-pos"), (n, 3), np.float64, '
+             "owner=False)\n"),
+        shape="raw SharedMemory attach outside the helper",
+        contract="none", tags=("R5-shm-helper",),
+        why="forked workers share the parent's resource tracker, whose "
+            "record is a set: the worker's extra registration is absorbed "
+            "and the owner's unlink clears it (no block left, no tracker "
+            "warning)"),
+    Mutant(
+        "pair-blocks-local-create", PROC,
+        old=('        self._blocks["val"] = SharedBlock.create(names["val"], '
+             "(cap, 3),\n"
+             "                                                 np.float64)\n"
+             '        self._blocks["kept"] = SharedBlock.create(names["kept"],'
+             " (cap,),\n"
+             "                                                  np.bool_)\n"
+             '        self._blocks["jref"] = SharedBlock.create(names["jref"],'
+             " (cap,),\n"
+             "                                                  np.int64)\n"),
+        new=('        val = SharedBlock.create(names["val"], (cap, 3), '
+             "np.float64)\n"
+             '        kept = SharedBlock.create(names["kept"], (cap,), '
+             "np.bool_)\n"
+             '        jref = SharedBlock.create(names["jref"], (cap,), '
+             "np.int64)\n"
+             "        self._blocks.update(val=val, kept=kept, jref=jref)\n"),
+        shape="blocks created into locals with no cleanup path: a failed "
+              "second create strands the first in /dev/shm",
+        contract="shm-lifecycle", tags=("R5-shm-lifecycle",)),
+    Mutant(
+        "shm-not-unlinked", "src/repro/parallel/shm.py",
+        old="        close_shm(self.shm, unlink=self.owner)\n",
+        new="        close_shm(self.shm)\n",
+        shape="the owner closes its block without unlinking it",
+        contract="shm-lifecycle"),
+    Mutant(
+        "process-bind-keeps-epoch", PROC,
+        old=("        super().bind(system)\n"
+             "        self._publish_box(system.box)\n"),
+        new=("        super().bind(system)\n"
+             "        if self._box is not system.box:\n"
+             "            self._publish_box(system.box)\n"),
+        shape="rebind republishes the cell only when the box changed",
+        contract="rebind"),
+    # ------------------------------------------------------------------
+    # the distributed backend
+    # ------------------------------------------------------------------
+    Mutant(
+        "reverse-blocks-via-set-helper", "src/repro/parallel/comm.py",
+        old="    for idx, val in zip(index_blocks, value_blocks):\n",
+        new=("    def block_order(n):\n"
+             "        return set(range(n))\n"
+             "\n"
+             "    for rank in block_order(len(index_blocks)):\n"
+             "        idx, val = index_blocks[rank], value_blocks[rank]\n"),
+        shape="set order reaches the reverse accumulation through one "
+              "call hop",
+        contract="none", tags=("R10-determinism-taint",),
+        why="a set of small non-negative ints iterates in ascending order"),
+    Mutant(
+        "distributed-bind-keeps-ranks", DIST,
+        old=("        self.grid = DomainGrid.for_ranks(system.box, "
+             "self.grid.nranks)\n"
+             "        self._ranks = None\n"
+             "        self._ref_pos = None\n"),
+        new=("        self.grid = DomainGrid.for_ranks(system.box, "
+             "self.grid.nranks)\n"),
+        shape="rebind keeps the rank halos and pair lists",
+        contract="rebind"),
+    Mutant(
+        "distributed-global-types", DIST,
+        old=("                if types is not None:\n"
+             "                    self.potential.set_types("
+             "types[state.local_idx])\n"),
+        new="",
+        shape="per-type potential reads global types by rank-local ids",
+        contract="bitwise"),
+    Mutant(
+        "engine-evaluate-renamed", DIST,
+        old=("    def evaluate(self, positions: np.ndarray | None = None) -> "
+             "EnergyForces:\n"
+             '        """One decomposed force evaluation; returns global '
+             'EnergyForces."""\n'),
+        new=("    def evaluate_ranks(self, positions: np.ndarray | None = "
+             "None) -> EnergyForces:\n"
+             '        """One decomposed force evaluation; returns global '
+             'EnergyForces."""\n'),
+        shape="an engine does not implement the abstract evaluate()",
+        contract="engine-protocol", tags=("R9-engine-contract",)),
+    Mutant(
+        "extras-stray-key", DIST,
+        old='            "grid": self.grid.dims,\n',
+        new='            "grid_dims": self.grid.dims,\n',
+        shape="summary_extras() key that is not a RunSummary field",
+        contract="engine-protocol", tags=("R9-engine-contract",)),
+    Mutant(
+        "stage-prefix-typo", DIST,
+        old='            self.timers.add(f"force.{k}", v)\n',
+        new='            self.timers.add(f"kernel.{k}", v)\n',
+        shape="dynamic phase prefix outside DYNAMIC_SUB_PARENTS",
+        contract="phase-registry", tags=("R9-engine-contract",)),
+    # ------------------------------------------------------------------
+    # the serial engine and the MD loop
+    # ------------------------------------------------------------------
+    Mutant(
+        "phase-name-typo", ENGINE,
+        old='        self.timers.add("neigh", t_neigh)\n',
+        new='        self.timers.add("neighbor", t_neigh)\n',
+        shape="unregistered phase name", contract="phase-registry",
+        tags=("R9-engine-contract",)),
+    Mutant(
+        "evaluate-param-renamed", ENGINE,
+        old=("    def evaluate(self, positions: np.ndarray | None = None) -> "
+             "EnergyForces:\n"
+             "        if positions is None:\n"
+             "            positions = self.system.positions\n"),
+        new=("    def evaluate(self, pos: np.ndarray | None = None) -> "
+             "EnergyForces:\n"
+             "        positions = self.system.positions if pos is None "
+             "else pos\n"),
+        shape="override signature drifts from ForceEngine.evaluate",
+        contract="none", tags=("R9-engine-contract",),
+        why="nothing calls evaluate(positions=...) by keyword"),
+    Mutant(
+        "serial-bind-keeps-list", ENGINE,
+        old=("        super().bind(system)\n"
+             "        self.neighbors = self.neighbors.rebound(system.box)\n"),
+        new=("        super().bind(system)\n"
+             "        if self.neighbors.box is not system.box:\n"
+             "            self.neighbors = "
+             "self.neighbors.rebound(system.box)\n"),
+        shape="rebind rebuilds the list only when the box changed",
+        contract="rebind"),
+    Mutant(
+        "checkpoint-rng-omitted", ENGINE,
+        old=('        rng_state = getattr(self.thermostat, "rng_state", None)\n'
+             "        if callable(rng_state):\n"
+             '            extra["thermostat_rng"] = rng_state()\n'),
+        new="",
+        shape="a checkpoint field omitted (thermostat stream position)",
+        contract="restart"),
+    Mutant(
+        "restore-skips-priming", ENGINE,
+        old=('        ref = extras.get("topology_ref")\n'
+             "        if ref is not None:\n"
+             "            self.engine.evaluate(np.asarray(ref, "
+             "dtype=float))\n"),
+        new="",
+        shape="restore does not rebuild the topology at its reference",
+        contract="restart"),
+    Mutant(
+        "restore-keeps-late-frames", ENGINE,
+        old=('                with self.timers.phase("io"):\n'
+             "                    self.trajectory.truncate_to(int(off[0]), "
+             "int(off[1]))\n"),
+        new="                pass\n",
+        shape="restore does not roll the trajectory back",
+        contract="restart"),
+    Mutant(
+        "checkpoint-raw-write", ENGINE,
+        old=("        return write_checkpoint(path, self.system, self.step,\n"
+             "                                "
+             "extra=self.checkpoint_extras())\n"),
+        new=("        from .dump import checkpoint_path\n"
+             "\n"
+             "        system = self.system\n"
+             '        with open(checkpoint_path(path), "wb") as fh:\n'
+             "            np.savez_compressed(\n"
+             "                fh, positions=system.positions,\n"
+             "                velocities=system.velocities, "
+             "masses=system.masses,\n"
+             "                types=system.types, "
+             "box_lengths=system.box.lengths,\n"
+             "                periodic=np.array(system.box.periodic, "
+             "dtype=bool),\n"
+             "                step=np.array(self.step), "
+             "**self.checkpoint_extras())\n"
+             "        return checkpoint_path(path)\n"),
+        shape="checkpoint written in place outside repro.md.dump (a crash "
+              "mid-write leaves a torn restart file)",
+        contract="restart", tags=("R6-io-owner",)),
+    # ------------------------------------------------------------------
+    # ParSplice segments and the service
+    # ------------------------------------------------------------------
+    Mutant(
+        "segment-seed-ignored", SEGS,
+        old='    child = stream.child("segment", int(state), int(seed))\n',
+        new='    child = stream.child("segment", int(state))\n',
+        shape="a segment seed reused (every seed replays one segment)",
+        contract="segment-purity"),
+    Mutant(
+        "segment-thermostat-unseeded", SEGS,
+        old=('        temp=temperature, damp=damp, '
+             'seed=child.child("thermostat").integer())\n'),
+        new="        temp=temperature, damp=damp, seed=None)\n",
+        shape="unseeded Langevin stream inside a segment",
+        contract="segment-purity", tags=("R10-determinism-taint",)),
+    Mutant(
+        "worker-swap-unlocked", SERVICE,
+        old=("        replacement = self._spawn_worker(idx)\n"
+             "        with self._lock:\n"
+             "            self._workers[idx] = replacement\n"),
+        new=("        self._workers[idx] = self._spawn_worker(idx)\n"
+             "        with self._lock:\n"),
+        shape="a guarded-by attribute written lock-free on a pool thread",
+        contract="lock-discipline", tags=("R8-lockset",)),
+    Mutant(
+        "drain-flag-unlocked", "src/repro/md/trajectory.py",
+        old=("            with self._lock:\n"
+             "                self._draining = False\n"
+             "                self._draining_count = 0\n"),
+        new=("            self._draining = False\n"
+             "            self._draining_count = 0\n"
+             "            with self._lock:\n"),
+        shape="writer-thread flags cleared outside the condition's lock",
+        contract="lock-discipline", tags=("R8-lockset",)),
+    Mutant(
+        "parsplice-lifetime-count", "src/repro/parsplice/scheduler.py",
+        old="    n_generated = generator.n_generated - base_count\n",
+        new="    n_generated = generator.n_generated\n",
+        shape="a reused generator's lifetime count reported per run",
+        contract="observability"),
+)

@@ -671,10 +671,7 @@ class TestPotentialEngineMatrix:
             assert engine.neighbor_builds == serial.neighbor_builds == 2
 
     def test_distributed_matches_serial(self, potential_case):
-        name, s1, pot = potential_case
-        if name == "snap_two_species":
-            pytest.skip("DistributedEngine hands the potential rank-local "
-                        "atom ids; per-type SNAP looks types up by global id")
+        _, s1, pot = potential_case
         s2 = s1.copy()
         a = SerialEngine(s1, pot).evaluate()
         with build_engine(s2, pot, nranks=2) as engine:
@@ -683,3 +680,6 @@ class TestPotentialEngineMatrix:
         assert np.allclose(a.peratom, b.peratom, **TOL)
         assert np.allclose(a.forces, b.forces, **TOL)
         assert np.allclose(a.virial, b.virial, **TOL)
+        # the ranks' local type numbering does not leak into the potential
+        again = SerialEngine(s1, pot).evaluate()
+        assert np.array_equal(again.forces, a.forces)

@@ -2,8 +2,7 @@
 
 Each per-file rule gets a *bad* fixture proving it detects its target
 pattern and a *fixed* fixture proving the repaired form stays silent
-(the whole-program rules R8-R10, lock rule included, are covered in
-test_lint_flow.py).  The tier-1 lint gate lives here too: one
+(the whole-program lock rule R8 is covered in test_lint_flow.py).  The tier-1 lint gate lives here too: one
 :func:`run_lint` over src + tests + benchmarks must produce zero
 findings, and (when installed) ruff must pass with the curated rule set
 from pyproject.toml.
@@ -94,7 +93,7 @@ class TestR1Determinism:
 
 
 # ======================================================================
-# R2 - uninitialised scratch (static) and complex narrowing (run time)
+# complex narrowing: convicted at run time, no lint rule
 # ======================================================================
 #: the two shapes the deleted R2-complex-narrowing rule convicted, and
 #: the repaired form; executed, not linted
@@ -127,30 +126,6 @@ class TestR2Dtype:
     def test_explicit_real_is_silent(self):
         exec(_NARROW_STORE.replace("out[0] = c\n", "out[0] = c.real\n"), {})
 
-    def test_empty_escape_fires(self):
-        assert_fires("R2-empty-escape", (
-            "import numpy as np\n"
-            "def scratch(n):\n"
-            "    buf = np.empty(n)\n"
-            "    return buf\n"))
-
-    def test_filled_empty_is_silent(self):
-        assert_silent("R2-empty-escape", (
-            "import numpy as np\n"
-            "def scratch(n):\n"
-            "    buf = np.empty(n)\n"
-            "    buf[:] = 0.0\n"
-            "    return buf\n"))
-
-    def test_view_alias_escape_fires(self):
-        # escaping through a reshaped view of the raw buffer still counts
-        assert_fires("R2-empty-escape", (
-            "import numpy as np\n"
-            "def scratch(n):\n"
-            "    buf = np.empty(2 * n)\n"
-            "    flat = buf.reshape(2, -1)\n"
-            "    return flat\n"))
-
 
 
 # ======================================================================
@@ -160,38 +135,22 @@ class TestR5SharedMemory:
     #: a path inside the shared-memory scope, but not the helper module
     PAR = "repro/parallel/process_engine.py"
 
-    def test_raw_shared_memory_fires(self):
-        assert_fires("R5-shm-helper", (
-            "from multiprocessing import shared_memory\n"
-            "def grab(name):\n"
-            "    return shared_memory.SharedMemory(name=name)\n"),
-            path=self.PAR)
+    #: a creation with no cleanup path: the shape the rule convicts
+    LEAKY = ("from repro.parallel.shm import create_shm\n"
+             "def scratch(n):\n"
+             "    shm = create_shm(n)\n"
+             "    return shm.buf[:n]\n")
 
     def test_helper_module_itself_is_exempt(self):
-        assert_silent("R5-shm-helper", (
-            "from multiprocessing import shared_memory\n"
-            "def create_shm(size):\n"
-            "    return shared_memory.SharedMemory(create=True, size=size)\n"),
-            path="repro/parallel/shm.py")
-
-    def test_helper_calls_are_silent(self):
-        assert_silent("R5-shm-helper", (
-            "from repro.parallel.shm import attach_shm\n"
-            "def grab(name):\n"
-            "    return attach_shm(name)\n"), path=self.PAR)
+        # the helper hands its blocks to callers that own the teardown
+        assert_silent("R5-shm-lifecycle", self.LEAKY,
+                      path="repro/parallel/shm.py")
 
     def test_scope_excludes_cold_paths(self):
-        assert_silent("R5-shm-helper", (
-            "from multiprocessing import shared_memory\n"
-            "def grab(name):\n"
-            "    return shared_memory.SharedMemory(name=name)\n"), path=COLD)
+        assert_silent("R5-shm-lifecycle", self.LEAKY, path=COLD)
 
     def test_create_without_cleanup_fires(self):
-        assert_fires("R5-shm-lifecycle", (
-            "from repro.parallel.shm import create_shm\n"
-            "def scratch(n):\n"
-            "    shm = create_shm(n)\n"
-            "    return shm.buf[:n]\n"), path=self.PAR)
+        assert_fires("R5-shm-lifecycle", self.LEAKY, path=self.PAR)
 
     def test_create_with_try_finally_is_silent(self):
         assert_silent("R5-shm-lifecycle", (
@@ -287,61 +246,60 @@ class TestR6IoOwner:
 # suppression pragmas
 # ======================================================================
 class TestPragmas:
-    #: R2-empty-escape fires on the `return buf` line
+    #: R6-io-owner fires on the last line (a raw checkpoint write)
     BAD = ("import numpy as np\n"
-           "def scratch(n):\n"
-           "    buf = np.empty(n)\n"
-           "    return buf")
+           "def save(ckpt_path, arrays):\n"
+           "    np.savez(ckpt_path, **arrays)")
 
     def test_inline_pragma_suppresses(self):
-        src = self.BAD + "  # repro-lint: disable=R2-empty-escape -- fixture\n"
-        assert lint_source(src) == []
+        src = self.BAD + "  # repro-lint: disable=R6-io-owner -- fixture\n"
+        assert lint_source(src, path=COLD) == []
 
     def test_standalone_pragma_covers_next_line(self):
         src = self.BAD.replace(
-            "    return buf",
-            "    # repro-lint: disable=R2-empty-escape -- fixture\n"
-            "    return buf\n")
-        assert lint_source(src) == []
+            "    np.savez(",
+            "    # repro-lint: disable=R6-io-owner -- fixture\n"
+            "    np.savez(") + "\n"
+        assert lint_source(src, path=COLD) == []
 
     def test_disable_all(self):
         src = self.BAD + "  # repro-lint: disable=all -- fixture\n"
-        assert lint_source(src) == []
+        assert lint_source(src, path=COLD) == []
 
     def test_wrong_rule_does_not_suppress(self):
         src = self.BAD + "  # repro-lint: disable=R1-set-iter -- fixture\n"
-        assert rule_ids(lint_source(src)) == {"R2-empty-escape"}
+        assert rule_ids(lint_source(src, path=COLD)) == {"R6-io-owner"}
 
     def test_unjustified_pragma_is_reported(self):
-        src = self.BAD + "  # repro-lint: disable=R2-empty-escape\n"
-        assert rule_ids(lint_source(src)) == {"P0-unjustified-pragma"}
+        src = self.BAD + "  # repro-lint: disable=R6-io-owner\n"
+        assert rule_ids(lint_source(src, path=COLD)) == {"P0-unjustified-pragma"}
 
     def test_pragma_inside_string_is_ignored(self):
         src = ('s = "# repro-lint: disable=all -- nope"\n' + self.BAD + "\n")
-        assert rule_ids(lint_source(src)) == {"R2-empty-escape"}
+        assert rule_ids(lint_source(src, path=COLD)) == {"R6-io-owner"}
 
     def test_unknown_rule_id_is_reported(self):
         # a typo, or a pragma left behind by a deleted rule, suppresses
         # nothing and is itself a finding; a known id and `all` are not
         src = self.BAD + "  # repro-lint: disable=R99-retired -- stale\n"
-        assert rule_ids(lint_source(src)) == {"P0-unknown-rule",
-                                              "R2-empty-escape"}
-        mixed = self.BAD + ("  # repro-lint: disable=R2-empty-escape,"
-                            "R2-emtpy-escape -- typo\n")
-        assert rule_ids(lint_source(mixed)) == {"P0-unknown-rule"}
+        assert rule_ids(lint_source(src, path=COLD)) == {"P0-unknown-rule",
+                                              "R6-io-owner"}
+        mixed = self.BAD + ("  # repro-lint: disable=R6-io-owner,"
+                            "R6-io-ownr -- typo\n")
+        assert rule_ids(lint_source(mixed, path=COLD)) == {"P0-unknown-rule"}
 
 
 
 # ======================================================================
 # engine / CLI behavior
 # ======================================================================
-#: trips R1-set-iter (line 3) and R2-empty-escape (line 6) at a HOT path
+#: trips R1-set-iter (line 3) and R6-io-owner (line 6) at a HOT path
 _TWO_RULES = ("import numpy as np\n"
-              "def collect(ids, n):\n"
+              "def collect(ids, ckpt):\n"
               "    for i in set(ids):\n"
               "        print(i)\n"
-              "    buf = np.empty(n)\n"
-              "    return buf\n")
+              "    arr = np.zeros(3)\n"
+              "    np.save(ckpt, arr)\n")
 
 #: a cross-file lock violation only the whole-program pass can see: the
 #: guard is declared in base.py, the lock-free write sits in kid.py
@@ -362,25 +320,26 @@ class TestEngine:
 
     def test_select_restricts_rules(self):
         assert rule_ids(lint_source(_TWO_RULES, path=HOT)) == {
-            "R1-set-iter", "R2-empty-escape"}
-        only = lint_source(_TWO_RULES, path=HOT, select=["R2-empty-escape"])
-        assert rule_ids(only) == {"R2-empty-escape"}
+            "R1-set-iter", "R6-io-owner"}
+        only = lint_source(_TWO_RULES, path=HOT, select=["R6-io-owner"])
+        assert rule_ids(only) == {"R6-io-owner"}
 
     def test_ignore_drops_rules(self):
         assert rule_ids(lint_source(_TWO_RULES, path=HOT,
-                                    ignore=["R2"])) == {"R1-set-iter"}
+                                    ignore=["R6"])) == {"R1-set-iter"}
 
     def test_findings_sorted_by_position(self):
         found = lint_source(_TWO_RULES, path=HOT)
         assert [f.line for f in found] == [3, 6]
 
     def test_cli_exit_codes(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
+        (tmp_path / "repro").mkdir()  # inside the io ownership scope
+        bad = tmp_path / "repro" / "bad.py"
         bad.write_text(TestPragmas.BAD + "\n")
         good = tmp_path / "good.py"
         good.write_text("total = 0.0\n")
         assert lint_main([str(bad)]) == 1
-        assert "R2-empty-escape" in capsys.readouterr().out
+        assert "R6-io-owner" in capsys.readouterr().out
         assert lint_main([str(good)]) == 0
 
     def test_cli_list_rules(self, capsys):
@@ -403,9 +362,8 @@ class TestEngine:
         """The lint surface is reviewed, not accreted: exactly these
         rule ids, CLI flags, scope tables and entry points."""
         assert sorted(RULES) == sorted([
-            "R1-set-iter", "R1-unordered-reduce", "R2-empty-escape",
-            "R5-shm-helper", "R5-shm-lifecycle", "R6-io-owner",
-            "R8-lockset", "R9-engine-contract", "R10-determinism-taint"])
+            "R1-set-iter", "R1-unordered-reduce", "R5-shm-lifecycle",
+            "R6-io-owner", "R8-lockset"])
         flags = {opt for action in build_parser()._actions
                  for opt in action.option_strings} - {"-h", "--help"}
         assert flags == {"--select", "--ignore", "--format", "--stats",

@@ -197,6 +197,19 @@ class TestRunParSplice:
         run = run_parsplice(two_state, nworkers=2, quanta=2)
         assert "workers" in run.summary()
 
+    def test_reused_generator_reports_this_campaign(self, two_state):
+        # the generator's lifetime counters carry over between calls; a
+        # run reports only the segments it generated itself
+        gen = SegmentGenerator(two_state, t_segment=1.0, seed=5)
+        first = run_parsplice(two_state, nworkers=3, quanta=2, generator=gen)
+        second = run_parsplice(two_state, nworkers=3, quanta=2,
+                               generator=gen)
+        for run in (first, second):
+            assert run.n_generated == 3 * 2
+            assert run.generated_time == pytest.approx(3 * 2 * 1.0)
+            assert run.spliced_fraction == run.n_spliced / run.n_generated
+        assert gen.n_generated == 12
+
 
 class TestSpeculationAblation:
     def test_no_speculation_still_valid(self):

@@ -133,6 +133,25 @@ class TestBindContract:
         assert np.array_equal(pos_bound, pos_fresh)
         assert np.array_equal(vel_bound, vel_fresh)
 
+    @pytest.mark.parametrize("engine_kwargs", BACKENDS)
+    def test_bind_rebuilds_inside_the_skin_on_the_same_box(self,
+                                                           engine_kwargs):
+        """The next evaluate after bind() builds at the bound coordinates
+        even when they sit inside the old Verlet skin on the very same
+        Box object (what an in-memory restore reinstalls): the build
+        counter and the topology reference a checkpoint stores say so."""
+        state = _state(1)
+        with build_engine(state, _pot(), **engine_kwargs) as engine:
+            engine.evaluate()
+            builds = engine.neighbor_builds
+            target = state.copy()  # shares the Box object
+            target.positions += 0.01
+            engine.bind(target)
+            engine.evaluate()
+            assert engine.neighbor_builds == builds + 1
+            assert np.array_equal(engine.topology_reference,
+                                  target.positions)
+
     def test_process_bind_rejects_shape_changes(self):
         pot = _pot()
         with build_engine(_state(), pot, backend="process",
@@ -413,6 +432,15 @@ class TestCalibrationOverSession:
             assert cfg.task_duration_mean > 0
             assert cfg.n_workers == 10
             assert not session.closed
+
+    def test_calibrated_config_forwards_every_engine_keyword(self):
+        # build_engine's keywords reach the engine, the rest the config
+        from repro.exaalt import calibrated_config
+
+        cfg = calibrated_config(_state(1), _pot(), t_segment=0.002,
+                                backend="process", nprocs=2, batch=8)
+        assert cfg.task_duration_mean > 0
+        assert cfg.batch == 8
 
 
 # ======================================================================

@@ -20,29 +20,43 @@ def lj_sim(rng):
 class TestPhaseTimers:
     def test_accumulate(self):
         t = PhaseTimers()
-        with t.phase("a"):
+        with t.phase("force"):
             pass
-        t.add("a", 1.0)
-        t.add("b", 3.0)
-        assert t.totals["a"] >= 1.0
-        assert t.total == pytest.approx(t.totals["a"] + 3.0)
+        t.add("force", 1.0)
+        t.add("neigh", 3.0)
+        assert t.totals["force"] >= 1.0
+        assert t.total == pytest.approx(t.totals["force"] + 3.0)
 
     def test_fractions_sum_to_one(self):
         t = PhaseTimers()
-        t.add("x", 1.0)
-        t.add("y", 3.0)
+        t.add("comm", 1.0)
+        t.add("io", 3.0)
         f = t.fractions()
         assert sum(f.values()) == pytest.approx(1.0)
-        assert f["y"] == pytest.approx(0.75)
+        assert f["io"] == pytest.approx(0.75)
 
     def test_empty_fractions(self):
         assert PhaseTimers().fractions() == {}
 
     def test_reset(self):
         t = PhaseTimers()
-        t.add("x", 1.0)
+        t.add("other", 1.0)
         t.reset()
         assert t.total == 0.0
+
+    def test_unregistered_phase_is_rejected(self):
+        # the registry is enforced at run time: a typo fails the first
+        # call that times it, registered and dynamic names pass
+        t = PhaseTimers()
+        with pytest.raises(ValueError, match="'warp' is not registered"):
+            t.add("warp", 1.0)
+        with pytest.raises(ValueError, match="warp.rate"):
+            with t.phase("warp.rate"):
+                pass
+        t.add("neigh.rebuild", 1.0)
+        t.add("force.compute_yi", 2.0)
+        assert t.totals == {}
+        assert t.subtotals == {"neigh.rebuild": 1.0, "force.compute_yi": 2.0}
 
 
 class TestSimulation:
