@@ -63,12 +63,9 @@ class Box:
 
     def minimum_image(self, dr: np.ndarray) -> np.ndarray:
         """Apply the minimum-image convention to displacement vectors."""
-        dr = np.array(dr, dtype=float)
-        for k in range(3):
-            if self.periodic[k]:
-                l = self.lengths[k]
-                dr[..., k] -= l * np.round(dr[..., k] / l)
-        return dr
+        dr = np.asarray(dr, dtype=float)
+        return np.where(self.pmask,
+                        dr - self.lengths * np.round(dr / self.lengths), dr)
 
     def scaled(self, factor: float | np.ndarray) -> "Box":
         """Return a box with edge lengths scaled by ``factor``."""

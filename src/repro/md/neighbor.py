@@ -8,10 +8,13 @@ expects):
 * a **k-d tree** search (``scipy.spatial.cKDTree``, O(N log N)) in
   canonical ``(i, j)`` order, used whenever every periodic axis is at
   least three cutoffs long, and
-* a brute-force **image sweep** (O(27 N^2)) for shorter boxes; it
-  remains correct below twice the cutoff, where a single pair can
-  interact through several periodic images (small training cells need
-  this).
+* a brute-force **image sweep** (O(N^2) per image) for shorter boxes,
+  in ``(i, image shift, j)`` order.  Each periodic axis longer than
+  twice the cutoff contributes only the nearest image of every pair
+  (one ``(N, N)`` table); a shorter one sweeps every image that can
+  reach the cutoff, so the sweep stays exact where a single pair
+  interacts through several periodic images (small training cells
+  need this).
 
 A Verlet skin lets the list persist across steps; rebuild is triggered
 when any atom moved more than half the skin, the standard MD heuristic.
@@ -34,57 +37,93 @@ __all__ = ["NeighborList", "build_pairs", "filter_pairs", "refresh_pairs"]
 #: one pass (32 MiB of float64); bigger systems go one x image at a time
 _SWEEP_TABLE_ELEMS = 1 << 22
 
+#: a periodic axis longer than ``2 * cutoff * (1 + _NEAREST_MARGIN)``
+#: sweeps only the nearest image: the margin keeps the rounding of
+#: ``dx / L`` from ever picking the far image of an in-cutoff pair
+_NEAREST_MARGIN = 1e-6
+
 
 def _brute_force_pairs(positions: np.ndarray, box: Box, cutoff: float):
-    """All pairs within cutoff including periodic images (small boxes).
+    """All pairs within cutoff including periodic images (small boxes),
+    in ``(i, sx, sy, sz, j)`` order (``s`` the image shift per axis).
 
-    One pass over all 27 images: per axis a ``(nshift, N, N)`` table of
-    ``(x_j + shift) - x_i`` is built once, ``d2`` of every image is
-    their broadcast sum and a single ``flatnonzero`` emits the pairs in
-    ``(sx, sy, sz, i, j)`` order.
+    Per axis a ``(nimg, N, N)`` table of ``(x_j + img * L) - x_i`` is
+    built once, ``d2`` of every image combination is their broadcast
+    sum and a single ``flatnonzero`` emits the pairs.  The image set is
+    chosen per axis from ``L / cutoff``:
+
+    * ``L > 2 cutoff``: a pair is within the cutoff through at most one
+      image, the nearest, so ``nimg = 1`` with the shift picked per pair
+      in closed form (``-round`` of the fractional separation);
+    * otherwise every shift in ``-m..m``, ``m = ceil(cutoff / L)`` -
+      exact, since after the whole-box reduction below ``|dx| < L``;
+    * open axes: the plain difference.
 
     Callers hand in *unwrapped* coordinates (``MDLoop`` never wraps), so
     each ``x_j - x_i`` is first reduced by its whole-box count
-    ``trunc(dx / L)`` and the +-1 sweep runs around that.  The count is
+    ``trunc(dx / L)`` and the shifts run around that.  The count is
     zero for coordinates within one box length of each other, where the
-    shifts are exactly ``s * L``.
+    image offsets are exactly ``s * L``.
     """
-    # Enough images? require cutoff < smallest periodic box length so that
-    # +-1 image sweeps suffice.
     for k in range(3):
         if box.periodic[k] and cutoff >= box.lengths[k] * 1.5:
             raise ValueError(
                 f"cutoff {cutoff} too large for box length {box.lengths[k]}")
     n = positions.shape[0]
-    comps, squares = [], []
+    comps, squares, shifts, home = [], [], [], []
     for k in range(3):
         x, length = positions[:, k], box.lengths[k]
-        if box.periodic[k]:
-            images = np.arange(-1.0, 2.0)[:, None, None]
-            images = images - np.trunc((x[None, :] - x[:, None]) / length)
+        if not box.periodic[k]:
+            shift, base = np.zeros((1, n, n)), 0.0
+            home.append(0)
         else:
-            images = np.zeros((1, 1, 1))
-        comp = (x[None, None, :] + images * length) - x[None, :, None]
+            frac = (x[None, :] - x[:, None]) / length
+            base = np.trunc(frac)[None]
+            if length > 2.0 * cutoff * (1.0 + _NEAREST_MARGIN):
+                shift = 0.0 - np.round(frac[None] - base)  # never -0.0
+                home.append(0)
+            else:
+                m = int(np.ceil(cutoff / length))
+                shift = np.arange(-m, m + 1.0)[:, None, None] \
+                    + np.zeros((n, n))
+                home.append(m)
+        comp = (x[None, None, :] + (shift - base) * length) \
+            - x[None, :, None]
         comps.append(comp)
         squares.append(comp * comp)
-    dx, dy, dz = comps
+        shifts.append(shift)
     dx2, dy2, dz2 = squares
-    home = tuple(len(c) // 2 for c in comps)  # the zero-shift image
-    nimg = len(dx) * len(dy) * len(dz)
-    step = len(dx) if nimg * n * n <= _SWEEP_TABLE_ELEMS else 1
+    shape = tuple(len(comp) for comp in comps)
+    nn, nimg = n * n, shape[0] * shape[1] * shape[2]
+    step = shape[0] if nimg * nn <= _SWEEP_TABLE_ELEMS else 1
     found = []
-    for x0 in range(0, len(dx), step):
+    for x0 in range(0, shape[0], step):
         d2 = (dx2[x0:x0 + step, None, None] + dy2[None, :, None]) \
             + dz2[None, None, :]
         mask = d2 < cutoff * cutoff
         if x0 <= home[0] < x0 + step:
+            # an atom is not its own neighbour through the zero shift
             np.fill_diagonal(mask[home[0] - x0, home[1], home[2]], False)
-        # flat scan + unravel: the 5-d nonzero walks every index tuple
-        sx, sy, sz, ii, jj = np.unravel_index(np.flatnonzero(mask),
-                                              mask.shape)
-        found.append((ii, jj, np.stack(
-            [dx[sx + x0, ii, jj], dy[sy, ii, jj], dz[sz, ii, jj]], axis=1)))
-    return tuple(np.concatenate(part) for part in zip(*found))
+        found.append(np.flatnonzero(mask) + x0 * shape[1] * shape[2] * nn)
+    flat = np.concatenate(found)
+    if nimg == 1:  # the flat index is the pair (unravel_index is slow)
+        cs, pair = (0, 0, 0), flat
+    else:
+        image, pair = np.divmod(flat, nn)
+        cs = np.unravel_index(image, shape)
+    i_idx = pair // n
+    j_idx = pair - i_idx * n
+    # flat index of every pair in each axis' (nimg, N, N) table; the
+    # shifts are integers in -2..2 (the guard), so the key is unique
+    sels = [c * nn + pair for c in cs]
+    key = i_idx
+    for shift, sel in zip(shifts, sels):
+        key = key * 5 + np.take(shift, sel)
+    # stable sort = timsort, fast on these i-major runs (the key is unique)
+    order = np.argsort(key * n + j_idx, kind="stable")
+    rij = np.stack([np.take(comp, np.take(sel, order))
+                    for comp, sel in zip(comps, sels)], axis=1)
+    return np.take(i_idx, order), np.take(j_idx, order), rij
 
 
 def _tree_pairs(positions: np.ndarray, box: Box, cutoff: float,
@@ -120,7 +159,7 @@ def build_pairs(positions: np.ndarray, box: Box, cutoff: float,
     Within an atom the tree path orders pairs by ascending ``j`` - a
     canonical ``(i, j)`` order that is a pure function of the positions
     - and the small-box sweep, where a pair can repeat through several
-    images, by image.
+    images, by image shift, then ``j``.
 
     ``rows=(lo, hi)`` restricts the list to pairs whose central atom
     index lies in ``[lo, hi)``; the restricted lists of a disjoint row
@@ -136,17 +175,18 @@ def build_pairs(positions: np.ndarray, box: Box, cutoff: float,
     tree = usable and n > 32
     if tree:
         i_idx, j_idx, rij = _tree_pairs(positions, box, cutoff, rows=rows)
-    else:
+    else:  # already in (i, shift, j) order
         i_idx, j_idx, rij = _brute_force_pairs(positions, box, cutoff)
     if rows is not None:
         inwin = np.flatnonzero((i_idx >= rows[0]) & (i_idx < rows[1]))
         i_idx, j_idx = i_idx[inwin], j_idx[inwin]
         rij = np.take(rij, inwin, axis=0)
-    # the tree key is unique, so the order does not depend on the sort
-    order = np.argsort(i_idx * n + j_idx) if tree \
-        else np.argsort(i_idx, kind="stable")
-    rij = np.take(rij, order, axis=0)
-    return NeighborBatch(i_idx=i_idx[order], rij=rij, j_idx=j_idx[order],
+    if tree:
+        # the key is unique, so the order does not depend on the sort
+        order = np.argsort(i_idx * n + j_idx)
+        i_idx, j_idx = i_idx[order], j_idx[order]
+        rij = np.take(rij, order, axis=0)
+    return NeighborBatch(i_idx=i_idx, rij=rij, j_idx=j_idx,
                          r=np.sqrt(np.einsum("ij,ij->i", rij, rij)))
 
 

@@ -43,14 +43,13 @@ class LennardJones(Potential):
         twice), ``dedr = phi'(r) / 2 * rhat``; every operation is
         elementwise per pair."""
         lo, hi = rows
-        inside = nbr.r < self.cutoff
-        sr6 = np.zeros(nbr.npairs)
         r = nbr.r
-        sr6[inside] = (self.sigma / r[inside]) ** 6
+        inside = r < self.cutoff
+        sr6 = (self.sigma / r) ** 6
         sr12 = sr6 * sr6
         phi = np.where(inside, 4.0 * self.epsilon * (sr12 - sr6) - self._shift, 0.0)
         dphidr = np.where(inside,
-                          4.0 * self.epsilon * (-12.0 * sr12 + 6.0 * sr6) / np.where(r > 0, r, 1.0),
+                          4.0 * self.epsilon * (-12.0 * sr12 + 6.0 * sr6) / r,
                           0.0)
         return (scatter_add(nbr.i_idx - lo, 0.5 * phi, hi - lo),
                 (0.5 * dphidr / r)[:, None] * nbr.rij)

@@ -164,6 +164,12 @@ ROWS: tuple[Mutant, ...] = (
              "rows[1]))\n"),
         shape="rows window off by one (the next rank's first row)",
         contract="bitwise"),
+    Mutant(
+        "sweep-order-drops-image", NEIGH,
+        old="        key = key * 5 + np.take(shift, sel)\n",
+        new="        key = key * 5\n",
+        shape="the image sweep sorts on (i, j) without its image key",
+        contract="bitwise"),
     # ------------------------------------------------------------------
     # the process backend
     # ------------------------------------------------------------------

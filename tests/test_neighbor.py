@@ -86,12 +86,16 @@ class TestBuildPairs:
         assert np.allclose(sorted(nbr.r), [0.2, 0.2])
 
     def test_self_image_pairs(self):
-        # an atom can neighbor its own periodic image
+        # an atom can neighbor its own periodic image: the 6 faces at
+        # 1.5, then the 12 edges at 2.12 (the +-2 faces at 3.0 are out)
         box = Box.cubic(1.5)
         pos = np.array([[0.75, 0.75, 0.75]])
-        nbr = build_pairs(pos, box, 1.6)
-        assert nbr.npairs >= 6  # at least the 6 face images
-        assert np.all(nbr.i_idx == 0) and np.all(nbr.j_idx == 0)
+        for cutoff, npairs in ((1.6, 6), (2.2, 18)):
+            nbr = build_pairs(pos, box, cutoff)
+            assert nbr.npairs == npairs
+            assert np.all(nbr.i_idx == 0) and np.all(nbr.j_idx == 0)
+            assert np.allclose(np.sort(np.abs(nbr.rij).sum(axis=1)),
+                               [1.5] * 6 + [3.0] * (npairs - 6))
 
     def test_rij_consistency(self, rng):
         box = Box.cubic(14.0)
@@ -259,26 +263,42 @@ class TestTreeSearch:
 
 
 def _reference_sweep(positions, box, cutoff):
-    """The 27-pass image sweep ``_brute_force_pairs`` replaced: one
-    ``(N, N, 3)`` pass per image, concatenated in ``(sx, sy, sz)`` order.
-    Kept verbatim as the reference the one-pass sweep must equal."""
-    shifts = [np.arange(-1, 2) if p else np.array([0]) for p in box.periodic]
+    """The image sweep one image at a time: every shift in ``-m..m``,
+    ``m = ceil(cutoff / L)``, on each periodic axis, around the whole-box
+    count ``trunc(dx / L)`` of each pair, with ``(x_j + img * L) - x_i``
+    per image, concatenated in ``(sx, sy, sz)`` order and then stably
+    sorted by ``i`` (what ``build_pairs`` hands on).  No nearest-image
+    shortcut and no sort key: the reference the sweep must equal."""
+    n = len(positions)
+    images, shifts = [], []
+    for k in range(3):
+        x, length = positions[:, k], box.lengths[k]
+        if box.periodic[k]:
+            m = int(np.ceil(cutoff / length))
+            shifts.append(np.arange(-m, m + 1.0))
+            images.append(np.trunc((x[None, :] - x[:, None]) / length))
+        else:
+            shifts.append(np.zeros(1))
+            images.append(np.zeros((n, n)))
     i_list, j_list, rij_list = [], [], []
     for sx in shifts[0]:
         for sy in shifts[1]:
             for sz in shifts[2]:
-                shift = np.array([sx, sy, sz], dtype=float) * box.lengths
-                dr = positions[None, :, :] + shift - positions[:, None, :]
-                d2 = np.sum(dr * dr, axis=-1)
-                mask = d2 < cutoff * cutoff
+                dr = [(positions[None, :, k] + (s - images[k])
+                       * box.lengths[k]) - positions[:, None, k]
+                      for k, s in enumerate((sx, sy, sz))]
+                mask = (dr[0] * dr[0] + dr[1] * dr[1]) + dr[2] * dr[2] \
+                    < cutoff * cutoff
                 if sx == 0 and sy == 0 and sz == 0:
                     np.fill_diagonal(mask, False)
                 ii, jj = np.nonzero(mask)
                 i_list.append(ii)
                 j_list.append(jj)
-                rij_list.append(dr[ii, jj])
-    return (np.concatenate(i_list), np.concatenate(j_list),
-            np.concatenate(rij_list))
+                rij_list.append(np.stack([d[ii, jj] for d in dr], axis=1))
+    ii, jj, rij = (np.concatenate(part)
+                   for part in (i_list, j_list, rij_list))
+    order = np.argsort(ii, kind="stable")
+    return ii[order], jj[order], rij[order]
 
 
 def _assert_same_pairs(got, ref):
@@ -289,26 +309,64 @@ def _assert_same_pairs(got, ref):
 
 
 class TestImageSweep:
-    @settings(deadline=None, max_examples=60)
+    @settings(deadline=None, max_examples=80)
     @given(n=st.integers(2, 80),
            lengths=st.tuples(*[st.floats(2.5, 9.0)] * 3),
            periodic=st.tuples(*[st.booleans()] * 3),
            cut_frac=st.floats(0.05, 0.999), straddle=st.floats(-0.5, 0.5),
-           seed=st.integers(0, 2**16))
-    def test_one_pass_sweep_equals_27_pass_reference(
-            self, n, lengths, periodic, cut_frac, straddle, seed):
-        """Array-equal ``(i, j, rij)`` - order and bits included - for
-        coordinates within one box length of each other, up to the
-        cutoff guard, on non-cubic and partly open boxes."""
+           drift=st.booleans(), seed=st.integers(0, 2**16))
+    def test_sweep_equals_image_by_image_reference(
+            self, n, lengths, periodic, cut_frac, straddle, drift, seed):
+        """Array-equal ``(i, j, rij)`` - order and bits included - up to
+        the cutoff guard, so on both sides of ``L = 2 cutoff`` (one
+        nearest image per axis above it) and past ``L = cutoff`` (the
+        +-2 images), on non-cubic, partly open boxes, with atoms
+        straddling a boundary or drifted by whole box lengths."""
         box = Box(lengths=lengths, periodic=periodic)
         rng = np.random.default_rng(seed)
         # a box-sized cloud that may straddle a periodic boundary
         pos = (rng.uniform(0, 1, size=(n, 3)) + straddle) * box.lengths
+        if drift:
+            pos += rng.integers(-3, 4, size=(n, 3)) * box.lengths * box.pmask
         guard = 1.5 * min([box.lengths[k] for k in range(3)
                            if periodic[k]] or [6.0])
         cutoff = cut_frac * guard
         _assert_same_pairs(_brute_force_pairs(pos, box, cutoff),
                            _reference_sweep(pos, box, cutoff))
+
+    @settings(deadline=None, max_examples=40)
+    @given(system=tree_systems(sweep=True))
+    def test_sweep_systems_equal_the_reference(self, system):
+        box, pos, cutoff, _ = system
+        _assert_same_pairs(_brute_force_pairs(pos, box, cutoff),
+                           _reference_sweep(pos, box, cutoff))
+
+    @pytest.mark.parametrize("ratio", [1 - 1e-3, 1 - 1e-7, 1 + 1e-7,
+                                       1 + 1e-3])
+    def test_box_at_twice_the_cutoff(self, rng, ratio):
+        # L / (2 cutoff) just below, at the margin and just above the
+        # switch to one nearest image per axis; atoms packed near L / 2
+        # apart, where the nearest image is least clear
+        box = Box(lengths=[8.0, 8.0, 9.0])
+        pos = rng.uniform(0, 1, size=(48, 3)) * box.lengths
+        pos[::2, 0] = rng.uniform(0.0, 0.01, size=24)
+        pos[1::2, 0] = 4.0 + rng.uniform(-0.01, 0.01, size=24)
+        cutoff = 4.0 * ratio
+        _assert_same_pairs(_brute_force_pairs(pos, box, cutoff),
+                           _reference_sweep(pos, box, cutoff))
+
+    def test_sweep_reaches_the_second_image(self):
+        # cutoff 4 in a 3 A box: x = 0.1 and 2.6 are 2.5 apart directly,
+        # 0.5 and 3.5 through one and two boundaries; a +-1 sweep misses
+        # the 3.5 pair both ways (32 pairs instead of 34)
+        box = Box.cubic(3.0)
+        pos = np.array([[0.1, 1.5, 1.5], [2.6, 1.5, 1.5]])
+        nbr = build_pairs(pos, box, 4.0)
+        assert nbr.npairs == 34
+        far = (nbr.i_idx != nbr.j_idx) & np.isclose(nbr.r, 3.5)
+        assert np.allclose(nbr.rij[far], [[-3.5, 0, 0], [3.5, 0, 0]])
+        _assert_same_pairs((nbr.i_idx, nbr.j_idx, nbr.rij),
+                           _reference_sweep(pos, box, 4.0))
 
     def test_blocked_sweep_equals_one_block(self, rng, monkeypatch):
         # the table budget only changes how many images go per pass
