@@ -9,7 +9,6 @@ used by SNAP (``2J <= 14`` in the paper's benchmarks).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, sqrt
@@ -17,15 +16,6 @@ from math import factorial, sqrt
 import numpy as np
 
 __all__ = ["clebsch_gordan", "cg_tensor", "cg_sparse", "SparseCGTriple"]
-
-#: serializes cache-miss builds of the (lru-cached) CG tensors and sparse
-#: index structures: concurrent evaluators (ParSplice session threads)
-#: may touch these lazily, and a concurrent first call must not duplicate
-#: the (non-trivial) build work.  SNAP.__init__ additionally primes both
-#: caches eagerly for every triple it uses, so forked process workers
-#: only ever see cache hits.
-_CACHE_LOCK = threading.Lock()  # guarded-by: _CACHE_LOCK
-
 
 def _f(n2: int) -> int:
     """Factorial of a doubled integer ``n2`` (must be an even non-negative)."""
@@ -89,7 +79,13 @@ def clebsch_gordan(j1: int, m1: int, j2: int, m2: int, j: int, m: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _cg_tensor_build(j1: int, j2: int, j: int) -> np.ndarray:
+def cg_tensor(j1: int, j2: int, j: int) -> np.ndarray:
+    """Dense CG tensor ``H[ma1, ma2, ma]`` for a (doubled) triple.
+
+    ``H`` has shape ``(j1+1, j2+1, j+1)`` and satisfies
+    ``H[ma1, ma2, ma] = <j1 m1 j2 m2 | j m>`` with ``m = m1 + m2``.
+    The returned array is cached and read-only.
+    """
     h = np.zeros((j1 + 1, j2 + 1, j + 1))
     shift = (j1 + j2 - j) // 2
     for ma1 in range(j1 + 1):
@@ -99,20 +95,8 @@ def _cg_tensor_build(j1: int, j2: int, j: int) -> np.ndarray:
             ma = ma1 + ma2 - shift
             if 0 <= ma <= j:
                 h[ma1, ma2, ma] = clebsch_gordan(j1, m1, j2, m2, j, m1 + m2)
-    out = h
-    out.setflags(write=False)
-    return out
-
-
-def cg_tensor(j1: int, j2: int, j: int) -> np.ndarray:
-    """Dense CG tensor ``H[ma1, ma2, ma]`` for a (doubled) triple.
-
-    ``H`` has shape ``(j1+1, j2+1, j+1)`` and satisfies
-    ``H[ma1, ma2, ma] = <j1 m1 j2 m2 | j m>`` with ``m = m1 + m2``.
-    The returned array is cached and read-only.
-    """
-    with _CACHE_LOCK:
-        return _cg_tensor_build(j1, j2, j)
+    h.setflags(write=False)
+    return h
 
 
 @dataclass(frozen=True)
@@ -152,8 +136,14 @@ class SparseCGTriple:
 
 
 @lru_cache(maxsize=None)
-def _cg_sparse_build(j1: int, j2: int, j: int) -> SparseCGTriple:
-    h = _cg_tensor_build(j1, j2, j)
+def cg_sparse(j1: int, j2: int, j: int) -> SparseCGTriple:
+    """Sparse CG index structure for a (doubled) triple (cached, read-only).
+
+    See :class:`SparseCGTriple`.  ``SNAP.__init__`` primes this cache
+    (and through it :func:`cg_tensor`'s) for every triple it uses, so
+    forked process workers only ever see cache hits.
+    """
+    h = cg_tensor(j1, j2, j)
     ncol = j // 2 + 1
     # Nonzero (ma1, ma2, ma) entries of H; the mb factor reuses the same
     # tensor restricted to the half plane mb <= j/2.
@@ -194,14 +184,3 @@ def _cg_sparse_build(j1: int, j2: int, j: int) -> SparseCGTriple:
                 triple.out_index, triple.seg_starts):
         arr.setflags(write=False)
     return triple
-
-
-def cg_sparse(j1: int, j2: int, j: int) -> SparseCGTriple:
-    """Sparse CG index structure for a (doubled) triple (cached, read-only).
-
-    See :class:`SparseCGTriple`.  Built once per triple alongside
-    :func:`cg_tensor`; `SNAP.__init__` primes this cache eagerly so
-    process workers never race a first build.
-    """
-    with _CACHE_LOCK:
-        return _cg_sparse_build(j1, j2, j)

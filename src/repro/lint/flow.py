@@ -17,8 +17,7 @@ R8-lockset (the only lock rule)
 
 A race is what no test convicts: in the seeded-bug ledger
 (``tests/mutants/ledger.py``, EXPERIMENTS E26) R8 is the only net that
-catches a lock-free write on the segment service's pool threads or the
-trajectory writer's drain thread.  The two other whole-program rules
+catches a lock-free write on the trajectory writer's drain thread.  The two other whole-program rules
 this module held are deleted on that ledger's evidence: the engine
 contract is enforced at run time (abstract methods and ``RunSummary``
 fields raise ``TypeError``, ``PhaseTimers`` rejects an unregistered

@@ -21,12 +21,9 @@ per campaign rather than once per segment.
     engine.  Completions are spliced *asynchronously but
     deterministically*: a reorder buffer releases segments to the
     :class:`~repro.parsplice.SpliceEngine` in request-submission order
-    regardless of which session finishes first.  A bounded in-flight
-    window applies backpressure - :meth:`request` blocks once
-    ``max_inflight`` segments are queued, so an eager oracle cannot
-    outrun the fleet unboundedly.  Engine failures are detected per
-    segment, the dead session is replaced from the factory and the
-    segment is rescheduled (bounded retries).
+    regardless of which session finishes first.  Engine failures are
+    detected per segment, the dead session is replaced from the factory
+    and the segment is rescheduled (bounded retries).
 :class:`ServiceSegmentGenerator`
     Adapter giving the scheduler the ``generate``/``generate_batch``
     protocol :func:`repro.parsplice.run_parsplice` consumes, so the
@@ -44,28 +41,26 @@ key received over a pipe and sends back the
 counters - segments never share a GIL.  Workers start from
 :func:`repro.parallel.process_engine.worker_context` (fork preferred, so
 factories and classifiers need not pickle) and are non-daemonic, so a
-``backend="process"`` session can fork its own ranks.  The parent keeps
-only what must live in one place: cache, in-flight table, reorder
-buffer, splicer and stats, all guarded by ``self._lock``.  Its executor
-(``self._pool``) runs at most one task per worker; a task checks a
-worker out of the idle queue and blocks on that worker's pipe, so a
-worker serves one request at a time.  A worker that dies surfaces as
-``EOFError``/``OSError`` on its pipe, an exception raised inside it is
-re-raised in the parent with the remote traceback attached; both take
-the replace-and-reschedule path.
+``backend="process"`` session can fork its own ranks.  The parent runs
+no thread: :meth:`SegmentScheduler.request` starts a new key on an idle
+worker or queues it (FIFO), and waiting on a returned future pumps the
+dispatcher - one :func:`multiprocessing.connection.wait` over the busy
+workers' pipes and process sentinels.  A dead worker fires its sentinel
+(ranks it forked may hold its pipe open); an exception raised inside it
+is re-raised in the parent with the remote traceback attached; both
+take the replace-and-reschedule path.
 """
 
 from __future__ import annotations
 
 import functools
 import pickle
-import queue
-import threading
 import time
 import traceback
-from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import OrderedDict, deque
+from concurrent.futures import Future
 from dataclasses import dataclass
+from multiprocessing import connection
 from multiprocessing import util as mp_util
 
 import numpy as np
@@ -83,7 +78,7 @@ __all__ = ["SegmentScheduler", "ServiceStats", "ServiceSegmentGenerator",
 #: ArithmeticError), dead worker processes or torn shared memory
 #: (OSError and subclasses, EOFError), and the engines' own lifecycle
 #: errors (RuntimeError).  Programming errors (TypeError, KeyError, ...)
-#: propagate - rescheduling cannot fix those.
+#: fail the segment's future - rescheduling cannot fix those.
 _ENGINE_FAILURES = (RuntimeError, OSError, ValueError, EOFError,
                     ArithmeticError)
 
@@ -155,12 +150,7 @@ class _RemoteTraceback(Exception):
 
 
 class _SegmentWorker:
-    """Parent-side handle of one segment worker process.
-
-    Checked out of the scheduler's idle queue by one pool thread at a
-    time.  ``counters`` is rebound, never mutated, so
-    :meth:`SegmentScheduler.session_stats` may read it from any thread.
-    """
+    """Parent-side handle of one segment worker process."""
 
     def __init__(self, name: str, *worker_args) -> None:
         # imported here like build_engine's backends: repro.parallel is
@@ -169,69 +159,87 @@ class _SegmentWorker:
 
         ctx = worker_context()
         self.name = name
-        self._conn, child_conn = ctx.Pipe()
-        self._proc = ctx.Process(target=_segment_worker_main, name=name,
-                                 args=(child_conn, self._conn, *worker_args))
-        self._proc.start()
+        self.conn, child_conn = ctx.Pipe()
+        self.proc = ctx.Process(target=_segment_worker_main, name=name,
+                                args=(child_conn, self.conn, *worker_args))
+        self.proc.start()
         child_conn.close()
         try:
-            backend = self._reply()
+            connection.wait([self.conn, self.proc.sentinel])
+            backend = self.reply()
         except BaseException:
             self.close()
             raise
-        self.counters = {"backend": backend, "pid": self._proc.pid,
+        self.counters = {"backend": backend, "pid": self.proc.pid,
                          "segments": 0, "binds": 0, "steps": 0,
                          "md_wall_s": 0.0}
 
-    def _reply(self):
-        """Payload of the worker's next message.
-
-        A worker's own exception is re-raised here with its traceback
-        as the cause.  The pipe alone cannot be trusted to report a
-        death - a sibling forked while this worker's pipe was being set
-        up holds a copy of its far end - so liveness is polled too.
-        """
-        while not self._conn.poll(0.25):
-            # (a last message may have landed between the two checks)
-            if not self._proc.is_alive() and not self._conn.poll(0):
-                raise EOFError(f"segment worker {self.name} died "
-                               f"(exit code {self._proc.exitcode})")
-        kind, payload = self._conn.recv()
+    def reply(self):
+        """Payload of the worker's message (no message: it died); its own
+        exception is re-raised with the remote traceback as the cause."""
+        if not self.conn.poll():
+            raise EOFError(f"segment worker {self.name} died "
+                           f"(exit code {self.proc.exitcode})")
+        kind, payload = self.conn.recv()
         if kind == "error":
             err, trace = payload
             raise err from _RemoteTraceback(trace)
         return payload
 
-    def run_segment(self, state: int, seed: int) -> MDSegment:
-        self._conn.send((state, seed))
-        segment, counters = self._reply()
-        self.counters = {**self.counters, **counters}
-        return segment
-
     def close(self) -> None:
         """Stop the worker (it closes its session) and reap it."""
         try:
-            self._conn.send(None)
+            self.conn.send(None)
         except OSError:
             pass  # already dead, or this handle is already closed
-        self._proc.join(timeout=10.0)
-        if self._proc.is_alive():  # mid-segment or wedged: do not wait
-            self._proc.terminate()
-            self._proc.join(timeout=2.0)
-            if self._proc.is_alive():
-                self._proc.kill()
-                self._proc.join()
-        self._conn.close()
+        self.proc.join(timeout=10.0)
+        if self.proc.is_alive():  # mid-segment or wedged: do not wait
+            self.proc.terminate()
+            self.proc.join(timeout=2.0)
+            if self.proc.is_alive():
+                self.proc.kill()
+                self.proc.join()
+        self.conn.close()
 
 
 def _close_workers(workers: list) -> None:
     for worker in workers:
-        worker.close()
+        if worker is not None:
+            worker.close()
+
+
+class _SegmentFuture(Future):
+    """A request's future; waiting on it runs the scheduler's dispatcher.
+
+    Completed on the caller's thread, so done-callbacks fire there too.
+    """
+
+    def __init__(self, scheduler: "SegmentScheduler") -> None:
+        super().__init__()
+        self._scheduler = scheduler
+        # a request cannot be withdrawn: its ticket holds the splice order
+        self.set_running_or_notify_cancel()
+
+    def result(self, timeout: float | None = None):
+        self._scheduler._pump_until(self, timeout)
+        return super().result(0)
+
+    def exception(self, timeout: float | None = None):
+        self._scheduler._pump_until(self, timeout)
+        return super().exception(0)
+
+
+@dataclass(eq=False)
+class _Job:
+    key: tuple
+    ticket: int
+    future: _SegmentFuture
+    attempts: int = 0
 
 
 @dataclass
 class ServiceStats:
-    """Scheduler counters (all mutated under the scheduler lock)."""
+    """Scheduler counters."""
 
     #: request() calls (cache hits and joins included)
     requests: int = 0
@@ -278,9 +286,6 @@ class SegmentScheduler:
         the segment in its start state.  Runs inside the workers.
     cache_limit:
         Bounded LRU capacity of the ``(state, seed)`` segment cache.
-    max_inflight:
-        Backpressure window; :meth:`request` blocks when this many
-        segments are queued or running.  Default ``4 * nworkers``.
     max_retries:
         Reschedule attempts per segment after session failures.
     session_factory:
@@ -296,8 +301,8 @@ class SegmentScheduler:
                  temperature: float = 300.0, damp: float = 0.1,
                  seed: int | SeedStream = 0, initial_state: int = 0,
                  classifier=None, cache_limit: int = 4096,
-                 max_inflight: int | None = None, max_retries: int = 2,
-                 session_factory=None, **engine_kwargs) -> None:
+                 max_retries: int = 2, session_factory=None,
+                 **engine_kwargs) -> None:
         if nworkers < 1:
             raise ValueError("nworkers must be positive")
         if nsteps < 1:
@@ -323,8 +328,8 @@ class SegmentScheduler:
         self.damp = float(damp)
         self.classifier = classifier
         self.stream = seed if isinstance(seed, SeedStream) else SeedStream(seed)
-        self.stats = ServiceStats()  # guarded-by: _lock
-        self.splicer = SpliceEngine(initial_state=int(initial_state))  # guarded-by: _lock
+        self.stats = ServiceStats()
+        self.splicer = SpliceEngine(initial_state=int(initial_state))
         self.max_retries = int(max_retries)
         self.cache_limit = int(cache_limit)
 
@@ -332,7 +337,8 @@ class SegmentScheduler:
             stream=self.stream, nsteps=self.nsteps, dt=self.dt,
             temperature=self.temperature, damp=self.damp,
             classifier=classifier))
-        self._workers: list = []  # guarded-by: _lock
+        #: one handle per slot; ``None`` once a replacement failed
+        self._workers: list = []
         # runs at close(), at garbage collection and - before
         # multiprocessing joins its non-daemonic children - at exit
         self._finalizer = mp_util.Finalize(
@@ -343,21 +349,17 @@ class SegmentScheduler:
         except BaseException:
             self._finalizer()
             raise
-        self._idle: queue.SimpleQueue = queue.SimpleQueue()
-        for idx in range(self.nworkers):
-            self._idle.put(idx)
-        self._pool = ThreadPoolExecutor(max_workers=self.nworkers,
-                                        thread_name_prefix="segsvc")
-        self._lock = threading.RLock()
-        self._cache: OrderedDict = OrderedDict()  # guarded-by: _lock
-        self._inflight: dict = {}  # guarded-by: _lock
-        self._limiter = threading.BoundedSemaphore(
-            max_inflight if max_inflight is not None else 4 * self.nworkers)
-        self._next_seed: dict = {}  # guarded-by: _lock
-        self._tickets = 0  # guarded-by: _lock
-        self._next_splice = 0  # guarded-by: _lock
-        self._reorder: dict = {}  # guarded-by: _lock
-        self._closed = False  # guarded-by: _lock
+        #: the job each slot is running, ``None`` when idle
+        self._running: list = [None] * self.nworkers
+        self._queue: deque = deque()
+        self._lost: Exception | None = None
+        self._cache: OrderedDict = OrderedDict()
+        self._inflight: dict = {}
+        self._next_seed: dict = {}
+        self._tickets = 0
+        self._next_splice = 0
+        self._reorder: dict = {}
+        self._closed = False
 
     # ------------------------------------------------------------------
     # request path
@@ -377,46 +379,20 @@ class SegmentScheduler:
         ``seed=None`` draws the state's next sequential segment seed;
         an explicit seed makes the request idempotent - a cached or
         in-flight identical segment is returned instead of rerunning.
-        Blocks while the in-flight window is full (backpressure).
+        A new segment starts on an idle worker before this returns, or
+        waits in a FIFO queue for the next free one.
         """
         state = int(state)
         if not 0 <= state < len(self.states):
             raise ValueError(f"state {state} outside the library "
                              f"[0, {len(self.states)})")
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("SegmentScheduler is closed")
-            if seed is None:
-                seed = self._next_seed.get(state, 0)
-                self._next_seed[state] = seed + 1
-            key = (state, int(seed))
-            self.stats.requests += 1
-            fut = self._lookup_locked(key)
-            if fut is not None:
-                return fut
-        # blocking acquire OUTSIDE the lock: backpressure must not hold
-        # up completions (which need the lock to release the window)
-        self._limiter.acquire()
-        with self._lock:
-            if self._closed:
-                self._limiter.release()
-                raise RuntimeError("SegmentScheduler is closed")
-            # a duplicate may have landed while this request waited on
-            # the window; serving it keeps the idempotency contract
-            fut = self._lookup_locked(key)
-            if fut is not None:
-                self._limiter.release()
-                return fut
-            ticket = self._tickets
-            self._tickets += 1
-            fut = self._pool.submit(self._run_segment, key, ticket)
-            self._inflight[key] = fut
-            self.stats.max_inflight_seen = max(self.stats.max_inflight_seen,
-                                               len(self._inflight))
-        return fut
-
-    def _lookup_locked(self, key) -> Future | None:
-        """Cache/in-flight lookup; caller holds the lock."""
+        if self._closed:
+            raise RuntimeError("SegmentScheduler is closed")
+        if seed is None:
+            seed = self._next_seed.get(state, 0)
+            self._next_seed[state] = seed + 1
+        key = (state, int(seed))
+        self.stats.requests += 1
         cached = self._cache.get(key)
         if cached is not None:
             self._cache.move_to_end(key)
@@ -424,11 +400,17 @@ class SegmentScheduler:
             fut: Future = Future()
             fut.set_result(cached)
             return fut
-        inflight = self._inflight.get(key)
-        if inflight is not None:
+        fut = self._inflight.get(key)
+        if fut is not None:
             self.stats.joined_inflight += 1
-            return inflight
-        return None
+            return fut
+        fut = self._inflight[key] = _SegmentFuture(self)
+        self.stats.max_inflight_seen = max(self.stats.max_inflight_seen,
+                                           len(self._inflight))
+        self._queue.append(_Job(key, self._tickets, fut))
+        self._tickets += 1
+        self._dispatch()
+        return fut
 
     def request_batch(self, alloc) -> list[Future]:
         """Schedule a quantum: ``alloc[state]`` segments per state.
@@ -454,133 +436,168 @@ class SegmentScheduler:
         return [f.result() for f in futures]
 
     # ------------------------------------------------------------------
-    # dispatch path (runs on pool threads; the MD runs in the workers)
+    # dispatcher (runs on the caller's thread; the MD runs in the workers)
     # ------------------------------------------------------------------
-    def _run_segment(self, key, ticket: int) -> MDSegment:
-        state, seed = key
-        last_err: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                with self._lock:
-                    self.stats.reschedules += 1
-            idx = self._idle.get()
-            try:
-                segment = self._workers[idx].run_segment(state, seed)
-            except _ENGINE_FAILURES as err:  # session died mid-segment
-                last_err = err
-                self._replace_worker(idx)
-                continue
-            self._idle.put(idx)
-            self._complete(key, ticket, segment)
-            return segment
-        self._abandon(key, ticket)
-        raise RuntimeError(
-            f"segment {key} failed after {self.max_retries + 1} attempts"
-        ) from last_err
-
     def _spawn_worker(self, idx: int) -> _SegmentWorker:
         return _SegmentWorker(f"repro-segsvc-{idx}", *self._worker_args)
 
-    def _replace_worker(self, idx: int) -> None:
-        """Swap a failed worker (and its session) for a fresh one.
+    def _dispatch(self) -> None:
+        """Start queued jobs on idle workers, oldest first."""
+        while self._queue:
+            slot = next((slot for slot, worker in enumerate(self._workers)
+                         if worker is not None
+                         and self._running[slot] is None), None)
+            if slot is None:
+                break
+            job = self._running[slot] = self._queue.popleft()
+            try:
+                self._workers[slot].conn.send(job.key)
+            except OSError as err:  # the worker died while idle
+                self._failed(slot, err)
+        while self._queue and not any(self._workers):
+            err = RuntimeError("no segment worker left")
+            err.__cause__ = self._lost  # the last failed replacement
+            self._settle(self._queue.popleft(), error=err)
 
-        The idle token goes back only once the replacement exists: if
-        the factory itself fails, the slot is lost and the error
-        propagates to the segment's future instead of hanging peers on
-        a token for a broken session.
+    def _pump(self, timeout: float | None = None) -> None:
+        """Wait once on the busy workers; settle every reply or death."""
+        busy = {}
+        for slot, worker in enumerate(self._workers):
+            if self._running[slot] is not None:
+                busy[worker.conn] = busy[worker.proc.sentinel] = (slot, worker)
+        if not busy:
+            raise RuntimeError("no segment is in flight to wait on")
+        for ready in connection.wait(list(busy), timeout):
+            slot, worker = busy[ready]
+            if self._workers[slot] is not worker:
+                # a killed worker readies its pipe and its sentinel at
+                # once: the first one replaced it already
+                continue
+            job = self._running[slot]
+            try:
+                segment, counters = worker.reply()
+            except _ENGINE_FAILURES as err:  # session died mid-segment
+                self._failed(slot, err)
+            except Exception as err:  # programming error: no retry
+                self._running[slot] = None
+                self._settle(job, error=err)
+            else:
+                worker.counters = {**worker.counters, **counters}
+                self._running[slot] = None
+                self._settle(job, segment)
+            self._dispatch()
+
+    def _pump_until(self, future: Future, timeout: float | None) -> None:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not future.done():
+            left = None if deadline is None else deadline - time.monotonic()
+            if left is not None and left <= 0:
+                return
+            self._pump(left)
+
+    def _failed(self, slot: int, err: Exception) -> None:
+        """Replace a failed worker; its job goes back to the head of the
+        queue, or fails after ``max_retries``.  A failing factory loses
+        the slot and fails the job with the factory's error."""
+        job, self._running[slot] = self._running[slot], None
+        self._workers[slot].close()
+        try:
+            self._workers[slot] = self._spawn_worker(slot)
+        except Exception as spawn_err:
+            self._workers[slot] = None
+            self._lost = spawn_err
+            if job is not None:
+                self._settle(job, error=spawn_err)
+            return
+        self.stats.sessions_replaced += 1
+        if job is None:
+            return
+        if job.attempts < self.max_retries:
+            job.attempts += 1
+            self.stats.reschedules += 1
+            self._queue.appendleft(job)
+            return
+        error = RuntimeError(f"segment {job.key} failed after "
+                             f"{self.max_retries + 1} attempts")
+        error.__cause__ = err
+        self._settle(job, error=error)
+
+    def _settle(self, job: _Job, segment: MDSegment | None = None,
+                error: Exception | None = None) -> None:
+        """Resolve a job: its ticket, then the splice, then its future.
+
+        Sessions finish in wall-clock order, but the official trajectory
+        must not depend on which worker was faster: the reorder buffer
+        holds finished segments until every earlier ticket has resolved
+        (an abandoned one as ``None``), so the splice sequence is a pure
+        function of the request sequence.
         """
-        self._workers[idx].close()  # guarded-by: _idle (slot checked out)
-        replacement = self._spawn_worker(idx)
-        with self._lock:
-            self._workers[idx] = replacement
-            self.stats.sessions_replaced += 1
-        self._idle.put(idx)
-
-    def _complete(self, key, ticket: int, segment: MDSegment) -> None:
-        with self._lock:
-            self._inflight.pop(key, None)
+        self._inflight.pop(job.key, None)
+        if segment is not None:
             if self.cache_limit:
-                self._cache[key] = segment
-                self._cache.move_to_end(key)
+                self._cache[job.key] = segment
                 while len(self._cache) > self.cache_limit:
                     self._cache.popitem(last=False)
             self.stats.segments_run += 1
             self.stats.generated_ps += segment.duration
             self.stats.md_wall_s += segment.wall_s
-            self._reorder[ticket] = segment
-            self._drain_locked()
-        self._limiter.release()
-
-    def _abandon(self, key, ticket: int) -> None:
-        """Give up on a segment: unblock its ticket so splicing proceeds."""
-        with self._lock:
-            self._inflight.pop(key, None)
-            self._reorder[ticket] = None
-            self._drain_locked()
-        self._limiter.release()
-
-    def _drain_locked(self) -> None:
-        """Deposit completions in submission-ticket order (lock held).
-
-        Sessions finish in wall-clock order, but the official trajectory
-        must not depend on which worker was faster: the reorder buffer
-        holds finished segments until every earlier ticket has resolved,
-        so the splice sequence is a pure function of the request
-        sequence.
-        """
+        self._reorder[job.ticket] = segment
         while self._next_splice in self._reorder:
-            segment = self._reorder.pop(self._next_splice)
-            self._next_splice += 1  # guarded-by: _lock
-            if segment is not None:
-                self.splicer.deposit(segment)
+            done = self._reorder.pop(self._next_splice)
+            self._next_splice += 1
+            if done is not None:
+                self.splicer.deposit(done)
+        if error is None:
+            job.future.set_result(segment)
+        else:
+            job.future.set_exception(error)
 
     # ------------------------------------------------------------------
     # introspection / lifecycle
     # ------------------------------------------------------------------
     @property
     def trajectory_ps(self) -> float:
-        with self._lock:
-            return self.splicer.trajectory_time
+        return self.splicer.trajectory_time
 
     @property
     def current_state(self) -> int:
-        with self._lock:
-            return self.splicer.current_state
+        return self.splicer.current_state
 
     def session_stats(self) -> list[dict]:
-        """Per-session counters as last relayed by each worker: backend,
-        pid, segments, binds, steps, MD wall seconds."""
-        with self._lock:
-            return [dict(worker.counters) for worker in self._workers]
+        """Per-session counters as last relayed by each live worker:
+        backend, pid, segments, binds, steps, MD wall seconds."""
+        return [dict(worker.counters) for worker in self._workers
+                if worker is not None]
 
     def summary(self) -> dict:
-        with self._lock:
-            return {
-                "nworkers": self.nworkers,
-                "nstates": self.nstates,
-                "t_segment_ps": self.t_segment,
-                "trajectory_ps": self.splicer.trajectory_time,
-                "n_spliced": self.splicer.n_spliced,
-                "n_transitions": self.splicer.n_transitions,
-                "stored_segments": self.splicer.stored_segments,
-                "requests": self.stats.requests,
-                "segments_run": self.stats.segments_run,
-                "cache_hits": self.stats.cache_hits,
-                "joined_inflight": self.stats.joined_inflight,
-                "reschedules": self.stats.reschedules,
-                "sessions_replaced": self.stats.sessions_replaced,
-                "generated_ps": self.stats.generated_ps,
-                "md_wall_s": self.stats.md_wall_s,
-            }
+        return {
+            "nworkers": self.nworkers,
+            "nstates": self.nstates,
+            "t_segment_ps": self.t_segment,
+            "trajectory_ps": self.splicer.trajectory_time,
+            "n_spliced": self.splicer.n_spliced,
+            "n_transitions": self.splicer.n_transitions,
+            "stored_segments": self.splicer.stored_segments,
+            "requests": self.stats.requests,
+            "segments_run": self.stats.segments_run,
+            "cache_hits": self.stats.cache_hits,
+            "joined_inflight": self.stats.joined_inflight,
+            "reschedules": self.stats.reschedules,
+            "sessions_replaced": self.stats.sessions_replaced,
+            "generated_ps": self.stats.generated_ps,
+            "md_wall_s": self.stats.md_wall_s,
+        }
 
     def close(self) -> None:
-        """Drain the pool and stop every worker (idempotent)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._pool.shutdown(wait=True)
-        self._finalizer()
+        """Finish every requested segment, stop every worker (idempotent)."""
+        if self._closed:
+            return
+        self._closed = True
+        try:
+            while any(job is not None for job in self._running):
+                self._pump()
+        finally:
+            self._finalizer()
 
     def __enter__(self) -> "SegmentScheduler":
         return self

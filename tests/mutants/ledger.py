@@ -22,6 +22,9 @@ Contracts:
 ``shm-lifecycle`` / ``lock-discipline`` / ``observability``
     no leaked ``/dev/shm`` segment on any exit path; guarded state
     written under its lock; timers and ledgers report what happened;
+``fault-recovery``
+    a dead segment worker is replaced once and its segment retried
+    within its budget;
 ``none``
     the row changes no observable behaviour (``why`` says why); it can
     give no net a unique kill.
@@ -40,7 +43,7 @@ __all__ = ["Mutant", "ROWS", "CONTRACTS"]
 
 CONTRACTS = ("bitwise", "restart", "rebind", "segment-purity", "physics",
              "engine-protocol", "phase-registry", "shm-lifecycle",
-             "lock-discipline", "observability", "none")
+             "lock-discipline", "observability", "fault-recovery", "none")
 
 
 @dataclass(frozen=True)
@@ -419,14 +422,16 @@ ROWS: tuple[Mutant, ...] = (
         shape="unseeded Langevin stream inside a segment",
         contract="segment-purity", tags=("R10-determinism-taint",)),
     Mutant(
-        "worker-swap-unlocked", SERVICE,
-        old=("        replacement = self._spawn_worker(idx)\n"
-             "        with self._lock:\n"
-             "            self._workers[idx] = replacement\n"),
-        new=("        self._workers[idx] = self._spawn_worker(idx)\n"
-             "        with self._lock:\n"),
-        shape="a guarded-by attribute written lock-free on a pool thread",
-        contract="lock-discipline", tags=("R8-lockset",)),
+        "stale-sentinel-blames-slot", SERVICE,
+        old=("            if self._workers[slot] is not worker:\n"
+             "                # a killed worker readies its pipe and its "
+             "sentinel at\n"
+             "                # once: the first one replaced it already\n"
+             "                continue\n"),
+        new="",
+        shape="a dead worker's second ready object (its sentinel) is "
+              "attributed to the slot's healthy replacement",
+        contract="fault-recovery"),
     Mutant(
         "drain-flag-unlocked", "src/repro/md/trajectory.py",
         old=("            with self._lock:\n"

@@ -447,8 +447,6 @@ class TestTreeIsClean:
             in project.pool_entries
         assert "repro.parsplice.service._segment_worker_main" \
             in project.pool_entries
-        assert "repro.parsplice.service.SegmentScheduler._run_segment" \
-            in project.pool_entries
         assert result.stats.suppressed_per_rule == {}
 
     def test_cli_module_entrypoint(self, tmp_path):

@@ -6,7 +6,9 @@ constructed one, on every backend), the in-memory
 snapshot/restore-snapshot path against the file-checkpoint baseline,
 and the :class:`SegmentScheduler` service semantics - idempotent
 resubmission, the segment cache, deterministic splicing, and
-rescheduling after a killed worker process or a worker-side exception.
+rescheduling after a killed worker process or a worker-side exception,
+and the caller-driven dispatcher's own contracts (timeouts, close(),
+a lost worker slot, no thread of its own).
 """
 
 from __future__ import annotations
@@ -14,7 +16,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +274,14 @@ class TestSegmentService:
                 assert time.monotonic() < deadline, "worker never started"
                 time.sleep(0.01)
             os.kill(victim, signal.SIGKILL)
+            # let the death land whole before the dispatcher looks: the
+            # pipe's end-of-file and the sentinel are then ready in one
+            # wait, and the second must not be blamed on the replacement
+            stat = Path(f"/proc/{victim}/stat")
+            while stat.read_text().rpartition(")")[2].split()[0] != "Z":
+                assert time.monotonic() < deadline, "worker never died"
+                time.sleep(0.01)
+            time.sleep(0.2)
             seg = fut.result(timeout=60)
             assert sched.stats.reschedules == 1
             assert sched.stats.sessions_replaced == 1
@@ -358,6 +372,113 @@ class TestSegmentService:
                               max_retries=1) as sched:
             with pytest.raises(RuntimeError, match="failed after 2"):
                 sched.request(0, seed=0).result()
+
+    def test_lost_slot_fails_queued_work_instead_of_wedging(self, tmp_path):
+        """The session fails its first segment and the replacement's
+        factory fails too: the segment fails with the factory's error,
+        its ticket settles, a queued segment fails with a RuntimeError
+        chained to that error, a re-request is a new (failing) future,
+        and close() returns.  Run in a subprocess so a wedged service
+        fails the test instead of hanging it."""
+        script = f"""
+import pathlib
+from repro.md.engine import EngineSession
+from repro.parsplice import SegmentScheduler
+from repro.potentials import LennardJones
+from repro.structures import lattice_system
+
+built = pathlib.Path({str(tmp_path / "built")!r})
+states = [lattice_system("fcc", a=2.5, reps=(3, 2, 2))]
+
+class PoisonedOnce:
+    def __init__(self):
+        if built.exists():
+            raise RuntimeError("factory broken")
+        built.touch()
+        self._real = EngineSession.build(
+            states[0].copy(), LennardJones(epsilon=0.2, sigma=2.2,
+                                           cutoff=3.0))
+
+    def run(self, *args, **kwargs):
+        raise ValueError("engine poisoned")
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+with SegmentScheduler(states, session_factory=PoisonedOnce, nworkers=1,
+                      nsteps=6, seed=7) as sched:
+    a = sched.request(0, seed=0)
+    b = sched.request(0, seed=1)
+    err_a, err_b = a.exception(), b.exception()
+    assert str(err_a) == "factory broken", repr(err_a)
+    assert isinstance(err_b, RuntimeError), repr(err_b)
+    assert err_b.__cause__ is err_a, repr(err_b.__cause__)
+    again = sched.request(0, seed=0)
+    assert again is not a and isinstance(again.exception(), RuntimeError)
+    assert sched._next_splice == 3 and sched._inflight == {{}}
+print("closed")
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"),
+             os.environ.get("PYTHONPATH", "")])}
+        try:
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=60)
+        except subprocess.TimeoutExpired:
+            pytest.fail("the segment service wedged after a failed "
+                        "replacement")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "closed"
+
+    def test_result_timeout_leaves_the_segment_running(self):
+        states, pot = _library(), _pot()
+
+        def slow(system, state):
+            time.sleep(1.0)
+            return state
+
+        with SegmentScheduler(states, pot, nworkers=1, nsteps=6, seed=7,
+                              classifier=slow) as sched:
+            fut = sched.request(1, seed=5)
+            with pytest.raises(TimeoutError):
+                fut.result(timeout=0.05)
+            assert not fut.done()
+            seg = fut.result(timeout=60)
+        with MDSegmentGenerator(states, pot, nsteps=6, seed=7) as gen:
+            assert seg.fingerprint == gen.generate(1, seed=5).fingerprint
+
+    def test_close_resolves_unwaited_futures_in_request_order(self):
+        states, pot = _library(), _pot()
+
+        def slow_state_zero(system, state):
+            # state 0's segments finish last on a two-worker pool
+            if state == 0:
+                time.sleep(0.3)
+            return state
+
+        sched = SegmentScheduler(states, pot, nworkers=2, nsteps=6, seed=7,
+                                 classifier=slow_state_zero)
+        spliced = []
+        deposit = sched.splicer.deposit
+        sched.splicer.deposit = lambda seg: (
+            spliced.append((seg.state, seg.seed)), deposit(seg))
+        keys = [(0, 0), (1, 0), (2, 0), (1, 1), (0, 1)]
+        futs = [sched.request(state, seed=seed) for state, seed in keys]
+        sched.close()
+        assert all(f.done() for f in futs)
+        assert [(f.result().state, f.result().seed) for f in futs] \
+            == keys
+        assert spliced == keys
+
+    def test_campaign_starts_no_thread(self):
+        states, pot = _library(), _pot()
+        before = threading.active_count()
+        with SegmentScheduler(states, pot, nworkers=2, nsteps=6,
+                              seed=3) as sched:
+            run = run_parsplice_service(states, quanta=2, scheduler=sched)
+            assert threading.active_count() == before
+        assert run.n_spliced >= 1
+        assert threading.active_count() == before
 
     def test_splice_order_is_submission_order(self):
         """The official trajectory is a pure function of the request
