@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..md.neighbor import build_pairs
 from .phase import PhaseClassifier
+from .rdf import bond_histogram
 from .thermo import pressure
 
 __all__ = ["RDFObserver", "PhaseFractionObserver", "ThermoObserver"]
@@ -50,9 +50,8 @@ class RDFObserver:
         self.nsamples = 0
 
     def observe(self, step, system, result) -> None:
-        pairs = build_pairs(system.positions, system.box, self.rmax)
-        hist, _edges = np.histogram(pairs.r, bins=self.nbins,
-                                    range=(0.0, self.rmax))
+        hist, _edges = bond_histogram(system.positions, system.box,
+                                      self.rmax, self.nbins)
         self.hist += hist
         self.norm += system.natoms * (system.natoms / system.box.volume)
         self.nsamples += 1

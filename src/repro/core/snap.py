@@ -27,7 +27,9 @@ mirroring the optimized LAMMPS/Kokkos pipeline in NumPy:
    the format ``Y`` is handed over in), in the coefficient-free scaled
    basis of :func:`repro.core.wigner.compute_u_layers_half_lm`.
 4. ``update_forces`` - the one force assembly, :func:`update_forces`:
-   ``f[i] += dedr``, ``f[j] -= dedr`` strictly in pair order.  Stages
+   ``f[i] += dedr``, ``f[j] -= dedr`` strictly in pair order (on a
+   pair potential's half list it also credits each end half of each
+   bond's energy).  Stages
    1-3 are :meth:`SNAP.pair_gradients`, the contract every potential
    in :mod:`repro.potentials` implements, so every potential on every
    engine ends in this same stage.
@@ -128,8 +130,12 @@ class NeighborBatch:
 
     ``i_idx[p]`` is the central atom of pair ``p`` and ``rij[p]`` the
     vector from it to its neighbor (minimum-image applied by the caller);
-    ``r`` are the distances.  Pairs must appear in both directions, as
-    in a LAMMPS *full* neighbor list.
+    ``r`` are the distances.  Pairs appear in both directions, as in a
+    LAMMPS *full* neighbor list, unless ``half`` is set: then each bond
+    appears once (``i < j``, or ``i == j`` through a positive image
+    shift), the list LAMMPS hands pair styles that use Newton's third
+    law.  Only potentials whose energy is a sum over unordered pairs
+    (``Potential.pairwise``) can be evaluated on a half list.
 
     ``pair_weight`` and ``pair_rcut`` optionally carry per-pair density
     weights and cutoffs, the multi-species SNAP convention (``wj`` of the
@@ -143,6 +149,7 @@ class NeighborBatch:
     j_idx: np.ndarray | None = None  # neighbor atom ids; needed for forces
     pair_weight: np.ndarray | None = None
     pair_rcut: np.ndarray | None = None
+    half: bool = False
     #: ``(reference batch, keep mask)`` of a skin-filtered batch, set by
     #: :func:`repro.md.neighbor.filter_pairs`
     filtered_from: tuple | None = field(default=None, init=False, repr=False)
@@ -197,7 +204,9 @@ def scatter_add(index: np.ndarray, weights: np.ndarray,
 
 
 def scatter_pair_forces(size: int, i_idx: np.ndarray, dedr_i: np.ndarray,
-                        j_idx: np.ndarray, dedr_j: np.ndarray) -> np.ndarray:
+                        j_idx: np.ndarray, dedr_j: np.ndarray,
+                        bond_i: np.ndarray | None = None,
+                        bond_j: np.ndarray | None = None):
     """Per-atom forces from per-pair gradients, in ``add.at`` order.
 
     Bitwise equal to ``f = zeros((size, 3)); np.add.at(f, j_idx,
@@ -208,6 +217,11 @@ def scatter_pair_forces(size: int, i_idx: np.ndarray, dedr_i: np.ndarray,
     from every rank's pairs.  Runs one :func:`scatter_add` per Cartesian
     component over a reused weight buffer, so no ``(2 * npairs, 3)``
     array is formed.
+
+    Given the bond energies of a half list (``bond_i`` / ``bond_j``, one
+    per pair of each side) it returns ``(forces, peratom)``: each end of
+    a bond is credited half its energy, in the same order as the forces
+    - the neighbor side first, then the own rows.
     """
     index = np.concatenate((j_idx, i_idx))
     weights = np.empty(index.size)
@@ -217,20 +231,32 @@ def scatter_pair_forces(size: int, i_idx: np.ndarray, dedr_i: np.ndarray,
         np.negative(dedr_j[:, c], out=weights[:nj])
         weights[nj:] = dedr_i[:, c]
         forces[:, c] = scatter_add(index, weights, size)
-    return forces
+    if bond_i is None:
+        return forces
+    np.multiply(bond_j, 0.5, out=weights[:nj])
+    np.multiply(bond_i, 0.5, out=weights[nj:])
+    return forces, scatter_add(index, weights, size)
 
 
 def update_forces(natoms: int, nbr: NeighborBatch, peratom: np.ndarray,
                   dedr: np.ndarray) -> EnergyForces:
     """Stage 4 (update_forces): the one force assembly of the package.
 
-    ``peratom`` and ``dedr[k] = dE_i/dr_k`` are what a potential's
+    ``peratom`` and ``dedr`` are what a potential's
     ``pair_gradients(nbr, (0, natoms))`` returns; pair ``k`` pushes its
-    central atom by ``+dedr[k]`` and its neighbor by ``-dedr[k]``.
+    central atom by ``+dedr[k]`` and its neighbor by ``-dedr[k]``.  On a
+    full list ``peratom`` is per atom and ``dedr[k] = dE_i/dr_k``; on a
+    half list (``nbr.half``) both are per bond - its energy and the
+    gradient of that energy - and the assembly credits half of each
+    bond's energy to each end.
     """
     if nbr.j_idx is None:
         raise ValueError("NeighborBatch.j_idx is required for forces")
-    forces = scatter_pair_forces(natoms, nbr.i_idx, dedr, nbr.j_idx, dedr)
+    if nbr.half:
+        forces, peratom = scatter_pair_forces(
+            natoms, nbr.i_idx, dedr, nbr.j_idx, dedr, peratom, peratom)
+    else:
+        forces = scatter_pair_forces(natoms, nbr.i_idx, dedr, nbr.j_idx, dedr)
     return EnergyForces(energy=float(peratom.sum()), peratom=peratom,
                         forces=forces, virial=-(nbr.rij.T @ dedr))
 

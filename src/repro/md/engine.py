@@ -264,8 +264,8 @@ class SerialEngine(ForceEngine):
         self.system = system
         self.potential = potential
         self.skin = float(skin)
-        self.neighbors = NeighborList(box=system.box,
-                                      cutoff=potential.cutoff, skin=skin)
+        self.neighbors = NeighborList.for_potential(potential, system.box,
+                                                    skin=skin)
         self.timers = PhaseTimers()
         self.check_finite = bool(check_finite)
 

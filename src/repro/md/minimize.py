@@ -40,7 +40,7 @@ def fire_minimize(system: ParticleSystem, potential: Potential,
     """Relax atomic positions in place until ``max|F| < fmax`` [eV/A]."""
     if fmax <= 0:
         raise ValueError("fmax must be positive")
-    nl = NeighborList(box=system.box, cutoff=potential.cutoff, skin=0.3)
+    nl = NeighborList.for_potential(potential, system.box)
     v = np.zeros_like(system.positions)
     inv_m = 1.0 / (system.masses * MVV2E)[:, None]
     alpha = alpha0

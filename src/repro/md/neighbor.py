@@ -1,9 +1,8 @@
 """Neighbor lists: a tree pair search with a Verlet skin.
 
 ``build_neighborlist`` is the paper's ``build_neighborlist()`` stage.
-Two code paths share one contract (a full, both-directions pair list
-sorted by central atom, exactly what :class:`repro.core.NeighborBatch`
-expects):
+Two code paths share one contract (a pair list sorted by central atom,
+exactly what :class:`repro.core.NeighborBatch` expects):
 
 * a **k-d tree** search (``scipy.spatial.cKDTree``, O(N log N)) in
   canonical ``(i, j)`` order, used whenever every periodic axis is at
@@ -16,13 +15,20 @@ expects):
   interacts through several periodic images (small training cells
   need this).
 
+Each path yields a list in one of two forms.  The *half* list holds
+each bond once - ``i < j``, plus the self-image pairs ``i == j`` whose
+image shift is positive - and is what pair potentials evaluate
+(``Potential.pairwise``); the *full* list holds both directions, for the
+many-body potentials.  The tree search finds the half list and mirrors
+it for the full one; the sweep finds the full list and keeps its half.
+
 A Verlet skin lets the list persist across steps; rebuild is triggered
 when any atom moved more than half the skin, the standard MD heuristic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -43,9 +49,11 @@ _SWEEP_TABLE_ELEMS = 1 << 22
 _NEAREST_MARGIN = 1e-6
 
 
-def _brute_force_pairs(positions: np.ndarray, box: Box, cutoff: float):
+def _brute_force_pairs(positions: np.ndarray, box: Box, cutoff: float,
+                       half: bool = False):
     """All pairs within cutoff including periodic images (small boxes),
-    in ``(i, sx, sy, sz, j)`` order (``s`` the image shift per axis).
+    in ``(i, sx, sy, sz, j)`` order (``s`` the image shift per axis);
+    ``half=True`` keeps each bond once, in the same order.
 
     Per axis a ``(nimg, N, N)`` table of ``(x_j + img * L) - x_i`` is
     built once, ``d2`` of every image combination is their broadcast
@@ -119,6 +127,14 @@ def _brute_force_pairs(positions: np.ndarray, box: Box, cutoff: float):
     key = i_idx
     for shift, sel in zip(shifts, sels):
         key = key * 5 + np.take(shift, sel)
+    if half:
+        # ``key - 125 i`` is the shift in balanced base 5: its sign is
+        # that of the first nonzero shift, so a bond and its mirror
+        # ``(j, i, -s)`` keep exactly one of them
+        keep = np.flatnonzero((i_idx < j_idx)
+                              | ((i_idx == j_idx) & (key > 125 * i_idx)))
+        i_idx, j_idx, key = i_idx[keep], j_idx[keep], key[keep]
+        sels = [sel[keep] for sel in sels]
     # stable sort = timsort, fast on these i-major runs (the key is unique)
     order = np.argsort(key * n + j_idx, kind="stable")
     rij = np.stack([np.take(comp, np.take(sel, order))
@@ -127,15 +143,16 @@ def _brute_force_pairs(positions: np.ndarray, box: Box, cutoff: float):
 
 
 def _tree_pairs(positions: np.ndarray, box: Box, cutoff: float,
-                rows: tuple[int, int] | None = None):
+                rows: tuple[int, int] | None = None, mirror: bool = True):
     """k-d tree pair search; periodic axes must be >= 3 cutoffs long.
 
     The tree (over wrapped coordinates, radius padded by 1e-12) only
-    proposes the half list; the geometry and the inclusion test are our
-    own arithmetic on it, and the list is mirrored with ``-d``.  With
-    ``rows=(lo, hi)`` half pairs that do not touch the window are
-    dropped before the geometry; the arithmetic per pair is the same,
-    so a restricted list holds the same bits as the full one.
+    proposes the half list (``i < j``); the geometry and the inclusion
+    test are our own arithmetic on it, and with ``mirror`` the list is
+    mirrored with ``-d`` into the full one.  With ``rows=(lo, hi)``
+    half pairs that cannot reach the window are dropped before the
+    geometry; the arithmetic per pair is the same, so a restricted list
+    holds the same bits as the unrestricted one.
     """
     pos = box.wrap(positions)
     period = np.where(box.pmask, box.lengths, 0.0)
@@ -143,23 +160,33 @@ def _tree_pairs(positions: np.ndarray, box: Box, cutoff: float,
         cutoff * (1.0 + 1e-12), output_type="ndarray")
     if rows is not None:
         inwin = (half >= rows[0]) & (half < rows[1])
-        half = half[inwin[:, 0] | inwin[:, 1]]
+        # a half list needs the pairs led by the window's atoms, a full
+        # one also those whose mirror is
+        half = half[inwin[:, 0] | (mirror & inwin[:, 1])]
     d = np.take(pos, half[:, 1], axis=0) - np.take(pos, half[:, 0], axis=0)
     d -= period * np.round(d / box.lengths)
     near = np.flatnonzero(np.einsum("ij,ij->i", d, d) < cutoff * cutoff)
     a, b, d = half[near, 0], half[near, 1], np.take(d, near, axis=0)
+    if not mirror:
+        return a, b, d
     return (np.concatenate([a, b]), np.concatenate([b, a]),
             np.concatenate([d, -d]))
 
 
 def build_pairs(positions: np.ndarray, box: Box, cutoff: float,
-                rows: tuple[int, int] | None = None) -> NeighborBatch:
-    """Full neighbor pair list within ``cutoff``, sorted by central atom.
+                rows: tuple[int, int] | None = None,
+                half: bool = False) -> NeighborBatch:
+    """Neighbor pair list within ``cutoff``, sorted by central atom:
+    the full list, or with ``half=True`` each bond once.
 
     Within an atom the tree path orders pairs by ascending ``j`` - a
     canonical ``(i, j)`` order that is a pure function of the positions
     - and the small-box sweep, where a pair can repeat through several
-    images, by image shift, then ``j``.
+    images, by image shift, then ``j``.  The half list is the full list
+    without its pairs ``i > j`` and its self-image pairs of negative
+    shift, in the same order; mirrored with ``-rij`` it is the full
+    pair set (on the sweep path up to a bond within rounding of the
+    cutoff, which the full list may hold in one direction only).
 
     ``rows=(lo, hi)`` restricts the list to pairs whose central atom
     index lies in ``[lo, hi)``; the restricted lists of a disjoint row
@@ -174,9 +201,11 @@ def build_pairs(positions: np.ndarray, box: Box, cutoff: float,
     usable = all((not box.periodic[k]) or ncell[k] >= 3 for k in range(3))
     tree = usable and n > 32
     if tree:
-        i_idx, j_idx, rij = _tree_pairs(positions, box, cutoff, rows=rows)
+        i_idx, j_idx, rij = _tree_pairs(positions, box, cutoff, rows=rows,
+                                        mirror=not half)
     else:  # already in (i, shift, j) order
-        i_idx, j_idx, rij = _brute_force_pairs(positions, box, cutoff)
+        i_idx, j_idx, rij = _brute_force_pairs(positions, box, cutoff,
+                                               half=half)
     if rows is not None:
         inwin = np.flatnonzero((i_idx >= rows[0]) & (i_idx < rows[1]))
         i_idx, j_idx = i_idx[inwin], j_idx[inwin]
@@ -187,7 +216,8 @@ def build_pairs(positions: np.ndarray, box: Box, cutoff: float,
         i_idx, j_idx = i_idx[order], j_idx[order]
         rij = np.take(rij, order, axis=0)
     return NeighborBatch(i_idx=i_idx, rij=rij, j_idx=j_idx,
-                         r=np.sqrt(np.einsum("ij,ij->i", rij, rij)))
+                         r=np.sqrt(np.einsum("ij,ij->i", rij, rij)),
+                         half=half)
 
 
 def refresh_pairs(ref: NeighborBatch,
@@ -213,7 +243,7 @@ def filter_pairs(ref: NeighborBatch, rij: np.ndarray, r: np.ndarray,
     kept = np.flatnonzero(keep)
     batch = NeighborBatch(i_idx=np.take(ref.i_idx, kept),
                           rij=np.take(rij, kept, axis=0), r=np.take(r, kept),
-                          j_idx=np.take(ref.j_idx, kept))
+                          j_idx=np.take(ref.j_idx, kept), half=ref.half)
     batch.filtered_from = (ref, keep)
     return batch
 
@@ -231,12 +261,18 @@ class NeighborList:
     that window (see :func:`build_pairs`); the skin test still looks at
     every atom, so the lists of a row partition rebuild on the same
     steps and concatenate, build or refresh, to the unrestricted list.
+
+    The constructor gives the full list; :meth:`for_potential` gives
+    the list a potential evaluates, which is half (``half``) when its
+    energy is a sum over unordered pairs.
     """
 
     box: Box
     cutoff: float
     skin: float = 0.3
     rows: tuple[int, int] | None = None
+    #: each bond once (set by :meth:`for_potential`, never by the caller)
+    half: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         if self.cutoff <= 0:
@@ -246,6 +282,15 @@ class NeighborList:
         self._ref_positions: np.ndarray | None = None
         self._pairs: NeighborBatch | None = None
         self.nbuilds = 0
+
+    @classmethod
+    def for_potential(cls, potential, box: Box, skin: float = 0.3,
+                      rows: tuple[int, int] | None = None) -> "NeighborList":
+        """The list ``potential`` is evaluated on: its cutoff, and each
+        bond once when ``potential.pairwise`` (a half list)."""
+        nlist = cls(box=box, cutoff=potential.cutoff, skin=skin, rows=rows)
+        nlist.half = bool(potential.pairwise)
+        return nlist
 
     @property
     def ref_positions(self) -> np.ndarray | None:
@@ -264,6 +309,7 @@ class NeighborList:
         carries over so it keeps counting across rebinds."""
         fresh = NeighborList(box=box, cutoff=self.cutoff, skin=self.skin,
                              rows=self.rows)
+        fresh.half = self.half
         fresh.nbuilds = self.nbuilds
         return fresh
 
@@ -276,7 +322,7 @@ class NeighborList:
         if ref is None:
             ref = self._pairs = build_pairs(positions, self.box,
                                             self.cutoff + self.skin,
-                                            rows=self.rows)
+                                            rows=self.rows, half=self.half)
             self._ref_positions = np.array(positions)
             self.nbuilds += 1
             # fresh build: displacements are zero, rij/r are already

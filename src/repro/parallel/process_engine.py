@@ -15,6 +15,9 @@ balanced :func:`~repro.parallel.decomposition.row_partition` and runs
 the serial step on it: one :class:`~repro.md.neighbor.NeighborList`
 restricted to its rows (``rows=(alo, ahi)``), then the potential's
 ``pair_gradients`` on the batch that list returns, for the same rows.
+The list has the serial engine's form (``NeighborList.for_potential``):
+a pair potential's window holds the half pairs - each bond once - whose
+first atom it owns, a many-body potential's the full list's rows.
 Because the global neighbor list is CSR-sorted by central atom, the
 per-rank lists concatenate - on build and on refresh steps - to exactly
 the serial list, and every pair is computed by the rank that owns its
@@ -24,10 +27,11 @@ forward
     each worker reads any row of the shared position block directly
     (owned-row slice reads of the other ranks' slices);
 reverse
-    the per-pair gradients ``dE_i/dr_k`` are published to a shared
-    reference-pair-space buffer; each owner gathers the entries whose
-    *neighbor* atom it owns - in ascending global pair order, i.e.
-    **fixed rank order** - and applies exactly the serial assembly.
+    the per-pair gradients (and, on a half list, the bond energies
+    beside them) are published to a shared reference-pair-space buffer;
+    each owner gathers the entries whose *neighbor* atom it owns - in
+    ascending global pair order, i.e. **fixed rank order** - and
+    applies exactly the serial assembly.
 
 Bitwise determinism contract
 ----------------------------
@@ -44,8 +48,9 @@ potential.  Two properties carry the proof:
   :func:`~repro.core.snap.scatter_pair_forces` (what
   :func:`~repro.core.snap.update_forces` calls) over the owned rows,
   fed each atom's neighbor-side entries in global pair order and then
-  its own pairs.  The gather compresses dropped skin pairs *before*
-  the scatter, exactly like the serial filter.
+  its own pairs - the half of each bond's energy it is credited
+  included.  The gather compresses dropped skin pairs *before* the
+  scatter, exactly like the serial filter.
 
 The virial keeps the usual fixed-order 1e-10 contract (the per-rank
 GEMMs are summed in rank order).  Quadratic SNAP holds the force
@@ -127,9 +132,13 @@ _S_COMM_FWD = 11
 _S_COMM_REV = 12
 _S_STAGE0 = 13    #: one slot per key of ``potential.last_timings``
 
-#: bytes of one reverse-pass entry: a 3-vector of float64 partial forces
-#: (the owning rank already knows the target row, no index payload)
-_BYTES_PER_REVERSE = 3 * 8
+
+def _pair_width(potential) -> int:
+    """float64 values per published pair: the gradient, plus the bond
+    energy on a pair potential's half list.  One reverse-pass entry is
+    that many values (the owning rank already knows the target row, no
+    index payload)."""
+    return 4 if potential.pairwise else 3
 
 
 def _pair_blocks(prefix: str, gen: int) -> dict[str, str]:
@@ -188,6 +197,7 @@ class _WorkerState:
         self.ahi: int = cfg["ahi"]
         self.natoms: int = cfg["natoms"]
         self.potential = cfg["potential"]
+        self.width = _pair_width(self.potential)
         self.check_finite: bool = cfg["check_finite"]
         self.prefix: str = cfg["prefix"]
         self.start = cfg["start"]
@@ -210,9 +220,9 @@ class _WorkerState:
         self.jref: SharedBlock | None = None
         self._attach_pair_blocks()
 
-        self.neighbors = NeighborList(box=cfg["box"], cutoff=cfg["cutoff"],
-                                      skin=cfg["skin"],
-                                      rows=(self.alo, self.ahi))
+        self.neighbors = NeighborList.for_potential(
+            self.potential, cfg["box"], skin=cfg["skin"],
+            rows=(self.alo, self.ahi))
         self.box_epoch = 0
         self.ref_off = 0
         self.inc = np.zeros(0, dtype=np.intp)
@@ -235,7 +245,8 @@ class _WorkerState:
         self.gen = int(ctl[_GEN])
         self.cap = int(ctl[_CAP])
         names = _pair_blocks(self.prefix, self.gen)
-        self.val = SharedBlock.attach(names["val"], (self.cap, 3), np.float64)
+        self.val = SharedBlock.attach(names["val"], (self.cap, self.width),
+                                      np.float64)
         self.kept = SharedBlock.attach(names["kept"], (self.cap,), np.bool_)
         self.jref = SharedBlock.attach(names["jref"], (self.cap,), np.int64)
 
@@ -316,23 +327,32 @@ class _WorkerState:
                           | (self.inc >= self.ref_off + ref.npairs))
         t2 = time.perf_counter()
 
-        pa_own, vals = self.potential.pair_gradients(nbr,
+        energy, dedr = self.potential.pair_gradients(nbr,
                                                      (self.alo, self.ahi))
         t3 = time.perf_counter()
-        # publish the kept mask and the per-pair gradients at their kept
-        # reference slots (dropped slots are never gathered, so they can
-        # stay stale) behind one barrier
+        # publish the kept mask and the per-pair gradients (with a half
+        # list's bond energies beside them) at their kept reference
+        # slots (dropped slots are never gathered, so they can stay
+        # stale) behind one barrier
         window = slice(self.ref_off, self.ref_off + ref.npairs)
         self.kept.array[window] = keep
-        self.val.array[window][keep] = vals
+        published = self.val.array[window]
+        published[keep, :3] = dedr
+        if nbr.half:
+            published[keep, 3] = energy
         self.barrier.wait()
         # reverse pass: gather this window's neighbor incidence (kept
         # entries only) and run the serial assembly on the owned rows
         kmask = self.kept.array[self.inc]
-        f_own = scatter_pair_forces(
-            self.ahi - self.alo, nbr.i_idx - self.alo, vals,
-            self.incj[kmask] - self.alo, self.val.array[self.inc[kmask]])
-        virial = -(nbr.rij.T @ vals)
+        gathered = self.val.array[self.inc[kmask]]
+        sides = (self.ahi - self.alo, nbr.i_idx - self.alo, dedr,
+                 self.incj[kmask] - self.alo, gathered[:, :3])
+        if nbr.half:
+            f_own, pa_own = scatter_pair_forces(*sides, energy,
+                                                gathered[:, 3])
+        else:
+            f_own, pa_own = scatter_pair_forces(*sides), energy
+        virial = -(nbr.rij.T @ dedr)
         if self.check_finite:
             from ..lint.sanitizers import check_finite
 
@@ -381,6 +401,7 @@ class ProcessEngine(ForceEngine):
             raise ValueError("skin must be non-negative")
         self.system = system
         self.potential = potential
+        self._width = _pair_width(potential)
         self.nprocs = int(nprocs)
         self.skin = float(skin)
         self.check_finite = bool(check_finite)
@@ -448,8 +469,8 @@ class ProcessEngine(ForceEngine):
                 "alo": int(self.bounds[rank]),
                 "ahi": int(self.bounds[rank + 1]),
                 "natoms": n, "nscal": nscal, "box": system.box,
-                "potential": potential, "cutoff": float(potential.cutoff),
-                "skin": self.skin, "check_finite": self.check_finite,
+                "potential": potential, "skin": self.skin,
+                "check_finite": self.check_finite,
                 "prefix": self._prefix, "start": self._start[rank],
                 "done": self._done[rank], "barrier": barrier,
             }
@@ -469,11 +490,14 @@ class ProcessEngine(ForceEngine):
         rc = self.potential.cutoff + self.skin
         density = self.system.natoms / max(self.system.box.volume, 1e-300)
         per_atom = 4.0 / 3.0 * np.pi * rc ** 3 * density
+        if self.potential.pairwise:  # a half list: each bond once
+            per_atom /= 2
         return int(self.system.natoms * per_atom * 1.6) + 1024
 
     def _create_pair_blocks(self, gen: int, cap: int) -> None:
         names = _pair_blocks(self._prefix, gen)
-        self._blocks["val"] = SharedBlock.create(names["val"], (cap, 3),
+        self._blocks["val"] = SharedBlock.create(names["val"],
+                                                 (cap, self._width),
                                                  np.float64)
         self._blocks["kept"] = SharedBlock.create(names["kept"], (cap,),
                                                   np.bool_)
@@ -564,7 +588,7 @@ class ProcessEngine(ForceEngine):
         ledger.ghost_atoms += ghosts
         ledger.ghost_bytes += ghosts * (BYTES_PER_GHOST if rebuilt
                                         else BYTES_PER_POSITION)
-        ledger.reverse_bytes += reverse_entries * _BYTES_PER_REVERSE
+        ledger.reverse_bytes += reverse_entries * 8 * self._width
         t_neigh = float(scal[:, _S_NEIGH].sum())
         t_force = float(scal[:, _S_FORCE].sum())
         t_fwd = float(scal[:, _S_COMM_FWD].sum())

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.snap import NeighborBatch, scatter_add
-from .base import Potential
+from ..core.snap import NeighborBatch
+from .base import Potential, radial_gradients
 
 __all__ = ["LennardJones"]
 
@@ -21,6 +21,8 @@ class LennardJones(Potential):
 
     ``phi(r) = 4 eps [ (sigma/r)^12 - (sigma/r)^6 ] - shift``.
     """
+
+    pairwise = True
 
     def __init__(self, epsilon: float = 1.0, sigma: float = 1.0,
                  cutoff: float | None = None, shift: bool = True) -> None:
@@ -39,10 +41,9 @@ class LennardJones(Potential):
 
     def pair_gradients(self, nbr: NeighborBatch, rows: tuple[int, int]
                        ) -> tuple[np.ndarray, np.ndarray]:
-        """``E_i = sum_j phi(r_ij) / 2`` (the full list visits each bond
-        twice), ``dedr = phi'(r) / 2 * rhat``; every operation is
-        elementwise per pair."""
-        lo, hi = rows
+        """``phi(r)`` and ``phi'(r) / r`` per pair, on either list form
+        (:func:`~repro.potentials.base.radial_gradients`); every
+        operation is elementwise per pair."""
         r = nbr.r
         inside = r < self.cutoff
         sr6 = (self.sigma / r) ** 6
@@ -51,5 +52,4 @@ class LennardJones(Potential):
         dphidr = np.where(inside,
                           4.0 * self.epsilon * (-12.0 * sr12 + 6.0 * sr6) / r,
                           0.0)
-        return (scatter_add(nbr.i_idx - lo, 0.5 * phi, hi - lo),
-                (0.5 * dphidr / r)[:, None] * nbr.rij)
+        return radial_gradients(nbr, rows, phi, dphidr / r)

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from ..core.snap import NeighborBatch, scatter_add
-from .base import Potential
+from ..core.snap import NeighborBatch
+from .base import Potential, radial_gradients
 
 __all__ = ["TablePotential"]
 
@@ -23,6 +23,8 @@ class TablePotential(Potential):
     energy is continuous (zero) at the cutoff.  Below the first sample
     the spline is extrapolated (keep tables dense at short range).
     """
+
+    pairwise = True
 
     def __init__(self, r: np.ndarray, phi: np.ndarray,
                  cutoff: float | None = None) -> None:
@@ -48,10 +50,10 @@ class TablePotential(Potential):
 
     def pair_gradients(self, nbr: NeighborBatch, rows: tuple[int, int]
                        ) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = rows
+        """The spline's ``phi(r)`` and ``phi'(r) / r`` per pair, on
+        either list form (:func:`~repro.potentials.base.radial_gradients`)."""
         inside = nbr.r < self.cutoff
         rr = np.where(inside, nbr.r, self.cutoff)
         phi = np.where(inside, self._spline(rr) - self._shift, 0.0)
         dphi = np.where(inside, self._deriv(rr), 0.0)
-        return (scatter_add(nbr.i_idx - lo, 0.5 * phi, hi - lo),
-                (0.5 * dphi / nbr.r)[:, None] * nbr.rij)
+        return radial_gradients(nbr, rows, phi, dphi / nbr.r)

@@ -139,6 +139,11 @@ def _jittered(kind, a, reps, scale=0.03, seed=7):
 POTENTIAL_CASES = [
     ("lj", lambda: (_jittered("fcc", 2.5, (4, 4, 4)),
                     LennardJones(epsilon=0.2, sigma=2.2, cutoff=3.0))),
+    # 5 A axes under three cutoffs: the half list comes from the image
+    # sweep, and a pair can bond through two images of one axis
+    ("lj_small_box", lambda: (_jittered("fcc", 2.5, (3, 2, 2)),
+                              LennardJones(epsilon=0.2, sigma=2.2,
+                                           cutoff=3.0))),
     ("table", lambda: (_jittered("fcc", 2.5, (4, 4, 4)),
                        TablePotential.from_potential(
                            lambda r: np.exp(-r) * np.cos(2 * r),

@@ -135,6 +135,15 @@ ROWS: tuple[Mutant, ...] = (
               "rows",
         contract="physics"),
     Mutant(
+        "half-energy-one-end", SNAP,
+        old=("    np.multiply(bond_j, 0.5, out=weights[:nj])\n"
+             "    np.multiply(bond_i, 0.5, out=weights[nj:])\n"),
+        new=("    weights[:nj] = 0.0\n"
+             "    weights[nj:] = bond_i\n"),
+        shape="a half-list bond's energy credited to its first atom only "
+              "(totals hold, per-atom energies do not)",
+        contract="physics"),
+    Mutant(
         "y-factor-dropped", SNAP,
         old="        y_op = (fold_op @ sps.diags(row_factor * self.beta[1 + "
             "row_b])\n",
@@ -173,6 +182,15 @@ ROWS: tuple[Mutant, ...] = (
         new="        key = key * 5\n",
         shape="the image sweep sorts on (i, j) without its image key",
         contract="bitwise"),
+    Mutant(
+        "half-self-image-dropped", NEIGH,
+        old=("        keep = np.flatnonzero((i_idx < j_idx)\n"
+             "                              | ((i_idx == j_idx) & "
+             "(key > 125 * i_idx)))\n"),
+        new="        keep = np.flatnonzero(i_idx < j_idx)\n",
+        shape="the sweep's half filter loses the bonds of an atom to its "
+              "own images",
+        contract="physics"),
     # ------------------------------------------------------------------
     # the process backend
     # ------------------------------------------------------------------
@@ -234,8 +252,9 @@ ROWS: tuple[Mutant, ...] = (
             "warning)"),
     Mutant(
         "pair-blocks-local-create", PROC,
-        old=('        self._blocks["val"] = SharedBlock.create(names["val"], '
-             "(cap, 3),\n"
+        old=('        self._blocks["val"] = SharedBlock.create(names["val"],\n'
+             "                                                 "
+             "(cap, self._width),\n"
              "                                                 np.float64)\n"
              '        self._blocks["kept"] = SharedBlock.create(names["kept"],'
              " (cap,),\n"
@@ -243,7 +262,7 @@ ROWS: tuple[Mutant, ...] = (
              '        self._blocks["jref"] = SharedBlock.create(names["jref"],'
              " (cap,),\n"
              "                                                  np.int64)\n"),
-        new=('        val = SharedBlock.create(names["val"], (cap, 3), '
+        new=('        val = SharedBlock.create(names["val"], (cap, self._width), '
              "np.float64)\n"
              '        kept = SharedBlock.create(names["kept"], (cap,), '
              "np.bool_)\n"

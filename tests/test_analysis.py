@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.analysis import (PhaseClassifier, coordination_numbers, msd,
-                            pressure, pressure_bar, rdf, steinhardt_q)
+from repro.analysis import (PhaseClassifier, RDFObserver,
+                            coordination_numbers, msd, pressure,
+                            pressure_bar, rdf, steinhardt_q)
 from repro.constants import EVA3_TO_BAR, KB
 from repro.core.snap import EnergyForces
-from repro.md import Box, ParticleSystem
+from repro.md import Box, ParticleSystem, build_pairs
 from repro.structures import lattice_system, random_packed
 
 
@@ -33,6 +34,25 @@ class TestRDF:
         s = lattice_system("fcc", a=4.0, reps=(3, 3, 3))
         nn = coordination_numbers(s.positions, s.box, 3.2)
         assert np.all(nn == 12)
+
+    def test_half_list_counts_equal_the_full_list(self, rng):
+        """Each bond counted once, then doubled: ``g(r)``, the observer's
+        histogram and the coordination numbers are the full list's to
+        the bit (on the tree path a bond and its mirror share ``r``)."""
+        n, rmax, nbins = 300, 4.5, 30
+        box = Box(lengths=[16.0, 14.0, 15.0])
+        pos = rng.uniform(0, 1, size=(n, 3)) * box.lengths
+        full = build_pairs(pos, box, rmax)
+        hist, edges = np.histogram(full.r, bins=nbins, range=(0.0, rmax))
+        rc = 0.5 * (edges[1:] + edges[:-1])
+        shell = 4.0 * np.pi * rc**2 * np.diff(edges)
+        _, g = rdf(pos, box, rmax, nbins)
+        assert g.tobytes() == (hist / (n * shell * (n / box.volume))).tobytes()
+        observer = RDFObserver(rmax=rmax, nbins=nbins)
+        observer.observe(0, ParticleSystem(positions=pos, box=box), None)
+        assert np.array_equal(observer.hist, hist)
+        assert np.array_equal(coordination_numbers(pos, box, rmax),
+                              np.bincount(full.i_idx, minlength=n))
 
 
 class TestSteinhardt:

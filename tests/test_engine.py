@@ -65,6 +65,31 @@ class TestBuildEngine:
                 "check_finite"]
         assert not inspect.signature(worker_context).parameters
 
+    def test_list_form_census(self):
+        """Half or full list is a property of the potential's class, not
+        an option: the pair potentials and the list take no keyword for
+        it, and no environment variable is read."""
+        from pathlib import Path
+
+        import repro
+        from repro.md import NeighborList
+        from repro.potentials import Potential, TablePotential
+
+        def names(fn):
+            return list(inspect.signature(fn).parameters)
+
+        assert names(LennardJones) == ["epsilon", "sigma", "cutoff", "shift"]
+        assert names(TablePotential) == ["r", "phi", "cutoff"]
+        assert names(NeighborList) == ["box", "cutoff", "skin", "rows"]
+        assert names(NeighborList.for_potential) == ["potential", "box",
+                                                     "skin", "rows"]
+        pot = LennardJones()
+        assert LennardJones.pairwise and TablePotential.pairwise
+        assert not Potential.pairwise and "pairwise" not in vars(pot)
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            text = path.read_text()
+            assert "os.environ" not in text and "getenv" not in text, path
+
     def test_force_contract_census(self):
         """One force contract, one assembly: every bundled potential
         defines ``pair_gradients`` and inherits ``compute``; nothing
@@ -669,6 +694,25 @@ class TestPotentialEngineMatrix:
                 assert a.energy == b.energy
                 assert np.allclose(a.virial, b.virial, **TOL)
             assert engine.neighbor_builds == serial.neighbor_builds == 2
+
+    @pytest.mark.parametrize("nprocs", [2, 3])
+    def test_process_bitwise_on_self_image_bonds(self, nprocs):
+        """A cell shorter than the cutoff: an atom bonds to its own
+        images, once each in the half list, on the rank owning it."""
+        s1 = lattice_system("fcc", a=2.5, reps=(2, 1, 1))
+        s1.positions += np.random.default_rng(4).normal(
+            scale=0.05, size=s1.positions.shape)
+        s2 = s1.copy()
+        pot = LennardJones(epsilon=0.2, sigma=2.2, cutoff=3.0)
+        serial = SerialEngine(s1, pot)
+        with ProcessEngine(s2, pot, nprocs=nprocs) as engine:
+            for _ in range(2):
+                a, b = serial.evaluate(), engine.evaluate()
+                assert np.array_equal(a.forces, b.forces)
+                assert np.array_equal(a.peratom, b.peratom)
+                assert a.energy == b.energy
+                s1.positions[0] += 0.2  # a rebuild
+                s2.positions[0] += 0.2
 
     def test_distributed_matches_serial(self, potential_case):
         _, s1, pot = potential_case

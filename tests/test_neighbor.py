@@ -2,6 +2,7 @@
 
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from repro.md import Box, MDLoop, NeighborList, build_engine, build_pairs
 from repro.md.neighbor import (_brute_force_pairs, filter_pairs,
                                refresh_pairs)
-from repro.potentials import LennardJones
+from repro.potentials import LennardJones, TablePotential
 from repro.structures import random_packed
 
 
@@ -96,6 +97,11 @@ class TestBuildPairs:
             assert np.all(nbr.i_idx == 0) and np.all(nbr.j_idx == 0)
             assert np.allclose(np.sort(np.abs(nbr.rij).sum(axis=1)),
                                [1.5] * 6 + [3.0] * (npairs - 6))
+            # each bond once: the image of positive shift
+            half = build_pairs(pos, box, cutoff, half=True)
+            assert half.npairs == npairs // 2
+            assert np.all(half.rij[np.arange(half.npairs), np.argmax(
+                np.abs(half.rij) > 0.1, axis=1)] > 0)
 
     def test_rij_consistency(self, rng):
         box = Box.cubic(14.0)
@@ -140,6 +146,29 @@ def tree_systems(draw, sweep=False):
     return box, pos, cutoff, rng
 
 
+@st.composite
+def self_image_systems(draw):
+    """``(box, positions, cutoff, rng)`` of small sweep boxes in which
+    atoms bond to their own periodic images: the cutoff is longer than
+    the shortest periodic axis.  Open axes and drifted coordinates as in
+    :func:`tree_systems`."""
+    periodic = (True,) + draw(st.tuples(st.booleans(), st.booleans()))
+    box = Box(lengths=draw(st.tuples(*[st.floats(2.0, 6.0)] * 3)),
+              periodic=periodic)
+    shortest = min(box.lengths[k] for k in range(3) if periodic[k])
+    cutoff = draw(st.floats(1.0, 1.49)) * shortest
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n = draw(st.integers(1, 24))
+    pos = rng.uniform(0, 1, size=(n, 3)) * box.lengths
+    pos += rng.integers(-3, 4, size=(n, 3)) * box.lengths * box.pmask
+    return box, pos, cutoff, rng
+
+
+#: every neighbour-list code path: tree, image sweep, self-image sweep
+any_system = st.one_of(tree_systems(), tree_systems(sweep=True),
+                       self_image_systems())
+
+
 def _in_canonical_order(i_idx, j_idx, rij):
     order = np.argsort(i_idx * (j_idx.max(initial=0) + 1) + j_idx,
                        kind="stable")
@@ -165,13 +194,13 @@ class TestTreeSearch:
         assert np.all(np.diff(key) > 0) and np.all(np.diff(nbr.i_idx) >= 0)
 
     @settings(deadline=None, max_examples=40)
-    @given(system=tree_systems(), nparts=st.integers(2, 4))
-    def test_row_partitions_concatenate_bitwise(self, system, nparts):
+    @given(system=any_system, nparts=st.integers(2, 4), half=st.booleans())
+    def test_row_partitions_concatenate_bitwise(self, system, nparts, half):
         box, pos, cutoff, rng = system
-        full = build_pairs(pos, box, cutoff)
+        full = build_pairs(pos, box, cutoff, half=half)
         cuts = np.sort(rng.integers(0, len(pos) + 1, size=nparts - 1))
         edges = [0, *cuts.tolist(), len(pos)]  # empty windows allowed
-        parts = [build_pairs(pos, box, cutoff, rows=(lo, hi))
+        parts = [build_pairs(pos, box, cutoff, rows=(lo, hi), half=half)
                  for lo, hi in zip(edges[:-1], edges[1:])]
         for name in ("i_idx", "j_idx", "rij", "r"):
             whole = getattr(full, name)
@@ -180,20 +209,21 @@ class TestTreeSearch:
             assert glued.tobytes() == whole.tobytes()
 
     @settings(deadline=None, max_examples=40)
-    @given(system=st.one_of(tree_systems(), tree_systems(sweep=True)),
-           nparts=st.integers(1, 4), skin_frac=st.floats(0.02, 0.3))
+    @given(system=any_system, nparts=st.integers(1, 4),
+           skin_frac=st.floats(0.02, 0.3), pairwise=st.booleans())
     def test_row_windowed_lists_concatenate_bitwise(self, system, nparts,
-                                                    skin_frac):
+                                                    skin_frac, pairwise):
         """``NeighborList(rows=)`` over a row partition ≡ the
         unrestricted list, bit for bit, on the build step, a refresh
-        step and the rebuild one far-away atom triggers in all of them."""
+        step and the rebuild one far-away atom triggers in all of them;
+        half lists (a pair potential's) as well as full ones."""
         box, pos, reach, rng = system
         skin = skin_frac * reach
         cuts = np.sort(rng.integers(0, len(pos) + 1, size=nparts - 1))
         edges = [0, *cuts.tolist(), len(pos)]  # empty windows allowed
-        full = NeighborList(box=box, cutoff=reach - skin, skin=skin)
-        parts = [NeighborList(box=box, cutoff=reach - skin, skin=skin,
-                              rows=rows)
+        pot = SimpleNamespace(cutoff=reach - skin, pairwise=pairwise)
+        full = NeighborList.for_potential(pot, box, skin=skin)
+        parts = [NeighborList.for_potential(pot, box, skin=skin, rows=rows)
                  for rows in zip(edges[:-1], edges[1:])]
         nudge = rng.uniform(-1, 1, size=pos.shape)
         nudge *= 0.499 * skin / np.linalg.norm(nudge, axis=1).max()
@@ -260,6 +290,83 @@ class TestTreeSearch:
         pos[7, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             build_pairs(pos, Box.cubic(12.0), 3.0)
+
+
+def _canonical_half(nbr, box):
+    """Mask of a full list's canonical half: ``i < j``, and the
+    self-image pairs whose first nonzero image shift is positive."""
+    shift = np.round(nbr.rij / box.lengths)
+    first = shift[np.arange(nbr.npairs), np.argmax(shift != 0, axis=1)]
+    return (nbr.i_idx < nbr.j_idx) | ((nbr.i_idx == nbr.j_idx) & (first > 0))
+
+
+def _pair_multiset(i_idx, j_idx, rij):
+    """A pair list in an order that depends only on its pairs."""
+    key = np.round(rij, 6)
+    order = np.lexsort((key[:, 2], key[:, 1], key[:, 0], j_idx, i_idx))
+    return i_idx[order], j_idx[order], rij[order]
+
+
+def _pair_potentials(reach):
+    """LJ and a table with a cutoff inside the list's ``reach``, as on
+    a skinned list."""
+    cutoff = 0.97 * reach
+    return (LennardJones(epsilon=0.2, sigma=0.4 * cutoff, cutoff=cutoff),
+            TablePotential.from_potential(
+                lambda r: np.exp(-r) * np.cos(2 * r), rmin=0.1 * cutoff,
+                cutoff=cutoff))
+
+
+def _assert_close(got, want, rel=1e-12):
+    assert np.abs(got - want).max(initial=0.0) \
+        <= rel * np.abs(want).max(initial=0.0)
+
+
+class TestHalfList:
+    """A pair potential's list holds each bond once; mirrored it is the
+    full list, and every result on it is the full list's to 1e-12."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(system=any_system)
+    def test_half_is_the_canonical_half_of_the_full_list(self, system):
+        box, pos, cutoff, _ = system
+        full = build_pairs(pos, box, cutoff)
+        half = build_pairs(pos, box, cutoff, half=True)
+        assert half.half and not full.half
+        # the full list's canonical half, in its order, to the bit
+        keep = _canonical_half(full, box)
+        for name in ("i_idx", "j_idx", "rij", "r"):
+            assert getattr(half, name).tobytes() \
+                == getattr(full, name)[keep].tobytes()
+        # mirrored: the full pair set.  The sweep's image arithmetic is
+        # not antisymmetric to the bit, so a bond within rounding of the
+        # cutoff may sit in the full list one way only: compare the rest
+        inner = np.tile(half.r < cutoff * (1 - 1e-9), 2)
+        mirror = _pair_multiset(
+            np.concatenate([half.i_idx, half.j_idx])[inner],
+            np.concatenate([half.j_idx, half.i_idx])[inner],
+            np.concatenate([half.rij, -half.rij])[inner])
+        inner = full.r < cutoff * (1 - 1e-9)
+        want = _pair_multiset(full.i_idx[inner], full.j_idx[inner],
+                              full.rij[inner])
+        assert np.array_equal(mirror[0], want[0])
+        assert np.array_equal(mirror[1], want[1])
+        assert np.allclose(mirror[2], want[2], rtol=0, atol=1e-12 * cutoff)
+
+    @settings(deadline=None, max_examples=60)
+    @given(system=any_system)
+    def test_pair_potentials_agree_on_both_forms(self, system):
+        box, pos, cutoff, _ = system
+        n = len(pos)
+        full = build_pairs(pos, box, cutoff)
+        half = build_pairs(pos, box, cutoff, half=True)
+        for pot in _pair_potentials(cutoff):
+            a, b = pot.compute(n, half), pot.compute(n, full)
+            assert abs(a.energy - b.energy) \
+                <= 1e-12 * np.abs(b.peratom).sum()
+            _assert_close(a.peratom, b.peratom)
+            _assert_close(a.forces, b.forces)
+            _assert_close(a.virial, b.virial)
 
 
 def _reference_sweep(positions, box, cutoff):
