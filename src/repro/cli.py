@@ -229,14 +229,6 @@ def _cmd_parsplice_serve(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    """First-class ``repro lint``: forwards to the lint CLI (one
-    whole-program pass, --select/--ignore/--format/--stats)."""
-    from .lint.__main__ import main as lint_main
-
-    return lint_main(args.lint_args)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro", description="SC'21 SNAP MD reproduction toolkit")
@@ -291,11 +283,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--nprocs", type=int, default=None,
                    help="worker processes per session (process backend)")
     p.set_defaults(fn=_cmd_parsplice_serve)
-    p = sub.add_parser(
-        "lint", help="static analysis (see python -m repro.lint --help)")
-    p.add_argument("lint_args", nargs=argparse.REMAINDER,
-                   help="arguments forwarded to python -m repro.lint")
-    p.set_defaults(fn=_cmd_lint)
     args = parser.parse_args(argv)
     return args.fn(args)
 

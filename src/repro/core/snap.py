@@ -92,8 +92,8 @@ class SNAPParams:
 
     ``check_finite`` (debug sanitizer, default off) validates every
     kernel-stage output for NaN/Inf on exit and raises
-    :class:`repro.lint.sanitizers.NumericsError` naming the offending
-    stage; see ``python -m repro.lint`` in the README.
+    :class:`repro.core.sanitizers.NumericsError` naming the offending
+    stage.
     """
 
     twojmax: int = 8
@@ -803,7 +803,7 @@ class SNAP:
         t0 = time.perf_counter()
         sane = self.params.check_finite
         if sane:
-            from ..lint.sanitizers import check_finite
+            from .sanitizers import check_finite
             check_finite("neighbor_input", rij=nbr.rij, r=nbr.r)
         if lo:
             nbr = replace(nbr, i_idx=nbr.i_idx - lo)

@@ -18,8 +18,8 @@ Two restart-correctness guarantees live here:
   checkpoint where a good one (or nothing) should be.
 
 Streaming per-frame output lives in :mod:`repro.md.trajectory`; these
-two modules are the only ones allowed to open checkpoint/trajectory
-paths for writing (lint rule R6).
+two modules are the only ones that open checkpoint/trajectory paths
+for writing.
 """
 
 from __future__ import annotations

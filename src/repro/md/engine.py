@@ -256,7 +256,7 @@ class SerialEngine(ForceEngine):
     ----------
     check_finite:
         Debug sanitizer (default off): validate every kernel output for
-        NaN/Inf, raising :class:`repro.lint.sanitizers.NumericsError`.
+        NaN/Inf, raising :class:`repro.core.sanitizers.NumericsError`.
     """
 
     def __init__(self, system: ParticleSystem, potential: Potential,
@@ -304,7 +304,7 @@ class SerialEngine(ForceEngine):
         for k, v in (getattr(self.potential, "last_timings", None) or {}).items():
             self.timers.add(f"force.{k}", v)
         if self.check_finite:
-            from ..lint.sanitizers import check_finite
+            from ..core.sanitizers import check_finite
 
             check_finite("force", where="serial",
                          peratom=result.peratom, forces=result.forces)

@@ -44,7 +44,7 @@ Writers
 -------
 :class:`TrajectoryFile` writes synchronously (and is the single place
 frame bytes hit the file).  :class:`AsyncTrajectoryWriter` wraps it
-with a double buffer drained by a background thread, so the MDLoop pays
+with a bounded queue drained by a background thread, so the MDLoop pays
 only the encode+enqueue cost per frame; both account frames, bytes and
 wall seconds in a :class:`WriterLedger` that :class:`~repro.md.engine.
 RunSummary` surfaces and :mod:`repro.perfmodel.filesystem` calibrates
@@ -54,6 +54,7 @@ against.
 from __future__ import annotations
 
 import os
+import queue
 import struct
 import threading
 import time
@@ -436,15 +437,16 @@ class TrajectoryReader:
 # asynchronous writer
 # ======================================================================
 class AsyncTrajectoryWriter:
-    """Double-buffered trajectory writer with a background drain thread.
+    """Trajectory writer whose file writes run on a background thread.
 
-    ``write_frame`` encodes on the caller thread (cheap, bounded) and
-    enqueues the bytes; the drain thread swaps the buffer and performs
-    the actual file writes, so the MDLoop's "io" phase sees only the
-    submit cost.  ``max_pending`` bounds the queue - a slow disk
-    back-pressures the producer instead of growing memory without
-    limit.  A write error on the drain thread is parked and re-raised
-    on the next ``write_frame``/``flush``/``close`` call.
+    ``write_frame`` encodes on the caller thread (cheap, bounded), puts
+    the bytes on a ``queue.Queue`` and counts the frame; the drain
+    thread performs the actual file writes, so the MDLoop's "io" phase
+    sees only the submit cost.  ``max_pending`` bounds the queue - a
+    slow disk back-pressures the producer instead of growing memory
+    without limit.  A write error on the drain thread is parked (later
+    frames are dropped, the queue keeps draining) and re-raised on the
+    next ``write_frame``/``flush``/``close`` call.
 
     The public surface mirrors :class:`TrajectoryFile` (``write_frame``,
     ``flush``, ``checkpoint_state``, ``truncate_to``, ``close``), so
@@ -458,12 +460,14 @@ class AsyncTrajectoryWriter:
         self._file = TrajectoryFile(path, natoms=natoms, mode=mode)
         self.ledger = self._file.ledger
         self.max_pending = int(max_pending)
-        self._lock = threading.Condition()
-        self._front: list[bytes] = []       # guarded-by: _lock
-        self._draining = False              # guarded-by: _lock
-        self._draining_count = 0            # guarded-by: _lock
-        self._error: BaseException | None = None  # guarded-by: _lock
-        self._stop = False                  # guarded-by: _lock
+        #: encoded frames; ``None`` tells the drain thread to stop
+        self._queue: queue.Queue[bytes | None] = queue.Queue(
+            maxsize=self.max_pending)
+        #: frames accepted on the caller's thread (queued ones included)
+        self._nframes = self._file.nframes
+        #: the drain thread's first write failure
+        self._error: BaseException | None = None
+        self._closed = False
         self._thread = threading.Thread(target=self._drain_loop,
                                         name="repro-traj-writer", daemon=True)
         self._thread.start()
@@ -483,18 +487,16 @@ class AsyncTrajectoryWriter:
 
     @property
     def closed(self) -> bool:
-        with self._lock:
-            return self._stop
+        return self._closed
 
     @property
     def nframes(self) -> int:
         """Frames accepted so far (queued frames included)."""
-        with self._lock:
-            return self._file.nframes + len(self._front) + self._draining_count
+        return self._nframes
 
     # ------------------------------------------------------------------
     def _raise_pending(self) -> None:
-        """Surface a parked drain-thread failure (call holding _lock)."""
+        """Surface a parked drain-thread failure."""
         if self._error is not None:
             raise RuntimeError(
                 f"{self.path}: asynchronous trajectory write failed"
@@ -503,61 +505,31 @@ class AsyncTrajectoryWriter:
     def write_frame(self, frame: Frame) -> int:
         t0 = time.perf_counter()
         buf = encode_frame(frame, self._file.natoms)
-        with self._lock:
-            self._raise_pending()
-            if self._stop:
-                raise RuntimeError(f"{self.path}: trajectory writer is "
-                                   "closed")
-            while len(self._front) >= self.max_pending \
-                    and self._error is None:
-                self._lock.wait()
-            self._raise_pending()
-            self._front.append(buf)
-            self._lock.notify_all()
+        self._raise_pending()
+        if self._closed:
+            raise RuntimeError(f"{self.path}: trajectory writer is closed")
+        self._queue.put(buf)
+        self._nframes += 1
         self.ledger.submit_s += time.perf_counter() - t0
         return len(buf)
 
     def _drain_loop(self) -> None:
-        while True:
-            with self._lock:
-                while not self._front and not self._stop \
-                        and self._error is None:
-                    self._lock.wait()
-                if self._error is not None or (self._stop
-                                               and not self._front):
-                    return
-                batch = self._front
-                self._front = []
-                self._draining = True
-                self._draining_count = len(batch)
-                self._lock.notify_all()
-            err: BaseException | None = None
-            try:
-                for buf in batch:
+        while (buf := self._queue.get()) is not None:
+            if self._error is None:
+                try:
                     self._file.write_encoded(buf)
-            except Exception as exc:
-                # any drain-thread failure is parked and re-raised on the
-                # submitting thread
-                err = exc
-            with self._lock:
-                self._draining = False
-                self._draining_count = 0
-                if err is not None:
-                    self._error = err
-                self._lock.notify_all()
-                if err is not None:
-                    return
+                except Exception as exc:
+                    # parked for the submitting thread; keep draining so
+                    # a producer blocked on a full queue still wakes
+                    self._error = exc
+            self._queue.task_done()
+        self._queue.task_done()
 
     # ------------------------------------------------------------------
     def flush(self) -> None:
         """Block until every queued frame is on disk (errors re-raised)."""
-        with self._lock:
-            self._raise_pending()
-            while self._front or self._draining:
-                if self._error is not None:
-                    break
-                self._lock.wait()
-            self._raise_pending()
+        self._queue.join()
+        self._raise_pending()
         self._file.flush()
 
     def checkpoint_state(self) -> tuple[int, int]:
@@ -567,19 +539,17 @@ class AsyncTrajectoryWriter:
     def truncate_to(self, offset: int, nframes: int) -> None:
         self.flush()
         self._file.truncate_to(offset, nframes)
+        self._nframes = int(nframes)
 
     def close(self) -> None:
         """Drain, stop the background thread and close the file."""
-        with self._lock:
-            already = self._stop
-            self._stop = True
-            self._lock.notify_all()
-        if already:
+        if self._closed:
             return
+        self._closed = True
+        self._queue.put(None)
         self._thread.join(timeout=60.0)
         self._file.close()
-        with self._lock:
-            self._raise_pending()
+        self._raise_pending()
 
     def __enter__(self) -> "AsyncTrajectoryWriter":
         return self

@@ -111,7 +111,7 @@ class DistributedEngine(ForceEngine):
     check_finite:
         Debug sanitizer (default off): validate every per-rank kernel
         output and the globally accumulated forces for NaN/Inf, raising
-        :class:`repro.lint.sanitizers.NumericsError` with rank and phase
+        :class:`repro.core.sanitizers.NumericsError` with rank and phase
         attribution.
     """
 
@@ -244,7 +244,7 @@ class DistributedEngine(ForceEngine):
         # this rank's full central contributions and ghost rows the
         # partial forces owed to other ranks
         if self.check_finite:
-            from ..lint.sanitizers import check_finite
+            from ..core.sanitizers import check_finite
 
             check_finite("rank_force", where=f"rank{rank}",
                          peratom=result.peratom[:nown],
@@ -323,7 +323,7 @@ class DistributedEngine(ForceEngine):
                                     stats=self.comm_stats)
                 ledger.reverse_bytes += self.comm_stats.bytes - before
         if self.check_finite:
-            from ..lint.sanitizers import check_finite
+            from ..core.sanitizers import check_finite
 
             check_finite("accumulate", where="distributed",
                          energy=np.array(energy), forces=forces)

@@ -354,7 +354,7 @@ class _WorkerState:
             f_own, pa_own = scatter_pair_forces(*sides), energy
         virial = -(nbr.rij.T @ dedr)
         if self.check_finite:
-            from ..lint.sanitizers import check_finite
+            from ..core.sanitizers import check_finite
 
             check_finite("rank_force", where=f"proc{self.rank}",
                          peratom=pa_own, forces=f_own)

@@ -1,26 +1,23 @@
 """Apply the seeded-bug ledger to a scratch copy and record who convicts.
 
-    python tests/mutants/drive.py --work DIR [--lint-with SRC]
-        [--rows ID,ID,...] [--out FILE]
+    python tests/mutants/drive.py --work DIR [--rows ID,ID,...] [--out FILE]
 
 Copies the files git tracks (or would track) into ``DIR/tree`` - the
 checkout itself is never modified - and checks that the unmutated copy
-passes every net.  Then, for each row of :data:`ledger.ROWS` in order,
+passes both nets.  Then, for each row of :data:`ledger.ROWS` in order,
 it swaps the row's old text for its new text and records who convicts:
 
-1. lint: ``python -m repro.lint src benchmarks examples tests``, the
-   rule ids of findings the unmutated copy does not have;
-2. tier-1: ``pytest -x -q`` under a wall-clock limit, the first failing
-   test id (or ``timeout``).  The lint gate ``test_full_tree_clean``
-   is deselected - it would only repeat step 1 - and so is the ledger's
-   own applicability test, which fails on any applied row;
-3. suite: ``benchmarks/suite/run.py --quick``, its failed checks; run
+1. tier-1: the whole ``pytest -q`` run (no ``-x``, no hypothesis
+   example database) under a wall-clock limit, every failing test id
+   (or ``timeout``).  The ledger's own applicability test is ignored: it
+   fails on any applied row;
+2. suite: ``benchmarks/suite/run.py --quick``, its failed checks; run
    only on rows tier-1 does not convict.
 
-``--lint-with`` runs step 1 with another tree's ``src`` (a clone of an
-older commit whose linter still has rules this one deleted).  Prints
-one markdown row per mutant, the rule-by-rule kills and the wall time;
-``--out`` also writes the results as JSON.
+Prints one markdown row per mutant, then the test x mutant kill matrix
+(each failing test with the rows it convicts, a row no other test
+convicts starred) and the wall time; ``--out`` also writes the results
+as JSON.
 """
 
 from __future__ import annotations
@@ -39,14 +36,10 @@ from pathlib import Path
 from ledger import ROWS
 
 ROOT = Path(__file__).resolve().parents[2]
-LINT = ["-m", "repro.lint", "src", "benchmarks", "examples", "tests",
-        "--format", "json"]
-TIER1 = ["-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
-         "--deselect", "tests/test_lint.py::TestTreeIsClean::"
-         "test_full_tree_clean",
+TIER1 = ["-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
          "--ignore", "tests/test_mutant_ledger.py"]
 SUITE = ["benchmarks/suite/run.py", "--quick"]
-TIER1_TIMEOUT_S = 300.0
+TIER1_TIMEOUT_S = 600.0
 SUITE_TIMEOUT_S = 900.0
 SHM = Path("/dev/shm")
 
@@ -86,21 +79,18 @@ def copy_tree(dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
-def lint_findings(tree: Path, lint_src: Path) -> set[tuple[str, str, str]]:
-    _, out = run(LINT, tree, lint_src, 600.0)
-    doc = json.loads(out[out.index("{"):])
-    return {(f["rule"], f["path"], f["message"]) for f in doc["findings"]}
-
-
-def tier1(tree: Path) -> str:
-    """First failing test id, ``timeout``, or ``""`` when all pass."""
+def tier1(tree: Path) -> list[str]:
+    """Every failing test id, ``["timeout"]``, or ``[]`` when all pass."""
+    # each run starts without the example database, as a fresh checkout
+    # does: an example shrunk under one row must not replay in the next
+    shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
     code, out = run(TIER1, tree, tree / "src", TIER1_TIMEOUT_S)
     if code is None:
-        return "timeout"
+        return ["timeout"]
     if code == 0:
-        return ""
-    m = re.search(r"^(?:FAILED|ERROR) (\S+)", out, re.MULTILINE)
-    return m.group(1) if m else f"exit {code}"
+        return []
+    failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", out, re.MULTILINE)
+    return list(dict.fromkeys(failed)) or [f"exit {code}"]
 
 
 def suite(tree: Path, work: Path) -> list[str]:
@@ -122,15 +112,13 @@ def suite(tree: Path, work: Path) -> list[str]:
     return failed
 
 
-def verdict(row, lint: list[str], t1: str, checks: list[str]) -> str:
+def verdict(row, t1: list[str], checks: list[str]) -> str:
     if row.contract == "none":
         return "not a bug"
     if t1:
         return "tier-1"
     if checks:
         return "suite"
-    if lint:
-        return "lint only"
     return "SURVIVOR"
 
 
@@ -139,8 +127,6 @@ def main() -> int:
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     parser.add_argument("--work", type=Path, required=True,
                         help="scratch directory (emptied first)")
-    parser.add_argument("--lint-with", type=Path,
-                        help="src directory whose linter runs step 1")
     parser.add_argument("--rows", help="comma-separated row ids")
     parser.add_argument("--out", type=Path, help="JSON results file")
     args = parser.parse_args()
@@ -155,20 +141,18 @@ def main() -> int:
     work = args.work.resolve()
     tree = work / "tree"
     copy_tree(tree)
-    lint_src = (args.lint_with or tree / "src").resolve()
 
-    baseline = lint_findings(tree, lint_src)
     clean = tier1(tree)
     checks = suite(tree, work)
-    if baseline or clean or checks:
-        print(f"the unmutated copy fails: lint {sorted(baseline)}, "
-              f"tier-1 {clean!r}, suite {checks}", file=sys.stderr)
+    if clean or checks:
+        print(f"the unmutated copy fails: tier-1 {clean}, suite {checks}",
+              file=sys.stderr)
         return 1
     print(f"baseline clean ({time.monotonic() - t_start:.0f} s)", flush=True)
 
     results = []
-    print("| row | contract | lint | tier-1 (first failure) | suite | "
-          "verdict |\n|---|---|---|---|---|---|", flush=True)
+    print("| row | contract | tier-1 failures | suite | verdict |\n"
+          "|---|---|---|---|---|", flush=True)
     for row in rows:
         t0 = time.monotonic()
         target = tree / row.path
@@ -179,8 +163,6 @@ def main() -> int:
         target.write_text(text.replace(row.old, row.new))
         shm_before = shm_blocks()
         try:
-            lint = sorted({rule for rule, _, _ in
-                           lint_findings(tree, lint_src) - baseline})
             t1 = tier1(tree)
             checks = [] if t1 else suite(tree, work)
         finally:
@@ -189,30 +171,26 @@ def main() -> int:
             for name in shm_blocks() - shm_before:
                 (SHM / name).unlink(missing_ok=True)
         result = {"id": row.id, "path": row.path, "shape": row.shape,
-                  "contract": row.contract, "tags": list(row.tags),
-                  "lint": lint, "tier1": t1, "suite": checks,
-                  "verdict": verdict(row, lint, t1, checks),
+                  "contract": row.contract, "tier1": t1, "suite": checks,
+                  "verdict": verdict(row, t1, checks),
                   "seconds": round(time.monotonic() - t0, 1)}
         results.append(result)
-        print(f"| `{row.id}` | {row.contract} | {', '.join(lint) or '-'} | "
-              f"{t1 or '-'} | {', '.join(checks) or '-'} | "
-              f"{result['verdict']} |", flush=True)
+        print(f"| `{row.id}` | {row.contract} | {len(t1)} | "
+              f"{', '.join(checks) or '-'} | {result['verdict']} |",
+              flush=True)
 
-    # a rule's unique kill: a bug row no other net and no other rule
+    # the kill matrix: a test's unique kill is a row no other test
     # convicts
-    print("\nrule kills (unique kills starred):")
-    for rule in sorted({r for res in results for r in res["lint"]}):
-        kills = [f"{res['id']}*" if (res["verdict"] == "lint only"
-                                     and res["lint"] == [rule])
-                 else res["id"]
-                 for res in results if rule in res["lint"]]
-        print(f"  {rule}: {', '.join(kills)}")
+    print("\ntest x mutant kill matrix (unique kills starred):")
+    for test in sorted({t for res in results for t in res["tier1"]}):
+        kills = [f"{res['id']}*" if res["tier1"] == [test] else res["id"]
+                 for res in results if test in res["tier1"]]
+        print(f"  {test}: {', '.join(kills)}")
     wall = time.monotonic() - t_start
     print(f"\n{len(results)} rows, wall {wall:.0f} s")
     if args.out is not None:
         args.out.write_text(json.dumps(
-            {"wall_s": round(wall, 1), "lint_with": str(lint_src),
-             "rows": results}, indent=1))
+            {"wall_s": round(wall, 1), "rows": results}, indent=1))
     return 0
 
 

@@ -2,9 +2,7 @@
 
 One row per mutant: a file (relative to the repository root), the exact
 text it replaces (which must occur exactly once in that file), the new
-text, the bug's shape and the contract it attacks.  ``tags`` names the
-lint rule ids whose fixture shape the row reproduces on the real tree,
-so every rule is tried on at least one bug of its own kind.
+text, the bug's shape and the contract it attacks.
 
 Contracts:
 
@@ -18,13 +16,14 @@ Contracts:
 ``physics``
     forces = -grad E, descriptors equal the reference implementation;
 ``engine-protocol`` / ``phase-registry``
-    what the deleted R9 rule checked statically;
-``shm-lifecycle`` / ``lock-discipline`` / ``observability``
-    no leaked ``/dev/shm`` segment on any exit path; guarded state
-    written under its lock; timers and ledgers report what happened;
+    an engine implements the ``ForceEngine`` surface; every timed phase
+    name is registered;
+``shm-lifecycle`` / ``observability``
+    no leaked ``/dev/shm`` segment on any exit path; timers and ledgers
+    report what happened;
 ``fault-recovery``
     a dead segment worker is replaced once and its segment retried
-    within its budget;
+    within its budget; a trajectory write error reaches the caller;
 ``none``
     the row changes no observable behaviour (``why`` says why); it can
     give no net a unique kill.
@@ -43,7 +42,7 @@ __all__ = ["Mutant", "ROWS", "CONTRACTS"]
 
 CONTRACTS = ("bitwise", "restart", "rebind", "segment-purity", "physics",
              "engine-protocol", "phase-registry", "shm-lifecycle",
-             "lock-discipline", "observability", "fault-recovery", "none")
+             "observability", "fault-recovery", "none")
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,6 @@ class Mutant:
     new: str
     shape: str
     contract: str
-    tags: tuple[str, ...] = ()
     #: for ``contract == "none"``: why no behaviour changes
     why: str = ""
 
@@ -105,7 +103,7 @@ ROWS: tuple[Mutant, ...] = (
              "        forces[:, c] = scatter_add(index[perm], weights[perm],"
              " size)\n"),
         shape="unseeded rng reaches the fixed-order accumulator",
-        contract="bitwise", tags=("R10-determinism-taint",)),
+        contract="bitwise"),
     Mutant(
         "scatter-empty-uninitialised", SNAP,
         old=("    if index.size == 0:  # bincount of nothing is int64, not "
@@ -116,7 +114,7 @@ ROWS: tuple[Mutant, ...] = (
              "        out = np.empty(size)\n"
              "        return out\n"),
         shape="np.empty buffer escapes unfilled (an empty pair list)",
-        contract="physics", tags=("R2-empty-escape",)),
+        contract="physics"),
     Mutant(
         "density-zero-padded-segment", SNAP,
         old=("            starts = np.flatnonzero(np.r_[True, np.diff(idx) "
@@ -213,13 +211,13 @@ ROWS: tuple[Mutant, ...] = (
         new="_S_NEIGH = 8\n",
         shape="a wall-clock reading lands in the virial (overlapping "
               "scalar slots)",
-        contract="bitwise", tags=("R10-determinism-taint",)),
+        contract="bitwise"),
     Mutant(
         "virial-ranks-via-set", PROC,
         old="        for rank in range(self.nprocs):  # fixed rank order\n",
         new="        for rank in set(range(self.nprocs)):  # fixed rank order\n",
         shape="a set iterated into virial +=",
-        contract="none", tags=("R1-set-iter", "R10-determinism-taint"),
+        contract="none",
         why="a set of small non-negative ints iterates in ascending order "
             "(CPython hashes ints to themselves, unsalted)"),
     Mutant(
@@ -227,14 +225,14 @@ ROWS: tuple[Mutant, ...] = (
         old="        self._stages = tuple(potential.last_timings or ())\n",
         new="        self._stages = tuple(set(potential.last_timings or ()))\n",
         shape="hash-ordered stage names label the workers' timer slots",
-        contract="observability", tags=("R1-set-iter",)),
+        contract="observability"),
     Mutant(
         "ghost-count-set-sum", PROC,
         old="        ghosts = int(self._ctl[lo:lo + self.nprocs].sum())\n",
         new=("        ghosts = int(sum(set(self._ctl[lo:lo + self.nprocs]"
              ".tolist())))\n"),
         shape="a reduction over a set (equal per-rank counts collapse)",
-        contract="observability", tags=("R1-unordered-reduce",)),
+        contract="observability"),
     Mutant(
         "worker-raw-attach", PROC,
         old=('        self.pos = SharedBlock.attach(f"{self.prefix}-pos", '
@@ -245,7 +243,7 @@ ROWS: tuple[Mutant, ...] = (
              '            name=f"{self.prefix}-pos"), (n, 3), np.float64, '
              "owner=False)\n"),
         shape="raw SharedMemory attach outside the helper",
-        contract="none", tags=("R5-shm-helper",),
+        contract="none",
         why="forked workers share the parent's resource tracker, whose "
             "record is a set: the worker's extra registration is absorbed "
             "and the owner's unlink clears it (no block left, no tracker "
@@ -271,7 +269,7 @@ ROWS: tuple[Mutant, ...] = (
              "        self._blocks.update(val=val, kept=kept, jref=jref)\n"),
         shape="blocks created into locals with no cleanup path: a failed "
               "second create strands the first in /dev/shm",
-        contract="shm-lifecycle", tags=("R5-shm-lifecycle",)),
+        contract="shm-lifecycle"),
     Mutant(
         "shm-not-unlinked", "src/repro/parallel/shm.py",
         old="        close_shm(self.shm, unlink=self.owner)\n",
@@ -300,7 +298,7 @@ ROWS: tuple[Mutant, ...] = (
              "        idx, val = index_blocks[rank], value_blocks[rank]\n"),
         shape="set order reaches the reverse accumulation through one "
               "call hop",
-        contract="none", tags=("R10-determinism-taint",),
+        contract="none",
         why="a set of small non-negative ints iterates in ascending order"),
     Mutant(
         "distributed-bind-keeps-ranks", DIST,
@@ -331,19 +329,19 @@ ROWS: tuple[Mutant, ...] = (
              '        """One decomposed force evaluation; returns global '
              'EnergyForces."""\n'),
         shape="an engine does not implement the abstract evaluate()",
-        contract="engine-protocol", tags=("R9-engine-contract",)),
+        contract="engine-protocol"),
     Mutant(
         "extras-stray-key", DIST,
         old='            "grid": self.grid.dims,\n',
         new='            "grid_dims": self.grid.dims,\n',
         shape="summary_extras() key that is not a RunSummary field",
-        contract="engine-protocol", tags=("R9-engine-contract",)),
+        contract="engine-protocol"),
     Mutant(
         "stage-prefix-typo", DIST,
         old='            self.timers.add(f"force.{k}", v)\n',
         new='            self.timers.add(f"kernel.{k}", v)\n',
         shape="dynamic phase prefix outside DYNAMIC_SUB_PARENTS",
-        contract="phase-registry", tags=("R9-engine-contract",)),
+        contract="phase-registry"),
     # ------------------------------------------------------------------
     # the serial engine and the MD loop
     # ------------------------------------------------------------------
@@ -351,8 +349,7 @@ ROWS: tuple[Mutant, ...] = (
         "phase-name-typo", ENGINE,
         old='        self.timers.add("neigh", t_neigh)\n',
         new='        self.timers.add("neighbor", t_neigh)\n',
-        shape="unregistered phase name", contract="phase-registry",
-        tags=("R9-engine-contract",)),
+        shape="unregistered phase name", contract="phase-registry"),
     Mutant(
         "evaluate-param-renamed", ENGINE,
         old=("    def evaluate(self, positions: np.ndarray | None = None) -> "
@@ -364,7 +361,7 @@ ROWS: tuple[Mutant, ...] = (
              "        positions = self.system.positions if pos is None "
              "else pos\n"),
         shape="override signature drifts from ForceEngine.evaluate",
-        contract="none", tags=("R9-engine-contract",),
+        contract="none",
         why="nothing calls evaluate(positions=...) by keyword"),
     Mutant(
         "serial-bind-keeps-list", ENGINE,
@@ -423,7 +420,7 @@ ROWS: tuple[Mutant, ...] = (
              "        return checkpoint_path(path)\n"),
         shape="checkpoint written in place outside repro.md.dump (a crash "
               "mid-write leaves a torn restart file)",
-        contract="restart", tags=("R6-io-owner",)),
+        contract="restart"),
     # ------------------------------------------------------------------
     # ParSplice segments and the service
     # ------------------------------------------------------------------
@@ -439,7 +436,7 @@ ROWS: tuple[Mutant, ...] = (
              'seed=child.child("thermostat").integer())\n'),
         new="        temp=temperature, damp=damp, seed=None)\n",
         shape="unseeded Langevin stream inside a segment",
-        contract="segment-purity", tags=("R10-determinism-taint",)),
+        contract="segment-purity"),
     Mutant(
         "stale-sentinel-blames-slot", SERVICE,
         old=("            if self._workers[slot] is not worker:\n"
@@ -452,15 +449,12 @@ ROWS: tuple[Mutant, ...] = (
               "attributed to the slot's healthy replacement",
         contract="fault-recovery"),
     Mutant(
-        "drain-flag-unlocked", "src/repro/md/trajectory.py",
-        old=("            with self._lock:\n"
-             "                self._draining = False\n"
-             "                self._draining_count = 0\n"),
-        new=("            self._draining = False\n"
-             "            self._draining_count = 0\n"
-             "            with self._lock:\n"),
-        shape="writer-thread flags cleared outside the condition's lock",
-        contract="lock-discipline", tags=("R8-lockset",)),
+        "drain-error-dropped", "src/repro/md/trajectory.py",
+        old="                    self._error = exc\n",
+        new="                    pass\n",
+        shape="the trajectory drain thread drops a write error instead of "
+              "parking it for the caller",
+        contract="fault-recovery"),
     Mutant(
         "parsplice-lifetime-count", "src/repro/parsplice/scheduler.py",
         old="    n_generated = generator.n_generated - base_count\n",

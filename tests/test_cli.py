@@ -46,17 +46,17 @@ class TestCLI:
 
     def test_subcommand_census(self, capsys):
         """The subcommands are reviewed, not accreted: exactly these,
-        and the deleted ``tune`` and ``bench-kernel`` are argparse usage
-        errors."""
+        and the deleted ``tune``, ``bench-kernel`` and ``lint`` are
+        argparse usage errors."""
         for argv in (["tune", "--twojmax", "4"],
-                     ["bench-kernel", "--natoms", "24"]):
+                     ["bench-kernel", "--natoms", "24"], ["lint", "src"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
             usage = capsys.readouterr().err
             assert re.search(r"\{(.*?)\}", usage).group(1).split(",") == [
                 "info", "headline", "scaling", "machines", "production",
-                "run-md", "parsplice-serve", "lint"]
+                "run-md", "parsplice-serve"]
 
 
 class TestRunMD:

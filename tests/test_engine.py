@@ -272,6 +272,9 @@ class TestSatelliteFixes:
 # ======================================================================
 # ProcessEngine: shared-memory multiprocess rank backend
 # ======================================================================
+import errno
+import gc
+import json
 import os
 import signal
 import subprocess
@@ -283,8 +286,14 @@ from pathlib import Path
 
 from conftest import snap_setup
 from repro.md import MDLoop
-from repro.parallel import ProcessEngine
+from repro.parallel import ProcessEngine, row_partition
+from repro.parallel.halo import BYTES_PER_GHOST, BYTES_PER_POSITION
 from repro.parallel.process_engine import worker_context
+from repro.parallel.shm import SharedBlock
+
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(Path(__file__).resolve().parents[1] / "src")]
+    + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
 
 
 def assert_no_leaked_blocks(names):
@@ -500,10 +509,7 @@ class TestProcessRobustness:
             engine.close()
             print("\\n".join(names))
         """)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(__file__).resolve().parents[1] / "src")]
-            + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
+        proc = subprocess.run([sys.executable, "-c", script], env=SRC_ENV,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "resource_tracker" not in proc.stderr, proc.stderr
@@ -536,6 +542,105 @@ class TestProcessRobustness:
             engine.evaluate()
         assert time.monotonic() - t0 < 30.0  # detected, not hung
         assert_no_leaked_blocks(names)
+
+    def test_failed_create_strands_no_block(self, monkeypatch):
+        """The ``kept`` pair block fails to create while the engine is
+        being built: the error propagates, and once the half-built
+        engine is collected no block of this process is left in
+        /dev/shm (``val``, created just before, included)."""
+        create = SharedBlock.create.__func__
+
+        def create_or_fail(cls, name, shape, dtype):
+            if "-kept-" in name:
+                raise OSError(errno.ENOSPC, "injected: /dev/shm is full")
+            return create(cls, name, shape, dtype)
+
+        def blocks():
+            return {p.name for p in
+                    Path("/dev/shm").glob(f"repro-pe-{os.getpid()}-*")}
+
+        before = blocks()
+        monkeypatch.setattr(SharedBlock, "create",
+                            classmethod(create_or_fail))
+        s, pot = lj_setup()
+        with pytest.raises(OSError, match="injected"):
+            ProcessEngine(s, pot, nprocs=2)
+        gc.collect()
+        assert blocks() <= before
+
+
+class _StagedLJ(LennardJones):
+    """LJ that reports fixed seconds per named stage, so the parent's
+    ``force.<stage>`` totals are known exactly."""
+
+    SECONDS = {"alpha": 1.0, "beta": 2.0, "gamma": 4.0, "delta": 8.0}
+    last_timings = dict.fromkeys(SECONDS, 0.0)
+
+    def pair_gradients(self, nbr, rows):
+        self.last_timings = dict(self.SECONDS)
+        return super().pair_gradients(nbr, rows)
+
+
+class _FullListLJ(LennardJones):
+    """LJ on the full list, the form a many-body potential is given."""
+
+    pairwise = False
+
+
+class TestProcessLedger:
+    """The process engine's timers and comm ledger report what the
+    workers did."""
+
+    @pytest.mark.parametrize("hash_seed", ["1", "2"])
+    def test_stage_timers_keep_their_labels(self, hash_seed):
+        """Each worker fills one timer slot per stage name; the parent
+        must label slot k with the k-th name under any string hash
+        seed (both seeds here put the names in a set out of order)."""
+        script = textwrap.dedent("""
+            import json
+            import sys
+            sys.path.insert(0, sys.argv[1])
+            from test_engine import _StagedLJ, lj_setup
+            from repro.parallel import ProcessEngine
+
+            s, _ = lj_setup()
+            pot = _StagedLJ(epsilon=0.2, sigma=2.2, cutoff=3.0)
+            with ProcessEngine(s, pot, nprocs=2) as engine:
+                for _ in range(3):
+                    engine.evaluate()
+            print(json.dumps({"set_order": list(set(pot.SECONDS)),
+                              "sub": engine.timers.subtotals}))
+        """)
+        env = dict(SRC_ENV, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(Path(__file__).parent)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["set_order"] != list(_StagedLJ.SECONDS)
+        for stage, seconds in _StagedLJ.SECONDS.items():
+            # two ranks, three steps
+            assert out["sub"][f"force.{stage}"] == 2 * 3 * seconds, stage
+
+    def test_ghost_bytes_count_every_rank(self):
+        """On a cell whose two row windows are translates of each other
+        both ranks see the same number of ghosts; the ledger must book
+        the sum of the two counts, not one of them."""
+        s = lattice_system("fcc", a=2.5, reps=(4, 3, 3))
+        pot = _FullListLJ(epsilon=0.2, sigma=2.2, cutoff=3.0)
+        skin = 0.3
+        ref = build_pairs(s.positions, s.box, pot.cutoff + skin)
+        bounds = row_partition(s.natoms, 2)
+        counts = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            j = ref.j_idx[(ref.i_idx >= lo) & (ref.i_idx < hi)]
+            counts.append(np.unique(j[(j < lo) | (j >= hi)]).size)
+        assert counts[0] == counts[1] > 0
+        with ProcessEngine(s, pot, nprocs=2, skin=skin) as engine:
+            engine.evaluate()  # build
+            engine.evaluate()  # refresh
+            assert engine.ledger.ghost_bytes == sum(counts) * (
+                BYTES_PER_GHOST + BYTES_PER_POSITION)
 
 
 class _CountingBarrier:

@@ -2,8 +2,7 @@
 
 The table is data; ``tests/mutants/drive.py`` applies it to a scratch
 copy of the tree outside tier-1.  Here only the table is imported: every
-row must still name text that occurs exactly once in its file, and every
-lint rule id still registered must have a row of its own fixture shape.
+row must still name text that occurs exactly once in its file.
 """
 
 import importlib.util
@@ -11,8 +10,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-from repro.lint import RULES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,8 +39,3 @@ def test_row_applies_exactly_once(row):
 def test_ids_are_unique():
     ids = [row.id for row in LEDGER.ROWS]
     assert len(ids) == len(set(ids))
-
-
-def test_every_rule_has_a_row_of_its_shape():
-    tagged = {tag for row in LEDGER.ROWS for tag in row.tags}
-    assert set(RULES) <= tagged, sorted(set(RULES) - tagged)

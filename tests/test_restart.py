@@ -9,6 +9,10 @@ neighbor-topology reference, trajectory offsets) must round-trip
 through the ``.npz``.
 """
 
+import errno
+import io
+import os
+
 import numpy as np
 import pytest
 
@@ -79,6 +83,32 @@ class TestCheckpointFiles:
     def test_checkpoint_path_helper(self):
         assert checkpoint_path("a/b").name == "b.npz"
         assert checkpoint_path("a/b.npz").name == "b.npz"
+
+    def test_disk_full_mid_checkpoint_keeps_the_previous_one(
+            self, tmp_path, monkeypatch):
+        """ENOSPC halfway through the archive of an MDLoop checkpoint:
+        the run fails, and the checkpoint before it still loads with its
+        step (a torn archive in its place would be ``BadZipFile``)."""
+        s, pot = _setup()
+        path = tmp_path / "ck.npz"
+        loop = _loop(build_engine(s, pot), checkpoint_every=2,
+                     checkpoint_path=path)
+        loop.run(2)
+        assert load_checkpoint(path).step == 2
+        savez = np.savez_compressed
+
+        def disk_fills_halfway(file, *args, **kwds):
+            whole = io.BytesIO()
+            savez(whole, *args, **kwds)
+            file.write(whole.getvalue()[:whole.tell() // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(np, "savez_compressed", disk_fills_halfway)
+        with pytest.raises(OSError, match="No space left"):
+            loop.run(2)
+        monkeypatch.undo()
+        assert load_checkpoint(path).step == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.npz"]
 
 
 # ======================================================================

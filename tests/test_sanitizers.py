@@ -6,16 +6,26 @@
   (and rank, in the distributed engine) named, and
 * the invariant the deleted scatter-add race detector watched - every
   atom owned by exactly one rank - is asserted on the rank states.
+
+Two static nets live here too: the pytest ``filterwarnings`` pin that
+turns NumPy's ``ComplexWarning`` into an error, and (when installed) a
+ruff session with the curated rule set from pyproject.toml.
 """
+
+import shutil
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import SNAPParams
-from repro.lint.sanitizers import NumericsError, check_finite
+from repro.core.sanitizers import NumericsError, check_finite
 from repro.md import build_engine, build_pairs
 from repro.potentials import SNAPPotential
 from repro.structures import lattice_system
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def snap_carbon(rng, reps=(3, 3, 3), jitter=0.03, **params):
@@ -171,3 +181,50 @@ class TestOwnership:
             assert np.array_equal(np.sort(np.concatenate(owned)),
                                   np.arange(s.natoms))
         assert engine.neighbor_builds == 2
+
+
+# ======================================================================
+# complex narrowing: convicted at run time, no lint rule
+# ======================================================================
+#: the two shapes the deleted R2-complex-narrowing rule convicted, and
+#: the repaired form; executed, not linted
+_NARROW_STORE = (
+    "import numpy as np\n"
+    "def fold(u):\n"
+    "    out = np.zeros(4)\n"
+    "    c = u * np.exp(1j * 0.5)\n"
+    "    out[0] = c\n"
+    "    return out\n"
+    "fold(2.0)\n")
+_NARROW_ASTYPE = (
+    "import numpy as np\n"
+    "z = np.zeros(3, dtype=np.complex128)\n"
+    "z.astype(np.float64)\n")
+
+
+class TestR2Dtype:
+    # implicit complex->real narrowing is convicted by NumPy itself: the
+    # project pytest config (filterwarnings) turns ComplexWarning into an
+    # error on every tested path, which these two executed fixtures pin
+    def test_complex_store_into_real_buffer_fires(self):
+        with pytest.raises(np.exceptions.ComplexWarning):
+            exec(_NARROW_STORE, {})
+
+    def test_complex_astype_real_fires(self):
+        with pytest.raises(np.exceptions.ComplexWarning):
+            exec(_NARROW_ASTYPE, {})
+
+    def test_explicit_real_is_silent(self):
+        exec(_NARROW_STORE.replace("out[0] = c\n", "out[0] = c.real\n"), {})
+
+
+# ======================================================================
+# generic static analysis
+# ======================================================================
+@pytest.mark.skipif(shutil.which("ruff") is None,
+                    reason="ruff not installed (pip install -e .[lint])")
+def test_ruff_session():
+    proc = subprocess.run(
+        ["ruff", "check", "src", "tests", "benchmarks"],
+        capture_output=True, text=True, cwd=REPO)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

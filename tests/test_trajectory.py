@@ -7,6 +7,7 @@ possible byte length and demands the reader recover exactly the frames
 whose final byte survived - no exception, no partial frame.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -230,18 +231,47 @@ class TestAsyncWriter:
         with pytest.raises(RuntimeError):
             w.close()
 
+    def test_nframes_counts_a_draining_frame_once(self, tmp_path):
+        """While the drain thread is still inside the write of the only
+        accepted frame, ``nframes`` reads 1."""
+        wrote, resume = threading.Event(), threading.Event()
+        w = AsyncTrajectoryWriter(tmp_path / "t.trj", natoms=NATOMS)
+        write_encoded = w._file.write_encoded
+
+        def write_then_pause(buf):
+            n = write_encoded(buf)
+            wrote.set()
+            resume.wait(30.0)
+            return n
+
+        w._file.write_encoded = write_then_pause
+        try:
+            w.write_frame(_frames(1)[0])
+            assert wrote.wait(30.0)
+            assert w.nframes == 1
+        finally:
+            resume.set()
+            w.close()
+        assert w.nframes == 1
+
     def test_backpressure_blocks_then_drains(self, tmp_path):
         frames = _frames(1)
         done = []
-        with AsyncTrajectoryWriter(tmp_path / "t.trj", natoms=NATOMS,
-                                   max_pending=2) as w:
-            def burst():
-                for _ in range(50):
-                    w.write_frame(frames[0])
-                done.append(True)
-            t = threading.Thread(target=burst)
-            t.start()
-            t.join(30.0)
-            assert done, "writer deadlocked under backpressure"
-            w.flush()
-            assert w.nframes == 50
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with AsyncTrajectoryWriter(tmp_path / "t.trj", natoms=NATOMS,
+                                       max_pending=2) as w:
+                def burst():
+                    for _ in range(50):
+                        w.write_frame(frames[0])
+                    done.append(True)
+                t = threading.Thread(target=burst)
+                t.start()
+                t.join(30.0)
+                assert done, "writer deadlocked under backpressure"
+                w.flush()
+                assert w.nframes == w.ledger.frames == 50
+        finally:
+            sys.setswitchinterval(interval)
+        assert scan_trajectory(tmp_path / "t.trj").nframes == 50
