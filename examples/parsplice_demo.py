@@ -10,8 +10,8 @@ Run:  python examples/parsplice_demo.py
 
 import numpy as np
 
-from repro.parsplice import (arrhenius_msm, nanoparticle_landscape,
-                             run_parsplice)
+from repro.parsplice import (SegmentGenerator, arrhenius_msm,
+                             nanoparticle_landscape, run_parsplice)
 
 
 def main() -> None:
@@ -25,8 +25,8 @@ def main() -> None:
           f"{'states':>7s} {'spliced':>8s} {'speedup':>8s}")
     for temp in (300, 700, 1500, 3000, 6000):
         msm = arrhenius_msm(energies, barriers, temperature=float(temp))
-        run = run_parsplice(msm, nworkers=32, quanta=30, t_segment=0.2,
-                            seed=temp)
+        run = run_parsplice(SegmentGenerator(msm, t_segment=0.2, seed=temp),
+                            nworkers=32, quanta=30)
         print(f"{temp:7d} {run.trajectory_time:16.1f} "
               f"{run.n_transitions:12d} {run.n_states_visited:7d} "
               f"{run.spliced_fraction * 100:7.0f}% {run.speedup:7.1f}x")
@@ -37,8 +37,8 @@ def main() -> None:
     print("\n=== worker scaling at 300 K ===")
     msm = arrhenius_msm(energies, barriers, temperature=300.0)
     for nworkers in (4, 16, 64, 256):
-        run = run_parsplice(msm, nworkers=nworkers, quanta=15,
-                            t_segment=0.2, seed=1)
+        run = run_parsplice(SegmentGenerator(msm, t_segment=0.2, seed=1),
+                            nworkers=nworkers, quanta=15)
         print(f"  {nworkers:4d} workers -> speedup {run.speedup:6.1f}x")
     print("this is parallelization over *time*: the same wall-clock buys "
           "a proportionally longer trajectory")

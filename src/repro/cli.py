@@ -197,7 +197,7 @@ def _observer_samples(obs) -> int:
 
 
 def _cmd_parsplice_serve(args) -> int:
-    from .parsplice import run_parsplice_service
+    from .parsplice import SegmentScheduler, run_parsplice
     from .potentials import LennardJones
     from .structures import random_packed
 
@@ -217,12 +217,20 @@ def _cmd_parsplice_serve(args) -> int:
         engine_kwargs["backend"] = args.backend
     if args.nprocs is not None:
         engine_kwargs["nprocs"] = args.nprocs
-    run = run_parsplice_service(
-        states, pot, nworkers=args.sessions, quanta=args.quanta,
-        nsteps=args.nsteps, dt=args.dt, temperature=args.temp,
-        seed=args.seed, **engine_kwargs)
-    print(run.summary())
-    for i, row in enumerate(run.session_stats):
+    with SegmentScheduler(states, pot, nworkers=args.sessions,
+                          nsteps=args.nsteps, dt=args.dt,
+                          temperature=args.temp, seed=args.seed,
+                          **engine_kwargs) as sched:
+        run = run_parsplice(sched, nworkers=args.sessions,
+                            quanta=args.quanta)
+        sessions = sched.session_stats()
+    print(f"{run.nworkers} sessions x {run.quanta} quanta: "
+          f"{run.trajectory_time:.2f} ps spliced from "
+          f"{run.generated_time:.2f} ps generated in {run.wall_s:.2f} s -> "
+          f"{run.spliced_ns_per_s:.3g} ns/s "
+          f"({sched.stats.cache_hits} cache hits, "
+          f"{sched.stats.reschedules} reschedules)")
+    for i, row in enumerate(sessions):
         print(f"  session {i} [{row['backend']}, pid {row['pid']}]: "
               f"{row['segments']} segments, {row['binds']} binds, "
               f"{row['steps']} steps, {row['md_wall_s']:.2f} s MD")

@@ -5,10 +5,8 @@ from .oracle import TransitionOracle, measured_md_rate
 from .qsd import (DoubleWell, evolve, exponentiality, first_escape_times,
                   qsd_sample)
 from .scheduler import ParSpliceRun, run_parsplice
-from .segments import (MDSegment, MDSegmentGenerator, Segment,
-                       SegmentGenerator, run_md_segment)
-from .service import (SegmentScheduler, ServiceRun, ServiceSegmentGenerator,
-                      ServiceStats, run_parsplice_service)
+from .segments import MDSegment, Segment, SegmentGenerator, run_md_segment
+from .service import SegmentScheduler, ServiceStats
 from .splicer import SpliceEngine
 
 __all__ = [
@@ -18,7 +16,6 @@ __all__ = [
     "Segment",
     "SegmentGenerator",
     "MDSegment",
-    "MDSegmentGenerator",
     "run_md_segment",
     "SpliceEngine",
     "TransitionOracle",
@@ -32,7 +29,4 @@ __all__ = [
     "ParSpliceRun",
     "SegmentScheduler",
     "ServiceStats",
-    "ServiceSegmentGenerator",
-    "ServiceRun",
-    "run_parsplice_service",
 ]

@@ -101,6 +101,8 @@ class TransitionOracle:
         """
         if nworkers < 1:
             raise ValueError("nworkers must be positive")
+        if horizon < 1:
+            raise ValueError("horizon must be positive")
         weights = np.zeros(self.nstates)
         for h in range(1, horizon + 1):
             weights += self.predict(state, h)

@@ -3,14 +3,14 @@
 A *segment* is a trajectory piece that spent at least the decorrelation
 time ``t_corr`` in its first and last state, so that independently
 generated segments can be spliced end-to-end into a statistically
-correct state-to-state trajectory.  Two generators live here:
+correct state-to-state trajectory.
 
 :class:`SegmentGenerator`
     Exact CTMC evolution on a :class:`~repro.parsplice.MarkovStateModel`
     (the validity of splicing for Markovian state-to-state dynamics is
     what the QSD theory establishes); the *wall-clock cost* of producing
     a segment models an MD engine of a given speed.
-:class:`MDSegmentGenerator` / :func:`run_md_segment`
+:func:`run_md_segment`
     Real MD: a state indexes a stored configuration, one segment is
     ``nsteps`` of Langevin dynamics from it over a reusable
     :class:`~repro.md.engine.EngineSession`.  Velocity draw and
@@ -34,8 +34,7 @@ from ..md.integrators import LangevinThermostat
 from ..md.system import ParticleSystem
 from .model import MarkovStateModel
 
-__all__ = ["Segment", "SegmentGenerator", "MDSegment", "MDSegmentGenerator",
-           "run_md_segment"]
+__all__ = ["Segment", "SegmentGenerator", "MDSegment", "run_md_segment"]
 
 
 @dataclass(frozen=True)
@@ -79,8 +78,10 @@ class SegmentGenerator:
         self.md_rate = md_rate
         stream = seed if isinstance(seed, SeedStream) else SeedStream(seed)
         self._rng = stream.generator()
-        self.n_generated = 0
-        self.generated_time = 0.0
+
+    @property
+    def nstates(self) -> int:
+        return self.msm.nstates
 
     @property
     def wall_cost(self) -> float:
@@ -90,10 +91,12 @@ class SegmentGenerator:
     def generate(self, state: int) -> Segment:
         """Produce one segment starting (QSD-equilibrated) in ``state``."""
         end, ntrans = self.msm.evolve(state, self.t_segment, self._rng)
-        self.n_generated += 1
-        self.generated_time += self.t_segment
         return Segment(start_state=state, end_state=end,
                        duration=self.t_segment, n_transitions=ntrans)
+
+    def generate_batch(self, starts) -> list[Segment]:
+        """One scheduling quantum: a segment per start state, in order."""
+        return [self.generate(int(s)) for s in starts]
 
 
 # ======================================================================
@@ -187,99 +190,3 @@ def run_md_segment(session: EngineSession, template: ParticleSystem, *,
                      wall_s=float(summary.wall_s),
                      fingerprint=_phase_fingerprint(system.positions,
                                                     system.velocities))
-
-
-class MDSegmentGenerator:
-    """Single-session real-MD drop-in for :class:`SegmentGenerator`.
-
-    A *state library* (sequence of :class:`ParticleSystem` templates)
-    replaces the Markov model; :meth:`generate` runs one real segment
-    from the requested state's template over one reusable engine
-    session.  For a pool of sessions serving batched requests, use
-    :class:`repro.parsplice.service.SegmentScheduler` instead.
-
-    Parameters
-    ----------
-    states:
-        The state library; segment ``state`` starts from
-        ``states[state]`` (templates are copied, never mutated).
-    potential:
-        Force field for a self-built session (ignored when ``session``
-        is given).
-    session:
-        A live :class:`~repro.md.engine.EngineSession` to reuse; the
-        caller keeps ownership.  Without it, one is built from
-        ``engine_kwargs`` and closed by :meth:`close`.
-    seed:
-        Root entropy or :class:`~repro.core.rng.SeedStream` for the
-        per-segment key derivation.
-    """
-
-    def __init__(self, states, potential=None, *, session=None,
-                 nsteps: int = 100, dt: float = 1.0e-3,
-                 temperature: float = 300.0, damp: float = 0.1,
-                 seed: int | SeedStream = 0, classifier=None,
-                 **engine_kwargs) -> None:
-        self.states = [s.copy() for s in states]
-        if not self.states:
-            raise ValueError("the state library must hold at least one state")
-        if nsteps < 1:
-            raise ValueError("nsteps must be positive")
-        self._own_session = session is None
-        if session is None:
-            if potential is None:
-                raise ValueError("potential is required without a session")
-            session = EngineSession.build(self.states[0].copy(), potential,
-                                          **engine_kwargs)
-        self.session = session
-        self.nsteps = int(nsteps)
-        self.dt = float(dt)
-        self.temperature = float(temperature)
-        self.damp = float(damp)
-        self.classifier = classifier
-        self.stream = seed if isinstance(seed, SeedStream) else SeedStream(seed)
-        self._next_seed: dict[int, int] = {}
-        self.n_generated = 0
-        self.generated_time = 0.0
-
-    @property
-    def nstates(self) -> int:
-        return len(self.states)
-
-    @property
-    def t_segment(self) -> float:
-        """Physical duration of one segment [ps]."""
-        return self.nsteps * self.dt
-
-    def generate(self, state: int, seed: int | None = None) -> MDSegment:
-        """One real segment from ``states[state]``.
-
-        ``seed`` defaults to the state's next sequential segment seed;
-        passing an explicit value replays that exact segment.
-        """
-        state = int(state)
-        if not 0 <= state < len(self.states):
-            raise ValueError(f"state {state} outside the library "
-                             f"[0, {len(self.states)})")
-        if seed is None:
-            seed = self._next_seed.get(state, 0)
-            self._next_seed[state] = seed + 1
-        segment = run_md_segment(
-            self.session, self.states[state], state=state, seed=int(seed),
-            stream=self.stream, nsteps=self.nsteps, dt=self.dt,
-            temperature=self.temperature, damp=self.damp,
-            classifier=self.classifier)
-        self.n_generated += 1
-        self.generated_time += segment.duration
-        return segment
-
-    def close(self) -> None:
-        """Close a self-built session (borrowed sessions are left alone)."""
-        if self._own_session:
-            self.session.close()
-
-    def __enter__(self) -> "MDSegmentGenerator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

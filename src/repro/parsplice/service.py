@@ -24,13 +24,11 @@ per campaign rather than once per segment.
     regardless of which session finishes first.  Engine failures are
     detected per segment, the dead session is replaced from the factory
     and the segment is rescheduled (bounded retries).
-:class:`ServiceSegmentGenerator`
-    Adapter giving the scheduler the ``generate``/``generate_batch``
-    protocol :func:`repro.parsplice.run_parsplice` consumes, so the
-    Markov-level driver can run real-MD campaigns unchanged.
-:func:`run_parsplice_service`
-    A self-contained campaign: oracle speculation per quantum, batched
-    requests, spliced trajectory throughput accounting.
+
+    It is also a segment generator: :meth:`SegmentScheduler.generate_batch`
+    fans one scheduling quantum out over the pool, so
+    :func:`repro.parsplice.run_parsplice` drives a real-MD campaign
+    through the same loop as a Markov-model one.
 
 Process model: one MD instance per Python process.  Every session lives
 in its own worker process (``repro-segsvc-<slot>``) that holds the
@@ -67,12 +65,10 @@ import numpy as np
 
 from ..core.rng import SeedStream
 from ..md.engine import EngineSession
-from .oracle import TransitionOracle
 from .segments import MDSegment, run_md_segment
 from .splicer import SpliceEngine
 
-__all__ = ["SegmentScheduler", "ServiceStats", "ServiceSegmentGenerator",
-           "ServiceRun", "run_parsplice_service"]
+__all__ = ["SegmentScheduler", "ServiceStats"]
 
 #: how a dying engine surfaces: poisoned state/NaNs (ValueError,
 #: ArithmeticError), dead worker processes or torn shared memory
@@ -435,6 +431,12 @@ class SegmentScheduler:
         """Wait on a batch; returns the segments in request order."""
         return [f.result() for f in futures]
 
+    def generate_batch(self, starts) -> list[MDSegment]:
+        """One scheduling quantum: a segment per start state, run across
+        the pool and returned in request order (the generator protocol of
+        :func:`repro.parsplice.run_parsplice`)."""
+        return self.gather([self.request(s) for s in starts])
+
     # ------------------------------------------------------------------
     # dispatcher (runs on the caller's thread; the MD runs in the workers)
     # ------------------------------------------------------------------
@@ -604,130 +606,3 @@ class SegmentScheduler:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-# ======================================================================
-# run_parsplice adapter
-# ======================================================================
-class ServiceSegmentGenerator:
-    """Give a :class:`SegmentScheduler` the segment-generator protocol.
-
-    :func:`repro.parsplice.run_parsplice` drives generators through
-    ``generate(state)`` (and ``generate_batch(states)`` when
-    available); this adapter routes those calls through the scheduler,
-    so a whole scheduling quantum fans out over the session pool and
-    completes before the driver splices.
-    """
-
-    def __init__(self, scheduler: SegmentScheduler) -> None:
-        self.scheduler = scheduler
-        self.n_generated = 0
-        self.generated_time = 0.0
-
-    @property
-    def nstates(self) -> int:
-        return self.scheduler.nstates
-
-    @property
-    def t_segment(self) -> float:
-        return self.scheduler.t_segment
-
-    def generate(self, state: int) -> MDSegment:
-        segment = self.scheduler.request(state).result()
-        self.n_generated += 1
-        self.generated_time += segment.duration
-        return segment
-
-    def generate_batch(self, states) -> list[MDSegment]:
-        futures = [self.scheduler.request(int(s)) for s in states]
-        segments = [f.result() for f in futures]
-        self.n_generated += len(segments)
-        self.generated_time += sum(s.duration for s in segments)
-        return segments
-
-
-# ======================================================================
-# self-contained campaign
-# ======================================================================
-@dataclass
-class ServiceRun:
-    """Outcome of a :func:`run_parsplice_service` campaign."""
-
-    nworkers: int
-    quanta: int
-    trajectory_ps: float
-    generated_ps: float
-    wall_s: float
-    #: the service figure of merit: official spliced trajectory
-    #: nanoseconds per wall-clock second
-    spliced_ns_per_s: float
-    n_spliced: int
-    n_transitions: int
-    stats: ServiceStats
-    session_stats: list
-
-    def summary(self) -> str:
-        return (f"{self.nworkers} sessions x {self.quanta} quanta: "
-                f"{self.trajectory_ps:.2f} ps spliced from "
-                f"{self.generated_ps:.2f} ps generated in "
-                f"{self.wall_s:.2f} s -> "
-                f"{self.spliced_ns_per_s:.3g} ns/s "
-                f"({self.stats.cache_hits} cache hits, "
-                f"{self.stats.reschedules} reschedules)")
-
-
-def run_parsplice_service(states, potential=None, *, nworkers: int = 2,
-                          quanta: int = 4,
-                          segments_per_quantum: int | None = None,
-                          horizon: int = 4, speculate: bool = True,
-                          scheduler: SegmentScheduler | None = None,
-                          **scheduler_kwargs) -> ServiceRun:
-    """Run a real-MD ParSplice campaign over a session pool.
-
-    Each quantum: the oracle (a Dirichlet-smoothed transition model
-    learned online) allocates ``segments_per_quantum`` segments over
-    predicted future states, the batch fans out over the sessions, and
-    completions splice deterministically in submission order.  With
-    ``speculate=False`` every segment starts in the trajectory's
-    current state (the no-speculation ablation).
-
-    A caller-provided ``scheduler`` is reused and left open; otherwise
-    one is built from ``states``/``potential``/``scheduler_kwargs`` and
-    closed before returning.
-    """
-    if quanta < 1:
-        raise ValueError("quanta must be positive")
-    own = scheduler is None
-    if own:
-        scheduler = SegmentScheduler(states, potential, nworkers=nworkers,
-                                     **scheduler_kwargs)
-    try:
-        per_quantum = segments_per_quantum if segments_per_quantum \
-            else scheduler.nworkers
-        oracle = TransitionOracle(scheduler.nstates)
-        t0 = time.perf_counter()
-        for _ in range(quanta):
-            if speculate and scheduler.nstates > 1:
-                alloc = oracle.allocate(scheduler.current_state, per_quantum,
-                                        horizon=horizon)
-            else:
-                alloc = np.zeros(scheduler.nstates, dtype=int)
-                alloc[scheduler.current_state] = per_quantum
-            for segment in scheduler.gather(scheduler.request_batch(alloc)):
-                oracle.observe(segment.start_state, segment.end_state)
-        wall = time.perf_counter() - t0
-        summary = scheduler.summary()
-        return ServiceRun(
-            nworkers=scheduler.nworkers, quanta=quanta,
-            trajectory_ps=summary["trajectory_ps"],
-            generated_ps=summary["generated_ps"],
-            wall_s=wall,
-            spliced_ns_per_s=(summary["trajectory_ps"] / 1000.0 / wall
-                              if wall > 0 else float("inf")),
-            n_spliced=summary["n_spliced"],
-            n_transitions=summary["n_transitions"],
-            stats=scheduler.stats,
-            session_stats=scheduler.session_stats())
-    finally:
-        if own:
-            scheduler.close()

@@ -456,9 +456,10 @@ ROWS: tuple[Mutant, ...] = (
               "parking it for the caller",
         contract="fault-recovery"),
     Mutant(
-        "parsplice-lifetime-count", "src/repro/parsplice/scheduler.py",
-        old="    n_generated = generator.n_generated - base_count\n",
-        new="    n_generated = generator.n_generated\n",
-        shape="a reused generator's lifetime count reported per run",
+        "parsplice-quantum-count", "src/repro/parsplice/scheduler.py",
+        old="            n_generated += 1\n",
+        new="            n_generated = len(segments)\n",
+        shape="the campaign loop's segment count restarts every quantum: "
+              "a run reports its last quantum's segments",
         contract="observability"),
 )

@@ -153,3 +153,23 @@ def test_example_runs(script, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(script), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+class TestParSpliceServe:
+    """The ``parsplice-serve`` command, end to end over worker processes."""
+
+    def test_campaign_reports_throughput_and_sessions(self, capsys):
+        assert main(["parsplice-serve", "--natoms", "16", "--nstates", "2",
+                     "--sessions", "2", "--quanta", "2",
+                     "--nsteps", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert re.match(r"2 sessions x 2 quanta: \S+ ps spliced from "
+                        r"\S+ ps generated in \S+ s -> \S+ ns/s ", lines[0])
+        rows = [re.match(r"  session \d \[SerialEngine, pid \d+\]: "
+                         r"(\d+) segments, (\d+) binds, (\d+) steps",
+                         line) for line in lines[1:]]
+        assert len(rows) == 2 and all(rows)
+        segments = [int(row.group(1)) for row in rows]
+        assert sum(segments) == 2 * 2  # every segment run, none cached
+        assert [int(row.group(3)) for row in rows] \
+            == [4 * n for n in segments]

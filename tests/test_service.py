@@ -29,10 +29,8 @@ from repro.core.rng import SeedStream
 from repro.md import MDLoop, build_engine
 from repro.md.engine import EngineSession
 from repro.md.integrators import LangevinThermostat
-from repro.parsplice import (MDSegmentGenerator, SegmentScheduler,
-                             ServiceSegmentGenerator, measured_md_rate,
-                             run_md_segment, run_parsplice,
-                             run_parsplice_service)
+from repro.parsplice import (SegmentScheduler, measured_md_rate,
+                             run_md_segment, run_parsplice)
 from repro.potentials import LennardJones
 from repro.structures import lattice_system
 
@@ -59,6 +57,18 @@ def _state(jitter_seed=None):
 
 def _library(n=3):
     return [_state(None if i == 0 else i) for i in range(n)]
+
+
+def _lone_prints(states, pot, keys, **engine_kwargs):
+    """The lone-session reference: fingerprints of the ``(state, seed)``
+    segments run in turn on one session, with the physics and root seed
+    the scheduler tests use (``nsteps=6``, ``seed=7``)."""
+    with EngineSession.build(states[0].copy(), pot,
+                             **engine_kwargs) as session:
+        return [run_md_segment(session, states[state], state=state,
+                               seed=seed, stream=SeedStream(7),
+                               nsteps=6).fingerprint
+                for state, seed in keys]
 
 
 def _run_segment_on(engine, system, nsteps=8, seed=4):
@@ -226,9 +236,7 @@ class TestSegmentService:
             futs = [sched.request(1, seed=5) for _ in range(4)]
             prints = {f.result().fingerprint for f in futs}
         assert len(prints) == 1
-        with MDSegmentGenerator(states, pot, nsteps=6, seed=7) as gen:
-            lone = gen.generate(1, seed=5)
-        assert lone.fingerprint in prints
+        assert _lone_prints(states, pot, [(1, 5)])[0] in prints
 
     def test_cache_hit_path_skips_md(self):
         states, pot = _library(), _pot()
@@ -318,8 +326,7 @@ class TestSegmentService:
             seg = sched.request(1, seed=5).result(timeout=60)
             assert sched.stats.reschedules == 1
             assert sched.stats.sessions_replaced == 1
-        with MDSegmentGenerator(states, pot, nsteps=6, seed=7) as gen:
-            assert seg.fingerprint == gen.generate(1, seed=5).fingerprint
+        assert [seg.fingerprint] == _lone_prints(states, pot, [(1, 5)])
         # out of retries, the worker's own exception and traceback are
         # what the future's error chains to
         tripped.unlink()
@@ -444,8 +451,7 @@ print("closed")
                 fut.result(timeout=0.05)
             assert not fut.done()
             seg = fut.result(timeout=60)
-        with MDSegmentGenerator(states, pot, nsteps=6, seed=7) as gen:
-            assert seg.fingerprint == gen.generate(1, seed=5).fingerprint
+        assert [seg.fingerprint] == _lone_prints(states, pot, [(1, 5)])
 
     def test_close_resolves_unwaited_futures_in_request_order(self):
         states, pot = _library(), _pot()
@@ -475,7 +481,7 @@ print("closed")
         before = threading.active_count()
         with SegmentScheduler(states, pot, nworkers=2, nsteps=6,
                               seed=3) as sched:
-            run = run_parsplice_service(states, quanta=2, scheduler=sched)
+            run = run_parsplice(sched, nworkers=sched.nworkers, quanta=2)
             assert threading.active_count() == before
         assert run.n_spliced >= 1
         assert threading.active_count() == before
@@ -495,35 +501,79 @@ print("closed")
         assert campaign(1) == campaign(3)
 
     def test_run_parsplice_over_md_generator(self):
+        """Any object with ``nstates``, ``t_segment`` and
+        ``generate_batch`` is a generator: here, MD segments run in turn
+        on one session."""
         states, pot = _library(), _pot()
-        with MDSegmentGenerator(states, pot, nsteps=6, seed=7) as gen:
-            run = run_parsplice(nworkers=2, quanta=2, generator=gen)
+
+        class LoneSessionGenerator:
+            nstates, t_segment = len(states), 6 * 1.0e-3
+
+            def __init__(self, session):
+                self.session, self.seeds = session, [0] * len(states)
+
+            def generate_batch(self, starts):
+                segments = []
+                for s in starts:
+                    seed, self.seeds[s] = self.seeds[s], self.seeds[s] + 1
+                    segments.append(run_md_segment(
+                        self.session, states[s], state=int(s), seed=seed,
+                        stream=SeedStream(7), nsteps=6))
+                return segments
+
+        with EngineSession.build(states[0].copy(), pot) as session:
+            gen = LoneSessionGenerator(session)
+            run = run_parsplice(gen, nworkers=2, quanta=2)
         assert run.n_generated == 4
         assert run.trajectory_time > 0
         assert run.generated_time == pytest.approx(4 * gen.t_segment)
 
     def test_run_parsplice_over_service_adapter(self):
+        """The scheduler is its own generator adapter: a quantum fans out
+        over the pool through ``generate_batch``."""
         states, pot = _library(), _pot()
         with SegmentScheduler(states, pot, nworkers=2, nsteps=6,
                               seed=7) as sched:
-            gen = ServiceSegmentGenerator(sched)
-            run = run_parsplice(nworkers=2, quanta=2, generator=gen)
+            run = run_parsplice(sched, nworkers=2, quanta=2)
             assert run.n_generated == 4
             assert sched.stats.segments_run <= 4  # cache may dedup
 
     def test_run_parsplice_service_campaign(self):
         states, pot = _library(), _pot()
-        run = run_parsplice_service(states, pot, nworkers=2, quanta=2,
-                                    nsteps=6, seed=3)
+        with SegmentScheduler(states, pot, nworkers=2, nsteps=6,
+                              seed=3) as sched:
+            run = run_parsplice(sched, nworkers=2, quanta=2)
+            session_stats = sched.session_stats()
+            summary = sched.summary()
         assert run.n_spliced >= 1
-        assert run.trajectory_ps > 0
-        assert len(run.session_stats) == 2
-        assert sum(row["segments"] for row in run.session_stats) \
-            == run.stats.segments_run
+        assert run.trajectory_time > 0
+        assert len(session_stats) == 2
+        assert sum(row["segments"] for row in session_stats) \
+            == summary["segments_run"]
         assert all(row["steps"] == 6 * row["segments"]
                    and row["binds"] == row["segments"]
-                   for row in run.session_stats)
-        assert "sessions" in run.summary()
+                   for row in session_stats)
+
+    @pytest.mark.parametrize("nworkers", [1, 3])
+    def test_campaign_splice_matches_the_reorder_buffer(self, nworkers):
+        """``run_parsplice`` splices what it receives, in gather order;
+        the scheduler's reorder buffer splices the same segments in
+        ticket order.  The two trajectories agree, transitions included,
+        so the two orders are one."""
+        states, pot = _library(), _pot()
+
+        def hop(system, state):
+            # a deterministic transition on the final configuration
+            return int(abs(system.positions.sum()) * 1e6) % 3
+
+        with SegmentScheduler(states, pot, nworkers=nworkers, nsteps=6,
+                              seed=7, classifier=hop) as sched:
+            run = run_parsplice(sched, nworkers=2, quanta=3)
+            assert run.n_transitions >= 1
+            assert (run.trajectory_time, run.n_spliced) \
+                == (sched.trajectory_ps, sched.splicer.n_spliced)
+            assert run.state_time == sched.splicer.state_time
+            assert run.final_state == sched.current_state
 
 
 # ======================================================================
@@ -582,7 +632,4 @@ def test_soak_matrix_bitwise_across_pool_shapes(nworkers, engine_kwargs):
         futs = [sched.request(s, seed=k) for s, k in jobs]
         prints = [f.result().fingerprint for f in futs]
         assert sched.stats.segments_run == len(jobs)
-    with MDSegmentGenerator(states, pot, nsteps=6, seed=7,
-                            **engine_kwargs) as gen:
-        expected = [gen.generate(s, seed=k).fingerprint for s, k in jobs]
-    assert prints == expected
+    assert prints == _lone_prints(states, pot, jobs, **engine_kwargs)
