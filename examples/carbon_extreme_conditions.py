@@ -71,7 +71,7 @@ def main() -> None:
     for label, system in (
             ("a-C (quench)", ac),
             ("diamond", lattice_system("diamond", a=3.57, reps=(3, 3, 3))),
-            ("BC8", lattice_system("bc8", a=2.52, reps=(3, 3, 3)))):
+            ("BC8", lattice_system("bc8", a=4.44, reps=(3, 3, 3)))):
         frac = pc.fractions(system.positions, system.box)
         print(f"  {label:14s} " + "  ".join(
             f"{k}: {v * 100:5.1f}%" for k, v in frac.items()))

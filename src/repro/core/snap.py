@@ -19,10 +19,9 @@ mirroring the optimized LAMMPS/Kokkos pipeline in NumPy:
    (paper Eq. 8) by one reverse-mode sweep of the ``U`` recursion per
    pair chunk: the adjoint of each layer is carried downwards, so
    neither ``dU`` nor any per-direction tensor is ever materialized.
-   The per-pair ``U`` layers are recomputed per chunk, never stored:
-   the recompute side of the trade the paper uses to raise arithmetic
-   intensity on GPUs (kernel fusion), and the faster side here
-   (EXPERIMENTS E24).  All hot-path array work runs in *layer-major*
+   It sweeps the layers stage 1 built for the chunk, still cache-hot
+   (the paper's kernel fusion): one Wigner recursion per pair per
+   evaluation.  All hot-path array work runs in *layer-major*
    half-plane layout (pair axis innermost, columns ``mb <= j/2``, also
    the format ``Y`` is handed over in), in the coefficient-free scaled
    basis of :func:`repro.core.wigner.compute_u_layers_half_lm`.
@@ -34,13 +33,12 @@ mirroring the optimized LAMMPS/Kokkos pipeline in NumPy:
    in :mod:`repro.potentials` implements, so every potential on every
    engine ends in this same stage.
 
-Stages 1 and 3 walk the pair list in chunks of about
-``SNAPParams.chunk`` pairs that are cut on atom-row boundaries: a
-central atom's pairs are never split, so its whole neighbor sum is one
-``np.add.reduceat`` segment (one team per atom in TestSNAP's
-``compute_ui``) and ``U_tot``, ``Y``, ``dedr`` and the forces are
-bitwise independent of ``chunk`` and of where a row slice of a longer
-list starts.
+Stages 1-3 run fused over atom ranges of about ``SNAPParams.chunk``
+pairs: a central atom's pairs are never split, so its neighbor sum is
+one ``np.add.reduceat`` segment (one team per atom in TestSNAP's
+``compute_ui``), and ``Y_i`` needs only atom ``i``'s ``U_tot``.  So
+``U_tot``, ``Y``, ``dedr`` and the forces are bitwise independent of
+``chunk`` and of where a row slice of a longer list starts.
 
 The per-kernel wall times of the latest evaluation are kept in
 :attr:`SNAP.last_timings` so benchmarks can report a stage breakdown.
@@ -74,12 +72,13 @@ class SNAPParams:
     14, giving 55 and 204 bispectrum components).  ``rcut`` is the
     neighbor cutoff in Angstrom.
 
-    ``chunk`` is the target pair-block length of both passes: large
+    ``chunk`` is the target pair count of one fused chunk: large
     enough to amortize per-chunk dispatch overhead, small enough that
-    the per-chunk scratch (O(nu_half * chunk) complex) stays
-    cache-friendly.  4096 is the measured sweet spot at 2J=8.  Blocks
-    end on atom-row boundaries (a row is never split, so a block can
-    run up to one row past ``chunk``); results do not depend on it.
+    the chunk's layers (O(nu_half * chunk) complex) stay cache-warm
+    from the forward recursion to the reverse sweep.  4096 is the
+    measured sweet spot at 2J=8.  Chunks end on atom-row boundaries
+    (a chunk can run up to one row past ``chunk``); results do not
+    depend on it.
 
     ``y_mode`` is inert: ``"dense"`` and ``"sparse"`` both run the one
     sparse Clebsch-Gordan contraction of :meth:`SNAP._build_plan`.  The
@@ -502,27 +501,16 @@ class SNAP:
     # ------------------------------------------------------------------
     # pipeline stages
     # ------------------------------------------------------------------
-    def _chunk_slices(self, i_idx: np.ndarray):
-        """Pair-chunk slices of both passes, cut on atom-row boundaries.
-
-        ``params.chunk`` is a target length: a chunk ends at the first
-        row start at or after ``lo + chunk``, so no atom's row is ever
-        split (a row longer than ``chunk`` is one chunk) and every
-        ``np.add.reduceat`` segment of the density pass is whole.  An
-        unsorted ``i_idx`` has no rows to respect and keeps the fixed
-        grid.
-        """
-        npairs = i_idx.shape[0]
-        chunk = self.params.chunk
-        step = np.diff(i_idx)
-        cuts = np.flatnonzero(step) + 1 if np.all(step >= 0) \
-            else np.arange(chunk, npairs, chunk)
-        lo = 0
-        while lo < npairs:
-            k = np.searchsorted(cuts, lo + chunk)
-            hi = int(cuts[k]) if k < cuts.size else npairs
-            yield slice(lo, hi)
-            lo = hi
+    @staticmethod
+    def _sorted_rows(nbr: NeighborBatch):
+        """``(nbr, perm)``: the list stable-sorted by central atom and the
+        permutation that did it (``None`` when it already was)."""
+        if bool(np.all(np.diff(nbr.i_idx) >= 0)):
+            return nbr, None
+        perm = np.argsort(nbr.i_idx, kind="stable")
+        per_pair = ("i_idx", "rij", "r", "j_idx", "pair_weight", "pair_rcut")
+        return replace(nbr, **{f: getattr(nbr, f)[perm] for f in per_pair
+                               if getattr(nbr, f) is not None}), perm
 
     def _pair_terms(self, nbr: NeighborBatch, sl: slice) -> tuple:
         """Per-pair ``(ck, layers, dsfac)`` of one chunk.  Seeded with the
@@ -535,39 +523,56 @@ class SNAP:
                                  switch=p.switch)
         return ck, compute_u_layers_half_lm(ck, p.twojmax, sfac), dsfac
 
-    def compute_utot(self, natoms: int, nbr: NeighborBatch) -> np.ndarray:
-        """Stage 1 (compute_ui): accumulate ``U_tot`` per atom.
+    def _density_chunks(self, natoms: int, nbr: NeighborBatch):
+        """Stage 1 (compute_ui) chunk by chunk, on a sorted list.
 
-        Returns a complex array of shape ``(natoms, nu)``; the self
-        contribution ``wself`` sits on every layer diagonal.  Only the
-        half plane ``mb <= j/2`` is built and accumulated per pair, in
-        the scaled basis; the scale ``D`` and the right half (from the
-        conjugation symmetry) follow per atom.
-
-        Chunks hold whole atom rows (:meth:`_chunk_slices`), so each
-        atom's sum is one segment reduction over exactly its own pairs:
-        a row slice of a longer sorted list yields bitwise the rows the
-        full list yields - the property the multiprocess row-slice
-        backend relies on.
+        Yields ``(a0, a1, pairs, utot, terms)`` for atom ranges ``[a0,
+        a1)`` that cover every atom, pair-less ones included.  A range
+        ends at the first atom whose row starts at or after ``pairs.start
+        + params.chunk``, so no row is split (a longer row is one range)
+        and each atom's sum is one ``np.add.reduceat`` segment over
+        exactly its own pairs ``pairs``.  ``utot`` is the range's
+        ``U_tot``, complex ``(a1 - a0, nu)`` with ``wself`` on every
+        layer diagonal: only the half plane ``mb <= j/2`` is built and
+        summed per pair, in the scaled basis, and the scale ``D`` and the
+        right half follow per atom.  ``terms`` (:meth:`_pair_terms`,
+        ``None`` without pairs) are the layers stage 3 sweeps.
         """
-        utot_half = np.zeros((natoms, self._nu_half), dtype=np.complex128)
-        in_rows = bool(np.all(np.diff(nbr.i_idx) >= 0))
-        for sl in self._chunk_slices(nbr.i_idx):
-            _, layers, _ = self._pair_terms(nbr, sl)
-            idx = nbr.i_idx[sl]
-            # runs of one central atom: its whole row on a sorted list
-            starts = np.flatnonzero(np.r_[True, np.diff(idx) != 0])
-            rows = idx[starts]
-            for j, hsl in enumerate(self._half_slices):
-                sums = np.add.reduceat(layers[j][:, :j // 2 + 1], starts,
-                                       axis=2).reshape(-1, rows.size).T
-                if in_rows:
-                    utot_half[rows, hsl] += sums
-                else:
-                    np.add.at(utot_half[:, hsl], rows, sums)
-        utot_half *= self._d_half
-        utot = self._expand_y_half(utot_half)
-        utot[:, self._diag] += self.params.wself
+        ptr = np.searchsorted(nbr.i_idx, np.arange(natoms + 1))
+        a0 = 0
+        while a0 < natoms:
+            lo = int(ptr[a0])
+            a1 = min(int(np.searchsorted(ptr, lo + self.params.chunk)), natoms)
+            sl = slice(lo, int(ptr[a1]))
+            utot_half = np.zeros((a1 - a0, self._nu_half), dtype=np.complex128)
+            terms = None
+            if sl.stop > lo:
+                terms = self._pair_terms(nbr, sl)
+                idx = nbr.i_idx[sl]
+                # runs of one central atom: each its whole row
+                starts = np.flatnonzero(np.r_[True, np.diff(idx) != 0])
+                rows = idx[starts] - a0
+                for j, hsl in enumerate(self._half_slices):
+                    utot_half[rows, hsl] += np.add.reduceat(
+                        terms[1][j][:, :j // 2 + 1], starts,
+                        axis=2).reshape(-1, rows.size).T
+            utot_half *= self._d_half
+            utot = self._expand_y_half(utot_half)
+            utot[:, self._diag] += self.params.wself
+            yield a0, a1, sl, utot, terms
+            a0 = a1
+
+    def compute_utot(self, natoms: int, nbr: NeighborBatch) -> np.ndarray:
+        """Stage 1 (compute_ui): ``U_tot`` per atom, ``(natoms, nu)``.
+
+        The fused pass's density, kept for the descriptors and the staged
+        ladder rungs: a row slice of a longer sorted list yields bitwise
+        the rows the full list yields.
+        """
+        utot = np.empty((natoms, self.index.nu), dtype=np.complex128)
+        for a0, a1, _, chunk, _ in self._density_chunks(
+                natoms, self._sorted_rows(nbr)[0]):
+            utot[a0:a1] = chunk
         return utot
 
     def _pair_params(self, nbr: NeighborBatch, sl: slice):
@@ -602,7 +607,8 @@ class SNAP:
         *adds* each nonzero's term to the output in column order, so
         ``z`` is the same sequential sum wherever the column edges fall;
         all of it is per atom column, so the block changes nothing
-        bitwise either.
+        bitwise either (a one-atom block, which rounds differently, runs
+        as two copies of its column: the sweep's ``twice`` idiom).
         """
         plan = self._plan
         n = utot.shape[0]
@@ -611,25 +617,26 @@ class SNAP:
         parts = plan[op]
         nrow = parts[0].shape[0]
         kmax = int(np.diff(edges).max())
-        g1 = np.empty(kmax * blk, dtype=np.complex128)
-        g2 = np.empty(kmax * blk, dtype=np.complex128)
+        g1 = np.empty(kmax * max(blk, 2), dtype=np.complex128)
+        g2 = np.empty(kmax * max(blk, 2), dtype=np.complex128)
         for lo in range(0, n, blk):
             rows = slice(lo, min(lo + blk, n))
-            ut = np.ascontiguousarray(utot[rows].T)
-            m = ut.shape[1]
-            z = np.zeros((nrow, m), dtype=np.complex128)
+            m = rows.stop - lo
+            w = max(m, 2)  # one atom runs as two copies of its column
+            ut = np.repeat(utot[rows].T, w // m, axis=1)  # C-contiguous
+            z = np.zeros((nrow, w), dtype=np.complex128)
             zf = z.view(np.float64).ravel()
             for k0, k1, part in zip(edges[:-1], edges[1:], parts):
-                a = g1[:(k1 - k0) * m].reshape(k1 - k0, m)
-                b = g2[:(k1 - k0) * m].reshape(k1 - k0, m)
+                a = g1[:(k1 - k0) * w].reshape(k1 - k0, w)
+                b = g2[:(k1 - k0) * w].reshape(k1 - k0, w)
                 # mode="clip": the default "raise" buffers the whole output
                 np.take(ut, plan["pi1"][k0:k1], axis=0, out=a, mode="clip")
                 np.take(ut, plan["pi2"][k0:k1], axis=0, out=b, mode="clip")
                 a *= b
                 _sparsetools.csr_matvecs(
-                    nrow, k1 - k0, 2 * m, part.indptr, part.indices,
+                    nrow, k1 - k0, 2 * w, part.indptr, part.indices,
                     part.data, a.view(np.float64).ravel(), zf)
-            yield rows, ut, z
+            yield rows, ut[:, :m], z[:, :m]
 
     def _b_block(self, z: np.ndarray, ut: np.ndarray) -> np.ndarray:
         """``B`` of one block, ``(nb, m)``, from its canonical ``Z_t``
@@ -713,42 +720,35 @@ class SNAP:
         from .baseline import descriptor_gradients  # local import: heavy path
         return descriptor_gradients(self, natoms, nbr)
 
-    def _compute_dedr(self, nbr: NeighborBatch, y_half: np.ndarray
-                      ) -> np.ndarray:
-        """Stage 3 (compute_duidrj / compute_deidrj): per-pair gradients.
+    def _chunk_dedr(self, nbr: NeighborBatch, a0: int, sl: slice,
+                    terms: tuple, y_half: np.ndarray) -> np.ndarray:
+        """Stage 3 (compute_duidrj / compute_deidrj) of one chunk.
 
-        Returns ``dedr`` of shape ``(npairs, 3)``: the contribution of
+        Returns ``dedr[sl]``, shape ``(npairs, 3)``: the contribution of
         pair ``k`` to the force on its central atom,
         ``dE_i/dr_k = Re( Y : conj(dU_tot) )`` with
         ``dU_tot = sfac * dU + (dsfac * uhat) * U``.  ``y_half`` is the
-        packed half plane of :meth:`_peratom_and_y`; an element stands
-        for its mirror image too, so a pair's layer element weighs
-        ``w D conj(Y)`` (``_w_half``, ``_d_half``), formed per atom
-        before it is taken to pairs.  One adjoint sweep of the chunk's
-        recomputed, ``sfac``-seeded layers against those weights yields
-        ``sfac * Y : conj(dU)`` as two complex scalars per pair,
+        packed half plane of the chunk's atoms (from atom ``a0`` on); an
+        element stands for its mirror image too, so a pair's layer
+        element weighs ``w D conj(Y)`` (``_w_half``, ``_d_half``), formed
+        per atom before it is taken to pairs.  One adjoint sweep of the
+        chunk's ``sfac``-seeded layers (``terms``) against those weights
+        yields ``sfac * Y : conj(dU)`` as two complex scalars per pair,
         contracted with the Cayley-Klein gradients at the end, and
         ``Y : conj(U)`` as the adjoint that reaches layer 0.
-
-        Every operation is per-pair, so the result is independent of the
-        chunk grid - the property the multiprocess row-slice backend
-        relies on for bitwise reproducibility.
         """
-        dedr = np.empty((nbr.npairs, 3))
+        ck, layers, dsfac = terms
         yv = (self._w_half * self._d_half)[:, None] * np.conj(y_half)
-        for sl in self._chunk_slices(nbr.i_idx):
-            ck, layers, dsfac = self._pair_terms(nbr, sl)
-            ylm = np.take(yv, nbr.i_idx[sl], axis=1)  # (nu_half, npc)
-            yf = [ylm[hsl].reshape(j + 1, j // 2 + 1, -1)
-                  for j, hsl in enumerate(self._half_slices)]
-            radial, pa, pb = adjoint_sweep_half_lm(ck, layers, yf)
-            grad = (pa.real[:, None] * ck.da.real
-                    + pa.imag[:, None] * ck.da.imag
-                    + pb.real[:, None] * ck.db.real
-                    + pb.imag[:, None] * ck.db.imag)
-            uhat = nbr.rij[sl] / nbr.r[sl][:, None]
-            dedr[sl] = grad + (dsfac * radial.real)[:, None] * uhat
-        return dedr
+        ylm = np.take(yv, nbr.i_idx[sl] - a0, axis=1)  # (nu_half, npc)
+        yf = [ylm[hsl].reshape(j + 1, j // 2 + 1, -1)
+              for j, hsl in enumerate(self._half_slices)]
+        radial, pa, pb = adjoint_sweep_half_lm(ck, layers, yf)
+        grad = (pa.real[:, None] * ck.da.real
+                + pa.imag[:, None] * ck.da.imag
+                + pb.real[:, None] * ck.db.real
+                + pb.imag[:, None] * ck.db.imag)
+        uhat = nbr.rij[sl] / nbr.r[sl][:, None]
+        return grad + (dsfac * radial.real)[:, None] * uhat
 
     # ------------------------------------------------------------------
     # public evaluation
@@ -787,40 +787,52 @@ class SNAP:
 
     def pair_gradients(self, nbr: NeighborBatch, rows: tuple[int, int]
                        ) -> tuple[np.ndarray, np.ndarray]:
-        """Stages 1-3 on the atom window ``rows=(lo, hi)``.
+        """Stages 1-3 on the atom window ``rows=(lo, hi)``, fused.
 
         ``nbr`` holds every pair whose central atom lies in the window
         (global ids).  Returns ``(peratom[lo:hi], dedr)`` with
         ``dedr[k] = dE_i/dr_k``, shape ``(npairs, 3)``: the contract of
         :class:`repro.potentials.Potential`, to be handed to
-        :func:`update_forces`.  Every stage is per atom row or per pair,
-        so the windows of a row partition yield the bits the full list
-        yields.  Stage wall times go to :attr:`last_timings`; with
+        :func:`update_forces`.  Each chunk of :meth:`_density_chunks`
+        takes its atoms' energies and ``Y`` and sweeps its own layers
+        against them.  Every stage is per atom row or per pair, so the
+        windows of a row partition yield the bits the full list yields.
+        Stage wall times, summed over chunks, go to :attr:`last_timings`;
+        an unsorted list is sorted on entry and ``dedr`` returned in its
+        pair order; with
         ``params.check_finite`` every stage output is validated here -
         the one place every engine's SNAP evaluation passes through.
         """
         lo, hi = rows
-        t0 = time.perf_counter()
+        spent = np.zeros(len(self._STAGES))
         sane = self.params.check_finite
         if sane:
             from .sanitizers import check_finite
             check_finite("neighbor_input", rij=nbr.rij, r=nbr.r)
         if lo:
             nbr = replace(nbr, i_idx=nbr.i_idx - lo)
-        utot = self.compute_utot(hi - lo, nbr)
-        if sane:
-            check_finite("compute_ui", utot=utot)
-        t1 = time.perf_counter()
-        peratom, y = self._peratom_and_y(utot)
-        if sane:
-            check_finite("compute_yi", peratom=peratom, y=y)
-        t2 = time.perf_counter()
-        dedr = self._compute_dedr(nbr, y)
-        if sane:
-            check_finite("compute_dui_deidrj", dedr=dedr)
-        t3 = time.perf_counter()
-        self.last_timings = dict(zip(self._STAGES,
-                                     (t1 - t0, t2 - t1, t3 - t2)))
+        nbr, perm = self._sorted_rows(nbr)
+        peratom = np.empty(hi - lo)
+        dedr = np.empty((nbr.npairs, 3))
+        t0 = time.perf_counter()
+        for a0, a1, sl, utot, terms in self._density_chunks(hi - lo, nbr):
+            if sane:
+                check_finite("compute_ui", utot=utot)
+            t1 = time.perf_counter()
+            peratom[a0:a1], y = self._peratom_and_y(utot)
+            if sane:
+                check_finite("compute_yi", peratom=peratom[a0:a1], y=y)
+            t2 = time.perf_counter()
+            if terms is not None:
+                dedr[sl] = self._chunk_dedr(nbr, a0, sl, terms, y)
+                if sane:
+                    check_finite("compute_dui_deidrj", dedr=dedr[sl])
+            t3 = time.perf_counter()
+            spent += (t1 - t0, t2 - t1, t3 - t2)
+            t0 = t3
+        if perm is not None:  # back to the caller's pair order
+            dedr[perm] = dedr.copy()
+        self.last_timings = dict(zip(self._STAGES, spent.tolist()))
         return peratom, dedr
 
     def compute(self, natoms: int, nbr: NeighborBatch) -> EnergyForces:

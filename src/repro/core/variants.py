@@ -27,11 +27,11 @@ in NumPy - each rung is a complete, correct implementation, and
     by recomputing ``U`` per chunk (the kernel-fusion/recompute trade).
 ``current``
     The production hot path (``SNAP.compute``): layer-major half-plane
-    Wigner recursion without coefficient arrays, one adjoint sweep of
-    that recursion per pair chunk in place of a stored ``dU``,
-    segment-reduced (``np.add.reduceat``) accumulation on both scatter
-    sides, ``U`` recomputed in the force pass.  As in TestSNAP, a rung
-    replaces the one before: the kernels this one superseded are
+    Wigner recursion without coefficient arrays, density, ``Y`` and one
+    adjoint sweep fused per atom-range chunk, so each pair's layers are
+    built once and swept while hot (no stored ``dU``, no recompute),
+    segment-reduced (``np.add.reduceat``) accumulation.  As in TestSNAP,
+    a rung replaces the one before: the kernels this one superseded are
     history (EXPERIMENTS), not entries.
 
 All rungs produce identical energies and forces; the agreement test is

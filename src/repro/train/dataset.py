@@ -68,7 +68,7 @@ def make_carbon_snap(twojmax: int = 6, rcut: float = 2.4,
     reference = reference or StillingerWeber()
     params = SNAPParams(twojmax=twojmax, rcut=rcut)
     configs = perturbed_lattice_set(
-        ["diamond", "bc8"], a0={"diamond": 3.57, "bc8": 2.52},
+        ["diamond", "bc8"], a0={"diamond": 3.57, "bc8": 4.44},
         scales=(0.92, 1.0, 1.08), reps=(1, 1, 1), nrattle=3,
         amplitude=0.06, seed=seed)
     return train_to_reference(params, reference, configs), params

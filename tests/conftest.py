@@ -97,6 +97,38 @@ def fd_forces_fixed_topology(snap, pos, nbr, h=1e-6):
     return fd_forces(energy, pos, h)
 
 
+def staged_dedr(snap: SNAP, nbr: NeighborBatch,
+                 y_half: np.ndarray) -> np.ndarray:
+    """Stage 3 as it ran before the fused pass: a separate force pass.
+
+    ``y_half`` is the packed half plane :meth:`SNAP._peratom_and_y`
+    returns for *all* atoms of ``nbr`` (sorted by central atom).  The
+    pass walks its own fixed grid of ``params.chunk`` pairs, rebuilds
+    each chunk's Cayley-Klein map, switching weights and layers, and
+    sweeps them against the per-atom weights ``w D conj(Y)`` - the
+    staged reference the fused :meth:`SNAP.pair_gradients` must equal
+    bit for bit (every operation of it is per pair).
+    """
+    from repro.core.wigner import adjoint_sweep_half_lm
+
+    dedr = np.empty((nbr.npairs, 3))
+    yv = (snap._w_half * snap._d_half)[:, None] * np.conj(y_half)
+    for lo in range(0, nbr.npairs, snap.params.chunk):
+        sl = slice(lo, min(lo + snap.params.chunk, nbr.npairs))
+        ck, layers, dsfac = snap._pair_terms(nbr, sl)
+        ylm = np.take(yv, nbr.i_idx[sl], axis=1)
+        yf = [ylm[hsl].reshape(j + 1, j // 2 + 1, -1)
+              for j, hsl in enumerate(snap._half_slices)]
+        radial, pa, pb = adjoint_sweep_half_lm(ck, layers, yf)
+        grad = (pa.real[:, None] * ck.da.real
+                + pa.imag[:, None] * ck.da.imag
+                + pb.real[:, None] * ck.db.real
+                + pb.imag[:, None] * ck.db.imag)
+        uhat = nbr.rij[sl] / nbr.r[sl][:, None]
+        dedr[sl] = grad + (dsfac * radial.real)[:, None] * uhat
+    return dedr
+
+
 @pytest.fixture
 def snap4(rng):
     """Small SNAP (2J=4) with random coefficients."""

@@ -64,6 +64,7 @@ PROC = "src/repro/parallel/process_engine.py"
 DIST = "src/repro/parallel/distributed.py"
 SEGS = "src/repro/parsplice/segments.py"
 SERVICE = "src/repro/parsplice/service.py"
+TRAIN = "src/repro/train/dataset.py"
 
 ROWS: tuple[Mutant, ...] = (
     # ------------------------------------------------------------------
@@ -117,21 +118,28 @@ ROWS: tuple[Mutant, ...] = (
         contract="physics"),
     Mutant(
         "density-zero-padded-segment", SNAP,
-        old=("            starts = np.flatnonzero(np.r_[True, np.diff(idx) "
-             "!= 0])\n"
-             "            rows = idx[starts]\n"),
-        new=("            rows = np.arange(idx[0], idx[-1] + 1)\n"
-             "            starts = np.searchsorted(idx, rows)\n"),
+        old=("                starts = np.flatnonzero(np.r_[True, "
+             "np.diff(idx) != 0])\n"
+             "                rows = idx[starts] - a0\n"),
+        new=("                rows = np.arange(idx[0], idx[-1] + 1) - a0\n"
+             "                starts = np.searchsorted(idx, rows + a0)\n"),
         shape="zero-padded reduceat segment: an atom with no pairs in the "
               "chunk reads its successor's first term",
         contract="physics"),
     Mutant(
         "density-rows-assumed-sorted", SNAP,
-        old="        in_rows = bool(np.all(np.diff(nbr.i_idx) >= 0))\n",
-        new="        in_rows = True\n",
-        shape="buffered fancy-index += on an unsorted list drops repeated "
-              "rows",
+        old="        if bool(np.all(np.diff(nbr.i_idx) >= 0)):\n",
+        new="        if True:\n",
+        shape="an unsorted list skips the sort on entry: atom ranges are "
+              "cut from a searchsorted over unsorted ids",
         contract="physics"),
+    Mutant(
+        "stage2-one-column", SNAP,
+        old="            w = max(m, 2)  # one atom runs as two copies of its column\n",
+        new="            w = m\n",
+        shape="a one-atom stage-2 block runs unpadded and rounds its "
+              "products differently from the atom inside a wider block",
+        contract="bitwise"),
     Mutant(
         "half-energy-one-end", SNAP,
         old=("    np.multiply(bond_j, 0.5, out=weights[:nj])\n"
@@ -462,4 +470,14 @@ ROWS: tuple[Mutant, ...] = (
         shape="the campaign loop's segment count restarts every quantum: "
               "a run reports its last quantum's segments",
         contract="observability"),
+    # ------------------------------------------------------------------
+    # the potential's inputs
+    # ------------------------------------------------------------------
+    Mutant(
+        "carbon-bc8-scale", TRAIN,
+        old='        ["diamond", "bc8"], a0={"diamond": 3.57, "bc8": 4.44},\n',
+        new='        ["diamond", "bc8"], a0={"diamond": 3.57, "bc8": 2.52},\n',
+        shape="the default carbon SNAP trains on BC8 at 2.52 A (a 0.88 A "
+              "bond): every bitwise contract holds, hot diamond does not",
+        contract="physics"),
 )

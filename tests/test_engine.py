@@ -112,7 +112,7 @@ class TestBuildEngine:
             assert "np.add.at" not in path.read_text(), path
         for path in (root / "parallel").glob("*.py"):
             text = path.read_text()
-            for name in ("SNAPPotential", "_peratom_and_y", "_compute_dedr",
+            for name in ("SNAPPotential", "_peratom_and_y", "_chunk_dedr",
                          "_with_pair_params"):
                 assert name not in text, (path, name)
         assert "_j_perm" not in {f.name
@@ -393,6 +393,30 @@ class TestProcessParity:
                 assert np.array_equal(a.forces, b.forces)
                 assert np.array_equal(a.peratom, b.peratom)
                 assert a.energy == b.energy
+
+    def test_snap_one_atom_windows_bitwise_vs_serial(self):
+        # three atoms on three ranks: each worker runs stage 2 on a
+        # one-atom block, which at 2J=2 (one product column per chunk)
+        # rounded differently from the serial three-atom block, by
+        # 1.8e-15 in forces, until such a block ran as two copies
+        from repro.core import SNAPParams
+        from repro.md import ParticleSystem
+        from repro.md.box import Box
+        from repro.potentials import SNAPPotential
+
+        params = SNAPParams(twojmax=2, rcut=3.5)
+        pot = SNAPPotential(params, beta=np.random.default_rng(0).normal(
+            size=SNAPPotential(params).snap.index.ncoeff))
+        pos = np.array([[5.0, 5.0, 5.0], [6.4, 5.3, 5.1], [5.6, 6.5, 4.4]])
+        a = SerialEngine(ParticleSystem(positions=pos, box=Box.cubic(20.0)),
+                         pot).evaluate()
+        with ProcessEngine(ParticleSystem(positions=pos.copy(),
+                                          box=Box.cubic(20.0)),
+                           pot, nprocs=3) as engine:
+            b = engine.evaluate()
+        assert np.all(a.forces != 0.0)
+        assert np.array_equal(a.forces, b.forces)
+        assert np.array_equal(a.peratom, b.peratom)
 
     def test_grow_protocol_keeps_bitwise_forces(self, monkeypatch):
         s1, pot1 = lj_setup()

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import (fd_forces_fixed_topology, free_cluster_pairs,
-                      random_cluster)
+                      random_cluster, staged_dedr)
 from repro.core import SNAP, NeighborBatch, SNAPParams
 from repro.core.indexing import SNAPIndex
 from repro.core.snap import update_forces
@@ -51,7 +51,7 @@ def test_sweep_matches_forward_mode_and_fd(twojmax, switch, rmin0, overrides):
     natoms = pos.shape[0]
     utot = snap.compute_utot(natoms, nbr)
     peratom, y_half = snap._peratom_and_y(utot)
-    res = update_forces(natoms, nbr, peratom, snap._compute_dedr(nbr, y_half))
+    res = update_forces(natoms, nbr, peratom, staged_dedr(snap, nbr, y_half))
     forces, virial = res.forces, res.virial
     ref_f, ref_v = _legacy_forces_from_y(snap, natoms, nbr,
                                          snap._expand_y_half(y_half.T))
@@ -74,17 +74,13 @@ def test_no_pairs_and_pair_at_cutoff_give_zeros(chunk):
     z = np.zeros(0, dtype=np.intp)
     empty = NeighborBatch(i_idx=z, rij=np.zeros((0, 3)), r=np.zeros(0),
                           j_idx=z)
-    utot = snap.compute_utot(2, empty)
-    _, y = snap._peratom_and_y(utot)
-    assert snap._compute_dedr(empty, y).shape == (0, 3)
+    assert snap.pair_gradients(empty, (0, 2))[1].shape == (0, 3)
     rij = np.array([[1.2, 0.3, 0.8], [0.0, 0.0, 2.5]])
     r = np.linalg.norm(rij, axis=1)
     nbr = NeighborBatch(i_idx=np.zeros(2, dtype=np.intp), rij=rij, r=r,
                         j_idx=np.array([1, 2]),
                         pair_rcut=np.array([RCUT, r[1]]))
-    utot = snap.compute_utot(3, nbr)
-    _, y = snap._peratom_and_y(utot)
-    dedr = snap._compute_dedr(nbr, y)
+    _, dedr = snap.pair_gradients(nbr, (0, 3))
     assert np.all(dedr[1] == 0.0)
     assert np.any(dedr[0] != 0.0)
 
@@ -115,10 +111,11 @@ def test_half_plane_utot_matches_full_plane_reference(twojmax, overrides):
 
 
 def test_force_pass_allocation_guard():
-    # One force pass over a 4096-pair chunk at 2J=8 - the chunk's
-    # recomputed layers included - must stay below 3.5 half-plane pair
-    # buffers (measured 2.9); re-materialising a per-direction gradient
-    # tensor costs 3 more and trips this.
+    # One fused pass over a 4096-pair chunk at 2J=8 - the chunk's layers,
+    # its atoms' U_tot and Y and the sweep's adjoints included - must
+    # stay below 3.5 half-plane pair buffers (measured 3.0; the separate
+    # force pass it replaced measured 2.9 by itself); re-materialising a
+    # per-direction gradient tensor costs 3 more and trips this.
     rng = np.random.default_rng(5)
     npairs, natoms = 4096, 160
     rij = rng.normal(size=(npairs, 3))
@@ -128,10 +125,9 @@ def test_force_pass_allocation_guard():
                         rij=rij, r=np.linalg.norm(rij, axis=1),
                         j_idx=rng.integers(0, natoms, npairs))
     snap = SNAP(SNAPParams(twojmax=8, rcut=RCUT, chunk=4096))
-    y = rng.normal(size=(snap._nu_half, natoms)) + 0j
     tracemalloc.start()
     try:
-        snap._compute_dedr(nbr, y)
+        snap.pair_gradients(nbr, (0, natoms))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

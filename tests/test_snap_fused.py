@@ -1,9 +1,11 @@
 """Fused SNAP hot path: one kernel, any schedule.
 
-The evaluator recomputes the per-pair layers in the force pass (there is
-no stored-U cache any more) and its only policy is the chunk target; the
-contract is exact: forces match the Listing-1 reference to 1e-10 and
-every chunk length, atom block and product-column chunk is bitwise
+The evaluator builds each pair's layers once per evaluation and runs
+density, ``Y`` and the adjoint sweep chunk by chunk against them (there
+is no stored-U cache and no separate force pass); its only policy is the
+chunk target.  The contract is exact: forces match the Listing-1
+reference to 1e-10, the fused pass equals the staged one bit for bit,
+and every chunk length, atom block and product-column chunk is bitwise
 identical to every other (same arithmetic, different schedule).
 """
 
@@ -15,9 +17,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (fd_forces_fixed_topology, free_cluster_pairs,
-                      random_cluster)
+                      random_cluster, staged_dedr)
 from repro.core import SNAP, NeighborBatch, SNAPParams
 from repro.core.baseline import (reference_descriptors,
                                  reference_energy_forces)
@@ -91,14 +95,14 @@ class TestStoreUParity:
                 monkeypatch.setattr(SNAP, "_GATHER_SCRATCH_BYTES", scratch)
             snap = _snap(np.random.default_rng(1), 5, chunk=chunk)
             sizes = [sl.stop - sl.start
-                     for sl in snap._chunk_slices(nbr.i_idx)]
+                     for _, _, sl, _, _ in snap._density_chunks(n, nbr)]
             assert sum(sizes) == nbr.npairs
-            if chunk == 1:  # one row per chunk, never less
-                assert sizes == rows[rows > 0].tolist()
+            if chunk == 1:  # one atom per chunk, the pair-less one too
+                assert sizes == rows.tolist()
             utot = snap.compute_utot(n, nbr)
             _, y = snap._peratom_and_y(utot)
             out = snap.compute(n, nbr)
-            results.append((utot, y, snap._compute_dedr(nbr, y),
+            results.append((utot, y, *snap.pair_gradients(nbr, (0, n)),
                             np.array(out.energy), out.forces))
             nchunks.append(len(snap._plan["y_op"]))
         # the two patched byte bounds cut the products one column per
@@ -107,7 +111,9 @@ class TestStoreUParity:
         for got in results[1:]:
             for a, b in zip(got, results[0]):
                 assert np.array_equal(a, b)
-        assert list(snap._chunk_slices(np.zeros(0, dtype=np.intp))) == []
+        none = NeighborBatch(i_idx=np.zeros(0, dtype=np.intp),
+                             rij=np.zeros((0, 3)), r=np.zeros(0))
+        assert list(snap._density_chunks(0, none)) == []
         # a row slice of the list yields the rows the full list yields
         lo = int(np.searchsorted(nbr.i_idx, 4))
         tail = NeighborBatch(i_idx=nbr.i_idx[lo:] - 4, rij=nbr.rij[lo:],
@@ -116,28 +122,36 @@ class TestStoreUParity:
         assert np.array_equal(snap.compute_utot(n - 4, tail),
                               results[0][0][4:])
 
-    def test_unsorted_list_keeps_the_fixed_grid(self, rng, cluster):
-        # no rows to respect: fixed-length chunks and the np.add.at
-        # scatter, same physics as the sorted list (the oracle only
-        # takes sorted lists)
+    def test_unsorted_list_is_sorted_on_entry(self, rng, cluster):
+        # stable-sorted by central atom once on entry, dedr handed back
+        # in the caller's pair order: the same physics as the sorted list
+        # and the oracle (which only takes sorted lists), up to the order
+        # of each atom's neighbour sum
         pos, nbr = cluster
+        n = pos.shape[0]
         perm = rng.permutation(nbr.npairs)
         mixed = NeighborBatch(i_idx=nbr.i_idx[perm], rij=nbr.rij[perm],
-                              r=nbr.r[perm], j_idx=nbr.j_idx[perm])
+                              r=nbr.r[perm], j_idx=nbr.j_idx[perm],
+                              pair_weight=rng.uniform(0.5, 1.5, nbr.npairs),
+                              pair_rcut=rng.uniform(2.5, 2.9, nbr.npairs))
         assert np.any(np.diff(mixed.i_idx) < 0)
+        back = np.argsort(perm)
+        tidy = NeighborBatch(i_idx=nbr.i_idx, rij=nbr.rij, r=nbr.r,
+                             j_idx=nbr.j_idx,
+                             pair_weight=mixed.pair_weight[back],
+                             pair_rcut=mixed.pair_rcut[back])
         snap = _snap(np.random.default_rng(1), 5, chunk=7)
-        assert [(sl.start, sl.stop)
-                for sl in snap._chunk_slices(mixed.i_idx)] \
-            == [(lo, min(lo + 7, nbr.npairs))
-                for lo in range(0, nbr.npairs, 7)]
-        got = snap.compute(pos.shape[0], mixed)
-        ref = _assert_matches_oracle(snap, pos.shape[0], nbr)
+        pa, dedr = snap.pair_gradients(mixed, (0, n))
+        pa_sorted, dedr_sorted = snap.pair_gradients(tidy, (0, n))
+        assert np.allclose(pa, pa_sorted, rtol=0, atol=1e-12)
+        assert np.allclose(dedr, dedr_sorted[perm], rtol=0, atol=1e-12)
+        got = snap.compute(n, mixed)
+        ref = _assert_matches_oracle(snap, n, tidy)
         assert np.allclose(got.forces, ref.forces, rtol=0, atol=1e-12)
         assert np.allclose(got.peratom, ref.peratom, rtol=0, atol=1e-12)
         assert np.allclose(got.virial, ref.virial, rtol=0, atol=1e-11)
-        assert np.allclose(snap.compute_utot(pos.shape[0], mixed),
-                           snap.compute_utot(pos.shape[0], nbr),
-                           rtol=0, atol=1e-13)
+        assert np.allclose(snap.compute_utot(n, mixed),
+                           snap.compute_utot(n, tidy), rtol=0, atol=1e-13)
 
 
 def _assert_matches_oracle(snap, n, nbr, tol=1e-12):
@@ -260,24 +274,30 @@ class TestSparseY:
     @pytest.mark.parametrize("quadratic", [False, True])
     def test_block_size_changes_nothing(self, rng, quadratic):
         # every stage-2 quantity is per atom column: Y, B and forces are
-        # bitwise equal for any block, natoms a multiple of it or not
+        # bitwise equal for any block, natoms a multiple of it or not.
+        # At 2J=2 the product columns come one per chunk, where a
+        # one-atom block rounded its products differently (by up to
+        # 1.8e-15) until it ran as two copies of its column
         pos = random_cluster(rng, natoms=11, span=5.0)
         nbr = free_cluster_pairs(pos, 3.0)
-        nb = SNAPIndex(4).nb
-        snap = SNAP(SNAPParams(twojmax=4, rcut=3.0, chunk=32),
-                    beta=rng.normal(size=nb + 1),
-                    quadratic=0.1 * rng.normal(size=(nb, nb))
-                    if quadratic else None)
-        utot = snap.compute_utot(11, nbr)
-        results = []
-        for block in (1, 2, 4, 11, 64):
-            snap._plan["block"] = block
-            pa, y = snap._peratom_and_y(utot)
-            results.append((pa, y, snap.compute_descriptors(11, nbr),
-                            snap.compute(11, nbr).forces))
-        for other in results[1:]:
-            for a, b in zip(results[0], other):
-                assert np.array_equal(a, b)
+        for twojmax in (4, 2):
+            nb = SNAPIndex(twojmax).nb
+            snap = SNAP(SNAPParams(twojmax=twojmax, rcut=3.0, chunk=32),
+                        beta=rng.normal(size=nb + 1),
+                        quadratic=0.1 * rng.normal(size=(nb, nb))
+                        if quadratic else None)
+            assert (int(np.diff(snap._plan["edges"]).max()) == 1) \
+                == (twojmax == 2)
+            utot = snap.compute_utot(11, nbr)
+            results = []
+            for block in (11, 1, 2, 4, 64):
+                snap._plan["block"] = block
+                pa, y = snap._peratom_and_y(utot)
+                results.append((pa, y, snap.compute_descriptors(11, nbr),
+                                snap.compute(11, nbr).forces))
+            for other in results[1:]:
+                for a, b in zip(results[0], other):
+                    assert np.array_equal(a, b)
 
     def test_gather_scratch_is_bounded_in_bytes(self):
         # the products are walked in column chunks, so the two gather
@@ -470,9 +490,9 @@ class TestSeededRecursionEdgeCases:
         assert np.all(dsfac[far] == 0.0)
         utot = snap.compute_utot(n, with_far)
         _, y = snap._peratom_and_y(utot)
-        dedr = snap._compute_dedr(with_far, y)
+        _, dedr = snap.pair_gradients(with_far, (0, n))
         assert np.all(dedr[far] == 0.0)  # and with it rij (x) dedr
-        assert np.array_equal(dedr[~far], snap._compute_dedr(near, y))
+        assert np.array_equal(dedr[~far], staged_dedr(snap, near, y))
         # against the list without those pairs: equal up to where the
         # exact zeros sit in each atom's segment sum (reduceat adds the
         # first element to the sum of the rest)
@@ -543,6 +563,113 @@ class TestSeededRecursionEdgeCases:
         large, npairs4 = peak(3.9 * 4 ** (1 / 3))
         assert 11_000 < npairs < 14_000 and npairs4 > 3.8 * npairs
         assert large - small < 128 * (npairs4 - npairs)
+
+
+_MODELS = ("linear", "quadratic", "multispecies")
+
+
+def _fused_problem(case):
+    """A free cluster with pair-less atoms at ``case["lone"]`` and the
+    SNAP of ``case["model"]``; multispecies rides per-pair weights and
+    cutoffs ``(R_i + R_j) * 2.4`` of two elements."""
+    rng = np.random.default_rng(case["seed"])
+    n = case["natoms"]
+    pos = random_cluster(rng, natoms=n, span=3.5)
+    for k, a in enumerate(sorted(case["lone"])):
+        pos[a] = [50.0 + 10.0 * k, 50.0, 50.0]
+    nbr = free_cluster_pairs(pos, 3.0)
+    tj = case["twojmax"]
+    nb = SNAPIndex(tj).nb
+    quad = (0.1 * rng.normal(size=(nb, nb))
+            if case["model"] == "quadratic" else None)
+    if case["model"] == "multispecies":
+        types = rng.integers(0, 2, n)
+        radius = np.array([0.5, 0.6])[types]
+        nbr = NeighborBatch(
+            i_idx=nbr.i_idx, rij=nbr.rij, r=nbr.r, j_idx=nbr.j_idx,
+            pair_weight=np.array([1.0, 0.6])[types[nbr.j_idx]],
+            pair_rcut=2.4 * (radius[nbr.i_idx] + radius[nbr.j_idx]))
+    snap = SNAP(SNAPParams(twojmax=tj, rcut=3.0, chunk=case["chunk"]),
+                beta=rng.normal(size=nb + 1), quadratic=quad)
+    return snap, nbr
+
+
+def _window(nbr, lo, hi):
+    keep = (nbr.i_idx >= lo) & (nbr.i_idx < hi)
+    return keep, NeighborBatch(
+        i_idx=nbr.i_idx[keep], rij=nbr.rij[keep], r=nbr.r[keep],
+        j_idx=nbr.j_idx[keep],
+        **{name: None if getattr(nbr, name) is None
+           else getattr(nbr, name)[keep]
+           for name in ("pair_weight", "pair_rcut")})
+
+
+@st.composite
+def _fused_cases(draw):
+    natoms = draw(st.integers(2, 12))
+    lo = draw(st.integers(0, natoms - 1))
+    return dict(
+        twojmax=draw(st.sampled_from([2, 3, 4, 6])),
+        chunk=draw(st.one_of(st.integers(1, 64), st.just(4096))),
+        model=draw(st.sampled_from(_MODELS)),
+        seed=draw(st.integers(0, 2 ** 32 - 1)), natoms=natoms,
+        lone=draw(st.sets(st.integers(0, natoms - 1),
+                          max_size=natoms // 2)),
+        rows=(lo, draw(st.integers(lo + 1, natoms))))
+
+
+class TestFusedPass:
+    """``pair_gradients`` is the staged pipeline, chunk by chunk."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(case=_fused_cases())
+    # pair-less atoms starting a chunk, inside one and ending the last
+    @example(case=dict(twojmax=2, chunk=3, model="linear", seed=1,
+                       natoms=10, lone={0, 4, 9}, rows=(0, 10)))
+    @example(case=dict(twojmax=4, chunk=5, model="quadratic", seed=2,
+                       natoms=9, lone={2, 7, 8}, rows=(2, 9)))
+    @example(case=dict(twojmax=3, chunk=1, model="multispecies", seed=3,
+                       natoms=7, lone={3, 6}, rows=(1, 7)))
+    def test_fused_equals_staged_bitwise(self, case):
+        # compute_utot -> _peratom_and_y -> a separate sweep over a fixed
+        # pair grid (conftest.staged_dedr) is what the fused pass
+        # replaced; on a row window too, whose rows are the full list's
+        snap, nbr = _fused_problem(case)
+        lo, hi = case["rows"]
+        keep, win = _window(nbr, lo, hi)
+        pa, dedr = snap.pair_gradients(win, (lo, hi))
+        local = dataclasses.replace(win, i_idx=win.i_idx - lo)
+        pa_staged, y = snap._peratom_and_y(snap.compute_utot(hi - lo, local))
+        assert np.array_equal(pa, pa_staged)
+        assert np.array_equal(dedr, staged_dedr(snap, local, y))
+        pa_full, dedr_full = snap.pair_gradients(nbr, (0, case["natoms"]))
+        assert np.array_equal(pa, pa_full[lo:hi])
+        assert np.array_equal(dedr, dedr_full[keep])
+
+    def test_layers_built_once_per_chunk(self, monkeypatch):
+        # the census of the fusion: one forward recursion per chunk with
+        # pairs per evaluation, each pair in exactly one of them
+        from repro.core import snap as snap_module
+
+        calls = []
+        real = snap_module.compute_u_layers_half_lm
+
+        def counted(ck, twojmax, seed=1.0):
+            calls.append(ck.a.shape[0])
+            return real(ck, twojmax, seed)
+
+        monkeypatch.setattr(snap_module, "compute_u_layers_half_lm", counted)
+        case = dict(twojmax=4, chunk=9, model="linear", seed=5, natoms=12,
+                    lone={0, 5, 11}, rows=(0, 12))
+        snap, nbr = _fused_problem(case)
+        chunks = [sl.stop - sl.start
+                  for _, _, sl, _, _ in snap._density_chunks(12, nbr)]
+        assert len(chunks) > 2
+        for _ in range(2):
+            calls.clear()
+            snap.compute(12, nbr)
+            assert calls == [k for k in chunks if k]
+        assert sum(calls) == nbr.npairs
 
 
 def test_kernel_policy_census():

@@ -37,7 +37,7 @@ class TestLattices:
 
     def test_bc8_coordination_fourfold(self):
         # BC8 is fourfold coordinated like diamond (distorted tetrahedra)
-        a = 2.52  # near carbon-BC8 scale
+        a = 2.52  # any scale: the shell cut scales with a (carbon BC8: 4.44)
         s = lattice_system("bc8", a=a, reps=(2, 2, 2))
         nn = coordination_numbers(s.positions, s.box, 0.45 * a)
         assert np.all(nn == 4)
