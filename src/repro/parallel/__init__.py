@@ -5,7 +5,7 @@ from .decomposition import DomainGrid, best_grid, row_partition
 from .distributed import DistributedEngine
 from .halo import BYTES_PER_GHOST, BYTES_PER_POSITION, Halo, build_halos
 from .process_engine import ProcessEngine
-from .shm import SharedBlock, attach_shm, close_shm, create_shm
+from .shm import SharedBlock
 
 __all__ = [
     "CommStats",
@@ -20,7 +20,4 @@ __all__ = [
     "DistributedEngine",
     "ProcessEngine",
     "SharedBlock",
-    "attach_shm",
-    "close_shm",
-    "create_shm",
 ]

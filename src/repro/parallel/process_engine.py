@@ -58,25 +58,24 @@ contract too: its per-atom effective coefficients come from a
 column-by-column sparse product (see ``SNAP._build_plan``), not a
 row-count-sensitive GEMM.
 
-The step protocol is IPC-free in steady state: two semaphores per worker
-(start/done) plus one worker-internal barrier per step - the kept mask
-and the per-pair values are published together behind it - and two more
-on rebuild steps (pair counts, then neighbor ids), no pickling, no
-pipes.  Pair-capacity growth re-allocates the
-pair-space blocks under a generation counter.  The parent owns every
-block and unlinks them all on ``close()``; a ``weakref.finalize``
-backstop covers abandoned engines, and a worker death is detected by a
-semaphore-poll/liveness loop (no hang) and reported with the rank.
+Ranks are :mod:`repro.parallel.workers` workers.  All data moves
+through the shared blocks: a step is one request out and one reply back
+per rank over its pipe, plus one worker-internal barrier (the kept mask
+and the per-pair values are published together behind it) and two more
+on rebuild steps (pair counts, then neighbor ids).  Pair-capacity growth re-allocates the pair-space blocks under a
+generation counter.  The parent owns every block and unlinks them all
+on ``close()``; the kit's finalizer covers abandoned engines.  The
+parent waits on the ranks' pipes and sentinels together, so a rank's
+exception (re-raised with its traceback as the cause) or death fails
+the step at once, named with the rank; a rank whose parent died reads
+end-of-file and exits.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import secrets
 import time
-import traceback
-import weakref
 
 import numpy as np
 
@@ -85,44 +84,31 @@ from ..md.box import Box
 from ..md.engine import CommLedger, ForceEngine
 from ..md.neighbor import NeighborList
 from ..md.timers import PhaseTimers
+from . import workers
 from .decomposition import row_partition
 from .halo import BYTES_PER_GHOST, BYTES_PER_POSITION
 from .shm import SharedBlock
 
-__all__ = ["ProcessEngine", "worker_context"]
-
-
-def worker_context():
-    """The ``multiprocessing`` context this repo starts workers from.
-
-    ``fork`` where the platform has it (cheap, copy-on-write potential
-    tables and templates, nothing has to pickle), else ``spawn``.
-    Shared by :class:`ProcessEngine` and the ParSplice segment workers
-    so both follow one start-method policy.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn")
-
+__all__ = ["ProcessEngine"]
 
 # control-word layout (int64 slots in the "ctl" block)
-_CMD = 0          #: 0 = step, 1 = stop
-_SEQ = 1          #: step sequence number (sanity/debug)
-_GEN = 2          #: pair-block generation (bumped on capacity growth)
-_CAP = 3          #: current pair-space capacity
-_BOX_EPOCH = 4    #: bumped by the parent whenever the box changes
-_NEED = 5         #: requested pair capacity (grow protocol)
-_NBUILDS = 6      #: neighbor topology builds (rank 0 increments)
-_ERR = 7          #: rank + 1 of a worker that hit an exception
-_RANK0 = 8        #: start of the per-rank counter arrays
+_GEN = 0          #: pair-block generation (bumped on capacity growth)
+_CAP = 1          #: current pair-space capacity
+_BOX_EPOCH = 2    #: bumped by the parent whenever the box changes
+_NEED = 3         #: requested pair capacity (grow protocol)
+_NBUILDS = 4      #: neighbor topology builds (rank 0 increments)
+_RANK0 = 5        #: start of the per-rank counter arrays
 # per-rank counter arrays (each ``nprocs`` long, starting at _RANK0):
 _F_REF = 0        #: reference (skinned) pair count
 _F_GHOST = 1      #: distinct out-of-window neighbor atoms
 _F_REVERSE = 2    #: kept cross-rank reverse-pass entries
 _NFIELDS = 3
 
-_CMD_STEP = 0
-_CMD_STOP = 1
+#: a rank's one request: run a step
+_STEP = True
+#: seconds the ranks get to act on stop before they are terminated (a
+#: rank wedged in a barrier after a peer failed never reads it)
+_REAP_GRACE_S = 0.5
 
 # per-rank scalar slots in the "scal" block (float64)
 _S_VIRIAL = slice(0, 9)
@@ -148,26 +134,14 @@ def _pair_blocks(prefix: str, gen: int) -> dict[str, str]:
             "jref": f"{prefix}-jref-g{gen}"}
 
 
-def _cleanup(procs: list, blocks: dict, start_sems: list) -> None:
-    """Finalizer backstop: stop workers and unlink every shared block.
+def _cleanup(ranks: list, blocks: dict) -> None:
+    """The engine's finalizer: reap the ranks, unlink every block.
 
-    Runs from ``ProcessEngine.close()`` and, for abandoned engines, from
-    the ``weakref.finalize`` hook at garbage collection; every action is
-    idempotent and tolerates workers/blocks that are already gone.
+    Runs once, from ``ProcessEngine.close()``, at garbage collection of
+    an abandoned engine or at exit; blocks that are already gone are
+    tolerated.
     """
-    ctl = blocks.get("ctl")
-    if ctl is not None and ctl.array is not None:
-        ctl.array[_CMD] = _CMD_STOP
-    for sem in start_sems:
-        sem.release()
-    for proc in procs:
-        proc.join(timeout=0.5)
-    for proc in procs:
-        if proc.is_alive():
-            # a rank stuck in a step barrier (e.g. after a peer died)
-            # never sees the stop command; don't wait on it
-            proc.terminate()
-            proc.join(timeout=2.0)
+    workers.reap(ranks, _REAP_GRACE_S)
     for block in blocks.values():
         block.close()
 
@@ -175,20 +149,17 @@ def _cleanup(procs: list, blocks: dict, start_sems: list) -> None:
 # ======================================================================
 # worker side
 # ======================================================================
-def _worker_main(cfg: dict) -> None:
-    """Process entry point: attach to the shared blocks and serve steps."""
-    _WorkerState(cfg).run()
-
-
 class _WorkerState:
-    """Per-process state of one rank (worker-process-private).
+    """Per-process state of one rank: the server a rank's worker runs.
 
     Owns the rank's attachments, its row-window neighbor list and the
     rebuild-time neighbor-incidence index used for the reverse pass.
     Nothing here is shared between threads - each worker is a fresh
     process - so no locking is needed; cross-process ordering comes from
-    the start/done semaphores and the step barriers.
+    the step request and reply on the rank's pipe and the step barriers.
     """
+
+    hello = None
 
     def __init__(self, cfg: dict) -> None:
         self.rank: int = cfg["rank"]
@@ -200,8 +171,6 @@ class _WorkerState:
         self.width = _pair_width(self.potential)
         self.check_finite: bool = cfg["check_finite"]
         self.prefix: str = cfg["prefix"]
-        self.start = cfg["start"]
-        self.done = cfg["done"]
         self.barrier = cfg["barrier"]
 
         n = self.natoms
@@ -251,30 +220,17 @@ class _WorkerState:
         self.jref = SharedBlock.attach(names["jref"], (self.cap,), np.int64)
 
     # ------------------------------------------------------------------
-    def run(self) -> None:
-        try:
-            while True:
-                self.start.acquire()
-                if self.ctl.array[_CMD] == _CMD_STOP:
-                    break
-                try:
-                    if int(self.ctl.array[_GEN]) != self.gen:
-                        self._attach_pair_blocks()
-                    self._step()
-                except Exception:
-                    # flag the rank for the parent, then let the process
-                    # die loudly: the traceback goes to stderr and the
-                    # parent raises a named error instead of hanging
-                    self.ctl.array[_ERR] = self.rank + 1
-                    traceback.print_exc()
-                    self.done.release()
-                    raise
-                self.done.release()
-        finally:
-            for block in (self.pos, self.frc, self.pa, self.boxl, self.scal,
-                          self.val, self.kept, self.jref, self.ctl):
-                if block is not None:
-                    block.close()
+    def __call__(self, request) -> None:
+        """Run one step."""
+        if int(self.ctl.array[_GEN]) != self.gen:
+            self._attach_pair_blocks()
+        self._step()
+
+    def close(self) -> None:
+        for block in (self.pos, self.frc, self.pa, self.boxl, self.scal,
+                      self.val, self.kept, self.jref, self.ctl):
+            if block is not None:
+                block.close()
 
     # ------------------------------------------------------------------
     def _step(self) -> None:
@@ -387,7 +343,7 @@ class ProcessEngine(ForceEngine):
 
     The pair-space capacity is estimated from the density with headroom
     and grown on the fly when a build exceeds it (the generation
-    protocol); workers start from :func:`worker_context`.
+    protocol); the ranks are :mod:`repro.parallel.workers` workers.
 
     Any :class:`~repro.potentials.Potential` runs here: the workers
     call its ``pair_gradients`` on their rows and nothing else.
@@ -415,12 +371,11 @@ class ProcessEngine(ForceEngine):
         n = system.natoms
         self._prefix = f"repro-pe-{os.getpid()}-{secrets.token_hex(3)}"
         self._blocks: dict[str, SharedBlock] = {}
-        self._procs: list = []
-        self._start: list = []
-        self._done: list = []
+        #: one :class:`~repro.parallel.workers.Worker` per rank
+        self._workers: list = []
         self._closed = False
-        self._finalizer = weakref.finalize(
-            self, _cleanup, self._procs, self._blocks, self._start)
+        self._finalizer = workers.finalizer(self, _cleanup, self._workers,
+                                            self._blocks)
         self._blocks["pos"] = SharedBlock.create(
             f"{self._prefix}-pos", (n, 3), np.float64)
         self._blocks["frc"] = SharedBlock.create(
@@ -448,21 +403,12 @@ class ProcessEngine(ForceEngine):
         #: so MDLoop checkpoints can replay it on restore)
         self._ref_raw: np.ndarray | None = None
 
-        ctx = worker_context()
-        barrier = ctx.Barrier(self.nprocs)
-        for rank in range(self.nprocs):
-            self._start.append(ctx.Semaphore(0))
-            self._done.append(ctx.Semaphore(0))
-        # The parent MUST keep the worker configs (and the barrier inside
-        # them) alive for the engine's lifetime: Process.start() drops its
-        # args reference, and a garbage-collected Barrier returns its
-        # 8-byte state block to the process-wide multiprocessing heap
-        # arena -- a MAP_SHARED mapping the forked workers inherit.  A
-        # second engine built later would then be handed the SAME arena
-        # block for its own barrier while the first engine's workers still
-        # mutate it under a different lock, corrupting both barriers and
-        # deadlocking concurrent engines.
-        self._worker_cfgs = []
+        # The parent MUST keep the barrier alive while the ranks run:
+        # Process.start() drops its args, and a collected Barrier returns
+        # its state block to the multiprocessing heap arena the forked
+        # ranks share - the next engine's barrier would get the SAME block
+        # and both engines' ranks would corrupt it and deadlock.
+        self._barrier = workers.worker_context().Barrier(self.nprocs)
         for rank in range(self.nprocs):
             cfg = {
                 "rank": rank, "nprocs": self.nprocs,
@@ -471,14 +417,11 @@ class ProcessEngine(ForceEngine):
                 "natoms": n, "nscal": nscal, "box": system.box,
                 "potential": potential, "skin": self.skin,
                 "check_finite": self.check_finite,
-                "prefix": self._prefix, "start": self._start[rank],
-                "done": self._done[rank], "barrier": barrier,
+                "prefix": self._prefix, "barrier": self._barrier,
             }
-            self._worker_cfgs.append(cfg)
-            proc = ctx.Process(target=_worker_main, args=(cfg,),
-                               name=f"repro-pe-{rank}", daemon=True)
-            proc.start()
-            self._procs.append(proc)
+            self._workers.append(workers.Worker(
+                f"repro-pe-{rank}", _WorkerState, cfg, daemon=True))
+        self._collect()  # every rank attached, or the engine fails
 
     # ------------------------------------------------------------------
     @property
@@ -528,26 +471,23 @@ class ProcessEngine(ForceEngine):
         self._ctl[_BOX_EPOCH] += 1
 
     # ------------------------------------------------------------------
-    def _fail(self, message: str) -> None:
-        self.close()
-        raise RuntimeError(message)
-
-    def _check_workers(self) -> None:
-        err = int(self._ctl[_ERR])
-        if err:
-            self._fail(f"process backend worker rank {err - 1} failed "
-                       "(traceback on stderr)")
-        for rank, proc in enumerate(self._procs):
-            if not proc.is_alive():
-                self._fail(f"process backend worker rank {rank} died "
-                           f"unexpectedly (exit code {proc.exitcode})")
-
-    def _wait_done(self) -> None:
-        """Collect one done token per worker, watching for dead ranks."""
-        for sem in self._done:
-            while not sem.acquire(timeout=0.25):
-                self._check_workers()
-        self._check_workers()
+    def _collect(self) -> None:
+        """Take one reply from every rank.  The first rank that failed
+        or died closes the engine and raises, naming the rank, from the
+        rank's own error - peers it left in a barrier are not waited
+        for."""
+        pending = {worker: rank for rank, worker in enumerate(self._workers)}
+        while pending:
+            for worker in workers.wait(pending):
+                rank = pending.pop(worker, None)
+                if rank is None:
+                    continue  # a dead rank's pipe and sentinel, both ready
+                try:
+                    worker.reply()
+                except Exception as err:
+                    self.close()
+                    raise RuntimeError(
+                        f"process backend worker rank {rank} failed") from err
 
     # ------------------------------------------------------------------
     def evaluate(self, positions: np.ndarray | None = None) -> EnergyForces:
@@ -562,11 +502,10 @@ class ProcessEngine(ForceEngine):
             # cell is a new object)
             self._publish_box(system.box)
         self._blocks["pos"].array[:] = positions
-        ctl[_SEQ] += 1
         while True:
-            for sem in self._start:
-                sem.release()
-            self._wait_done()
+            for worker in self._workers:
+                worker.send(_STEP)
+            self._collect()
             if int(ctl[_NEED]) > int(ctl[_CAP]):
                 self._grow()
                 continue
@@ -662,8 +601,7 @@ class ProcessEngine(ForceEngine):
             return
         self._closed = True
         self._finalizer()
-        # workers are gone; the barrier/semaphore blocks may be freed now
-        self._worker_cfgs = []
+        self._barrier = None  # the ranks are gone: free its heap block
         super().close()
 
     @property

@@ -36,35 +36,32 @@ template library, runs the whole of
 :func:`~repro.parsplice.segments.run_md_segment` for a ``(state, seed)``
 key received over a pipe and sends back the
 :class:`~repro.parsplice.segments.MDSegment` (a few KB) with its session
-counters - segments never share a GIL.  Workers start from
-:func:`repro.parallel.process_engine.worker_context` (fork preferred, so
-factories and classifiers need not pickle) and are non-daemonic, so a
-``backend="process"`` session can fork its own ranks.  The parent runs
-no thread: :meth:`SegmentScheduler.request` starts a new key on an idle
-worker or queues it (FIFO), and waiting on a returned future pumps the
-dispatcher - one :func:`multiprocessing.connection.wait` over the busy
-workers' pipes and process sentinels.  A dead worker fires its sentinel
-(ranks it forked may hold its pipe open); an exception raised inside it
-is re-raised in the parent with the remote traceback attached; both
-take the replace-and-reschedule path.
+counters - segments never share a GIL.  The workers are
+:mod:`repro.parallel.workers` workers, like the engine's ranks (fork
+preferred, so factories and classifiers need not pickle), and
+non-daemonic, so a ``backend="process"`` session can fork its own ranks.
+The parent runs no thread: :meth:`SegmentScheduler.request` starts a new
+key on an idle worker or queues it (FIFO), and waiting on a returned
+future pumps the dispatcher - one kit :func:`~repro.parallel.workers.wait`
+over the busy workers' pipes and process sentinels.  A dead worker fires
+its sentinel (ranks it forked may hold its pipe open); an exception
+raised inside it is re-raised in the parent with the remote traceback
+attached; both take the replace-and-reschedule path.
 """
 
 from __future__ import annotations
 
 import functools
-import pickle
 import time
-import traceback
 from collections import OrderedDict, deque
 from concurrent.futures import Future
 from dataclasses import dataclass
-from multiprocessing import connection
-from multiprocessing import util as mp_util
 
 import numpy as np
 
 from ..core.rng import SeedStream
 from ..md.engine import EngineSession
+from ..parallel import workers
 from .segments import MDSegment, run_md_segment
 from .splicer import SpliceEngine
 
@@ -78,6 +75,10 @@ __all__ = ["SegmentScheduler", "ServiceStats"]
 _ENGINE_FAILURES = (RuntimeError, OSError, ValueError, EOFError,
                     ArithmeticError)
 
+#: seconds a stopped segment worker gets to close its session - and the
+#: ranks a process session forked - before it is terminated
+_REAP_GRACE_S = 10.0
+
 
 # ======================================================================
 # segment worker processes
@@ -86,122 +87,32 @@ def _default_session(template, potential, engine_kwargs) -> EngineSession:
     return EngineSession.build(template.copy(), potential, **engine_kwargs)
 
 
-def _send_error(conn, err: Exception) -> None:
-    """Report ``err`` and the current traceback to the parent."""
-    trace = traceback.format_exc()
-    try:
-        conn.send(("error", (err, trace)))
-    except (pickle.PicklingError, TypeError, AttributeError):
-        # an exception that does not pickle still gets reported
-        conn.send(("error", (RuntimeError(f"{type(err).__name__}: {err}"),
-                             trace)))
+class _SegmentServer:
+    """What a segment worker runs: one session, one segment per request.
 
-
-def _segment_worker_main(conn, parent_conn, session_factory, states,
-                         segment_kwargs: dict) -> None:
-    """Process entry point: build one session, serve segment requests.
-
-    Requests are ``(state, seed)`` keys, ``None`` stops the worker; a
-    vanished parent reads as end-of-file on the pipe.  An exception
-    leaves the worker serving - whether it is replaced is the parent's
-    decision.
+    Requests are ``(state, seed)`` keys; a reply is the segment and the
+    session's counters.  An exception leaves the worker serving -
+    whether it is replaced is the parent's decision.
     """
-    # the inherited copy of the parent's end would hide the parent's
-    # death from recv() below
-    parent_conn.close()
-    try:
-        session = session_factory()
-    except Exception as err:
-        _send_error(conn, err)
-        return
-    try:
-        conn.send(("ready", getattr(session, "backend",
-                                    type(session).__name__)))
-        while True:
-            try:
-                key = conn.recv()
-            except EOFError:
-                break
-            if key is None:
-                break
-            state, seed = key
-            try:
-                segment = run_md_segment(session, states[state], state=state,
-                                         seed=seed, **segment_kwargs)
-            except Exception as err:
-                _send_error(conn, err)
-                continue
-            conn.send(("ok", (segment, {
-                "segments": session.segments, "binds": session.binds,
-                "steps": session.steps, "md_wall_s": session.md_wall_s})))
-    finally:
-        session.close()
 
+    def __init__(self, session_factory, states, segment_kwargs: dict) -> None:
+        self.session = session_factory()
+        self.states = states
+        self.segment_kwargs = segment_kwargs
+        self.hello = getattr(self.session, "backend",
+                             type(self.session).__name__)
 
-class _RemoteTraceback(Exception):
-    """Carries a worker's formatted traceback as the ``__cause__``."""
-
-    def __str__(self) -> str:
-        return f'\n"""\n{self.args[0]}"""'
-
-
-class _SegmentWorker:
-    """Parent-side handle of one segment worker process."""
-
-    def __init__(self, name: str, *worker_args) -> None:
-        # imported here like build_engine's backends: repro.parallel is
-        # only paid for by programs that start workers
-        from ..parallel.process_engine import worker_context
-
-        ctx = worker_context()
-        self.name = name
-        self.conn, child_conn = ctx.Pipe()
-        self.proc = ctx.Process(target=_segment_worker_main, name=name,
-                                args=(child_conn, self.conn, *worker_args))
-        self.proc.start()
-        child_conn.close()
-        try:
-            connection.wait([self.conn, self.proc.sentinel])
-            backend = self.reply()
-        except BaseException:
-            self.close()
-            raise
-        self.counters = {"backend": backend, "pid": self.proc.pid,
-                         "segments": 0, "binds": 0, "steps": 0,
-                         "md_wall_s": 0.0}
-
-    def reply(self):
-        """Payload of the worker's message (no message: it died); its own
-        exception is re-raised with the remote traceback as the cause."""
-        if not self.conn.poll():
-            raise EOFError(f"segment worker {self.name} died "
-                           f"(exit code {self.proc.exitcode})")
-        kind, payload = self.conn.recv()
-        if kind == "error":
-            err, trace = payload
-            raise err from _RemoteTraceback(trace)
-        return payload
+    def __call__(self, key):
+        state, seed = key
+        session = self.session
+        segment = run_md_segment(session, self.states[state], state=state,
+                                 seed=seed, **self.segment_kwargs)
+        return segment, {
+            "segments": session.segments, "binds": session.binds,
+            "steps": session.steps, "md_wall_s": session.md_wall_s}
 
     def close(self) -> None:
-        """Stop the worker (it closes its session) and reap it."""
-        try:
-            self.conn.send(None)
-        except OSError:
-            pass  # already dead, or this handle is already closed
-        self.proc.join(timeout=10.0)
-        if self.proc.is_alive():  # mid-segment or wedged: do not wait
-            self.proc.terminate()
-            self.proc.join(timeout=2.0)
-            if self.proc.is_alive():
-                self.proc.kill()
-                self.proc.join()
-        self.conn.close()
-
-
-def _close_workers(workers: list) -> None:
-    for worker in workers:
-        if worker is not None:
-            worker.close()
+        self.session.close()
 
 
 class _SegmentFuture(Future):
@@ -333,15 +244,15 @@ class SegmentScheduler:
             stream=self.stream, nsteps=self.nsteps, dt=self.dt,
             temperature=self.temperature, damp=self.damp,
             classifier=classifier))
-        #: one handle per slot; ``None`` once a replacement failed
-        self._workers: list = []
-        # runs at close(), at garbage collection and - before
-        # multiprocessing joins its non-daemonic children - at exit
-        self._finalizer = mp_util.Finalize(
-            self, _close_workers, args=(self._workers,), exitpriority=10)
+        #: one kit worker per slot; ``None`` once a replacement failed
+        self._workers: list = [None] * self.nworkers
+        #: per-slot session counters, as last relayed by its worker
+        self._counters: list = [None] * self.nworkers
+        self._finalizer = workers.finalizer(self, workers.reap,
+                                            self._workers, _REAP_GRACE_S)
         try:
-            for idx in range(self.nworkers):
-                self._workers.append(self._spawn_worker(idx))
+            for slot in range(self.nworkers):
+                self._spawn_worker(slot)
         except BaseException:
             self._finalizer()
             raise
@@ -440,8 +351,21 @@ class SegmentScheduler:
     # ------------------------------------------------------------------
     # dispatcher (runs on the caller's thread; the MD runs in the workers)
     # ------------------------------------------------------------------
-    def _spawn_worker(self, idx: int) -> _SegmentWorker:
-        return _SegmentWorker(f"repro-segsvc-{idx}", *self._worker_args)
+    def _spawn_worker(self, slot: int) -> None:
+        """Start the slot's worker and wait for its session (the first
+        reply names its backend); a failed start leaves no process."""
+        worker = workers.Worker(f"repro-segsvc-{slot}", _SegmentServer,
+                                *self._worker_args, daemon=False)
+        try:
+            workers.wait([worker])
+            backend = worker.reply()
+        except BaseException:
+            workers.reap([worker], _REAP_GRACE_S)
+            raise
+        self._workers[slot] = worker
+        self._counters[slot] = {"backend": backend, "pid": worker.proc.pid,
+                                "segments": 0, "binds": 0, "steps": 0,
+                                "md_wall_s": 0.0}
 
     def _dispatch(self) -> None:
         """Start queued jobs on idle workers, oldest first."""
@@ -452,10 +376,9 @@ class SegmentScheduler:
             if slot is None:
                 break
             job = self._running[slot] = self._queue.popleft()
-            try:
-                self._workers[slot].conn.send(job.key)
-            except OSError as err:  # the worker died while idle
-                self._failed(slot, err)
+            # a worker that died while idle drops the key: the next
+            # pump sees its death and reschedules the job
+            self._workers[slot].send(job.key)
         while self._queue and not any(self._workers):
             err = RuntimeError("no segment worker left")
             err.__cause__ = self._lost  # the last failed replacement
@@ -463,14 +386,12 @@ class SegmentScheduler:
 
     def _pump(self, timeout: float | None = None) -> None:
         """Wait once on the busy workers; settle every reply or death."""
-        busy = {}
-        for slot, worker in enumerate(self._workers):
-            if self._running[slot] is not None:
-                busy[worker.conn] = busy[worker.proc.sentinel] = (slot, worker)
+        busy = {worker: slot for slot, worker in enumerate(self._workers)
+                if self._running[slot] is not None}
         if not busy:
             raise RuntimeError("no segment is in flight to wait on")
-        for ready in connection.wait(list(busy), timeout):
-            slot, worker = busy[ready]
+        for worker in workers.wait(busy, timeout):
+            slot = busy[worker]
             if self._workers[slot] is not worker:
                 # a killed worker readies its pipe and its sentinel at
                 # once: the first one replaced it already
@@ -484,7 +405,7 @@ class SegmentScheduler:
                 self._running[slot] = None
                 self._settle(job, error=err)
             else:
-                worker.counters = {**worker.counters, **counters}
+                self._counters[slot].update(counters)
                 self._running[slot] = None
                 self._settle(job, segment)
             self._dispatch()
@@ -502,9 +423,9 @@ class SegmentScheduler:
         queue, or fails after ``max_retries``.  A failing factory loses
         the slot and fails the job with the factory's error."""
         job, self._running[slot] = self._running[slot], None
-        self._workers[slot].close()
+        workers.reap([self._workers[slot]], _REAP_GRACE_S)
         try:
-            self._workers[slot] = self._spawn_worker(slot)
+            self._spawn_worker(slot)
         except Exception as spawn_err:
             self._workers[slot] = None
             self._lost = spawn_err
@@ -568,8 +489,8 @@ class SegmentScheduler:
     def session_stats(self) -> list[dict]:
         """Per-session counters as last relayed by each live worker:
         backend, pid, segments, binds, steps, MD wall seconds."""
-        return [dict(worker.counters) for worker in self._workers
-                if worker is not None]
+        return [dict(counters) for worker, counters
+                in zip(self._workers, self._counters) if worker is not None]
 
     def summary(self) -> dict:
         return {

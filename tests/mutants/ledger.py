@@ -64,6 +64,8 @@ PROC = "src/repro/parallel/process_engine.py"
 DIST = "src/repro/parallel/distributed.py"
 SEGS = "src/repro/parsplice/segments.py"
 SERVICE = "src/repro/parsplice/service.py"
+SHM = "src/repro/parallel/shm.py"
+KIT = "src/repro/parallel/workers.py"
 TRAIN = "src/repro/train/dataset.py"
 
 ROWS: tuple[Mutant, ...] = (
@@ -242,21 +244,6 @@ ROWS: tuple[Mutant, ...] = (
         shape="a reduction over a set (equal per-rank counts collapse)",
         contract="observability"),
     Mutant(
-        "worker-raw-attach", PROC,
-        old=('        self.pos = SharedBlock.attach(f"{self.prefix}-pos", '
-             '(n, 3), np.float64)\n'),
-        new=("        from multiprocessing import shared_memory\n"
-             "\n"
-             "        self.pos = SharedBlock(shared_memory.SharedMemory(\n"
-             '            name=f"{self.prefix}-pos"), (n, 3), np.float64, '
-             "owner=False)\n"),
-        shape="raw SharedMemory attach outside the helper",
-        contract="none",
-        why="forked workers share the parent's resource tracker, whose "
-            "record is a set: the worker's extra registration is absorbed "
-            "and the owner's unlink clears it (no block left, no tracker "
-            "warning)"),
-    Mutant(
         "pair-blocks-local-create", PROC,
         old=('        self._blocks["val"] = SharedBlock.create(names["val"],\n'
              "                                                 "
@@ -279,10 +266,56 @@ ROWS: tuple[Mutant, ...] = (
               "second create strands the first in /dev/shm",
         contract="shm-lifecycle"),
     Mutant(
-        "shm-not-unlinked", "src/repro/parallel/shm.py",
-        old="        close_shm(self.shm, unlink=self.owner)\n",
-        new="        close_shm(self.shm)\n",
+        "shm-not-unlinked", SHM,
+        old=("        if self.owner:\n"
+             "            try:\n"
+             "                self.shm.unlink()\n"
+             "            except FileNotFoundError:\n"
+             "                pass\n"),
+        new="",
         shape="the owner closes its block without unlinking it",
+        contract="shm-lifecycle"),
+    Mutant(
+        "attach-unregisters-tracker", SHM,
+        old=("        return cls(shared_memory.SharedMemory(name=name), shape, "
+             "dtype,\n"
+             "                   owner=False)\n"
+             "\n"
+             "    def close(self) -> None:\n"
+             '        """Idempotent, and tolerates a block another exit '
+             "path already\n"
+             '        unlinked (e.g. after a worker died mid-step)."""\n'
+             "        if self._closed:\n"
+             "            return\n"
+             "        self._closed = True\n"),
+        new=("        shm = shared_memory.SharedMemory(name=name)\n"
+             "        from multiprocessing import resource_tracker\n"
+             "\n"
+             '        resource_tracker.unregister(shm._name, "shared_memory")\n'
+             "        return cls(shm, shape, dtype, owner=False)\n"
+             "\n"
+             "    def close(self) -> None:\n"
+             "        if self._closed:\n"
+             "            return\n"
+             "        self._closed = True\n"
+             "        if self.owner:\n"
+             "            from multiprocessing import resource_tracker\n"
+             "\n"
+             "            resource_tracker.register(self.shm._name, "
+             '"shared_memory")\n'),
+        shape="an attaching worker makes the shared resource tracker forget "
+              "the block (the owner re-arms it before its unlink): a "
+              "SIGKILLed owner's blocks outlive all its workers",
+        contract="shm-lifecycle"),
+    Mutant(
+        "child-keeps-parent-end", KIT,
+        old=("    # the inherited copy of the parent's end would hide the "
+             "parent's\n"
+             "    # death from recv() below\n"
+             "    parent_end.close()\n"),
+        new="",
+        shape="a worker keeps its inherited copy of the parent's pipe end: "
+              "it never reads end-of-file and outlives a dead parent",
         contract="shm-lifecycle"),
     Mutant(
         "process-bind-keeps-epoch", PROC,

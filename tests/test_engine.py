@@ -54,6 +54,10 @@ class TestBuildEngine:
         """The factory's options are reviewed, not accreted: exactly
         these five keywords, nothing positional beyond the problem; the
         process backend takes nothing the factory does not pass."""
+        from pathlib import Path
+
+        import repro
+
         params = inspect.signature(build_engine).parameters
         assert list(params) == ["system", "potential", "backend", "nranks",
                                 "nprocs", "skin", "check_finite"]
@@ -64,6 +68,21 @@ class TestBuildEngine:
             == ["self", "system", "potential", "nprocs", "skin",
                 "check_finite"]
         assert not inspect.signature(worker_context).parameters
+        # both process pools start, wait on and reap workers through the
+        # worker kit only: one ``.Process(`` call site, no semaphore, no
+        # timed ``acquire`` poll, one ``worker_context``
+        root = Path(repro.__file__).parent
+        texts = {path.relative_to(root).as_posix(): path.read_text()
+                 for path in root.rglob("*.py")}
+        assert {name: text.count(".Process(") for name, text in texts.items()
+                if ".Process(" in text} == {"parallel/workers.py": 1}
+        assert not [name for name, text in texts.items()
+                    if "Semaphore" in text]
+        assert not [name for name, text in texts.items()
+                    if name.startswith("parallel/")
+                    and "acquire(timeout=" in text]
+        assert [name for name, text in texts.items()
+                if "def worker_context" in text] == ["parallel/workers.py"]
 
     def test_list_form_census(self):
         """Half or full list is a property of the potential's class, not
@@ -288,8 +307,8 @@ from conftest import snap_setup
 from repro.md import MDLoop
 from repro.parallel import ProcessEngine, row_partition
 from repro.parallel.halo import BYTES_PER_GHOST, BYTES_PER_POSITION
-from repro.parallel.process_engine import worker_context
 from repro.parallel.shm import SharedBlock
+from repro.parallel.workers import worker_context
 
 SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     [str(Path(__file__).resolve().parents[1] / "src")]
@@ -422,6 +441,8 @@ class TestProcessParity:
         s1, pot1 = lj_setup()
         serial = SerialEngine(s1, pot1)
         s2, pot2 = lj_setup()
+        from repro.parallel import process_engine
+
         monkeypatch.setattr(ProcessEngine, "_estimate_capacity",
                             lambda self: 64)  # far too small: must regrow
         engine = ProcessEngine(s2, pot2, nprocs=2)
@@ -429,7 +450,8 @@ class TestProcessParity:
         with engine:
             assert np.array_equal(serial.evaluate().forces,
                                   engine.evaluate().forces)
-            assert int(engine._ctl[2]) == 1  # one regrow, one generation
+            # one regrow, one generation
+            assert int(engine._ctl[process_engine._GEN]) == 1
             names |= set(engine.block_names)
             # the retried step published its topology: a refresh step
             # on the regrown blocks still gathers the right slots
@@ -554,13 +576,29 @@ class TestProcessRobustness:
         with pytest.raises(RuntimeError, match="closed"):
             engine.evaluate()
 
+    def test_worker_exception_carries_its_traceback(self):
+        """A rank's exception is re-raised in the parent: the engine's
+        error names the rank, its cause is the worker's own exception,
+        and the traceback chained under that names the worker frames."""
+        s, _ = lj_setup()
+        engine = ProcessEngine(s, _ExplodingLJ(epsilon=0.2, sigma=2.2,
+                                               cutoff=3.0), nprocs=2)
+        with pytest.raises(RuntimeError, match="worker rank") as info:
+            engine.evaluate()
+        cause = info.value.__cause__
+        assert isinstance(cause, ValueError)
+        assert str(cause) == "injected kernel failure"
+        remote = str(cause.__cause__)
+        assert "in _step" in remote and "in pair_gradients" in remote
+        assert "test_engine.py" in remote
+
     def test_worker_death_raises_named_rank_without_hang(self):
         s, pot = lj_setup()
         engine = ProcessEngine(s, pot, nprocs=3)
         engine.evaluate()
         names = engine.block_names
-        os.kill(engine._procs[1].pid, signal.SIGTERM)
-        engine._procs[1].join(timeout=5.0)
+        os.kill(engine._workers[1].proc.pid, signal.SIGTERM)
+        engine._workers[1].proc.join(timeout=5.0)
         t0 = time.monotonic()
         with pytest.raises(RuntimeError, match="rank 1"):
             engine.evaluate()
@@ -682,19 +720,19 @@ class _CountingBarrier:
 
 class TestStepProtocol:
     def test_one_barrier_per_step_three_on_a_rebuild(self, monkeypatch):
-        import repro.parallel.process_engine as pe
+        import repro.parallel.workers as kit
 
-        ctx = pe.worker_context()
+        ctx = kit.worker_context()
         waits = ctx.Value("i", 0)
 
         class Context:
-            Process, Semaphore = ctx.Process, ctx.Semaphore
+            Process, Pipe = ctx.Process, ctx.Pipe
 
             @staticmethod
             def Barrier(parties):
                 return _CountingBarrier(ctx, parties, waits)
 
-        monkeypatch.setattr(pe, "worker_context", Context)
+        monkeypatch.setattr(kit, "worker_context", Context)
         s, pot = snap_setup()
         nprocs = 2
         seen = []
