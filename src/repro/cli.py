@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -112,7 +113,7 @@ def _cmd_production(args) -> int:
 
 def _cmd_run_md(args) -> int:
     from .core import SNAP, SNAPParams
-    from .md import MDLoop, build_engine
+    from .md import MDLoop, TrajectoryFile, build_engine
     from .potentials import LennardJones, SNAPPotential
     from .structures import random_packed
 
@@ -149,18 +150,11 @@ def _cmd_run_md(args) -> int:
     except ValueError as exc:
         print(f"run-md: {exc}")
         return 2
-    writer = None
-    with engine:
-        if args.traj:
-            from .md import AsyncTrajectoryWriter
-            writer = AsyncTrajectoryWriter(args.traj, natoms=s.natoms)
-        try:
-            summary = MDLoop(engine, dt=args.dt, trajectory=writer,
-                             trajectory_every=args.traj_every,
-                             observers=observers).run(args.steps)
-        finally:
-            if writer is not None:
-                writer.close()
+    with engine, (TrajectoryFile(args.traj, natoms=s.natoms) if args.traj
+                  else nullcontext()) as writer:
+        summary = MDLoop(engine, dt=args.dt, trajectory=writer,
+                         trajectory_every=args.traj_every,
+                         observers=observers).run(args.steps)
     backend = type(engine).__name__
     layout = ""
     if summary.nprocs is not None:

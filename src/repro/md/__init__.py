@@ -43,6 +43,5 @@ __all__ = [
     "Frame",
     "TrajectoryFile",
     "TrajectoryReader",
-    "AsyncTrajectoryWriter",
     "WriterLedger",
 ]

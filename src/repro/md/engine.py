@@ -105,7 +105,7 @@ class RunSummary:
         natoms = engine.system.natoms
         atom_steps = natoms * max(nsteps, 1)
         extras = dict(engine.summary_extras())
-        if writer is not None and getattr(writer, "ledger", None) is not None:
+        if writer is not None:
             led = writer.ledger
             extras.update(io_frames=led.frames, io_bytes=led.nbytes,
                           io_write_s=led.write_s,
@@ -344,12 +344,12 @@ class MDLoop:
     cadence attribute, default 1) is called after each step under the
     "analysis" phase - see :mod:`repro.analysis.observers`.
 
-    ``trajectory`` accepts a :class:`repro.md.trajectory.TrajectoryFile`
-    or :class:`~repro.md.trajectory.AsyncTrajectoryWriter`; frames are
-    written every ``trajectory_every`` steps with the submit cost under
-    the "io" phase and the writer's byte/throughput ledger surfaced in
-    the :class:`RunSummary`.  :meth:`restore` resumes a checkpointed run
-    bitwise-identically (see the method docstring for the mechanics).
+    ``trajectory`` accepts a :class:`repro.md.trajectory.TrajectoryFile`;
+    frames are written every ``trajectory_every`` steps, encode and
+    write timed under the "io" phase, and the writer's byte/throughput
+    ledger surfaced in the :class:`RunSummary`.  :meth:`restore` resumes
+    a checkpointed run bitwise-identically (see the method docstring for
+    the mechanics).
     """
 
     def __init__(self, engine: ForceEngine, dt: float = 1.0e-3,

@@ -1,11 +1,11 @@
-"""Chunked append-only binary trajectory format + asynchronous writer.
+"""Chunked append-only binary trajectory format and its writer.
 
 The paper's production runs hit the IO wall long before the FLOP wall:
 Fig. 7's throughput dips are checkpoint writes.  This module is the
 streaming side of that story - a compact binary trajectory a billion-atom
 run could actually afford to write, designed after hoomd's GSD/``dump``
 layering: fixed-size self-describing records, append-only, crash
-tolerant, with the writer off the integration critical path.
+tolerant, and timed where the step loop pays for it.
 
 Format (all little-endian)
 --------------------------
@@ -40,23 +40,19 @@ payload length, short payload or CRC mismatch - is detected by
 :func:`scan_trajectory` and truncated away when the file is reopened
 for append; every complete frame before it survives.
 
-Writers
--------
-:class:`TrajectoryFile` writes synchronously (and is the single place
-frame bytes hit the file).  :class:`AsyncTrajectoryWriter` wraps it
-with a bounded queue drained by a background thread, so the MDLoop pays
-only the encode+enqueue cost per frame; both account frames, bytes and
-wall seconds in a :class:`WriterLedger` that :class:`~repro.md.engine.
-RunSummary` surfaces and :mod:`repro.perfmodel.filesystem` calibrates
-against.
+Writer
+------
+:class:`TrajectoryFile` is the one writer: it encodes and writes each
+frame synchronously on the caller's thread, so the MDLoop's "io" phase
+times the whole write.  It accounts frames, bytes and wall seconds in a
+:class:`WriterLedger` that :class:`~repro.md.engine.RunSummary` surfaces
+and :mod:`repro.perfmodel.filesystem` calibrates against.
 """
 
 from __future__ import annotations
 
 import os
-import queue
 import struct
-import threading
 import time
 import zlib
 from dataclasses import dataclass
@@ -68,8 +64,8 @@ from .box import Box
 from .system import ParticleSystem
 
 __all__ = ["Frame", "WriterLedger", "TrajectoryFile", "TrajectoryReader",
-           "AsyncTrajectoryWriter", "scan_trajectory", "FORMAT_VERSION",
-           "HAS_POSITIONS", "HAS_VELOCITIES"]
+           "scan_trajectory", "FORMAT_VERSION", "HAS_POSITIONS",
+           "HAS_VELOCITIES"]
 
 FORMAT_VERSION = 1
 MAGIC = b"REPROTRJ"
@@ -250,17 +246,16 @@ def scan_trajectory(path: str | Path) -> ScanResult:
 class WriterLedger:
     """Byte/time accounting for a trajectory writer (cf. CommLedger).
 
-    ``write_s`` is wall time spent inside file writes - on the
-    background thread for the async writer, so it does *not* tax the
-    step loop; ``submit_s`` is the caller-side encode+enqueue cost that
-    does.  ``bytes_per_s`` is the measured sustained write bandwidth
-    that calibrates :class:`repro.perfmodel.filesystem.FileSystemModel`.
+    ``frames`` and ``nbytes`` count only frames that are complete on
+    disk; ``write_s`` is wall time spent inside file writes and flushes
+    (the frame's encode is not in it).  ``bytes_per_s`` is the measured
+    sustained write bandwidth that calibrates
+    :class:`repro.perfmodel.filesystem.FileSystemModel`.
     """
 
     frames: int = 0
     nbytes: int = 0
     write_s: float = 0.0
-    submit_s: float = 0.0
 
     @property
     def bytes_per_s(self) -> float:
@@ -268,8 +263,7 @@ class WriterLedger:
 
     def as_dict(self) -> dict:
         return {"frames": self.frames, "bytes": self.nbytes,
-                "write_s": self.write_s, "submit_s": self.submit_s,
-                "bytes_per_s": self.bytes_per_s}
+                "write_s": self.write_s, "bytes_per_s": self.bytes_per_s}
 
 
 # ======================================================================
@@ -326,13 +320,15 @@ class TrajectoryFile:
         return self._fh.tell()
 
     def write_frame(self, frame: Frame) -> int:
-        """Encode and append one frame; returns the bytes written."""
-        return self.write_encoded(encode_frame(frame, self.natoms))
+        """Encode and append one frame; returns the bytes written.
 
-    def write_encoded(self, buf: bytes) -> int:
-        """Append pre-encoded frame bytes (the async writer's fast path)."""
+        The counters move only after the write returns: a failed write
+        (a full disk) leaves them at the frames complete on disk, and
+        the torn bytes it may leave are what ``mode="a"`` truncates.
+        """
         if self._closed:
             raise RuntimeError(f"{self.path}: trajectory writer is closed")
+        buf = encode_frame(frame, self.natoms)
         t0 = time.perf_counter()
         self._fh.write(buf)
         self._fh.flush()
@@ -433,126 +429,6 @@ class TrajectoryReader:
         self.close()
 
 
-# ======================================================================
-# asynchronous writer
-# ======================================================================
-class AsyncTrajectoryWriter:
-    """Trajectory writer whose file writes run on a background thread.
-
-    ``write_frame`` encodes on the caller thread (cheap, bounded), puts
-    the bytes on a ``queue.Queue`` and counts the frame; the drain
-    thread performs the actual file writes, so the MDLoop's "io" phase
-    sees only the submit cost.  ``max_pending`` bounds the queue - a
-    slow disk back-pressures the producer instead of growing memory
-    without limit.  A write error on the drain thread is parked (later
-    frames are dropped, the queue keeps draining) and re-raised on the
-    next ``write_frame``/``flush``/``close`` call.
-
-    The public surface mirrors :class:`TrajectoryFile` (``write_frame``,
-    ``flush``, ``checkpoint_state``, ``truncate_to``, ``close``), so
-    :class:`~repro.md.engine.MDLoop` accepts either interchangeably.
-    """
-
-    def __init__(self, path: str | Path, natoms: int | None = None,
-                 mode: str = "w", max_pending: int = 64) -> None:
-        if max_pending < 1:
-            raise ValueError("max_pending must be positive")
-        self._file = TrajectoryFile(path, natoms=natoms, mode=mode)
-        self.ledger = self._file.ledger
-        self.max_pending = int(max_pending)
-        #: encoded frames; ``None`` tells the drain thread to stop
-        self._queue: queue.Queue[bytes | None] = queue.Queue(
-            maxsize=self.max_pending)
-        #: frames accepted on the caller's thread (queued ones included)
-        self._nframes = self._file.nframes
-        #: the drain thread's first write failure
-        self._error: BaseException | None = None
-        self._closed = False
-        self._thread = threading.Thread(target=self._drain_loop,
-                                        name="repro-traj-writer", daemon=True)
-        self._thread.start()
-
-    # ------------------------------------------------------------------
-    @property
-    def path(self) -> Path:
-        return self._file.path
-
-    @property
-    def natoms(self) -> int:
-        return self._file.natoms
-
-    @property
-    def recovered_truncation(self) -> bool:
-        return self._file.recovered_truncation
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def nframes(self) -> int:
-        """Frames accepted so far (queued frames included)."""
-        return self._nframes
-
-    # ------------------------------------------------------------------
-    def _raise_pending(self) -> None:
-        """Surface a parked drain-thread failure."""
-        if self._error is not None:
-            raise RuntimeError(
-                f"{self.path}: asynchronous trajectory write failed"
-            ) from self._error
-
-    def write_frame(self, frame: Frame) -> int:
-        t0 = time.perf_counter()
-        buf = encode_frame(frame, self._file.natoms)
-        self._raise_pending()
-        if self._closed:
-            raise RuntimeError(f"{self.path}: trajectory writer is closed")
-        self._queue.put(buf)
-        self._nframes += 1
-        self.ledger.submit_s += time.perf_counter() - t0
-        return len(buf)
-
-    def _drain_loop(self) -> None:
-        while (buf := self._queue.get()) is not None:
-            if self._error is None:
-                try:
-                    self._file.write_encoded(buf)
-                except Exception as exc:
-                    # parked for the submitting thread; keep draining so
-                    # a producer blocked on a full queue still wakes
-                    self._error = exc
-            self._queue.task_done()
-        self._queue.task_done()
-
-    # ------------------------------------------------------------------
-    def flush(self) -> None:
-        """Block until every queued frame is on disk (errors re-raised)."""
-        self._queue.join()
-        self._raise_pending()
-        self._file.flush()
-
-    def checkpoint_state(self) -> tuple[int, int]:
-        self.flush()
-        return self._file.checkpoint_state()
-
-    def truncate_to(self, offset: int, nframes: int) -> None:
-        self.flush()
-        self._file.truncate_to(offset, nframes)
-        self._nframes = int(nframes)
-
-    def close(self) -> None:
-        """Drain, stop the background thread and close the file."""
-        if self._closed:
-            return
-        self._closed = True
-        self._queue.put(None)
-        self._thread.join(timeout=60.0)
-        self._file.close()
-        self._raise_pending()
-
-    def __enter__(self) -> "AsyncTrajectoryWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+#: ``benchmarks/suite`` still imports this name; the next change to the
+#: suite imports ``TrajectoryFile`` there and deletes this alias.
+AsyncTrajectoryWriter = TrajectoryFile

@@ -23,7 +23,8 @@ Contracts:
     report what happened;
 ``fault-recovery``
     a dead segment worker is replaced once and its segment retried
-    within its budget; a trajectory write error reaches the caller;
+    within its budget; a failed trajectory write reaches the caller and
+    counts no frame;
 ``none``
     the row changes no observable behaviour (``why`` says why); it can
     give no net a unique kill.
@@ -67,6 +68,7 @@ SERVICE = "src/repro/parsplice/service.py"
 SHM = "src/repro/parallel/shm.py"
 KIT = "src/repro/parallel/workers.py"
 TRAIN = "src/repro/train/dataset.py"
+TRAJ = "src/repro/md/trajectory.py"
 
 ROWS: tuple[Mutant, ...] = (
     # ------------------------------------------------------------------
@@ -490,11 +492,21 @@ ROWS: tuple[Mutant, ...] = (
               "attributed to the slot's healthy replacement",
         contract="fault-recovery"),
     Mutant(
-        "drain-error-dropped", "src/repro/md/trajectory.py",
-        old="                    self._error = exc\n",
-        new="                    pass\n",
-        shape="the trajectory drain thread drops a write error instead of "
-              "parking it for the caller",
+        "traj-count-before-write", TRAJ,
+        old="        self._fh.write(buf)\n"
+            "        self._fh.flush()\n"
+            "        self.ledger.write_s += time.perf_counter() - t0\n"
+            "        self.ledger.frames += 1\n"
+            "        self.ledger.nbytes += len(buf)\n"
+            "        self.nframes += 1\n",
+        new="        self.ledger.frames += 1\n"
+            "        self.ledger.nbytes += len(buf)\n"
+            "        self.nframes += 1\n"
+            "        self._fh.write(buf)\n"
+            "        self._fh.flush()\n"
+            "        self.ledger.write_s += time.perf_counter() - t0\n",
+        shape="the trajectory writer counts a frame before writing it: a "
+              "failed write (a full disk) still counts its frame",
         contract="fault-recovery"),
     Mutant(
         "parsplice-quantum-count", "src/repro/parsplice/scheduler.py",

@@ -53,10 +53,15 @@ class TestBuildEngine:
     def test_knob_census(self):
         """The factory's options are reviewed, not accreted: exactly
         these five keywords, nothing positional beyond the problem; the
-        process backend takes nothing the factory does not pass."""
+        process backend takes nothing the factory does not pass.  No
+        thread runs in the package: frames are written by the one
+        synchronous ``TrajectoryFile``."""
+        import re
         from pathlib import Path
 
         import repro
+        from repro import md
+        from repro.md import trajectory
 
         params = inspect.signature(build_engine).parameters
         assert list(params) == ["system", "potential", "backend", "nranks",
@@ -83,6 +88,16 @@ class TestBuildEngine:
                     and "acquire(timeout=" in text]
         assert [name for name, text in texts.items()
                 if "def worker_context" in text] == ["parallel/workers.py"]
+        imports_a_thread = re.compile(
+            r"^\s*(?:import|from)\s+(?:threading|queue)\b", re.M)
+        assert not [name for name, text in texts.items()
+                    if imports_a_thread.search(text)]
+        assert list(inspect.signature(trajectory.TrajectoryFile.__init__)
+                    .parameters) == ["self", "path", "natoms", "mode"]
+        # the alias the benchmark suite still imports, and only that
+        assert md.AsyncTrajectoryWriter is trajectory.TrajectoryFile
+        assert "AsyncTrajectoryWriter" not in md.__all__
+        assert "AsyncTrajectoryWriter" not in trajectory.__all__
 
     def test_list_form_census(self):
         """Half or full list is a property of the potential's class, not

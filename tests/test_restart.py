@@ -16,7 +16,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.md import (AsyncTrajectoryWriter, LangevinThermostat, MDLoop,
+from repro.md import (LangevinThermostat, MDLoop, TrajectoryFile,
                       TrajectoryReader, build_engine, load_checkpoint,
                       write_checkpoint)
 from repro.md.dump import checkpoint_path
@@ -45,6 +45,25 @@ def _loop(engine, thermo_seed=7, **kw):
 def _thermo_rows(loop):
     return [(e.step, e.temperature, e.potential_energy, e.kinetic_energy,
              e.total_energy) for e in loop.thermo_log]
+
+
+class _DiskFillsOnWrite:
+    """A file handle whose ``nth`` write (0-based) puts half its bytes
+    on disk and raises ENOSPC, as a disk that fills mid-write does."""
+
+    def __init__(self, fh, nth):
+        self._fh, self._left = fh, nth
+
+    def write(self, buf):
+        if self._left == 0:
+            self._fh.write(buf[:len(buf) // 2])
+            self._fh.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self._left -= 1
+        return self._fh.write(buf)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
 
 
 # ======================================================================
@@ -110,6 +129,35 @@ class TestCheckpointFiles:
         assert load_checkpoint(path).step == 2
         assert [p.name for p in tmp_path.iterdir()] == ["ck.npz"]
 
+    def test_disk_full_mid_frame_stops_the_run(self, tmp_path):
+        """ENOSPC halfway through the frame of step K: the error leaves
+        ``run`` at step K, the writer counts only the K frames complete
+        on disk, and reopening for append drops the torn tail and keeps
+        every earlier frame bitwise."""
+        K = 3
+        ref, trj = tmp_path / "ref.trj", tmp_path / "t.trj"
+        s, pot = _setup()
+        with build_engine(s, pot) as engine, \
+                TrajectoryFile(ref, natoms=s.natoms) as w:
+            _loop(engine, trajectory=w, trajectory_every=1).run(K - 1)
+        assert w.ledger.frames == K  # steps 0 .. K-1
+
+        s2, pot2 = _setup()
+        with build_engine(s2, pot2) as engine2, \
+                TrajectoryFile(trj, natoms=s2.natoms) as w2:
+            w2._fh = _DiskFillsOnWrite(w2._fh, nth=K)
+            loop2 = _loop(engine2, trajectory=w2, trajectory_every=1)
+            with pytest.raises(OSError, match="No space left"):
+                loop2.run(2 * K)
+            assert loop2.step == K
+            assert w2.nframes == w2.ledger.frames == K
+            assert w2.ledger.nbytes == w.ledger.nbytes
+        assert trj.stat().st_size > ref.stat().st_size  # the torn half
+        with TrajectoryFile(trj, mode="a") as w3:
+            assert w3.recovered_truncation
+            assert w3.nframes == K
+        assert trj.read_bytes() == ref.read_bytes()
+
 
 # ======================================================================
 # bitwise resume, every backend
@@ -126,7 +174,7 @@ class TestBitwiseRestart:
         # the run that never stops
         s, pot = _setup()
         with build_engine(s, pot, **kw) as engine, \
-                AsyncTrajectoryWriter(ref_trj, natoms=s.natoms) as w:
+                TrajectoryFile(ref_trj, natoms=s.natoms) as w:
             loop = _loop(engine, trajectory=w, trajectory_every=2,
                          trajectory_velocities=True)
             loop.run(self.N, thermo_every=1)
@@ -136,7 +184,7 @@ class TestBitwiseRestart:
         # the run that dies one step past its checkpoint
         s2, pot2 = _setup()
         with build_engine(s2, pot2, **kw) as engine2, \
-                AsyncTrajectoryWriter(res_trj, natoms=s2.natoms) as w2:
+                TrajectoryFile(res_trj, natoms=s2.natoms) as w2:
             loop2 = _loop(engine2, trajectory=w2, trajectory_every=2,
                           trajectory_velocities=True,
                           checkpoint_every=self.K, checkpoint_path=ck)
@@ -146,8 +194,7 @@ class TestBitwiseRestart:
         # forward-path state must come from the checkpoint, not luck
         s3, pot3 = _setup(vel_seed=42)
         with build_engine(s3, pot3, **kw) as engine3, \
-                AsyncTrajectoryWriter(res_trj, natoms=s3.natoms,
-                                      mode="a") as w3:
+                TrajectoryFile(res_trj, natoms=s3.natoms, mode="a") as w3:
             loop3 = _loop(engine3, thermo_seed=99, trajectory=w3,
                           trajectory_every=2, trajectory_velocities=True)
             assert loop3.restore(ck) == self.K
@@ -177,21 +224,20 @@ class TestBitwiseRestart:
         trj = tmp_path / "t.trj"
         s, pot = _setup()
         with build_engine(s, pot) as engine, \
-                AsyncTrajectoryWriter(trj, natoms=s.natoms) as w:
+                TrajectoryFile(trj, natoms=s.natoms) as w:
             loop = _loop(engine, trajectory=w, trajectory_every=1,
                          checkpoint_every=2, checkpoint_path=tmp_path / "ck")
             loop.run(4)  # frames at steps 0..4, checkpoints at 2 and 4
         # overwrite the checkpoint with the step-2 one: rerun to get it
         s1, pot1 = _setup()
         with build_engine(s1, pot1) as engine1, \
-                AsyncTrajectoryWriter(tmp_path / "x.trj",
-                                      natoms=s1.natoms) as w1:
+                TrajectoryFile(tmp_path / "x.trj", natoms=s1.natoms) as w1:
             _loop(engine1, trajectory=w1, trajectory_every=1,
                   checkpoint_every=2,
                   checkpoint_path=tmp_path / "ck2").run(2)
         s2, pot2 = _setup(vel_seed=11)
         with build_engine(s2, pot2) as engine2, \
-                AsyncTrajectoryWriter(trj, natoms=s2.natoms, mode="a") as w2:
+                TrajectoryFile(trj, natoms=s2.natoms, mode="a") as w2:
             loop2 = _loop(engine2, trajectory=w2, trajectory_every=1)
             loop2.restore(tmp_path / "ck2")
             # frames past step 2 (lost work) were truncated on restore
@@ -221,8 +267,7 @@ class TestCheckpointExtras:
     def test_extras_hold_rng_topology_forces_and_offsets(self, tmp_path):
         s, pot = _setup()
         with build_engine(s, pot) as engine, \
-                AsyncTrajectoryWriter(tmp_path / "t.trj",
-                                      natoms=s.natoms) as w:
+                TrajectoryFile(tmp_path / "t.trj", natoms=s.natoms) as w:
             loop = _loop(engine, trajectory=w, trajectory_every=1)
             loop.run(2)
             loop.write_checkpoint(tmp_path / "ck")

@@ -1,4 +1,4 @@
-"""Streaming trajectory format: round-trip, crash recovery, async writer.
+"""Streaming trajectory format: round-trip, crash recovery, the writer.
 
 The format's headline guarantee is crash safety: a frame is either
 completely on disk (header + payload with a matching CRC) or it does
@@ -7,14 +7,10 @@ possible byte length and demands the reader recover exactly the frames
 whose final byte survived - no exception, no partial frame.
 """
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 
-from repro.md import (AsyncTrajectoryWriter, Frame, TrajectoryFile,
-                      TrajectoryReader)
+from repro.md import Frame, TrajectoryFile, TrajectoryReader
 from repro.md.trajectory import (FRAME_HEADER, HEADER, encode_frame,
                                  payload_nbytes, scan_trajectory)
 from repro.structures import lattice_system
@@ -165,113 +161,42 @@ class TestCrashRecovery:
 
 
 # ======================================================================
-# async writer
+# writer
 # ======================================================================
-class TestAsyncWriter:
-    def test_matches_sync_writer_bitwise(self, tmp_path):
-        frames = _frames(6)
-        sync = _write(tmp_path / "sync.trj", frames)
-        with AsyncTrajectoryWriter(tmp_path / "async.trj",
-                                   natoms=NATOMS) as w:
-            for f in frames:
-                w.write_frame(f)
-        assert (tmp_path / "async.trj").read_bytes() == sync.read_bytes()
-
+class TestWriter:
     def test_flush_makes_frames_visible(self, tmp_path):
         frames = _frames(2)
-        w = AsyncTrajectoryWriter(tmp_path / "t.trj", natoms=NATOMS)
-        try:
+        with TrajectoryFile(tmp_path / "t.trj", natoms=NATOMS) as tf:
             for f in frames:
-                w.write_frame(f)
-            w.flush()
-            assert w.nframes == 2
+                tf.write_frame(f)
+            tf.flush()
+            assert tf.nframes == 2
             assert scan_trajectory(tmp_path / "t.trj").nframes == 2
-        finally:
-            w.close()
 
     def test_append_after_crash(self, tmp_path):
         frames = _frames(3)
         path = _write(tmp_path / "t.trj", frames[:2])
         blob = path.read_bytes()
         path.write_bytes(blob + b"\x00garbage")
-        with AsyncTrajectoryWriter(path, natoms=NATOMS, mode="a") as w:
-            assert w.recovered_truncation
-            w.write_frame(frames[2])
+        with TrajectoryFile(path, natoms=NATOMS, mode="a") as tf:
+            assert tf.recovered_truncation
+            tf.write_frame(frames[2])
         with TrajectoryReader(path) as r:
             assert len(r) == 3
 
     def test_ledger_counts_bytes_and_frames(self, tmp_path):
         frames = _frames(3)
         nbytes = len(encode_frame(frames[0], NATOMS))
-        with AsyncTrajectoryWriter(tmp_path / "t.trj", natoms=NATOMS) as w:
+        with TrajectoryFile(tmp_path / "t.trj", natoms=NATOMS) as tf:
             for f in frames:
-                w.write_frame(f)
-            w.flush()
-            assert w.ledger.frames == 3
-            assert w.ledger.nbytes == 3 * nbytes
-            assert w.ledger.as_dict()["frames"] == 3
+                tf.write_frame(f)
+            assert tf.ledger.frames == 3
+            assert tf.ledger.nbytes == 3 * nbytes
+            assert tf.ledger.as_dict()["frames"] == 3
 
     def test_write_after_close_raises(self, tmp_path):
-        w = AsyncTrajectoryWriter(tmp_path / "t.trj", natoms=NATOMS)
-        w.close()
-        w.close()  # idempotent
+        tf = TrajectoryFile(tmp_path / "t.trj", natoms=NATOMS)
+        tf.close()
+        tf.close()  # idempotent
         with pytest.raises(RuntimeError):
-            w.write_frame(_frames(1)[0])
-
-    def test_drain_error_surfaces_on_caller(self, tmp_path):
-        frames = _frames(2)
-        w = AsyncTrajectoryWriter(tmp_path / "t.trj", natoms=NATOMS)
-        w.write_frame(frames[0])
-        w.flush()
-        w._file.close()  # simulate the disk going away mid-run
-        w.write_frame(frames[1])
-        with pytest.raises(RuntimeError):
-            w.flush()
-            w.write_frame(frames[1])
-        with pytest.raises(RuntimeError):
-            w.close()
-
-    def test_nframes_counts_a_draining_frame_once(self, tmp_path):
-        """While the drain thread is still inside the write of the only
-        accepted frame, ``nframes`` reads 1."""
-        wrote, resume = threading.Event(), threading.Event()
-        w = AsyncTrajectoryWriter(tmp_path / "t.trj", natoms=NATOMS)
-        write_encoded = w._file.write_encoded
-
-        def write_then_pause(buf):
-            n = write_encoded(buf)
-            wrote.set()
-            resume.wait(30.0)
-            return n
-
-        w._file.write_encoded = write_then_pause
-        try:
-            w.write_frame(_frames(1)[0])
-            assert wrote.wait(30.0)
-            assert w.nframes == 1
-        finally:
-            resume.set()
-            w.close()
-        assert w.nframes == 1
-
-    def test_backpressure_blocks_then_drains(self, tmp_path):
-        frames = _frames(1)
-        done = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads as often as possible
-        try:
-            with AsyncTrajectoryWriter(tmp_path / "t.trj", natoms=NATOMS,
-                                       max_pending=2) as w:
-                def burst():
-                    for _ in range(50):
-                        w.write_frame(frames[0])
-                    done.append(True)
-                t = threading.Thread(target=burst)
-                t.start()
-                t.join(30.0)
-                assert done, "writer deadlocked under backpressure"
-                w.flush()
-                assert w.nframes == w.ledger.frames == 50
-        finally:
-            sys.setswitchinterval(interval)
-        assert scan_trajectory(tmp_path / "t.trj").nframes == 50
+            tf.write_frame(_frames(1)[0])
