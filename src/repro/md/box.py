@@ -32,8 +32,9 @@ class Box:
 
     def __post_init__(self) -> None:
         lengths = np.asarray(self.lengths, dtype=float).reshape(3)
-        if np.any(lengths <= 0):
-            raise ValueError(f"box lengths must be positive, got {lengths}")
+        if np.any(lengths <= 0) or not np.isfinite(lengths).all():
+            raise ValueError(
+                f"box lengths must be positive and finite, got {lengths}")
         lengths.setflags(write=False)
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "periodic", tuple(bool(p) for p in self.periodic))

@@ -6,7 +6,12 @@ exactly what :class:`repro.core.NeighborBatch` expects):
 
 * a **k-d tree** search (``scipy.spatial.cKDTree``, O(N log N)) in
   canonical ``(i, j)`` order, used whenever every periodic axis is at
-  least three cutoffs long, and
+  least three cutoffs long.  The tree is SciPy's sliding-midpoint one
+  with uncompacted nodes, not its default median-split, compacted
+  tree: the same pair query is faster on random, replicated, fcc and
+  diamond inputs and level on sc and the worst diamond case
+  (EXPERIMENTS.md E35).  The tree only proposes candidates, so its
+  shape never reaches the list; and
 * a brute-force **image sweep** (O(N^2) per image) for shorter boxes,
   in ``(i, image shift, j)`` order.  Each periodic axis longer than
   twice the cutoff contributes only the nearest image of every pair
@@ -42,6 +47,12 @@ __all__ = ["NeighborList", "build_pairs", "filter_pairs", "refresh_pairs"]
 #: largest ``(images, N, N)`` distance table the small-box sweep forms in
 #: one pass (32 MiB of float64); bigger systems go one x image at a time
 _SWEEP_TABLE_ELEMS = 1 << 22
+
+#: the tree's shape: sliding-midpoint splits over uncompacted nodes
+#: (SciPy's defaults are median splits and compacted nodes), no slower
+#: a query on any input class of EXPERIMENTS.md E35; ``leafsize`` stays
+#: SciPy's 16 (8 lost on fcc and on an 8000-atom diamond there)
+_TREE_SHAPE = {"balanced_tree": False, "compact_nodes": False}
 
 #: a periodic axis longer than ``2 * cutoff * (1 + _NEAREST_MARGIN)``
 #: sweeps only the nearest image: the margin keeps the rounding of
@@ -146,17 +157,19 @@ def _tree_pairs(positions: np.ndarray, box: Box, cutoff: float,
                 rows: tuple[int, int] | None = None, mirror: bool = True):
     """k-d tree pair search; periodic axes must be >= 3 cutoffs long.
 
-    The tree (over wrapped coordinates, radius padded by 1e-12) only
-    proposes the half list (``i < j``); the geometry and the inclusion
-    test are our own arithmetic on it, and with ``mirror`` the list is
-    mirrored with ``-d`` into the full one.  With ``rows=(lo, hi)``
-    half pairs that cannot reach the window are dropped before the
-    geometry; the arithmetic per pair is the same, so a restricted list
-    holds the same bits as the unrestricted one.
+    The tree (over wrapped coordinates, radius padded by 1e-12; shape
+    ``_TREE_SHAPE``, E35) only proposes the half list (``i < j``), in
+    an order that depends on its shape; the geometry and the inclusion
+    test are our own arithmetic on it and ``build_pairs`` sorts the
+    result, so the list does not depend on the shape.  With ``mirror``
+    the list is mirrored with ``-d`` into the full one.  With
+    ``rows=(lo, hi)`` half pairs that cannot reach the window are
+    dropped before the geometry; the arithmetic per pair is the same,
+    so a restricted list holds the same bits as the unrestricted one.
     """
     pos = box.wrap(positions)
     period = np.where(box.pmask, box.lengths, 0.0)
-    half = cKDTree(pos, boxsize=period).query_pairs(
+    half = cKDTree(pos, boxsize=period, **_TREE_SHAPE).query_pairs(
         cutoff * (1.0 + 1e-12), output_type="ndarray")
     if rows is not None:
         inwin = (half >= rows[0]) & (half < rows[1])
@@ -194,8 +207,12 @@ def build_pairs(positions: np.ndarray, box: Box, cutoff: float,
     unrestricted list.  The backend selection (tree vs brute-force
     sweep) depends only on the box and the total atom count, never on
     the window, so every slice of one system takes the same code path.
+
+    Non-finite positions raise ``ValueError`` on both paths.
     """
     positions = np.asarray(positions, dtype=float)
+    if not np.isfinite(positions).all():
+        raise ValueError("positions must be finite (NaN or inf found)")
     n = positions.shape[0]
     ncell = np.floor(box.lengths / cutoff).astype(int)
     usable = all((not box.periodic[k]) or ncell[k] >= 3 for k in range(3))

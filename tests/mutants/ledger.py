@@ -25,6 +25,9 @@ Contracts:
     a dead segment worker is replaced once and its segment retried
     within its budget; a failed trajectory write reaches the caller and
     counts no frame;
+``validation``
+    input that describes no system (a non-finite coordinate or box
+    length) raises ``ValueError`` instead of giving a result;
 ``none``
     the row changes no observable behaviour (``why`` says why); it can
     give no net a unique kill.
@@ -43,7 +46,7 @@ __all__ = ["Mutant", "ROWS", "CONTRACTS"]
 
 CONTRACTS = ("bitwise", "restart", "rebind", "segment-purity", "physics",
              "engine-protocol", "phase-registry", "shm-lifecycle",
-             "observability", "fault-recovery", "none")
+             "observability", "fault-recovery", "validation", "none")
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,7 @@ class Mutant:
 
 SNAP = "src/repro/core/snap.py"
 NEIGH = "src/repro/md/neighbor.py"
+BOX = "src/repro/md/box.py"
 ENGINE = "src/repro/md/engine.py"
 PROC = "src/repro/parallel/process_engine.py"
 DIST = "src/repro/parallel/distributed.py"
@@ -201,6 +205,21 @@ ROWS: tuple[Mutant, ...] = (
         shape="the sweep's half filter loses the bonds of an atom to its "
               "own images",
         contract="physics"),
+    Mutant(
+        "sweep-nonfinite-silent", NEIGH,
+        old=("    if not np.isfinite(positions).all():\n"
+             "        raise ValueError(\"positions must be finite (NaN or inf "
+             "found)\")\n"),
+        new="",
+        shape="no finite check: the image sweep drops every pair of a NaN "
+              "atom without a word (the tree path still raises, in SciPy)",
+        contract="validation"),
+    Mutant(
+        "box-nonfinite-length", BOX,
+        old="        if np.any(lengths <= 0) or not np.isfinite(lengths).all():\n",
+        new="        if np.any(lengths <= 0):\n",
+        shape="Box accepts a NaN or inf length (a checkpoint's or a frame's)",
+        contract="validation"),
     # ------------------------------------------------------------------
     # the process backend
     # ------------------------------------------------------------------

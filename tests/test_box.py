@@ -19,6 +19,12 @@ class TestBox:
     def test_invalid_lengths(self):
         with pytest.raises(ValueError):
             Box(lengths=[1.0, -1.0, 1.0])
+        for bad in (np.nan, np.inf):
+            for axis in range(3):
+                lengths = [1.0, 1.0, 1.0]
+                lengths[axis] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    Box(lengths=lengths)
 
     def test_wrap(self):
         b = Box.cubic(10.0)

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+import repro.md.neighbor as neighbor
 from repro.md import Box, MDLoop, NeighborList, build_engine, build_pairs
 from repro.md.neighbor import (_brute_force_pairs, filter_pairs,
                                refresh_pairs)
 from repro.potentials import LennardJones, TablePotential
-from repro.structures import random_packed
+from repro.structures import lattice_system, random_packed, replicate
 
 
 def test_refresh_census():
@@ -23,7 +25,6 @@ def test_refresh_census():
     its arithmetic, and no second skin state machine, elsewhere under
     ``src/repro``."""
     import repro
-    import repro.md.neighbor as neighbor
 
     assert sorted(neighbor.__all__) == ["NeighborList", "build_pairs",
                                         "filter_pairs", "refresh_pairs"]
@@ -286,10 +287,108 @@ class TestTreeSearch:
                               pos[nbr.j_idx, 1] - pos[nbr.i_idx, 1])
 
     def test_nan_positions_raise(self, rng):
-        pos = rng.uniform(0, 12, size=(64, 3))
-        pos[7, 1] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            build_pairs(pos, Box.cubic(12.0), 3.0)
+        """A NaN or inf coordinate raises on both paths: the tree box
+        (four cells per axis) and an 8.6 A box the image sweep takes,
+        where the check is ``build_pairs``' own (the sweep's distance
+        test would drop that atom's pairs silently)."""
+        for length, cutoff in ((12.0, 3.0), (8.6, 4.26)):
+            for bad in (np.nan, np.inf, -np.inf):
+                pos = rng.uniform(0, length, size=(64, 3))
+                pos[7, 1] = bad
+                for half in (False, True):
+                    with pytest.raises(ValueError, match="finite"):
+                        build_pairs(pos, Box.cubic(length), cutoff,
+                                    half=half)
+
+
+def _default_shape_tree(data, boxsize=None, **shape):
+    """``cKDTree`` as ``build_pairs`` calls it, minus the tree-shape
+    keywords: SciPy's default median-split, compacted tree."""
+    assert set(shape) == {"balanced_tree", "compact_nodes"}
+    return cKDTree(data, boxsize=boxsize)
+
+
+def _under_both_trees(build):
+    """``build()`` with the module's tree, then with SciPy's default."""
+    chosen = build()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neighbor, "cKDTree", _default_shape_tree)
+        default = build()
+    return chosen, default
+
+
+def _assert_same_bytes(got, want):
+    for name in ("i_idx", "j_idx", "rij", "r"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _assert_tree_independent(pos, box, cutoff):
+    n = len(pos)
+    for half in (False, True):
+        for rows in (None, (0, n // 3), (n // 3, n - 1), (n - 1, n)):
+            _assert_same_bytes(*_under_both_trees(
+                lambda: build_pairs(pos, box, cutoff, rows=rows, half=half)))
+
+
+def _lattice_cases():
+    """Perfect crystals with a shell exactly at the cutoff (sc: the
+    shells at ``sqrt 2 a`` and ``2 a``; fcc: the second, at ``a``;
+    diamond: the second, at ``a / sqrt 2``): exact coordinate ties in
+    every split plane."""
+    for kind, a, reps, cutoff in (("sc", 2.0, 6, 2.0 * np.sqrt(2.0)),
+                                  ("sc", 2.0, 6, 4.0),
+                                  ("fcc", 3.6, 4, 3.6),
+                                  ("diamond", 3.567, 3, 3.567 / np.sqrt(2.0))):
+        s = lattice_system(kind, a=a, reps=(reps,) * 3)
+        yield pytest.param(s.positions, s.box, cutoff,
+                           id=f"{kind}-{cutoff:.3f}")
+
+
+class TestTreeShape:
+    """The pair list does not depend on the tree's shape: SciPy's default
+    tree gives the same bytes as the module's sliding-midpoint one."""
+
+    def test_one_tree_with_the_module_shape(self):
+        import repro
+        calls = [p for p in Path(repro.__file__).parent.rglob("*.py")
+                 for _ in re.findall(r"cKDTree\(", p.read_text())]
+        assert [p.name for p in calls] == ["neighbor.py"]
+        assert neighbor._TREE_SHAPE == {"balanced_tree": False,
+                                        "compact_nodes": False}
+
+    def test_the_default_tree_is_a_different_tree(self):
+        """The comparison is not vacuous: the two trees hand back their
+        candidate pairs in different orders on the replicated input."""
+        cell = random_packed(64, density=0.1, seed=3)
+        s = replicate(cell, 2, 2, 2)
+        pos = s.box.wrap(s.positions)
+        chosen, default = _under_both_trees(
+            lambda: neighbor.cKDTree(pos, boxsize=s.box.lengths,
+                                     **neighbor._TREE_SHAPE)
+            .query_pairs(4.26, output_type="ndarray"))
+        assert chosen.tobytes() != default.tobytes()
+        assert set(map(tuple, chosen.tolist())) \
+            == set(map(tuple, default.tolist()))
+
+    @settings(deadline=None, max_examples=30)
+    @given(system=tree_systems())
+    def test_generated_systems(self, system):
+        box, pos, cutoff, _ = system
+        _assert_tree_independent(pos, box, cutoff)
+
+    @pytest.mark.parametrize("pos, box, cutoff", _lattice_cases())
+    def test_lattices_with_a_shell_at_the_cutoff(self, pos, box, cutoff):
+        assert len(pos) > 32 and np.all(box.lengths >= 3 * cutoff)
+        _assert_tree_independent(pos, box, cutoff)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_replicated_random_cell(self, seed):
+        """The suite's and the paper's way of building a sample: a
+        packed cell replicated 2x2x2, so every coordinate repeats."""
+        s = replicate(random_packed(64, density=0.1, seed=seed), 2, 2, 2)
+        _assert_tree_independent(s.positions, s.box, 3.96 + 0.3)
 
 
 def _canonical_half(nbr, box):

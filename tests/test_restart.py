@@ -99,6 +99,16 @@ class TestCheckpointFiles:
         assert np.array_equal(ck.extras["my_state"], np.arange(4))
         assert "positions" not in ck.extras
 
+    def test_non_finite_box_length_rejected_on_load(self, tmp_path):
+        s, _pot = _setup()
+        path = write_checkpoint(tmp_path / "ck", s, step=1)
+        with np.load(path) as data:
+            arrays = {k: np.array(data[k]) for k in data.files}
+        arrays["box_lengths"][1] = np.nan
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ValueError, match="finite"):
+            load_checkpoint(path)
+
     def test_checkpoint_path_helper(self):
         assert checkpoint_path("a/b").name == "b.npz"
         assert checkpoint_path("a/b.npz").name == "b.npz"
