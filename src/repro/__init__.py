@@ -12,9 +12,9 @@ md
     Molecular-dynamics substrate: boxes/PBC, neighbor lists, integrators,
     thermostats, the instrumented simulation driver.
 parallel
-    Simulated-MPI domain decomposition: 3D grid, halo exchange with
-    reverse communication, the distributed comm-model engine and the
-    shared-memory multiprocess engine.
+    Domain decomposition: the 3D rank grid, the halo census of the
+    bytes an MPI run would move, and the shared-memory multiprocess
+    engine.
 potentials
     Classical potentials used as substrates/baselines (LJ, EAM,
     bond-order carbon).

@@ -13,9 +13,9 @@ Commands
 ``production``
     Simulate the 24 h production trace (Fig. 7) and print summary rows.
 ``run-md``
-    Run real MD on any execution backend (serial / multiprocess /
-    distributed comm model) through the shared engine layer and print
-    the :class:`repro.md.RunSummary`.
+    Run real MD on either execution backend (serial / multiprocess)
+    through the shared engine layer and print the
+    :class:`repro.md.RunSummary`.
 ``parsplice-serve``
     Serve batched real-MD ParSplice segments from a pool of persistent
     engine sessions (:class:`repro.parsplice.SegmentScheduler`) and
@@ -146,7 +146,7 @@ def _cmd_run_md(args) -> int:
             return 2
     try:
         engine = build_engine(s, pot, backend=args.backend,
-                              nranks=args.nranks, nprocs=args.nprocs)
+                              nprocs=args.nprocs)
     except ValueError as exc:
         print(f"run-md: {exc}")
         return 2
@@ -156,11 +156,7 @@ def _cmd_run_md(args) -> int:
                          trajectory_every=args.traj_every,
                          observers=observers).run(args.steps)
     backend = type(engine).__name__
-    layout = ""
-    if summary.nprocs is not None:
-        layout = f" [{summary.nprocs} procs]"
-    elif summary.nranks is not None:
-        layout = f" [{summary.nranks} ranks]"
+    layout = "" if summary.nprocs is None else f" [{summary.nprocs} procs]"
     print(f"{backend}{layout}: {summary.natoms} atoms x {summary.steps} steps "
           f"in {summary.wall_s:.3f} s "
           f"-> {summary.atom_steps_per_s / 1e3:.2f} Katom-steps/s")
@@ -247,10 +243,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--dt", type=float, default=1.0e-3)
     p.add_argument("--temp", type=float, default=300.0)
-    p.add_argument("--backend", choices=("serial", "distributed", "process"),
+    p.add_argument("--backend", choices=("serial", "process"),
                    default=None,
-                   help="force backend; default infers from --nranks/--nprocs")
-    p.add_argument("--nranks", type=int, default=1)
+                   help="force backend; default infers from --nprocs")
     p.add_argument("--nprocs", type=int, default=None,
                    help="worker processes for the process backend")
     p.add_argument("--traj", default=None,
@@ -280,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--dt", type=float, default=1.0e-3)
     p.add_argument("--temp", type=float, default=300.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", choices=("serial", "distributed", "process"),
+    p.add_argument("--backend", choices=("serial", "process"),
                    default=None, help="engine backend for every session")
     p.add_argument("--nprocs", type=int, default=None,
                    help="worker processes per session (process backend)")

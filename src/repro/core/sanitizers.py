@@ -5,7 +5,7 @@ One debug instrument, off by default and wired through
 :func:`repro.md.build_engine`: :func:`check_finite` validates kernel
 outputs at every force/energy stage exit and raises
 :class:`NumericsError` naming the offending *phase* (and rank, in the
-distributed and process drivers) plus the first bad index - so a
+process engine) plus the first bad index - so a
 poisoned value is caught where it is produced, not thousands of steps
 later in a drifting thermostat.
 """

@@ -86,7 +86,7 @@ def calibrated_config(system, potential=None, t_segment: float = 1.0,
     :func:`repro.parsplice.measured_md_rate` on this host and use its
     wall time.  Keywords naming an :class:`ExaaltConfig` field go to the
     config, every other one to the engine (``build_engine``'s keywords:
-    ``backend``, ``nranks``, ``nprocs``, ...); ``engine`` calibrates over
+    ``backend``, ``nprocs``, ...); ``engine`` calibrates over
     a live :class:`repro.md.EngineSession` (or bare engine) and leaves
     it open, so the task duration reflects the session fleet's true
     marginal segment cost.

@@ -8,7 +8,7 @@ that seam for the reproduction, and ``build_engine`` ->
 :class:`ForceEngine`
     The backend contract - ``evaluate() -> EnergyForces`` plus shared
     :class:`~repro.md.timers.PhaseTimers`, a neighbor-build counter and
-    (for decomposed backends) a :class:`CommLedger`.
+    (for the process backend) a :class:`CommLedger`.
 :class:`SerialEngine`
     One :class:`~repro.md.neighbor.NeighborList` and a potential.
 :class:`MDLoop`
@@ -18,15 +18,16 @@ that seam for the reproduction, and ``build_engine`` ->
 :class:`RunSummary`
     The one typed run summary every backend emits.
 :func:`build_engine`
-    Factory selecting the backend: serial,
-    :class:`repro.parallel.ProcessEngine` (the one parallel mechanism)
-    or :class:`repro.parallel.DistributedEngine` (the MPI comm model).
+    Factory selecting the backend: serial or
+    :class:`repro.parallel.ProcessEngine` (the one parallel mechanism).
+    The bytes an MPI decomposition would move are counted, not run:
+    :func:`repro.parallel.halo_census`.
 :class:`EngineSession`
     One engine construction serving many short runs.
 
 Import discipline: this module must not import ``repro.parallel`` at
 module level (that package imports ``repro.md`` first); the factory
-pulls the two ``repro.parallel`` backends in lazily.
+pulls :class:`repro.parallel.ProcessEngine` in lazily.
 """
 
 from __future__ import annotations
@@ -86,9 +87,7 @@ class RunSummary:
     phase_breakdown: dict
     neighbor_builds: int
     energy: float
-    nranks: int | None = None
     nprocs: int | None = None
-    grid: tuple | None = None
     skin: float | None = None
     rebuilds: int | None = None
     ghost_bytes_per_step: float | None = None
@@ -122,8 +121,7 @@ class RunSummary:
         """Summary dict in the legacy key order, ``None`` fields omitted."""
         ordered = [
             ("steps", self.steps), ("natoms", self.natoms),
-            ("nranks", self.nranks), ("nprocs", self.nprocs),
-            ("grid", self.grid), ("skin", self.skin),
+            ("nprocs", self.nprocs), ("skin", self.skin),
             ("wall_s", self.wall_s),
             ("atom_steps_per_s", self.atom_steps_per_s),
             ("phase_fractions", self.phase_fractions),
@@ -142,7 +140,7 @@ class RunSummary:
 
 
 # ======================================================================
-# comm accounting (populated by distributed backends only)
+# comm accounting (the process backend and the halo census)
 # ======================================================================
 @dataclass
 class CommLedger:
@@ -183,7 +181,7 @@ class ForceEngine(abc.ABC):
     system: ParticleSystem
     potential: Potential
     timers: PhaseTimers
-    #: populated by distributed backends, None otherwise
+    #: populated by the process backend, None otherwise
     ledger: CommLedger | None = None
 
     @abc.abstractmethod
@@ -641,30 +639,23 @@ class MDLoop:
 # factory
 # ======================================================================
 def build_engine(system: ParticleSystem, potential: Potential, *,
-                 backend: str | None = None, nranks: int = 1,
-                 nprocs: int | None = None, skin: float = 0.3,
+                 backend: str | None = None, nprocs: int | None = None,
+                 skin: float = 0.3,
                  check_finite: bool = False) -> ForceEngine:
     """Select a force backend from the requested execution layout.
 
-    ``backend`` picks the engine: ``"serial"``, ``"process"``
+    ``backend`` picks the engine: ``"serial"`` or ``"process"``
     (persistent shared-memory worker processes, sized by ``nprocs`` -
-    the one parallel mechanism) or ``"distributed"`` (``nranks`` virtual
-    MPI ranks with halo exchange, run in rank order - the comm model).
-    ``backend=None`` infers it: ``nprocs`` set yields the process
-    engine, ``nranks > 1`` the distributed one, neither the serial one.
-    A size argument the chosen backend does not read raises
-    ``ValueError`` instead of being dropped.  Every returned engine
-    drives the same :class:`MDLoop`.
+    the one parallel mechanism).  ``backend=None`` infers it: ``nprocs``
+    set yields the process engine, else the serial one.  ``nprocs`` with
+    the serial backend raises ``ValueError`` instead of being dropped.
+    Every returned engine drives the same :class:`MDLoop`.
     """
     if backend is None:
-        backend = ("process" if nprocs is not None
-                   else "distributed" if nranks > 1 else "serial")
-    if backend not in ("serial", "distributed", "process"):
-        raise ValueError(f"unknown backend {backend!r}; expected 'serial', "
-                         "'distributed' or 'process'")
-    if nranks != 1 and backend != "distributed":
-        raise ValueError(f"nranks={nranks} does not apply to "
-                         f"backend={backend!r}")
+        backend = "process" if nprocs is not None else "serial"
+    if backend not in ("serial", "process"):
+        raise ValueError(f"unknown backend {backend!r}; expected 'serial' "
+                         "or 'process'")
     if nprocs is not None and backend != "process":
         raise ValueError(f"nprocs={nprocs} does not apply to "
                          f"backend={backend!r}")
@@ -673,11 +664,6 @@ def build_engine(system: ParticleSystem, potential: Potential, *,
                             check_finite=check_finite)
     # imported lazily: repro.md must stay importable without pulling the
     # multiprocessing machinery (and repro.parallel imports us)
-    if backend == "distributed":
-        from ..parallel.distributed import DistributedEngine
-
-        return DistributedEngine(system, potential, nranks, skin=skin,
-                                 check_finite=check_finite)
     from ..parallel.process_engine import ProcessEngine
 
     return ProcessEngine(system, potential,

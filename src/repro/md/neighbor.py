@@ -255,7 +255,6 @@ def filter_pairs(ref: NeighborBatch, rij: np.ndarray, r: np.ndarray,
     ``keep`` the boolean pair mask.  The filtered batch remembers
     ``(ref, keep)`` as ``filtered_from``: the process workers publish
     their kept mask from it.
-    Shared by :class:`NeighborList` and the distributed per-rank caches.
     """
     kept = np.flatnonzero(keep)
     batch = NeighborBatch(i_idx=np.take(ref.i_idx, kept),

@@ -1,15 +1,12 @@
-"""Simulated-MPI domain decomposition substrate."""
+"""Domain decomposition: the halo census and the multiprocess engine."""
 
-from .comm import CommStats, reverse_scatter_add
 from .decomposition import DomainGrid, best_grid, row_partition
-from .distributed import DistributedEngine
-from .halo import BYTES_PER_GHOST, BYTES_PER_POSITION, Halo, build_halos
+from .halo import (BYTES_PER_GHOST, BYTES_PER_POSITION, Halo, build_halos,
+                   forward_bytes, halo_census)
 from .process_engine import ProcessEngine
 from .shm import SharedBlock
 
 __all__ = [
-    "CommStats",
-    "reverse_scatter_add",
     "best_grid",
     "DomainGrid",
     "row_partition",
@@ -17,7 +14,8 @@ __all__ = [
     "build_halos",
     "BYTES_PER_GHOST",
     "BYTES_PER_POSITION",
-    "DistributedEngine",
+    "forward_bytes",
+    "halo_census",
     "ProcessEngine",
     "SharedBlock",
 ]

@@ -106,27 +106,17 @@ class DomainGrid:
         c = np.mod(coords, dims)
         return (c[..., 0] * dims[1] + c[..., 1]) * dims[2] + c[..., 2]
 
-    def coords_of_rank(self, rank: int) -> tuple[int, int, int]:
-        dx, dy, dz = self.dims
-        return (rank // (dy * dz), (rank // dz) % dy, rank % dz)
+    def cell_of(self, positions: np.ndarray) -> np.ndarray:
+        """Grid coordinates ``(n, 3)`` of the subdomain holding each atom.
+
+        The one cell-index expression: ownership (:meth:`assign_atoms`)
+        and the halo build both read it, so an atom on a subdomain face
+        is never sent as a ghost to the rank that owns it.
+        """
+        frac = self.box.wrap(positions) / self.box.lengths
+        return np.minimum((frac * self.dims).astype(int),
+                          np.array(self.dims) - 1)
 
     def assign_atoms(self, positions: np.ndarray) -> np.ndarray:
         """Owning rank per atom."""
-        pos = self.box.wrap(positions)
-        frac = pos / self.box.lengths
-        coords = np.minimum((frac * self.dims).astype(int),
-                            np.array(self.dims) - 1)
-        return self.rank_of_coords(coords)
-
-    def neighbor_ranks(self, rank: int) -> list[int]:
-        """The (up to) 26 distinct neighboring ranks of a subdomain."""
-        c = np.array(self.coords_of_rank(rank))
-        out = set()
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    if dx == dy == dz == 0:
-                        continue
-                    out.add(int(self.rank_of_coords(c + np.array([dx, dy, dz]))))
-        out.discard(rank)
-        return sorted(out)
+        return self.rank_of_coords(self.cell_of(positions))

@@ -1,11 +1,14 @@
-"""Halo (ghost-atom) exchange for the domain-decomposed driver.
+"""Halo (ghost-atom) census of a 3D domain decomposition.
 
 Every rank needs, in addition to the atoms it owns, copies of all atoms
 within the interaction cutoff of its subdomain boundary ("halo exchange
 regions" in the paper).  :func:`build_halos` constructs those ghost
-sets - including the periodic image shifts - and returns the traffic
-ledger (atoms and bytes moved per rank) that feeds both the Fig. 4
-breakdown measurement and the communication performance model.
+sets - including the periodic image shifts - and :func:`halo_census`
+counts the traffic one build step of a real MPI run would move: the
+ghost records forward and, LAMMPS "newton on" style, the ghost forces
+back to their owners.  Those bytes are what the paper's Fig. 4 MPI
+wedge and Fig. 3 surface-to-volume trend are made of; the census feeds
+them from any engine's neighbour rebuilds without running ranks.
 """
 
 from __future__ import annotations
@@ -14,14 +17,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..md.box import Box
+from ..md.engine import CommLedger
 from .decomposition import DomainGrid
 
-__all__ = ["Halo", "build_halos", "BYTES_PER_GHOST", "BYTES_PER_POSITION"]
+__all__ = ["Halo", "build_halos", "halo_census", "forward_bytes",
+           "BYTES_PER_GHOST", "BYTES_PER_POSITION"]
 
 #: position (3 doubles) + global id; what a halo exchange ships per atom.
 BYTES_PER_GHOST = 3 * 8 + 8
 #: position (or force) refresh of an already-established ghost: 3 doubles.
 BYTES_PER_POSITION = 3 * 8
+
+
+def forward_bytes(ghosts: int, rebuilt: bool) -> int:
+    """Forward halo traffic of one step: a full ghost record per ghost on
+    a rebuild step, a position refresh per ghost in between."""
+    return ghosts * (BYTES_PER_GHOST if rebuilt else BYTES_PER_POSITION)
 
 
 @dataclass
@@ -32,8 +44,6 @@ class Halo:
     indices: np.ndarray
     #: ghost positions (periodic shifts already applied)
     positions: np.ndarray
-    #: rank that owns each ghost (message accounting)
-    source_rank: np.ndarray
 
     @property
     def count(self) -> int:
@@ -44,7 +54,7 @@ class Halo:
         return self.count * BYTES_PER_GHOST
 
 
-def build_halos(grid: DomainGrid, positions: np.ndarray, owner: np.ndarray,
+def build_halos(grid: DomainGrid, positions: np.ndarray,
                 cutoff: float) -> list[Halo]:
     """Ghost sets for every rank.
 
@@ -70,10 +80,8 @@ def build_halos(grid: DomainGrid, positions: np.ndarray, owner: np.ndarray,
     nranks = grid.nranks
     ghost_idx: list[list[np.ndarray]] = [[] for _ in range(nranks)]
     ghost_pos: list[list[np.ndarray]] = [[] for _ in range(nranks)]
-    ghost_src: list[list[np.ndarray]] = [[] for _ in range(nranks)]
 
-    lo = (pos / sub).astype(int)
-    lo = np.minimum(lo, dims - 1)
+    lo = grid.cell_of(pos)
     # Which neighboring subdomains does each atom's cutoff ball touch?
     rel = pos - lo * sub
     near_lo = rel < cutoff          # touches cell on the lower side
@@ -110,23 +118,42 @@ def build_halos(grid: DomainGrid, positions: np.ndarray, owner: np.ndarray,
                     sel = order[sl]
                     ghost_idx[rk].append(atoms[sel])
                     ghost_pos[rk].append(shifted[sel])
-                    ghost_src[rk].append(owner[atoms[sel]])
 
     halos = []
     for rk in range(nranks):
         if ghost_idx[rk]:
             idx = np.concatenate(ghost_idx[rk])
             gpos = np.concatenate(ghost_pos[rk])
-            src = np.concatenate(ghost_src[rk])
             # an atom can enter via several shifts only with distinct images;
             # deduplicate exact duplicates (same atom, same image)
             key = np.round(np.column_stack([idx[:, None], gpos]), 9)
             _, uniq = np.unique(key, axis=0, return_index=True)
             uniq.sort()
-            halos.append(Halo(indices=idx[uniq], positions=gpos[uniq],
-                              source_rank=src[uniq]))
+            halos.append(Halo(indices=idx[uniq], positions=gpos[uniq]))
         else:
             halos.append(Halo(indices=np.zeros(0, dtype=np.intp),
-                              positions=np.zeros((0, 3)),
-                              source_rank=np.zeros(0, dtype=np.intp)))
+                              positions=np.zeros((0, 3))))
     return halos
+
+
+def halo_census(positions: np.ndarray, box: Box, nranks: int,
+                cutoff: float) -> CommLedger:
+    """The comm ledger of one halo build step on ``nranks`` MPI ranks.
+
+    Decomposes ``box`` on :func:`~repro.parallel.best_grid`'s grid,
+    builds every rank's ghost shell ``cutoff`` wide (pass the skinned
+    cutoff to count a Verlet-skinned run) and books one step: a full
+    ghost record forward per ghost, and a force (:data:`BYTES_PER_POSITION`)
+    back per ghost of every rank that owns an atom - a rank with no
+    atoms evaluates nothing and so returns nothing.  Fold it over an
+    engine's rebuild steps, with :func:`forward_bytes` per ghost on the
+    refresh steps in between, for the traffic of a whole run.
+    """
+    grid = DomainGrid.for_ranks(box, nranks)
+    owned = np.bincount(grid.assign_atoms(positions), minlength=grid.nranks)
+    ghosts = np.array([h.count for h in build_halos(grid, positions, cutoff)])
+    return CommLedger(
+        steps=1, rebuilds=1, ghost_atoms=int(ghosts.sum()),
+        ghost_bytes=forward_bytes(int(ghosts.sum()), rebuilt=True),
+        reverse_bytes=int(ghosts[owned > 0].sum()) * BYTES_PER_POSITION,
+        max_rank_atoms=int(owned.max()), min_rank_atoms=int(owned.min()))

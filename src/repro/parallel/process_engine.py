@@ -86,7 +86,7 @@ from ..md.neighbor import NeighborList
 from ..md.timers import PhaseTimers
 from . import workers
 from .decomposition import row_partition
-from .halo import BYTES_PER_GHOST, BYTES_PER_POSITION
+from .halo import forward_bytes
 from .shm import SharedBlock
 
 __all__ = ["ProcessEngine"]
@@ -525,8 +525,7 @@ class ProcessEngine(ForceEngine):
         ledger = self.ledger
         ledger.steps += 1
         ledger.ghost_atoms += ghosts
-        ledger.ghost_bytes += ghosts * (BYTES_PER_GHOST if rebuilt
-                                        else BYTES_PER_POSITION)
+        ledger.ghost_bytes += forward_bytes(ghosts, rebuilt)
         ledger.reverse_bytes += reverse_entries * 8 * self._width
         t_neigh = float(scal[:, _S_NEIGH].sum())
         t_force = float(scal[:, _S_FORCE].sum())

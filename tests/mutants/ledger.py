@@ -7,9 +7,9 @@ text, the bug's shape and the contract it attacks.
 Contracts:
 
 ``bitwise``
-    every backend equals the serial engine (``ProcessEngine`` to the
-    bit, ``DistributedEngine`` to 1e-10) and the force assembly keeps
-    the ``np.add.at`` order its references pin;
+    every backend equals the serial engine to the bit
+    (``ProcessEngine`` is the one other backend) and the force assembly
+    keeps the ``np.add.at`` order its references pin;
 ``restart`` / ``rebind`` / ``segment-purity``
     resumed run = uninterrupted run; rebound engine = fresh engine;
     a ParSplice segment = a pure function of (template, state, seed);
@@ -20,7 +20,7 @@ Contracts:
     name is registered;
 ``shm-lifecycle`` / ``observability``
     no leaked ``/dev/shm`` segment on any exit path; timers and ledgers
-    report what happened;
+    (the halo census's too) report what happened;
 ``fault-recovery``
     a dead segment worker is replaced once and its segment retried
     within its budget; a failed trajectory write reaches the caller and
@@ -66,7 +66,7 @@ NEIGH = "src/repro/md/neighbor.py"
 BOX = "src/repro/md/box.py"
 ENGINE = "src/repro/md/engine.py"
 PROC = "src/repro/parallel/process_engine.py"
-DIST = "src/repro/parallel/distributed.py"
+HALO = "src/repro/parallel/halo.py"
 SEGS = "src/repro/parsplice/segments.py"
 SERVICE = "src/repro/parsplice/service.py"
 SHM = "src/repro/parallel/shm.py"
@@ -348,62 +348,54 @@ ROWS: tuple[Mutant, ...] = (
         shape="rebind republishes the cell only when the box changed",
         contract="rebind"),
     # ------------------------------------------------------------------
-    # the distributed backend
+    # the engine surface, on the process backend
     # ------------------------------------------------------------------
     Mutant(
-        "reverse-blocks-via-set-helper", "src/repro/parallel/comm.py",
-        old="    for idx, val in zip(index_blocks, value_blocks):\n",
-        new=("    def block_order(n):\n"
-             "        return set(range(n))\n"
-             "\n"
-             "    for rank in block_order(len(index_blocks)):\n"
-             "        idx, val = index_blocks[rank], value_blocks[rank]\n"),
-        shape="set order reaches the reverse accumulation through one "
-              "call hop",
-        contract="none",
-        why="a set of small non-negative ints iterates in ascending order"),
-    Mutant(
-        "distributed-bind-keeps-ranks", DIST,
-        old=("        self.grid = DomainGrid.for_ranks(system.box, "
-             "self.grid.nranks)\n"
-             "        self._ranks = None\n"
-             "        self._ref_pos = None\n"),
-        new=("        self.grid = DomainGrid.for_ranks(system.box, "
-             "self.grid.nranks)\n"),
-        shape="rebind keeps the rank halos and pair lists",
-        contract="rebind"),
-    Mutant(
-        "distributed-global-types", DIST,
-        old=("                if types is not None:\n"
-             "                    self.potential.set_types("
-             "types[state.local_idx])\n"),
-        new="",
-        shape="per-type potential reads global types by rank-local ids",
-        contract="bitwise"),
-    Mutant(
-        "engine-evaluate-renamed", DIST,
+        "engine-evaluate-renamed", PROC,
         old=("    def evaluate(self, positions: np.ndarray | None = None) -> "
              "EnergyForces:\n"
-             '        """One decomposed force evaluation; returns global '
-             'EnergyForces."""\n'),
+             "        if self._closed:\n"),
         new=("    def evaluate_ranks(self, positions: np.ndarray | None = "
              "None) -> EnergyForces:\n"
-             '        """One decomposed force evaluation; returns global '
-             'EnergyForces."""\n'),
+             "        if self._closed:\n"),
         shape="an engine does not implement the abstract evaluate()",
         contract="engine-protocol"),
     Mutant(
-        "extras-stray-key", DIST,
-        old='            "grid": self.grid.dims,\n',
-        new='            "grid_dims": self.grid.dims,\n',
+        "extras-stray-key", PROC,
+        old=('        return {\n'
+             '            "nprocs": self.nprocs,\n'),
+        new=('        return {\n'
+             '            "nprocs_used": self.nprocs,\n'),
         shape="summary_extras() key that is not a RunSummary field",
         contract="engine-protocol"),
     Mutant(
-        "stage-prefix-typo", DIST,
-        old='            self.timers.add(f"force.{k}", v)\n',
-        new='            self.timers.add(f"kernel.{k}", v)\n',
+        "stage-prefix-typo", PROC,
+        old=('            self.timers.add(f"force.{key}", '
+             'float(scal[:, slot].sum()))\n'),
+        new=('            self.timers.add(f"kernel.{key}", '
+             'float(scal[:, slot].sum()))\n'),
         shape="dynamic phase prefix outside DYNAMIC_SUB_PARENTS",
         contract="phase-registry"),
+    # ------------------------------------------------------------------
+    # the halo census
+    # ------------------------------------------------------------------
+    Mutant(
+        "census-reverse-for-empty-rank", HALO,
+        old=("        reverse_bytes=int(ghosts[owned > 0].sum()) * "
+             "BYTES_PER_POSITION,\n"),
+        new=("        reverse_bytes=int(ghosts.sum()) * "
+             "BYTES_PER_POSITION,\n"),
+        shape="reverse traffic booked for a rank that owns no atom (it "
+              "evaluates nothing, so it returns no ghost force)",
+        contract="observability"),
+    Mutant(
+        "halo-second-cell-expression", HALO,
+        old="    lo = grid.cell_of(pos)\n",
+        new="    lo = np.minimum((pos / sub).astype(int), dims - 1)\n",
+        shape="the halo build computes an atom's cell its own way: a "
+              "face-exact atom is a ghost of its owner, and its upper "
+              "neighbour never gets it",
+        contract="observability"),
     # ------------------------------------------------------------------
     # the serial engine and the MD loop
     # ------------------------------------------------------------------

@@ -110,20 +110,18 @@ class TestRunMD:
                      "--nprocs", "3"]) == 0
         assert "ProcessEngine [3 procs]" in capsys.readouterr().out
 
-    def test_backend_distributed(self, capsys):
-        assert main(["run-md", "--natoms", "128", "--steps", "2",
-                     "--backend", "distributed", "--nranks", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "DistributedEngine [2 ranks]" in out
+    def test_foreign_size_argument_rejected(self, capsys):
+        assert main(["run-md", "--natoms", "32", "--steps", "1",
+                     "--backend", "serial", "--nprocs", "4"]) == 2
+        assert "run-md: nprocs=" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("argv,name", [
-        (["--backend", "serial", "--nranks", "8"], "nranks"),
-        (["--backend", "distributed", "--nranks", "2", "--nprocs", "4"],
-         "nprocs"),
-    ])
-    def test_foreign_size_argument_rejected(self, capsys, argv, name):
-        assert main(["run-md", "--natoms", "32", "--steps", "1"] + argv) == 2
-        assert f"run-md: {name}=" in capsys.readouterr().out
+    @pytest.mark.parametrize("argv", [["--nranks", "2"],
+                                      ["--backend", "distributed"]])
+    @pytest.mark.parametrize("command", ["run-md", "parsplice-serve"])
+    def test_rank_engine_is_gone(self, command, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([command] + argv)
+        assert exc.value.code == 2
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):

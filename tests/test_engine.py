@@ -12,7 +12,6 @@ import inspect
 
 from repro.md import (BerendsenBarostat, LangevinThermostat, MDLoop,
                       RunSummary, SerialEngine, build_engine, build_pairs)
-from repro.parallel import DistributedEngine
 from repro.potentials import LennardJones
 from repro.structures import lattice_system
 
@@ -38,21 +37,15 @@ class TestBuildEngine:
         engine = build_engine(s, pot)
         assert isinstance(engine, SerialEngine)
 
-    def test_selects_distributed_backend(self):
-        s, pot = lj_setup()
-        with build_engine(s, pot, nranks=8) as engine:
-            assert isinstance(engine, DistributedEngine)
-            assert engine.grid.nranks == 8
-
     def test_every_backend_runs_the_same_loop(self):
         s, pot = lj_setup()
-        with build_engine(s, pot, nranks=4) as engine:
+        with build_engine(s, pot, nprocs=2) as engine:
             summary = MDLoop(engine, dt=1e-3).run(2)
         assert isinstance(summary, RunSummary)
 
     def test_knob_census(self):
         """The factory's options are reviewed, not accreted: exactly
-        these five keywords, nothing positional beyond the problem; the
+        these four keywords, nothing positional beyond the problem; the
         process backend takes nothing the factory does not pass.  No
         thread runs in the package: frames are written by the one
         synchronous ``TrajectoryFile``."""
@@ -64,8 +57,8 @@ class TestBuildEngine:
         from repro.md import trajectory
 
         params = inspect.signature(build_engine).parameters
-        assert list(params) == ["system", "potential", "backend", "nranks",
-                                "nprocs", "skin", "check_finite"]
+        assert list(params) == ["system", "potential", "backend", "nprocs",
+                                "skin", "check_finite"]
         assert all(p.kind is p.KEYWORD_ONLY
                    for name, p in params.items()
                    if name not in ("system", "potential"))
@@ -153,17 +146,18 @@ class TestBuildEngine:
                                  for f in dataclasses.fields(NeighborBatch)}
         assert not hasattr(NeighborBatch, "j_sorted_perm")
 
-    @pytest.mark.parametrize("kwargs,name", [
-        (dict(backend="serial", nranks=8), "nranks"),
-        (dict(backend="serial", nprocs=4), "nprocs"),
-        (dict(backend="distributed", nranks=2, nprocs=4), "nprocs"),
-        (dict(backend="process", nprocs=2, nranks=8), "nranks"),
-        (dict(nranks=8, nprocs=2), "nranks"),
-    ])
-    def test_foreign_size_argument_rejected(self, kwargs, name):
+    def test_foreign_size_argument_rejected(self):
         s, pot = lj_setup()
-        with pytest.raises(ValueError, match=name):
-            build_engine(s, pot, **kwargs)
+        with pytest.raises(ValueError, match="nprocs"):
+            build_engine(s, pot, backend="serial", nprocs=4)
+
+    def test_rank_engine_is_gone(self):
+        """Rank decompositions are counted (``halo_census``), not run."""
+        s, pot = lj_setup()
+        with pytest.raises(ValueError, match="unknown backend"):
+            build_engine(s, pot, backend="distributed")
+        with pytest.raises(TypeError):
+            build_engine(s, pot, nranks=2)
 
 
 # ======================================================================
@@ -172,15 +166,15 @@ class TestBuildEngine:
 class TestFeatureParity:
     def test_thermo_log_rows_match(self):
         rows = {}
-        for backend, nranks in (("serial", 1), ("distributed", 8)):
+        for backend, nprocs in (("serial", None), ("process", 2)):
             s, pot = lj_setup()
             thermostat = LangevinThermostat(temp=40.0, damp=0.5, seed=11)
-            with build_engine(s, pot, nranks=nranks) as engine:
+            with build_engine(s, pot, nprocs=nprocs) as engine:
                 loop = MDLoop(engine, dt=1e-3, thermostat=thermostat)
                 loop.run(5, thermo_every=1)
             rows[backend] = loop.thermo_log
-        assert len(rows["serial"]) == len(rows["distributed"]) == 6
-        for a, b in zip(rows["serial"], rows["distributed"]):
+        assert len(rows["serial"]) == len(rows["process"]) == 6
+        for a, b in zip(rows["serial"], rows["process"]):
             assert a.step == b.step
             assert np.isclose(a.temperature, b.temperature, **TOL)
             assert np.isclose(a.potential_energy, b.potential_energy, **TOL)
@@ -189,74 +183,49 @@ class TestFeatureParity:
 
     def test_checkpoint_files_identical(self, tmp_path):
         paths = {}
-        for backend, nranks in (("serial", 1), ("distributed", 8)):
+        for backend, nprocs in (("serial", None), ("process", 2)):
             s, pot = lj_setup()
             path = tmp_path / f"{backend}.npz"
-            with build_engine(s, pot, nranks=nranks) as engine:
+            with build_engine(s, pot, nprocs=nprocs) as engine:
                 MDLoop(engine, dt=1e-3, checkpoint_every=2,
                        checkpoint_path=path).run(4)
             paths[backend] = path
         with np.load(paths["serial"]) as ser, \
-                np.load(paths["distributed"]) as dist:
-            assert sorted(ser.files) == sorted(dist.files)
-            assert int(ser["step"]) == int(dist["step"]) == 4
+                np.load(paths["process"]) as proc:
+            assert sorted(ser.files) == sorted(proc.files)
+            assert int(ser["step"]) == int(proc["step"]) == 4
             for key in ser.files:
-                assert np.allclose(ser[key], dist[key], **TOL), key
-
-    def test_distributed_checkpoint_counted_as_io(self, tmp_path):
-        s, pot = lj_setup()
-        with build_engine(s, pot, nranks=4) as engine:
-            MDLoop(engine, dt=1e-3, checkpoint_every=1,
-                   checkpoint_path=tmp_path / "c.npz").run(2)
-            assert "io" in engine.timers.totals
+                assert np.allclose(ser[key], proc[key], **TOL), key
 
     def test_summary_fields_equal_shaped(self):
         s1, pot = lj_setup()
         serial = MDLoop(build_engine(s1, pot), dt=1e-3).run(2).as_dict()
         s2, _ = lj_setup()
-        with build_engine(s2, pot, nranks=8) as engine:
-            dist = MDLoop(engine, dt=1e-3).run(2).as_dict()
+        with build_engine(s2, pot, nprocs=2) as engine:
+            proc = MDLoop(engine, dt=1e-3).run(2).as_dict()
         shared = {"steps", "natoms", "wall_s", "atom_steps_per_s",
                   "phase_fractions", "phase_breakdown", "neighbor_builds",
                   "energy"}
-        assert shared <= set(serial) and shared <= set(dist)
+        assert shared <= set(serial) and shared <= set(proc)
         for key in ("steps", "natoms"):
-            assert serial[key] == dist[key]
-        assert np.isclose(serial["energy"], dist["energy"], **TOL)
-        # the comm block stays distributed-only: the serial key set
-        # must not grow backend fields it never had
-        comm_only = {"nranks", "grid", "skin",
-                     "rebuilds", "ghost_bytes_per_step",
+            assert serial[key] == proc[key]
+        assert np.isclose(serial["energy"], proc["energy"], **TOL)
+        # the comm block stays process-only: the serial key set must
+        # not grow backend fields it never had
+        comm_only = {"nprocs", "skin", "rebuilds", "ghost_bytes_per_step",
                      "reverse_bytes_per_step"}
-        assert comm_only <= set(dist)
+        assert comm_only <= set(proc)
         assert not (comm_only & set(serial))
 
     def test_pressure_parity(self):
         s1, pot = lj_setup()
         serial = MDLoop(build_engine(s1, pot), dt=1e-3)
         s2, _ = lj_setup()
-        with build_engine(s2, pot, nranks=8) as engine:
-            dist = MDLoop(engine, dt=1e-3)
-            assert dist.last_result.virial is not None
+        with build_engine(s2, pot, nprocs=2) as engine:
+            proc = MDLoop(engine, dt=1e-3)
+            assert proc.last_result.virial is not None
             assert np.isclose(serial.instantaneous_pressure(),
-                              dist.instantaneous_pressure(), **TOL)
-
-
-# ======================================================================
-# barostat on the distributed path (new through the shared loop)
-# ======================================================================
-class TestDistributedBarostat:
-    def test_barostat_tracks_serial(self):
-        volumes = {}
-        for backend, nranks in (("serial", 1), ("distributed", 8)):
-            s, pot = lj_setup()
-            barostat = BerendsenBarostat(pressure=0.5, tau=0.05, kappa=0.3)
-            with build_engine(s, pot, nranks=nranks) as engine:
-                MDLoop(engine, dt=1e-3, barostat=barostat).run(5)
-            volumes[backend] = s.box.volume
-        ref = lj_setup()[0].box.volume
-        assert volumes["serial"] != ref  # the barostat actually acted
-        assert np.isclose(volumes["serial"], volumes["distributed"], **TOL)
+                              proc.instantaneous_pressure(), **TOL)
 
 
 # ======================================================================
@@ -277,13 +246,6 @@ class TestSatelliteFixes:
         engine = SerialEngine(s, pot)
         summary = RunSummary.from_run(engine, 0, 0.0, 0.0)
         assert summary.atom_steps_per_s == float("inf")
-
-    def test_distributed_summary_uses_guarded_rate(self):
-        s, pot = lj_setup()
-        with build_engine(s, pot, nranks=4) as engine:
-            summary = RunSummary.from_run(engine, 0, 0.0, 0.0)
-        assert summary.atom_steps_per_s == float("inf")
-        assert summary.nranks == 4
 
     def test_serial_engine_splits_neigh_into_rebuild_and_refresh(self):
         s, pot = lj_setup()
@@ -533,7 +495,6 @@ class TestProcessParity:
                     "reverse_bytes_per_step"):
             assert key in out
         assert out["nprocs"] == 2
-        assert "nranks" not in out  # process layout, not a rank grid
         assert {"neigh", "force", "comm"} <= set(out["phase_fractions"])
         # serial summaries must not grow the process-only field
         s2, pot2 = lj_setup()
@@ -719,6 +680,22 @@ class TestProcessLedger:
             assert engine.ledger.ghost_bytes == sum(counts) * (
                 BYTES_PER_GHOST + BYTES_PER_POSITION)
 
+    def test_run_summary_has_breakdown(self):
+        """E5's measured phase split: ``comm`` splits into halo build,
+        forward and reverse, ``neigh`` into rebuild and refresh, and
+        ``force`` into the SNAP kernel stages."""
+        s, pot = snap_setup()
+        s.seed_velocities(50.0, rng=np.random.default_rng(2))
+        with ProcessEngine(s, pot, nprocs=2) as engine:
+            out = MDLoop(engine, dt=5e-4).run(2)
+        assert out.ghost_bytes_per_step > 0
+        assert out.reverse_bytes_per_step > 0
+        bd = out.phase_breakdown
+        assert {"comm", "neigh", "force"} <= set(bd)
+        assert {"halo_build", "forward", "reverse"} <= set(bd["comm"]["sub"])
+        assert {"rebuild", "refresh"} <= set(bd["neigh"]["sub"])
+        assert "compute_yi" in bd["force"]["sub"]
+
 
 class _CountingBarrier:
     """A worker barrier that counts every ``wait()`` across processes."""
@@ -895,17 +872,3 @@ class TestPotentialEngineMatrix:
                 assert a.energy == b.energy
                 s1.positions[0] += 0.2  # a rebuild
                 s2.positions[0] += 0.2
-
-    def test_distributed_matches_serial(self, potential_case):
-        _, s1, pot = potential_case
-        s2 = s1.copy()
-        a = SerialEngine(s1, pot).evaluate()
-        with build_engine(s2, pot, nranks=2) as engine:
-            b = engine.evaluate()
-        assert np.isclose(a.energy, b.energy, **TOL)
-        assert np.allclose(a.peratom, b.peratom, **TOL)
-        assert np.allclose(a.forces, b.forces, **TOL)
-        assert np.allclose(a.virial, b.virial, **TOL)
-        # the ranks' local type numbering does not leak into the potential
-        again = SerialEngine(s1, pot).evaluate()
-        assert np.array_equal(again.forces, a.forces)

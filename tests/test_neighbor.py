@@ -21,9 +21,8 @@ from repro.structures import lattice_system, random_packed, replicate
 def test_refresh_census():
     """One refresh, shared: the pair-geometry update lives in
     ``refresh_pairs``; ``NeighborList`` (serial engine and every process
-    worker) and the distributed per-rank caches call it - no copy of
-    its arithmetic, and no second skin state machine, elsewhere under
-    ``src/repro``."""
+    worker) calls it - no copy of its arithmetic, and no second skin
+    state machine, elsewhere under ``src/repro``."""
     import repro
 
     assert sorted(neighbor.__all__) == ["NeighborList", "build_pairs",
@@ -32,7 +31,7 @@ def test_refresh_census():
               for p in Path(repro.__file__).parent.rglob("*.py")}
     calls = {p.name: len(re.findall(r"(?<!def )refresh_pairs\(", text))
              for p, text in source.items() if "refresh_pairs(" in text}
-    assert calls == {"neighbor.py": 1, "distributed.py": 1}
+    assert calls == {"neighbor.py": 1}
     assert not any("linalg.norm(rij" in text for text in source.values())
     worker = next(text for p, text in source.items()
                   if p.name == "process_engine.py")

@@ -1,14 +1,11 @@
-"""Tests for domain decomposition, halo exchange, distributed MD."""
+"""Tests for the rank grid, halo construction, row partition and shared blocks."""
 
 import numpy as np
 import pytest
 
-from repro.core import SNAPParams
-from repro.md import Box, MDLoop, ParticleSystem, build_engine, build_pairs
-from repro.parallel import (DistributedEngine, DomainGrid, SharedBlock,
-                            best_grid, build_halos, row_partition)
-from repro.potentials import LennardJones, SNAPPotential, StillingerWeber
-from repro.structures import lattice_system
+from repro.md import Box, build_pairs
+from repro.parallel import (DomainGrid, SharedBlock, best_grid, build_halos,
+                            row_partition)
 
 
 class TestBestGrid:
@@ -45,20 +42,10 @@ class TestDomainGrid:
         owner = grid.assign_atoms(rng.uniform(-5, 20, size=(100, 3)))
         assert owner.min() >= 0 and owner.max() < 12
 
-    def test_rank_coords_roundtrip(self):
+    def test_rank_ids_are_c_order_grid_coordinates(self):
         grid = DomainGrid(box=Box.cubic(10.0), dims=(2, 3, 4))
-        for r in range(grid.nranks):
-            c = grid.coords_of_rank(r)
-            assert grid.rank_of_coords(np.array(c)) == r
-
-    def test_neighbor_ranks_count(self):
-        grid = DomainGrid(box=Box.cubic(10.0), dims=(3, 3, 3))
-        nbrs = grid.neighbor_ranks(0)
-        assert len(nbrs) == 26
-
-    def test_neighbor_ranks_small_grid(self):
-        grid = DomainGrid(box=Box.cubic(10.0), dims=(2, 2, 2))
-        assert len(grid.neighbor_ranks(0)) == 7
+        coords = np.array(np.unravel_index(np.arange(24), grid.dims)).T
+        assert np.array_equal(grid.rank_of_coords(coords), np.arange(24))
 
 
 class TestHalos:
@@ -70,7 +57,7 @@ class TestHalos:
         grid = DomainGrid(box=box, dims=(2, 2, 2))
         owner = grid.assign_atoms(pos)
         cutoff = 2.5
-        halos = build_halos(grid, pos, owner, cutoff)
+        halos = build_halos(grid, pos, cutoff)
         nbr = build_pairs(pos, box, cutoff)
         for p in range(nbr.npairs):
             i, j = nbr.i_idx[p], nbr.j_idx[p]
@@ -89,8 +76,7 @@ class TestHalos:
         box = Box.cubic(16.0)
         pos = rng.uniform(0, 16, size=(50, 3))
         grid = DomainGrid(box=box, dims=(2, 1, 1))
-        owner = grid.assign_atoms(pos)
-        halos = build_halos(grid, pos, owner, 2.0)
+        halos = build_halos(grid, pos, 2.0)
         for h in halos:
             assert h.bytes == h.count * 32
 
@@ -99,82 +85,7 @@ class TestHalos:
         grid = DomainGrid(box=box, dims=(4, 1, 1))
         pos = rng.uniform(0, 8, size=(20, 3))
         with pytest.raises(ValueError):
-            build_halos(grid, pos, grid.assign_atoms(pos), 3.0)
-
-
-class TestDistributed:
-    @pytest.mark.parametrize("nranks", [1, 2, 4, 8])
-    def test_lj_matches_serial(self, rng, nranks):
-        s = lattice_system("fcc", a=2.5, reps=(5, 5, 5))
-        s.positions = s.positions + rng.normal(scale=0.05, size=s.positions.shape)
-        pot = LennardJones(epsilon=0.2, sigma=2.2, cutoff=3.0)
-        nbr = build_pairs(s.positions, s.box, pot.cutoff)
-        ref = pot.compute(s.natoms, nbr)
-        res = DistributedEngine(s.copy(), pot, nranks).evaluate()
-        assert res.energy == pytest.approx(ref.energy, abs=1e-9)
-        assert np.allclose(res.forces, ref.forces, atol=1e-10)
-
-    def test_sw_matches_serial(self, rng):
-        s = lattice_system("diamond", a=3.57, reps=(4, 4, 4))
-        s.positions = s.positions + rng.normal(scale=0.04, size=s.positions.shape)
-        pot = StillingerWeber()
-        nbr = build_pairs(s.positions, s.box, pot.cutoff)
-        ref = pot.compute(s.natoms, nbr)
-        res = DistributedEngine(s.copy(), pot, 8).evaluate()
-        assert res.energy == pytest.approx(ref.energy, abs=1e-8)
-        assert np.allclose(res.forces, ref.forces, atol=1e-9)
-
-    def test_snap_matches_serial(self, rng):
-        params = SNAPParams(twojmax=2, rcut=2.2)
-        pot = SNAPPotential(params, beta=rng.normal(size=6))
-        s = lattice_system("fcc", a=2.4, reps=(4, 4, 4))
-        s.positions = s.positions + rng.normal(scale=0.03, size=s.positions.shape)
-        nbr = build_pairs(s.positions, s.box, pot.cutoff)
-        ref = pot.compute(s.natoms, nbr)
-        res = DistributedEngine(s.copy(), pot, 4).evaluate()
-        assert res.energy == pytest.approx(ref.energy, abs=1e-8)
-        assert np.allclose(res.forces, ref.forces, atol=1e-9)
-
-    def test_run_reports_traffic(self, rng):
-        s = lattice_system("fcc", a=2.5, reps=(5, 5, 5))
-        s.seed_velocities(50.0, rng=rng)
-        pot = LennardJones(epsilon=0.2, sigma=2.2, cutoff=3.0)
-        out = MDLoop(build_engine(s, pot, nranks=4), dt=1e-3).run(3)
-        assert out.nranks == 4
-        assert out.ghost_bytes_per_step > 0
-        assert set(out.phase_fractions) >= {"comm", "force", "neigh"}
-
-    def test_distributed_md_matches_serial_md(self, rng):
-        s1 = lattice_system("fcc", a=2.5, reps=(5, 5, 5))
-        s1.seed_velocities(40.0, rng=np.random.default_rng(5))
-        s2 = s1.copy()
-        pot = LennardJones(epsilon=0.2, sigma=2.2, cutoff=3.0)
-        MDLoop(build_engine(s1, pot, skin=0.0), dt=1e-3).run(5)
-        MDLoop(build_engine(s2, pot, nranks=8), dt=1e-3).run(5)
-        # wrap both before comparing (distributed wraps internally)
-        assert np.allclose(s1.box.wrap(s1.positions), s2.box.wrap(s2.positions),
-                           atol=1e-8)
-
-    def test_empty_rank_minimum_survives_later_rebuilds(self, rng):
-        """An empty rank is a minimum of 0, not "unset": a later rebuild
-        where every rank owns atoms must not overwrite it."""
-        box = Box.cubic(24.0)
-        pot = LennardJones(epsilon=0.2, sigma=2.2, cutoff=3.0)
-        octant = ParticleSystem(positions=rng.uniform(1.0, 9.0, size=(12, 3)),
-                                box=box)
-        spread = ParticleSystem(positions=rng.uniform(0.0, 24.0, size=(64, 3)),
-                                box=box)
-        engine = DistributedEngine(octant, pot, 2)
-        engine.evaluate()
-        assert (engine.ledger.min_rank_atoms, engine.ledger.max_rank_atoms) \
-            == (0, 12)
-        engine.bind(spread)
-        engine.evaluate()
-        counts = np.bincount(engine.grid.assign_atoms(spread.positions),
-                             minlength=2)
-        assert counts.min() > 0 and engine.ledger.rebuilds == 2
-        assert engine.ledger.min_rank_atoms == 0
-        assert engine.ledger.max_rank_atoms == counts.max()
+            build_halos(grid, pos, 3.0)
 
 
 class TestRowPartition:

@@ -196,25 +196,22 @@ class TestCommModel:
         with pytest.raises(ValueError):
             comm_time_per_step(MACHINES["summit"], 0, 1000)
 
-    def test_ghost_residual_against_distributed_engine(self):
-        """The model's ghost shell against the halos ``DistributedEngine``
-        builds on the paper-shaped sample (EXPERIMENTS E4b has the
-        rows): within 8 % on every grid, best on the cubic one the
-        model assumes, and the total halo grows with the rank count
-        (Fig. 3's surface-to-volume trend)."""
-        from repro.md import build_engine
-        from repro.potentials import LennardJones
+    def test_ghost_residual_against_halo_census(self):
+        """The model's ghost shell against the halos the census builds
+        on the paper-shaped sample (EXPERIMENTS E4b has the rows):
+        within 8 % on every grid, best on the cubic one the model
+        assumes, and the total halo grows with the rank count (Fig. 3's
+        surface-to-volume trend)."""
+        from repro.parallel import halo_census
         from repro.structures import random_packed
 
         natoms, density, skin = 4000, 0.1, 0.3
         s = random_packed(natoms, density=density, seed=1)
         cutoff = (26 / (4 / 3 * np.pi * density)) ** (1 / 3)
-        pot = LennardJones(epsilon=0.2, sigma=2.2, cutoff=cutoff)
         residual, total = {}, {}
         for n in (2, 4, 8):
-            engine = build_engine(s.copy(), pot, nranks=n, skin=skin)
-            engine.evaluate()
-            total[n] = engine.ledger.ghost_atoms
+            total[n] = halo_census(s.positions, s.box, n,
+                                   cutoff + skin).ghost_atoms
             model = ghost_atoms_per_domain(natoms / n, density, cutoff + skin)
             residual[n] = total[n] / n / model - 1.0
         assert all(abs(r) <= 0.08 for r in residual.values()), residual

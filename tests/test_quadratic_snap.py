@@ -7,10 +7,6 @@ from conftest import fd_forces, free_cluster_pairs, random_cluster
 from repro.core import SNAP, SNAPParams
 from repro.core.baseline import (reference_descriptors,
                                  reference_energy_forces)
-from repro.md import SerialEngine
-from repro.parallel import DistributedEngine
-from repro.potentials import SNAPPotential
-from repro.structures import lattice_system
 
 PARAMS = SNAPParams(twojmax=2, rcut=3.0)
 NB = SNAP(PARAMS).index.nb
@@ -62,21 +58,6 @@ class TestQuadraticSNAP:
         assert np.allclose(out.virial, ref.virial, atol=1e-11, rtol=1e-11)
         assert np.allclose(snap.compute_descriptors(5, nbr),
                            reference_descriptors(snap, 5, nbr), **tol)
-
-    def test_distributed_matches_serial(self, rng):
-        # the comm-model engine's own contract (<= 1e-10; it is not
-        # bitwise for linear SNAP either).  ProcessEngine is bitwise:
-        # tests/test_engine.py::test_snap_forces_bitwise_vs_serial
-        params = SNAPParams(twojmax=2, rcut=2.4)
-        pot = SNAPPotential(params, beta=rng.normal(size=NB + 1),
-                            quadratic=0.1 * rng.normal(size=(NB, NB)))
-        s = lattice_system("diamond", a=3.57, reps=(3, 3, 3))
-        s.positions = s.positions + rng.normal(scale=0.03,
-                                               size=s.positions.shape)
-        ref = SerialEngine(s.copy(), pot).evaluate()
-        res = DistributedEngine(s.copy(), pot, 4).evaluate()
-        assert res.energy == pytest.approx(ref.energy, abs=1e-10)
-        assert np.abs(res.forces - ref.forces).max() <= 1e-10
 
     def test_forces_fd(self, rng, quad_snap):
         pos = random_cluster(rng, natoms=5)

@@ -25,7 +25,6 @@ from repro.structures import lattice_system
 
 BACKENDS = {
     "serial": {},
-    "distributed": {"nranks": 4},
     "process": {"backend": "process", "nprocs": 2},
 }
 

@@ -3,9 +3,7 @@
 ``build_engine``.
 
 * an injected NaN in a force kernel is caught with the offending phase
-  (and rank, in the distributed engine) named, and
-* the invariant the deleted scatter-add race detector watched - every
-  atom owned by exactly one rank - is asserted on the rank states.
+  (and rank, in the process engine) named.
 
 Two static nets live here too: the pytest ``filterwarnings`` pin that
 turns NumPy's ``ComplexWarning`` into an error, and (when installed) a
@@ -47,24 +45,23 @@ def _with_nan_beta(pot):
     return SNAPPotential(pot.params, beta=beta)
 
 
-class _PoisonOnCall:
-    """Potential wrapper that poisons forces on the Nth compute() call."""
+class _PoisonLaterRows:
+    """Potential wrapper that poisons the per-atom energy of every row
+    window not starting at atom 0 - with two process ranks, rank 1's
+    rows only (a many-body energy stays on its own rows)."""
 
-    def __init__(self, inner, poison_call):
+    def __init__(self, inner):
         self.inner = inner
-        self.poison_call = poison_call
-        self.calls = 0
 
-    @property
-    def cutoff(self):
-        return self.inner.cutoff
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
-    def compute(self, natoms, nbr):
-        result = self.inner.compute(natoms, nbr)
-        self.calls += 1
-        if self.calls == self.poison_call and result.forces.size:
-            result.forces[0, 0] = np.nan
-        return result
+    def pair_gradients(self, nbr, rows):
+        peratom, dedr = self.inner.pair_gradients(nbr, rows)
+        if rows[0] > 0:
+            peratom = peratom.copy()
+            peratom[0] = np.nan
+        return peratom, dedr
 
 
 # ======================================================================
@@ -141,46 +138,28 @@ class TestKernelGuards:
             engine.evaluate()
 
     def test_distributed_names_offending_rank(self, rng):
+        """The engine-level check runs on each process rank's own rows
+        and names the rank (``proc<k>``) whose rows went non-finite."""
         s, pot = snap_carbon(rng)
-        poisoned = _PoisonOnCall(pot, poison_call=3)
-        engine = build_engine(s, poisoned, nranks=4, check_finite=True)
-        with pytest.raises(NumericsError,
-                           match=r"phase 'rank_force' \[rank2\]"):
+        engine = build_engine(s, _PoisonLaterRows(pot), backend="process",
+                              nprocs=2, check_finite=True)
+        with engine, pytest.raises(RuntimeError,
+                                   match="worker rank 1") as failed:
             engine.evaluate()
+        assert isinstance(failed.value.__cause__, NumericsError)
+        assert "phase 'rank_force' [proc1]" in str(failed.value.__cause__)
 
     def test_sanitized_run_matches_clean_run(self, rng):
         """The sanitizer observes; it must not change the physics."""
         s, pot = snap_carbon(rng)
-        ref = build_engine(s.copy(), pot, nranks=4).evaluate()
-        chk = build_engine(s.copy(), pot, nranks=4,
-                           check_finite=True).evaluate()
+        with build_engine(s.copy(), pot, backend="process",
+                          nprocs=2) as engine:
+            ref = engine.evaluate()
+        with build_engine(s.copy(), pot, backend="process", nprocs=2,
+                          check_finite=True) as engine:
+            chk = engine.evaluate()
         assert ref.energy == chk.energy
         assert np.array_equal(ref.forces, chk.forces)
-
-
-# ======================================================================
-# rank ownership (what the race detector watched when ranks were threads)
-# ======================================================================
-class TestOwnership:
-    def test_owned_rows_partition_the_atoms_exactly_once(self, rng):
-        """Ranks run in order on one thread, so the whole scatter
-        invariant is static: after a rebuild every atom is owned by
-        exactly one rank - with an empty rank in the grid, and again
-        after atoms moved across subdomain faces."""
-        s, pot = snap_carbon(rng)
-        engine = build_engine(s, pot, nranks=4, check_finite=True)
-        axis = int(np.argmax(engine.grid.dims))
-        length = s.box.lengths[axis]
-        # squeezed into 0.05-0.45 L: the upper ranks own nothing
-        s.positions[:, axis] = 0.05 * length + 0.4 * s.positions[:, axis]
-        for shift, empty in ((0.0, True), (0.3 * length, False)):
-            s.positions[:, axis] += shift
-            engine.evaluate()
-            owned = [state.owned for state in engine._ranks]
-            assert any(o.size == 0 for o in owned) == empty
-            assert np.array_equal(np.sort(np.concatenate(owned)),
-                                  np.arange(s.natoms))
-        assert engine.neighbor_builds == 2
 
 
 # ======================================================================

@@ -36,7 +36,6 @@ from repro.structures import lattice_system
 
 BACKENDS = [
     pytest.param(dict(), id="serial"),
-    pytest.param(dict(nranks=2), id="distributed"),
     pytest.param(dict(backend="process", nprocs=2), id="process"),
 ]
 
@@ -622,9 +621,8 @@ class TestCalibrationOverSession:
 def test_soak_matrix_bitwise_across_pool_shapes(nworkers, engine_kwargs):
     """Every (nworkers, backend) cell serves the same segments as one
     lone session of that backend, bitwise - pool size and request
-    interleaving never leak into the physics.  (The distributed backend
-    is only ``allclose`` to serial - different summation order - so the
-    reference is per-backend, not cross-backend.)"""
+    interleaving never leak into the physics.  The reference is
+    per-backend: each backend's lone session."""
     states, pot = _library(), _pot()
     jobs = [(k % 3, k) for k in range(6)]
     with SegmentScheduler(states, pot, nworkers=nworkers, nsteps=6,
