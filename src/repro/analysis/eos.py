@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from ..constants import EVA3_TO_BAR
 from ..md.neighbor import build_pairs
@@ -84,6 +83,9 @@ def fit_birch_murnaghan(v: np.ndarray, e: np.ndarray) -> BirchMurnaghanFit:
         raise ValueError("need at least 5 (V, E) samples")
     i0 = int(np.argmin(e))
     p0 = (e[i0], v[i0], 1.0, 4.0)
+    # imported here: ``import repro`` should not pay for it
+    from scipy.optimize import curve_fit
+
     popt, _ = curve_fit(birch_murnaghan_energy, v, e, p0=p0, maxfev=20000)
     resid = birch_murnaghan_energy(v, *popt) - e
     return BirchMurnaghanFit(e0=float(popt[0]), v0=float(popt[1]),

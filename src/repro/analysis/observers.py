@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .phase import PhaseClassifier
-from .rdf import bond_histogram
+from .rdf import bond_histogram, length_histogram
 from .thermo import pressure
 
 __all__ = ["RDFObserver", "PhaseFractionObserver", "ThermoObserver"]
@@ -35,6 +35,15 @@ class RDFObserver:
     Same normalization as :func:`repro.analysis.rdf.rdf` averaged over
     the sampled frames (box volume and atom count may drift under a
     barostat; each sample carries its own ideal-gas normalization).
+
+    The pair search is the step's own when it can be: a result that
+    carries its engine's neighbour list (``EnergyForces.neighbors``, a
+    serial engine's half list) yields the bonds within ``rmax`` from
+    that list's pairs (:meth:`repro.md.NeighborList.bond_lengths`),
+    with the counts :func:`~repro.analysis.rdf.bond_histogram` would
+    give to the bit.  Otherwise - no result, a full list, ``rmax``
+    beyond the list's cutoff, a small box, or a process engine - the
+    observer runs that search itself.
     """
 
     def __init__(self, rmax: float, nbins: int = 100, every: int = 1) -> None:
@@ -50,8 +59,14 @@ class RDFObserver:
         self.nsamples = 0
 
     def observe(self, step, system, result) -> None:
-        hist, _edges = bond_histogram(system.positions, system.box,
-                                      self.rmax, self.nbins)
+        nlist = getattr(result, "neighbors", None)
+        lengths = None if nlist is None else nlist.bond_lengths(
+            system.positions, system.box, self.rmax)
+        if lengths is None:
+            hist, _edges = bond_histogram(system.positions, system.box,
+                                          self.rmax, self.nbins)
+        else:
+            hist, _edges = length_histogram(lengths, self.rmax, self.nbins)
         self.hist += hist
         self.norm += system.natoms * (system.natoms / system.box.volume)
         self.nsamples += 1

@@ -33,8 +33,14 @@ def bond_histogram(positions: np.ndarray, box: Box, rmax: float,
     """Pair-distance counts on ``[0, rmax)`` as a full list would give
     them (each bond from both ends), from each bond once: the counts
     are doubled, so ``g(r)`` reads per-atom pair density."""
-    pairs = build_pairs(positions, box, rmax, half=True)
-    hist, edges = np.histogram(pairs.r, bins=nbins, range=(0.0, rmax))
+    return length_histogram(build_pairs(positions, box, rmax, half=True).r,
+                            rmax, nbins)
+
+
+def length_histogram(lengths: np.ndarray, rmax: float,
+                     nbins: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`bond_histogram` of the bond ``lengths`` (each bond once)."""
+    hist, edges = np.histogram(lengths, bins=nbins, range=(0.0, rmax))
     return 2 * hist, edges
 
 

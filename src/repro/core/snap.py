@@ -60,8 +60,8 @@ from .switching import sfac_dsfac
 from .wigner import (adjoint_sweep_half_lm, cayley_klein,
                      compute_u_layers_half_lm, half_scale)
 
-__all__ = ["SNAPParams", "NeighborBatch", "EnergyForces", "SNAP",
-           "scatter_add", "scatter_pair_forces", "update_forces"]
+__all__ = ["SNAPParams", "NeighborBatch", "PairScratch", "EnergyForces",
+           "SNAP", "scatter_add", "scatter_pair_forces", "update_forces"]
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,48 @@ class SNAPParams:
                 f"y_mode must be 'dense' or 'sparse', got {self.y_mode!r}")
 
 
+class PairScratch:
+    """Working arrays of one neighbour list's per-step pair pipeline.
+
+    The refresh, the skin filter, a pair potential's terms and the force
+    assembly write into these with ``out=`` instead of allocating (and
+    page-faulting in) fresh pair-sized arrays every step.  LAMMPS sizes
+    its neighbour pages the same way: at the build, growing only on
+    overflow.  Each named array is allocated on first use with a whole
+    multiple of ``capacity`` rows and handed out as its leading rows;
+    a request longer than the array reallocates that one array.
+
+    Callers own the name space: two arrays live at the same time only
+    under two names.  Everything handed out is overwritten by the next
+    step of the list that owns the scratch.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = max(int(capacity), 1)
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, n: int, width: int = 0,
+              dtype=float) -> np.ndarray:
+        """Uninitialised ``(n,)`` (or ``(n, width)``) view of the array
+        called ``name``."""
+        buf = self._arrays.get(name)
+        if buf is None or buf.shape[0] < n:
+            rows = self.capacity * max(-(-n // self.capacity), 1)
+            buf = self._arrays[name] = np.empty(
+                (rows, width) if width else rows, dtype)
+        return buf[:n]
+
+
+def work_array(scratch: PairScratch | None, name: str, n: int,
+               width: int = 0, dtype=float) -> np.ndarray:
+    """``scratch.array(name, n, width, dtype)``, or a fresh ``np.empty``
+    when there is no scratch (a list built outside a
+    :class:`~repro.md.neighbor.NeighborList`)."""
+    if scratch is None:
+        return np.empty((n, width) if width else n, dtype)
+    return scratch.array(name, n, width, dtype)
+
+
 @dataclass
 class NeighborBatch:
     """Flat neighbor pairs for a batch of atoms.
@@ -152,6 +194,9 @@ class NeighborBatch:
     #: ``(reference batch, keep mask)`` of a skin-filtered batch, set by
     #: :func:`repro.md.neighbor.filter_pairs`
     filtered_from: tuple | None = field(default=None, init=False, repr=False)
+    #: working arrays shared with the list's other batches (see above)
+    scratch: PairScratch | None = field(default=None, init=False,
+                                        repr=False)
 
     def __post_init__(self) -> None:
         self.i_idx = np.ascontiguousarray(self.i_idx, dtype=np.intp)
@@ -177,6 +222,13 @@ class NeighborBatch:
     def npairs(self) -> int:
         return self.i_idx.shape[0]
 
+    def buffer(self, name: str, width: int = 0,
+               dtype=float) -> np.ndarray:
+        """An uninitialised per-pair working array (``(npairs,)``, or
+        ``(npairs, width)``) from :attr:`scratch`."""
+        return work_array(self.scratch, name, self.i_idx.shape[0], width,
+                          dtype)
+
 
 @dataclass
 class EnergyForces:
@@ -186,6 +238,10 @@ class EnergyForces:
     peratom: np.ndarray
     forces: np.ndarray
     virial: np.ndarray  # (3, 3), eV
+    #: the :class:`~repro.md.neighbor.NeighborList` the forces were
+    #: evaluated on, when one process holds it (the serial engine);
+    #: in-situ analysis may reuse its pairs
+    neighbors: object = field(default=None, repr=False, compare=False)
 
 
 def scatter_add(index: np.ndarray, weights: np.ndarray,
@@ -205,7 +261,8 @@ def scatter_add(index: np.ndarray, weights: np.ndarray,
 def scatter_pair_forces(size: int, i_idx: np.ndarray, dedr_i: np.ndarray,
                         j_idx: np.ndarray, dedr_j: np.ndarray,
                         bond_i: np.ndarray | None = None,
-                        bond_j: np.ndarray | None = None):
+                        bond_j: np.ndarray | None = None,
+                        scratch: PairScratch | None = None):
     """Per-atom forces from per-pair gradients, in ``add.at`` order.
 
     Bitwise equal to ``f = zeros((size, 3)); np.add.at(f, j_idx,
@@ -214,17 +271,20 @@ def scatter_pair_forces(size: int, i_idx: np.ndarray, dedr_i: np.ndarray,
     then the rows of its own pairs.  The two sides are separate
     arguments because a process rank gathers its neighbor-side rows
     from every rank's pairs.  Runs one :func:`scatter_add` per Cartesian
-    component over a reused weight buffer, so no ``(2 * npairs, 3)``
-    array is formed.
+    component over one weight buffer, so no ``(2 * npairs, 3)`` array is
+    formed; the index and weight buffers come from ``scratch`` when
+    given.  The returned arrays are always fresh.
 
     Given the bond energies of a half list (``bond_i`` / ``bond_j``, one
     per pair of each side) it returns ``(forces, peratom)``: each end of
     a bond is credited half its energy, in the same order as the forces
     - the neighbor side first, then the own rows.
     """
-    index = np.concatenate((j_idx, i_idx))
-    weights = np.empty(index.size)
     nj = j_idx.size
+    nall = nj + i_idx.size
+    index = work_array(scratch, "scatter.index", nall, 0, np.intp)
+    np.concatenate((j_idx, i_idx), out=index)
+    weights = work_array(scratch, "scatter.weights", nall)
     forces = np.empty((size, 3))
     for c in range(3):
         np.negative(dedr_j[:, c], out=weights[:nj])
@@ -247,15 +307,19 @@ def update_forces(natoms: int, nbr: NeighborBatch, peratom: np.ndarray,
     full list ``peratom`` is per atom and ``dedr[k] = dE_i/dr_k``; on a
     half list (``nbr.half``) both are per bond - its energy and the
     gradient of that energy - and the assembly credits half of each
-    bond's energy to each end.
+    bond's energy to each end.  The forces, the virial and a half
+    list's per-atom energies are fresh arrays, never views of the list's
+    scratch; a full list's ``peratom`` is the potential's own.
     """
     if nbr.j_idx is None:
         raise ValueError("NeighborBatch.j_idx is required for forces")
     if nbr.half:
         forces, peratom = scatter_pair_forces(
-            natoms, nbr.i_idx, dedr, nbr.j_idx, dedr, peratom, peratom)
+            natoms, nbr.i_idx, dedr, nbr.j_idx, dedr, peratom, peratom,
+            scratch=nbr.scratch)
     else:
-        forces = scatter_pair_forces(natoms, nbr.i_idx, dedr, nbr.j_idx, dedr)
+        forces = scatter_pair_forces(natoms, nbr.i_idx, dedr, nbr.j_idx,
+                                     dedr, scratch=nbr.scratch)
     return EnergyForces(energy=float(peratom.sum()), peratom=peratom,
                         forces=forces, virial=-(nbr.rij.T @ dedr))
 

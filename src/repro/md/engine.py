@@ -298,6 +298,7 @@ class SerialEngine(ForceEngine):
                         else "neigh.refresh", t_neigh)
         with self.timers.phase("force"):
             result = self.potential.compute(self.system.natoms, nbr)
+        result.neighbors = self.neighbors
         # kernel-stage split (SNAP-backed potentials expose last_timings)
         for k, v in (getattr(self.potential, "last_timings", None) or {}).items():
             self.timers.add(f"force.{k}", v)

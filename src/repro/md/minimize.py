@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ..constants import MVV2E
 from ..core.snap import EnergyForces
@@ -90,6 +89,9 @@ def relax_volume(system: ParticleSystem, potential: Potential,
     returns ``(best_scale, energy_at_minimum)``.  The system is updated
     in place to the optimal volume.
     """
+    # imported here: ``import repro`` should not pay for it
+    from scipy.optimize import minimize_scalar
+
     base_pos = system.positions.copy()
     base_box = system.box
 

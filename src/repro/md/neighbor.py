@@ -29,6 +29,10 @@ it for the full one; the sweep finds the full list and keeps its half.
 
 A Verlet skin lets the list persist across steps; rebuild is triggered
 when any atom moved more than half the skin, the standard MD heuristic.
+Between builds a :class:`NeighborList` refreshes and filters its pairs
+into one :class:`~repro.core.snap.PairScratch` owned by its reference
+batch, sized at the build and grown only when a build overflows it, so
+a step allocates no pair-sized array.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ..core.snap import NeighborBatch
+from ..core.snap import NeighborBatch, PairScratch, work_array
 from .box import Box
 
 __all__ = ["NeighborList", "build_pairs", "filter_pairs", "refresh_pairs"]
@@ -53,6 +57,10 @@ _SWEEP_TABLE_ELEMS = 1 << 22
 #: a query on any input class of EXPERIMENTS.md E35; ``leafsize`` stays
 #: SciPy's 16 (8 lost on fcc and on an 8000-atom diamond there)
 _TREE_SHAPE = {"balanced_tree": False, "compact_nodes": False}
+
+#: rows a list's scratch holds beyond its first build's pair count, so
+#: that later builds of a list at equilibrium reuse it
+_SCRATCH_HEADROOM = 1.05
 
 #: a periodic axis longer than ``2 * cutoff * (1 + _NEAREST_MARGIN)``
 #: sweeps only the nearest image: the margin keeps the rounding of
@@ -153,6 +161,27 @@ def _brute_force_pairs(positions: np.ndarray, box: Box, cutoff: float,
     return np.take(i_idx, order), np.take(j_idx, order), rij
 
 
+def _separations(pos: np.ndarray, box: Box, period: np.ndarray,
+                 a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-image vectors from atoms ``a`` to atoms ``b`` on wrapped
+    positions: the tree path's geometry, shared with
+    :meth:`NeighborList.bond_lengths` so both give the same bits."""
+    d = np.take(pos, b, axis=0)
+    d -= np.take(pos, a, axis=0)
+    shift = np.divide(d, box.lengths)
+    np.round(shift, out=shift)
+    shift *= period
+    d -= shift
+    return d
+
+
+def _uses_tree(natoms: int, box: Box, cutoff: float) -> bool:
+    """Whether :func:`build_pairs` takes the tree path (else the sweep)."""
+    ncell = np.floor(box.lengths / cutoff).astype(int)
+    usable = all((not box.periodic[k]) or ncell[k] >= 3 for k in range(3))
+    return usable and natoms > 32
+
+
 def _tree_pairs(positions: np.ndarray, box: Box, cutoff: float,
                 rows: tuple[int, int] | None = None, mirror: bool = True):
     """k-d tree pair search; periodic axes must be >= 3 cutoffs long.
@@ -176,10 +205,11 @@ def _tree_pairs(positions: np.ndarray, box: Box, cutoff: float,
         # a half list needs the pairs led by the window's atoms, a full
         # one also those whose mirror is
         half = half[inwin[:, 0] | (mirror & inwin[:, 1])]
-    d = np.take(pos, half[:, 1], axis=0) - np.take(pos, half[:, 0], axis=0)
-    d -= period * np.round(d / box.lengths)
+    a, b = half[:, 0], half[:, 1]
+    d = _separations(pos, box, period, a, b)
     near = np.flatnonzero(np.einsum("ij,ij->i", d, d) < cutoff * cutoff)
-    a, b, d = half[near, 0], half[near, 1], np.take(d, near, axis=0)
+    if near.size < d.shape[0]:  # the padded radius let a few through
+        a, b, d = a[near], b[near], np.take(d, near, axis=0)
     if not mirror:
         return a, b, d
     return (np.concatenate([a, b]), np.concatenate([b, a]),
@@ -214,9 +244,7 @@ def build_pairs(positions: np.ndarray, box: Box, cutoff: float,
     if not np.isfinite(positions).all():
         raise ValueError("positions must be finite (NaN or inf found)")
     n = positions.shape[0]
-    ncell = np.floor(box.lengths / cutoff).astype(int)
-    usable = all((not box.periodic[k]) or ncell[k] >= 3 for k in range(3))
-    tree = usable and n > 32
+    tree = _uses_tree(n, box, cutoff)
     if tree:
         i_idx, j_idx, rij = _tree_pairs(positions, box, cutoff, rows=rows,
                                         mirror=not half)
@@ -241,10 +269,21 @@ def refresh_pairs(ref: NeighborBatch,
                   disp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Geometry ``(rij, r)`` of every reference pair after the atoms
     moved by ``disp`` since the build.  The one refresh every engine
-    calls, so their pair geometry is equal to the bit."""
-    rij = ref.rij + np.take(disp, ref.j_idx, axis=0)
-    rij -= np.take(disp, ref.i_idx, axis=0)
-    return rij, np.sqrt(np.einsum("ij,ij->i", rij, rij))
+    calls, so their pair geometry is equal to the bit.
+
+    Both land in ``ref``'s scratch; the gather temporary is the array
+    :func:`filter_pairs` then writes the kept ``rij`` into.
+    """
+    rij = ref.buffer("refresh.rij", 3)
+    moved = ref.buffer("rij", 3)
+    # mode="clip": without it take(out=) gathers into a temporary first
+    disp.take(ref.j_idx, axis=0, out=moved, mode="clip")
+    np.add(ref.rij, moved, out=rij)
+    disp.take(ref.i_idx, axis=0, out=moved, mode="clip")
+    rij -= moved
+    r = ref.buffer("refresh.r")
+    np.einsum("ij,ij->i", rij, rij, out=r)
+    return rij, np.sqrt(r, out=r)
 
 
 def filter_pairs(ref: NeighborBatch, rij: np.ndarray, r: np.ndarray,
@@ -254,13 +293,22 @@ def filter_pairs(ref: NeighborBatch, rij: np.ndarray, r: np.ndarray,
     ``rij``/``r`` are the refreshed geometry of every reference pair and
     ``keep`` the boolean pair mask.  The filtered batch remembers
     ``(ref, keep)`` as ``filtered_from``: the process workers publish
-    their kept mask from it.
+    their kept mask from it.  It lives in ``ref``'s scratch and shares
+    it, so it is valid until the owning list's next ``get``.
     """
     kept = np.flatnonzero(keep)
-    batch = NeighborBatch(i_idx=np.take(ref.i_idx, kept),
-                          rij=np.take(rij, kept, axis=0), r=np.take(r, kept),
-                          j_idx=np.take(ref.j_idx, kept), half=ref.half)
+    n, scratch = kept.size, ref.scratch
+    batch = NeighborBatch(
+        i_idx=ref.i_idx.take(kept, out=work_array(scratch, "i_idx", n, 0,
+                                                  np.intp), mode="clip"),
+        rij=rij.take(kept, axis=0, out=work_array(scratch, "rij", n, 3),
+                     mode="clip"),
+        r=r.take(kept, out=work_array(scratch, "r", n), mode="clip"),
+        j_idx=ref.j_idx.take(kept, out=work_array(scratch, "j_idx", n, 0,
+                                                  np.intp), mode="clip"),
+        half=ref.half)
     batch.filtered_from = (ref, keep)
+    batch.scratch = scratch
     return batch
 
 
@@ -271,7 +319,8 @@ class NeighborList:
     ``get(positions)`` returns a :class:`NeighborBatch` with *exact*
     distances for the current positions while the underlying pair
     topology is rebuilt only when an atom moved more than ``skin/2``
-    since the last build.
+    since the last build.  The batch is valid until the next ``get``:
+    it lives in the reference batch's scratch, which every step reuses.
 
     ``rows=(lo, hi)`` keeps only the pairs whose central atom lies in
     that window (see :func:`build_pairs`); the skin test still looks at
@@ -329,16 +378,38 @@ class NeighborList:
         fresh.nbuilds = self.nbuilds
         return fresh
 
+    def _displacements(self, positions: np.ndarray) -> np.ndarray | None:
+        """Minimum-image moves since the build, or None when an atom
+        moved more than ``skin/2`` (or a coordinate is not finite: NaN
+        fails every comparison, so it must fail this one towards a
+        rebuild, which raises)."""
+        disp = self.box.minimum_image(positions - self._ref_positions)
+        if not np.max(np.sum(disp * disp, axis=1)) <= (0.5 * self.skin) ** 2:
+            return None
+        return disp
+
     def get(self, positions: np.ndarray) -> NeighborBatch:
+        """The pairs within ``cutoff`` at ``positions``, exact geometry.
+
+        The batch lives in the list's scratch: it is valid until the
+        next ``get`` of this list, which overwrites it.
+        """
         ref = self._pairs
         if ref is not None:
-            disp = self.box.minimum_image(positions - self._ref_positions)
-            if np.max(np.sum(disp * disp, axis=1)) > (0.5 * self.skin) ** 2:
+            disp = self._displacements(positions)
+            if disp is None:
                 ref = None
         if ref is None:
-            ref = self._pairs = build_pairs(positions, self.box,
-                                            self.cutoff + self.skin,
-                                            rows=self.rows, half=self.half)
+            # the old pairs go before the build (its peak), the scratch
+            # stays unless the new list overflows it
+            scratch = None if self._pairs is None else self._pairs.scratch
+            self._pairs = None
+            ref = build_pairs(positions, self.box, self.cutoff + self.skin,
+                              rows=self.rows, half=self.half)
+            if scratch is None or scratch.capacity < ref.npairs:
+                scratch = PairScratch(_SCRATCH_HEADROOM * ref.npairs)
+            ref.scratch = scratch
+            self._pairs = ref
             self._ref_positions = np.array(positions)
             self.nbuilds += 1
             # fresh build: displacements are zero, rij/r are already
@@ -346,4 +417,36 @@ class NeighborList:
             rij, r = ref.rij, ref.r
         else:
             rij, r = refresh_pairs(ref, disp)
-        return filter_pairs(ref, rij, r, r < self.cutoff)
+        keep = np.less(r, self.cutoff, out=ref.buffer("keep", dtype=bool))
+        return filter_pairs(ref, rij, r, keep)
+
+    def bond_lengths(self, positions: np.ndarray, box: Box,
+                     rmax: float) -> np.ndarray | None:
+        """Length of every bond shorter than ``rmax`` at ``positions``,
+        each bond once, from this list's reference pairs.
+
+        The lengths are the ones ``build_pairs(positions, box, rmax,
+        half=True).r`` holds, to the bit and as a multiset: the pairs
+        are the reference list's, the geometry is the tree path's own
+        (:func:`_separations`) on the current positions.  None when the
+        list cannot serve: no build yet, a full or row-window list, a
+        box the image sweep takes (its geometry is another), another
+        cell (a ``Box`` equal by value serves: a restored checkpoint's),
+        ``rmax`` beyond the cutoff, or an atom past ``skin/2`` since the
+        build (then the reference may miss a bond).
+        """
+        ref = self._pairs
+        if (ref is None or not self.half or self.rows is not None
+                or box.periodic != self.box.periodic
+                or not np.array_equal(box.lengths, self.box.lengths)
+                or rmax > self.cutoff
+                or len(positions) != len(self._ref_positions)
+                or not _uses_tree(len(positions), box,
+                                  self.cutoff + self.skin)
+                or self._displacements(positions) is None):
+            return None
+        period = np.where(box.pmask, box.lengths, 0.0)
+        d = _separations(box.wrap(positions), box, period, ref.i_idx,
+                         ref.j_idx)
+        d2 = np.einsum("ij,ij->i", d, d)
+        return np.sqrt(d2[d2 < rmax * rmax])

@@ -305,9 +305,11 @@ class _WorkerState:
                  self.incj[kmask] - self.alo, gathered[:, :3])
         if nbr.half:
             f_own, pa_own = scatter_pair_forces(*sides, energy,
-                                                gathered[:, 3])
+                                                gathered[:, 3],
+                                                scratch=nbr.scratch)
         else:
-            f_own, pa_own = scatter_pair_forces(*sides), energy
+            f_own = scatter_pair_forces(*sides, scratch=nbr.scratch)
+            pa_own = energy
         virial = -(nbr.rij.T @ dedr)
         if self.check_finite:
             from ..core.sanitizers import check_finite

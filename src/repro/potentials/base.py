@@ -36,10 +36,13 @@ def radial_gradients(nbr: NeighborBatch, rows: tuple[int, int],
     gradients ``phi'(r) * rhat``; :func:`~repro.core.snap.update_forces`
     credits half of each bond's energy to each end.  A full list visits
     every bond twice, so it gets the per-atom energies ``sum_j phi / 2``
-    and half of each gradient.
+    and half of each gradient.  The half list's gradients land in the
+    list's scratch (:meth:`~repro.core.snap.NeighborBatch.buffer`).
     """
     if nbr.half:
-        return phi, dphi_r[:, None] * nbr.rij
+        # into the refresh's geometry, dead once the list is filtered
+        return phi, np.multiply(dphi_r[:, None], nbr.rij,
+                                out=nbr.buffer("refresh.rij", 3))
     lo, hi = rows
     return (scatter_add(nbr.i_idx - lo, 0.5 * phi, hi - lo),
             (0.5 * dphi_r)[:, None] * nbr.rij)
@@ -85,6 +88,11 @@ class Potential(abc.ABC):
         that the windows of a row partition concatenate **bitwise** to
         the full-list result: that is the whole of what the process
         backend needs from a potential.
+
+        The returned arrays may live in the list's scratch
+        (:meth:`~repro.core.snap.NeighborBatch.buffer`): they are valid
+        until the list's next ``get``, and the force assembly returns
+        none of them.
         """
 
     def compute(self, natoms: int, nbr: NeighborBatch) -> EnergyForces:

@@ -43,13 +43,30 @@ class LennardJones(Potential):
                        ) -> tuple[np.ndarray, np.ndarray]:
         """``phi(r)`` and ``phi'(r) / r`` per pair, on either list form
         (:func:`~repro.potentials.base.radial_gradients`); every
-        operation is elementwise per pair."""
+        operation is elementwise per pair, written into the list's
+        scratch in the order ``(sigma / r) ** 6``, ``np.where`` and
+        ``/ r`` would take, so the bits are theirs."""
         r = nbr.r
-        inside = r < self.cutoff
-        sr6 = (self.sigma / r) ** 6
-        sr12 = sr6 * sr6
-        phi = np.where(inside, 4.0 * self.epsilon * (sr12 - sr6) - self._shift, 0.0)
-        dphidr = np.where(inside,
-                          4.0 * self.epsilon * (-12.0 * sr12 + 6.0 * sr6) / r,
-                          0.0)
-        return radial_gradients(nbr, rows, phi, dphidr / r)
+        outside = np.less(r, self.cutoff,
+                          out=nbr.buffer("lj.outside", dtype=bool))
+        np.logical_not(outside, out=outside)  # NaN r lands here too
+        clip = outside.any()  # never on a list filtered at the cutoff
+        sr6 = np.divide(self.sigma, r, out=nbr.buffer("lj.sr6"))
+        np.power(sr6, 6, out=sr6)
+        sr12 = np.multiply(sr6, sr6, out=nbr.buffer("lj.sr12"))
+        scale = 4.0 * self.epsilon
+        # bond energies into the refresh's distances (dead once filtered)
+        phi = np.subtract(sr12, sr6, out=nbr.buffer("refresh.r"))
+        phi *= scale
+        phi -= self._shift
+        if clip:
+            phi[outside] = 0.0
+        # 4 eps (-12 sr12 + 6 sr6) / r, over the sr12 and sr6 buffers
+        dphi = np.multiply(sr12, -12.0, out=sr12)
+        dphi += np.multiply(sr6, 6.0, out=sr6)
+        dphi *= scale
+        dphi /= r
+        if clip:
+            dphi[outside] = 0.0
+        dphi /= r
+        return radial_gradients(nbr, rows, phi, dphi)

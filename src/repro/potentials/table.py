@@ -8,7 +8,6 @@ derivative, so energy conservation holds to spline accuracy.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ..core.snap import NeighborBatch
 from .base import Potential, radial_gradients
@@ -37,6 +36,9 @@ class TablePotential(Potential):
         self.cutoff = float(cutoff) if cutoff is not None else float(r[-1])
         if self.cutoff > r[-1] + 1e-12:
             raise ValueError("table does not reach the cutoff")
+        # imported here: ``import repro`` should not pay for it
+        from scipy.interpolate import CubicSpline
+
         self._spline = CubicSpline(r, phi)
         self._shift = float(self._spline(self.cutoff))
         self._deriv = self._spline.derivative()

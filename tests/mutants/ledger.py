@@ -28,6 +28,12 @@ Contracts:
 ``validation``
     input that describes no system (a non-finite coordinate or box
     length) raises ``ValueError`` instead of giving a result;
+``aliasing``
+    no array an engine returns is a view of a buffer a later step
+    reuses (the neighbour list's scratch, a shared block);
+``import-cost``
+    ``import repro`` loads no module that only one rarely used
+    function needs;
 ``none``
     the row changes no observable behaviour (``why`` says why); it can
     give no net a unique kill.
@@ -46,7 +52,8 @@ __all__ = ["Mutant", "ROWS", "CONTRACTS"]
 
 CONTRACTS = ("bitwise", "restart", "rebind", "segment-purity", "physics",
              "engine-protocol", "phase-registry", "shm-lifecycle",
-             "observability", "fault-recovery", "validation", "none")
+             "observability", "fault-recovery", "validation", "aliasing",
+             "import-cost", "none")
 
 
 @dataclass(frozen=True)
@@ -88,15 +95,14 @@ ROWS: tuple[Mutant, ...] = (
         contract="bitwise"),
     Mutant(
         "scatter-sides-swapped", SNAP,
-        old=("    index = np.concatenate((j_idx, i_idx))\n"
-             "    weights = np.empty(index.size)\n"
-             "    nj = j_idx.size\n"
+        old=("    np.concatenate((j_idx, i_idx), out=index)\n"
+             "    weights = work_array(scratch, \"scatter.weights\", nall)\n"
              "    forces = np.empty((size, 3))\n"
              "    for c in range(3):\n"
              "        np.negative(dedr_j[:, c], out=weights[:nj])\n"
              "        weights[nj:] = dedr_i[:, c]\n"),
-        new=("    index = np.concatenate((i_idx, j_idx))\n"
-             "    weights = np.empty(index.size)\n"
+        new=("    np.concatenate((i_idx, j_idx), out=index)\n"
+             "    weights = work_array(scratch, \"scatter.weights\", nall)\n"
              "    ni = i_idx.size\n"
              "    forces = np.empty((size, 3))\n"
              "    for c in range(3):\n"
@@ -158,6 +164,20 @@ ROWS: tuple[Mutant, ...] = (
               "(totals hold, per-atom energies do not)",
         contract="physics"),
     Mutant(
+        "virial-in-scratch", SNAP,
+        old=("    return EnergyForces(energy=float(peratom.sum()), "
+             "peratom=peratom,\n"
+             "                        forces=forces, "
+             "virial=-(nbr.rij.T @ dedr))\n"),
+        new=("    virial = work_array(nbr.scratch, \"virial\", 3, 3)\n"
+             "    np.negative(nbr.rij.T @ dedr, out=virial)\n"
+             "    return EnergyForces(energy=float(peratom.sum()), "
+             "peratom=peratom,\n"
+             "                        forces=forces, virial=virial)\n"),
+        shape="the assembly returns a virial that lives in the list's "
+              "scratch: a held result's virial changes under the next step",
+        contract="aliasing"),
+    Mutant(
         "y-factor-dropped", SNAP,
         old="        y_op = (fold_op @ sps.diags(row_factor * self.beta[1 + "
             "row_b])\n",
@@ -214,6 +234,22 @@ ROWS: tuple[Mutant, ...] = (
         shape="no finite check: the image sweep drops every pair of a NaN "
               "atom without a word (the tree path still raises, in SciPy)",
         contract="validation"),
+    Mutant(
+        "refresh-skin-test-nan-blind", NEIGH,
+        old=("        if not np.max(np.sum(disp * disp, axis=1)) <= "
+             "(0.5 * self.skin) ** 2:\n"),
+        new=("        if np.max(np.sum(disp * disp, axis=1)) > "
+             "(0.5 * self.skin) ** 2:\n"),
+        shape="the skin test reads NaN as 'not moved': a NaN atom is "
+              "refreshed, fails r < cutoff and loses its pairs silently",
+        contract="validation"),
+    Mutant(
+        "rdf-from-a-full-list", NEIGH,
+        old="        if (ref is None or not self.half or self.rows is not None\n",
+        new="        if (ref is None or self.rows is not None\n",
+        shape="a full list (every bond twice) serves the RDF observer's "
+              "half-list bond lengths: its counts double",
+        contract="physics"),
     Mutant(
         "box-nonfinite-length", BOX,
         old="        if np.any(lengths <= 0) or not np.isfinite(lengths).all():\n",
@@ -526,6 +562,14 @@ ROWS: tuple[Mutant, ...] = (
         shape="the campaign loop's segment count restarts every quantum: "
               "a run reports its last quantum's segments",
         contract="observability"),
+    Mutant(
+        "scipy-optimize-at-import", "src/repro/md/minimize.py",
+        old="import numpy as np\n\nfrom ..constants import MVV2E\n",
+        new=("import numpy as np\nfrom scipy.optimize import minimize_scalar"
+             "  # noqa: F401\n\nfrom ..constants import MVV2E\n"),
+        shape="scipy.optimize imported at module level again: every "
+              "import repro pays for relax_volume's one call",
+        contract="import-cost"),
     # ------------------------------------------------------------------
     # the potential's inputs
     # ------------------------------------------------------------------

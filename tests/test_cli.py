@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
 import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,22 @@ from repro.cli import main
 
 EXAMPLES = sorted((Path(__file__).resolve().parents[1] / "examples")
                   .glob("*.py"))
+
+
+def test_import_skips_the_scipy_modules_no_run_uses():
+    """``import repro`` (and the packages every run-md imports) leaves
+    ``scipy.optimize`` and ``scipy.interpolate`` unimported: the three
+    functions that use them (``relax_volume``, ``fit_birch_murnaghan``,
+    ``TablePotential``) import them themselves, so no start-up pays for
+    them."""
+    code = ("import sys, repro, repro.md, repro.potentials, repro.analysis\n"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.interpolate')"
+            " if m in sys.modules))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 class TestCLI:
