@@ -142,17 +142,24 @@ class PairScratch:
     def __init__(self, capacity: int) -> None:
         self.capacity = max(int(capacity), 1)
         self._arrays: dict[str, np.ndarray] = {}
+        #: the last view handed out per name: a list between builds asks
+        #: for the same lengths every step
+        self._views: dict[str, np.ndarray] = {}
 
     def array(self, name: str, n: int, width: int = 0,
               dtype=float) -> np.ndarray:
         """Uninitialised ``(n,)`` (or ``(n, width)``) view of the array
         called ``name``."""
+        view = self._views.get(name)
+        if view is not None and view.shape[0] == n:
+            return view
         buf = self._arrays.get(name)
         if buf is None or buf.shape[0] < n:
             rows = self.capacity * max(-(-n // self.capacity), 1)
             buf = self._arrays[name] = np.empty(
                 (rows, width) if width else rows, dtype)
-        return buf[:n]
+        view = self._views[name] = buf[:n]
+        return view
 
 
 def work_array(scratch: PairScratch | None, name: str, n: int,
@@ -197,6 +204,10 @@ class NeighborBatch:
     #: working arrays shared with the list's other batches (see above)
     scratch: PairScratch | None = field(default=None, init=False,
                                         repr=False)
+    #: every ``r`` is below this (a skin-filtered batch: the filter's
+    #: ``r < cutoff``, which a NaN distance fails too), or None
+    kept_below: float | None = field(default=None, init=False,
+                                     repr=False)
 
     def __post_init__(self) -> None:
         self.i_idx = np.ascontiguousarray(self.i_idx, dtype=np.intp)

@@ -15,9 +15,13 @@ import numpy as np
 __all__ = ["Box"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box:
     """Axis-aligned box with per-axis periodicity, origin at 0.
+
+    Two boxes are equal, and hash equal, when their lengths and
+    periodic flags are (a restored checkpoint's box equals the one it
+    was written from).
 
     Parameters
     ----------
@@ -36,8 +40,23 @@ class Box:
             raise ValueError(
                 f"box lengths must be positive and finite, got {lengths}")
         lengths.setflags(write=False)
+        periodic = tuple(bool(p) for p in self.periodic)
+        pmask = np.array(periodic, dtype=bool)
+        pmask.setflags(write=False)
         object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "periodic", tuple(bool(p) for p in self.periodic))
+        object.__setattr__(self, "periodic", periodic)
+        # derived once: the step's skin test reads them every step
+        object.__setattr__(self, "_pmask", pmask)
+        object.__setattr__(self, "_all_periodic", all(periodic))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Box):
+            return NotImplemented
+        return (self.periodic == other.periodic
+                and self.lengths.tolist() == other.lengths.tolist())
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.lengths.tolist()), self.periodic))
 
     @classmethod
     def cubic(cls, l: float) -> "Box":
@@ -49,7 +68,8 @@ class Box:
 
     @property
     def pmask(self) -> np.ndarray:
-        return np.array(self.periodic, dtype=bool)
+        """Per-axis periodic flags as a read-only boolean array."""
+        return self._pmask
 
     def wrap(self, positions: np.ndarray) -> np.ndarray:
         """Map positions into the primary cell along periodic axes."""
@@ -65,7 +85,13 @@ class Box:
     def minimum_image(self, dr: np.ndarray) -> np.ndarray:
         """Apply the minimum-image convention to displacement vectors."""
         dr = np.asarray(dr, dtype=float)
-        return np.where(self.pmask,
+        if self._all_periodic:
+            # dr - lengths * round(dr / lengths), in one temporary
+            out = np.divide(dr, self.lengths)
+            np.rint(out, out=out)  # np.round(x) is rint(x), to the bit
+            out *= self.lengths
+            return np.subtract(dr, out, out=out)
+        return np.where(self._pmask,
                         dr - self.lengths * np.round(dr / self.lengths), dr)
 
     def scaled(self, factor: float | np.ndarray) -> "Box":

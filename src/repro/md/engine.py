@@ -284,24 +284,28 @@ class SerialEngine(ForceEngine):
         self.neighbors = self.neighbors.rebound(system.box)
 
     def evaluate(self, positions: np.ndarray | None = None) -> EnergyForces:
+        system, neighbors, timers = self.system, self.neighbors, self.timers
         if positions is None:
-            positions = self.system.positions
-        if self.neighbors.box is not self.system.box:
+            positions = system.positions
+        if neighbors.box is not system.box:
             # the barostat rescaled the cell
-            self.neighbors = self.neighbors.rebound(self.system.box)
-        builds = self.neighbors.nbuilds
+            neighbors = self.neighbors = neighbors.rebound(system.box)
+        builds = neighbors.nbuilds
         t0 = time.perf_counter()
-        nbr = self.neighbors.get(positions)
+        nbr = neighbors.get(positions)
         t_neigh = time.perf_counter() - t0
-        self.timers.add("neigh", t_neigh)
-        self.timers.add("neigh.rebuild" if self.neighbors.nbuilds > builds
-                        else "neigh.refresh", t_neigh)
-        with self.timers.phase("force"):
-            result = self.potential.compute(self.system.natoms, nbr)
-        result.neighbors = self.neighbors
+        timers.add("neigh", t_neigh)
+        timers.add("neigh.rebuild" if neighbors.nbuilds > builds
+                   else "neigh.refresh", t_neigh)
+        potential = self.potential
+        with timers.phase("force"):
+            result = potential.compute(system.natoms, nbr)
+        result.neighbors = neighbors
         # kernel-stage split (SNAP-backed potentials expose last_timings)
-        for k, v in (getattr(self.potential, "last_timings", None) or {}).items():
-            self.timers.add(f"force.{k}", v)
+        stages = getattr(potential, "last_timings", None)
+        if stages:
+            for k, v in stages.items():
+                timers.add(f"force.{k}", v)
         if self.check_finite:
             from ..core.sanitizers import check_finite
 
@@ -388,11 +392,12 @@ class MDLoop:
 
     # ------------------------------------------------------------------
     def _evaluate(self) -> EnergyForces:
-        result = self.engine.evaluate()
-        if self.thermostat is not None:
-            with self.timers.phase("other"):
-                self.thermostat.add_forces(self.system, result.forces,
-                                           self.integrator.dt)
+        engine, thermostat = self.engine, self.thermostat
+        result = engine.evaluate()
+        if thermostat is not None:
+            with engine.timers.phase("other"):
+                thermostat.add_forces(engine.system, result.forces,
+                                      self.integrator.dt)
         self._last = result
         return result
 
@@ -593,27 +598,34 @@ class MDLoop:
             self._observe()
             if self._trajectory_due():
                 self._write_frame()
+        # read once, not every step: the loop's configuration and the
+        # engine's system, timers and integrator stay put during a run
+        system, phase = self.engine.system, self.engine.timers.phase
+        integrator, barostat = self.integrator, self.barostat
+        observe = self._observe if self.observers else None
+        traj_every = self.trajectory_every \
+            if self.trajectory is not None else 0
+        ckpt_every = self.checkpoint_every if self.checkpoint_path else 0
         for _ in range(nsteps):
-            with self.timers.phase("other"):
-                self.integrator.first_half(self.system, result.forces)
+            with phase("other"):
+                integrator.first_half(system, result.forces)
             result = self._evaluate()
-            with self.timers.phase("other"):
-                self.integrator.second_half(self.system, result.forces)
-                if self.barostat is not None:
-                    self.barostat.apply(self.system,
-                                        self.instantaneous_pressure(),
-                                        self.integrator.dt)
-            self.step += 1
-            if thermo_every and self.step % thermo_every == 0:
+            with phase("other"):
+                integrator.second_half(system, result.forces)
+                if barostat is not None:
+                    barostat.apply(system, self.instantaneous_pressure(),
+                                   integrator.dt)
+            self.step = step = self.step + 1
+            if thermo_every and step % thermo_every == 0:
                 self._record_thermo()
-            self._observe()
-            if self._trajectory_due():
+            if observe is not None:
+                observe()
+            if traj_every > 0 and step % traj_every == 0:
                 self._write_frame()
             # checkpoint last: it must capture the trajectory offset
             # *after* this step's frame so restore truncates correctly
-            if (self.checkpoint_every and self.checkpoint_path
-                    and self.step % self.checkpoint_every == 0):
-                with self.timers.phase("io"):
+            if ckpt_every and step % ckpt_every == 0:
+                with phase("io"):
                     self.write_checkpoint()
         if self.trajectory is not None:
             with self.timers.phase("io"):

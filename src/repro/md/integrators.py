@@ -31,17 +31,31 @@ class VelocityVerlet:
     def __post_init__(self) -> None:
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        self._key: tuple | None = None
+
+    def _kick(self, system: ParticleSystem, forces: np.ndarray) -> None:
+        """``v += 0.5 dt F / (m MVV2E)``, the same products in the same
+        order, with ``1 / (m MVV2E)`` formed once per masses array and
+        ``dt`` (restore and bind install new arrays, so the key is the
+        array object, not its values)."""
+        masses = system.masses
+        key = self._key
+        if key is None or key[0] is not masses or key[1] != self.dt:
+            inv_m = 1.0 / (masses * MVV2E)
+            self._key = key = (masses, self.dt, 0.5 * self.dt,
+                               inv_m[:, None])
+        kick = np.multiply(forces, key[2])
+        kick *= key[3]
+        system.velocities += kick
 
     def first_half(self, system: ParticleSystem, forces: np.ndarray) -> None:
         """Half kick + full drift."""
-        inv_m = 1.0 / (system.masses * MVV2E)
-        system.velocities += 0.5 * self.dt * forces * inv_m[:, None]
+        self._kick(system, forces)
         system.positions = system.positions + self.dt * system.velocities
 
     def second_half(self, system: ParticleSystem, forces: np.ndarray) -> None:
         """Second half kick with the new forces."""
-        inv_m = 1.0 / (system.masses * MVV2E)
-        system.velocities += 0.5 * self.dt * forces * inv_m[:, None]
+        self._kick(system, forces)
 
 
 @dataclass
@@ -63,13 +77,24 @@ class LangevinThermostat:
         if self.damp <= 0:
             raise ValueError("damp must be positive")
         self._rng = np.random.default_rng(self.seed)
+        self._key: tuple | None = None
 
     def add_forces(self, system: ParticleSystem, forces: np.ndarray, dt: float) -> None:
-        m = system.masses * MVV2E
-        drag = -(m / self.damp)[:, None] * system.velocities
-        amp = np.sqrt(2.0 * KB * self.temp * m / (dt * self.damp))
-        noise = amp[:, None] * self._rng.normal(size=(system.natoms, 3))
-        forces += drag + noise
+        # the per-atom factors -m/damp and the noise amplitude, formed
+        # once per masses array (by object, as in VelocityVerlet) and
+        # (dt, temp, damp)
+        masses = system.masses
+        key = self._key
+        if (key is None or key[0] is not masses
+                or key[1] != (dt, self.temp, self.damp)):
+            m = masses * MVV2E
+            amp = np.sqrt(2.0 * KB * self.temp * m / (dt * self.damp))
+            self._key = key = (masses, (dt, self.temp, self.damp),
+                               -(m / self.damp)[:, None], amp[:, None])
+        drag = key[2] * system.velocities
+        noise = self._rng.normal(size=(system.natoms, 3))
+        drag += np.multiply(key[3], noise, out=noise)
+        forces += drag
 
     # ------------------------------------------------------------------
     # checkpointable RNG state

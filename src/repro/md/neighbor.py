@@ -296,9 +296,13 @@ def filter_pairs(ref: NeighborBatch, rij: np.ndarray, r: np.ndarray,
     their kept mask from it.  It lives in ``ref``'s scratch and shares
     it, so it is valid until the owning list's next ``get``.
     """
-    kept = np.flatnonzero(keep)
+    kept = np.asarray(keep).ravel().nonzero()[0]  # np.flatnonzero
     n, scratch = kept.size, ref.scratch
-    batch = NeighborBatch(
+    # the gathers are what NeighborBatch.__post_init__ would make of
+    # them (contiguous, intp / float, shapes (n,), (n, 3)), so the
+    # batch is assembled without re-running its checks
+    batch = object.__new__(NeighborBatch)
+    vars(batch).update(
         i_idx=ref.i_idx.take(kept, out=work_array(scratch, "i_idx", n, 0,
                                                   np.intp), mode="clip"),
         rij=rij.take(kept, axis=0, out=work_array(scratch, "rij", n, 3),
@@ -306,9 +310,8 @@ def filter_pairs(ref: NeighborBatch, rij: np.ndarray, r: np.ndarray,
         r=r.take(kept, out=work_array(scratch, "r", n), mode="clip"),
         j_idx=ref.j_idx.take(kept, out=work_array(scratch, "j_idx", n, 0,
                                                   np.intp), mode="clip"),
-        half=ref.half)
-    batch.filtered_from = (ref, keep)
-    batch.scratch = scratch
+        pair_weight=None, pair_rcut=None, half=ref.half,
+        filtered_from=(ref, keep), scratch=scratch, kept_below=None)
     return batch
 
 
@@ -384,7 +387,7 @@ class NeighborList:
         fails every comparison, so it must fail this one towards a
         rebuild, which raises)."""
         disp = self.box.minimum_image(positions - self._ref_positions)
-        if not np.max(np.sum(disp * disp, axis=1)) <= (0.5 * self.skin) ** 2:
+        if not (disp * disp).sum(axis=1).max() <= (0.5 * self.skin) ** 2:
             return None
         return disp
 
@@ -418,7 +421,9 @@ class NeighborList:
         else:
             rij, r = refresh_pairs(ref, disp)
         keep = np.less(r, self.cutoff, out=ref.buffer("keep", dtype=bool))
-        return filter_pairs(ref, rij, r, keep)
+        batch = filter_pairs(ref, rij, r, keep)
+        batch.kept_below = self.cutoff
+        return batch
 
     def bond_lengths(self, positions: np.ndarray, box: Box,
                      rmax: float) -> np.ndarray | None:
@@ -437,8 +442,7 @@ class NeighborList:
         """
         ref = self._pairs
         if (ref is None or not self.half or self.rows is not None
-                or box.periodic != self.box.periodic
-                or not np.array_equal(box.lengths, self.box.lengths)
+                or box != self.box
                 or rmax > self.cutoff
                 or len(positions) != len(self._ref_positions)
                 or not _uses_tree(len(positions), box,

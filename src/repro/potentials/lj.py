@@ -47,10 +47,14 @@ class LennardJones(Potential):
         scratch in the order ``(sigma / r) ** 6``, ``np.where`` and
         ``/ r`` would take, so the bits are theirs."""
         r = nbr.r
-        outside = np.less(r, self.cutoff,
-                          out=nbr.buffer("lj.outside", dtype=bool))
-        np.logical_not(outside, out=outside)  # NaN r lands here too
-        clip = outside.any()  # never on a list filtered at the cutoff
+        # a list filtered below the cutoff holds no pair outside it (nor
+        # a NaN distance, which fails the filter's r < cutoff)
+        clip = nbr.kept_below is None or nbr.kept_below > self.cutoff
+        if clip:
+            outside = np.less(r, self.cutoff,
+                              out=nbr.buffer("lj.outside", dtype=bool))
+            np.logical_not(outside, out=outside)  # NaN r lands here too
+            clip = outside.any()
         sr6 = np.divide(self.sigma, r, out=nbr.buffer("lj.sr6"))
         np.power(sr6, 6, out=sr6)
         sr12 = np.multiply(sr6, sr6, out=nbr.buffer("lj.sr12"))

@@ -34,6 +34,9 @@ Contracts:
 ``import-cost``
     ``import repro`` loads no module that only one rarely used
     function needs;
+``step-cost``
+    a step of the 64-atom ParSplice replica makes no more interpreter
+    calls than the floor ``tests/test_step_floor.py`` pins;
 ``none``
     the row changes no observable behaviour (``why`` says why); it can
     give no net a unique kill.
@@ -53,7 +56,7 @@ __all__ = ["Mutant", "ROWS", "CONTRACTS"]
 CONTRACTS = ("bitwise", "restart", "rebind", "segment-purity", "physics",
              "engine-protocol", "phase-registry", "shm-lifecycle",
              "observability", "fault-recovery", "validation", "aliasing",
-             "import-cost", "none")
+             "import-cost", "step-cost", "none")
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,9 @@ SHM = "src/repro/parallel/shm.py"
 KIT = "src/repro/parallel/workers.py"
 TRAIN = "src/repro/train/dataset.py"
 TRAJ = "src/repro/md/trajectory.py"
+INTEG = "src/repro/md/integrators.py"
+TIMERS = "src/repro/md/timers.py"
+LJ = "src/repro/potentials/lj.py"
 
 ROWS: tuple[Mutant, ...] = (
     # ------------------------------------------------------------------
@@ -236,9 +242,9 @@ ROWS: tuple[Mutant, ...] = (
         contract="validation"),
     Mutant(
         "refresh-skin-test-nan-blind", NEIGH,
-        old=("        if not np.max(np.sum(disp * disp, axis=1)) <= "
+        old=("        if not (disp * disp).sum(axis=1).max() <= "
              "(0.5 * self.skin) ** 2:\n"),
-        new=("        if np.max(np.sum(disp * disp, axis=1)) > "
+        new=("        if (disp * disp).sum(axis=1).max() > "
              "(0.5 * self.skin) ** 2:\n"),
         shape="the skin test reads NaN as 'not moved': a NaN atom is "
               "refreshed, fails r < cutoff and loses its pairs silently",
@@ -249,6 +255,15 @@ ROWS: tuple[Mutant, ...] = (
         new="        if (ref is None or self.rows is not None\n",
         shape="a full list (every bond twice) serves the RDF observer's "
               "half-list bond lengths: its counts double",
+        contract="physics"),
+    Mutant(
+        "box-equal-ignores-periodic", BOX,
+        old=("        return (self.periodic == other.periodic\n"
+             "                and self.lengths.tolist() == "
+             "other.lengths.tolist())\n"),
+        new="        return self.lengths.tolist() == other.lengths.tolist()\n",
+        shape="a box equals another of the same lengths and other "
+              "periodic axes (a list built for one serves the other)",
         contract="physics"),
     Mutant(
         "box-nonfinite-length", BOX,
@@ -437,18 +452,22 @@ ROWS: tuple[Mutant, ...] = (
     # ------------------------------------------------------------------
     Mutant(
         "phase-name-typo", ENGINE,
-        old='        self.timers.add("neigh", t_neigh)\n',
-        new='        self.timers.add("neighbor", t_neigh)\n',
+        old='        timers.add("neigh", t_neigh)\n',
+        new='        timers.add("neighbor", t_neigh)\n',
         shape="unregistered phase name", contract="phase-registry"),
     Mutant(
         "evaluate-param-renamed", ENGINE,
         old=("    def evaluate(self, positions: np.ndarray | None = None) -> "
              "EnergyForces:\n"
+             "        system, neighbors, timers = self.system, "
+             "self.neighbors, self.timers\n"
              "        if positions is None:\n"
-             "            positions = self.system.positions\n"),
+             "            positions = system.positions\n"),
         new=("    def evaluate(self, pos: np.ndarray | None = None) -> "
              "EnergyForces:\n"
-             "        positions = self.system.positions if pos is None "
+             "        system, neighbors, timers = self.system, "
+             "self.neighbors, self.timers\n"
+             "        positions = system.positions if pos is None "
              "else pos\n"),
         shape="override signature drifts from ForceEngine.evaluate",
         contract="none",
@@ -511,6 +530,51 @@ ROWS: tuple[Mutant, ...] = (
         shape="checkpoint written in place outside repro.md.dump (a crash "
               "mid-write leaves a torn restart file)",
         contract="restart"),
+    # ------------------------------------------------------------------
+    # the step's hoisted invariants
+    # ------------------------------------------------------------------
+    Mutant(
+        "half-kick-regrouped", INTEG,
+        old=("        kick = np.multiply(forces, key[2])\n"
+             "        kick *= key[3]\n"),
+        new=("        kick = np.multiply(forces, key[3])\n"
+             "        kick *= key[2]\n"),
+        shape="the half kick regrouped as 0.5 dt (F / (m MVV2E)): the "
+              "same physics, other bits, in every engine alike",
+        contract="bitwise"),
+    Mutant(
+        "kick-factor-kept-forever", INTEG,
+        old=("        if key is None or key[0] is not masses or key[1] != "
+             "self.dt:\n"),
+        new="        if key is None:\n",
+        shape="the integrator keeps its first 1 / (m MVV2E) and dt: a "
+              "new masses array or dt never reaches the kick",
+        contract="physics"),
+    Mutant(
+        "phase-generator-restored", TIMERS,
+        old=("    def phase(self, name: str) -> \"_Phase\":\n"
+             "        \"\"\"Context manager booking its wall time to "
+             "``name``, also when\n"
+             "        the body raises (the exception propagates).\"\"\"\n"
+             "        return _Phase(self, name)\n"),
+        new=("    @__import__(\"contextlib\").contextmanager\n"
+             "    def phase(self, name: str):\n"
+             "        t0 = perf_counter()\n"
+             "        try:\n"
+             "            yield\n"
+             "        finally:\n"
+             "            self.add(name, perf_counter() - t0)\n"),
+        shape="PhaseTimers.phase a generator context manager again: the "
+              "same spans booked, four more calls per span",
+        contract="step-cost"),
+    Mutant(
+        "lj-trusts-any-filter", LJ,
+        old=("        clip = nbr.kept_below is None or nbr.kept_below > "
+             "self.cutoff\n"),
+        new="        clip = nbr.kept_below is None\n",
+        shape="LJ skips its outside mask on any filtered list, also one "
+              "kept beyond its own cutoff",
+        contract="physics"),
     # ------------------------------------------------------------------
     # ParSplice segments and the service
     # ------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tests for periodic boxes."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +61,35 @@ class TestBox:
         b = Box.cubic(3.0)
         with pytest.raises(ValueError):
             b.lengths[0] = 5.0
+        with pytest.raises(ValueError):
+            b.pmask[0] = False
+
+
+class TestBoxValue:
+    def test_equal_and_hash_equal_by_value(self):
+        assert Box.cubic(2.0) == Box.cubic(2.0)
+        assert hash(Box.cubic(2.0)) == hash(Box.cubic(2.0))
+        assert Box(lengths=[1, 2, 3]) == Box(lengths=np.array([1.0, 2.0, 3.0]))
+        assert len({Box.cubic(2.0), Box.cubic(2.0), Box.cubic(3.0)}) == 2
+
+    def test_lengths_and_periodic_both_count(self):
+        b = Box.cubic(2.0)
+        assert b != Box.cubic(2.0 + 1e-15)
+        assert b != Box(lengths=[2.0] * 3, periodic=(True, True, False))
+        assert b != (2.0, 2.0, 2.0)
+        assert b != b.scaled(1.5) and b.scaled(1.0) == b
+
+    def test_derived_mask_is_not_part_of_the_value(self):
+        b = Box(lengths=[1.0, 2.0, 3.0], periodic=(True, False, True))
+        assert [f.name for f in dataclasses.fields(b)] == ["lengths",
+                                                             "periodic"]
+        assert repr(b) == ("Box(lengths=array([1., 2., 3.]), "
+                           "periodic=(True, False, True))")
+        assert b.pmask.tolist() == [True, False, True]
+        copy = pickle.loads(pickle.dumps(b))
+        assert copy == b and hash(copy) == hash(b)
+        dr = np.array([[0.9, 1.9, 2.9]])
+        assert np.array_equal(copy.minimum_image(dr), b.minimum_image(dr))
 
 
 @settings(deadline=None, max_examples=50)
@@ -75,3 +107,18 @@ def test_minimum_image_bound(d, l):
     b = Box.cubic(l)
     dr = b.minimum_image(np.array([[d, 0.0, 0.0]]))
     assert abs(dr[0, 0]) <= l / 2 + 1e-9
+
+
+@settings(deadline=None, max_examples=100)
+@given(dr=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=30),
+       lengths=st.tuples(*[st.floats(0.5, 50)] * 3))
+def test_periodic_minimum_image_is_the_masked_formula(dr, lengths):
+    # a fully periodic box skips the mask: the same bits as the masked
+    # formula, and the caller's array is not written
+    b = Box(lengths=list(lengths))
+    dr = np.array(dr[:len(dr) // 3 * 3]).reshape(-1, 3)
+    before = dr.copy()
+    want = np.where(np.ones(3, dtype=bool),
+                    dr - b.lengths * np.round(dr / b.lengths), dr)
+    assert b.minimum_image(dr).tobytes() == want.tobytes()
+    assert np.array_equal(dr, before)

@@ -11,8 +11,13 @@ three contracts that reuse must keep:
   counts the bonds :func:`~repro.analysis.rdf.bond_histogram` counts,
   to the bit, and runs its own search whenever the list cannot serve;
 * a non-finite coordinate on a refresh step rebuilds, and so raises,
-  instead of dropping that atom's pairs.
+  instead of dropping that atom's pairs;
+* the filtered batch, assembled without ``NeighborBatch``'s checks, is
+  what those checks would have made, and a pair potential trusts its
+  ``kept_below`` only when it is not beyond the potential's cutoff.
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,8 +26,9 @@ from hypothesis import strategies as st
 
 from repro.analysis import RDFObserver
 from repro.analysis.rdf import bond_histogram
-from repro.md import Box, LangevinThermostat, MDLoop, ParticleSystem, \
-    build_engine
+from repro.core.snap import NeighborBatch
+from repro.md import Box, LangevinThermostat, MDLoop, NeighborList, \
+    ParticleSystem, build_engine
 from repro.potentials import LennardJones, StillingerWeber
 from repro.structures import lattice_system, random_packed
 
@@ -252,3 +258,44 @@ class TestNonFiniteRefresh:
             assert "finite" in str(err.value.__cause__)
         finally:
             engine.close()
+
+
+class TestFilteredBatch:
+    def _list_and_steps(self, cutoff):
+        s, pot = _fcc_lj()
+        nlist = NeighborList.for_potential(LennardJones(cutoff=cutoff),
+                                           s.box, skin=0.3)
+        moved = s.positions + np.random.default_rng(3).normal(
+            scale=0.02, size=s.positions.shape)
+        return s, pot, nlist, (s.positions, moved)  # a build, a refresh
+
+    def test_unchecked_batch_is_the_checked_one(self):
+        s, pot, nlist, steps = self._list_and_steps(3.0)
+        for positions in steps:
+            nbr = nlist.get(positions)
+            checked = NeighborBatch(i_idx=nbr.i_idx, rij=nbr.rij, r=nbr.r,
+                                    j_idx=nbr.j_idx, half=nbr.half)
+            # every field set, as the constructor would have
+            assert set(vars(nbr)) == {f.name for f in fields(NeighborBatch)}
+            for name in ("i_idx", "rij", "r", "j_idx"):
+                got, want = getattr(nbr, name), getattr(checked, name)
+                assert got is want  # the checks had nothing to convert
+            assert nbr.kept_below == nlist.cutoff
+            assert nbr.filtered_from[0] is nlist._pairs
+        assert nlist.nbuilds == 1
+
+    def test_pair_potential_clips_a_list_kept_beyond_its_cutoff(self):
+        # a list filtered at 3.5 holds pairs past the potential's 3.0:
+        # they must contribute nothing, as on a list kept at 3.0
+        s, pot, wide, steps = self._list_and_steps(3.5)
+        _, _, tight, _ = self._list_and_steps(3.0)
+        for positions in steps:
+            far, near = wide.get(positions), tight.get(positions)
+            assert far.npairs > near.npairs and far.kept_below == 3.5
+            a = pot.compute(s.natoms, far)
+            b = pot.compute(s.natoms, near)
+            assert a.energy == pytest.approx(b.energy, rel=1e-12)
+            # (the two lists take different search paths: rij differ
+            # in the last bits)
+            np.testing.assert_allclose(a.forces, b.forces, rtol=1e-12,
+                                       atol=1e-12)

@@ -58,6 +58,47 @@ class TestPhaseTimers:
         assert t.totals == {}
         assert t.subtotals == {"neigh.rebuild": 1.0, "force.compute_yi": 2.0}
 
+    @pytest.fixture
+    def ticks(self, monkeypatch):
+        """A clock reading 0, 1, 2, ... seconds, one tick per read."""
+        from itertools import count
+
+        from repro.md import timers
+
+        clock = count()
+        monkeypatch.setattr(timers, "perf_counter",
+                            lambda: float(next(clock)))
+
+    def test_phase_books_its_span_when_the_body_raises(self, ticks):
+        # the span is booked on the way out of a failing body, and the
+        # body's exception is the one the caller sees
+        t = PhaseTimers()
+        with pytest.raises(KeyError, match="boom"):
+            with t.phase("io"):
+                raise KeyError("boom")
+        assert t.totals == {"io": 1.0}
+
+    def test_nested_spans_of_one_phase_are_both_booked(self, ticks):
+        t = PhaseTimers()
+        with t.phase("other"):      # reads 0 ... 3
+            with t.phase("other"):  # reads 1 ... 2
+                pass
+        assert t.totals == {"other": 4.0}
+
+    def test_unregistered_phase_raises_on_first_use(self, ticks):
+        t = PhaseTimers()
+        with pytest.raises(ValueError, match="'warp' is not registered"):
+            with t.phase("warp"):
+                pass
+        # a failing body does not hide the registry error; the body's
+        # exception rides along as its context
+        with pytest.raises(ValueError, match="'warp' is not registered"
+                           ) as info:
+            with t.phase("warp"):
+                raise KeyError("boom")
+        assert isinstance(info.value.__context__, KeyError)
+        assert t.totals == {} and t.subtotals == {}
+
 
 class TestSimulation:
     def test_run_summary(self, lj_sim):

@@ -94,7 +94,51 @@ class TestVelocityVerlet:
         assert np.allclose(s.positions, start, atol=1e-7)
 
 
+    def test_a_new_masses_array_or_dt_takes_effect(self, rng):
+        # the per-atom factor is kept between kicks, keyed on the masses
+        # array object and dt: a restore installs a new array, a caller
+        # may change dt; either must reach the next kick, to the bit of
+        # a fresh integrator's
+        s = lattice_system("fcc", a=1.7, reps=(2, 2, 2), mass=39.95)
+        forces = rng.normal(size=s.positions.shape)
+        vv = VelocityVerlet(dt=1e-3)
+        vv.second_half(s, forces)
+        for change in ("masses", "dt"):
+            if change == "masses":
+                s.masses = np.full(s.natoms, 12.011)
+            else:
+                vv.dt = 2e-3
+            v0 = s.velocities.copy()
+            vv.second_half(s, forces)
+            got, s.velocities = s.velocities, v0
+            VelocityVerlet(dt=vv.dt).second_half(s, forces)
+            assert got.tobytes() == s.velocities.tobytes()
+
+
 class TestLangevin:
+    def test_a_new_masses_array_or_setting_takes_effect(self, rng):
+        # as for VelocityVerlet: the drag and noise factors follow a new
+        # masses array, dt, temperature and damping, to the bit of a
+        # fresh thermostat at the same point of its stream
+        s = lattice_system("fcc", a=1.7, reps=(2, 2, 2), mass=39.95)
+        s.seed_velocities(40.0, rng=rng)
+        th = LangevinThermostat(temp=50.0, damp=0.1, seed=4)
+        th.add_forces(s, np.zeros_like(s.positions), dt=1e-3)
+        dt = 1e-3
+        for change in ("masses", "dt", "temp", "damp"):
+            if change == "masses":
+                s.masses = np.full(s.natoms, 12.011)
+            elif change == "dt":
+                dt = 2e-3
+            else:
+                setattr(th, change, 2.0 * getattr(th, change))
+            fresh = LangevinThermostat(temp=th.temp, damp=th.damp)
+            fresh.set_rng_state(th.rng_state())
+            got, want = np.zeros_like(s.positions), np.zeros_like(s.positions)
+            th.add_forces(s, got, dt=dt)
+            fresh.add_forces(s, want, dt=dt)
+            assert got.tobytes() == want.tobytes(), change
+
     def test_equilibrates_to_target(self, rng):
         s = lattice_system("fcc", a=1.7, reps=(3, 3, 3), mass=39.95)
         pot = LennardJones(epsilon=0.0104, sigma=1.0, cutoff=2.5)
