@@ -1,8 +1,7 @@
 """Molecular-dynamics substrate: boxes, neighbor lists, integrators, driver."""
 
 from .box import Box
-from .dump import (Checkpoint, load_checkpoint, read_checkpoint,
-                   write_checkpoint)
+from .dump import Checkpoint, load_checkpoint, write_checkpoint
 from .engine import (EngineSession, ForceEngine, LoopSnapshot, MDLoop,
                      RunSummary, SerialEngine, ThermoEntry, build_engine)
 from .integrators import (BerendsenBarostat, BerendsenThermostat,
@@ -37,7 +36,6 @@ __all__ = [
     "build_engine",
     "PhaseTimers",
     "write_checkpoint",
-    "read_checkpoint",
     "load_checkpoint",
     "Checkpoint",
     "Frame",

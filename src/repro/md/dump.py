@@ -11,7 +11,7 @@ Two restart-correctness guarantees live here:
 * **suffix normalization** - ``np.savez`` silently appends
   ``.npz`` when the path lacks it, which historically made
   ``write_checkpoint("ckpt")`` land at ``ckpt.npz`` while
-  ``read_checkpoint("ckpt")`` raised FileNotFoundError.  Both ends now
+  ``load_checkpoint("ckpt")`` raised FileNotFoundError.  Both ends now
   normalize through :func:`checkpoint_path`.
 * **atomic replace** - the archive is written to a temporary file in
   the target directory and moved onto the final path with
@@ -34,8 +34,8 @@ import numpy as np
 from .box import Box
 from .system import ParticleSystem
 
-__all__ = ["write_checkpoint", "read_checkpoint", "load_checkpoint",
-           "Checkpoint", "checkpoint_path"]
+__all__ = ["write_checkpoint", "load_checkpoint", "Checkpoint",
+           "checkpoint_path"]
 
 #: keys every checkpoint carries; anything else is loop/engine extras
 _CORE_KEYS = frozenset({"positions", "velocities", "masses", "types",
@@ -109,9 +109,3 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                   if k not in _CORE_KEYS}
         return Checkpoint(system=system, step=int(data["step"]),
                           extras=extras)
-
-
-def read_checkpoint(path: str | Path) -> tuple[ParticleSystem, int]:
-    """Read a checkpoint written by :func:`write_checkpoint`."""
-    ck = load_checkpoint(path)
-    return ck.system, ck.step

@@ -277,11 +277,11 @@ class SerialEngine(ForceEngine):
         return None if ref is None else ref.copy()
 
     def bind(self, system: ParticleSystem) -> None:
-        """Rebind to ``system``; a fresh neighbor list forces a rebuild
+        """Rebind to ``system``; a reset neighbor list forces a rebuild
         at the new coordinates (the build counter carries over, same as
         the barostat rebind path)."""
         super().bind(system)
-        self.neighbors = self.neighbors.rebound(system.box)
+        self.neighbors.reset(system.box)
 
     def evaluate(self, positions: np.ndarray | None = None) -> EnergyForces:
         system, neighbors, timers = self.system, self.neighbors, self.timers
@@ -289,7 +289,7 @@ class SerialEngine(ForceEngine):
             positions = system.positions
         if neighbors.box is not system.box:
             # the barostat rescaled the cell
-            neighbors = self.neighbors = neighbors.rebound(system.box)
+            neighbors.reset(system.box)
         builds = neighbors.nbuilds
         t0 = time.perf_counter()
         nbr = neighbors.get(positions)

@@ -30,9 +30,10 @@ it for the full one; the sweep finds the full list and keeps its half.
 A Verlet skin lets the list persist across steps; rebuild is triggered
 when any atom moved more than half the skin, the standard MD heuristic.
 Between builds a :class:`NeighborList` refreshes and filters its pairs
-into one :class:`~repro.core.snap.PairScratch` owned by its reference
-batch, sized at the build and grown only when a build overflows it, so
-a step allocates no pair-sized array.
+into one :class:`~repro.core.snap.PairScratch` it owns, sized at its
+first build and grown only when a build overflows it - across rebinds
+too (:meth:`NeighborList.reset`) - so a step allocates no pair-sized
+array.
 """
 
 from __future__ import annotations
@@ -323,7 +324,7 @@ class NeighborList:
     distances for the current positions while the underlying pair
     topology is rebuilt only when an atom moved more than ``skin/2``
     since the last build.  The batch is valid until the next ``get``:
-    it lives in the reference batch's scratch, which every step reuses.
+    it lives in the list's scratch, which every step reuses.
 
     ``rows=(lo, hi)`` keeps only the pairs whose central atom lies in
     that window (see :func:`build_pairs`); the skin test still looks at
@@ -349,6 +350,7 @@ class NeighborList:
             raise ValueError("skin must be non-negative")
         self._ref_positions: np.ndarray | None = None
         self._pairs: NeighborBatch | None = None
+        self._scratch: PairScratch | None = None
         self.nbuilds = 0
 
     @classmethod
@@ -371,15 +373,14 @@ class NeighborList:
         """
         return self._ref_positions
 
-    def rebound(self, box: Box) -> "NeighborList":
-        """A fresh list on ``box``: the next :meth:`get` rebuilds, never
-        reusing pair order from the old cell, and the build counter
-        carries over so it keeps counting across rebinds."""
-        fresh = NeighborList(box=box, cutoff=self.cutoff, skin=self.skin,
-                             rows=self.rows)
-        fresh.half = self.half
-        fresh.nbuilds = self.nbuilds
-        return fresh
+    def reset(self, box: Box) -> None:
+        """Drop the pairs and put the list on ``box``: the next
+        :meth:`get` rebuilds, never reusing pair order from the old
+        cell.  The build counter keeps counting and the scratch stays,
+        so a rebind allocates nothing the next build can reuse."""
+        self.box = box
+        self._pairs = None
+        self._ref_positions = None
 
     def _displacements(self, positions: np.ndarray) -> np.ndarray | None:
         """Minimum-image moves since the build, or None when an atom
@@ -405,12 +406,13 @@ class NeighborList:
         if ref is None:
             # the old pairs go before the build (its peak), the scratch
             # stays unless the new list overflows it
-            scratch = None if self._pairs is None else self._pairs.scratch
             self._pairs = None
             ref = build_pairs(positions, self.box, self.cutoff + self.skin,
                               rows=self.rows, half=self.half)
+            scratch = self._scratch
             if scratch is None or scratch.capacity < ref.npairs:
-                scratch = PairScratch(_SCRATCH_HEADROOM * ref.npairs)
+                scratch = self._scratch = PairScratch(
+                    _SCRATCH_HEADROOM * ref.npairs)
             ref.scratch = scratch
             self._pairs = ref
             self._ref_positions = np.array(positions)

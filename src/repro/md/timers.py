@@ -42,11 +42,12 @@ SUB_PHASES = ("comm.halo_build", "comm.forward", "comm.reverse",
 
 # What the process workers book where: ``neigh`` is the span around
 # their ``NeighborList.get`` (as in the serial engine); ``comm`` is all
-# waiting on other ranks plus the owner assembly.  A rebuild step's two
-# topology barriers go to ``comm.halo_build``, a refresh step has no
-# forward wait left (``comm.forward`` reads ~0), and the one barrier of
-# every step - kept mask and per-pair values published together - sits
-# in ``comm.reverse`` with the gather behind it.
+# waiting on other ranks plus the owner assembly.  A rebuild step's one
+# topology barrier (the pair-count exchange), its neighbor-id publish
+# and its incidence build go to ``comm.halo_build``, a refresh step has
+# no forward wait left (``comm.forward`` reads ~0), and the one barrier
+# of every step - kept mask and per-pair values published together -
+# sits in ``comm.reverse`` with the gather behind it.
 
 #: parents whose sub-phase names are dynamic (per-kernel stage keys,
 #: e.g. ``force.compute_yi`` from ``Potential.last_timings``)

@@ -2,8 +2,9 @@
 
 :class:`ProcessEngine` is the parallel :class:`~repro.md.engine.ForceEngine`:
 ranks are long-lived **worker processes** (one fork per run, not per
-step) that communicate exclusively through named
-``multiprocessing.shared_memory`` blocks - the persistent-worker /
+step) that share their bulk data through named
+``multiprocessing.shared_memory`` blocks and pass everything else in
+one small message each way per step - the persistent-worker /
 fixed-communication-schedule discipline of production MD codes.  It
 runs any :class:`~repro.potentials.Potential`: a worker knows the
 ``pair_gradients`` contract and the one force assembly, nothing else.
@@ -58,17 +59,26 @@ contract too: its per-atom effective coefficients come from a
 column-by-column sparse product (see ``SNAP._build_plan``), not a
 row-count-sensitive GEMM.
 
-Ranks are :mod:`repro.parallel.workers` workers.  All data moves
-through the shared blocks: a step is one request out and one reply back
-per rank over its pipe, plus one worker-internal barrier (the kept mask
-and the per-pair values are published together behind it) and two more
-on rebuild steps (pair counts, then neighbor ids).  Pair-capacity growth re-allocates the pair-space blocks under a
-generation counter.  The parent owns every block and unlinks them all
-on ``close()``; the kit's finalizer covers abandoned engines.  The
-parent waits on the ranks' pipes and sentinels together, so a rank's
-exception (re-raised with its traceback as the cause) or death fails
-the step at once, named with the rank; a rank whose parent died reads
-end-of-file and exits.
+Ranks are :mod:`repro.parallel.workers` workers.  Bulk data moves
+through shared blocks (positions, forces, per-atom energies and the
+pair space); everything else rides in the step's messages.  A step is
+one request out per rank over its pipe - ``(pair-block generation,
+capacity, new cell or None)`` - and one reply back: the capacity need,
+whether the list rebuilt, the ghost and reverse-entry counts, the
+rank's virial and its stopwatch readings keyed by phase name.  The
+parent folds the replies in rank order.  Among themselves the ranks
+wait at one barrier per step (the kept mask and the per-pair values
+are published together behind it) and at one more on a rebuild step,
+where they exchange their reference pair counts through the one
+control block; a rank publishes its neighbor ids before the values
+barrier and reads the others' only after it.  A new generation or a
+new cell resets a rank's list, which then rebuilds: pair-capacity
+growth re-runs the step on pair blocks of the next generation.  The
+parent owns every block and unlinks them all on ``close()``; the kit's
+finalizer covers abandoned engines.  The parent waits on the ranks'
+pipes and sentinels together, so a rank's exception (re-raised with its
+traceback as the cause) or death fails the step at once, named with
+the rank; a rank whose parent died reads end-of-file and exits.
 """
 
 from __future__ import annotations
@@ -76,6 +86,7 @@ from __future__ import annotations
 import os
 import secrets
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,32 +102,25 @@ from .shm import SharedBlock
 
 __all__ = ["ProcessEngine"]
 
-# control-word layout (int64 slots in the "ctl" block)
-_GEN = 0          #: pair-block generation (bumped on capacity growth)
-_CAP = 1          #: current pair-space capacity
-_BOX_EPOCH = 2    #: bumped by the parent whenever the box changes
-_NEED = 3         #: requested pair capacity (grow protocol)
-_NBUILDS = 4      #: neighbor topology builds (rank 0 increments)
-_RANK0 = 5        #: start of the per-rank counter arrays
-# per-rank counter arrays (each ``nprocs`` long, starting at _RANK0):
-_F_REF = 0        #: reference (skinned) pair count
-_F_GHOST = 1      #: distinct out-of-window neighbor atoms
-_F_REVERSE = 2    #: kept cross-rank reverse-pass entries
-_NFIELDS = 3
-
-#: a rank's one request: run a step
-_STEP = True
 #: seconds the ranks get to act on stop before they are terminated (a
 #: rank wedged in a barrier after a peer failed never reads it)
 _REAP_GRACE_S = 0.5
 
-# per-rank scalar slots in the "scal" block (float64)
-_S_VIRIAL = slice(0, 9)
-_S_NEIGH = 9
-_S_FORCE = 10
-_S_COMM_FWD = 11
-_S_COMM_REV = 12
-_S_STAGE0 = 13    #: one slot per key of ``potential.last_timings``
+
+class _Reply(NamedTuple):
+    """What a rank sends back from one step."""
+
+    #: reference pairs of all ranks on a rebuild step (0 on a refresh);
+    #: above the capacity, the rank stopped before publishing
+    need: int
+    rebuilt: bool
+    #: distinct out-of-window neighbor atoms of the rank's topology
+    ghosts: int
+    #: kept cross-rank reverse-pass entries
+    reverse: int
+    virial: np.ndarray | None
+    #: the rank's stopwatch, seconds per phase name
+    readings: dict[str, float]
 
 
 def _pair_width(potential) -> int:
@@ -177,110 +181,84 @@ class _WorkerState:
         self.pos = SharedBlock.attach(f"{self.prefix}-pos", (n, 3), np.float64)
         self.frc = SharedBlock.attach(f"{self.prefix}-frc", (n, 3), np.float64)
         self.pa = SharedBlock.attach(f"{self.prefix}-pa", (n,), np.float64)
-        self.boxl = SharedBlock.attach(f"{self.prefix}-boxl", (3,), np.float64)
-        self.ctl = SharedBlock.attach(
-            f"{self.prefix}-ctl", (_RANK0 + _NFIELDS * self.nprocs,), np.int64)
-        self.scal = SharedBlock.attach(
-            f"{self.prefix}-scal", (self.nprocs, cfg["nscal"]), np.float64)
+        self.counts = SharedBlock.attach(f"{self.prefix}-counts",
+                                         (self.nprocs,), np.int64)
+        #: pair blocks: attached by the first request's generation
         self.gen = -1
         self.cap = 0
         self.val: SharedBlock | None = None
         self.kept: SharedBlock | None = None
         self.jref: SharedBlock | None = None
-        self._attach_pair_blocks()
 
         self.neighbors = NeighborList.for_potential(
             self.potential, cfg["box"], skin=cfg["skin"],
             rows=(self.alo, self.ahi))
-        self.box_epoch = 0
         self.ref_off = 0
+        self.ghosts = 0
         self.inc = np.zeros(0, dtype=np.intp)
         self.incj = np.zeros(0, dtype=np.intp)
         self.cross = np.zeros(0, dtype=bool)
 
-    # ------------------------------------------------------------------
-    def _slot(self, field: int) -> int:
-        return _RANK0 + field * self.nprocs + self.rank
-
-    def _field(self, field: int) -> np.ndarray:
-        lo = _RANK0 + field * self.nprocs
-        return self.ctl.array[lo:lo + self.nprocs]
-
-    def _attach_pair_blocks(self) -> None:
+    def _attach_pair_blocks(self, gen: int, cap: int) -> None:
         for block in (self.val, self.kept, self.jref):
             if block is not None:
                 block.close()
-        ctl = self.ctl.array
-        self.gen = int(ctl[_GEN])
-        self.cap = int(ctl[_CAP])
-        names = _pair_blocks(self.prefix, self.gen)
-        self.val = SharedBlock.attach(names["val"], (self.cap, self.width),
+        self.gen, self.cap = gen, cap
+        names = _pair_blocks(self.prefix, gen)
+        self.val = SharedBlock.attach(names["val"], (cap, self.width),
                                       np.float64)
-        self.kept = SharedBlock.attach(names["kept"], (self.cap,), np.bool_)
-        self.jref = SharedBlock.attach(names["jref"], (self.cap,), np.int64)
+        self.kept = SharedBlock.attach(names["kept"], (cap,), np.bool_)
+        self.jref = SharedBlock.attach(names["jref"], (cap,), np.int64)
 
     # ------------------------------------------------------------------
-    def __call__(self, request) -> None:
-        """Run one step."""
-        if int(self.ctl.array[_GEN]) != self.gen:
-            self._attach_pair_blocks()
-        self._step()
+    def __call__(self, request: tuple) -> _Reply:
+        """Run one step; ``request`` is ``(generation, capacity, cell)``."""
+        gen, cap, box = request
+        if gen != self.gen:
+            # new pair blocks: the list rebuilds to publish into them
+            self._attach_pair_blocks(gen, cap)
+            if box is None:
+                box = self.neighbors.box
+        if box is not None:
+            # a new cell (barostat, bind) or new pair blocks: a reset
+            # list, exactly like the serial engine's rebind
+            self.neighbors.reset(box)
+        return self._step()
 
     def close(self) -> None:
-        for block in (self.pos, self.frc, self.pa, self.boxl, self.scal,
-                      self.val, self.kept, self.jref, self.ctl):
+        for block in (self.pos, self.frc, self.pa, self.val, self.kept,
+                      self.jref, self.counts):
             if block is not None:
                 block.close()
 
     # ------------------------------------------------------------------
-    def _step(self) -> None:
-        ctl = self.ctl.array
+    def _step(self) -> _Reply:
         # per-rank stopwatch in the worker process; the parent folds the
         # readings into its PhaseTimers
         t0 = time.perf_counter()
-        if int(ctl[_BOX_EPOCH]) != self.box_epoch:
-            # the cell changed (barostat, bind): a fresh list on the new
-            # box, exactly like the serial engine's rebind
-            self.box_epoch = int(ctl[_BOX_EPOCH])
-            self.neighbors = self.neighbors.rebound(
-                Box(lengths=self.boxl.array.copy(),
-                    periodic=self.neighbors.box.periodic))
         builds = self.neighbors.nbuilds
         nbr = self.neighbors.get(self.pos.array)
         ref, keep = nbr.filtered_from
         t1 = time.perf_counter()
-        if self.neighbors.nbuilds > builds:
+        rebuilt = self.neighbors.nbuilds > builds
+        need = 0
+        if rebuilt:
             # new topology: agree on the ranks' offsets into the shared
-            # reference pair space, then publish the neighbor ids
-            ctl[self._slot(_F_REF)] = ref.npairs
+            # reference pair space, then publish the neighbor ids (read
+            # only behind the values barrier below)
+            counts = self.counts.array
+            counts[self.rank] = ref.npairs
             self.barrier.wait()
-            counts = self._field(_F_REF).copy()
-            total = int(counts.sum())
-            if total > self.cap:
+            need = int(counts.sum())
+            if need > self.cap:
                 # deterministic on every rank (same counts): all ranks
-                # return together and the parent re-runs the step with
-                # regrown pair blocks; an empty list makes that run
-                # build, and so publish, again
-                ctl[_NEED] = total
-                self.neighbors = self.neighbors.rebound(self.neighbors.box)
-                return
+                # return together and the parent re-runs the step on
+                # regrown pair blocks, whose generation resets the list
+                return _Reply(need, rebuilt, 0, 0, None, {})
             self.ref_off = int(counts[:self.rank].sum())
             self.jref.array[self.ref_off:self.ref_off + ref.npairs] = ref.j_idx
             outside = (ref.j_idx < self.alo) | (ref.j_idx >= self.ahi)
-            ctl[self._slot(_F_GHOST)] = int(np.unique(ref.j_idx[outside]).size)
-            if self.rank == 0:
-                ctl[_NBUILDS] += 1
-            self.barrier.wait()
-            # neighbor incidence of the owned window, grouped by owned
-            # atom, ascending global pair index within each atom: the
-            # gather order that equals the serial j-sorted slab
-            jall = self.jref.array[:total]
-            inc = np.nonzero((jall >= self.alo) & (jall < self.ahi))[0]
-            order = np.argsort(jall[inc], kind="stable")
-            self.inc = inc[order]
-            self.incj = jall[self.inc]
-            self.cross = ((self.inc < self.ref_off)
-                          | (self.inc >= self.ref_off + ref.npairs))
+            self.ghosts = int(np.unique(ref.j_idx[outside]).size)
         t2 = time.perf_counter()
 
         energy, dedr = self.potential.pair_gradients(nbr,
@@ -297,6 +275,19 @@ class _WorkerState:
         if nbr.half:
             published[keep, 3] = energy
         self.barrier.wait()
+        t4 = time.perf_counter()
+        if rebuilt:
+            # neighbor incidence of the owned window, grouped by owned
+            # atom, ascending global pair index within each atom: the
+            # gather order that equals the serial j-sorted slab
+            jall = self.jref.array[:need]
+            inc = np.nonzero((jall >= self.alo) & (jall < self.ahi))[0]
+            order = np.argsort(jall[inc], kind="stable")
+            self.inc = inc[order]
+            self.incj = jall[self.inc]
+            self.cross = ((self.inc < self.ref_off)
+                          | (self.inc >= self.ref_off + ref.npairs))
+        t5 = time.perf_counter()
         # reverse pass: gather this window's neighbor incidence (kept
         # entries only) and run the serial assembly on the owned rows
         kmask = self.kept.array[self.inc]
@@ -316,18 +307,20 @@ class _WorkerState:
 
             check_finite("rank_force", where=f"proc{self.rank}",
                          peratom=pa_own, forces=f_own)
-        ctl[self._slot(_F_REVERSE)] = int((kmask & self.cross).sum())
+        reverse = int((kmask & self.cross).sum())
         self.frc.array[self.alo:self.ahi] = f_own
         self.pa.array[self.alo:self.ahi] = pa_own
-        t4 = time.perf_counter()
-        sc = self.scal.array
-        sc[self.rank, _S_VIRIAL] = virial.ravel()
-        sc[self.rank, _S_NEIGH] = t1 - t0
-        sc[self.rank, _S_FORCE] = t3 - t2
-        sc[self.rank, _S_COMM_FWD] = t2 - t1
-        sc[self.rank, _S_COMM_REV] = t4 - t3
-        sc[self.rank, _S_STAGE0:] = list(
-            (self.potential.last_timings or {}).values())  # same key order
+        t6 = time.perf_counter()
+        fwd, rev = (t2 - t1) + (t5 - t4), (t4 - t3) + (t6 - t5)
+        readings = {"neigh": t1 - t0,
+                    "neigh.rebuild" if rebuilt else "neigh.refresh": t1 - t0,
+                    "force": t3 - t2}
+        for key, seconds in (self.potential.last_timings or {}).items():
+            readings[f"force.{key}"] = seconds
+        readings["comm"] = fwd + rev
+        readings["comm.halo_build" if rebuilt else "comm.forward"] = fwd
+        readings["comm.reverse"] = rev
+        return _Reply(need, rebuilt, self.ghosts, reverse, virial, readings)
 
 
 # ======================================================================
@@ -384,22 +377,14 @@ class ProcessEngine(ForceEngine):
             f"{self._prefix}-frc", (n, 3), np.float64)
         self._blocks["pa"] = SharedBlock.create(
             f"{self._prefix}-pa", (n,), np.float64)
-        self._blocks["boxl"] = SharedBlock.create(
-            f"{self._prefix}-boxl", (3,), np.float64)
-        self._blocks["ctl"] = SharedBlock.create(
-            f"{self._prefix}-ctl", (_RANK0 + _NFIELDS * self.nprocs,),
-            np.int64)
-        #: stage names of the potential's ``last_timings`` (one "scal"
-        #: slot each; the workers' copies fill in the seconds)
-        self._stages = tuple(potential.last_timings or ())
-        nscal = _S_STAGE0 + len(self._stages)
-        self._blocks["scal"] = SharedBlock.create(
-            f"{self._prefix}-scal", (self.nprocs, nscal), np.float64)
+        #: each rank's reference pair count, exchanged on rebuild steps
+        self._blocks["counts"] = SharedBlock.create(
+            f"{self._prefix}-counts", (self.nprocs,), np.int64)
         self._create_pair_blocks(gen=0,
                                  cap=max(self._estimate_capacity(), 64))
-        #: the box the workers' lists are on (they start on this one)
-        self._box = system.box
-        self._nbuilds_seen = 0
+        #: the cell the ranks' lists are on (None after ``bind()``: the
+        #: next request hands them the new one, whatever it is)
+        self._box: Box | None = system.box
         #: raw positions of the last worker topology rebuild (workers
         #: rebuild in lockstep; the parent mirrors the build reference
         #: so MDLoop checkpoints can replay it on restore)
@@ -416,7 +401,7 @@ class ProcessEngine(ForceEngine):
                 "rank": rank, "nprocs": self.nprocs,
                 "alo": int(self.bounds[rank]),
                 "ahi": int(self.bounds[rank + 1]),
-                "natoms": n, "nscal": nscal, "box": system.box,
+                "natoms": n, "box": system.box,
                 "potential": potential, "skin": self.skin,
                 "check_finite": self.check_finite,
                 "prefix": self._prefix, "barrier": self._barrier,
@@ -426,10 +411,6 @@ class ProcessEngine(ForceEngine):
         self._collect()  # every rank attached, or the engine fails
 
     # ------------------------------------------------------------------
-    @property
-    def _ctl(self) -> np.ndarray:
-        return self._blocks["ctl"].array
-
     def _estimate_capacity(self) -> int:
         """Reference pair count estimate with headroom (grow covers misses)."""
         rc = self.potential.cutoff + self.skin
@@ -440,6 +421,8 @@ class ProcessEngine(ForceEngine):
         return int(self.system.natoms * per_atom * 1.6) + 1024
 
     def _create_pair_blocks(self, gen: int, cap: int) -> None:
+        """The generation-``gen`` pair blocks, ``cap`` pairs long; ranks
+        attach them when a request names the new generation."""
         names = _pair_blocks(self._prefix, gen)
         self._blocks["val"] = SharedBlock.create(names["val"],
                                                  (cap, self._width),
@@ -448,36 +431,15 @@ class ProcessEngine(ForceEngine):
                                                   np.bool_)
         self._blocks["jref"] = SharedBlock.create(names["jref"], (cap,),
                                                   np.int64)
-        self._ctl[_GEN] = gen
-        self._ctl[_CAP] = cap
-
-    def _grow(self) -> None:
-        """Service a capacity request: new pair blocks, next generation.
-
-        Workers still hold mappings of the old generation; unlinking
-        only removes the name, the mappings stay valid until each worker
-        re-attaches (same semantics as an unlinked open file).
-        """
-        ctl = self._ctl
-        need = int(ctl[_NEED])
-        gen = int(ctl[_GEN]) + 1
-        for key in ("val", "kept", "jref"):
-            self._blocks[key].close()
-        self._create_pair_blocks(gen=gen, cap=int(need * 1.3) + 64)
-        ctl[_NEED] = 0
-
-    def _publish_box(self, box) -> None:
-        """Hand the workers a new cell: each builds a fresh list on it."""
-        self._box = box
-        self._blocks["boxl"].array[:] = box.lengths
-        self._ctl[_BOX_EPOCH] += 1
+        self._gen, self._cap = gen, cap
 
     # ------------------------------------------------------------------
-    def _collect(self) -> None:
-        """Take one reply from every rank.  The first rank that failed
-        or died closes the engine and raises, naming the rank, from the
-        rank's own error - peers it left in a barrier are not waited
-        for."""
+    def _collect(self) -> list:
+        """Take one reply from every rank, in rank order.  The first rank
+        that failed or died closes the engine and raises, naming the
+        rank, from the rank's own error - peers it left in a barrier are
+        not waited for."""
+        replies = [None] * len(self._workers)
         pending = {worker: rank for rank, worker in enumerate(self._workers)}
         while pending:
             for worker in workers.wait(pending):
@@ -485,11 +447,12 @@ class ProcessEngine(ForceEngine):
                 if rank is None:
                     continue  # a dead rank's pipe and sentinel, both ready
                 try:
-                    worker.reply()
+                    replies[rank] = worker.reply()
                 except Exception as err:
                     self.close()
                     raise RuntimeError(
                         f"process backend worker rank {rank} failed") from err
+        return replies
 
     # ------------------------------------------------------------------
     def evaluate(self, positions: np.ndarray | None = None) -> EnergyForces:
@@ -498,57 +461,49 @@ class ProcessEngine(ForceEngine):
         system = self.system
         if positions is None:
             positions = system.positions
-        ctl = self._ctl
-        if self._box is not system.box:
-            # the barostat rescaled the cell (Box is frozen: a changed
-            # cell is a new object)
-            self._publish_box(system.box)
+        # a new cell - the barostat's (Box is frozen: a changed cell is
+        # a new object) or any after bind() - resets the ranks' lists
+        cell = None if system.box is self._box else system.box
+        self._box = system.box
         self._blocks["pos"].array[:] = positions
         while True:
+            request = (self._gen, self._cap, cell)
             for worker in self._workers:
-                worker.send(_STEP)
-            self._collect()
-            if int(ctl[_NEED]) > int(ctl[_CAP]):
-                self._grow()
-                continue
-            break
+                worker.send(request)
+            replies = self._collect()
+            need = replies[0].need
+            if need <= self._cap:
+                break
+            # a build overflowed the pair blocks: the ranks stopped
+            # before publishing; run the step again on the next
+            # generation.  Ranks keep mapping the old blocks until they
+            # attach the new ones - unlinking only removes the names.
+            for key in ("val", "kept", "jref"):
+                self._blocks[key].close()
+            self._create_pair_blocks(gen=self._gen + 1,
+                                     cap=int(need * 1.3) + 64)
 
-        # fold the per-rank stopwatches and the comm ledger
-        scal = self._blocks["scal"].array
-        rebuilt = int(ctl[_NBUILDS]) != self._nbuilds_seen
-        self._nbuilds_seen = int(ctl[_NBUILDS])
-        self.ledger.rebuilds = self._nbuilds_seen
+        # fold the replies in rank order: the comm ledger, the per-rank
+        # stopwatches and the virial
+        rebuilt = replies[0].rebuilt
         if rebuilt:
             self._ref_raw = np.array(positions)
-        lo = _RANK0 + _F_GHOST * self.nprocs
-        ghosts = int(self._ctl[lo:lo + self.nprocs].sum())
-        lo = _RANK0 + _F_REVERSE * self.nprocs
-        reverse_entries = int(self._ctl[lo:lo + self.nprocs].sum())
+        ghosts = sum(reply.ghosts for reply in replies)
         ledger = self.ledger
+        ledger.rebuilds += rebuilt
         ledger.steps += 1
         ledger.ghost_atoms += ghosts
         ledger.ghost_bytes += forward_bytes(ghosts, rebuilt)
-        ledger.reverse_bytes += reverse_entries * 8 * self._width
-        t_neigh = float(scal[:, _S_NEIGH].sum())
-        t_force = float(scal[:, _S_FORCE].sum())
-        t_fwd = float(scal[:, _S_COMM_FWD].sum())
-        t_rev = float(scal[:, _S_COMM_REV].sum())
-        self.timers.add("neigh", t_neigh)
-        self.timers.add("neigh.rebuild" if rebuilt else "neigh.refresh",
-                        t_neigh)
-        self.timers.add("force", t_force)
-        for slot, key in enumerate(self._stages, start=_S_STAGE0):
-            self.timers.add(f"force.{key}", float(scal[:, slot].sum()))
-        self.timers.add("comm", t_fwd + t_rev)
-        self.timers.add("comm.halo_build" if rebuilt else "comm.forward",
-                        t_fwd)
-        self.timers.add("comm.reverse", t_rev)
+        ledger.reverse_bytes += (sum(reply.reverse for reply in replies)
+                                 * 8 * self._width)
+        virial = np.zeros((3, 3))
+        for rank in range(self.nprocs):  # fixed rank order
+            virial += replies[rank].virial
+            for name, seconds in replies[rank].readings.items():
+                self.timers.add(name, seconds)
 
         peratom = self._blocks["pa"].array.copy()
         forces = self._blocks["frc"].array.copy()
-        virial = np.zeros((3, 3))
-        for rank in range(self.nprocs):  # fixed rank order
-            virial += scal[rank, _S_VIRIAL].reshape(3, 3)
         return EnergyForces(energy=float(peratom.sum()), peratom=peratom,
                             forces=forces, virial=virial)
 
@@ -559,10 +514,10 @@ class ProcessEngine(ForceEngine):
         The shared blocks and the row partition are sized at
         construction, so the new system must have the same atom count;
         the potential was pickled into the workers, so the type array
-        must match too.  The box epoch is bumped unconditionally -
-        coordinates within the old Verlet skin must not silently reuse
-        the stale pair order, or the bitwise fresh-vs-rebound contract
-        breaks.
+        must match too.  The next request hands the ranks the cell
+        unconditionally, which resets their lists - coordinates within
+        the old Verlet skin must not silently reuse the stale pair
+        order, or the bitwise fresh-vs-rebound contract breaks.
         """
         if self._closed:
             raise RuntimeError("ProcessEngine is closed")
@@ -576,7 +531,7 @@ class ProcessEngine(ForceEngine):
                 "cannot change atom types on a bound ProcessEngine: the "
                 "potential was pickled into the workers at construction")
         super().bind(system)
-        self._publish_box(system.box)
+        self._box = None
         self._ref_raw = None
 
     @property

@@ -87,6 +87,20 @@ INTEG = "src/repro/md/integrators.py"
 TIMERS = "src/repro/md/timers.py"
 LJ = "src/repro/potentials/lj.py"
 
+#: the process worker's rebuild-step incidence build, verbatim
+_INCIDENCE = (
+    "        if rebuilt:\n"
+    "            # neighbor incidence of the owned window, grouped by owned\n"
+    "            # atom, ascending global pair index within each atom: the\n"
+    "            # gather order that equals the serial j-sorted slab\n"
+    "            jall = self.jref.array[:need]\n"
+    "            inc = np.nonzero((jall >= self.alo) & (jall < self.ahi))[0]\n"
+    "            order = np.argsort(jall[inc], kind=\"stable\")\n"
+    "            self.inc = inc[order]\n"
+    "            self.incj = jall[self.inc]\n"
+    "            self.cross = ((self.inc < self.ref_off)\n"
+    "                          | (self.inc >= self.ref_off + ref.npairs))\n")
+
 ROWS: tuple[Mutant, ...] = (
     # ------------------------------------------------------------------
     # reductions and the one force assembly
@@ -288,31 +302,40 @@ ROWS: tuple[Mutant, ...] = (
         shape="neighbour-side gather sorted without kind='stable'",
         contract="bitwise"),
     Mutant(
-        "virial-slot-overlaps-timer", PROC,
-        old="_S_NEIGH = 9\n",
-        new="_S_NEIGH = 8\n",
-        shape="a wall-clock reading lands in the virial (overlapping "
-              "scalar slots)",
+        "incidence-before-barrier", PROC,
+        old=("        self.barrier.wait()\n"
+             "        t4 = time.perf_counter()\n"
+             + _INCIDENCE
+             + "        t5 = time.perf_counter()\n"),
+        new=("        t4 = time.perf_counter()\n"
+             + _INCIDENCE
+             + "        self.barrier.wait()\n"
+             "        t5 = time.perf_counter()\n"),
+        shape="the incidence is built from the other ranks' neighbor ids "
+              "before the values barrier (a late rank's ids are stale); "
+              "the barrier moves behind it",
+        contract="bitwise"),
+    Mutant(
+        "generation-keeps-list", PROC,
+        old=("            if box is None:\n"
+             "                box = self.neighbors.box\n"),
+        new="",
+        shape="new pair blocks without a new cell keep the rank's list: "
+              "the re-run step does not rebuild, so it publishes no "
+              "topology into the regrown blocks",
         contract="bitwise"),
     Mutant(
         "virial-ranks-via-set", PROC,
         old="        for rank in range(self.nprocs):  # fixed rank order\n",
         new="        for rank in set(range(self.nprocs)):  # fixed rank order\n",
-        shape="a set iterated into virial +=",
+        shape="a set of ranks iterated into virial +=",
         contract="none",
         why="a set of small non-negative ints iterates in ascending order "
             "(CPython hashes ints to themselves, unsalted)"),
     Mutant(
-        "stage-slots-via-set", PROC,
-        old="        self._stages = tuple(potential.last_timings or ())\n",
-        new="        self._stages = tuple(set(potential.last_timings or ()))\n",
-        shape="hash-ordered stage names label the workers' timer slots",
-        contract="observability"),
-    Mutant(
         "ghost-count-set-sum", PROC,
-        old="        ghosts = int(self._ctl[lo:lo + self.nprocs].sum())\n",
-        new=("        ghosts = int(sum(set(self._ctl[lo:lo + self.nprocs]"
-             ".tolist())))\n"),
+        old="        ghosts = sum(reply.ghosts for reply in replies)\n",
+        new="        ghosts = sum({reply.ghosts for reply in replies})\n",
         shape="a reduction over a set (equal per-rank counts collapse)",
         contract="observability"),
     Mutant(
@@ -392,11 +415,11 @@ ROWS: tuple[Mutant, ...] = (
     Mutant(
         "process-bind-keeps-epoch", PROC,
         old=("        super().bind(system)\n"
-             "        self._publish_box(system.box)\n"),
+             "        self._box = None\n"),
         new=("        super().bind(system)\n"
              "        if self._box is not system.box:\n"
-             "            self._publish_box(system.box)\n"),
-        shape="rebind republishes the cell only when the box changed",
+             "            self._box = None\n"),
+        shape="rebind hands the ranks the cell only when the box changed",
         contract="rebind"),
     # ------------------------------------------------------------------
     # the engine surface, on the process backend
@@ -421,10 +444,8 @@ ROWS: tuple[Mutant, ...] = (
         contract="engine-protocol"),
     Mutant(
         "stage-prefix-typo", PROC,
-        old=('            self.timers.add(f"force.{key}", '
-             'float(scal[:, slot].sum()))\n'),
-        new=('            self.timers.add(f"kernel.{key}", '
-             'float(scal[:, slot].sum()))\n'),
+        old='            readings[f"force.{key}"] = seconds\n',
+        new='            readings[f"kernel.{key}"] = seconds\n',
         shape="dynamic phase prefix outside DYNAMIC_SUB_PARENTS",
         contract="phase-registry"),
     # ------------------------------------------------------------------
@@ -475,12 +496,11 @@ ROWS: tuple[Mutant, ...] = (
     Mutant(
         "serial-bind-keeps-list", ENGINE,
         old=("        super().bind(system)\n"
-             "        self.neighbors = self.neighbors.rebound(system.box)\n"),
+             "        self.neighbors.reset(system.box)\n"),
         new=("        super().bind(system)\n"
              "        if self.neighbors.box is not system.box:\n"
-             "            self.neighbors = "
-             "self.neighbors.rebound(system.box)\n"),
-        shape="rebind rebuilds the list only when the box changed",
+             "            self.neighbors.reset(system.box)\n"),
+        shape="rebind resets the list only when the box changed",
         contract="rebind"),
     Mutant(
         "checkpoint-rng-omitted", ENGINE,

@@ -418,8 +418,6 @@ class TestProcessParity:
         s1, pot1 = lj_setup()
         serial = SerialEngine(s1, pot1)
         s2, pot2 = lj_setup()
-        from repro.parallel import process_engine
-
         monkeypatch.setattr(ProcessEngine, "_estimate_capacity",
                             lambda self: 64)  # far too small: must regrow
         engine = ProcessEngine(s2, pot2, nprocs=2)
@@ -428,7 +426,7 @@ class TestProcessParity:
             assert np.array_equal(serial.evaluate().forces,
                                   engine.evaluate().forces)
             # one regrow, one generation
-            assert int(engine._ctl[process_engine._GEN]) == 1
+            assert engine._gen == 1
             names |= set(engine.block_names)
             # the retried step published its topology: a refresh step
             # on the regrown blocks still gathers the right slots
@@ -439,8 +437,34 @@ class TestProcessParity:
             assert np.array_equal(serial.evaluate().forces,
                                   engine.evaluate().forces)
             assert engine.neighbor_builds == serial.neighbor_builds == 1
-        assert len(names) == 6 + 2 * 3  # both generations of pair blocks
+        assert len(names) == 4 + 2 * 3  # both generations of pair blocks
         assert_no_leaked_blocks(names)
+
+    def test_bind_to_a_denser_state_grows_in_its_first_step(self):
+        """The step after ``bind()`` to a compressed copy hands the ranks
+        a new cell and overflows the pair blocks sized for the old
+        state: the step re-runs on the next generation and equals a
+        fresh serial engine on the new state, and so does the refresh
+        step after it."""
+        s, pot = lj_setup()
+        with ProcessEngine(s, pot, nprocs=3) as engine:
+            engine.evaluate()
+            dense = s.copy()
+            dense.box = dense.box.scaled(0.8)
+            dense.positions = dense.positions * 0.8
+            engine.bind(dense.copy())
+            serial = SerialEngine(dense, pot)
+            for scale in (0.0, 0.01):  # the grown build, then a refresh
+                step = np.random.default_rng(3).normal(
+                    scale=scale, size=dense.positions.shape)
+                dense.positions += step
+                engine.system.positions += step
+                a, b = serial.evaluate(), engine.evaluate()
+                assert np.array_equal(a.forces, b.forces)
+                assert np.array_equal(a.peratom, b.peratom)
+                assert engine._gen == 1
+            assert serial.neighbor_builds == 1
+            assert engine.neighbor_builds == 2
 
     def test_thermo_log_rows_match_serial(self):
         rows = {}
@@ -710,8 +734,22 @@ class _CountingBarrier:
         self.inner.wait()
 
 
+class _LaggingBarrier:
+    """A worker barrier that holds the first rank it releases for a
+    while: what that rank writes after a barrier lands late."""
+
+    LAG_S = 0.05
+
+    def __init__(self, ctx, parties):
+        self.inner = ctx.Barrier(parties)
+
+    def wait(self):
+        if self.inner.wait() == 0:
+            time.sleep(self.LAG_S)
+
+
 class TestStepProtocol:
-    def test_one_barrier_per_step_three_on_a_rebuild(self, monkeypatch):
+    def test_one_barrier_per_step_two_on_a_rebuild(self, monkeypatch):
         import repro.parallel.workers as kit
 
         ctx = kit.worker_context()
@@ -736,7 +774,36 @@ class TestStepProtocol:
                 engine.evaluate()
                 seen.append((engine.neighbor_builds - builds,
                              (waits.value - before) // nprocs))
-        assert seen == [(1, 3), (0, 1), (0, 1), (1, 3), (0, 1)]
+        assert seen == [(1, 2), (0, 1), (0, 1), (1, 2), (0, 1)]
+
+    def test_a_late_rank_keeps_bitwise_forces(self, monkeypatch):
+        """A rank that leaves the pair-count barrier late publishes its
+        neighbor ids late: the others must not read them before the
+        values barrier, on the first build or on a rebuild."""
+        import repro.parallel.workers as kit
+
+        ctx = kit.worker_context()
+
+        class Context:
+            Process, Pipe = ctx.Process, ctx.Pipe
+
+            @staticmethod
+            def Barrier(parties):
+                return _LaggingBarrier(ctx, parties)
+
+        monkeypatch.setattr(kit, "worker_context", Context)
+        s1, pot = lj_setup()
+        s2 = s1.copy()
+        serial = SerialEngine(s1, pot)
+        with ProcessEngine(s2, pot, nprocs=3) as engine:
+            rng = np.random.default_rng(4)
+            for scale in (0.0, 0.3, 0.01):  # build, rebuild, refresh
+                step = rng.normal(scale=scale, size=s1.positions.shape)
+                s1.positions += step
+                s2.positions += step
+                assert np.array_equal(serial.evaluate().forces,
+                                      engine.evaluate().forces)
+            assert engine.neighbor_builds == 2
 
 
 class TestProcessMatrix:

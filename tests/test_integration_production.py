@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import PhaseClassifier
-from repro.md import LangevinThermostat, MDLoop, build_engine, read_checkpoint
+from repro.md import LangevinThermostat, MDLoop, build_engine, load_checkpoint
 from repro.perfmodel import ProductionRun, production_trace
 from repro.potentials import StillingerWeber
 from repro.structures import lattice_system
@@ -49,8 +49,9 @@ class TestMiniProduction:
 
     def test_checkpoint_restart_matches(self, mini_production):
         sim, ck, _ = mini_production
-        system, step = read_checkpoint(ck)
-        assert step == sim.step
+        checkpoint = load_checkpoint(ck)
+        system = checkpoint.system
+        assert checkpoint.step == sim.step
         assert np.allclose(system.positions, sim.system.positions)
         # restarting MD from the checkpoint works
         sim2 = MDLoop(build_engine(system, StillingerWeber()), dt=5e-4)

@@ -37,7 +37,7 @@ def test_refresh_census():
                   if p.name == "process_engine.py")
     for name in ("build_pairs", "refresh_pairs", "filter_pairs"):
         assert name not in worker
-    assert worker.count("barrier.wait()") == 3
+    assert worker.count("barrier.wait()") == 2
     assert not any("chunk_origin" in text for text in source.values())
 
 

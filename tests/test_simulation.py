@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.md import (LangevinThermostat, MDLoop, PhaseTimers, build_engine,
-                      read_checkpoint, write_checkpoint)
+                      load_checkpoint, write_checkpoint)
 from repro.potentials import LennardJones
 from repro.structures import lattice_system
 
@@ -135,9 +135,9 @@ class TestSimulation:
         lj_sim.run(20)
         assert path.exists()
         assert "io" in lj_sim.timers.totals
-        system, step = read_checkpoint(path)
-        assert step == 20
-        assert np.allclose(system.positions, lj_sim.system.positions)
+        ck = load_checkpoint(path)
+        assert ck.step == 20
+        assert np.allclose(ck.system.positions, lj_sim.system.positions)
 
 
 class TestCheckpointIO:
@@ -146,8 +146,9 @@ class TestCheckpointIO:
         s.seed_velocities(100.0, rng=rng)
         path = tmp_path / "state.npz"
         write_checkpoint(path, s, step=42)
-        loaded, step = read_checkpoint(path)
-        assert step == 42
+        ck = load_checkpoint(path)
+        loaded = ck.system
+        assert ck.step == 42
         assert np.allclose(loaded.positions, s.positions)
         assert np.allclose(loaded.velocities, s.velocities)
         assert np.allclose(loaded.box.lengths, s.box.lengths)

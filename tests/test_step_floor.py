@@ -31,6 +31,7 @@ from repro.core.rng import SeedStream
 from repro.md import MDLoop, build_engine
 from repro.md.engine import EngineSession
 from repro.md.integrators import LangevinThermostat
+from repro.md import neighbor
 from repro.md.neighbor import _uses_tree
 from repro.parsplice import run_md_segment
 from repro.potentials import LennardJones
@@ -155,3 +156,25 @@ def calls_per_step(nsteps=200):
 class TestStepCost:
     def test_calls_per_step_stay_at_the_floor(self):
         assert calls_per_step() <= STEP_CALL_BOUND
+
+    def test_segments_on_one_session_reuse_one_scratch(self, monkeypatch):
+        """A session's bind resets its neighbour list in place: ten
+        segments on one session allocate one pair scratch, not one per
+        segment (all start from the same template, so no build
+        outgrows the first)."""
+        made = []
+
+        class CountingScratch(neighbor.PairScratch):
+            def __init__(self, capacity):
+                made.append(capacity)
+                super().__init__(capacity)
+
+        monkeypatch.setattr(neighbor, "PairScratch", CountingScratch)
+        template = _replica()
+        with EngineSession.build(template.copy(), _lj(),
+                                 skin=SKIN) as session:
+            for seed in range(10):
+                run_md_segment(session, template, state=0, seed=seed,
+                               stream=SeedStream(38), nsteps=5)
+            assert session.engine.neighbor_builds >= 10
+        assert len(made) == 1
