@@ -14,6 +14,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
+from repro.analysis import ThermoObserver
 from repro.constants import FS
 from repro.md import LangevinThermostat, MDLoop, build_engine
 from repro.potentials import SNAPPotential, StillingerWeber
@@ -33,13 +34,15 @@ def main() -> None:
     system = lattice_system("diamond", a=3.57, reps=(2, 2, 2))
     system.seed_velocities(300.0, rng=np.random.default_rng(0))
     potential = SNAPPotential(params, beta=fit.beta)
+    thermo = ThermoObserver(every=10)
     with build_engine(system, potential) as engine:
         loop = MDLoop(engine, dt=0.5 * FS,
-                      thermostat=LangevinThermostat(temp=300.0, damp=0.1))
-        summary = loop.run(50, thermo_every=10)
-    for entry in loop.thermo_log:
-        print(f"  step {entry.step:4d}  T = {entry.temperature:7.1f} K  "
-              f"E_pot = {entry.potential_energy:10.3f} eV")
+                      thermostat=LangevinThermostat(temp=300.0, damp=0.1),
+                      observers=[thermo])
+        summary = loop.run(50)
+    for row in thermo.rows:
+        print(f"  step {row['step']:4d}  T = {row['temperature']:7.1f} K  "
+              f"E_pot = {row['potential_energy']:10.3f} eV")
 
     print("\n=== 3. Performance, in the paper's units ===")
     rate = summary.atom_steps_per_s

@@ -87,9 +87,9 @@ def calibrated_config(system, potential=None, t_segment: float = 1.0,
     wall time.  Keywords naming an :class:`ExaaltConfig` field go to the
     config, every other one to the engine (``build_engine``'s keywords:
     ``backend``, ``nprocs``, ...); ``engine`` calibrates over
-    a live :class:`repro.md.EngineSession` (or bare engine) and leaves
-    it open, so the task duration reflects the session fleet's true
-    marginal segment cost.
+    a live :class:`repro.md.EngineSession` and leaves it open, so the
+    task duration reflects the session fleet's true marginal segment
+    cost.
     """
     from ..parsplice.oracle import measured_md_rate
 

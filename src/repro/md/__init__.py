@@ -2,8 +2,8 @@
 
 from .box import Box
 from .dump import Checkpoint, load_checkpoint, write_checkpoint
-from .engine import (EngineSession, ForceEngine, LoopSnapshot, MDLoop,
-                     RunSummary, SerialEngine, ThermoEntry, build_engine)
+from .engine import (EngineSession, ForceEngine, MDLoop, RunSummary,
+                     SerialEngine, build_engine)
 from .integrators import (BerendsenBarostat, BerendsenThermostat,
                           LangevinThermostat, VelocityVerlet)
 from .minimize import FireResult, fire_minimize, relax_volume
@@ -26,11 +26,9 @@ __all__ = [
     "LangevinThermostat",
     "BerendsenThermostat",
     "BerendsenBarostat",
-    "ThermoEntry",
     "ForceEngine",
     "SerialEngine",
     "MDLoop",
-    "LoopSnapshot",
     "EngineSession",
     "RunSummary",
     "build_engine",

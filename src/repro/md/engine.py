@@ -14,7 +14,8 @@ that seam for the reproduction, and ``build_engine`` ->
 :class:`MDLoop`
     The single integrate/thermo/checkpoint loop shared by every
     backend: Verlet integration, Langevin thermostat, Berendsen
-    barostat, thermo logging, checkpoint IO and the sanitizer hooks.
+    barostat, checkpoint IO, trajectory frames and in-situ observers
+    (thermo rows come from :class:`repro.analysis.ThermoObserver`).
 :class:`RunSummary`
     The one typed run summary every backend emits.
 :func:`build_engine`
@@ -48,33 +49,19 @@ from .system import ParticleSystem
 from .timers import PhaseTimers
 from .trajectory import Frame
 
-__all__ = ["ForceEngine", "SerialEngine", "MDLoop", "LoopSnapshot",
-           "EngineSession", "RunSummary", "ThermoEntry",
-           "CommLedger", "build_engine"]
+__all__ = ["ForceEngine", "SerialEngine", "MDLoop", "EngineSession",
+           "RunSummary", "CommLedger", "build_engine"]
 
 
 # ======================================================================
 # typed run summary
 # ======================================================================
 @dataclass
-class ThermoEntry:
-    """One row of thermodynamic output."""
-
-    step: int
-    temperature: float
-    potential_energy: float
-    kinetic_energy: float
-    total_energy: float
-
-
-@dataclass
 class RunSummary:
     """Typed performance summary emitted by :meth:`MDLoop.run`.
 
-    ``as_dict()`` reproduces the historical per-driver summary dicts:
-    fields that a backend does not populate (the comm block for the
-    serial backend) stay ``None`` and are omitted, so existing key sets
-    are preserved while every populated field is shared.
+    Fields a backend does not populate (the comm block for the serial
+    backend, the IO block for a run without frames) stay ``None``.
     """
 
     steps: int
@@ -116,27 +103,6 @@ class RunSummary:
             phase_breakdown=engine.timers.breakdown(),
             neighbor_builds=engine.neighbor_builds,
             energy=energy, **extras)
-
-    def as_dict(self) -> dict:
-        """Summary dict in the legacy key order, ``None`` fields omitted."""
-        ordered = [
-            ("steps", self.steps), ("natoms", self.natoms),
-            ("nprocs", self.nprocs), ("skin", self.skin),
-            ("wall_s", self.wall_s),
-            ("atom_steps_per_s", self.atom_steps_per_s),
-            ("phase_fractions", self.phase_fractions),
-            ("phase_breakdown", self.phase_breakdown),
-            ("neighbor_builds", self.neighbor_builds),
-            ("rebuilds", self.rebuilds),
-            ("ghost_bytes_per_step", self.ghost_bytes_per_step),
-            ("reverse_bytes_per_step", self.reverse_bytes_per_step),
-            ("io_frames", self.io_frames),
-            ("io_bytes", self.io_bytes),
-            ("io_write_s", self.io_write_s),
-            ("io_bytes_per_s", self.io_bytes_per_s),
-            ("energy", self.energy),
-        ]
-        return {k: v for k, v in ordered if v is not None}
 
 
 # ======================================================================
@@ -317,41 +283,27 @@ class SerialEngine(ForceEngine):
 # ======================================================================
 # the one MD loop
 # ======================================================================
-@dataclass
-class LoopSnapshot:
-    """In-memory exact-restart state (see :meth:`MDLoop.snapshot`).
-
-    Holds everything a file checkpoint holds - a deep copy of the
-    system, the step counter and the loop/engine extras (thermostat RNG
-    position, the step's force result, the topology reference) - without
-    touching the filesystem.  ParSplice-style services snapshot a state
-    once and restore it for every segment spawned from it.
-    """
-
-    step: int
-    system: ParticleSystem
-    extras: dict
-
-
 class MDLoop:
     """Velocity-Verlet MD over any :class:`ForceEngine`.
 
     Owns integration, the Langevin thermostat (applied as a force
     modifier after every evaluation, so both Verlet half-kicks see the
-    thermostated forces), the Berendsen barostat, thermo logging,
-    checkpoint IO (accounted in the "io" phase), streaming trajectory
-    output, in-situ observers and the run summary.
+    thermostated forces), the Berendsen barostat, checkpoint IO
+    (accounted in the "io" phase), streaming trajectory output, in-situ
+    observers and the run summary.
 
     Observers follow a duck-typed protocol: any object with
     ``observe(step, system, result)`` (and an optional integer ``every``
     cadence attribute, default 1) is called after each step under the
-    "analysis" phase - see :mod:`repro.analysis.observers`.
+    "analysis" phase - see :mod:`repro.analysis.observers`.  Thermo rows
+    are one such observer, :class:`repro.analysis.ThermoObserver`.
 
     ``trajectory`` accepts a :class:`repro.md.trajectory.TrajectoryFile`;
-    frames are written every ``trajectory_every`` steps, encode and
-    write timed under the "io" phase, and the writer's byte/throughput
-    ledger surfaced in the :class:`RunSummary`.  :meth:`restore` resumes
-    a checkpointed run bitwise-identically (see the method docstring for
+    frames (positions, and velocities with ``trajectory_velocities``)
+    are written every ``trajectory_every`` steps, encode and write timed
+    under the "io" phase, and the writer's byte/throughput ledger
+    surfaced in the :class:`RunSummary`.  :meth:`restore` resumes a
+    checkpointed run bitwise-identically (see the method docstring for
     the mechanics).
     """
 
@@ -359,7 +311,6 @@ class MDLoop:
                  thermostat=None, barostat=None, checkpoint_every: int = 0,
                  checkpoint_path: str | Path | None = None,
                  trajectory=None, trajectory_every: int = 0,
-                 trajectory_positions: bool = True,
                  trajectory_velocities: bool = False,
                  observers=()) -> None:
         self.engine = engine
@@ -371,14 +322,12 @@ class MDLoop:
             else None
         self.trajectory = trajectory
         self.trajectory_every = int(trajectory_every)
-        self.trajectory_positions = bool(trajectory_positions)
         self.trajectory_velocities = bool(trajectory_velocities)
         self.observers = list(observers)
         self.step = 0
-        self.thermo_log: list[ThermoEntry] = []
         self._last: EnergyForces | None = None
         #: set by restore(): the next run() must not repeat the
-        #: current step's thermo row / observer call / trajectory frame
+        #: current step's observer calls / trajectory frame
         #: (the uninterrupted run emitted them before the checkpoint)
         self._resumed = False
 
@@ -411,13 +360,6 @@ class MDLoop:
         kin = self.system.natoms * KB * self.system.temperature()
         return float((kin + np.trace(self._last.virial) / 3.0) / v)
 
-    def _record_thermo(self) -> None:
-        ke = self.system.kinetic_energy()
-        pe = self._last.energy if self._last is not None else 0.0
-        self.thermo_log.append(ThermoEntry(
-            step=self.step, temperature=self.system.temperature(),
-            potential_energy=pe, kinetic_energy=ke, total_energy=pe + ke))
-
     # ------------------------------------------------------------------
     # in-situ observers and streaming trajectory output
     # ------------------------------------------------------------------
@@ -438,7 +380,6 @@ class MDLoop:
         with self.timers.phase("io"):
             self.trajectory.write_frame(Frame.from_state(
                 self.step, self.system, self._last,
-                positions=self.trajectory_positions,
                 velocities=self.trajectory_velocities))
 
     # ------------------------------------------------------------------
@@ -481,17 +422,6 @@ class MDLoop:
         return write_checkpoint(path, self.system, self.step,
                                 extra=self.checkpoint_extras())
 
-    def snapshot(self) -> LoopSnapshot:
-        """In-memory checkpoint: the file-checkpoint state, no IO.
-
-        Everything is deep-copied, so the snapshot stays valid (and
-        restorable any number of times) while the loop keeps running.
-        """
-        extras = {k: np.array(v)
-                  for k, v in self.checkpoint_extras().items()}
-        return LoopSnapshot(step=self.step, system=self.system.copy(),
-                            extras=extras)
-
     def restore(self, path: str | Path) -> int:
         """Resume from a checkpoint; returns the restored step.
 
@@ -499,8 +429,8 @@ class MDLoop:
         sensitive to, so a resumed run is bitwise identical to an
         uninterrupted one on every backend:
 
-        * the step counter (thermo/checkpoint/trajectory cadences and
-          observer phases continue instead of restarting at 0),
+        * the step counter (checkpoint/trajectory cadences and observer
+          phases continue instead of restarting at 0),
         * the checkpointed step's force result - it enters the next
           step's first half-kick but cannot be recomputed here, because
           the Langevin friction term was evaluated at the half-step
@@ -514,39 +444,28 @@ class MDLoop:
         * the attached trajectory writer's ``(offset, nframes)``, rolled
           back so frames written after the checkpoint (lost work from a
           crashed run) are truncated away.
+
+        The loaded arrays are fresh, so they are installed as they are.
         """
         ck = load_checkpoint(path)
-        return self._restore_state(ck.system, ck.step, ck.extras)
-
-    def restore_snapshot(self, snap: LoopSnapshot) -> int:
-        """In-memory counterpart of :meth:`restore`; same bitwise
-        contract, same mechanics, no file round-trip.  The snapshot is
-        not consumed - restoring it twice replays the same state."""
-        return self._restore_state(snap.system, snap.step, snap.extras)
-
-    def _restore_state(self, src: ParticleSystem, step: int,
-                       extras: dict) -> int:
-        """Shared exact-restart path behind file and in-memory restore."""
-        system = self.system
+        src, extras, system = ck.system, ck.extras, self.system
         if src.natoms != system.natoms:
             raise ValueError(
                 f"restart state holds {src.natoms} atoms, the engine's "
                 f"system has {system.natoms}")
-        system.positions = src.positions.copy()
-        system.velocities = src.velocities.copy()
-        system.masses = src.masses.copy()
-        system.types = src.types.copy()
+        system.positions = src.positions
+        system.velocities = src.velocities
+        system.masses = src.masses
+        system.types = src.types
         system.box = src.box
-        self.step = int(step)
+        self.step = ck.step
         rng = extras.get("thermostat_rng")
         set_state = getattr(self.thermostat, "set_rng_state", None)
         if rng is not None and callable(set_state):
             set_state(rng)
-        # rebind drops the engine's persistent topology explicitly: an
-        # in-memory restore may reinstall the very Box object the engine
-        # already holds, which the box-identity rebuild checks would
-        # miss, silently keeping a pair order the snapshotted run did
-        # not have
+        # rebind drops the engine's persistent topology (and refreshes a
+        # multi-species potential's types) explicitly, not through the
+        # box-identity check a restored cell happens to trip
         self.engine.bind(system)
         ref = extras.get("topology_ref")
         if ref is not None:
@@ -557,26 +476,16 @@ class MDLoop:
                 with self.timers.phase("io"):
                     self.trajectory.truncate_to(int(off[0]), int(off[1]))
         forces = extras.get("last_forces")
-        if forces is not None:
-            peratom = extras.get("last_peratom")
-            virial = extras.get("last_virial")
-            # copied: the loop mutates the force array in place (the
-            # thermostat adds friction/noise), which must never leak
-            # back into a restorable snapshot
-            self._last = EnergyForces(
-                energy=float(extras["last_energy"]),
-                peratom=None if peratom is None
-                else np.array(peratom, dtype=float),
-                forces=np.array(forces, dtype=float),
-                virial=None if virial is None
-                else np.array(virial, dtype=float))
-        else:
-            self._last = None  # legacy checkpoint: re-evaluate on run()
+        # no stored result (a legacy checkpoint): re-evaluate on run()
+        self._last = None if forces is None else EnergyForces(
+            energy=float(extras["last_energy"]),
+            peratom=extras.get("last_peratom"), forces=forces,
+            virial=extras.get("last_virial"))
         self._resumed = True
         return self.step
 
     # ------------------------------------------------------------------
-    def run(self, nsteps: int, thermo_every: int = 0) -> RunSummary:
+    def run(self, nsteps: int) -> RunSummary:
         """Advance ``nsteps``; returns the typed performance summary."""
         if nsteps < 0:
             raise ValueError("nsteps must be non-negative")
@@ -591,10 +500,8 @@ class MDLoop:
             result = self._evaluate()
         if not resumed:
             # a resumed run skips the start-of-run outputs: the
-            # uninterrupted run already emitted this step's thermo row,
-            # observer sample and trajectory frame before checkpointing
-            if thermo_every:
-                self._record_thermo()
+            # uninterrupted run already emitted this step's observer
+            # samples and trajectory frame before checkpointing
             self._observe()
             if self._trajectory_due():
                 self._write_frame()
@@ -616,8 +523,6 @@ class MDLoop:
                     barostat.apply(system, self.instantaneous_pressure(),
                                    integrator.dt)
             self.step = step = self.step + 1
-            if thermo_every and step % thermo_every == 0:
-                self._record_thermo()
             if observe is not None:
                 observe()
             if traj_every > 0 and step % traj_every == 0:
@@ -635,12 +540,6 @@ class MDLoop:
                                    writer=self.trajectory)
 
     # ------------------------------------------------------------------
-    @property
-    def potential_energy(self) -> float:
-        if self._last is None:
-            self._evaluate()
-        return self._last.energy
-
     @property
     def last_result(self) -> EnergyForces:
         if self._last is None:
@@ -735,31 +634,21 @@ class EngineSession:
         self.engine.bind(system)
         self.binds += 1
 
-    def loop(self, system: ParticleSystem | None = None,
-             **loop_kwargs) -> MDLoop:
-        """A fresh :class:`MDLoop` over the (optionally rebound) engine.
-
-        For callers that drive the loop manually - e.g. to
-        :meth:`MDLoop.snapshot`/:meth:`MDLoop.restore_snapshot` between
-        runs.  Loop-level statistics are not folded into the session.
-        """
-        if system is not None:
-            self.bind(system)
-        return MDLoop(self.engine, **loop_kwargs)
-
     def run(self, system: ParticleSystem, nsteps: int, *,
             dt: float = 1.0e-3, thermostat=None, barostat=None,
-            thermo_every: int = 0, observers=()) -> RunSummary:
+            observers=()) -> RunSummary:
         """Bind ``system`` and integrate ``nsteps`` over the live engine.
 
         ``system`` is advanced in place (read positions/velocities off
         it afterwards); the returned :class:`RunSummary` carries the
-        final potential energy and per-run throughput.
+        final potential energy and per-run throughput.  Thermo rows and
+        other per-step samples come from ``observers`` (for example a
+        :class:`repro.analysis.ThermoObserver`).
         """
         self.bind(system)
         loop = MDLoop(self.engine, dt=dt, thermostat=thermostat,
                       barostat=barostat, observers=observers)
-        summary = loop.run(nsteps, thermo_every=thermo_every)
+        summary = loop.run(nsteps)
         self.segments += 1
         self.steps += int(nsteps)
         self.md_wall_s += summary.wall_s

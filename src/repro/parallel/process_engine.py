@@ -73,7 +73,8 @@ where they exchange their reference pair counts through the one
 control block; a rank publishes its neighbor ids before the values
 barrier and reads the others' only after it.  A new generation or a
 new cell resets a rank's list, which then rebuilds: pair-capacity
-growth re-runs the step on pair blocks of the next generation.  The
+growth re-runs the step on pair blocks of the next generation, and
+``bind()`` to a denser state starts that generation before the step.  The
 parent owns every block and unlinks them all on ``close()``; the kit's
 finalizer covers abandoned engines.  The parent waits on the ranks'
 pipes and sentinels together, so a rank's exception (re-raised with its
@@ -433,6 +434,14 @@ class ProcessEngine(ForceEngine):
                                                   np.int64)
         self._gen, self._cap = gen, cap
 
+    def _grow_pair_blocks(self, cap: int) -> None:
+        """Move to generation ``gen + 1`` with ``cap``-pair blocks.  Ranks
+        keep mapping the old blocks until they attach the new ones -
+        unlinking only removes the names."""
+        for key in ("val", "kept", "jref"):
+            self._blocks[key].close()
+        self._create_pair_blocks(gen=self._gen + 1, cap=cap)
+
     # ------------------------------------------------------------------
     def _collect(self) -> list:
         """Take one reply from every rank, in rank order.  The first rank
@@ -475,13 +484,8 @@ class ProcessEngine(ForceEngine):
             if need <= self._cap:
                 break
             # a build overflowed the pair blocks: the ranks stopped
-            # before publishing; run the step again on the next
-            # generation.  Ranks keep mapping the old blocks until they
-            # attach the new ones - unlinking only removes the names.
-            for key in ("val", "kept", "jref"):
-                self._blocks[key].close()
-            self._create_pair_blocks(gen=self._gen + 1,
-                                     cap=int(need * 1.3) + 64)
+            # before publishing; run the step again on the next generation
+            self._grow_pair_blocks(int(need * 1.3) + 64)
 
         # fold the replies in rank order: the comm ledger, the per-rank
         # stopwatches and the virial
@@ -517,7 +521,10 @@ class ProcessEngine(ForceEngine):
         must match too.  The next request hands the ranks the cell
         unconditionally, which resets their lists - coordinates within
         the old Verlet skin must not silently reuse the stale pair
-        order, or the bitwise fresh-vs-rebound contract breaks.
+        order, or the bitwise fresh-vs-rebound contract breaks.  The
+        pair blocks grow (never shrink) to the bound state's estimate,
+        so a denser state does not build every rank's list twice in its
+        first step.
         """
         if self._closed:
             raise RuntimeError("ProcessEngine is closed")
@@ -533,6 +540,9 @@ class ProcessEngine(ForceEngine):
         super().bind(system)
         self._box = None
         self._ref_raw = None
+        cap = self._estimate_capacity()
+        if cap > self._cap:
+            self._grow_pair_blocks(cap)
 
     @property
     def neighbor_builds(self) -> int:

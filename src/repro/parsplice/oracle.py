@@ -29,21 +29,18 @@ def measured_md_rate(system, potential=None, dt: float = 1.0e-3,
 
     By default a fresh engine is built (``engine_kwargs`` select the
     backend: ``backend``, ``nprocs``, ...) and torn down.  Passing a
-    live :class:`repro.md.EngineSession` (or bare engine) via ``engine``
-    measures over it instead - the session is rebound to ``system``,
-    reused, and left open (caller keeps ownership), so calibration runs
-    at the session fleet's true marginal cost.
+    live :class:`repro.md.EngineSession` via ``engine`` measures one
+    :meth:`~repro.md.EngineSession.run` on it instead - the session is
+    rebound to ``system``, counts the run, and is left open (caller
+    keeps ownership), so calibration runs at the session fleet's true
+    marginal cost.
     """
     from ..md.engine import MDLoop, build_engine
 
     if nsteps < 1:
         raise ValueError("nsteps must be positive")
     if engine is not None:
-        if hasattr(engine, "loop"):  # an EngineSession: count its stats
-            summary = engine.loop(system, dt=dt).run(nsteps)
-        else:
-            engine.bind(system)
-            summary = MDLoop(engine, dt=dt).run(nsteps)
+        summary = engine.run(system, nsteps, dt=dt)
     else:
         if potential is None:
             raise ValueError("potential is required without an engine")

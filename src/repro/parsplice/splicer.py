@@ -58,9 +58,6 @@ class SpliceEngine:
     def stored_segments(self) -> int:
         return sum(len(q) for q in self._store.values())
 
-    def store_counts(self) -> dict[int, int]:
-        return {s: len(q) for s, q in self._store.items() if q}
-
     def spliced_fraction(self, n_generated: int) -> float:
         """Fraction of generated segments already spliced in."""
         if n_generated == 0:

@@ -36,7 +36,9 @@ Contracts:
     function needs;
 ``step-cost``
     a step of the 64-atom ParSplice replica makes no more interpreter
-    calls than the floor ``tests/test_step_floor.py`` pins;
+    calls than the floor ``tests/test_step_floor.py`` pins; the first
+    step after a process engine's ``bind()`` builds each rank's list
+    once;
 ``none``
     the row changes no observable behaviour (``why`` says why); it can
     give no net a unique kill.
@@ -421,6 +423,16 @@ ROWS: tuple[Mutant, ...] = (
              "            self._box = None\n"),
         shape="rebind hands the ranks the cell only when the box changed",
         contract="rebind"),
+    Mutant(
+        "bind-skips-regrow", PROC,
+        old=("        cap = self._estimate_capacity()\n"
+             "        if cap > self._cap:\n"
+             "            self._grow_pair_blocks(cap)\n"),
+        new="",
+        shape="bind keeps the pair blocks sized for the old state: the "
+              "first step on a denser state overflows and builds every "
+              "rank's list twice (the forces stay bitwise)",
+        contract="step-cost"),
     # ------------------------------------------------------------------
     # the engine surface, on the process backend
     # ------------------------------------------------------------------

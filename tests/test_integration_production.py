@@ -9,7 +9,7 @@ exercising MD driver + potential + dump + analysis together the way the
 import numpy as np
 import pytest
 
-from repro.analysis import PhaseClassifier
+from repro.analysis import PhaseClassifier, ThermoObserver
 from repro.md import LangevinThermostat, MDLoop, build_engine, load_checkpoint
 from repro.perfmodel import ProductionRun, production_trace
 from repro.potentials import StillingerWeber
@@ -26,12 +26,13 @@ def mini_production(tmp_path_factory):
     ck = tmp / "restart.npz"
     sim = MDLoop(build_engine(system, pot), dt=5e-4,
                  thermostat=LangevinThermostat(temp=300.0, damp=0.05, seed=1),
-                 checkpoint_every=20, checkpoint_path=ck)
+                 checkpoint_every=20, checkpoint_path=ck,
+                 observers=[ThermoObserver(every=20)])
     fractions = []
     pc = PhaseClassifier()
     for temp in (300.0, 600.0, 900.0):
         sim.thermostat = LangevinThermostat(temp=temp, damp=0.05, seed=int(temp))
-        sim.run(40, thermo_every=20)
+        sim.run(40)
         fractions.append(pc.fractions(system.box.wrap(system.positions),
                                       system.box))
     return sim, ck, fractions
@@ -40,7 +41,7 @@ def mini_production(tmp_path_factory):
 class TestMiniProduction:
     def test_segments_heat_up(self, mini_production):
         sim, _, _ = mini_production
-        temps = [e.temperature for e in sim.thermo_log]
+        temps = [r["temperature"] for r in sim.observers[0].rows]
         assert temps[-1] > temps[0]
 
     def test_io_phase_recorded(self, mini_production):

@@ -1,7 +1,7 @@
 """Checkpoint/restart correctness: atomic writes and bitwise resume.
 
 The central contract: interrupting a run at a checkpoint and resuming
-from it yields *bitwise* the same positions, velocities, thermo log and
+from it yields *bitwise* the same positions, velocities, thermo rows and
 trajectory bytes as the run that never stopped - on every execution
 backend.  Everything the forward path is sensitive to (step counter,
 Langevin RNG stream position, the checkpointed step's force result,
@@ -16,6 +16,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.analysis import ThermoObserver
 from repro.md import (LangevinThermostat, MDLoop, TrajectoryFile,
                       TrajectoryReader, build_engine, load_checkpoint,
                       write_checkpoint)
@@ -41,9 +42,9 @@ def _loop(engine, thermo_seed=7, **kw):
                                                 seed=thermo_seed), **kw)
 
 
-def _thermo_rows(loop):
-    return [(e.step, e.temperature, e.potential_energy, e.kinetic_energy,
-             e.total_energy) for e in loop.thermo_log]
+def _thermo_rows(thermo):
+    return [(r["step"], r["temperature"], r["potential_energy"],
+             r["kinetic_energy"], r["total_energy"]) for r in thermo.rows]
 
 
 class _DiskFillsOnWrite:
@@ -184,11 +185,12 @@ class TestBitwiseRestart:
         s, pot = _setup()
         with build_engine(s, pot, **kw) as engine, \
                 TrajectoryFile(ref_trj, natoms=s.natoms) as w:
+            thermo = ThermoObserver(every=1)
             loop = _loop(engine, trajectory=w, trajectory_every=2,
-                         trajectory_velocities=True)
-            loop.run(self.N, thermo_every=1)
+                         trajectory_velocities=True, observers=[thermo])
+            loop.run(self.N)
         ref_pos, ref_vel = s.positions.copy(), s.velocities.copy()
-        ref_thermo = _thermo_rows(loop)
+        ref_thermo = _thermo_rows(thermo)
 
         # the run that dies one step past its checkpoint
         s2, pot2 = _setup()
@@ -196,22 +198,25 @@ class TestBitwiseRestart:
                 TrajectoryFile(res_trj, natoms=s2.natoms) as w2:
             loop2 = _loop(engine2, trajectory=w2, trajectory_every=2,
                           trajectory_velocities=True,
-                          checkpoint_every=self.K, checkpoint_path=ck)
-            loop2.run(self.K + 1, thermo_every=1)
+                          checkpoint_every=self.K, checkpoint_path=ck,
+                          observers=[ThermoObserver(every=1)])
+            loop2.run(self.K + 1)
 
         # resume into a fresh, differently-seeded world: every bit of
         # forward-path state must come from the checkpoint, not luck
         s3, pot3 = _setup(vel_seed=42)
         with build_engine(s3, pot3, **kw) as engine3, \
                 TrajectoryFile(res_trj, natoms=s3.natoms, mode="a") as w3:
+            thermo3 = ThermoObserver(every=1)
             loop3 = _loop(engine3, thermo_seed=99, trajectory=w3,
-                          trajectory_every=2, trajectory_velocities=True)
+                          trajectory_every=2, trajectory_velocities=True,
+                          observers=[thermo3])
             assert loop3.restore(ck) == self.K
-            loop3.run(self.N - self.K, thermo_every=1)
+            loop3.run(self.N - self.K)
 
         assert np.array_equal(s3.positions, ref_pos)
         assert np.array_equal(s3.velocities, ref_vel)
-        assert _thermo_rows(loop3) == ref_thermo[self.K + 1:]
+        assert _thermo_rows(thermo3) == ref_thermo[self.K + 1:]
         assert ref_trj.read_bytes() == res_trj.read_bytes()
 
     def test_step_counter_and_cadences_resume(self, tmp_path):
@@ -223,11 +228,12 @@ class TestBitwiseRestart:
             assert loop.step == 3
         s2, pot2 = _setup(vel_seed=11)
         with build_engine(s2, pot2) as engine2:
-            loop2 = _loop(engine2)
+            thermo = ThermoObserver(every=1)
+            loop2 = _loop(engine2, observers=[thermo])
             assert loop2.restore(tmp_path / "ck") == 3
-            loop2.run(2, thermo_every=1)
+            loop2.run(2)
             assert loop2.step == 5
-            assert [e.step for e in loop2.thermo_log] == [4, 5]
+            assert [r["step"] for r in thermo.rows] == [4, 5]
 
     def test_trajectory_rolled_back_to_checkpoint(self, tmp_path):
         trj = tmp_path / "t.trj"

@@ -176,8 +176,7 @@ class TestBindContract:
                 engine.bind(bigger)
 
     @pytest.mark.parametrize("engine_kwargs", BACKENDS)
-    def test_snapshot_replay_matches_file_restore(self, engine_kwargs,
-                                                  tmp_path):
+    def test_file_restore_replays_identically(self, engine_kwargs, tmp_path):
         pot = _pot()
         sys_run = _state(1)
         sys_run.seed_velocities(60.0, rng=np.random.default_rng(2))
@@ -188,22 +187,20 @@ class TestBindContract:
                                                         seed=3),
                           checkpoint_every=3, checkpoint_path=ck)
             loop.run(3)
-            snap = loop.snapshot()
             # stop checkpointing: the replay runs below would overwrite
             # the step-3 file at step 6 and break the file baseline
             loop.checkpoint_every = 0
-            # replaying the same snapshot twice gives the identical
+            # restoring the same checkpoint twice gives the identical
             # continuation regardless of intervening loop state
-            loop.restore_snapshot(snap)
+            loop.run(2)
+            loop.restore(ck)
             loop.run(4)
             pos_first = loop.system.positions.copy()
-            loop.restore_snapshot(snap)
-            loop.run(4)
-            assert np.array_equal(loop.system.positions, pos_first)
-            # and matches the file-checkpoint restore bitwise
+            vel_first = loop.system.velocities.copy()
             loop.restore(ck)
             loop.run(4)
             assert np.array_equal(loop.system.positions, pos_first)
+            assert np.array_equal(loop.system.velocities, vel_first)
 
     def test_session_counts_reuse(self):
         pot = _pot()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import ThermoObserver
 from repro.md import (LangevinThermostat, MDLoop, PhaseTimers, build_engine,
                       load_checkpoint, write_checkpoint)
 from repro.potentials import LennardJones
@@ -109,12 +110,14 @@ class TestSimulation:
         assert set(out.phase_fractions) >= {"force", "neigh", "other"}
 
     def test_thermo_log(self, lj_sim):
-        lj_sim.run(20, thermo_every=5)
-        steps = [e.step for e in lj_sim.thermo_log]
+        thermo = ThermoObserver(every=5)
+        lj_sim.observers.append(thermo)
+        lj_sim.run(20)
+        steps = [r["step"] for r in thermo.rows]
         assert steps == [0, 5, 10, 15, 20]
-        for e in lj_sim.thermo_log:
-            assert e.total_energy == pytest.approx(
-                e.potential_energy + e.kinetic_energy)
+        for r in thermo.rows:
+            assert r["total_energy"] == pytest.approx(
+                r["potential_energy"] + r["kinetic_energy"])
 
     def test_negative_steps_rejected(self, lj_sim):
         with pytest.raises(ValueError):

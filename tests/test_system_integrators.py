@@ -77,9 +77,9 @@ class TestVelocityVerlet:
         s.seed_velocities(20.0, rng=rng)
         pot = LennardJones(epsilon=0.0104, sigma=1.0, cutoff=2.5)
         sim = MDLoop(build_engine(s, pot), dt=2e-3)
-        e0 = sim.potential_energy + s.kinetic_energy()
+        e0 = sim.last_result.energy + s.kinetic_energy()
         sim.run(150)
-        e1 = sim.potential_energy + s.kinetic_energy()
+        e1 = sim.last_result.energy + s.kinetic_energy()
         assert abs(e1 - e0) / max(abs(e0), 1e-10) < 1e-4
 
     def test_time_reversibility(self, rng):
