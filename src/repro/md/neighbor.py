@@ -34,6 +34,17 @@ into one :class:`~repro.core.snap.PairScratch` it owns, sized at its
 first build and grown only when a build overflows it - across rebinds
 too (:meth:`NeighborList.reset`) - so a step allocates no pair-sized
 array.
+
+On the tree path the list is two-level, as GROMACS' dual pair list
+(Pall et al., J. Chem. Phys. 153, 134110, 2020): a rebuild other than
+the first since construction or :meth:`NeighborList.reset` runs no tree
+query but prunes an *outer candidate set* - the tree's half pairs
+within ``cutoff + skin + margin``, sorted once into canonical order -
+with the same per-pair geometry as :func:`build_pairs`, so the list is
+the one ``build_pairs`` gives, to the bit.  The outer set is queried
+again only when an atom has moved more than ``margin / 2`` since it was
+built: no pair can then have closed by more than the margin.  The
+margin is :data:`_OUTER_MARGIN` of the list radius (EXPERIMENTS.md E45).
 """
 
 from __future__ import annotations
@@ -67,6 +78,23 @@ _SCRATCH_HEADROOM = 1.05
 #: sweeps only the nearest image: the margin keeps the rounding of
 #: ``dx / L`` from ever picking the far image of an in-cutoff pair
 _NEAREST_MARGIN = 1e-6
+
+#: the outer candidate set reaches this fraction of the list radius
+#: ``cutoff + skin`` beyond it: 1.2 A on the 4000-atom LJ benchmark,
+#: where one tree query serves about four rebuilds (EXPERIMENTS.md
+#: E45).  Under 0.5, so the outer radius stays below half of any box
+#: the tree path takes (every periodic axis >= 3 list radii)
+_OUTER_MARGIN = 0.28
+
+#: the outer set serves while no atom moved more than ``(1 -
+#: _OUTER_SLACK) * margin / 2`` since its build.  The slack (1e-9 of
+#: the margin) covers the rounding of the wrap, the displacements and
+#: the separations, each ~1e-16 of a box length, up to boxes of ~1e5 A
+_OUTER_SLACK = 1e-9
+
+#: candidate pairs the geometry handles per block: the per-pair
+#: temporaries stay cache-sized however long the candidate list is
+_PAIR_BLOCK = 1 << 14
 
 
 def _brute_force_pairs(positions: np.ndarray, box: Box, cutoff: float,
@@ -162,14 +190,43 @@ def _brute_force_pairs(positions: np.ndarray, box: Box, cutoff: float,
     return np.take(i_idx, order), np.take(j_idx, order), rij
 
 
-def _separations(pos: np.ndarray, box: Box, period: np.ndarray,
+def _row_norm2(d: np.ndarray, out: np.ndarray | None = None,
+              work: np.ndarray | None = None) -> np.ndarray:
+    """Squared length of every vector of ``d``, given as its ``(3, n)``
+    component rows (an ``(n, 3)`` array passes its transpose ``.T``),
+    summed as ``(x^2 + z^2) + y^2``: the order in which NumPy 2's
+    ``np.einsum("ij,ij->i", v, v)`` sums a row of a C-contiguous ``v``,
+    so the bits are einsum's (``tests/test_neighbor.py`` pins the two),
+    at half its cost on short lists.  ``work`` takes the squares."""
+    sq = np.multiply(d, d, out=work)
+    out = np.add(sq[0], sq[2], out=out)
+    out += sq[1]
+    return out
+
+
+def _finite(positions) -> np.ndarray:
+    """``positions`` as a float array; a NaN or inf raises."""
+    positions = np.asarray(positions, dtype=float)
+    if not np.isfinite(positions).all():
+        raise ValueError("positions must be finite (NaN or inf found)")
+    return positions
+
+
+def _period(box: Box) -> np.ndarray:
+    """The box lengths on periodic axes, 0 on open ones."""
+    return np.where(box.pmask, box.lengths, 0.0)
+
+
+def _separations(pos_t: np.ndarray, box: Box, period: np.ndarray,
                  a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-image vectors from atoms ``a`` to atoms ``b`` on wrapped
-    positions: the tree path's geometry, shared with
-    :meth:`NeighborList.bond_lengths` so both give the same bits."""
-    d = np.take(pos, b, axis=0)
-    d -= np.take(pos, a, axis=0)
-    shift = np.divide(d, box.lengths)
+    """Minimum-image vectors from atoms ``a`` to atoms ``b``, as their
+    ``(3, m)`` component rows, from the ``(3, N)`` component rows of
+    wrapped positions (``period`` is :func:`_period` as a column): the
+    tree path's geometry.  Component rows keep every operation a long
+    contiguous loop; the arithmetic per element is the same."""
+    d = np.take(pos_t, b, axis=1)
+    d -= np.take(pos_t, a, axis=1)
+    shift = np.divide(d, box.lengths[:, None])
     np.round(shift, out=shift)
     shift *= period
     d -= shift
@@ -183,38 +240,93 @@ def _uses_tree(natoms: int, box: Box, cutoff: float) -> bool:
     return usable and natoms > 32
 
 
-def _tree_pairs(positions: np.ndarray, box: Box, cutoff: float,
-                rows: tuple[int, int] | None = None, mirror: bool = True):
-    """k-d tree pair search; periodic axes must be >= 3 cutoffs long.
+def _tree_candidates(pos: np.ndarray, box: Box, radius: float,
+                     rows: tuple[int, int] | None, mirror: bool):
+    """The k-d tree's half pairs ``(i < j)`` within ``radius`` of the
+    wrapped positions ``pos``, in canonical ``(i, j)`` order, as two
+    int32 index arrays (intp past 2**31 atoms): the package's one tree.
 
-    The tree (over wrapped coordinates, radius padded by 1e-12; shape
-    ``_TREE_SHAPE``, E35) only proposes the half list (``i < j``), in
-    an order that depends on its shape; the geometry and the inclusion
-    test are our own arithmetic on it and ``build_pairs`` sorts the
-    result, so the list does not depend on the shape.  With ``mirror``
-    the list is mirrored with ``-d`` into the full one.  With
-    ``rows=(lo, hi)`` half pairs that cannot reach the window are
-    dropped before the geometry; the arithmetic per pair is the same,
-    so a restricted list holds the same bits as the unrestricted one.
+    The tree proposes them in an order that depends on its shape, and
+    its radius is padded by 1e-12 so that its own rounding never loses
+    a pair; the caller's geometry decides.  With ``rows=(lo, hi)`` the
+    pairs that cannot reach the window are dropped: a half list needs
+    those led by the window's atoms, a full one (``mirror``) also those
+    whose mirror is.
     """
-    pos = box.wrap(positions)
-    period = np.where(box.pmask, box.lengths, 0.0)
-    half = cKDTree(pos, boxsize=period, **_TREE_SHAPE).query_pairs(
-        cutoff * (1.0 + 1e-12), output_type="ndarray")
+    half = cKDTree(pos, boxsize=_period(box), **_TREE_SHAPE).query_pairs(
+        radius * (1.0 + 1e-12), output_type="ndarray")
     if rows is not None:
         inwin = (half >= rows[0]) & (half < rows[1])
-        # a half list needs the pairs led by the window's atoms, a full
-        # one also those whose mirror is
         half = half[inwin[:, 0] | (mirror & inwin[:, 1])]
-    a, b = half[:, 0], half[:, 1]
-    d = _separations(pos, box, period, a, b)
-    near = np.flatnonzero(np.einsum("ij,ij->i", d, d) < cutoff * cutoff)
-    if near.size < d.shape[0]:  # the padded radius let a few through
-        a, b, d = a[near], b[near], np.take(d, near, axis=0)
-    if not mirror:
-        return a, b, d
-    return (np.concatenate([a, b]), np.concatenate([b, a]),
-            np.concatenate([d, -d]))
+    n = len(pos)
+    key = half[:, 0] * n
+    key += half[:, 1]
+    del half  # the query's pairs go before the sort's arrays come
+    key.sort()
+    i_idx = key // n
+    key -= i_idx * n
+    dtype = np.int32 if n <= np.iinfo(np.int32).max else np.intp
+    return i_idx.astype(dtype), key.astype(dtype)
+
+
+def _near(pos: np.ndarray, box: Box, a: np.ndarray, b: np.ndarray,
+          cutoff: float):
+    """The candidate pairs ``(a, b)`` closer than ``cutoff`` on the
+    wrapped positions ``pos``: ``(a, b, d, d2)`` of those kept, in
+    candidate order, with ``d`` the ``(k, 3)`` :func:`_separations`
+    vectors and ``d2`` their :func:`_row_norm2`.  Each pair's
+    arithmetic depends on that pair alone, so any candidate list
+    holding a pair gives it the same bits; the list is walked in blocks
+    of ``_PAIR_BLOCK``."""
+    pos_t, period = np.ascontiguousarray(pos.T), _period(box)[:, None]
+    parts = []
+    for lo in range(0, a.size, _PAIR_BLOCK) or (0,):
+        ab, bb = a[lo:lo + _PAIR_BLOCK], b[lo:lo + _PAIR_BLOCK]
+        d = _separations(pos_t, box, period, ab, bb)
+        d2 = _row_norm2(d)
+        near = np.flatnonzero(d2 < cutoff * cutoff)
+        if near.size < d2.size:
+            ab, bb, d, d2 = ab[near], bb[near], np.take(d, near, axis=1), \
+                d2[near]
+        parts.append((ab, bb, d.T, d2))
+    if len(parts) == 1:
+        ab, bb, d, d2 = parts[0]
+        return ab, bb, np.ascontiguousarray(d), d2
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _in_rows(rows: tuple[int, int] | None, i_idx: np.ndarray, *arrays):
+    """``(i_idx, *arrays)`` restricted to the pairs whose central atom
+    lies in the window ``rows`` (all of them when it is None)."""
+    if rows is None:
+        return (i_idx, *arrays)
+    inwin = np.flatnonzero((i_idx >= rows[0]) & (i_idx < rows[1]))
+    return tuple(np.take(x, inwin, axis=0) for x in (i_idx, *arrays))
+
+
+def _tree_batch(pos: np.ndarray, box: Box, a: np.ndarray, b: np.ndarray,
+                cutoff: float, rows: tuple[int, int] | None,
+                half: bool) -> NeighborBatch:
+    """The tree path's list within ``cutoff`` from canonical candidate
+    half pairs ``(a, b)`` (:func:`_tree_candidates`) on wrapped
+    positions: the geometry (:func:`_near`) keeps their order, so a
+    half list needs no sort; a full one adds the mirror with ``-d``,
+    keeps the window and sorts.  ``r`` is the root of the inclusion
+    test's ``d2``."""
+    a, b, d, d2 = _near(pos, box, a, b, cutoff)
+    i_idx, j_idx = a.astype(np.intp), b.astype(np.intp)
+    if not half:
+        i_idx, j_idx = np.concatenate([i_idx, j_idx]), \
+            np.concatenate([j_idx, i_idx])
+        d, d2 = np.concatenate([d, -d]), np.concatenate([d2, d2])
+        # the candidates of a window kept a half pair for its mirror
+        i_idx, j_idx, d, d2 = _in_rows(rows, i_idx, j_idx, d, d2)
+        # the key is unique, so the order does not depend on the sort
+        order = np.argsort(i_idx * len(pos) + j_idx)
+        i_idx, j_idx = i_idx[order], j_idx[order]
+        d, d2 = np.take(d, order, axis=0), d2[order]
+    return NeighborBatch(i_idx=i_idx, rij=d, j_idx=j_idx, r=np.sqrt(d2),
+                         half=half)
 
 
 def build_pairs(positions: np.ndarray, box: Box, cutoff: float,
@@ -232,6 +344,10 @@ def build_pairs(positions: np.ndarray, box: Box, cutoff: float,
     pair set (on the sweep path up to a bond within rounding of the
     cutoff, which the full list may hold in one direction only).
 
+    The tree (shape ``_TREE_SHAPE``, E35) only proposes candidates; the
+    geometry and the inclusion test are our own arithmetic on them and
+    the result is sorted, so the list does not depend on the tree.
+
     ``rows=(lo, hi)`` restricts the list to pairs whose central atom
     index lies in ``[lo, hi)``; the restricted lists of a disjoint row
     partition concatenate (in partition order) to exactly the
@@ -241,29 +357,16 @@ def build_pairs(positions: np.ndarray, box: Box, cutoff: float,
 
     Non-finite positions raise ``ValueError`` on both paths.
     """
-    positions = np.asarray(positions, dtype=float)
-    if not np.isfinite(positions).all():
-        raise ValueError("positions must be finite (NaN or inf found)")
-    n = positions.shape[0]
-    tree = _uses_tree(n, box, cutoff)
-    if tree:
-        i_idx, j_idx, rij = _tree_pairs(positions, box, cutoff, rows=rows,
-                                        mirror=not half)
-    else:  # already in (i, shift, j) order
-        i_idx, j_idx, rij = _brute_force_pairs(positions, box, cutoff,
-                                               half=half)
-    if rows is not None:
-        inwin = np.flatnonzero((i_idx >= rows[0]) & (i_idx < rows[1]))
-        i_idx, j_idx = i_idx[inwin], j_idx[inwin]
-        rij = np.take(rij, inwin, axis=0)
-    if tree:
-        # the key is unique, so the order does not depend on the sort
-        order = np.argsort(i_idx * n + j_idx)
-        i_idx, j_idx = i_idx[order], j_idx[order]
-        rij = np.take(rij, order, axis=0)
+    positions = _finite(positions)
+    if _uses_tree(positions.shape[0], box, cutoff):
+        pos = box.wrap(positions)
+        return _tree_batch(pos, box, *_tree_candidates(
+            pos, box, cutoff, rows, mirror=not half), cutoff, rows, half)
+    # already in (i, shift, j) order
+    i_idx, j_idx, rij = _in_rows(rows, *_brute_force_pairs(
+        positions, box, cutoff, half=half))
     return NeighborBatch(i_idx=i_idx, rij=rij, j_idx=j_idx,
-                         r=np.sqrt(np.einsum("ij,ij->i", rij, rij)),
-                         half=half)
+                         r=np.sqrt(_row_norm2(rij.T)), half=half)
 
 
 def refresh_pairs(ref: NeighborBatch,
@@ -272,8 +375,9 @@ def refresh_pairs(ref: NeighborBatch,
     moved by ``disp`` since the build.  The one refresh every engine
     calls, so their pair geometry is equal to the bit.
 
-    Both land in ``ref``'s scratch; the gather temporary is the array
-    :func:`filter_pairs` then writes the kept ``rij`` into.
+    Both land in ``ref``'s scratch; the gather temporary, which also
+    takes the squares of ``r``, is the array :func:`filter_pairs` then
+    writes the kept ``rij`` into.
     """
     rij = ref.buffer("refresh.rij", 3)
     moved = ref.buffer("rij", 3)
@@ -282,8 +386,7 @@ def refresh_pairs(ref: NeighborBatch,
     np.add(ref.rij, moved, out=rij)
     disp.take(ref.i_idx, axis=0, out=moved, mode="clip")
     rij -= moved
-    r = ref.buffer("refresh.r")
-    np.einsum("ij,ij->i", rij, rij, out=r)
+    r = _row_norm2(rij.T, out=ref.buffer("refresh.r"), work=moved.T)
     return rij, np.sqrt(r, out=r)
 
 
@@ -331,6 +434,13 @@ class NeighborList:
     every atom, so the lists of a row partition rebuild on the same
     steps and concatenate, build or refresh, to the unrestricted list.
 
+    Every build gives the pairs ``build_pairs(positions, box, cutoff +
+    skin, rows=rows, half=half)`` gives, to the bit.  On the tree path
+    a build after the first (since construction or :meth:`reset`)
+    prunes the outer candidate set (see the module docstring), queried
+    again only when an atom has moved more than ``margin / 2`` since
+    that set was built; the first build is ``build_pairs`` itself.
+
     The constructor gives the full list; :meth:`for_potential` gives
     the list a potential evaluates, which is half (``half``) when its
     energy is a sum over unordered pairs.
@@ -350,6 +460,9 @@ class NeighborList:
             raise ValueError("skin must be non-negative")
         self._ref_positions: np.ndarray | None = None
         self._pairs: NeighborBatch | None = None
+        #: the outer candidate set ``(i, j)`` and where it was built
+        self._outer: tuple[np.ndarray, np.ndarray] | None = None
+        self._outer_positions: np.ndarray | None = None
         self._scratch: PairScratch | None = None
         self.nbuilds = 0
 
@@ -376,21 +489,45 @@ class NeighborList:
     def reset(self, box: Box) -> None:
         """Drop the pairs and put the list on ``box``: the next
         :meth:`get` rebuilds, never reusing pair order from the old
-        cell.  The build counter keeps counting and the scratch stays,
-        so a rebind allocates nothing the next build can reuse."""
+        cell; the outer candidate set goes too, so that build is the
+        plain one.  The build counter keeps counting and the scratch
+        stays, so a rebind allocates nothing the next build can reuse."""
         self.box = box
         self._pairs = None
         self._ref_positions = None
+        self._outer = self._outer_positions = None
 
-    def _displacements(self, positions: np.ndarray) -> np.ndarray | None:
-        """Minimum-image moves since the build, or None when an atom
-        moved more than ``skin/2`` (or a coordinate is not finite: NaN
+    def _displacements(self, positions: np.ndarray, since: np.ndarray,
+                       reach: float) -> np.ndarray | None:
+        """Minimum-image moves from ``since``, or None when an atom
+        moved more than ``reach`` (or a coordinate is not finite: NaN
         fails every comparison, so it must fail this one towards a
         rebuild, which raises)."""
-        disp = self.box.minimum_image(positions - self._ref_positions)
-        if not (disp * disp).sum(axis=1).max() <= (0.5 * self.skin) ** 2:
+        disp = self.box.minimum_image(positions - since)
+        if not (disp * disp).sum(axis=1).max() <= reach ** 2:
             return None
         return disp
+
+    def _build(self, positions: np.ndarray) -> NeighborBatch:
+        """The reference pairs at ``positions``: ``build_pairs`` at the
+        list radius, or on the tree path after the first build the same
+        list pruned from the outer candidate set."""
+        radius = self.cutoff + self.skin
+        if self._ref_positions is None or not _uses_tree(
+                len(positions), self.box, radius):
+            return build_pairs(positions, self.box, radius, rows=self.rows,
+                               half=self.half)
+        positions = _finite(positions)
+        pos, margin = self.box.wrap(positions), _OUTER_MARGIN * radius
+        if self._outer is None or self._displacements(
+                positions, self._outer_positions,
+                0.5 * margin * (1.0 - _OUTER_SLACK)) is None:
+            self._outer = None  # the old set goes before the query's peak
+            self._outer = _tree_candidates(pos, self.box, radius + margin,
+                                           self.rows, mirror=not self.half)
+            self._outer_positions = np.array(positions)
+        return _tree_batch(pos, self.box, *self._outer, radius, self.rows,
+                           self.half)
 
     def get(self, positions: np.ndarray) -> NeighborBatch:
         """The pairs within ``cutoff`` at ``positions``, exact geometry.
@@ -400,15 +537,15 @@ class NeighborList:
         """
         ref = self._pairs
         if ref is not None:
-            disp = self._displacements(positions)
+            disp = self._displacements(positions, self._ref_positions,
+                                       0.5 * self.skin)
             if disp is None:
                 ref = None
         if ref is None:
             # the old pairs go before the build (its peak), the scratch
             # stays unless the new list overflows it
             self._pairs = None
-            ref = build_pairs(positions, self.box, self.cutoff + self.skin,
-                              rows=self.rows, half=self.half)
+            ref = self._build(positions)
             scratch = self._scratch
             if scratch is None or scratch.capacity < ref.npairs:
                 scratch = self._scratch = PairScratch(
@@ -449,10 +586,8 @@ class NeighborList:
                 or len(positions) != len(self._ref_positions)
                 or not _uses_tree(len(positions), box,
                                   self.cutoff + self.skin)
-                or self._displacements(positions) is None):
+                or self._displacements(positions, self._ref_positions,
+                                       0.5 * self.skin) is None):
             return None
-        period = np.where(box.pmask, box.lengths, 0.0)
-        d = _separations(box.wrap(positions), box, period, ref.i_idx,
-                         ref.j_idx)
-        d2 = np.einsum("ij,ij->i", d, d)
-        return np.sqrt(d2[d2 < rmax * rmax])
+        d2 = _near(box.wrap(positions), box, ref.i_idx, ref.j_idx, rmax)[3]
+        return np.sqrt(d2)

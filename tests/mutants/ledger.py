@@ -221,14 +221,16 @@ ROWS: tuple[Mutant, ...] = (
     # ------------------------------------------------------------------
     Mutant(
         "mirror-sign", NEIGH,
-        old="            np.concatenate([d, -d]))\n",
-        new="            np.concatenate([d, d]))\n",
+        old=("        d, d2 = np.concatenate([d, -d]), np.concatenate([d2, "
+             "d2])\n"),
+        new=("        d, d2 = np.concatenate([d, d]), np.concatenate([d2, "
+             "d2])\n"),
         shape="the mirrored half list keeps +d", contract="physics"),
     Mutant(
         "rows-window-off-by-one", NEIGH,
-        old=("        inwin = np.flatnonzero((i_idx >= rows[0]) & (i_idx < "
+        old=("    inwin = np.flatnonzero((i_idx >= rows[0]) & (i_idx < "
              "rows[1]))\n"),
-        new=("        inwin = np.flatnonzero((i_idx >= rows[0]) & (i_idx <= "
+        new=("    inwin = np.flatnonzero((i_idx >= rows[0]) & (i_idx <= "
              "rows[1]))\n"),
         shape="rows window off by one (the next rank's first row)",
         contract="bitwise"),
@@ -258,10 +260,8 @@ ROWS: tuple[Mutant, ...] = (
         contract="validation"),
     Mutant(
         "refresh-skin-test-nan-blind", NEIGH,
-        old=("        if not (disp * disp).sum(axis=1).max() <= "
-             "(0.5 * self.skin) ** 2:\n"),
-        new=("        if (disp * disp).sum(axis=1).max() > "
-             "(0.5 * self.skin) ** 2:\n"),
+        old="        if not (disp * disp).sum(axis=1).max() <= reach ** 2:\n",
+        new="        if (disp * disp).sum(axis=1).max() > reach ** 2:\n",
         shape="the skin test reads NaN as 'not moved': a NaN atom is "
               "refreshed, fails r < cutoff and loses its pairs silently",
         contract="validation"),
@@ -271,6 +271,14 @@ ROWS: tuple[Mutant, ...] = (
         new="        if (ref is None or self.rows is not None\n",
         shape="a full list (every bond twice) serves the RDF observer's "
               "half-list bond lengths: its counts double",
+        contract="physics"),
+    Mutant(
+        "outer-set-full-margin", NEIGH,
+        old="                0.5 * margin * (1.0 - _OUTER_SLACK)) is None:\n",
+        new="                margin * (1.0 - _OUTER_SLACK)) is None:\n",
+        shape="the outer candidate set serves until an atom moved the whole "
+              "margin, not half of it: two atoms closing on each other by "
+              "up to twice the margin drop a pair from the pruned list",
         contract="physics"),
     Mutant(
         "box-equal-ignores-periodic", BOX,

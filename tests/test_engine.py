@@ -502,20 +502,31 @@ class TestProcessParity:
                 assert np.isclose(a[key], b[key], **TOL), key
 
     def test_checkpoint_files_identical(self, tmp_path):
+        """A Langevin run's checkpoint from three ranks holds serial's
+        state to the bit - positions, velocities, the list's reference
+        positions, the thermostat's RNG state and the last force result -
+        and only the virial-derived fields to ``TOL``."""
         paths = {}
-        for backend, nprocs in (("serial", None), ("process", 2)):
+        for backend, nprocs in (("serial", None), ("process", 3)):
             s, pot = lj_setup()
             path = tmp_path / f"{backend}.npz"
+            thermostat = LangevinThermostat(temp=40.0, damp=0.5, seed=11)
             with build_engine(s, pot, nprocs=nprocs) as engine:
-                MDLoop(engine, dt=1e-3, checkpoint_every=2,
-                       checkpoint_path=path).run(4)
+                MDLoop(engine, dt=1e-3, thermostat=thermostat,
+                       checkpoint_every=3, checkpoint_path=path).run(6)
             paths[backend] = path
         with np.load(paths["serial"]) as ser, \
                 np.load(paths["process"]) as proc:
             assert sorted(ser.files) == sorted(proc.files)
-            assert int(ser["step"]) == int(proc["step"]) == 4
+            assert int(ser["step"]) == int(proc["step"]) == 6
+            for key in ("positions", "velocities", "topology_ref",
+                        "thermostat_rng"):
+                assert key in ser.files
             for key in ser.files:
-                assert np.allclose(ser[key], proc[key], **TOL), key
+                if "virial" in key:
+                    assert np.allclose(ser[key], proc[key], **TOL), key
+                else:
+                    assert np.array_equal(ser[key], proc[key]), key
 
     def test_barostat_tracks_serial(self):
         volumes = {}

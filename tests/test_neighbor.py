@@ -6,13 +6,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
 import repro.md.neighbor as neighbor
 from repro.md import Box, MDLoop, NeighborList, build_engine, build_pairs
-from repro.md.neighbor import (_brute_force_pairs, filter_pairs,
+from repro.md.neighbor import (_brute_force_pairs, _row_norm2, filter_pairs,
                                refresh_pairs)
 from repro.potentials import LennardJones, TablePotential
 from repro.structures import lattice_system, random_packed, replicate
@@ -688,6 +689,141 @@ class TestNeighborList:
         got2 = nl.get(pos2)
         assert nl.nbuilds == 2
         assert _pair_set(got2) == _pair_set(build_pairs(pos2, box, 3.0))
+
+
+def _assert_reference_is_a_fresh_build(nl):
+    """The list's reference pairs hold the bytes of ``build_pairs`` at
+    the list radius and the positions they were built at."""
+    _assert_same_bytes(nl._pairs, build_pairs(
+        nl.ref_positions, nl.box, nl.cutoff + nl.skin, rows=nl.rows,
+        half=nl.half))
+
+
+def _walk_step(kind, pos, nl, rng):
+    """Move ``pos`` for one step of a generated walk: ``still`` stays
+    inside the skin, ``skin`` moves some atoms past ``skin / 2`` by up
+    to ``margin / 2``, ``margin`` moves some by ``margin / 2`` to the
+    whole margin (past the outer set's reach, and past twice it for a
+    pair closing head on), ``reset`` puts the list on a rescaled cell.
+    Atom 0 always moves."""
+    n = len(pos)
+    radius = nl.cutoff + nl.skin
+    margin = neighbor._OUTER_MARGIN * radius
+    lo, hi = {"still": (0.0, 0.2 * nl.skin),
+              "skin": (0.5 * nl.skin, 0.5 * (nl.skin + margin)),
+              "margin": (0.5 * margin, margin), "reset": (0.0, 0.0)}[kind]
+    movers = rng.random(n) < rng.uniform(0.1, 1.0)
+    movers[0] = True
+    step = rng.normal(size=(n, 3))
+    step *= (rng.uniform(lo, hi, size=n) * movers
+             / np.linalg.norm(step, axis=1))[:, None]
+    pos = pos + step
+    if kind == "reset":
+        scale = rng.uniform(0.9, 1.1, size=3)
+        box = Box(lengths=nl.box.lengths * scale,
+                  periodic=nl.box.periodic)
+        pos = pos * scale
+        nl.reset(box)
+    return pos
+
+
+class TestTwoLevelList:
+    """On the tree path a list's rebuilds after the first prune an
+    outer candidate set instead of querying the tree: every build, plain
+    or pruned, is the list a fresh ``build_pairs`` gives, to the byte."""
+
+    @seed(4545)
+    @settings(deadline=None, max_examples=30, database=None)
+    @given(system=tree_systems(), skin_frac=st.floats(0.0, 0.4),
+           half=st.booleans(), window=st.one_of(
+               st.none(), st.tuples(st.floats(0.0, 1.0),
+                                    st.floats(0.0, 1.0))),
+           kinds=st.lists(st.sampled_from(
+               ["still", "skin", "margin", "reset"]), max_size=12))
+    def test_generated_walks_equal_fresh_builds(self, system, skin_frac,
+                                                half, window, kinds):
+        box, pos, radius, rng = system
+        n = len(pos)
+        rows = None if window is None else \
+            tuple(sorted(int(w * n) for w in window))
+        nl = NeighborList(box=box, cutoff=radius * (1.0 - skin_frac),
+                          skin=radius * skin_frac, rows=rows)
+        nl.half = half
+        for step, kind in enumerate(["still", "skin", "skin", "margin",
+                                     *kinds]):
+            pos = _walk_step(kind, pos, nl, rng)
+            nl.get(pos)
+            _assert_reference_is_a_fresh_build(nl)
+            if step == 1:  # the first motion rebuild pruned
+                assert (nl._outer is not None) == neighbor._uses_tree(
+                    n, box, radius)
+
+    def test_first_build_after_construction_and_reset_is_plain(self, rng):
+        box = Box.cubic(20.0)
+        pos = rng.uniform(0, 20, size=(300, 3))
+        nl = NeighborList(box=box, cutoff=4.0, skin=0.4)
+        nl.get(pos)
+        assert nl._outer is None and nl.nbuilds == 1
+        pos = pos + 0.3
+        nl.get(pos)
+        assert nl._outer is not None and nl.nbuilds == 2
+        nl.reset(box)
+        assert nl._outer is None
+        nl.get(pos)
+        assert nl._outer is None and nl.nbuilds == 3
+
+    def test_non_finite_positions_raise_on_the_outer_path(self, rng):
+        """A NaN or inf coordinate on a rebuild that prunes raises, as
+        ``build_pairs`` does, with or without an outer set in hand."""
+        box = Box.cubic(20.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            for outer in (False, True):
+                pos = rng.uniform(0, 20, size=(300, 3))
+                nl = NeighborList(box=box, cutoff=4.0, skin=0.4)
+                nl.get(pos)
+                if outer:
+                    pos = pos + 0.3
+                    nl.get(pos)
+                    assert nl._outer is not None
+                pos = pos.copy()
+                pos[7, 1] = bad
+                with pytest.raises(ValueError, match="finite"), \
+                        np.errstate(invalid="ignore"):
+                    nl.get(pos)
+
+
+class TestRowNorm:
+    """``_row_norm2`` sums a vector in ``np.einsum("ij,ij->i")``'s order,
+    so every list keeps the bits it had when einsum summed it."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 1e-160, 1.3e154, -1e200,
+               np.inf, -np.inf, 1.0, np.pi]
+
+    @np.errstate(over="ignore")
+    def _assert_einsum_bits(self, d):
+        want = np.einsum("ij,ij->i", d, d)
+        assert _row_norm2(d.T).tobytes() == want.tobytes()
+        out, work = np.empty(len(d)), np.empty_like(d)
+        assert _row_norm2(d.T, out=out, work=work.T) is out
+        assert out.tobytes() == want.tobytes()
+        # component rows laid out as rows, as the tree's geometry has them
+        assert _row_norm2(np.ascontiguousarray(d.T)).tobytes() \
+            == want.tobytes()
+
+    @settings(deadline=None, max_examples=200)
+    @given(d=hnp.arrays(np.float64, st.tuples(st.integers(0, 40),
+                                              st.just(3)),
+                        elements=st.floats(allow_nan=False)))
+    def test_generated_rows(self, d):
+        self._assert_einsum_bits(d)
+
+    def test_special_and_long_rows(self, rng):
+        special = np.array(self.SPECIAL)
+        self._assert_einsum_bits(np.stack(np.meshgrid(
+            special, special, special), axis=-1).reshape(-1, 3))
+        for scale in (1.0, 1e-160, 1e150, 3.7e-310):
+            for n in (1, 7, 870, 70001):
+                self._assert_einsum_bits(rng.normal(size=(n, 3)) * scale)
 
 
 @settings(deadline=None, max_examples=20)

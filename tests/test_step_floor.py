@@ -23,6 +23,7 @@ import gc
 import hashlib
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -116,6 +117,45 @@ class TestStepBits:
 
     def test_langevin_run_on_the_tree(self):
         assert tree_digests() == TREE_DIGESTS
+
+
+class TestTreeCensus:
+    """On the tree path one tree query serves several rebuilds: after
+    the first build a rebuild prunes the list's outer candidate set,
+    queried again only when an atom moved ``margin / 2`` since."""
+
+    def test_motion_rebuilds_per_tree(self, monkeypatch):
+        """The 500-atom tree run of ``TestStepBits``, its bits
+        unchanged, makes at least three motion rebuilds per tree; the
+        first build after construction and after ``reset`` queries at
+        the list radius, every other query at the outer one."""
+        radii = []
+        tree = neighbor.cKDTree
+
+        def counting_tree(data, **shape):
+            built = tree(data, **shape)
+
+            def query_pairs(radius, **kw):
+                radii.append(radius)
+                return built.query_pairs(radius, **kw)
+            return SimpleNamespace(query_pairs=query_pairs)
+
+        monkeypatch.setattr(neighbor, "cKDTree", counting_tree)
+        system = random_packed(500, density=DENSITY, seed=38)
+        system.seed_velocities(300.0, rng=np.random.default_rng(38))
+        with build_engine(system, _lj(), skin=SKIN) as engine:
+            loop = MDLoop(engine, dt=1.0e-3, thermostat=LangevinThermostat(
+                temp=300.0, damp=0.1, seed=38))
+            loop.run(30)
+            assert _sha(system.positions) == TREE_DIGESTS[0]
+            motion = engine.neighbor_builds - 1
+            assert motion >= 3 * len(radii)
+            engine.neighbors.reset(system.box)
+            engine.evaluate()
+        inner = pytest.approx(RCUT + SKIN)
+        outer = pytest.approx((RCUT + SKIN) * (1.0 + neighbor._OUTER_MARGIN))
+        assert radii[0] == inner and radii[-1] == inner
+        assert all(r == outer for r in radii[1:-1]) and len(radii) > 2
 
 
 def calls_per_step(nsteps=200):
