@@ -9,7 +9,7 @@ loop so production runs stream compact observables instead.
 Protocol (duck-typed, checked by the loop at call time)::
 
     observe(step, system, result)   # called when step % every == 0
-    every                           # int cadence attribute, default 1
+    every                           # int cadence >= 1, default 1
 
 ``result`` is the :class:`repro.core.snap.EnergyForces` of the step's
 force evaluation (may be ``None`` for observers attached outside a
@@ -29,12 +29,19 @@ from .thermo import pressure
 __all__ = ["RDFObserver", "PhaseFractionObserver", "ThermoObserver"]
 
 
+def _cadence(every) -> int:
+    every = int(every)
+    if every < 1:
+        raise ValueError(f"every must be >= 1, got {every}")
+    return every
+
+
 class RDFObserver:
     """Accumulate a radial distribution function over the run.
 
     Same normalization as :func:`repro.analysis.rdf.rdf` averaged over
-    the sampled frames (box volume and atom count may drift under a
-    barostat; each sample carries its own ideal-gas normalization).
+    the sampled frames (each sample carries its own ideal-gas
+    normalization, so a cell changed between samples averages right).
 
     The pair search is the step's own when it can be: a result that
     carries its engine's neighbour list (``EnergyForces.neighbors``, a
@@ -51,7 +58,7 @@ class RDFObserver:
             raise ValueError("rmax must be positive")
         self.rmax = float(rmax)
         self.nbins = int(nbins)
-        self.every = int(every)
+        self.every = _cadence(every)
         self.hist = np.zeros(self.nbins)
         #: accumulated ``n_atoms * rho`` over samples (the per-sample
         #: ideal-gas normalization, summed so result() averages g(r))
@@ -92,7 +99,7 @@ class PhaseFractionObserver:
                  every: int = 1) -> None:
         self.classifier = classifier if classifier is not None \
             else PhaseClassifier()
-        self.every = int(every)
+        self.every = _cadence(every)
         self.steps: list[int] = []
         self.fractions: list[dict] = []
 
@@ -117,7 +124,7 @@ class ThermoObserver:
     """
 
     def __init__(self, every: int = 1) -> None:
-        self.every = int(every)
+        self.every = _cadence(every)
         self.rows: list[dict] = []
 
     def observe(self, step, system, result) -> None:

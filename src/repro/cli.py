@@ -227,6 +227,18 @@ def _cmd_parsplice_serve(args) -> int:
     return 0
 
 
+def _at_least(floor: int):
+    """An argparse ``type``: an integer no smaller than ``floor``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {floor}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's "invalid int value" message
+    return parse
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro", description="SC'21 SNAP MD reproduction toolkit")
@@ -239,8 +251,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--hours", type=float, default=24.0)
     p.set_defaults(fn=_cmd_production)
     p = sub.add_parser("run-md")
-    p.add_argument("--natoms", type=int, default=128)
-    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--natoms", type=_at_least(1), default=128)
+    p.add_argument("--steps", type=_at_least(0), default=10)
     p.add_argument("--dt", type=float, default=1.0e-3)
     p.add_argument("--temp", type=float, default=300.0)
     p.add_argument("--backend", choices=("serial", "process"),
@@ -250,11 +262,11 @@ def main(argv: list[str] | None = None) -> int:
                    help="worker processes for the process backend")
     p.add_argument("--traj", default=None,
                    help="stream a binary trajectory to this path")
-    p.add_argument("--traj-every", type=int, default=1,
+    p.add_argument("--traj-every", type=_at_least(1), default=1,
                    help="trajectory frame cadence in steps")
     p.add_argument("--observe", default=None,
                    help="comma list of in-situ observers: rdf,phase,thermo")
-    p.add_argument("--observe-every", type=int, default=1,
+    p.add_argument("--observe-every", type=_at_least(1), default=1,
                    help="observer cadence in steps")
     p.add_argument("--potential", choices=("lj", "snap"), default="lj")
     p.add_argument("--twojmax", type=int, default=4)
@@ -263,14 +275,14 @@ def main(argv: list[str] | None = None) -> int:
         "parsplice-serve",
         help="batched real-MD ParSplice segments over persistent "
              "engine sessions")
-    p.add_argument("--natoms", type=int, default=64)
-    p.add_argument("--nstates", type=int, default=3,
+    p.add_argument("--natoms", type=_at_least(1), default=64)
+    p.add_argument("--nstates", type=_at_least(1), default=3,
                    help="size of the jittered state library")
-    p.add_argument("--sessions", type=int, default=2,
+    p.add_argument("--sessions", type=_at_least(1), default=2,
                    help="persistent engine sessions (concurrent segments)")
-    p.add_argument("--quanta", type=int, default=4,
+    p.add_argument("--quanta", type=_at_least(1), default=4,
                    help="scheduling quanta (one batch per quantum)")
-    p.add_argument("--nsteps", type=int, default=50,
+    p.add_argument("--nsteps", type=_at_least(1), default=50,
                    help="MD steps per segment")
     p.add_argument("--dt", type=float, default=1.0e-3)
     p.add_argument("--temp", type=float, default=300.0)

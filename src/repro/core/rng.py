@@ -22,7 +22,7 @@ does not change realized trajectories.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -51,46 +51,26 @@ def _key_word(part: Any) -> int:
 class SeedStream:
     """A position in a deterministic tree of random streams.
 
-    A stream is fully described by ``(entropy, path)`` — no hidden
-    state — so it can be serialized with :meth:`state`, shipped to a
-    worker, and reconstructed with :meth:`from_state`.  Child streams
-    come in two flavours:
-
-    * :meth:`child` — *keyed*, stateless: ``root.child("segment", 3, 7)``
-      is the same stream every time it is derived.  Use this for
-      idempotent work items (a ParSplice segment keyed by
-      ``(state, seed)`` must replay bitwise on resubmission).
-    * :meth:`spawn` — *sequential*, stateful: each call advances an
-      internal counter, mirroring ``SeedSequence.spawn``.  Use this when
-      consumers are anonymous but their count is deterministic.
+    A stream is the value ``(entropy, path)`` - no hidden state, and no
+    method changes it - so it ships to a worker as it is.
+    Its one derivation, :meth:`child`, is keyed and stateless:
+    ``root.child("segment", 3, 7)`` is the same stream every time it is
+    derived, so an idempotent work item (a ParSplice segment keyed by
+    ``(state, seed)``) replays bitwise on resubmission.
     """
 
-    __slots__ = ("entropy", "path", "_spawned")
+    __slots__ = ("entropy", "path")
 
-    _SPAWN_TAG = _key_word("spawn")
-
-    def __init__(self, entropy: int = 0, path: tuple = (), spawned: int = 0):
+    def __init__(self, entropy: int = 0, path: tuple = ()):
         self.entropy = int(entropy) & _MASK64
         self.path = tuple(_key_word(p) for p in path)
-        self._spawned = int(spawned)
 
     # -- derivation ----------------------------------------------------
     def child(self, *key: Any) -> "SeedStream":
         """Derive the keyed child stream; same key -> same stream, always."""
         if not key:
             raise ValueError("child() needs at least one key component")
-        return SeedStream(self.entropy, self.path + key, 0)
-
-    def spawn(self) -> "SeedStream":
-        """Derive the next sequential child and advance the spawn counter."""
-        stream = SeedStream(
-            self.entropy, self.path + (self._SPAWN_TAG, self._spawned), 0
-        )
-        self._spawned += 1
-        return stream
-
-    def spawn_many(self, n: int) -> Iterator["SeedStream"]:
-        return (self.spawn() for _ in range(int(n)))
+        return SeedStream(self.entropy, self.path + key)
 
     # -- realization ---------------------------------------------------
     def sequence(self) -> np.random.SeedSequence:
@@ -111,34 +91,14 @@ class SeedStream:
         word = int(self.sequence().generate_state(1, np.uint64)[0])
         return word >> (64 - bits)
 
-    # -- serialization -------------------------------------------------
-    def state(self) -> dict:
-        """JSON-serializable snapshot of this stream position."""
-        return {
-            "entropy": self.entropy,
-            "path": list(self.path),
-            "spawned": self._spawned,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "SeedStream":
-        return cls(state["entropy"], tuple(state["path"]), state["spawned"])
-
     # -- ergonomics ----------------------------------------------------
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SeedStream):
             return NotImplemented
-        return (self.entropy, self.path, self._spawned) == (
-            other.entropy,
-            other.path,
-            other._spawned,
-        )
+        return (self.entropy, self.path) == (other.entropy, other.path)
 
     def __hash__(self) -> int:
-        return hash((self.entropy, self.path, self._spawned))
+        return hash((self.entropy, self.path))
 
     def __repr__(self) -> str:
-        return (
-            f"SeedStream(entropy={self.entropy}, path={self.path}, "
-            f"spawned={self._spawned})"
-        )
+        return f"SeedStream(entropy={self.entropy}, path={self.path})"

@@ -16,7 +16,6 @@ class EventLoop:
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._counter = itertools.count()
         self.now = 0.0
-        self.n_events = 0
 
     def schedule(self, delay: float, action: Callable[[], None]) -> None:
         """Run ``action`` ``delay`` virtual seconds from now."""
@@ -29,6 +28,5 @@ class EventLoop:
         while self._queue and self._queue[0][0] <= t_end:
             t, _, action = heapq.heappop(self._queue)
             self.now = t
-            self.n_events += 1
             action()
         self.now = max(self.now, t_end)

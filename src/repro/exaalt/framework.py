@@ -64,11 +64,6 @@ class ExaaltStats:
     datastore_bytes: float = 0.0
     exposed_fetch_time: float = 0.0
 
-    @property
-    def datastore_bandwidth_used(self) -> float:
-        """Average datastore traffic [bytes/s] over the campaign."""
-        return self.datastore_bytes / self.virtual_time if self.virtual_time else 0.0
-
     def summary(self) -> str:
         return (f"{self.tasks_completed} tasks in {self.virtual_time:.0f}s "
                 f"-> {self.tasks_per_second:.0f} tasks/s, "

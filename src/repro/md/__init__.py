@@ -4,8 +4,8 @@ from .box import Box
 from .dump import Checkpoint, load_checkpoint, write_checkpoint
 from .engine import (EngineSession, ForceEngine, MDLoop, RunSummary,
                      SerialEngine, build_engine)
-from .integrators import (BerendsenBarostat, BerendsenThermostat,
-                          LangevinThermostat, VelocityVerlet)
+from .integrators import (BerendsenThermostat, LangevinThermostat,
+                          VelocityVerlet)
 from .minimize import FireResult, fire_minimize, relax_volume
 from .neighbor import NeighborList, build_pairs, filter_pairs
 from .system import ParticleSystem
@@ -25,7 +25,6 @@ __all__ = [
     "VelocityVerlet",
     "LangevinThermostat",
     "BerendsenThermostat",
-    "BerendsenBarostat",
     "ForceEngine",
     "SerialEngine",
     "MDLoop",

@@ -13,9 +13,9 @@ that seam for the reproduction, and ``build_engine`` ->
     One :class:`~repro.md.neighbor.NeighborList` and a potential.
 :class:`MDLoop`
     The single integrate/thermo/checkpoint loop shared by every
-    backend: Verlet integration, Langevin thermostat, Berendsen
-    barostat, checkpoint IO, trajectory frames and in-situ observers
-    (thermo rows come from :class:`repro.analysis.ThermoObserver`).
+    backend: Verlet integration, Langevin thermostat, checkpoint IO,
+    trajectory frames and in-situ observers (thermo rows come from
+    :class:`repro.analysis.ThermoObserver`).
 :class:`RunSummary`
     The one typed run summary every backend emits.
 :func:`build_engine`
@@ -82,7 +82,6 @@ class RunSummary:
     #: trajectory-writer ledger (populated when the loop streams frames)
     io_frames: int | None = None
     io_bytes: int | None = None
-    io_write_s: float | None = None
     io_bytes_per_s: float | None = None
 
     @classmethod
@@ -94,7 +93,6 @@ class RunSummary:
         if writer is not None:
             led = writer.ledger
             extras.update(io_frames=led.frames, io_bytes=led.nbytes,
-                          io_write_s=led.write_s,
                           io_bytes_per_s=led.bytes_per_s)
         return cls(
             steps=nsteps, natoms=natoms, wall_s=wall,
@@ -245,7 +243,7 @@ class SerialEngine(ForceEngine):
     def bind(self, system: ParticleSystem) -> None:
         """Rebind to ``system``; a reset neighbor list forces a rebuild
         at the new coordinates (the build counter carries over, same as
-        the barostat rebind path)."""
+        on a cell change in :meth:`evaluate`)."""
         super().bind(system)
         self.neighbors.reset(system.box)
 
@@ -254,7 +252,7 @@ class SerialEngine(ForceEngine):
         if positions is None:
             positions = system.positions
         if neighbors.box is not system.box:
-            # the barostat rescaled the cell
+            # a new cell (``system.box =``; Box is frozen): rebuild
             neighbors.reset(system.box)
         builds = neighbors.nbuilds
         t0 = time.perf_counter()
@@ -288,19 +286,21 @@ class MDLoop:
 
     Owns integration, the Langevin thermostat (applied as a force
     modifier after every evaluation, so both Verlet half-kicks see the
-    thermostated forces), the Berendsen barostat, checkpoint IO
-    (accounted in the "io" phase), streaming trajectory output, in-situ
-    observers and the run summary.
+    thermostated forces), checkpoint IO (accounted in the "io" phase),
+    streaming trajectory output, in-situ observers and the run summary.
 
     Observers follow a duck-typed protocol: any object with
     ``observe(step, system, result)`` (and an optional integer ``every``
-    cadence attribute, default 1) is called after each step under the
-    "analysis" phase - see :mod:`repro.analysis.observers`.  Thermo rows
-    are one such observer, :class:`repro.analysis.ThermoObserver`.
+    cadence attribute, default 1, at least 1) is called after each step
+    under the "analysis" phase - see :mod:`repro.analysis.observers`.
+    Thermo rows are one such observer,
+    :class:`repro.analysis.ThermoObserver`.
 
-    ``trajectory`` accepts a :class:`repro.md.trajectory.TrajectoryFile`;
-    frames (positions, and velocities with ``trajectory_velocities``)
-    are written every ``trajectory_every`` steps, encode and write timed
+    ``checkpoint_every`` and ``trajectory_every`` are step cadences, 0
+    for off; a negative one raises ``ValueError``.  ``trajectory``
+    accepts a :class:`repro.md.trajectory.TrajectoryFile`; frames
+    (positions, and velocities with ``trajectory_velocities``) are
+    written every ``trajectory_every`` steps, encode and write timed
     under the "io" phase, and the writer's byte/throughput ledger
     surfaced in the :class:`RunSummary`.  :meth:`restore` resumes a
     checkpointed run bitwise-identically (see the method docstring for
@@ -308,22 +308,29 @@ class MDLoop:
     """
 
     def __init__(self, engine: ForceEngine, dt: float = 1.0e-3,
-                 thermostat=None, barostat=None, checkpoint_every: int = 0,
+                 thermostat=None, checkpoint_every: int = 0,
                  checkpoint_path: str | Path | None = None,
                  trajectory=None, trajectory_every: int = 0,
                  trajectory_velocities: bool = False,
                  observers=()) -> None:
+        if checkpoint_every < 0 or trajectory_every < 0:
+            raise ValueError("checkpoint_every and trajectory_every must be "
+                             "non-negative (0 is off)")
+        observers = list(observers)
+        for obs in observers:
+            if getattr(obs, "every", 1) < 1:
+                raise ValueError(f"observer {type(obs).__name__} has "
+                                 f"every={obs.every}; it must be >= 1")
         self.engine = engine
         self.integrator = VelocityVerlet(dt=dt)
         self.thermostat = thermostat
-        self.barostat = barostat
         self.checkpoint_every = checkpoint_every
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path \
             else None
         self.trajectory = trajectory
         self.trajectory_every = int(trajectory_every)
         self.trajectory_velocities = bool(trajectory_velocities)
-        self.observers = list(observers)
+        self.observers = observers
         self.step = 0
         self._last: EnergyForces | None = None
         #: set by restore(): the next run() must not repeat the
@@ -350,16 +357,6 @@ class MDLoop:
         self._last = result
         return result
 
-    def instantaneous_pressure(self) -> float:
-        """Current pressure [eV/A^3] from kinetic + virial terms."""
-        from ..constants import KB
-
-        if self._last is None:
-            self._evaluate()
-        v = self.system.box.volume
-        kin = self.system.natoms * KB * self.system.temperature()
-        return float((kin + np.trace(self._last.virial) / 3.0) / v)
-
     # ------------------------------------------------------------------
     # in-situ observers and streaming trajectory output
     # ------------------------------------------------------------------
@@ -368,8 +365,7 @@ class MDLoop:
             return
         with self.timers.phase("analysis"):
             for obs in self.observers:
-                every = max(int(getattr(obs, "every", 1)), 1)
-                if self.step % every == 0:
+                if self.step % getattr(obs, "every", 1) == 0:
                     obs.observe(self.step, self.system, self._last)
 
     def _trajectory_due(self) -> bool:
@@ -508,7 +504,7 @@ class MDLoop:
         # read once, not every step: the loop's configuration and the
         # engine's system, timers and integrator stay put during a run
         system, phase = self.engine.system, self.engine.timers.phase
-        integrator, barostat = self.integrator, self.barostat
+        integrator = self.integrator
         observe = self._observe if self.observers else None
         traj_every = self.trajectory_every \
             if self.trajectory is not None else 0
@@ -519,9 +515,6 @@ class MDLoop:
             result = self._evaluate()
             with phase("other"):
                 integrator.second_half(system, result.forces)
-                if barostat is not None:
-                    barostat.apply(system, self.instantaneous_pressure(),
-                                   integrator.dt)
             self.step = step = self.step + 1
             if observe is not None:
                 observe()
@@ -635,8 +628,7 @@ class EngineSession:
         self.binds += 1
 
     def run(self, system: ParticleSystem, nsteps: int, *,
-            dt: float = 1.0e-3, thermostat=None, barostat=None,
-            observers=()) -> RunSummary:
+            dt: float = 1.0e-3, thermostat=None, observers=()) -> RunSummary:
         """Bind ``system`` and integrate ``nsteps`` over the live engine.
 
         ``system`` is advanced in place (read positions/velocities off
@@ -647,7 +639,7 @@ class EngineSession:
         """
         self.bind(system)
         loop = MDLoop(self.engine, dt=dt, thermostat=thermostat,
-                      barostat=barostat, observers=observers)
+                      observers=observers)
         summary = loop.run(nsteps)
         self.segments += 1
         self.steps += int(nsteps)

@@ -128,29 +128,3 @@ class BerendsenThermostat:
             return
         lam = np.sqrt(1.0 + dt / self.tau * (self.temp / t_now - 1.0))
         system.velocities *= lam
-
-
-@dataclass
-class BerendsenBarostat:
-    """Weak-coupling isotropic pressure control.
-
-    Rescales box and coordinates by ``mu = (1 - dt/tau * kappa *
-    (P0 - P))^(1/3)`` each step.  ``pressure`` is the target [eV/A^3]
-    (use :data:`repro.constants.EVA3_TO_BAR` to convert from bar; the
-    paper's BC8 conditions, 12 Mbar, are ~7.5 eV/A^3).
-    ``kappa`` is an estimated isothermal compressibility [(eV/A^3)^-1];
-    set it near ``1/B0`` of the material (diamond: ~0.36).
-    """
-
-    pressure: float
-    tau: float = 0.5
-    kappa: float = 0.3
-    max_scale_step: float = 0.01
-
-    def apply(self, system: ParticleSystem, current_pressure: float,
-              dt: float) -> None:
-        arg = 1.0 - dt / self.tau * self.kappa * (self.pressure - current_pressure)
-        mu = np.clip(np.cbrt(arg), 1.0 - self.max_scale_step,
-                     1.0 + self.max_scale_step)
-        system.positions = system.positions * mu
-        system.box = system.box.scaled(mu)

@@ -45,8 +45,8 @@ Writer
 :class:`TrajectoryFile` is the one writer: it encodes and writes each
 frame synchronously on the caller's thread, so the MDLoop's "io" phase
 times the whole write.  It accounts frames, bytes and wall seconds in a
-:class:`WriterLedger` that :class:`~repro.md.engine.RunSummary` surfaces
-and :mod:`repro.perfmodel.filesystem` calibrates against.
+:class:`WriterLedger` that :class:`~repro.md.engine.RunSummary`
+surfaces.
 """
 
 from __future__ import annotations
@@ -249,8 +249,8 @@ class WriterLedger:
     ``frames`` and ``nbytes`` count only frames that are complete on
     disk; ``write_s`` is wall time spent inside file writes and flushes
     (the frame's encode is not in it).  ``bytes_per_s`` is the measured
-    sustained write bandwidth that calibrates
-    :class:`repro.perfmodel.filesystem.FileSystemModel`.
+    sustained write bandwidth, which :class:`repro.md.RunSummary`
+    reports.
     """
 
     frames: int = 0
@@ -260,10 +260,6 @@ class WriterLedger:
     @property
     def bytes_per_s(self) -> float:
         return self.nbytes / self.write_s if self.write_s > 0 else 0.0
-
-    def as_dict(self) -> dict:
-        return {"frames": self.frames, "bytes": self.nbytes,
-                "write_s": self.write_s, "bytes_per_s": self.bytes_per_s}
 
 
 # ======================================================================

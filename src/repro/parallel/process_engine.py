@@ -221,8 +221,8 @@ class _WorkerState:
             if box is None:
                 box = self.neighbors.box
         if box is not None:
-            # a new cell (barostat, bind) or new pair blocks: a reset
-            # list, exactly like the serial engine's rebind
+            # a new cell (bind, restore, ``system.box =``) or new pair
+            # blocks: a reset list, exactly like the serial engine's rebind
             self.neighbors.reset(box)
         return self._step()
 
@@ -470,8 +470,9 @@ class ProcessEngine(ForceEngine):
         system = self.system
         if positions is None:
             positions = system.positions
-        # a new cell - the barostat's (Box is frozen: a changed cell is
-        # a new object) or any after bind() - resets the ranks' lists
+        # a new cell - from bind(), restore() or ``system.box =`` (Box
+        # is frozen: a changed cell is a new object) - resets the ranks'
+        # lists
         cell = None if system.box is self._box else system.box
         self._box = system.box
         self._blocks["pos"].array[:] = positions

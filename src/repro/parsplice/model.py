@@ -45,9 +45,6 @@ class MarkovStateModel:
     def nstates(self) -> int:
         return self.rates.shape[0]
 
-    def exit_rate(self, state: int) -> float:
-        return float(self._exit[state])
-
     def evolve(self, state: int, duration: float,
                rng: np.random.Generator) -> tuple[int, int]:
         """Exact (Gillespie) evolution for ``duration``; returns

@@ -22,10 +22,10 @@ def measured_md_rate(system, potential=None, dt: float = 1.0e-3,
 
     Runs a short burst of real MD through the shared
     :class:`repro.md.MDLoop` and converts the measured
-    ``atom_steps_per_s`` into the ``md_rate`` that
-    :class:`repro.parsplice.SegmentGenerator` and the scheduler's
-    speculation economics are parameterized by - grounding the virtual
-    segment cost in an actual engine measurement instead of a guess.
+    ``atom_steps_per_s`` into the segment speed that
+    :func:`repro.exaalt.calibrated_config` prices an EXAALT task with -
+    grounding the virtual segment cost in an actual engine measurement
+    instead of a guess.
 
     By default a fresh engine is built (``engine_kwargs`` select the
     backend: ``backend``, ``nprocs``, ...) and torn down.  Passing a

@@ -8,8 +8,7 @@ correct state-to-state trajectory.
 :class:`SegmentGenerator`
     Exact CTMC evolution on a :class:`~repro.parsplice.MarkovStateModel`
     (the validity of splicing for Markovian state-to-state dynamics is
-    what the QSD theory establishes); the *wall-clock cost* of producing
-    a segment models an MD engine of a given speed.
+    what the QSD theory establishes).
 :func:`run_md_segment`
     Real MD: a state indexes a stored configuration, one segment is
     ``nsteps`` of Langevin dynamics from it over a reusable
@@ -60,9 +59,6 @@ class SegmentGenerator:
         The underlying state-to-state dynamics.
     t_segment:
         Physical duration of one segment [ps].
-    md_rate:
-        Virtual MD engine speed [simulated ps per wall-second per
-        worker]; sets the wall cost ``t_segment / md_rate`` per segment.
     seed:
         Root entropy, or a :class:`~repro.core.rng.SeedStream` position;
         an ``int`` realizes the same stream as the historical
@@ -70,23 +66,17 @@ class SegmentGenerator:
     """
 
     def __init__(self, msm: MarkovStateModel, t_segment: float = 1.0,
-                 md_rate: float = 1.0, seed: int | SeedStream = 0) -> None:
-        if t_segment <= 0 or md_rate <= 0:
-            raise ValueError("t_segment and md_rate must be positive")
+                 seed: int | SeedStream = 0) -> None:
+        if t_segment <= 0:
+            raise ValueError("t_segment must be positive")
         self.msm = msm
         self.t_segment = t_segment
-        self.md_rate = md_rate
         stream = seed if isinstance(seed, SeedStream) else SeedStream(seed)
         self._rng = stream.generator()
 
     @property
     def nstates(self) -> int:
         return self.msm.nstates
-
-    @property
-    def wall_cost(self) -> float:
-        """Wall-seconds one worker spends per segment."""
-        return self.t_segment / self.md_rate
 
     def generate(self, state: int) -> Segment:
         """Produce one segment starting (QSD-equilibrated) in ``state``."""
@@ -103,19 +93,17 @@ class SegmentGenerator:
 # real-MD segments
 # ======================================================================
 @dataclass(frozen=True)
-class MDSegment:
+class MDSegment(Segment):
     """One real-MD segment: the spliceable piece plus its final state.
 
-    Splicer-compatible (``start_state``/``end_state``/``duration``/
-    ``is_transition`` delegate to the embedded :class:`Segment`), so it
-    deposits straight into :class:`~repro.parsplice.SpliceEngine`.  The
-    ``fingerprint`` hashes the final phase-space point; two segments are
-    bitwise-identical iff their fingerprints match, which is how the
-    service asserts idempotent resubmission.
+    A :class:`Segment`, so it deposits straight into
+    :class:`~repro.parsplice.SpliceEngine`; ``state`` is the key's
+    state, its ``start_state``.  The ``fingerprint`` hashes the final
+    phase-space point; two segments are bitwise-identical iff their
+    fingerprints match, which is how the service asserts idempotent
+    resubmission.
     """
 
-    segment: Segment
-    state: int
     seed: int
     positions: np.ndarray = field(repr=False)
     velocities: np.ndarray = field(repr=False)
@@ -124,24 +112,8 @@ class MDSegment:
     fingerprint: str
 
     @property
-    def start_state(self) -> int:
-        return self.segment.start_state
-
-    @property
-    def end_state(self) -> int:
-        return self.segment.end_state
-
-    @property
-    def duration(self) -> float:
-        return self.segment.duration
-
-    @property
-    def n_transitions(self) -> int:
-        return self.segment.n_transitions
-
-    @property
-    def is_transition(self) -> bool:
-        return self.segment.is_transition
+    def state(self) -> int:
+        return self.start_state
 
 
 def _phase_fingerprint(positions: np.ndarray, velocities: np.ndarray) -> str:
@@ -180,11 +152,10 @@ def run_md_segment(session: EngineSession, template: ParticleSystem, *,
     summary = session.run(system, nsteps, dt=dt, thermostat=thermostat)
     end_state = int(state) if classifier is None \
         else int(classifier(system, int(state)))
-    segment = Segment(start_state=int(state), end_state=end_state,
-                      duration=nsteps * dt,
-                      n_transitions=int(end_state != int(state)))
-    return MDSegment(segment=segment, state=int(state), seed=int(seed),
-                     positions=system.positions.copy(),
+    return MDSegment(start_state=int(state), end_state=end_state,
+                     duration=nsteps * dt,
+                     n_transitions=int(end_state != int(state)),
+                     seed=int(seed), positions=system.positions.copy(),
                      velocities=system.velocities.copy(),
                      energy=float(summary.energy),
                      wall_s=float(summary.wall_s),

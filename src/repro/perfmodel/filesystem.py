@@ -6,7 +6,7 @@ streaming write is well described by a latency + bandwidth model::
 
     t(n) = latency + nbytes / bandwidth
 
-which also fits the measured throughput of this repo's own chunked
+which also describes the measured throughput of this repo's own chunked
 trajectory writer (the suite's ``md.trajectory.write_mb_per_s`` and
 ``md.trajectory.bytes_per_frame`` on ``lj4k_nvt_io``): per-frame
 latency covers syscall + header overhead, bandwidth the payload burst.
@@ -54,26 +54,3 @@ class FileSystemModel:
     def bytes_per_s(self, nbytes: float) -> float:
         """Effective throughput for a write of ``nbytes``."""
         return float(nbytes) / self.write_seconds(nbytes)
-
-    @classmethod
-    def from_measurement(cls, nbytes, seconds) -> "FileSystemModel":
-        """Fit the model to measured ``(nbytes, seconds)`` samples.
-
-        One sample pins bandwidth with zero latency; two or more fit
-        both by least squares (latency clamped at zero - a negative
-        intercept just means the samples are bandwidth-dominated).
-        """
-        nbytes = np.atleast_1d(np.asarray(nbytes, dtype=float))
-        seconds = np.atleast_1d(np.asarray(seconds, dtype=float))
-        if nbytes.shape != seconds.shape or nbytes.size == 0:
-            raise ValueError("need matching, non-empty samples")
-        if np.any(seconds <= 0):
-            raise ValueError("seconds must be positive")
-        if nbytes.size == 1:
-            return cls(bandwidth=float(nbytes[0] / seconds[0]))
-        design = np.column_stack([np.ones_like(nbytes), nbytes])
-        (latency, slope), *_ = np.linalg.lstsq(design, seconds, rcond=None)
-        if slope <= 0:  # pathological samples: fall back to mean rate
-            return cls(bandwidth=float(nbytes.sum() / seconds.sum()))
-        return cls(bandwidth=float(1.0 / slope),
-                   latency=float(max(latency, 0.0)))

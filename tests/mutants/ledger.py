@@ -27,7 +27,9 @@ Contracts:
     counts no frame;
 ``validation``
     input that describes no system (a non-finite coordinate or box
-    length) raises ``ValueError`` instead of giving a result;
+    length) or no schedule (a negative cadence, a count below one)
+    raises ``ValueError`` or an argparse error instead of giving a
+    result;
 ``aliasing``
     no array an engine returns is a view of a buffer a later step
     reuses (the neighbour list's scratch, a shared block);
@@ -674,6 +676,24 @@ ROWS: tuple[Mutant, ...] = (
         shape="scipy.optimize imported at module level again: every "
               "import repro pays for relax_volume's one call",
         contract="import-cost"),
+    # ------------------------------------------------------------------
+    # cadences and counts
+    # ------------------------------------------------------------------
+    Mutant(
+        "loop-negative-cadence-accepted", ENGINE,
+        old="        if checkpoint_every < 0 or trajectory_every < 0:\n",
+        new="        if checkpoint_every < 0 and trajectory_every < 0:\n",
+        shape="MDLoop takes a negative checkpoint cadence: run(6) at "
+              "checkpoint_every=-3 writes checkpoints (6 % -3 == 0)",
+        contract="validation"),
+    Mutant(
+        "cli-count-floor-off-by-one", "src/repro/cli.py",
+        old="        if value < floor:\n",
+        new="        if value < floor - 1:\n",
+        shape="the CLI takes one below each count's floor: --steps -1 "
+              "and --natoms 0 end in a traceback, --traj-every 0 writes "
+              "a header-only file",
+        contract="validation"),
     # ------------------------------------------------------------------
     # the potential's inputs
     # ------------------------------------------------------------------

@@ -146,6 +146,29 @@ class TestRunMD:
         with pytest.raises(SystemExit):
             main(["run-md", "--backend", "threads"])
 
+    def test_count_arguments_rejected_at_parse_time(self, capsys, tmp_path):
+        # each used to end in a traceback, or (a frame cadence of 0) in
+        # a header-only trajectory and exit 0
+        traj = tmp_path / "t.trj"
+        for argv in (["run-md", "--steps", "-1"],
+                     ["run-md", "--natoms", "0"],
+                     ["run-md", "--traj", str(traj), "--traj-every", "0"],
+                     ["run-md", "--traj", str(traj), "--traj-every", "-2"],
+                     ["run-md", "--observe", "thermo",
+                      "--observe-every", "0"],
+                     ["parsplice-serve", "--natoms", "0"],
+                     ["parsplice-serve", "--sessions", "0"],
+                     ["parsplice-serve", "--quanta", "0"],
+                     ["parsplice-serve", "--nsteps", "0"],
+                     ["parsplice-serve", "--nstates", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert f"argument {argv[-2]}: must be >= " \
+                in capsys.readouterr().err, argv
+        assert not traj.exists()
+        assert main(["run-md", "--natoms", "16", "--steps", "0"]) == 0
+
     def test_snap_runs_without_a_tuner(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run-md", "--potential", "snap", "--tune"])

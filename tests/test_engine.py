@@ -1,8 +1,8 @@
 """Backend feature parity through the shared engine layer.
 
 Every backend drives the same :class:`repro.md.MDLoop`: thermo rows (a
-:class:`repro.analysis.ThermoObserver`), checkpoint IO and the barostat
-behave identically on each, and ``run()`` emits the same
+:class:`repro.analysis.ThermoObserver`), checkpoint IO and a changed
+cell behave identically on each, and ``run()`` emits the same
 :class:`repro.md.RunSummary` shape.
 """
 
@@ -11,10 +11,10 @@ import pytest
 
 import inspect
 
-from repro.analysis import ThermoObserver
-from repro.md import (BerendsenBarostat, EngineSession, LangevinThermostat,
-                      MDLoop, RunSummary, SerialEngine, build_engine,
-                      build_pairs)
+from repro.analysis import (PhaseFractionObserver, RDFObserver,
+                            ThermoObserver, pressure)
+from repro.md import (EngineSession, LangevinThermostat, MDLoop, RunSummary,
+                      SerialEngine, build_engine, build_pairs)
 from repro.potentials import LennardJones
 from repro.structures import lattice_system
 
@@ -57,7 +57,9 @@ class TestBuildEngine:
 
         import repro
         from repro import md
+        from repro.core import SeedStream
         from repro.md import trajectory
+        from repro.parsplice import SegmentGenerator
 
         params = inspect.signature(build_engine).parameters
         assert list(params) == ["system", "potential", "backend", "nprocs",
@@ -93,14 +95,21 @@ class TestBuildEngine:
         # one MD-loop surface: thermo rows come from ThermoObserver, a
         # checkpoint restores from its file, frames always carry positions
         assert list(inspect.signature(MDLoop.__init__).parameters) == [
-            "self", "engine", "dt", "thermostat", "barostat",
-            "checkpoint_every", "checkpoint_path", "trajectory",
-            "trajectory_every", "trajectory_velocities", "observers"]
+            "self", "engine", "dt", "thermostat", "checkpoint_every",
+            "checkpoint_path", "trajectory", "trajectory_every",
+            "trajectory_velocities", "observers"]
         assert list(inspect.signature(MDLoop.run).parameters) \
             == ["self", "nsteps"]
         assert list(inspect.signature(EngineSession.run).parameters) == [
-            "self", "system", "nsteps", "dt", "thermostat", "barostat",
-            "observers"]
+            "self", "system", "nsteps", "dt", "thermostat", "observers"]
+        # no NPT path: the paper's engine is Verlet + Langevin NVE / NVT
+        assert not hasattr(md, "BerendsenBarostat")
+        assert "BerendsenBarostat" not in md.__all__
+        assert not hasattr(MDLoop, "instantaneous_pressure")
+        # one seed derivation (keyed children), no wall-cost model
+        assert SeedStream.__slots__ == ("entropy", "path")
+        assert list(inspect.signature(SegmentGenerator.__init__)
+                    .parameters) == ["self", "msm", "t_segment", "seed"]
         for name in ("ThermoEntry", "LoopSnapshot"):
             assert not hasattr(md, name) and name not in md.__all__
         # the alias the benchmark suite still imports, and only that
@@ -239,22 +248,48 @@ class TestFeatureParity:
         with build_engine(s2, pot, nprocs=2) as engine:
             proc = MDLoop(engine, dt=1e-3)
             assert proc.last_result.virial is not None
-            assert np.isclose(serial.instantaneous_pressure(),
-                              proc.instantaneous_pressure(), **TOL)
+            assert np.isclose(pressure(s1, serial.last_result),
+                              pressure(s2, proc.last_result), **TOL)
 
 
 # ======================================================================
 # satellite fixes shared via RunSummary / the engines
 # ======================================================================
 class TestSatelliteFixes:
-    def test_neighbor_builds_survive_barostat_rebind(self):
-        # the barostat rescales the cell every step, rebinding the
-        # neighbor list; the build counter must carry across rebinds
-        # (it used to reset, reporting 1 regardless of nsteps)
+    def test_neighbor_builds_survive_cell_change(self):
+        # a new cell every step resets the neighbor list; the build
+        # counter must carry across resets (it used to reset, reporting
+        # 1 regardless of nsteps)
+        class Rescale:
+            def observe(self, step, system, result):
+                system.box = system.box.scaled(1.001)
+                system.positions = system.positions * 1.001
+
         s, pot = lj_setup()
-        loop = MDLoop(build_engine(s, pot), dt=1e-3,
-                      barostat=BerendsenBarostat(pressure=0.5, tau=0.05))
+        loop = MDLoop(build_engine(s, pot), dt=1e-3, observers=[Rescale()])
         assert loop.run(5).neighbor_builds >= 5
+
+    def test_negative_cadences_are_rejected(self, tmp_path):
+        # 6 % -3 == 0: a negative checkpoint cadence used to write, a
+        # negative frame cadence wrote nothing and an observer's
+        # every <= 0 meant every step; 0 stays "off" for the loop's own
+        class EveryZero:
+            every = 0
+
+            def observe(self, step, system, result):
+                pass
+
+        s, pot = lj_setup()
+        engine = build_engine(s, pot)
+        MDLoop(engine, checkpoint_every=0, trajectory_every=0)
+        for kwargs in ({"checkpoint_every": -3}, {"trajectory_every": -3},
+                       {"observers": [EveryZero()]}):
+            with pytest.raises(ValueError, match="every"):
+                MDLoop(engine, checkpoint_path=tmp_path / "ck.npz", **kwargs)
+        for make in (ThermoObserver, PhaseFractionObserver,
+                     lambda every: RDFObserver(rmax=3.0, every=every)):
+            with pytest.raises(ValueError, match="every"):
+                make(every=0)
 
     def test_zero_wall_rate_is_guarded(self):
         s, pot = lj_setup()
@@ -527,17 +562,6 @@ class TestProcessParity:
                     assert np.allclose(ser[key], proc[key], **TOL), key
                 else:
                     assert np.array_equal(ser[key], proc[key]), key
-
-    def test_barostat_tracks_serial(self):
-        volumes = {}
-        for backend, nprocs in (("serial", None), ("process", 2)):
-            s, pot = lj_setup()
-            barostat = BerendsenBarostat(pressure=0.5, tau=0.05, kappa=0.3)
-            with build_engine(s, pot, nprocs=nprocs) as engine:
-                MDLoop(engine, dt=1e-3, barostat=barostat).run(5)
-            volumes[backend] = s.box.volume
-        assert volumes["serial"] != lj_setup()[0].box.volume
-        assert np.isclose(volumes["serial"], volumes["process"], **TOL)
 
     def test_summary_fields(self):
         s, pot = lj_setup()

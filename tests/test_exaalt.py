@@ -92,7 +92,6 @@ class TestDatastore:
                                           task_duration_mean=0.1))
         assert st.datastore_bytes == pytest.approx(
             st.tasks_completed * 1.0e6, rel=0.02)
-        assert st.datastore_bandwidth_used > 0
 
     def test_prefetch_hides_most_fetches(self):
         """With the pull model keeping queues full, exposed fetch time is

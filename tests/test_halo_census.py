@@ -17,8 +17,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from repro.md import (BerendsenBarostat, Box, MDLoop, ParticleSystem,
-                      build_engine)
+from repro.md import Box, MDLoop, ParticleSystem, build_engine
 from repro.md.engine import CommLedger
 from repro.parallel import (BYTES_PER_GHOST, BYTES_PER_POSITION, DomainGrid,
                             build_halos, forward_bytes, halo_census)
@@ -80,14 +79,14 @@ def e4b_sample():
     return s, cutoff + 0.3
 
 
-def census_of_run(make, nranks: int, steps: int, temp: float,
-                  barostat=None) -> CommLedger:
+def census_of_run(make, nranks: int, steps: int,
+                  temp: float) -> CommLedger:
     """Fold the census over a serial MD run of ``make()``'s system."""
     s, pot = make()
     s.seed_velocities(temp, rng=np.random.default_rng(5))
     with build_engine(s, pot) as engine:
         census = RunCensus(engine, nranks)
-        MDLoop(engine, dt=1e-3, barostat=barostat).run(steps)
+        MDLoop(engine, dt=1e-3).run(steps)
     assert census.ledger.rebuilds == engine.neighbor_builds
     return census.ledger
 
@@ -96,11 +95,6 @@ def lj_fcc():
     """864-atom LJ fcc: at 1500 K it rebuilds 39 times in 200 steps."""
     return (lattice_system("fcc", a=3.5, reps=(6, 6, 6)),
             LennardJones(epsilon=0.2, sigma=2.2, cutoff=5.0))
-
-
-def lj_fcc_small():
-    return (lattice_system("fcc", a=2.5, reps=(5, 5, 5)),
-            LennardJones(epsilon=0.2, sigma=2.2, cutoff=3.0))
 
 
 def sw_diamond():
@@ -162,13 +156,6 @@ class TestPinnedCensus:
     def test_snap_run(self):
         got = census_of_run(snap_diamond, 4, steps=30, temp=600.0)
         assert astuple(got) == self.RUNS["snap_diamond", 4]
-
-    def test_barostat_run(self):
-        """A cell change forces a rebuild on every step."""
-        barostat = BerendsenBarostat(pressure=0.5, tau=0.05, kappa=0.3)
-        got = census_of_run(lj_fcc_small, 8, steps=20, temp=40.0,
-                            barostat=barostat)
-        assert astuple(got) == (21, 20, 73_500, 2_324_000, 1_764_000, 72, 53)
 
     def test_empty_rank_reads_zero_and_returns_nothing(self):
         """12 atoms in one octant: rank 1 owns none.  It still receives

@@ -1,13 +1,11 @@
-"""Tests for the FIRE minimizer, cell relaxation, barostat and EOS fits."""
+"""Tests for the FIRE minimizer, cell relaxation and EOS fits."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import cold_curve, fit_birch_murnaghan
 from repro.analysis.eos import birch_murnaghan_energy
-from repro.constants import EVA3_TO_BAR, MBAR
-from repro.md import (BerendsenBarostat, LangevinThermostat, MDLoop,
-                      build_engine, build_pairs, fire_minimize, relax_volume)
+from repro.md import build_pairs, fire_minimize, relax_volume
 from repro.potentials import LennardJones, StillingerWeber
 from repro.structures import lattice_system
 
@@ -98,34 +96,3 @@ class TestBirchMurnaghan:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_birch_murnaghan(np.ones(3), np.ones(3))
-
-
-class TestBarostat:
-    def test_equilibrates_to_megabar(self, rng):
-        s = lattice_system("diamond", a=3.45, reps=(2, 2, 2))
-        s.seed_velocities(300.0, rng=rng)
-        target = 1.0 * MBAR / EVA3_TO_BAR
-        sim = MDLoop(
-            build_engine(s, StillingerWeber()), dt=5e-4,
-            thermostat=LangevinThermostat(temp=300.0, damp=0.05, seed=1),
-            barostat=BerendsenBarostat(pressure=target, tau=0.01, kappa=0.36))
-        sim.run(250)
-        p = sim.instantaneous_pressure() * EVA3_TO_BAR / MBAR
-        assert p == pytest.approx(1.0, abs=0.25)
-
-    def test_expansion_under_negative_mismatch(self, rng):
-        s = lattice_system("diamond", a=3.40, reps=(2, 2, 2))  # compressed
-        l0 = s.box.lengths[0]
-        sim = MDLoop(build_engine(s, StillingerWeber()), dt=5e-4,
-                     barostat=BerendsenBarostat(pressure=0.0, tau=0.01,
-                                                kappa=0.36))
-        sim.run(100)
-        assert s.box.lengths[0] > l0  # relaxes outward toward P=0
-
-    def test_scale_step_clamped(self):
-        from repro.md import Box, ParticleSystem
-
-        s = ParticleSystem(positions=np.zeros((1, 3)), box=Box.cubic(10.0))
-        BerendsenBarostat(pressure=1e9, tau=1e-6, kappa=1.0,
-                          max_scale_step=0.01).apply(s, 0.0, dt=1.0)
-        assert s.box.lengths[0] == pytest.approx(10.0 * 0.99)

@@ -51,9 +51,6 @@ class TestMSM:
         pi = two_state.stationary_distribution()
         assert np.allclose(pi_emp, pi, atol=0.02)
 
-    def test_exit_rate(self, two_state):
-        assert two_state.exit_rate(0) == pytest.approx(0.5)
-
 
 class TestArrhenius:
     def test_detailed_balance(self):
@@ -81,10 +78,6 @@ class TestArrhenius:
 
 
 class TestSegments:
-    def test_wall_cost(self, two_state):
-        gen = SegmentGenerator(two_state, t_segment=2.0, md_rate=4.0)
-        assert gen.wall_cost == pytest.approx(0.5)
-
     def test_bookkeeping(self, two_state):
         gen = SegmentGenerator(two_state, t_segment=1.0, seed=3)
         segments = gen.generate_batch([0] * 5)

@@ -284,21 +284,6 @@ class TestFileSystemModel:
         with pytest.raises(ValueError):
             FileSystemModel(bandwidth=1e9).write_seconds(-1)
 
-    def test_fit_recovers_latency_and_bandwidth(self):
-        from repro.perfmodel import FileSystemModel
-        truth = FileSystemModel(bandwidth=2e8, latency=0.005)
-        sizes = np.array([1e6, 1e7, 1e8])
-        fit = FileSystemModel.from_measurement(
-            sizes, truth.write_seconds(sizes))
-        assert fit.bandwidth == pytest.approx(2e8, rel=1e-6)
-        assert fit.latency == pytest.approx(0.005, rel=1e-6)
-
-    def test_single_sample_pins_bandwidth(self):
-        from repro.perfmodel import FileSystemModel
-        fit = FileSystemModel.from_measurement(1e6, 0.01)
-        assert fit.bandwidth == pytest.approx(1e8)
-        assert fit.latency == 0.0
-
     def test_production_trace_unchanged_at_zero_latency(self):
         from repro.perfmodel import ProductionRun, production_trace
         run = ProductionRun(wall_hours=0.5)
